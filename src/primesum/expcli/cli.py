@@ -56,7 +56,10 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     if kind == "units-filter":
         if len(parts) != 3:
             raise ConfigurationError(f"units-filter needs b0 and m0, got {text!r}")
-        b0, m0 = int(parts[1]), int(parts[2])
+        try:
+            b0, m0 = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad units-filter parameters in {text!r}") from exc
         if m0 < 1:
             raise ConfigurationError(f"units-filter modulus must be >= 1, got {m0}")
         return SubsetOfZm.from_members(m, units[units % m0 == b0 % m0])

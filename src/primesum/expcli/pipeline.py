@@ -29,9 +29,9 @@ from ..prime_embed import (
 )
 from ..zm_sumsets import (
     SubsetOfZm,
-    _int_sumset_flags,
     choose_moment_order,
     cyclic_sumset_size,
+    integer_sumset_flags,
     kth_moment,
     rep_histogram,
     sumset,
@@ -354,7 +354,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     )
 
     # Aggregate pair densities and the residue-level chain.
-    agg = aggregate_delta(part, reports, cfg.eps) if good else None
+    agg = aggregate_delta(part, cfg.eps) if good else None
     residue_density: list[dict] = []
     lower_bound = 0.0
     witness_ok: bool | None = None
@@ -529,7 +529,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     actual_sumset: int | None = None
     sumset_residues: list[dict] = []
     if a_arr.size and cfg.n <= _ACTUAL_SUMSET_MAX_N:
-        lo, flags = _int_sumset_flags(a_arr, a_arr)
+        lo, flags = integer_sumset_flags(a_arr, a_arr)
         actual_sumset = int(np.count_nonzero(flags))
         residues = (np.flatnonzero(flags) + lo) % m
         counts = np.bincount(residues.astype(np.int64), minlength=m)

@@ -346,44 +346,29 @@ def pair_sumset_report(
     beta = max(mean_f, mean_g)
     target = (ec1.delta_b + ec2.delta_b) / 2.0 - eps
 
-    if alpha == 0.0:
-        return PairSumsetReport(
-            b1=ec1.b,
-            b2=ec2.b,
-            N=n,
-            eps=eps,
-            sigma=sigma,
-            eps0_requested=eps0,
-            eps0_used=eps0,
-            alpha=alpha,
-            beta=beta,
-            support_count=0,
-            support_fraction=0.0,
-            target_fraction=target,
-            passed=0.0 >= target,
-            main_count=0,
-            main_fraction=0.0,
-            main_target=(mean_f + mean_g) / 2.0 - 3.0 * sigma,
-            main_passed=0.0 >= (mean_f + mean_g) / 2.0 - 3.0 * sigma,
-            error_counts={"12": 0, "21": 0, "22": 0},
-            error_count_reference=sigma * n,
-            error_l2sq={"12": 0.0, "21": 0.0, "22": 0.0},
-            f1_max=0.0,
-            g1_max=0.0,
-            bohr_size_f=0,
-            bohr_size_g=0,
-        )
-
-    cap = sigma**6 * alpha**4 / 400.0
-    eps0_used = min(eps0, cap) if cap > 0 else eps0
-    decomp_f = green_decompose(f, eps0_used, sigma)
-    decomp_g = green_decompose(g, eps0_used, sigma)
-    quantities = convolution_proof_quantities(f, g, decomp_f, decomp_g)
-
-    support = positive_support(f, g, 0.0)
-    support_fraction = support / n
-    main_fraction = quantities.main_count / n
     main_target = (mean_f + mean_g) / 2.0 - 3.0 * sigma
+    if alpha == 0.0:
+        # an all-zero density leaves nothing to decompose: every count is 0
+        eps0_used, support, main_count = eps0, 0, 0
+        error_counts = dict.fromkeys(("12", "21", "22"), 0)
+        error_l2sq = dict.fromkeys(("12", "21", "22"), 0.0)
+        f1_max = g1_max = 0.0
+        bohr_size_f = bohr_size_g = 0
+    else:
+        cap = sigma**6 * alpha**4 / 400.0
+        eps0_used = min(eps0, cap) if cap > 0 else eps0
+        decomp_f = green_decompose(f, eps0_used, sigma)
+        decomp_g = green_decompose(g, eps0_used, sigma)
+        quantities = convolution_proof_quantities(f, g, decomp_f, decomp_g)
+        support = positive_support(f, g, 0.0)
+        main_count = quantities.main_count
+        error_counts = dict(quantities.error_counts)
+        error_l2sq = dict(quantities.error_l2sq)
+        f1_max, g1_max = decomp_f.f1_max, decomp_g.f1_max
+        bohr_size_f, bohr_size_g = decomp_f.bohr.size, decomp_g.bohr.size
+
+    support_fraction = support / n
+    main_fraction = main_count / n
     return PairSumsetReport(
         b1=ec1.b,
         b2=ec2.b,
@@ -398,17 +383,17 @@ def pair_sumset_report(
         support_fraction=support_fraction,
         target_fraction=target,
         passed=support_fraction >= target,
-        main_count=quantities.main_count,
+        main_count=main_count,
         main_fraction=main_fraction,
         main_target=main_target,
         main_passed=main_fraction >= main_target,
-        error_counts=dict(quantities.error_counts),
-        error_count_reference=quantities.error_count_reference,
-        error_l2sq=dict(quantities.error_l2sq),
-        f1_max=decomp_f.f1_max,
-        g1_max=decomp_g.f1_max,
-        bohr_size_f=decomp_f.bohr.size,
-        bohr_size_g=decomp_g.bohr.size,
+        error_counts=error_counts,
+        error_count_reference=sigma * n,
+        error_l2sq=error_l2sq,
+        f1_max=f1_max,
+        g1_max=g1_max,
+        bohr_size_f=bohr_size_f,
+        bohr_size_g=bohr_size_g,
     )
 
 
@@ -430,13 +415,11 @@ class DeltaAggregate:
     lower_bound: float
 
 
-def aggregate_delta(
-    part: ResiduePartition, pair_reports, eps: float
-) -> DeltaAggregate:
+def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     """Aggregate pair densities over the good set into per-residue maxima.
 
-    ``pair_reports`` is accepted for interface symmetry (witness pairs are
-    chosen by density alone, which is symmetric in the pair order).
+    Witness pairs are chosen by density alone, which is symmetric in the
+    pair order.
     """
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")

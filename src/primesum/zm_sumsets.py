@@ -38,6 +38,7 @@ __all__ = [
     "ExtremalConstruction",
     "sumset",
     "integer_sumset",
+    "integer_sumset_flags",
     "cyclic_sumset_size",
     "rep_histogram",
     "capital_R",
@@ -115,9 +116,6 @@ class SubsetOfZm:
     def members_array(self) -> np.ndarray:
         return np.flatnonzero(_unpack_bits(self.bits, self.m)).astype(np.int64)
 
-    def member_set(self) -> frozenset[int]:
-        return frozenset(int(x) for x in self.members_array())
-
     def indicator_array(self) -> np.ndarray:
         return _unpack_bits(self.bits, self.m).astype(np.int64)
 
@@ -163,8 +161,9 @@ def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fold_cyclic(_convolve_int_exact(a, b), m)
 
 
-def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
-    """Cyclic sumset {x + y mod m}, computed two independent ways.
+def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
+    """Exact counts r[x] = #{(y, z) in b1 x b2 : y + z = x mod m}, with the
+    support computed two independent ways.
 
     A shift-accumulate pass over the smaller set and the support of the
     exact integer convolution of the indicators must agree bit for bit.
@@ -173,7 +172,7 @@ def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
         raise DomainError(f"mismatched moduli {b1.m} and {b2.m}")
     m = b1.m
     if b1.bits == 0 or b2.bits == 0:
-        return SubsetOfZm(m=m, bits=0)
+        return np.zeros(m, dtype=np.int64)
     small, big = (b1, b2) if b1.cardinality <= b2.cardinality else (b2, b1)
     if small.cardinality * m > _BITMASK_WORK:
         raise SizeLimitError(
@@ -187,11 +186,15 @@ def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
     mask = (1 << m) - 1
     shifted = (acc | (acc >> m)) & mask
 
-    conv = _cyclic_int_convolution(b1.indicator_array(), b2.indicator_array())
-    conv_bits = _pack_bits(conv > 0)
-    if conv_bits != shifted:
+    counts = _cyclic_int_convolution(b1.indicator_array(), b2.indicator_array())
+    if _pack_bits(counts > 0) != shifted:
         raise InvariantViolation("sumset routes disagree")
-    return SubsetOfZm(m=m, bits=shifted)
+    return counts
+
+
+def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
+    """Cyclic sumset {x + y mod m}, computed two independent ways."""
+    return SubsetOfZm(m=b1.m, bits=_pack_bits(_sumset_counts(b1, b2) > 0))
 
 
 def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
@@ -212,7 +215,7 @@ def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
     return int(np.count_nonzero(conv))
 
 
-def _int_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
+def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
     """Indicator of {x + y} over the integers.
 
     Returns (offset, flags) where flags[i] marks membership of offset + i.
@@ -242,7 +245,7 @@ def integer_sumset(b1, b2) -> set[int]:
     """Sumset {x + y} of two finite integer sets (no reduction)."""
     a1 = np.unique(np.fromiter((int(x) for x in b1), dtype=np.int64))
     a2 = np.unique(np.fromiter((int(x) for x in b2), dtype=np.int64))
-    lo, flags = _int_sumset_flags(a1, a2)
+    lo, flags = integer_sumset_flags(a1, a2)
     return {int(i) + lo for i in np.flatnonzero(flags)}
 
 
@@ -259,9 +262,9 @@ class RepresentationHistogram:
 
 
 def rep_histogram(b: SubsetOfZm) -> RepresentationHistogram:
-    """Ordered-pair representation counts of B + B in Z_m, exact."""
-    ind = b.indicator_array()
-    r = _cyclic_int_convolution(ind, ind)
+    """Ordered-pair representation counts of B + B in Z_m, exact; their
+    support passes the same dual-route check as ``sumset``."""
+    r = _sumset_counts(b, b)
     total = int(np.sum(r))
     if total != b.cardinality**2:
         raise InvariantViolation(
@@ -458,7 +461,7 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     )
     ratio = float(s_rb) / comparator if comparator > 0 else math.inf
 
-    actual = sumset(b, b).cardinality
+    actual = int(np.count_nonzero(hist.r))
     holder_bound: float | None = None
     if k >= 2:
         holder_bound = _holder_bound_value(card, s_rb, k)
@@ -514,7 +517,7 @@ def holder_lower_bound(b: SubsetOfZm, k: int) -> HolderCertificate:
         raise DomainError("certificate refused for the empty set")
     hist = rep_histogram(b)
     s = sum(int(v) ** k for v in hist.r)
-    actual = sumset(b, b).cardinality
+    actual = int(np.count_nonzero(hist.r))
     _assert_holder_exact(actual, b.cardinality, s, k)
     return HolderCertificate(
         m=b.m,
@@ -724,7 +727,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
     alpha_units = card / mod.totient
     alpha_total = Fraction(card, mod.m)
     k_formula, k = choose_moment_order(alpha_units)
-    actual_cyclic = sumset(b, b).cardinality
 
     if mod.squarefree:
         cert = kth_moment(b, k, mod)
@@ -742,10 +744,11 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
             block_mass_lhs=None,
             block_mass_rhs=None,
             final_bound=cert.holder_bound,
-            actual_cyclic=actual_cyclic,
+            actual_cyclic=cert.actual_sumset,
             actual_integer=None,
         )
 
+    actual_cyclic = sumset(b, b).cardinality
     m1 = mod.radical
     rad_mod = factorize(m1)
     members = b.members_array()

@@ -9,7 +9,10 @@ Conventions used throughout:
   becomes N * fhat * ghat on the transform side;
 * transforms are computed with numpy's exact-length FFT, which handles prime
   and composite N alike.  Direct O(N^2) variants (``dft_direct``,
-  ``convolve_direct``) are provided for verification at small N.
+  ``convolve_direct``) are provided for verification at small N;
+* a density holds its own unnormalized transform ``np.fft.fft(values)``,
+  computed on first use (its values are read-only), and every transform-side
+  operation reads it, so each density is transformed at most once.
 
 Reductions use numpy's pairwise summation, whose order is fixed for a fixed
 input, so repeated runs on the same data give bit-identical results.
@@ -18,6 +21,7 @@ input, so repeated runs on the same data give bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +79,13 @@ class DensityFunction:
     def l1(self) -> float:
         return float(np.sum(self.values))
 
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """Unnormalized transform sum_x f(x) e(-x xi / N), read-only."""
+        coeffs = np.fft.fft(self.values)
+        coeffs.setflags(write=False)
+        return coeffs
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -100,7 +111,6 @@ class BohrSet:
     of the trivial character: |e(-x xi / N) - 1| <= width for all xi."""
 
     N: int
-    frequencies: frozenset[int]
     width: float
     members: np.ndarray
 
@@ -120,7 +130,6 @@ class Decomposition:
     f1: DensityFunction
     f2: np.ndarray
     bohr: BohrSet
-    spectrum_threshold: float
     sigma: float
 
     def __post_init__(self) -> None:
@@ -148,7 +157,7 @@ def constant(N: int, value: float) -> DensityFunction:
 
 def dft(f: DensityFunction) -> Spectrum:
     """Normalized transform: coeffs[xi] = (1/N) sum_x f(x) e(-x xi / N)."""
-    return Spectrum(N=f.N, coeffs=np.fft.fft(f.values) / f.N)
+    return Spectrum(N=f.N, coeffs=f.transform / f.N)
 
 
 def dft_direct(f: DensityFunction) -> Spectrum:
@@ -174,7 +183,7 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x - y)."""
     if f.N != g.N:
         raise DomainError(f"mismatched group orders {f.N} and {g.N}")
-    vals = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
+    vals = np.fft.ifft(f.transform * g.transform).real
     # rounding can leave tiny negatives on a mathematically nonnegative result
     np.maximum(vals, 0.0, out=vals)
     return DensityFunction(N=f.N, values=vals)
@@ -201,8 +210,8 @@ def lp_fourier_norm(f: DensityFunction, s: float) -> float:
     return float(np.sum(mags**s) ** (1.0 / s))
 
 
-def large_spectrum(f: DensityFunction, eps0: float) -> frozenset[int]:
-    """Frequencies whose coefficient magnitude reaches eps0.
+def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
+    """Frequencies whose coefficient magnitude reaches eps0, in ascending order.
 
     Magnitudes are rounded to 12 decimal digits before the comparison so that
     boundary cases are stable across platforms.
@@ -210,28 +219,29 @@ def large_spectrum(f: DensityFunction, eps0: float) -> frozenset[int]:
     if not eps0 > 0:
         raise DomainError(f"spectrum threshold must be positive, got {eps0}")
     mags = np.round(np.abs(dft(f).coeffs), 12)
-    return frozenset(int(xi) for xi in np.flatnonzero(mags >= eps0))
+    return np.flatnonzero(mags >= eps0)
 
 
 def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
     """Members x of Z_N with |e(-x xi / N) - 1| <= eps0 for every frequency.
 
-    0 is always a member, so the set is never empty; once membership has
-    collapsed to {0} no further frequency can change it.
+    ``frequencies`` is any iterable of ints, such as the array returned by
+    ``large_spectrum``.  0 is always a member, so the set is never empty; once
+    membership has collapsed to {0} no further frequency can change it.
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     if not (0 < eps0 <= 1):
         raise DomainError(f"width must lie in (0, 1], got {eps0}")
-    freqs = sorted({int(xi) % N for xi in frequencies})
+    freqs = np.unique(np.fromiter(frequencies, dtype=np.int64) % N)
     x = np.arange(N)
     mask = np.ones(N, dtype=bool)
-    for xi in freqs:
+    for xi in freqs.tolist():
         mask &= np.abs(np.exp((-2j * np.pi * xi / N) * x) - 1.0) <= eps0
         if np.count_nonzero(mask) == 1:
             break
     members = np.flatnonzero(mask).astype(np.int64)
-    return BohrSet(N=N, frequencies=frozenset(freqs), width=eps0, members=members)
+    return BohrSet(N=N, width=eps0, members=members)
 
 
 def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposition:
@@ -248,12 +258,11 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     n = f.N
-    freqs = large_spectrum(f, eps0)
-    bohr = bohr_set(n, freqs, eps0)
+    bohr = bohr_set(n, large_spectrum(f, eps0), eps0)
     u = np.zeros(n)
     u[bohr.members] = 1.0
     mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
-    f1_vals = np.fft.ifft(np.fft.fft(f.values) * mu).real
+    f1_vals = np.fft.ifft(f.transform * mu).real
     np.maximum(f1_vals, 0.0, out=f1_vals)
     f1 = DensityFunction(N=n, values=f1_vals)
     mean_gap = abs(f1.mean() - f.mean())
@@ -262,9 +271,7 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
             f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
         )
     f2 = f.values - f1_vals
-    return Decomposition(
-        f1=f1, f2=f2, bohr=bohr, spectrum_threshold=eps0, sigma=sigma
-    )
+    return Decomposition(f1=f1, f2=f2, bohr=bohr, sigma=sigma)
 
 
 def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -> int:
@@ -278,7 +285,7 @@ def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -
         raise DomainError(f"mismatched group orders {f.N} and {g.N}")
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    vals = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
+    vals = np.fft.ifft(f.transform * g.transform).real
     if threshold == 0:
         scale = max(1.0, f.l1() * g.l1() / f.N)
         vals = np.where(np.abs(vals) <= 1e-9 * scale, 0.0, vals)
@@ -334,14 +341,14 @@ def convolution_proof_quantities(
     alpha = f.mean()
     beta = g.mean()
 
-    parts_f = {1: decomp_f.f1.values, 2: decomp_f.f2}
-    parts_g = {1: decomp_g.f1.values, 2: decomp_g.f2}
-    hats_f = {i: np.fft.fft(v) / n for i, v in parts_f.items()}
-    hats_g = {i: np.fft.fft(v) / n for i, v in parts_g.items()}
+    # each piece is transformed once; every convolution and L2 identity
+    # below is built from these four spectra
+    spec_f = {1: decomp_f.f1.transform, 2: np.fft.fft(decomp_f.f2)}
+    spec_g = {1: decomp_g.f1.transform, 2: np.fft.fft(decomp_g.f2)}
 
-    conv_main = np.fft.ifft(np.fft.fft(parts_f[1]) * np.fft.fft(parts_g[1])).real
+    conv_main = np.fft.ifft(spec_f[1] * spec_g[1]).real
     main_l1 = float(np.sum(np.abs(conv_main)))
-    main_l1_expected = float(np.sum(parts_f[1]) * np.sum(parts_g[1]))
+    main_l1_expected = decomp_f.f1.l1() * decomp_g.f1.l1()
     if not _rel_close(main_l1, main_l1_expected):
         raise InvariantViolation(
             "L1 mass of the smoothed convolution deviates from the product "
@@ -355,10 +362,10 @@ def convolution_proof_quantities(
     error_counts: dict[str, int] = {}
     error_threshold = sigma * alpha * n / 10.0
     for i, j in ((1, 2), (2, 1), (2, 2)):
-        conv = np.fft.ifft(np.fft.fft(parts_f[i]) * np.fft.fft(parts_g[j])).real
+        conv = np.fft.ifft(spec_f[i] * spec_g[j]).real
         l2sq = float(np.sum(conv * conv))
         expected = float(
-            n**3 * np.sum(np.abs(hats_f[i]) ** 2 * np.abs(hats_g[j]) ** 2)
+            n**3 * np.sum(np.abs(spec_f[i] / n) ** 2 * np.abs(spec_g[j] / n) ** 2)
         )
         if not _rel_close(l2sq, expected):
             raise InvariantViolation(

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +83,10 @@ class TestParseSetSpec:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             parse_set_spec("nope", 30)
+
+    def test_units_filter_bad_parameters(self):
+        with pytest.raises(ConfigurationError):
+            parse_set_spec("units-filter:a:6", 30)
 
     def test_member_out_of_range(self):
         with pytest.raises(DomainError):
@@ -202,6 +207,19 @@ class TestPipeline:
         again = run_pipeline(small_config())
         assert render_json(again) == render_json(pipeline_report)
 
+    def test_threaded_pairs_match_serial(self, monkeypatch):
+        # pair threads share each class density and its lazily held transform
+        cfg = small_config(n=3000, w=5)
+        serial = render_json(run_pipeline(cfg))
+        monkeypatch.setenv("PRIMESUM_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = render_json(run_pipeline(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_empty_subset_degrades_gracefully(self):
         cfg = small_config(rule=parse_rule("residue-filter:0:4"))
         report = run_pipeline(cfg)
@@ -306,6 +324,11 @@ class TestCli:
     def test_domain_error_maps_to_two(self, capsys):
         assert main(["sumset", "--m", "30", "--set-spec", "list:50"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_set_spec_maps_to_two(self, capsys):
+        assert main(["sumset", "--m", "30", "--set-spec", "units-filter:a:6"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_config_error_maps_to_two(self, capsys):
         code = main(

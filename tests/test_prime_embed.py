@@ -234,11 +234,29 @@ class TestPairSumsetReport:
         assert rep.eps0_requested == 0.5
         assert rep.eps0_used <= 0.01**6 * 1.0**4 / 400.0
 
+    def test_class_density_transformed_once(self, monkeypatch):
+        part = partition_and_densities(trial_primes(2000), 2000, 3)
+        big_n = choose_N(2000, 6)
+        ec1, ec2 = (embed_class(part, b, big_n) for b in (1, 5))
+        inputs = []
+        fft = np.fft.fft
+
+        def counting_fft(a, *args, **kwargs):
+            inputs.append(a)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        for _ in range(2):
+            rep = pair_sumset_report(ec1, ec2, 0.1, 0.01, 0.01)
+            assert rep.alpha > 0
+        for ec in (ec1, ec2):
+            assert sum(1 for a in inputs if a is ec.f.values) == 1
+
 
 class TestAggregateDelta:
     def test_two_class_maxima(self):
         part = synthetic_partition({1: 0.6, 5: 0.8}, 0.6, [1, 5], n=600, w=3)
-        agg = aggregate_delta(part, [], 0.1)
+        agg = aggregate_delta(part, 0.1)
         assert agg.delta_x == {0: 0.7, 2: 0.6, 4: 0.8}
         assert agg.witness[2] == (1, 1)
         assert agg.witness[0] == (1, 5)
@@ -247,16 +265,16 @@ class TestAggregateDelta:
 
     def test_equal_densities(self):
         part = synthetic_partition({1: 0.4, 5: 0.4}, 0.4, [1, 5])
-        agg = aggregate_delta(part, [], 0.1)
+        agg = aggregate_delta(part, 0.1)
         assert all(abs(v - 0.4) < 1e-12 for v in agg.delta_x.values())
 
     def test_single_class(self):
         part = synthetic_partition({1: 0.9, 5: 0.1}, 0.5, [1])
-        agg = aggregate_delta(part, [], 0.2)
+        agg = aggregate_delta(part, 0.2)
         assert set(agg.delta_x) == {2}
         assert agg.delta_x[2] == 0.9
 
     def test_empty_good_rejected(self):
         part = synthetic_partition({1: 0.0}, 0.0, [])
         with pytest.raises(DomainError):
-            aggregate_delta(part, [], 0.1)
+            aggregate_delta(part, 0.1)

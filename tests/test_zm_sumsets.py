@@ -338,6 +338,29 @@ class TestZnStarCertificate:
         rep = znstar_certificate(b, factorize(m))
         assert rep.final_bound <= rep.actual_cyclic + 1e-9
 
+    @pytest.mark.parametrize("m", [210, 100])
+    def test_actual_cyclic_matches_enumeration(self, m):
+        members = units_of(m)[::3]
+        rep = znstar_certificate(SubsetOfZm.from_members(m, members), factorize(m))
+        assert rep.squarefree == (m == 210)
+        assert rep.actual_cyclic == len(sumset_enum(members, m))
+
+    def test_one_self_convolution_per_certificate(self, monkeypatch):
+        import primesum.zm_sumsets as zm
+
+        exact = zm._convolve_int_exact
+        is_self = []
+
+        def counting(a, b):
+            is_self.append(np.array_equal(a, b))
+            return exact(a, b)
+
+        monkeypatch.setattr(zm, "_convolve_int_exact", counting)
+        b = SubsetOfZm.from_members(210, units_of(210)[::3])
+        znstar_certificate(b, factorize(210))
+        # B * B for the histogram, B * units for capital_R
+        assert sorted(is_self) == [False, True]
+
 
 class TestExtremalConstruct:
     def test_s3_t1(self):

@@ -133,14 +133,14 @@ class TestLpFourierNorm:
 
 class TestLargeSpectrum:
     def test_constant_peak(self):
-        assert large_spectrum(constant(12, 0.5), 0.3) == frozenset({0})
+        assert large_spectrum(constant(12, 0.5), 0.3).tolist() == [0]
 
     def test_point_mass_all(self):
         f = DensityFunction(N=10, values=10.0 * indicator(10, [0]).values)
-        assert large_spectrum(f, 0.5) == frozenset(range(10))
+        assert large_spectrum(f, 0.5).tolist() == list(range(10))
 
     def test_constant_empty(self):
-        assert large_spectrum(constant(12, 0.2), 0.5) == frozenset()
+        assert large_spectrum(constant(12, 0.2), 0.5).tolist() == []
 
     def test_boundary_inclusive(self):
         assert 0 in large_spectrum(constant(9, 0.3), 0.3)
