@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..ntheory import PrimeTable, primorial
+from ..ntheory import PrimeTable, primorial, sieve_primes
 
 __all__ = [
     "SubsetRule",
@@ -113,11 +113,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.output_format not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
+        # 4n >= 2m, checked by a running product before the primorial exists
+        product = 1
+        for p in sieve_primes(min(self.w, 2 * self.n)).primes.tolist():
+            product *= p
+            if product > 2 * self.n:
+                raise ConfigurationError(f"primorial of {self.w} exceeds 2n; lower w")
         mod = primorial(self.w)
-        if 4 * self.n < 2 * mod.m:
-            raise ConfigurationError(
-                f"primorial {mod.m} too large for n = {self.n}; lower w"
-            )
         big_n = (4 * self.n) // mod.m
         if mod.totient**2 * big_n > _MAX_PAIR_WORK:
             raise ConfigurationError(

@@ -33,7 +33,6 @@ from ..zm_sumsets import (
     cyclic_sumset_size,
     integer_sumset_flags,
     kth_moment,
-    rep_histogram,
     sumset,
 )
 from .config import ExperimentConfig, RandomSetExperiment, build_subset
@@ -55,7 +54,7 @@ def _pair_workers() -> int:
         value = int(text)
     except ValueError:
         return 1
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _sanitize(value):
@@ -360,8 +359,12 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     witness_ok: bool | None = None
     if agg is not None:
         lower_bound = agg.lower_bound
+        alpha_good = len(good) / mod.totient
+        k_formula, k_floor = choose_moment_order(alpha_good)
+        k = cfg.k if cfg.k is not None else k_floor
         g_set = SubsetOfZm.from_members(m, np.asarray(good, dtype=np.int64))
-        hist = rep_histogram(g_set)
+        cert = kth_moment(g_set, k, mod)
+        r = cert.hist.r
         sums: dict[int, list[float]] = {}
         for b1 in good:
             for b2 in good:
@@ -371,7 +374,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
                 )
         gamma: dict[int, float] = {}
         for x, vals in sorted(sums.items()):
-            if len(vals) != int(hist.r[x]):
+            if len(vals) != int(r[x]):
                 raise InvariantViolation(
                     f"pair multiplicity mismatch at residue {x}"
                 )
@@ -391,7 +394,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
             )
         )
 
-        sum_r_gamma = math.fsum(hist.r[x] * gamma[x] for x in sorted(gamma))
+        sum_r_gamma = math.fsum(r[x] * gamma[x] for x in sorted(gamma))
         rebracketed = len(good) * sum_delta_good
         gap = _rel_gap(sum_r_gamma, rebracketed)
         if gap > 1e-9:
@@ -409,7 +412,6 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
             )
         )
 
-        alpha_good = len(good) / mod.totient
         rg_reference = (part.delta / (2.0 * alpha_good)) * len(good) ** 2
         checks.append(
             CheckRow(
@@ -422,13 +424,10 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
             )
         )
 
-        k_formula, k_floor = choose_moment_order(alpha_good)
-        k = cfg.k if cfg.k is not None else k_floor
         dual = k / (k - 1.0)
-        s_k = sum(int(hist.r[x]) ** k for x in gamma)
         t_gamma = math.fsum(gamma[x] ** dual for x in sorted(gamma))
         t_delta = math.fsum(agg.delta_x[x] ** dual for x in sorted(agg.delta_x))
-        holder_rhs = s_k ** (1.0 / k) * t_gamma ** ((k - 1.0) / k)
+        holder_rhs = cert.s_rb ** (1.0 / k) * t_gamma ** ((k - 1.0) / k)
         if sum_r_gamma > holder_rhs * (1.0 + 1e-9):
             raise InvariantViolation("Hoelder bound fell below the pair sum")
         checks.append(
@@ -467,7 +466,6 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
             )
         )
 
-        cert = kth_moment(g_set, k, mod)
         checks.append(
             CheckRow(
                 name="good-set-moment-comparator",
@@ -500,7 +498,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
             residue_density.append(
                 {
                     "x": x,
-                    "r_x": int(hist.r[x]),
+                    "r_x": int(r[x]),
                     "gamma_x": gamma[x],
                     "delta_x": agg.delta_x[x],
                     "witness_b1": b1,

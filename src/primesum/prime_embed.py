@@ -73,16 +73,13 @@ class ResiduePartition:
 class EmbeddedClass:
     """One residue class mapped into Z_N with its log-weighted densities.
 
-    ``lam`` stores the pointwise weight (phi(m) / (m N)) log(m x + b) on the
-    positions x in [1, N] with m x + b prime (position N wraps to 0); ``nu``
-    is N times that, and ``f`` is ``nu`` restricted to the positions coming
-    from A.
+    ``nu`` is the weight (phi(m) / m) log(m x + b) on the positions x in
+    [1, N] with m x + b prime (position N wraps to 0), and ``f`` is ``nu``
+    restricted to the positions coming from A.
     """
 
     b: int
     N: int
-    indicator: frozenset[int]
-    lam: DensityFunction
     nu: DensityFunction
     f: DensityFunction
     delta_b: float
@@ -210,6 +207,7 @@ def embed_class(
 
     lam_vals = np.zeros(big_n, dtype=np.float64)
     lam_vals[positions] = (phi / (m * big_n)) * np.log(in_class.astype(np.float64))
+    nu_vals = big_n * lam_vals
 
     a_class = part.classes[b][0]
     a_eligible = a_class[a_class >= m + b]
@@ -218,14 +216,11 @@ def embed_class(
         raise InvariantViolation("subset member escaped the embedding window")
     a_positions = np.where(a_xs == big_n, 0, a_xs)
     f_vals = np.zeros(big_n, dtype=np.float64)
-    f_vals[a_positions] = big_n * lam_vals[a_positions]
+    f_vals[a_positions] = nu_vals[a_positions]
 
-    nu_vals = big_n * lam_vals
     return EmbeddedClass(
         b=b,
         N=big_n,
-        indicator=frozenset(int(x) for x in a_xs),
-        lam=DensityFunction(N=big_n, values=lam_vals),
         nu=DensityFunction(N=big_n, values=nu_vals),
         f=DensityFunction(N=big_n, values=f_vals),
         delta_b=part.delta_b[b],

@@ -273,36 +273,42 @@ def rep_histogram(b: SubsetOfZm) -> RepresentationHistogram:
     return RepresentationHistogram(m=b.m, r=r, source_card=b.cardinality)
 
 
+def _all_units(b: SubsetOfZm) -> bool:
+    return bool(np.all(np.gcd(b.members_array(), b.m) == 1))
+
+
+def _power_sum(values: np.ndarray, k: int) -> int:
+    """Exact sum of v**k over nonnegative integers, one term per distinct value."""
+    return sum(c * v**k for v, c in enumerate(np.bincount(values).tolist()) if c)
+
+
 def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     """R[x] = |{(member, unit) : member + unit = x mod m}|, two ways.
 
-    Equivalently the number of members avoiding x modulo every prime divisor
-    of m; both computations run and must agree exactly.  Requires a
-    squarefree modulus and members inside the unit group.
+    The unit-shift convolution of B with the unit indicator must agree exactly
+    with the Moebius sum over squarefree d | m of mu(d) #{b in B : b = x mod d},
+    which counts the members avoiding x modulo every prime divisor of m.
+    Requires a squarefree modulus and members inside the unit group.
     """
     if mod.m != b.m:
         raise DomainError(f"modulus mismatch: set over Z_{b.m}, factored {mod.m}")
     if not mod.squarefree:
         raise DomainError(f"modulus must be squarefree, got {mod.m}")
-    units = SubsetOfZm.units(mod.m)
-    if b.bits & ~units.bits:
+    if not _all_units(b):
         raise DomainError("members must lie in the unit group")
     m = mod.m
-    r_route = _cyclic_int_convolution(b.indicator_array(), units.indicator_array())
+    units = (np.gcd(np.arange(m, dtype=np.int64), m) == 1).astype(np.int64)
+    r_route = _cyclic_int_convolution(b.indicator_array(), units)
 
     barr = b.members_array()
-    per_prime = np.zeros(m, dtype=np.int64)
-    if barr.size:
-        xs = np.arange(m, dtype=np.int64)
-        step = max(1, min(m, 4_000_000 // max(1, int(barr.size))))
-        for lo in range(0, m, step):
-            hi = min(m, lo + step)
-            ok = np.ones((hi - lo, barr.size), dtype=bool)
-            for p in mod.prime_divisors:
-                ok &= (barr % p)[None, :] != (xs[lo:hi] % p)[:, None]
-            per_prime[lo:hi] = ok.sum(axis=1)
-    if not np.array_equal(r_route, per_prime):
-        raise InvariantViolation("unit-shift and per-prime counts disagree")
+    mobius_terms = [(1, 1)]
+    for p in mod.prime_divisors:
+        mobius_terms += [(d * p, -mu) for d, mu in mobius_terms]
+    mobius = np.zeros(m, dtype=np.int64)
+    for d, mu in mobius_terms:
+        mobius.reshape(-1, d)[:] += mu * np.bincount(barr % d, minlength=d)
+    if not np.array_equal(r_route, mobius):
+        raise InvariantViolation("unit-shift and Moebius counts disagree")
     return r_route
 
 
@@ -404,7 +410,7 @@ class MomentCertificate:
     ``s_rb`` is sum r_B(x)^k; ``s_r`` the same for the unit-shift counts R,
     which dominate pointwise; ``stratified`` reassembles ``s_r`` exactly over
     the gcd layers.  The comparator is the structure-independent reference
-    |B|^k phi(m)^k / m^(k-1) / alpha^2.
+    |B|^k phi(m)^k / m^(k-1) / alpha^2.  ``hist`` holds the counts r_B.
     """
 
     m: int
@@ -418,6 +424,7 @@ class MomentCertificate:
     comparator_ratio: float
     holder_bound: float | None
     actual_sumset: int
+    hist: RepresentationHistogram
 
 
 def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate:
@@ -435,20 +442,17 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         raise DomainError(f"modulus mismatch: set over Z_{b.m}, factored {mod.m}")
     if not mod.squarefree:
         raise DomainError(f"modulus must be squarefree, got {mod.m}")
-    units = SubsetOfZm.units(mod.m)
-    if b.bits & ~units.bits:
+    if not _all_units(b):
         raise DomainError("members must lie in the unit group")
 
     hist = rep_histogram(b)
-    s_rb = sum(int(v) ** k for v in hist.r)
+    s_rb = _power_sum(hist.r, k)
     big_r = capital_R(b, mod)
     if np.any(big_r < hist.r):
         raise InvariantViolation("unit-shift counts fail to dominate pointwise")
     strata = divisor_stratification(mod)
-    stratified = {
-        d: sum(int(big_r[x]) ** k for x in xs) for d, xs in sorted(strata.items())
-    }
-    s_r = sum(int(v) ** k for v in big_r)
+    stratified = {d: _power_sum(big_r[xs], k) for d, xs in sorted(strata.items())}
+    s_r = _power_sum(big_r, k)
     if sum(stratified.values()) != s_r:
         raise InvariantViolation("stratified moments fail to reassemble the total")
     if s_rb > s_r:
@@ -478,6 +482,7 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         comparator_ratio=ratio,
         holder_bound=holder_bound,
         actual_sumset=actual,
+        hist=hist,
     )
 
 
@@ -516,7 +521,7 @@ def holder_lower_bound(b: SubsetOfZm, k: int) -> HolderCertificate:
     if b.cardinality == 0:
         raise DomainError("certificate refused for the empty set")
     hist = rep_histogram(b)
-    s = sum(int(v) ** k for v in hist.r)
+    s = _power_sum(hist.r, k)
     actual = int(np.count_nonzero(hist.r))
     _assert_holder_exact(actual, b.cardinality, s, k)
     return HolderCertificate(
@@ -719,8 +724,7 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         raise DomainError("certificate refused for the empty set")
     if mod.m != b.m:
         raise DomainError(f"modulus mismatch: set over Z_{b.m}, factored {mod.m}")
-    units = SubsetOfZm.units(mod.m)
-    if b.bits & ~units.bits:
+    if not _all_units(b):
         raise DomainError("members must lie in the unit group")
 
     card = b.cardinality
@@ -861,8 +865,7 @@ def extremal_construct(s: int, t: int) -> ExtremalConstruction:
         raise InvariantViolation(
             f"construction yielded {built.cardinality} members, expected {expected_card}"
         )
-    units = SubsetOfZm.units(m)
-    if built.bits & ~units.bits:
+    if not _all_units(built):
         raise InvariantViolation("construction left the unit group")
     small_product = math.prod(primes[:t])
     return ExtremalConstruction(

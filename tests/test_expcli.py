@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import primesum
 from primesum.errors import ConfigurationError, DomainError, InvariantViolation
 from primesum.expcli.cli import main, parse_set_spec
 from primesum.expcli.config import (
@@ -16,7 +21,7 @@ from primesum.expcli.config import (
     build_subset,
     parse_rule,
 )
-from primesum.expcli.pipeline import run_pipeline, simulate_random_host
+from primesum.expcli.pipeline import _pair_workers, run_pipeline, simulate_random_host
 from primesum.expcli.reports import emit_report, render_csv, render_json
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import SubsetOfZm, holder_lower_bound
@@ -212,6 +217,8 @@ class TestPipeline:
         cfg = small_config(n=3000, w=5)
         serial = render_json(run_pipeline(cfg))
         monkeypatch.setenv("PRIMESUM_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _pair_workers() == 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -219,6 +226,26 @@ class TestPipeline:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    def test_pair_workers_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("PRIMESUM_THREADS", "100000")
+        assert _pair_workers() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pair_workers() == 1
+
+    def test_one_self_convolution_per_run(self, monkeypatch):
+        import primesum.zm_sumsets as zm
+
+        counts = zm._sumset_counts
+        calls = []
+
+        def counting(b1, b2):
+            calls.append(b1 == b2)
+            return counts(b1, b2)
+
+        monkeypatch.setattr(zm, "_sumset_counts", counting)
+        run_pipeline(small_config(n=3000, w=5))
+        assert calls == [True]
 
     def test_empty_subset_degrades_gracefully(self):
         cfg = small_config(rule=parse_rule("residue-filter:0:4"))
@@ -335,6 +362,22 @@ class TestCli:
             ["pipeline", "--n", "50", "--W", "3", "--format", "json", "--out", "x"]
         )
         assert code == 2
+
+    def test_huge_w_fails_fast(self):
+        src = Path(primesum.__file__).resolve().parents[1]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesum.expcli.cli"]
+            + ["partition", "--n", "1000", "--W", "3000000"],
+            capture_output=True,
+            text=True,
+            timeout=2,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_invariant_maps_to_three(self, monkeypatch, capsys, tmp_path):
         import primesum.expcli.cli as cli_mod

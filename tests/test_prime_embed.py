@@ -51,8 +51,6 @@ def synthetic_class(values, b=1, delta_b=1.0, w=5, n=1000):
     return EmbeddedClass(
         b=b,
         N=big_n,
-        indicator=frozenset(),
-        lam=DensityFunction(N=big_n, values=f.values / big_n),
         nu=f,
         f=f,
         delta_b=delta_b,
@@ -139,24 +137,25 @@ class TestEmbedClass:
     def test_positions_n100(self):
         part = partition_and_densities(trial_primes(100), 100, 3)
         ec = embed_class(part, 1, 66)
-        assert sorted(ec.indicator) == [1, 2, 3, 5, 6, 7, 10, 11, 12, 13, 16]
+        positions = np.flatnonzero(ec.f.values).tolist()
+        assert positions == [1, 2, 3, 5, 6, 7, 10, 11, 12, 13, 16]
 
     def test_weight_value(self):
         part = partition_and_densities(trial_primes(100), 100, 3)
         ec = embed_class(part, 1, 66)
-        assert abs(ec.lam.values[1] - (2.0 / 396.0) * math.log(7)) < 1e-12
+        assert abs(ec.nu.values[1] / ec.N - (2.0 / 396.0) * math.log(7)) < 1e-12
 
     def test_zero_on_composite_positions(self):
         part = partition_and_densities(trial_primes(100), 100, 3)
         ec = embed_class(part, 1, 66)
         # position 4 would be 25 = 5*5
-        assert ec.lam.values[4] == 0.0
+        assert ec.nu.values[4] / ec.N == 0.0
 
     def test_zero_mode_is_weight_sum(self):
         part = partition_and_densities(trial_primes(2000), 2000, 3)
         ec = embed_class(part, 1, choose_N(2000, 6))
         zero_mode = dft(ec.nu).coeffs[0].real
-        assert abs(zero_mode - math.fsum(ec.lam.values)) < 1e-9
+        assert abs(zero_mode - math.fsum(ec.nu.values / ec.N)) < 1e-9
 
     def test_shared_table_must_reach(self):
         part = partition_and_densities(trial_primes(100), 100, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primesum.errors import DomainError
+from primesum.errors import DomainError, InvariantViolation
 from primesum.ntheory import factorize, primorial
 from primesum.zm_sumsets import (
     SubsetOfZm,
@@ -137,7 +137,7 @@ class TestCapitalR:
         b = SubsetOfZm.from_members(30, [])
         assert not np.any(capital_R(b, factorize(30)))
 
-    @given(st.sampled_from([6, 10, 15, 30, 42]), st.data())
+    @given(st.sampled_from([6, 10, 15, 30, 42, 2310, 30030]), st.data())
     def test_matches_definition_and_dominates(self, m, data):
         units = units_of(m)
         members = sorted(data.draw(st.sets(st.sampled_from(units), max_size=8)))
@@ -146,6 +146,31 @@ class TestCapitalR:
         r_big = capital_R(b, mod)
         assert r_big.tolist() == relaxed_rep_enum(members, m).tolist()
         assert np.all(r_big >= rep_histogram(b).r)
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        import primesum.zm_sumsets as zm
+
+        convolve = zm._cyclic_int_convolution
+
+        def off_by_one(a, b):
+            out = convolve(a, b)
+            out[0] += 1
+            return out
+
+        monkeypatch.setattr(zm, "_cyclic_int_convolution", off_by_one)
+        with pytest.raises(InvariantViolation):
+            capital_R(SubsetOfZm.units(30), factorize(30))
+
+
+@pytest.mark.parametrize(
+    "certify",
+    [capital_R, lambda b, mod: kth_moment(b, 2, mod), znstar_certificate],
+    ids=["capital_R", "kth_moment", "znstar_certificate"],
+)
+def test_non_unit_member_rejected(certify):
+    b = SubsetOfZm.from_members(30, [1, 6, 7])
+    with pytest.raises(DomainError):
+        certify(b, factorize(30))
 
 
 class TestDivisorStratification:
@@ -236,6 +261,8 @@ class TestKthMoment:
         cert = kth_moment(b, 3, factorize(210))
         assert cert.s_rb <= cert.s_r
         assert sum(cert.stratified.values()) == cert.s_r
+        assert cert.s_rb == sum(int(v) ** 3 for v in rep_enum(members, 210))
+        assert cert.s_r == sum(int(v) ** 3 for v in relaxed_rep_enum(members, 210))
 
 
 class TestCkSeries:
