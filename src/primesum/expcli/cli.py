@@ -38,14 +38,20 @@ from .reports import emit_report
 
 __all__ = ["main", "build_parser", "parse_set_spec"]
 
+# the desk-scale cap the pipeline puts on n, applied to the Z_m commands' m
+_MAX_M = 10_000_000
+
 
 def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     """Build a subset of Z_m from a compact spec string.
 
     Forms: ``units``; ``units-filter:b0:m0`` (units congruent to b0 mod m0);
     ``list:1,7,13``; ``random:frac:seed`` (seeded shuffle of Z_m);
-    ``units-random:frac:seed`` (seeded shuffle of the units).
+    ``units-random:frac:seed`` (seeded shuffle of the units).  m must lie
+    in [1, 10^7], checked before any array is built.
     """
+    if not 1 <= m <= _MAX_M:
+        raise ConfigurationError(f"m must lie in [1, {_MAX_M}], got {m}")
     parts = text.strip().split(":")
     kind = parts[0]
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1).astype(np.int64)
@@ -167,7 +173,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_decompose(args) -> int:
     part, ec = _embedded_class(args)
     decomp = green_decompose(ec.f, args.eps0, args.sigma)
-    f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
+    f2_sup = float(np.max(np.abs(decomp.f2_transform / ec.N)))
     sup_hat = float(np.max(np.abs(dft(ec.f).coeffs)))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(

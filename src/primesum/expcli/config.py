@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..ntheory import PrimeTable, primorial, sieve_primes
+from ..ntheory import PrimeTable, primorial
 
 __all__ = [
     "SubsetRule",
@@ -113,12 +113,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.output_format not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
-        # 4n >= 2m, checked by a running product before the primorial exists
+        # 4n >= 2m, checked by a running product before the primorial exists:
+        # p is prime exactly when it is coprime to the primes below it, and
+        # the product passes 2n within a few primes
         product = 1
-        for p in sieve_primes(min(self.w, 2 * self.n)).primes.tolist():
-            product *= p
-            if product > 2 * self.n:
-                raise ConfigurationError(f"primorial of {self.w} exceeds 2n; lower w")
+        for p in range(2, min(self.w, 2 * self.n) + 1):
+            if math.gcd(p, product) == 1:
+                product *= p
+                if product > 2 * self.n:
+                    raise ConfigurationError(f"primorial of {self.w} exceeds 2n; lower w")
         mod = primorial(self.w)
         big_n = (4 * self.n) // mod.m
         if mod.totient**2 * big_n > _MAX_PAIR_WORK:

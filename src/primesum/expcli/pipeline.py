@@ -21,6 +21,7 @@ from ..ntheory import sieve_primes
 from ..prime_embed import (
     aggregate_delta,
     choose_N,
+    class_decomposition,
     embed_class,
     embedding_mass_check,
     pair_sumset_report,
@@ -298,12 +299,15 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         )
     )
 
-    # Pairwise decomposition reports over the good set.
+    # Split each good class once; the pair reports convolve the splits.
+    splits = {b: class_decomposition(embeds[b], eps0, sigma) for b in good}
     pairs = [(b1, b2) for i, b1 in enumerate(good) for b2 in good[i:]]
 
     def _one_pair(pair: tuple[int, int]):
         b1, b2 = pair
-        return pair_sumset_report(embeds[b1], embeds[b2], cfg.eps, eps0, sigma)
+        return pair_sumset_report(
+            embeds[b1], embeds[b2], splits[b1], splits[b2], cfg.eps, eps0, sigma
+        )
 
     workers = _pair_workers()
     if workers > 1 and len(pairs) > 1:

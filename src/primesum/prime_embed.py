@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, primorial, sieve_primes
 from .zn_spectral import (
+    Decomposition,
     DensityFunction,
     convolution_proof_quantities,
     dft,
@@ -40,6 +41,7 @@ __all__ = [
     "embed_class",
     "embedding_mass_check",
     "pseudorandom_deficit",
+    "class_decomposition",
     "pair_sumset_report",
     "aggregate_delta",
 ]
@@ -276,6 +278,12 @@ def pseudorandom_deficit(ec: EmbeddedClass) -> PseudorandomDeficit:
     )
 
 
+def class_decomposition(ec: EmbeddedClass, eps0: float, sigma: float) -> Decomposition:
+    """Split the class density at eps0 clamped down to sigma^6 mean^4 / 400."""
+    cap = sigma**6 * ec.f.mean() ** 4 / 400.0
+    return green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0, sigma)
+
+
 @dataclass(frozen=True)
 class PairSumsetReport:
     """Support and convolution bookkeeping for one pair of embedded classes.
@@ -288,10 +296,6 @@ class PairSumsetReport:
 
     b1: int
     b2: int
-    N: int
-    eps: float
-    sigma: float
-    eps0_requested: float
     eps0_used: float
     alpha: float
     beta: float
@@ -299,7 +303,6 @@ class PairSumsetReport:
     support_fraction: float
     target_fraction: float
     passed: bool
-    main_count: int
     main_fraction: float
     main_target: float
     main_passed: bool
@@ -315,16 +318,18 @@ class PairSumsetReport:
 def pair_sumset_report(
     ec1: EmbeddedClass,
     ec2: EmbeddedClass,
+    d1: Decomposition,
+    d2: Decomposition,
     eps: float,
     eps0: float,
     sigma: float,
 ) -> PairSumsetReport:
-    """Decompose both class densities, convolve the pieces, and report the
-    support of f * g against the density target.
+    """Convolve the pieces of the two classes' splits (``class_decomposition``)
+    and report the support of f * g against the density target.
 
-    The spectral threshold is clamped down to sigma^6 alpha^4 / 400 whenever
-    the requested value violates that relation (alpha the smaller mean).
-    Zero densities short-circuit to an empty-support report.
+    The pair works at the level of the class with the smaller mean; the other
+    split is redone at that level unless its Bohr set is {0}.  Zero densities
+    short-circuit to an empty-support report.
     """
     if ec1.N != ec2.N:
         raise DomainError(f"mismatched embedding lengths {ec1.N} and {ec2.N}")
@@ -350,27 +355,27 @@ def pair_sumset_report(
         f1_max = g1_max = 0.0
         bohr_size_f = bohr_size_g = 0
     else:
-        cap = sigma**6 * alpha**4 / 400.0
-        eps0_used = min(eps0, cap) if cap > 0 else eps0
-        decomp_f = green_decompose(f, eps0_used, sigma)
-        decomp_g = green_decompose(g, eps0_used, sigma)
-        quantities = convolution_proof_quantities(f, g, decomp_f, decomp_g)
+        eps0_used = (d1 if mean_f <= mean_g else d2).bohr.width
+        # a lower level adds frequencies and narrows the width over the same
+        # floats, so a Bohr set of {0} stays {0}: the same split, bit for bit
+        d1, d2 = (
+            d if d.bohr.width == eps0_used or d.bohr.size == 1
+            else green_decompose(ec.f, eps0_used, sigma)
+            for d, ec in ((d1, ec1), (d2, ec2))
+        )
+        quantities = convolution_proof_quantities(f, g, d1, d2)
         support = positive_support(f, g, 0.0)
         main_count = quantities.main_count
         error_counts = dict(quantities.error_counts)
         error_l2sq = dict(quantities.error_l2sq)
-        f1_max, g1_max = decomp_f.f1_max, decomp_g.f1_max
-        bohr_size_f, bohr_size_g = decomp_f.bohr.size, decomp_g.bohr.size
+        f1_max, g1_max = d1.f1_max, d2.f1_max
+        bohr_size_f, bohr_size_g = d1.bohr.size, d2.bohr.size
 
     support_fraction = support / n
     main_fraction = main_count / n
     return PairSumsetReport(
         b1=ec1.b,
         b2=ec2.b,
-        N=n,
-        eps=eps,
-        sigma=sigma,
-        eps0_requested=eps0,
         eps0_used=eps0_used,
         alpha=alpha,
         beta=beta,
@@ -378,7 +383,6 @@ def pair_sumset_report(
         support_fraction=support_fraction,
         target_fraction=target,
         passed=support_fraction >= target,
-        main_count=main_count,
         main_fraction=main_fraction,
         main_target=main_target,
         main_passed=main_fraction >= main_target,

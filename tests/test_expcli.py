@@ -123,6 +123,21 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             small_config(**overrides).validate()
 
+    def test_huge_w_rejected_without_a_large_sieve(self, monkeypatch):
+        import primesum.expcli.config as config
+        import primesum.ntheory as ntheory
+
+        sieve = ntheory.sieve_primes
+
+        def small_sieve_only(limit):
+            assert limit <= 100, f"sieved up to {limit}"
+            return sieve(limit)
+
+        monkeypatch.setattr(config, "sieve_primes", small_sieve_only, raising=False)
+        monkeypatch.setattr(ntheory, "sieve_primes", small_sieve_only)
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(n=10**7, w=3 * 10**7).validate()
+
     def test_default_sigma_tracks_eps(self):
         cfg = small_config(eps=0.4)
         assert cfg.resolved_sigma() == 0.02
@@ -247,6 +262,78 @@ class TestPipeline:
         run_pipeline(small_config(n=3000, w=5))
         assert calls == [True]
 
+    @staticmethod
+    def count_decompositions(monkeypatch) -> list:
+        import primesum.prime_embed as pe
+
+        decompose = pe.green_decompose
+        levels = []
+
+        def counting(f, eps0, sigma):
+            levels.append(eps0)
+            return decompose(f, eps0, sigma)
+
+        monkeypatch.setattr(pe, "green_decompose", counting)
+        return levels
+
+    def test_one_split_per_class(self, monkeypatch):
+        levels = self.count_decompositions(monkeypatch)
+        cfg = small_config(
+            n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
+        )
+        report = run_pipeline(cfg)
+        rows = report.pair_reports
+        assert all(r["bohr_size_f"] == r["bohr_size_g"] == 1 for r in rows)
+        assert len(levels) == report.summary["good_count"]
+
+    def test_pair_rows_match_per_pair_splits(self, monkeypatch):
+        from primesum.prime_embed import choose_N, embed_class, partition_and_densities
+        from primesum.zn_spectral import (
+            convolution_proof_quantities,
+            green_decompose,
+            positive_support,
+        )
+
+        # at this level the Bohr sets are nontrivial and depend on the pair,
+        # so the pair stage redoes some class splits at the pair's level
+        levels = self.count_decompositions(monkeypatch)
+        cfg = small_config(
+            n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5,
+            rule=parse_rule("random-thinning"),
+        )
+        report = run_pipeline(cfg)
+        good = report.summary["good_classes"]
+        assert len(levels) > len(good)
+        sizes = {}
+        for r in report.pair_reports:
+            sizes.setdefault(r["b1"], set()).add(r["bohr_size_f"])
+            sizes.setdefault(r["b2"], set()).add(r["bohr_size_g"])
+        assert any(len(v) > 1 for v in sizes.values())
+
+        part = partition_and_densities(
+            build_subset(cfg, sieve_primes(cfg.n)), cfg.n, cfg.w
+        )
+        big_n = choose_N(cfg.n, part.modulus.m)
+        for row in report.pair_reports:
+            f, g = (embed_class(part, row[b], big_n).f for b in ("b1", "b2"))
+            alpha = min(f.mean(), g.mean())
+            level = min(1.0, 8.0**6 * alpha**4 / 400.0)
+            df, dg = (green_decompose(h, level, 8.0) for h in (f, g))
+            q = convolution_proof_quantities(f, g, df, dg)
+            expected = {
+                "alpha": alpha,
+                "eps0_used": level,
+                "support_fraction": positive_support(f, g, 0.0) / big_n,
+                "main_fraction": q.main_count / big_n,
+                **{f"err{k}_count": v for k, v in q.error_counts.items()},
+                **{f"err{k}_l2sq": v for k, v in q.error_l2sq.items()},
+                "f1_max": df.f1_max,
+                "g1_max": dg.f1_max,
+                "bohr_size_f": df.bohr.size,
+                "bohr_size_g": dg.bohr.size,
+            }
+            assert {k: row[k] for k in expected} == expected
+
     def test_empty_subset_degrades_gracefully(self):
         cfg = small_config(rule=parse_rule("residue-filter:0:4"))
         report = run_pipeline(cfg)
@@ -356,6 +443,14 @@ class TestCli:
         assert main(["sumset", "--m", "30", "--set-spec", "units-filter:a:6"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "m, spec", [("10000000000000", "units"), ("10000001", "list:1")]
+    )
+    def test_modulus_above_cap_maps_to_two(self, capsys, m, spec):
+        assert main(["sumset", "--m", m, "--set-spec", spec]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_config_error_maps_to_two(self, capsys):
         code = main(

@@ -12,6 +12,7 @@ from primesum.prime_embed import (
     ResiduePartition,
     aggregate_delta,
     choose_N,
+    class_decomposition,
     embed_class,
     embedding_mass_check,
     good_set,
@@ -199,27 +200,33 @@ class TestPseudorandomDeficit:
         assert abs(d.reference_bound - 2 * math.log(math.log(5)) / 5) < 1e-12
 
 
+def pair_report(ec1, ec2, eps, eps0, sigma):
+    """``pair_sumset_report`` on the two classes' own splits."""
+    d1, d2 = (class_decomposition(ec, eps0, sigma) for ec in (ec1, ec2))
+    return pair_sumset_report(ec1, ec2, d1, d2, eps, eps0, sigma)
+
+
 class TestPairSumsetReport:
     def test_idealized_full_support(self):
         ec = synthetic_class(np.ones(64), delta_b=1.0)
-        rep = pair_sumset_report(ec, ec, 0.1, 0.01, 0.01)
+        rep = pair_report(ec, ec, 0.1, 0.01, 0.01)
         assert rep.support_fraction == 1.0
         assert rep.passed
 
     def test_zero_function_fails_when_dense(self):
         zero = synthetic_class(np.zeros(64), delta_b=0.3)
-        rep = pair_sumset_report(zero, zero, 0.2, 0.01, 0.01)
+        rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
         assert rep.support_count == 0
         assert not rep.passed
 
     def test_zero_function_passes_when_sparse(self):
         zero = synthetic_class(np.zeros(64), delta_b=0.05)
-        rep = pair_sumset_report(zero, zero, 0.2, 0.01, 0.01)
+        rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
         assert rep.passed
 
     def test_mismatched_lengths(self):
         with pytest.raises(DomainError):
-            pair_sumset_report(
+            pair_report(
                 synthetic_class(np.ones(32)),
                 synthetic_class(np.ones(64)),
                 0.1,
@@ -229,8 +236,7 @@ class TestPairSumsetReport:
 
     def test_eps0_clamped_to_parameter_relation(self):
         ec = synthetic_class(np.ones(64), delta_b=1.0)
-        rep = pair_sumset_report(ec, ec, 0.1, 0.5, 0.01)
-        assert rep.eps0_requested == 0.5
+        rep = pair_report(ec, ec, 0.1, 0.5, 0.01)
         assert rep.eps0_used <= 0.01**6 * 1.0**4 / 400.0
 
     def test_class_density_transformed_once(self, monkeypatch):
@@ -246,7 +252,7 @@ class TestPairSumsetReport:
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         for _ in range(2):
-            rep = pair_sumset_report(ec1, ec2, 0.1, 0.01, 0.01)
+            rep = pair_report(ec1, ec2, 0.1, 0.01, 0.01)
             assert rep.alpha > 0
         for ec in (ec1, ec2):
             assert sum(1 for a in inputs if a is ec.f.values) == 1

@@ -178,6 +178,20 @@ class TestBohrSet:
         }
         assert got == expected
 
+    @given(
+        nonneg_values(48),
+        st.floats(min_value=0.01, max_value=1.0),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_shrinks_with_the_level(self, values, e1, e2):
+        # a class split made at a higher level is reused at a lower one when
+        # its Bohr set is {0}; that relies on this monotonicity
+        lo, hi = sorted((e1, e2))
+        f = DensityFunction(N=48, values=values)
+        low = bohr_set(48, large_spectrum(f, lo), lo).members.tolist()
+        high = bohr_set(48, large_spectrum(f, hi), hi).members.tolist()
+        assert set(low) <= set(high)
+
 
 class TestGreenDecompose:
     def test_constant_passthrough(self):
