@@ -20,8 +20,10 @@ from pathlib import Path
 RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # the benchmark's two workloads, then pipeline runs that cover the other
-# branches: a requested eps0, a residue-filter subset, an explicit k, a
-# thinned subset, and levels where the Bohr sets are nontrivial
+# branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
+# subset (no good classes), an explicit k, a thinned subset, and levels where
+# the Bohr sets are nontrivial; then the Z_m commands that build sets from
+# member lists
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 CASES = [
@@ -33,7 +35,10 @@ CASES = [
     ("moments-z510510-s2", f"{MOMENTS}2"),
     ("moments-z510510-s3", f"{MOMENTS}3"),
     ("pipeline-eps0", "pipeline --n 20000 --W 5 --eps0 0.05 --sigma 0.5"),
+    ("pipeline-eps0-csv",
+     "pipeline --n 20000 --W 5 --eps0 0.05 --sigma 0.5 --format csv"),
     ("pipeline-residue", "pipeline --n 30000 --W 3 --rule residue-filter:1:4"),
+    ("pipeline-empty", "pipeline --n 30000 --W 3 --rule residue-filter:0:4"),
     ("pipeline-k4", "pipeline --n 100000 --W 5 --k 4"),
     ("pipeline-thin",
      "pipeline --n 200000 --W 5 --rule random-thinning --delta 0.3 --seed 4"),
@@ -42,6 +47,8 @@ CASES = [
     ("split-n20000",
      "pipeline --n 20000 --W 5 --eps0 1.0 --sigma 6 --rule random-thinning --delta 0.5"),
     ("split-all-of-zn", "pipeline --n 3000 --W 3 --eps0 1.0 --sigma 20"),
+    ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),
+    ("extremal-s6-t2", "extremal --s 6 --t 2"),
 ]
 
 

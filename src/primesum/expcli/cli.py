@@ -14,7 +14,12 @@ import sys
 
 import numpy as np
 
-from ..errors import ConfigurationError, DomainError, InvariantViolation
+from ..errors import (
+    ConfigurationError,
+    DomainError,
+    InvariantViolation,
+    SizeLimitError,
+)
 from ..ntheory import factorize, sieve_primes
 from ..prime_embed import (
     choose_N,
@@ -38,7 +43,8 @@ from .reports import emit_report
 
 __all__ = ["main", "build_parser", "parse_set_spec"]
 
-# the desk-scale cap the pipeline puts on n, applied to the Z_m commands' m
+# the desk-scale cap the pipeline puts on n, applied to sieve's n and to the
+# Z_m commands' m
 _MAX_M = 10_000_000
 
 
@@ -76,7 +82,7 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             members = sorted({int(v) for v in parts[1].split(",") if v.strip()})
         except ValueError as exc:
             raise ConfigurationError(f"bad member list in {text!r}") from exc
-        return SubsetOfZm.from_members(m, np.asarray(members, dtype=np.int64))
+        return SubsetOfZm.from_members(m, members)
     if kind in ("random", "units-random"):
         if len(parts) != 3:
             raise ConfigurationError(f"{kind} needs frac and seed, got {text!r}")
@@ -112,6 +118,8 @@ def _fmt(value) -> str:
 
 
 def _cmd_sieve(args) -> int:
+    if args.n > _MAX_M:
+        raise ConfigurationError(f"n must be at most {_MAX_M}, got {args.n}")
     table = sieve_primes(args.n)
     _print(f"n={args.n} count={table.primes.size} largest={int(table.primes[-1])}")
     return 0
@@ -190,10 +198,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_sumset(args) -> int:
     b = parse_set_spec(args.set_spec, args.m)
-    s = sumset(b, b)
+    try:
+        size = sumset(b, b).cardinality
+    except SizeLimitError:
+        # too large for the dual-route count: one certified convolution
+        size = cyclic_sumset_size(b.members_array(), args.m)
     _print(
-        f"m={args.m} card={b.cardinality} sumset={s.cardinality} "
-        f"fraction={_fmt(s.cardinality / args.m)}"
+        f"m={args.m} card={b.cardinality} sumset={size} "
+        f"fraction={_fmt(size / args.m)}"
     )
     return 0
 

@@ -19,6 +19,10 @@ import numpy as np
 from ..errors import InvariantViolation
 from ..ntheory import sieve_primes
 from ..prime_embed import (
+    DeltaAggregate,
+    EmbeddedClass,
+    PairSumsetReport,
+    ResiduePartition,
     aggregate_delta,
     choose_N,
     class_decomposition,
@@ -163,111 +167,82 @@ def _rel_gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
-    cfg.validate()
-    checks: list[CheckRow] = []
+class _Ledger(list):
+    """The check rows of one run, in the order they were recorded.
 
-    table = sieve_primes(cfg.n)
-    a_arr = build_subset(cfg, table)
-    part = partition_and_densities(a_arr, cfg.n, cfg.w)
-    mod = part.modulus
-    m = mod.m
-    big_n = choose_N(cfg.n, m)
-    checks.append(
-        CheckRow(
-            name="embedding-window",
-            kind="assert",
-            lhs=m * big_n,
-            rhs=4 * cfg.n,
-            relation="2n < m N <= 4n",
-            passed=True,
-        )
-    )
+    ``require`` raises before it records, so an assert row exists only if
+    its identity held; ``report`` rows never gate the run.
+    """
 
-    sigma = cfg.resolved_sigma()
-    eps0 = cfg.resolved_eps0(part.delta)
-    checks.append(
-        CheckRow(
-            name="sigma-vs-eps",
-            kind="report",
-            lhs=sigma,
-            rhs=cfg.eps / 10.0,
-            relation="<",
-            passed=sigma < cfg.eps / 10.0,
-        )
-    )
+    def require(self, name, lhs, rhs, relation, ok, message) -> None:
+        if not ok:
+            raise InvariantViolation(message)
+        self.append(CheckRow(name, "assert", lhs, rhs, relation, True))
 
+    def report(self, name, lhs, rhs, relation, passed) -> None:
+        self.append(CheckRow(name, "report", lhs, rhs, relation, passed))
+
+
+def _reconcile_partition(
+    ledger: _Ledger, part: ResiduePartition, total_a: int, total_p: int
+) -> float:
+    """Reconcile the partition exactly against the raw counts, and record the
+    density masses; returns the summed density of the good classes."""
     units = part.units
-    good = sorted(part.good)
-
-    # Exact reconciliation of the partition against the raw counts.
     class_a = sum(part.classes[b][0].size for b in units)
     class_p = sum(part.classes[b][1].size for b in units)
-    total_a = int(a_arr.size)
-    total_p = int(table.primes.size)
-    if class_a + int(part.residual_a.size) != total_a:
-        raise InvariantViolation("subset classes fail to reconcile with the subset")
-    if class_p + int(part.residual_primes.size) != total_p:
+    ledger.require(
+        "class-mass-reconciliation",
+        class_a + part.residual_a.size,
+        total_a,
+        "==",
+        class_a + part.residual_a.size == total_a,
+        "subset classes fail to reconcile with the subset",
+    )
+    if class_p + part.residual_primes.size != total_p:
         raise InvariantViolation("prime classes fail to reconcile with the primes")
-    checks.append(
-        CheckRow(
-            name="class-mass-reconciliation",
-            kind="assert",
-            lhs=class_a + int(part.residual_a.size),
-            rhs=total_a,
-            relation="==",
-            passed=True,
-        )
-    )
 
-    weighted = math.fsum(
-        part.delta_b[b] * part.classes[b][1].size for b in units
-    )
+    weighted = math.fsum(part.delta_b[b] * part.classes[b][1].size for b in units)
     gap = _rel_gap(weighted, class_a)
-    if gap > 1e-9:
-        raise InvariantViolation(
-            f"density-weighted class sizes miss the subset count by {gap:.3g}"
-        )
-    checks.append(
-        CheckRow(
-            name="delta-weighted-count",
-            kind="assert",
-            lhs=weighted,
-            rhs=class_a,
-            relation="== (rel 1e-9)",
-            passed=True,
-        )
+    ledger.require(
+        "delta-weighted-count",
+        weighted,
+        class_a,
+        "== (rel 1e-9)",
+        gap <= 1e-9,
+        f"density-weighted class sizes miss the subset count by {gap:.3g}",
     )
 
+    totient = part.modulus.totient
     sum_delta_units = math.fsum(part.delta_b[b] for b in units)
-    checks.append(
-        CheckRow(
-            name="unit-density-mass",
-            kind="report",
-            lhs=sum_delta_units,
-            rhs=part.delta * mod.totient,
-            relation=">=",
-            passed=sum_delta_units >= part.delta * mod.totient,
-        )
+    ledger.report(
+        "unit-density-mass",
+        sum_delta_units,
+        part.delta * totient,
+        ">=",
+        sum_delta_units >= part.delta * totient,
     )
-    sum_delta_good = math.fsum(part.delta_b[b] for b in good)
-    checks.append(
-        CheckRow(
-            name="good-density-mass",
-            kind="report",
-            lhs=sum_delta_good,
-            rhs=part.delta * mod.totient / 2.0,
-            relation=">=",
-            passed=sum_delta_good >= part.delta * mod.totient / 2.0,
-        )
+    sum_delta_good = math.fsum(part.delta_b[b] for b in sorted(part.good))
+    ledger.report(
+        "good-density-mass",
+        sum_delta_good,
+        part.delta * totient / 2.0,
+        ">=",
+        sum_delta_good >= part.delta * totient / 2.0,
     )
+    return sum_delta_good
 
-    # Embed every unit class against a shared sieve.
+
+def _class_rows(
+    ledger: _Ledger, part: ResiduePartition, big_n: int
+) -> tuple[dict[int, EmbeddedClass], list[dict]]:
+    """Embed every unit class against one shared sieve; returns the
+    embeddings by class and one row per class."""
+    m = part.modulus.m
     extended = sieve_primes(m * big_n + m)
-    embeds = {b: embed_class(part, b, big_n, extended) for b in units}
+    embeds = {b: embed_class(part, b, big_n, extended) for b in part.units}
     per_class: list[dict] = []
-    for b in units:
-        ec = embeds[b]
+    for b, ec in embeds.items():
         mass = embedding_mass_check(ec)
         deficit = pseudorandom_deficit(ec)
         per_class.append(
@@ -285,25 +260,59 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
                 "offpeak_reference": deficit.reference_bound,
             }
         )
-    good_mass_ok = all(
-        row["mass_passed"] for row in per_class if row["good"]
+    good_rows = [row for row in per_class if row["good"]]
+    ledger.report(
+        "good-class-weight-mass",
+        sum(1 for row in good_rows if row["mass_passed"]),
+        len(part.good),
+        "all good classes reach delta_b/16",
+        all(row["mass_passed"] for row in good_rows),
     )
-    checks.append(
-        CheckRow(
-            name="good-class-weight-mass",
-            kind="report",
-            lhs=sum(1 for r in per_class if r["good"] and r["mass_passed"]),
-            rhs=len(good),
-            relation="all good classes reach delta_b/16",
-            passed=good_mass_ok,
-        )
-    )
+    return embeds, per_class
 
-    # Split each good class once; the pair reports convolve the splits.
+
+def _pair_row(rep: PairSumsetReport) -> dict:
+    return {
+        "b1": rep.b1,
+        "b2": rep.b2,
+        "alpha": rep.alpha,
+        "beta": rep.beta,
+        "eps0_used": rep.eps0_used,
+        "support_fraction": rep.support_fraction,
+        "target_fraction": rep.target_fraction,
+        "passed": rep.passed,
+        "main_fraction": rep.main_fraction,
+        "main_target": rep.main_target,
+        "main_passed": rep.main_passed,
+        "err12_count": rep.error_counts["12"],
+        "err21_count": rep.error_counts["21"],
+        "err22_count": rep.error_counts["22"],
+        "err_count_reference": rep.error_count_reference,
+        "err12_l2sq": rep.error_l2sq["12"],
+        "err21_l2sq": rep.error_l2sq["21"],
+        "err22_l2sq": rep.error_l2sq["22"],
+        "f1_max": rep.f1_max,
+        "g1_max": rep.g1_max,
+        "bohr_size_f": rep.bohr_size_f,
+        "bohr_size_g": rep.bohr_size_g,
+    }
+
+
+def _pair_stage(
+    ledger: _Ledger,
+    cfg: ExperimentConfig,
+    embeds: dict[int, EmbeddedClass],
+    good: list[int],
+    eps0: float,
+    sigma: float,
+) -> tuple[dict[tuple[int, int], PairSumsetReport], list[dict]]:
+    """Split each good class once and bound the sumset of every unordered
+    good pair from the two splits; returns the reports by pair and their
+    rows, in pair order."""
     splits = {b: class_decomposition(embeds[b], eps0, sigma) for b in good}
     pairs = [(b1, b2) for i, b1 in enumerate(good) for b2 in good[i:]]
 
-    def _one_pair(pair: tuple[int, int]):
+    def one_pair(pair: tuple[int, int]) -> PairSumsetReport:
         b1, b2 = pair
         return pair_sumset_report(
             embeds[b1], embeds[b2], splits[b1], splits[b2], cfg.eps, eps0, sigma
@@ -312,267 +321,194 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     workers = _pair_workers()
     if workers > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_one_pair, pairs))
+            reports = list(pool.map(one_pair, pairs))
     else:
-        reports = [_one_pair(p) for p in pairs]
+        reports = [one_pair(p) for p in pairs]
+    ledger.report(
+        "pair-support-targets",
+        sum(1 for rep in reports if rep.passed),
+        len(reports),
+        "all pairs reach mean density - eps",
+        all(rep.passed for rep in reports) if reports else None,
+    )
     by_pair = {(rep.b1, rep.b2): rep for rep in reports}
+    return by_pair, [_pair_row(rep) for rep in reports]
 
-    pair_rows: list[dict] = []
-    for rep in reports:
-        pair_rows.append(
+
+def _residue_chain(
+    ledger: _Ledger,
+    cfg: ExperimentConfig,
+    part: ResiduePartition,
+    agg: DeltaAggregate,
+    by_pair: dict[tuple[int, int], PairSumsetReport],
+    sum_delta_good: float,
+) -> tuple[int, int, list[dict], bool]:
+    """Check the residue-level chain from the pair densities to the moment
+    bound of the good set; returns (k_formula, k, residue rows, witness_ok)."""
+    mod = part.modulus
+    m = mod.m
+    good = sorted(part.good)
+    alpha_good = len(good) / mod.totient
+    k_formula, k_floor = choose_moment_order(alpha_good)
+    k = cfg.k if cfg.k is not None else k_floor
+    cert = kth_moment(SubsetOfZm.from_members(m, good), k, mod)
+    r = cert.hist.r
+    gamma, delta = agg.gamma_x, agg.delta_x
+    for x, count in agg.count_x.items():
+        if count != int(r[x]):
+            raise InvariantViolation(f"pair multiplicity mismatch at residue {x}")
+    over = next((x for x in gamma if gamma[x] > delta[x] + 1e-12), None)
+    ledger.require(
+        "gamma-below-delta",
+        max(gamma[x] - delta[x] for x in gamma),
+        0.0,
+        "<= (abs 1e-12)",
+        over is None,
+        f"average pair density exceeds its maximum at residue {over}",
+    )
+
+    sum_r_gamma = math.fsum(r[x] * gamma[x] for x in gamma)
+    rebracketed = len(good) * sum_delta_good
+    gap = _rel_gap(sum_r_gamma, rebracketed)
+    ledger.require(
+        "pair-density-rebracketing",
+        sum_r_gamma,
+        rebracketed,
+        "== (rel 1e-9)",
+        gap <= 1e-9,
+        f"pair-density re-bracketing misses by relative gap {gap:.3g}",
+    )
+    rg_reference = (part.delta / (2.0 * alpha_good)) * len(good) ** 2
+    ledger.report(
+        "pair-density-vs-global",
+        sum_r_gamma,
+        rg_reference,
+        ">=",
+        sum_r_gamma >= rg_reference,
+    )
+
+    dual = k / (k - 1.0)
+    t_gamma = math.fsum(gamma[x] ** dual for x in gamma)
+    t_delta = math.fsum(delta[x] ** dual for x in delta)
+    holder_rhs = cert.s_rb ** (1.0 / k) * t_gamma ** ((k - 1.0) / k)
+    ledger.require(
+        "holder-r-gamma",
+        sum_r_gamma,
+        holder_rhs,
+        "<= (rel 1e-9)",
+        sum_r_gamma <= holder_rhs * (1.0 + 1e-9),
+        "Hoelder bound fell below the pair sum",
+    )
+    ledger.require(
+        "dual-moment-monotone",
+        t_gamma,
+        t_delta,
+        "<= (abs 1e-12)",
+        t_gamma <= t_delta + 1e-12,
+        "dual moment of averages exceeds maxima",
+    )
+    sum_delta_x = math.fsum(delta.values())
+    ledger.require(
+        "power-mean-domination",
+        sum_delta_x,
+        t_delta,
+        ">= (abs 1e-12)",
+        sum_delta_x >= t_delta - 1e-12,
+        "power mean domination failed",
+    )
+    ledger.report(
+        "good-set-moment-comparator",
+        cert.s_rb,
+        cert.comparator,
+        "<=",
+        cert.s_rb <= cert.comparator,
+    )
+    ledger.require(
+        "good-set-moment-strata",
+        cert.s_rb,
+        cert.s_r,
+        "<= (exact)",
+        cert.s_rb <= cert.s_r,
+        "restricted moment exceeds the unit-shift moment",
+    )
+
+    # A residue's contribution is certified once the witness pair's exact
+    # support count (= |A_1 + A_2|, the convolution never wraps) covers it.
+    rows: list[dict] = []
+    for x, (b1, b2) in agg.witness.items():
+        rep = by_pair[min(b1, b2), max(b1, b2)]
+        contribution = max(delta[x] - cfg.eps, 0.0) * part.n / m
+        rows.append(
             {
-                "b1": rep.b1,
-                "b2": rep.b2,
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "eps0_used": rep.eps0_used,
-                "support_fraction": rep.support_fraction,
-                "target_fraction": rep.target_fraction,
-                "passed": rep.passed,
-                "main_fraction": rep.main_fraction,
-                "main_target": rep.main_target,
-                "main_passed": rep.main_passed,
-                "err12_count": rep.error_counts["12"],
-                "err21_count": rep.error_counts["21"],
-                "err22_count": rep.error_counts["22"],
-                "err_count_reference": rep.error_count_reference,
-                "err12_l2sq": rep.error_l2sq["12"],
-                "err21_l2sq": rep.error_l2sq["21"],
-                "err22_l2sq": rep.error_l2sq["22"],
-                "f1_max": rep.f1_max,
-                "g1_max": rep.g1_max,
-                "bohr_size_f": rep.bohr_size_f,
-                "bohr_size_g": rep.bohr_size_g,
+                "x": x,
+                "r_x": int(r[x]),
+                "gamma_x": gamma[x],
+                "delta_x": delta[x],
+                "witness_b1": b1,
+                "witness_b2": b2,
+                "witness_support": rep.support_count,
+                "witness_certified": rep.support_count >= contribution - 1e-9,
+                "contribution": contribution,
             }
         )
-    checks.append(
-        CheckRow(
-            name="pair-support-targets",
-            kind="report",
-            lhs=sum(1 for r in reports if r.passed),
-            rhs=len(reports),
-            relation="all pairs reach mean density - eps",
-            passed=all(r.passed for r in reports) if reports else None,
-        )
+    contributing = [row for row in rows if row["contribution"] > 0]
+    witness_ok = all(row["witness_certified"] for row in contributing)
+    ledger.report(
+        "witness-support-count",
+        sum(1 for row in contributing if row["witness_certified"]),
+        len(contributing),
+        "witness support covers each contribution",
+        witness_ok,
     )
+    return k_formula, k, rows, witness_ok
 
-    # Aggregate pair densities and the residue-level chain.
-    agg = aggregate_delta(part, cfg.eps) if good else None
-    residue_density: list[dict] = []
-    lower_bound = 0.0
-    witness_ok: bool | None = None
+
+def _integer_sumset(
+    ledger: _Ledger,
+    cfg: ExperimentConfig,
+    a_arr: np.ndarray,
+    m: int,
+    agg: DeltaAggregate | None,
+) -> tuple[int | None, list[dict]]:
+    """|A + A| over the integers with its count per residue mod m, when
+    small enough to enumerate exactly; (None, []) otherwise."""
+    if not a_arr.size or cfg.n > _ACTUAL_SUMSET_MAX_N:
+        return None, []
+    lo, flags = integer_sumset_flags(a_arr, a_arr)
+    residues = (np.flatnonzero(flags) + lo) % m
+    counts = np.bincount(residues.astype(np.int64), minlength=m)
     if agg is not None:
-        lower_bound = agg.lower_bound
-        alpha_good = len(good) / mod.totient
-        k_formula, k_floor = choose_moment_order(alpha_good)
-        k = cfg.k if cfg.k is not None else k_floor
-        g_set = SubsetOfZm.from_members(m, np.asarray(good, dtype=np.int64))
-        cert = kth_moment(g_set, k, mod)
-        r = cert.hist.r
-        sums: dict[int, list[float]] = {}
-        for b1 in good:
-            for b2 in good:
-                x = (b1 + b2) % m
-                sums.setdefault(x, []).append(
-                    (part.delta_b[b1] + part.delta_b[b2]) / 2.0
-                )
-        gamma: dict[int, float] = {}
-        for x, vals in sorted(sums.items()):
-            if len(vals) != int(r[x]):
-                raise InvariantViolation(
-                    f"pair multiplicity mismatch at residue {x}"
-                )
-            gamma[x] = math.fsum(vals) / len(vals)
-            if gamma[x] > agg.delta_x[x] + 1e-12:
-                raise InvariantViolation(
-                    f"average pair density exceeds its maximum at residue {x}"
-                )
-        checks.append(
-            CheckRow(
-                name="gamma-below-delta",
-                kind="assert",
-                lhs=max(gamma[x] - agg.delta_x[x] for x in gamma),
-                rhs=0.0,
-                relation="<= (abs 1e-12)",
-                passed=True,
-            )
+        covered = sum(1 for x in agg.delta_x if counts[x] > 0)
+        ledger.report(
+            "sumset-covers-good-pairs",
+            covered,
+            len(agg.delta_x),
+            "every residue of G+G is hit",
+            covered == len(agg.delta_x),
         )
+    rows = [{"x": int(x), "count": int(counts[x])} for x in np.flatnonzero(counts)]
+    return int(np.count_nonzero(flags)), rows
 
-        sum_r_gamma = math.fsum(r[x] * gamma[x] for x in sorted(gamma))
-        rebracketed = len(good) * sum_delta_good
-        gap = _rel_gap(sum_r_gamma, rebracketed)
-        if gap > 1e-9:
-            raise InvariantViolation(
-                f"pair-density re-bracketing misses by relative gap {gap:.3g}"
-            )
-        checks.append(
-            CheckRow(
-                name="pair-density-rebracketing",
-                kind="assert",
-                lhs=sum_r_gamma,
-                rhs=rebracketed,
-                relation="== (rel 1e-9)",
-                passed=True,
-            )
-        )
 
-        rg_reference = (part.delta / (2.0 * alpha_good)) * len(good) ** 2
-        checks.append(
-            CheckRow(
-                name="pair-density-vs-global",
-                kind="report",
-                lhs=sum_r_gamma,
-                rhs=rg_reference,
-                relation=">=",
-                passed=sum_r_gamma >= rg_reference,
-            )
-        )
-
-        dual = k / (k - 1.0)
-        t_gamma = math.fsum(gamma[x] ** dual for x in sorted(gamma))
-        t_delta = math.fsum(agg.delta_x[x] ** dual for x in sorted(agg.delta_x))
-        holder_rhs = cert.s_rb ** (1.0 / k) * t_gamma ** ((k - 1.0) / k)
-        if sum_r_gamma > holder_rhs * (1.0 + 1e-9):
-            raise InvariantViolation("Hoelder bound fell below the pair sum")
-        checks.append(
-            CheckRow(
-                name="holder-r-gamma",
-                kind="assert",
-                lhs=sum_r_gamma,
-                rhs=holder_rhs,
-                relation="<= (rel 1e-9)",
-                passed=True,
-            )
-        )
-        if t_gamma > t_delta + 1e-12:
-            raise InvariantViolation("dual moment of averages exceeds maxima")
-        checks.append(
-            CheckRow(
-                name="dual-moment-monotone",
-                kind="assert",
-                lhs=t_gamma,
-                rhs=t_delta,
-                relation="<= (abs 1e-12)",
-                passed=True,
-            )
-        )
-        sum_delta_x = math.fsum(agg.delta_x[x] for x in sorted(agg.delta_x))
-        if sum_delta_x < t_delta - 1e-12:
-            raise InvariantViolation("power mean domination failed")
-        checks.append(
-            CheckRow(
-                name="power-mean-domination",
-                kind="assert",
-                lhs=sum_delta_x,
-                rhs=t_delta,
-                relation=">= (abs 1e-12)",
-                passed=True,
-            )
-        )
-
-        checks.append(
-            CheckRow(
-                name="good-set-moment-comparator",
-                kind="report",
-                lhs=cert.s_rb,
-                rhs=cert.comparator,
-                relation="<=",
-                passed=cert.s_rb <= cert.comparator,
-            )
-        )
-        checks.append(
-            CheckRow(
-                name="good-set-moment-strata",
-                kind="assert",
-                lhs=cert.s_rb,
-                rhs=cert.s_r,
-                relation="<= (exact)",
-                passed=True,
-            )
-        )
-
-        # A residue's contribution is certified once the witness pair's exact
-        # support count (= |A_1 + A_2|, the convolution never wraps) covers it.
-        for x in sorted(agg.delta_x):
-            b1, b2 = agg.witness[x]
-            key = (min(b1, b2), max(b1, b2))
-            rep = by_pair[key]
-            contribution = max(agg.delta_x[x] - cfg.eps, 0.0) * part.n / m
-            certified = rep.support_count >= contribution - 1e-9
-            residue_density.append(
-                {
-                    "x": x,
-                    "r_x": int(r[x]),
-                    "gamma_x": gamma[x],
-                    "delta_x": agg.delta_x[x],
-                    "witness_b1": b1,
-                    "witness_b2": b2,
-                    "witness_support": rep.support_count,
-                    "witness_certified": certified,
-                    "contribution": contribution,
-                }
-            )
-        contributing = [r for r in residue_density if r["contribution"] > 0]
-        witness_ok = all(r["witness_certified"] for r in contributing)
-        checks.append(
-            CheckRow(
-                name="witness-support-count",
-                kind="report",
-                lhs=sum(1 for r in contributing if r["witness_certified"]),
-                rhs=len(contributing),
-                relation="witness support covers each contribution",
-                passed=witness_ok,
-            )
-        )
-    else:
-        k_formula, k = 0, cfg.k if cfg.k is not None else 3
-
-    # Actual integer sumset, when small enough to enumerate exactly.
-    actual_sumset: int | None = None
-    sumset_residues: list[dict] = []
-    if a_arr.size and cfg.n <= _ACTUAL_SUMSET_MAX_N:
-        lo, flags = integer_sumset_flags(a_arr, a_arr)
-        actual_sumset = int(np.count_nonzero(flags))
-        residues = (np.flatnonzero(flags) + lo) % m
-        counts = np.bincount(residues.astype(np.int64), minlength=m)
-        for x in np.flatnonzero(counts):
-            sumset_residues.append({"x": int(x), "count": int(counts[x])})
-        if agg is not None:
-            reachable = set(agg.delta_x)
-            covered = sum(
-                1 for x in reachable if counts[x] > 0
-            )
-            checks.append(
-                CheckRow(
-                    name="sumset-covers-good-pairs",
-                    kind="report",
-                    lhs=covered,
-                    rhs=len(reachable),
-                    relation="every residue of G+G is hit",
-                    passed=covered == len(reachable),
-                )
-            )
-
-    bound_ok: bool | None = None
-    if actual_sumset is not None and agg is not None:
-        bound_ok = lower_bound <= actual_sumset
-        if witness_ok and not bound_ok:
-            raise InvariantViolation(
-                f"aggregated bound {lower_bound:.6g} exceeds the sumset size "
-                f"{actual_sumset} although every witness passed"
-            )
-    checks.append(
-        CheckRow(
-            name="aggregate-bound-vs-sumset",
-            kind="assert" if witness_ok else "report",
-            lhs=lower_bound,
-            rhs=actual_sumset,
-            relation="<= (binding when witnesses pass)",
-            passed=bound_ok,
-        )
-    )
-
-    # Empirical constant for the sumset against delta n e^{-x(delta)}.
+def _summary(
+    cfg: ExperimentConfig,
+    part: ResiduePartition,
+    ledger: _Ledger,
+    *,
+    big_n: int,
+    total_p: int,
+    total_a: int,
+    sigma: float,
+    eps0: float,
+    k: int,
+    k_formula: int,
+    lower_bound: float,
+    actual_sumset: int | None,
+    witness_ok: bool | None,
+) -> dict:
+    """The summary table: the run's sizes and parameters, the bound against
+    the sumset, the empirical constant against delta n e^{-x(delta)} and the
+    check tally."""
     exponent_argument: float | None = None
     fitted_constant: float | None = None
     if 0.0 < part.delta < 1.0:
@@ -585,20 +521,20 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
                 fitted_constant = actual_sumset / (
                     part.delta * part.n * math.exp(-exponent_argument)
                 )
-
-    summary = {
+    passed_flags = [row.passed for row in ledger if row.passed is not None]
+    return {
         "n": cfg.n,
         "w": cfg.w,
-        "m": m,
-        "phi_m": mod.totient,
+        "m": part.modulus.m,
+        "phi_m": part.modulus.totient,
         "N": big_n,
         "prime_count": total_p,
         "subset_count": total_a,
         "residual_primes": int(part.residual_primes.size),
         "residual_subset": int(part.residual_a.size),
         "delta": part.delta,
-        "good_count": len(good),
-        "good_classes": list(good),
+        "good_count": len(part.good),
+        "good_classes": sorted(part.good),
         "eps": cfg.eps,
         "sigma": sigma,
         "eps0": eps0,
@@ -609,13 +545,91 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         "witness_ok": witness_ok,
         "exponent_argument": exponent_argument,
         "fitted_constant": fitted_constant,
-        "checks_passed": None,
+        "checks_passed": sum(1 for p in passed_flags if p),
+        "checks_total": len(passed_flags),
     }
 
-    passed_flags = [row.passed for row in checks if row.passed is not None]
-    summary["checks_passed"] = sum(1 for p in passed_flags if p)
-    summary["checks_total"] = len(passed_flags)
 
+def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
+    """Run the chain from the prime subset to the moment bound on |A + A|.
+
+    The stages run in order (partition reconciliation, per-class rows, the
+    pair stage, the residue/moment chain, the integer sumset, the summary)
+    and record their checks in one ledger; a failing identity raises
+    InvariantViolation.
+    """
+    cfg.validate()
+    ledger = _Ledger()
+
+    table = sieve_primes(cfg.n)
+    a_arr = build_subset(cfg, table)
+    part = partition_and_densities(a_arr, cfg.n, cfg.w)
+    m = part.modulus.m
+    big_n = choose_N(cfg.n, m)
+    ledger.require(
+        "embedding-window",
+        m * big_n,
+        4 * cfg.n,
+        "2n < m N <= 4n",
+        2 * cfg.n < m * big_n <= 4 * cfg.n,
+        f"embedding length {big_n} fell outside its window",
+    )
+    sigma = cfg.resolved_sigma()
+    eps0 = cfg.resolved_eps0(part.delta)
+    ledger.report("sigma-vs-eps", sigma, cfg.eps / 10.0, "<", sigma < cfg.eps / 10.0)
+
+    total_a, total_p = int(a_arr.size), int(table.primes.size)
+    sum_delta_good = _reconcile_partition(ledger, part, total_a, total_p)
+    embeds, per_class = _class_rows(ledger, part, big_n)
+    good = sorted(part.good)
+    by_pair, pair_rows = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
+
+    agg = aggregate_delta(part, cfg.eps) if good else None
+    if agg is not None:
+        k_formula, k, residue_density, witness_ok = _residue_chain(
+            ledger, cfg, part, agg, by_pair, sum_delta_good
+        )
+        lower_bound = agg.lower_bound
+    else:
+        k_formula, k = 0, cfg.k if cfg.k is not None else 3
+        residue_density, witness_ok, lower_bound = [], None, 0.0
+    actual_sumset, sumset_residues = _integer_sumset(ledger, cfg, a_arr, m, agg)
+
+    # the bound binds only when every witness certified its contribution
+    bound_ok: bool | None = None
+    if actual_sumset is not None and agg is not None:
+        bound_ok = lower_bound <= actual_sumset
+        if witness_ok and not bound_ok:
+            raise InvariantViolation(
+                f"aggregated bound {lower_bound:.6g} exceeds the sumset size "
+                f"{actual_sumset} although every witness passed"
+            )
+    ledger.append(
+        CheckRow(
+            name="aggregate-bound-vs-sumset",
+            kind="assert" if witness_ok else "report",
+            lhs=lower_bound,
+            rhs=actual_sumset,
+            relation="<= (binding when witnesses pass)",
+            passed=bound_ok,
+        )
+    )
+
+    summary = _summary(
+        cfg,
+        part,
+        ledger,
+        big_n=big_n,
+        total_p=total_p,
+        total_a=total_a,
+        sigma=sigma,
+        eps0=eps0,
+        k=k,
+        k_formula=k_formula,
+        lower_bound=lower_bound,
+        actual_sumset=actual_sumset,
+        witness_ok=witness_ok,
+    )
     return FinalReport(
         config=cfg.echo(),
         summary=summary,
@@ -623,7 +637,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         pair_reports=pair_rows,
         residue_density=residue_density,
         sumset_residues=sumset_residues,
-        checks=checks,
+        checks=ledger,
     )
 
 

@@ -400,14 +400,18 @@ def pair_sumset_report(
 class DeltaAggregate:
     """Best pair density for each reachable residue of the sumset.
 
-    For x in G + G, ``delta_x[x]`` is the largest mean density over ordered
-    pairs summing to x, with the lexicographically smallest witness pair;
-    the lower bound adds (delta_x - eps) n / m over all x, clamping negative
-    contributions to zero.
+    For x in G + G, the pair density of an ordered pair (b1, b2) with
+    b1 + b2 = x mod m is the mean of the two class densities.
+    ``delta_x[x]`` is the largest of them, with the lexicographically
+    smallest witness pair, ``gamma_x[x]`` their average and ``count_x[x]``
+    the number of ordered pairs.  The lower bound adds (delta_x - eps) n / m
+    over all x, clamping negative contributions to zero.
     """
 
     delta_x: dict[int, float]
     witness: dict[int, tuple[int, int]]
+    gamma_x: dict[int, float]
+    count_x: dict[int, int]
     eps: float
     n: int
     m: int
@@ -415,7 +419,8 @@ class DeltaAggregate:
 
 
 def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
-    """Aggregate pair densities over the good set into per-residue maxima.
+    """Aggregate pair densities over the good set into per-residue maxima,
+    averages and pair counts, in one pass over the ordered good pairs.
 
     Witness pairs are chosen by density alone, which is symmetric in the
     pair order.
@@ -428,19 +433,22 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     m = part.modulus.m
     delta_x: dict[int, float] = {}
     witness: dict[int, tuple[int, int]] = {}
+    vals: dict[int, list[float]] = {}
     for b1 in good:
         for b2 in good:
             x = (b1 + b2) % m
             val = (part.delta_b[b1] + part.delta_b[b2]) / 2.0
+            vals.setdefault(x, []).append(val)
             if x not in delta_x or val > delta_x[x]:
                 delta_x[x] = val
                 witness[x] = (b1, b2)
-    lower = sum(
-        max(v - eps, 0.0) * part.n / m for _, v in sorted(delta_x.items())
-    )
+    reachable = sorted(vals)
+    lower = sum(max(delta_x[x] - eps, 0.0) * part.n / m for x in reachable)
     return DeltaAggregate(
-        delta_x=dict(sorted(delta_x.items())),
-        witness=dict(sorted(witness.items())),
+        delta_x={x: delta_x[x] for x in reachable},
+        witness={x: witness[x] for x in reachable},
+        gamma_x={x: math.fsum(vals[x]) / len(vals[x]) for x in reachable},
+        count_x={x: len(vals[x]) for x in reachable},
         eps=eps,
         n=part.n,
         m=m,

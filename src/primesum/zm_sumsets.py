@@ -93,13 +93,18 @@ class SubsetOfZm:
 
     @staticmethod
     def from_members(m: int, members) -> "SubsetOfZm":
-        bits = 0
-        for x in members:
-            x = int(x)
-            if not 0 <= x < m:
-                raise DomainError(f"member {x} outside Z_{m}")
-            bits |= 1 << x
-        return SubsetOfZm(m=m, bits=bits)
+        """The subset holding the given integers, each of which must lie in
+        [0, m); the range is checked on Python ints, so a member of any size
+        is reported rather than overflowing a fixed-width array."""
+        values = [int(x) for x in members]
+        bad = next((x for x in values if not 0 <= x < m), None)
+        if bad is not None:
+            raise DomainError(f"member {bad} outside Z_{m}")
+        if m < 1:
+            raise DomainError(f"modulus must be >= 1, got {m}")
+        flags = np.zeros(m, dtype=bool)
+        flags[np.asarray(values, dtype=np.int64)] = True
+        return SubsetOfZm(m=m, bits=_pack_bits(flags))
 
     @staticmethod
     def units(m: int) -> "SubsetOfZm":

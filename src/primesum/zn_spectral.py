@@ -8,8 +8,7 @@ Conventions used throughout:
 * convolution is the plain cyclic sum (f*g)(x) = sum_y f(y) g(x - y), which
   becomes N * fhat * ghat on the transform side;
 * transforms are computed with numpy's exact-length FFT, which handles prime
-  and composite N alike.  Direct O(N^2) variants (``dft_direct``,
-  ``convolve_direct``) are provided for verification at small N;
+  and composite N alike;
 * a density holds its own unnormalized transform ``np.fft.fft(values)``,
   computed on first use (its values are read-only), and every transform-side
   operation reads it, so each density is transformed at most once.
@@ -36,10 +35,8 @@ __all__ = [
     "indicator",
     "constant",
     "dft",
-    "dft_direct",
     "inverse_dft",
     "convolve",
-    "convolve_direct",
     "lp_fourier_norm",
     "large_spectrum",
     "bohr_set",
@@ -47,9 +44,6 @@ __all__ = [
     "positive_support",
     "convolution_proof_quantities",
 ]
-
-_DIRECT_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class DensityFunction:
@@ -167,16 +161,6 @@ def dft(f: DensityFunction) -> Spectrum:
     return Spectrum(N=f.N, coeffs=f.transform / f.N)
 
 
-def dft_direct(f: DensityFunction) -> Spectrum:
-    """O(N^2) summation form of ``dft`` for verification (N <= 4096)."""
-    if f.N > _DIRECT_LIMIT:
-        raise DomainError(f"direct transform limited to N <= {_DIRECT_LIMIT}")
-    n = f.N
-    x = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(x, x) / n)
-    return Spectrum(N=n, coeffs=kernel.T @ f.values / n)
-
-
 def inverse_dft(spec: Spectrum) -> np.ndarray:
     """Pointwise reconstruction f(x) = sum_xi coeffs[xi] e(x xi / N).
 
@@ -194,19 +178,6 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     # rounding can leave tiny negatives on a mathematically nonnegative result
     np.maximum(vals, 0.0, out=vals)
     return DensityFunction(N=f.N, values=vals)
-
-
-def convolve_direct(f: DensityFunction, g: DensityFunction) -> DensityFunction:
-    """O(N^2) convolution for verification (N <= 4096)."""
-    if f.N != g.N:
-        raise DomainError(f"mismatched group orders {f.N} and {g.N}")
-    if f.N > _DIRECT_LIMIT:
-        raise DomainError(f"direct convolution limited to N <= {_DIRECT_LIMIT}")
-    out = np.zeros(f.N)
-    for y in range(f.N):
-        if f.values[y]:
-            out += f.values[y] * np.roll(g.values, y)
-    return DensityFunction(N=f.N, values=np.maximum(out, 0.0))
 
 
 def lp_fourier_norm(f: DensityFunction, s: float) -> float:

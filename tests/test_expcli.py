@@ -21,10 +21,15 @@ from primesum.expcli.config import (
     build_subset,
     parse_rule,
 )
-from primesum.expcli.pipeline import _pair_workers, run_pipeline, simulate_random_host
+from primesum.expcli.pipeline import (
+    _Ledger,
+    _pair_workers,
+    run_pipeline,
+    simulate_random_host,
+)
 from primesum.expcli.reports import emit_report, render_csv, render_json
 from primesum.ntheory import sieve_primes
-from primesum.zm_sumsets import SubsetOfZm, holder_lower_bound
+from primesum.zm_sumsets import SubsetOfZm, cyclic_sumset_size, holder_lower_bound
 
 from oracles import trial_primes
 
@@ -334,6 +339,30 @@ class TestPipeline:
             }
             assert {k: row[k] for k in expected} == expected
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("gamma_x", "average pair density exceeds its maximum"),
+            ("count_x", "pair multiplicity mismatch"),
+        ],
+    )
+    def test_residue_gates_raise(self, monkeypatch, field, message):
+        import dataclasses
+
+        import primesum.expcli.pipeline as pipeline
+
+        aggregate = pipeline.aggregate_delta
+
+        def broken(part, eps):
+            agg = aggregate(part, eps)
+            x = next(iter(agg.delta_x))
+            bumped = {**getattr(agg, field), x: getattr(agg, field)[x] + 1}
+            return dataclasses.replace(agg, **{field: bumped})
+
+        monkeypatch.setattr(pipeline, "aggregate_delta", broken)
+        with pytest.raises(InvariantViolation, match=message):
+            run_pipeline(small_config(n=3000, w=5))
+
     def test_empty_subset_degrades_gracefully(self):
         cfg = small_config(rule=parse_rule("residue-filter:0:4"))
         report = run_pipeline(cfg)
@@ -345,6 +374,19 @@ class TestPipeline:
         assert s["witness_ok"] is None
         hard = [c for c in report.checks if c.kind == "assert"]
         assert all(c.passed for c in hard)
+
+
+class TestLedger:
+    def test_failing_require_raises_and_records_no_row(self):
+        ledger = _Ledger()
+        ledger.require("holds", 1, 1, "==", True, "unused")
+        ledger.report("trend", 1, 2, ">=", False)
+        with pytest.raises(InvariantViolation, match="^broken$"):
+            ledger.require("fails", 1, 2, "==", False, "broken")
+        assert [(r.name, r.kind, r.passed) for r in ledger] == [
+            ("holds", "assert", True),
+            ("trend", "report", False),
+        ]
 
 
 class TestReports:
@@ -452,18 +494,32 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_huge_list_member_maps_to_two(self, capsys):
+        spec = "list:1,100000000000000000000000"
+        assert main(["sumset", "--m", "30", "--set-spec", spec]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_sumset_too_large_for_two_routes_counts_with_one(self, capsys):
+        spec = "random:0.2:1"
+        assert main(["sumset", "--m", "1000000", "--set-spec", spec]) == 0
+        out = capsys.readouterr().out
+        b = parse_set_spec(spec, 1_000_000)
+        expected = cyclic_sumset_size(b.members_array(), 1_000_000)
+        assert f" sumset={expected} " in out
+
     def test_config_error_maps_to_two(self, capsys):
         code = main(
             ["pipeline", "--n", "50", "--W", "3", "--format", "json", "--out", "x"]
         )
         assert code == 2
 
-    def test_huge_w_fails_fast(self):
+    @staticmethod
+    def assert_fails_fast(argv: list[str]) -> None:
         src = Path(primesum.__file__).resolve().parents[1]
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "primesum.expcli.cli"]
-            + ["partition", "--n", "1000", "--W", "3000000"],
+            [sys.executable, "-m", "primesum.expcli.cli"] + argv,
             capture_output=True,
             text=True,
             timeout=2,
@@ -473,6 +529,12 @@ class TestCli:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_huge_w_fails_fast(self):
+        self.assert_fails_fast(["partition", "--n", "1000", "--W", "3000000"])
+
+    def test_huge_sieve_fails_fast(self):
+        self.assert_fails_fast(["sieve", "--n", "1000000000000"])
 
     def test_invariant_maps_to_three(self, monkeypatch, capsys, tmp_path):
         import primesum.expcli.cli as cli_mod

@@ -265,8 +265,23 @@ class TestAggregateDelta:
         assert agg.delta_x == {0: 0.7, 2: 0.6, 4: 0.8}
         assert agg.witness[2] == (1, 1)
         assert agg.witness[0] == (1, 5)
+        assert agg.gamma_x == {0: 0.7, 2: 0.6, 4: 0.8}
+        assert agg.count_x == {0: 2, 2: 1, 4: 1}
         expected = (0.6 + 0.5 + 0.7) * 600 / 6
         assert abs(agg.lower_bound - expected) < 1e-9
+
+    def test_mean_below_maximum(self):
+        # 1 + 19 = 7 + 13 = 20 mod 30, with pair densities 0.6 and 0.5
+        delta_b = {1: 0.2, 7: 0.4, 13: 0.6, 19: 1.0}
+        part = synthetic_partition(delta_b, 0.5, delta_b, n=3000, w=5)
+        agg = aggregate_delta(part, 0.1)
+        assert agg.count_x[20] == 4
+        assert agg.delta_x[20] == 0.6 and agg.witness[20] == (1, 19)
+        assert agg.gamma_x[20] == pytest.approx(0.55)
+        assert sum(agg.count_x.values()) == len(delta_b) ** 2
+        assert list(agg.gamma_x) == list(agg.delta_x) == sorted(agg.delta_x)
+        # a mean of equal values may round one ulp above them
+        assert all(agg.gamma_x[x] <= agg.delta_x[x] + 1e-12 for x in agg.delta_x)
 
     def test_equal_densities(self):
         part = synthetic_partition({1: 0.4, 5: 0.4}, 0.4, [1, 5])

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,17 @@ class TestSubsetOfZm:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             SubsetOfZm.from_members(10, [10])
+        with pytest.raises(DomainError):
+            SubsetOfZm.from_members(10, [1, 10**23])
+
+    def test_many_members_over_a_large_modulus(self):
+        m = 9_699_690  # the primorial of 19
+        members = (np.arange(10**5, dtype=np.int64) * 97) % m
+        start = time.perf_counter()
+        b = SubsetOfZm.from_members(m, members)
+        assert time.perf_counter() - start < 2.0
+        assert b.cardinality == members.size
+        assert np.array_equal(b.members_array(), np.sort(members))
 
 
 class TestSumset:
