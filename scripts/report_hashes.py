@@ -6,12 +6,21 @@ byte-identical:
 
     python3 scripts/report_hashes.py            # the checkout holding this file
     python3 scripts/report_hashes.py --repo DIR # another checkout's src/
+    python3 scripts/report_hashes.py --diff DIR # and what differs from DIR
+
+With ``--diff``, each case whose output differs from the one at DIR is
+followed by the fields that differ: one indented line per dotted path (list
+indices read ``*``) with the number of entries that differ and the largest
+relative and absolute gap between numeric values.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +61,82 @@ CASES = [
 ]
 
 
+def run_case(repo: Path, case: str) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env.pop("PRIMESUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *case.split()],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def parse_output(text: str):
+    """A report as nested dicts and lists: JSON as it is, sectioned CSV as
+    {section: [row dicts]}, and ``key=value`` lines as [{key: value}]."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    if text.startswith("section,"):
+        doc = {}
+        for block in text.split("\n\n"):
+            rows = list(csv.reader(io.StringIO(block)))
+            doc[rows[0][1]] = [dict(zip(rows[1], row)) for row in rows[2:]]
+        return doc
+    return [dict(token.partition("=")[::2] for token in line.split())
+            for line in text.splitlines()]
+
+
+def flatten(value, path="", generic=""):
+    """Yield (path, path with list indices as *, leaf value)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from flatten(item, f"{path}.{key}", f"{generic}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from flatten(item, f"{path}[{index}]", f"{generic}[*]")
+    else:
+        yield path, generic, value
+
+
+def as_float(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def field_diff(old: str, new: str) -> list[str]:
+    """One line per generic path whose leaves differ between two outputs."""
+    before, after = ({p: (g, v) for p, g, v in flatten(parse_output(text))}
+                     for text in (old, new))
+    stats: dict[str, list] = {}
+    for path in [*before, *(p for p in after if p not in before)]:
+        generic = (before.get(path) or after[path])[0]
+        entry = stats.setdefault(generic, [0, 0, 0.0, 0.0])
+        entry[1] += 1
+        if path in before and path in after and before[path] == after[path]:
+            continue
+        entry[0] += 1
+        x, y = (as_float(side[path][1]) if path in side else None
+                for side in (before, after))
+        if x is None or y is None:
+            entry[2] = entry[3] = float("inf")
+        elif x != y:
+            gap = abs(x - y)
+            entry[2] = max(entry[2], gap / max(abs(x), abs(y)))
+            entry[3] = max(entry[3], gap)
+    return [
+        f"  {generic.lstrip('.')}: {differ} of {total} differ, "
+        f"max rel gap {rel:.3g}, max abs gap {gap:.3g}"
+        for generic, (differ, total, rel, gap) in stats.items()
+        if differ
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -60,18 +145,25 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent,
         help="checkout whose src/ is put on PYTHONPATH",
     )
+    parser.add_argument(
+        "--diff",
+        type=Path,
+        metavar="DIR",
+        help="another checkout to compare each case's output with",
+    )
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(args.repo / "src"))
-    env.pop("PRIMESUM_THREADS", None)
     for name, case in CASES:
-        proc = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, *case.split()],
-            env=env,
-            capture_output=True,
-            check=False,
-        )
-        digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
-        print(f"{name} {proc.returncode} {digest}", flush=True)
+        code, out = run_case(args.repo, case)
+        digest = hashlib.sha256(out).hexdigest()[:16]
+        print(f"{name} {code} {digest}", flush=True)
+        if args.diff is None:
+            continue
+        other_code, other = run_case(args.diff, case)
+        if other_code != code:
+            print(f"  exit code differs: {other_code} at {args.diff}", flush=True)
+        if other != out:
+            lines = field_diff(other.decode(), out.decode())
+            print("\n".join(lines or ["  bytes differ, no field does"]), flush=True)
     return 0
 
 

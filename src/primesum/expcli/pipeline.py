@@ -21,14 +21,12 @@ from ..ntheory import sieve_primes
 from ..prime_embed import (
     DeltaAggregate,
     EmbeddedClass,
-    PairSumsetReport,
     ResiduePartition,
     aggregate_delta,
     choose_N,
-    class_decomposition,
     embed_class,
     embedding_mass_check,
-    pair_sumset_report,
+    pair_sumset_columns,
     partition_and_densities,
     pseudorandom_deficit,
 )
@@ -271,33 +269,6 @@ def _class_rows(
     return embeds, per_class
 
 
-def _pair_row(rep: PairSumsetReport) -> dict:
-    return {
-        "b1": rep.b1,
-        "b2": rep.b2,
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-        "eps0_used": rep.eps0_used,
-        "support_fraction": rep.support_fraction,
-        "target_fraction": rep.target_fraction,
-        "passed": rep.passed,
-        "main_fraction": rep.main_fraction,
-        "main_target": rep.main_target,
-        "main_passed": rep.main_passed,
-        "err12_count": rep.error_counts["12"],
-        "err21_count": rep.error_counts["21"],
-        "err22_count": rep.error_counts["22"],
-        "err_count_reference": rep.error_count_reference,
-        "err12_l2sq": rep.error_l2sq["12"],
-        "err21_l2sq": rep.error_l2sq["21"],
-        "err22_l2sq": rep.error_l2sq["22"],
-        "f1_max": rep.f1_max,
-        "g1_max": rep.g1_max,
-        "bohr_size_f": rep.bohr_size_f,
-        "bohr_size_g": rep.bohr_size_g,
-    }
-
-
 def _pair_stage(
     ledger: _Ledger,
     cfg: ExperimentConfig,
@@ -305,34 +276,25 @@ def _pair_stage(
     good: list[int],
     eps0: float,
     sigma: float,
-) -> tuple[dict[tuple[int, int], PairSumsetReport], list[dict]]:
-    """Split each good class once and bound the sumset of every unordered
-    good pair from the two splits; returns the reports by pair and their
-    rows, in pair order."""
-    splits = {b: class_decomposition(embeds[b], eps0, sigma) for b in good}
-    pairs = [(b1, b2) for i, b1 in enumerate(good) for b2 in good[i:]]
-
-    def one_pair(pair: tuple[int, int]) -> PairSumsetReport:
-        b1, b2 = pair
-        return pair_sumset_report(
-            embeds[b1], embeds[b2], splits[b1], splits[b2], cfg.eps, eps0, sigma
-        )
-
+) -> tuple[dict[tuple[int, int], int], list[dict]]:
+    """Bound the sumset of every unordered good pair from the classes'
+    splits; returns the exact support count by pair and the rows, in pair
+    order.  Threads, when enabled, take whole blocks of pairs."""
+    classes = [embeds[b] for b in good]
     workers = _pair_workers()
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one_pair, pairs))
-    else:
-        reports = [one_pair(p) for p in pairs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
+        columns = pair_sumset_columns(classes, cfg.eps, eps0, sigma, run)
+    support = dict(zip(zip(columns["b1"], columns["b2"]), columns.pop("support_count")))
+    passed = columns["passed"]
     ledger.report(
         "pair-support-targets",
-        sum(1 for rep in reports if rep.passed),
-        len(reports),
+        sum(passed),
+        len(passed),
         "all pairs reach mean density - eps",
-        all(rep.passed for rep in reports) if reports else None,
+        all(passed) if passed else None,
     )
-    by_pair = {(rep.b1, rep.b2): rep for rep in reports}
-    return by_pair, [_pair_row(rep) for rep in reports]
+    return support, [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _residue_chain(
@@ -340,7 +302,7 @@ def _residue_chain(
     cfg: ExperimentConfig,
     part: ResiduePartition,
     agg: DeltaAggregate,
-    by_pair: dict[tuple[int, int], PairSumsetReport],
+    support: dict[tuple[int, int], int],
     sum_delta_good: float,
 ) -> tuple[int, int, list[dict], bool]:
     """Check the residue-level chain from the pair densities to the moment
@@ -436,7 +398,7 @@ def _residue_chain(
     # support count (= |A_1 + A_2|, the convolution never wraps) covers it.
     rows: list[dict] = []
     for x, (b1, b2) in agg.witness.items():
-        rep = by_pair[min(b1, b2), max(b1, b2)]
+        count = support[min(b1, b2), max(b1, b2)]
         contribution = max(delta[x] - cfg.eps, 0.0) * part.n / m
         rows.append(
             {
@@ -446,8 +408,8 @@ def _residue_chain(
                 "delta_x": delta[x],
                 "witness_b1": b1,
                 "witness_b2": b2,
-                "witness_support": rep.support_count,
-                "witness_certified": rep.support_count >= contribution - 1e-9,
+                "witness_support": count,
+                "witness_certified": count >= contribution - 1e-9,
                 "contribution": contribution,
             }
         )
@@ -582,12 +544,12 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     sum_delta_good = _reconcile_partition(ledger, part, total_a, total_p)
     embeds, per_class = _class_rows(ledger, part, big_n)
     good = sorted(part.good)
-    by_pair, pair_rows = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
+    support, pair_rows = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
 
     agg = aggregate_delta(part, cfg.eps) if good else None
     if agg is not None:
         k_formula, k, residue_density, witness_ok = _residue_chain(
-            ledger, cfg, part, agg, by_pair, sum_delta_good
+            ledger, cfg, part, agg, support, sum_delta_good
         )
         lower_bound = agg.lower_bound
     else:

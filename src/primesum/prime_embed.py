@@ -13,6 +13,7 @@ rather than asserted.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,9 @@ from .ntheory import FactoredModulus, PrimeTable, primorial, sieve_primes
 from .zn_spectral import (
     Decomposition,
     DensityFunction,
-    convolution_proof_quantities,
+    convolve_pairs,
     dft,
     green_decompose,
-    positive_support,
 )
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "EmbeddedClass",
     "MassCheck",
     "PseudorandomDeficit",
-    "PairSumsetReport",
     "DeltaAggregate",
     "partition_and_densities",
     "good_set",
@@ -42,7 +41,7 @@ __all__ = [
     "embedding_mass_check",
     "pseudorandom_deficit",
     "class_decomposition",
-    "pair_sumset_report",
+    "pair_sumset_columns",
     "aggregate_delta",
 ]
 
@@ -284,116 +283,100 @@ def class_decomposition(ec: EmbeddedClass, eps0: float, sigma: float) -> Decompo
     return green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0, sigma)
 
 
-@dataclass(frozen=True)
-class PairSumsetReport:
-    """Support and convolution bookkeeping for one pair of embedded classes.
-
-    ``support_fraction`` is the positive support of f * g over N; the target
-    is the mean class density minus eps.  The threshold counts follow the
-    positivity argument: smoothed main term against sigma alpha N, mixed
-    pieces against a tenth of that, where alpha is the smaller mean.
-    """
-
-    b1: int
-    b2: int
-    eps0_used: float
-    alpha: float
-    beta: float
-    support_count: int
-    support_fraction: float
-    target_fraction: float
-    passed: bool
-    main_fraction: float
-    main_target: float
-    main_passed: bool
-    error_counts: dict[str, int]
-    error_count_reference: float
-    error_l2sq: dict[str, float]
-    f1_max: float
-    g1_max: float
-    bohr_size_f: int
-    bohr_size_g: int
-
-
-def pair_sumset_report(
-    ec1: EmbeddedClass,
-    ec2: EmbeddedClass,
-    d1: Decomposition,
-    d2: Decomposition,
+def pair_sumset_columns(
+    classes: Sequence[EmbeddedClass],
     eps: float,
     eps0: float,
     sigma: float,
-) -> PairSumsetReport:
-    """Convolve the pieces of the two classes' splits (``class_decomposition``)
-    and report the support of f * g against the density target.
+    map_blocks=map,
+) -> dict[str, list]:
+    """Bound the sumset of every unordered pair of the classes, in the order
+    (c1, c1), (c1, c2), ..., (c2, c2), ..., and return the report columns.
 
-    The pair works at the level of the class with the smaller mean; the other
-    split is redone at that level unless its Bohr set is {0}.  Zero densities
-    short-circuit to an empty-support report.
+    Each class is split once at its own level (``class_decomposition``).  A
+    pair works at the level of the class with the smaller mean; the other
+    class is split again at that level unless its Bohr set is {0}, and each
+    (class, level) split is made once.  The support of f * g is reported
+    against the mean class density minus eps; the smoothed main term is
+    counted against sigma mean(f) N and the mixed pieces against a tenth of
+    that.  A pair with an all-zero density has nothing to decompose: every
+    count is 0.  The last column, ``support_count``, is the exact count
+    behind ``support_fraction``.  ``map_blocks`` runs the blocks of
+    ``convolve_pairs``.
     """
-    if ec1.N != ec2.N:
-        raise DomainError(f"mismatched embedding lengths {ec1.N} and {ec2.N}")
+    lengths = sorted({ec.N for ec in classes})
+    if len(lengths) > 1:
+        raise DomainError(f"mismatched embedding lengths {lengths}")
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not eps0 > 0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    n = ec1.N
-    f, g = ec1.f, ec2.f
-    mean_f, mean_g = f.mean(), g.mean()
-    alpha = min(mean_f, mean_g)
-    beta = max(mean_f, mean_g)
-    target = (ec1.delta_b + ec2.delta_b) / 2.0 - eps
+    n = lengths[0] if lengths else 1
+    means = [ec.f.mean() for ec in classes]
+    splits = [class_decomposition(ec, eps0, sigma) for ec in classes]
+    keys = {(c, d.bohr.width): c for c, d in enumerate(splits)}
 
-    main_target = (mean_f + mean_g) / 2.0 - 3.0 * sigma
-    if alpha == 0.0:
-        # an all-zero density leaves nothing to decompose: every count is 0
-        eps0_used, support, main_count = eps0, 0, 0
-        error_counts = dict.fromkeys(("12", "21", "22"), 0)
-        error_l2sq = dict.fromkeys(("12", "21", "22"), 0.0)
-        f1_max = g1_max = 0.0
-        bohr_size_f = bohr_size_g = 0
-    else:
-        eps0_used = (d1 if mean_f <= mean_g else d2).bohr.width
+    def split_at(c: int, level: float) -> int:
         # a lower level adds frequencies and narrows the width over the same
         # floats, so a Bohr set of {0} stays {0}: the same split, bit for bit
-        d1, d2 = (
-            d if d.bohr.width == eps0_used or d.bohr.size == 1
-            else green_decompose(ec.f, eps0_used, sigma)
-            for d, ec in ((d1, ec1), (d2, ec2))
-        )
-        quantities = convolution_proof_quantities(f, g, d1, d2)
-        support = positive_support(f, g, 0.0)
-        main_count = quantities.main_count
-        error_counts = dict(quantities.error_counts)
-        error_l2sq = dict(quantities.error_l2sq)
-        f1_max, g1_max = d1.f1_max, d2.f1_max
-        bohr_size_f, bohr_size_g = d1.bohr.size, d2.bohr.size
+        key = (c, splits[c].bohr.width if splits[c].bohr.size == 1 else level)
+        if key not in keys:
+            keys[key] = len(splits)
+            splits.append(green_decompose(classes[c].f, level, sigma))
+        return keys[key]
 
-    support_fraction = support / n
-    main_fraction = main_count / n
-    return PairSumsetReport(
-        b1=ec1.b,
-        b2=ec2.b,
-        eps0_used=eps0_used,
-        alpha=alpha,
-        beta=beta,
-        support_count=support,
-        support_fraction=support_fraction,
-        target_fraction=target,
-        passed=support_fraction >= target,
-        main_fraction=main_fraction,
-        main_target=main_target,
-        main_passed=main_fraction >= main_target,
-        error_counts=error_counts,
-        error_count_reference=sigma * n,
-        error_l2sq=error_l2sq,
-        f1_max=f1_max,
-        g1_max=g1_max,
-        bohr_size_f=bohr_size_f,
-        bohr_size_g=bohr_size_g,
-    )
+    pairs = [(c1, c2) for c1 in range(len(classes)) for c2 in range(c1, len(classes))]
+    eps0_used, live = [], []
+    for c1, c2 in pairs:
+        small = c1 if means[c1] <= means[c2] else c2
+        level = splits[small].bohr.width if means[small] > 0.0 else eps0
+        eps0_used.append(level)
+        if means[small] > 0.0:
+            live.append((c1, c2, split_at(c1, level), split_at(c2, level)))
+    conv = convolve_pairs([ec.f for ec in classes], splits, live, sigma, map_blocks)
+
+    c1, c2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    b = np.array([ec.b for ec in classes], dtype=np.int64)
+    mean, delta = np.array(means), np.array([ec.delta_b for ec in classes])
+    alpha = np.minimum(mean[c1], mean[c2])
+    d1, d2 = ([splits[live_pair[k]] for live_pair in live] for k in (2, 3))
+
+    def scatter(values, dtype=np.float64) -> np.ndarray:
+        out = np.zeros((len(pairs),) + np.shape(values)[1:], dtype=dtype)
+        out[alpha > 0.0] = values
+        return out
+
+    support = scatter(conv.support, np.int64)
+    target = (delta[c1] + delta[c2]) / 2.0 - eps
+    main_fraction = scatter(conv.main_count, np.int64) / n
+    main_target = (mean[c1] + mean[c2]) / 2.0 - 3.0 * sigma
+    error_count = scatter(conv.error_count, np.int64)
+    error_l2sq = scatter(conv.error_l2sq)
+    pieces = ("12", "21", "22")
+    columns = {
+        "b1": b[c1],
+        "b2": b[c2],
+        "alpha": alpha,
+        "beta": np.maximum(mean[c1], mean[c2]),
+        "eps0_used": eps0_used,
+        "support_fraction": support / n,
+        "target_fraction": target,
+        "passed": support / n >= target,
+        "main_fraction": main_fraction,
+        "main_target": main_target,
+        "main_passed": main_fraction >= main_target,
+        **{f"err{p}_count": error_count[:, k] for k, p in enumerate(pieces)},
+        "err_count_reference": np.full(len(pairs), sigma * n),
+        **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(pieces)},
+        "f1_max": scatter([d.f1_max for d in d1]),
+        "g1_max": scatter([d.f1_max for d in d2]),
+        "bohr_size_f": scatter([d.bohr.size for d in d1], np.int64),
+        "bohr_size_g": scatter([d.bohr.size for d in d2], np.int64),
+        "support_count": support,
+    }
+    return {name: np.asarray(values).tolist() for name, values in columns.items()}
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,8 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of nonnegative integer vectors.
 
     Uses a direct integer product when affordable; otherwise a float FFT
-    whose output must sit within 0.25 of integers before being rounded.
+    whose output must sit within 0.25 of integers before being rounded.  A
+    self-convolution (``b is a``) takes one forward transform and squares it.
     """
     la, lb = int(a.size), int(b.size)
     if la == 0 or lb == 0:
@@ -141,11 +142,13 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.convolve(a.astype(np.int64), b.astype(np.int64))
     n = la + lb - 1
     nfft = 1 << (n - 1).bit_length()
-    fa = np.fft.rfft(a.astype(np.float64), nfft)
-    fb = np.fft.rfft(b.astype(np.float64), nfft)
-    conv = np.fft.irfft(fa * fb, nfft)[:n]
+    spec = np.fft.rfft(a.astype(np.float64), nfft)
+    spec *= spec if b is a else np.fft.rfft(b.astype(np.float64), nfft)
+    conv = np.fft.irfft(spec, nfft)[:n]
+    del spec
     rounded = np.rint(conv)
-    err = float(np.max(np.abs(conv - rounded)))
+    conv -= rounded
+    err = float(np.max(np.abs(conv, out=conv)))
     if err >= 0.25:
         raise InvariantViolation(
             f"float convolution failed the exactness certificate (deviation {err:.3g})"
@@ -191,7 +194,8 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
     mask = (1 << m) - 1
     shifted = (acc | (acc >> m)) & mask
 
-    counts = _cyclic_int_convolution(b1.indicator_array(), b2.indicator_array())
+    ind1 = b1.indicator_array()
+    counts = _cyclic_int_convolution(ind1, ind1 if b2 == b1 else b2.indicator_array())
     if _pack_bits(counts > 0) != shifted:
         raise InvariantViolation("sumset routes disagree")
     return counts
@@ -238,11 +242,8 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
         flags = np.zeros(span, dtype=bool)
         flags[sums] = True
         return lo, flags
-    ind1 = np.zeros(int(a1[-1]) - int(a1[0]) + 1, dtype=np.int64)
-    ind1[a1 - int(a1[0])] = 1
-    ind2 = np.zeros(int(a2[-1]) - int(a2[0]) + 1, dtype=np.int64)
-    ind2[a2 - int(a2[0])] = 1
-    conv = _convolve_int_exact(ind1, ind2)
+    ind1 = np.bincount(a1 - a1[0])
+    conv = _convolve_int_exact(ind1, ind1 if a2 is a1 else np.bincount(a2 - a2[0]))
     return lo, conv > 0
 
 

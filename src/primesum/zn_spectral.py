@@ -11,7 +11,11 @@ Conventions used throughout:
   and composite N alike;
 * a density holds its own unnormalized transform ``np.fft.fft(values)``,
   computed on first use (its values are read-only), and every transform-side
-  operation reads it, so each density is transformed at most once.
+  operation reads it, so each density is transformed at most once;
+* a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
+* the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
+  real, so one ``rfft`` of the stacked densities and split parts serves every
+  pair, and each block of pairs takes one ``irfft`` per convolved piece.
 
 Reductions use numpy's pairwise summation, whose order is fixed for a fixed
 input, so repeated runs on the same data give bit-identical results.
@@ -19,6 +23,7 @@ input, so repeated runs on the same data give bit-identical results.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +36,7 @@ __all__ = [
     "Spectrum",
     "BohrSet",
     "Decomposition",
-    "ConvolutionProofReport",
+    "PairConvolutions",
     "indicator",
     "constant",
     "dft",
@@ -42,7 +47,8 @@ __all__ = [
     "bohr_set",
     "green_decompose",
     "positive_support",
-    "convolution_proof_quantities",
+    "l2sq_from_half_spectrum",
+    "convolve_pairs",
 ]
 
 @dataclass(frozen=True)
@@ -133,13 +139,6 @@ class Decomposition:
     def f1_max(self) -> float:
         return float(np.max(self.f1.values)) if self.f1.N else 0.0
 
-    @cached_property
-    def f2_transform(self) -> np.ndarray:
-        """Unnormalized transform of ``f2``, read-only, computed on first use."""
-        coeffs = np.fft.fft(self.f2)
-        coeffs.setflags(write=False)
-        return coeffs
-
 
 def indicator(N: int, points) -> DensityFunction:
     """0/1 indicator density of a subset of Z_N."""
@@ -229,7 +228,8 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
     to the large spectrum at level eps0, realized on the transform side as
     multiplication by |sum_{y in B} e(-xi y / N)|^2 / |B|^2.  By construction
     f1 >= 0, f1 has the same mean as f, and every coefficient of f2 = f - f1
-    is bounded by 2 eps0 max(1, ||fhat||_inf).
+    is bounded by 2 eps0 max(1, ||fhat||_inf).  When the Bohr set is {0} the
+    split is exact: f1 is f and f2 is 0.
     """
     if not (0 < eps0 <= 1):
         raise DomainError(f"spectrum threshold must lie in (0, 1], got {eps0}")
@@ -237,6 +237,9 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
         raise DomainError(f"sigma must be positive, got {sigma}")
     n = f.N
     bohr = bohr_set(n, large_spectrum(f, eps0), eps0)
+    if bohr.size == 1:
+        # B = {0} makes the multiplier 1 at every frequency: f1 is f itself
+        return Decomposition(f1=f, f2=np.zeros(n), bohr=bohr, sigma=sigma)
     u = np.zeros(n)
     u[bohr.members] = 1.0
     mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
@@ -270,83 +273,134 @@ def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -
     return int(np.count_nonzero(vals > threshold))
 
 
+# Bytes of temporaries one block of pairs may hold while its inverse
+# transforms run; a pair holds about 32 bytes per point of Z_N at a time.
+PAIR_BLOCK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
-class ConvolutionProofReport:
-    """Exact bookkeeping for the four cross convolutions of two splits.
+class PairConvolutions:
+    """Per-pair results of ``convolve_pairs``: ``support`` counts the points
+    where f*g is positive (as ``positive_support`` at threshold 0),
+    ``main_count`` those where f1*g1 exceeds sigma mean(f) N, and
+    ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2 of ``error_count`` and
+    ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the points where |f_i*g_j|
+    exceeds a tenth of the main threshold, and ||f_i*g_j||_2^2."""
 
-    ``main_l1`` is ||f1*g1||_1 and ``error_l2sq`` holds ||f_i * g_j||_2^2 for
-    the three mixed pieces, both checked against their identities; counts are
-    against sigma alpha N (main) and sigma alpha N / 10 (error pieces).
+    support: np.ndarray
+    main_count: np.ndarray
+    main_l1: np.ndarray
+    error_count: np.ndarray
+    error_l2sq: np.ndarray
+
+
+def l2sq_from_half_spectrum(h_half: np.ndarray, n: int) -> np.ndarray:
+    """||h||_2^2 of real functions h on Z_N from their ``rfft`` rows, by
+    Parseval: an interior bin stands for two conjugate frequencies and counts
+    twice; bin 0 and, when N is even, the Nyquist bin count once."""
+    weights = np.full(h_half.shape[-1], 2.0)
+    weights[[0, -1] if n % 2 == 0 else 0] = 1.0
+    return (h_half.real**2 + h_half.imag**2) @ weights / n
+
+
+def _require_close(got: np.ndarray, expected: np.ndarray, message: str) -> None:
+    """Raise unless every entry of ``got`` lies within 1e-9 of ``expected``,
+    relative to max(1, |got|, |expected|)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(expected)))
+    far = np.flatnonzero(~(np.abs(got - expected) <= 1e-9 * scale))
+    if far.size:
+        a, b = float(got[far[0]]), float(expected[far[0]])
+        raise InvariantViolation(f"{message} ({a!r} vs {b!r})")
+
+
+def convolve_pairs(
+    densities: Sequence[DensityFunction],
+    splits: Sequence[Decomposition],
+    pairs,
+    sigma: float,
+    map_blocks=map,
+) -> PairConvolutions:
+    """Convolve the pieces of many pairs of split densities, block by block.
+
+    Row (i, j, s, t) of ``pairs`` pairs f = densities[i], split as
+    splits[s], with g = densities[j], split as splits[t].  The densities and
+    the parts of the splits whose Bohr set is larger than {0} are stacked and
+    take one ``rfft``; each block of pairs then takes one ``irfft`` per piece.
+    A pair whose two Bohr sets are {0} has f1 = f, g1 = g and f2 = g2 = 0, so
+    its one inverse f*g is also f1*g1 and its mixed pieces are exactly 0.  The
+    other pairs of a block take four more: f1*g1 and the three mixed pieces.
+    ``map_blocks`` runs the blocks (a thread pool's ``map`` runs them in
+    parallel); the entries keep the order of ``pairs``.
+
+    Raises InvariantViolation unless every pair has
+    ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
+    mixed piece has ||f_i*g_j||_2^2 = N^3 sum_xi |fhat_i|^2 |ghat_j|^2.
     """
-
-    N: int
-    main_l1: float
-    main_count: int
-    error_l2sq: dict[str, float]
-    error_counts: dict[str, int]
-    error_count_reference: float
-
-
-def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def convolution_proof_quantities(
-    f: DensityFunction,
-    g: DensityFunction,
-    decomp_f: Decomposition,
-    decomp_g: Decomposition,
-) -> ConvolutionProofReport:
-    """Compute and verify the convolution quantities used by the positivity
-    argument for a pair of decomposed densities.
-
-    Raises InvariantViolation if either exactly-true identity fails:
-    ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative), or
-    ||f_i*g_j||_2^2 = N^3 sum_xi |fhat_i|^2 |ghat_j|^2.
-    """
-    n = f.N
-    if g.N != n or decomp_f.f1.N != n or decomp_g.f1.N != n:
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
+    n = densities[0].N if densities else 1
+    if any(h.N != n for h in densities) or any(d.f1.N != n for d in splits):
         raise DomainError("all inputs must share one group order")
-    sigma = decomp_f.sigma
-    alpha = f.mean()
-
-    # each piece is transformed once per split; every convolution and L2
-    # identity below is built from these four spectra
-    spec_f = {1: decomp_f.f1.transform, 2: decomp_f.f2_transform}
-    spec_g = {1: decomp_g.f1.transform, 2: decomp_g.f2_transform}
-
-    conv_main = np.fft.ifft(spec_f[1] * spec_g[1]).real
-    main_l1 = float(np.sum(np.abs(conv_main)))
-    main_l1_expected = decomp_f.f1.l1() * decomp_g.f1.l1()
-    if not _rel_close(main_l1, main_l1_expected):
-        raise InvariantViolation(
-            "L1 mass of the smoothed convolution deviates from the product "
-            f"of masses ({main_l1!r} vs {main_l1_expected!r})"
-        )
-    main_count = int(np.count_nonzero(conv_main > sigma * alpha * n))
-
-    error_l2sq: dict[str, float] = {}
-    error_counts: dict[str, int] = {}
-    error_threshold = sigma * alpha * n / 10.0
-    for i, j in ((1, 2), (2, 1), (2, 2)):
-        conv = np.fft.ifft(spec_f[i] * spec_g[j]).real
-        l2sq = float(np.sum(conv * conv))
-        expected = float(
-            n**3 * np.sum(np.abs(spec_f[i] / n) ** 2 * np.abs(spec_g[j] / n) ** 2)
-        )
-        if not _rel_close(l2sq, expected):
-            raise InvariantViolation(
-                f"L2 identity failed for pieces ({i},{j}): {l2sq!r} vs {expected!r}"
-            )
-        key = f"{i}{j}"
-        error_l2sq[key] = l2sq
-        error_counts[key] = int(np.count_nonzero(np.abs(conv) > error_threshold))
-
-    return ConvolutionProofReport(
-        N=n,
-        main_l1=main_l1,
-        main_count=main_count,
-        error_l2sq=error_l2sq,
-        error_counts=error_counts,
-        error_count_reference=sigma * n,
+    exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
+    parts = [d for d in splits if d.bohr.size > 1]
+    g, k = len(densities), len(parts)
+    # rows: the densities, f1 and f2 of each inexact split, then zeros
+    rows = [h.values for h in densities] + [d.f1.values for d in parts]
+    spec = np.fft.rfft(np.array(rows + [d.f2 for d in parts] + [np.zeros(n)]), axis=-1)
+    mass = np.array([h.l1() for h in densities] + [d.f1.l1() for d in parts])
+    mean = np.array([h.mean() for h in densities])
+    part_row = np.cumsum(~exact) - 1
+    i, j, s, t = pairs.T
+    one_f, one_g = (np.where(exact[x], y, g + part_row[x]) for x, y in ((s, i), (t, j)))
+    two_f, two_g = (np.where(exact[x], g + 2 * k, g + k + part_row[x]) for x in (s, t))
+    total = len(pairs)
+    out = PairConvolutions(
+        support=np.zeros(total, dtype=np.int64),
+        main_count=np.zeros(total, dtype=np.int64),
+        main_l1=np.zeros(total),
+        error_count=np.zeros((total, 3), dtype=np.int64),
+        error_l2sq=np.zeros((total, 3)),
     )
+    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
+
+    def convolve(a, b):
+        prod = spec[a]
+        prod *= spec[b]
+        return prod, np.fft.irfft(prod, n, axis=-1)
+
+    def run(lo: int) -> None:
+        block = slice(lo, lo + size)
+        level = sigma * mean[i[block]] * n
+        _, first = convolve(i[block], j[block])
+        scale = np.maximum(1.0, mass[i[block]] * mass[j[block]] / n)
+        out.support[block] = np.count_nonzero(first > 1e-9 * scale[:, None], axis=-1)
+        main_l1, main_count = out.main_l1[block], out.main_count[block]
+        main_l1[:] = np.sum(np.abs(first), axis=-1)
+        main_count[:] = np.count_nonzero(first > level[:, None], axis=-1)
+        rest = np.flatnonzero(~(exact[s[block]] & exact[t[block]]))
+        if rest.size:
+            a, b, x, y = (col[block][rest] for col in (one_f, one_g, two_f, two_g))
+            cut = level[rest, None]
+            _, main = convolve(a, b)
+            main_l1[rest] = np.sum(np.abs(main), axis=-1)
+            main_count[rest] = np.count_nonzero(main > cut, axis=-1)
+            for c, (u, v) in enumerate(((a, y), (x, b), (x, y))):
+                prod, conv = convolve(u, v)
+                l2sq = np.sum(conv * conv, axis=-1)
+                _require_close(
+                    l2sq,
+                    l2sq_from_half_spectrum(prod, n),
+                    f"L2 identity failed for pieces {('(1,2)', '(2,1)', '(2,2)')[c]}",
+                )
+                out.error_l2sq[block][rest, c] = l2sq
+                out.error_count[block][rest, c] = np.count_nonzero(
+                    np.abs(conv) > cut / 10.0, axis=-1
+                )
+        _require_close(
+            main_l1,
+            mass[one_f[block]] * mass[one_g[block]],
+            "L1 mass of the smoothed convolution deviates from the product of masses",
+        )
+
+    for _ in map_blocks(run, range(0, total, size)):
+        pass
+    return out

@@ -99,3 +99,21 @@ def collision_weight(tup, prime_divisors) -> Fraction:
         if len({x % p for x in tup}) <= k - 1:
             weight += Fraction(1, p)
     return weight
+
+
+def pair_pieces_oracle(f, f1, f2, g, g1, g2, sigma: float) -> dict:
+    """The per-pair route of the positivity argument: one full-length inverse
+    transform for each of f1*g1, f1*g2, f2*g1 and f2*g2, with the main count
+    against sigma mean(f) N and the mixed counts against a tenth of that."""
+    n = len(f)
+    level = sigma * (float(np.sum(f)) / n) * n
+    main = np.fft.ifft(np.fft.fft(f1) * np.fft.fft(g1)).real
+    out = {
+        "main_l1": float(np.sum(np.abs(main))),
+        "main_count": int(np.count_nonzero(main > level)),
+    }
+    for key, (a, b) in {"12": (f1, g2), "21": (f2, g1), "22": (f2, g2)}.items():
+        conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)).real
+        out[f"err{key}_count"] = int(np.count_nonzero(np.abs(conv) > level / 10.0))
+        out[f"err{key}_l2sq"] = float(np.sum(conv * conv))
+    return out

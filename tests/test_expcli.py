@@ -233,19 +233,30 @@ class TestPipeline:
         assert render_json(again) == render_json(pipeline_report)
 
     def test_threaded_pairs_match_serial(self, monkeypatch):
-        # pair threads share each class density and its lazily held transform
-        cfg = small_config(n=3000, w=5)
-        serial = render_json(run_pipeline(cfg))
-        monkeypatch.setenv("PRIMESUM_THREADS", "4")
+        # threads take whole blocks of pairs; neither the thread count nor the
+        # block size may change a byte, also where the Bohr sets are
+        # nontrivial and depend on the pair (the split-n3000 case)
+        import primesum.zn_spectral as zs
+
+        split = small_config(
+            n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5,
+            rule=parse_rule("random-thinning"),
+        )
+        configs = [small_config(n=3000, w=5), split]
+        serial = [render_json(run_pipeline(cfg)) for cfg in configs]
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _pair_workers() == 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = render_json(run_pipeline(cfg))
+            monkeypatch.setenv("PRIMESUM_THREADS", "4")
+            assert _pair_workers() == 4
+            assert [render_json(run_pipeline(cfg)) for cfg in configs] == serial
+            monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 1)
+            for threads in ("1", "4"):
+                monkeypatch.setenv("PRIMESUM_THREADS", threads)
+                assert render_json(run_pipeline(split)) == serial[1]
         finally:
             sys.setswitchinterval(interval)
-        assert threaded == serial
 
     def test_pair_workers_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setenv("PRIMESUM_THREADS", "100000")
@@ -272,43 +283,51 @@ class TestPipeline:
         import primesum.prime_embed as pe
 
         decompose = pe.green_decompose
-        levels = []
+        calls = []
 
         def counting(f, eps0, sigma):
-            levels.append(eps0)
+            calls.append((f.values.tobytes(), eps0))
             return decompose(f, eps0, sigma)
 
         monkeypatch.setattr(pe, "green_decompose", counting)
-        return levels
+        return calls
 
     def test_one_split_per_class(self, monkeypatch):
-        levels = self.count_decompositions(monkeypatch)
+        calls = self.count_decompositions(monkeypatch)
         cfg = small_config(
             n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
         )
         report = run_pipeline(cfg)
         rows = report.pair_reports
         assert all(r["bohr_size_f"] == r["bohr_size_g"] == 1 for r in rows)
-        assert len(levels) == report.summary["good_count"]
+        assert len(calls) == report.summary["good_count"]
+
+    def test_exact_splits_leave_zero_error_columns(self):
+        cfg = small_config(
+            n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
+        )
+        rows = run_pipeline(cfg).pair_reports
+        assert rows and all(r["bohr_size_f"] == r["bohr_size_g"] == 1 for r in rows)
+        for r in rows:
+            assert r["err12_l2sq"] == r["err21_l2sq"] == r["err22_l2sq"] == 0.0
+            assert r["err12_count"] == r["err21_count"] == r["err22_count"] == 0
 
     def test_pair_rows_match_per_pair_splits(self, monkeypatch):
         from primesum.prime_embed import choose_N, embed_class, partition_and_densities
-        from primesum.zn_spectral import (
-            convolution_proof_quantities,
-            green_decompose,
-            positive_support,
-        )
+        from primesum.zn_spectral import green_decompose, positive_support
+
+        from oracles import pair_pieces_oracle
 
         # at this level the Bohr sets are nontrivial and depend on the pair,
-        # so the pair stage redoes some class splits at the pair's level
-        levels = self.count_decompositions(monkeypatch)
+        # so the pair stage splits some classes again at the pair's level
+        calls = self.count_decompositions(monkeypatch)
         cfg = small_config(
             n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5,
             rule=parse_rule("random-thinning"),
         )
         report = run_pipeline(cfg)
         good = report.summary["good_classes"]
-        assert len(levels) > len(good)
+        assert len(calls) > len(good)
         sizes = {}
         for r in report.pair_reports:
             sizes.setdefault(r["b1"], set()).add(r["bohr_size_f"])
@@ -319,25 +338,46 @@ class TestPipeline:
             build_subset(cfg, sieve_primes(cfg.n)), cfg.n, cfg.w
         )
         big_n = choose_N(cfg.n, part.modulus.m)
+        embeds = {b: embed_class(part, b, big_n) for b in good}
+
+        def level(f):
+            return min(1.0, 8.0**6 * f.mean() ** 4 / 400.0)
+
+        # one split per (class, level): each class at its own level, and a
+        # class whose own Bohr set is not {0} again at each pair's level
+        own = {b: green_decompose(ec.f, level(ec.f), 8.0) for b, ec in embeds.items()}
+        keys = {(b, level(ec.f)) for b, ec in embeds.items()}
         for row in report.pair_reports:
-            f, g = (embed_class(part, row[b], big_n).f for b in ("b1", "b2"))
-            alpha = min(f.mean(), g.mean())
-            level = min(1.0, 8.0**6 * alpha**4 / 400.0)
-            df, dg = (green_decompose(h, level, 8.0) for h in (f, g))
-            q = convolution_proof_quantities(f, g, df, dg)
+            b1, b2 = row["b1"], row["b2"]
+            f, g = embeds[b1].f, embeds[b2].f
+            pair_level = level(f if f.mean() <= g.mean() else g)
+            for b, h in ((b1, f), (b2, g)):
+                keys.add((b, level(h) if own[b].bohr.size == 1 else pair_level))
+            df, dg = (green_decompose(h, pair_level, 8.0) for h in (f, g))
+            q = pair_pieces_oracle(
+                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 8.0
+            )
             expected = {
-                "alpha": alpha,
-                "eps0_used": level,
+                "alpha": min(f.mean(), g.mean()),
+                "eps0_used": pair_level,
                 "support_fraction": positive_support(f, g, 0.0) / big_n,
-                "main_fraction": q.main_count / big_n,
-                **{f"err{k}_count": v for k, v in q.error_counts.items()},
-                **{f"err{k}_l2sq": v for k, v in q.error_l2sq.items()},
+                "main_fraction": q["main_count"] / big_n,
+                **{f"err{k}_count": q[f"err{k}_count"] for k in ("12", "21", "22")},
                 "f1_max": df.f1_max,
                 "g1_max": dg.f1_max,
                 "bohr_size_f": df.bohr.size,
                 "bohr_size_g": dg.bohr.size,
             }
             assert {k: row[k] for k in expected} == expected
+            # irfft and ifft round differently; pieces that are 0 in exact
+            # arithmetic sit at rounding level, under the floor of 1
+            for k in ("12", "21", "22"):
+                assert row[f"err{k}_l2sq"] == pytest.approx(
+                    q[f"err{k}_l2sq"], rel=1e-12, abs=1e-12
+                )
+        by_values = {ec.f.values.tobytes(): b for b, ec in embeds.items()}
+        assert len(calls) == len(set(calls))
+        assert {(by_values[v], eps0) for v, eps0 in calls} == keys
 
     @pytest.mark.parametrize(
         "field, message",
@@ -529,6 +569,35 @@ class TestCli:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_decompose_exact_split_prints_zero_remainder(self, capsys):
+        argv = ["decompose", "--n", "20000", "--W", "3", "--b", "1",
+                "--eps0", "0.02", "--sigma", "0.1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "bohr_size=1" in out and "f2_sup_coeff=0 " in out
+
+    def test_failing_l1_identity_maps_to_three(self, monkeypatch, capsys):
+        import primesum.prime_embed as pe
+        from primesum.zn_spectral import DensityFunction
+
+        convolve_pairs, l1 = pe.convolve_pairs, DensityFunction.l1
+
+        def broken(densities, *args):
+            # one class mass off by half: its pairs miss the L1 identity
+            target = densities[-1]
+            monkeypatch.setattr(
+                DensityFunction,
+                "l1",
+                lambda self: l1(self) * (1.5 if self is target else 1.0),
+            )
+            return convolve_pairs(densities, *args)
+
+        monkeypatch.setattr(pe, "convolve_pairs", broken)
+        with pytest.raises(InvariantViolation, match="L1 mass"):
+            run_pipeline(small_config(n=3000, w=5))
+        assert main(["pipeline", "--n", "3000", "--W", "5"]) == 3
+        assert "L1 mass" in capsys.readouterr().err
 
     def test_huge_w_fails_fast(self):
         self.assert_fails_fast(["partition", "--n", "1000", "--W", "3000000"])

@@ -16,7 +16,7 @@ from primesum.prime_embed import (
     embed_class,
     embedding_mass_check,
     good_set,
-    pair_sumset_report,
+    pair_sumset_columns,
     partition_and_densities,
     pseudorandom_deficit,
 )
@@ -201,28 +201,29 @@ class TestPseudorandomDeficit:
 
 
 def pair_report(ec1, ec2, eps, eps0, sigma):
-    """``pair_sumset_report`` on the two classes' own splits."""
-    d1, d2 = (class_decomposition(ec, eps0, sigma) for ec in (ec1, ec2))
-    return pair_sumset_report(ec1, ec2, d1, d2, eps, eps0, sigma)
+    """The row of the pair (ec1, ec2) from ``pair_sumset_columns``."""
+    classes = [ec1] if ec1 is ec2 else [ec1, ec2]
+    columns = pair_sumset_columns(classes, eps, eps0, sigma)
+    return {name: values[len(classes) - 1] for name, values in columns.items()}
 
 
 class TestPairSumsetReport:
     def test_idealized_full_support(self):
         ec = synthetic_class(np.ones(64), delta_b=1.0)
         rep = pair_report(ec, ec, 0.1, 0.01, 0.01)
-        assert rep.support_fraction == 1.0
-        assert rep.passed
+        assert rep["support_fraction"] == 1.0
+        assert rep["passed"]
 
     def test_zero_function_fails_when_dense(self):
         zero = synthetic_class(np.zeros(64), delta_b=0.3)
         rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
-        assert rep.support_count == 0
-        assert not rep.passed
+        assert rep["support_count"] == 0
+        assert not rep["passed"]
 
     def test_zero_function_passes_when_sparse(self):
         zero = synthetic_class(np.zeros(64), delta_b=0.05)
         rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
-        assert rep.passed
+        assert rep["passed"]
 
     def test_mismatched_lengths(self):
         with pytest.raises(DomainError):
@@ -237,25 +238,26 @@ class TestPairSumsetReport:
     def test_eps0_clamped_to_parameter_relation(self):
         ec = synthetic_class(np.ones(64), delta_b=1.0)
         rep = pair_report(ec, ec, 0.1, 0.5, 0.01)
-        assert rep.eps0_used <= 0.01**6 * 1.0**4 / 400.0
+        assert rep["eps0_used"] <= 0.01**6 * 1.0**4 / 400.0
 
     def test_class_density_transformed_once(self, monkeypatch):
         part = partition_and_densities(trial_primes(2000), 2000, 3)
         big_n = choose_N(2000, 6)
         ec1, ec2 = (embed_class(part, b, big_n) for b in (1, 5))
-        inputs = []
-        fft = np.fft.fft
+        stacks = []
+        rfft = np.fft.rfft
 
-        def counting_fft(a, *args, **kwargs):
-            inputs.append(a)
-            return fft(a, *args, **kwargs)
+        def counting_rfft(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counting_fft)
-        for _ in range(2):
-            rep = pair_report(ec1, ec2, 0.1, 0.01, 0.01)
-            assert rep.alpha > 0
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        columns = pair_sumset_columns([ec1, ec2], 0.1, 0.01, 0.01)
+        assert len(columns["alpha"]) == 3 and min(columns["alpha"]) > 0
+        # one forward transform of the stacked rows serves all three pairs
+        assert len(stacks) == 1
         for ec in (ec1, ec2):
-            assert sum(1 for a in inputs if a is ec.f.values) == 1
+            assert sum(np.array_equal(row, ec.f.values) for row in stacks[0]) == 1
 
 
 class TestAggregateDelta:

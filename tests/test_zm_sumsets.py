@@ -92,6 +92,26 @@ class TestSumset:
         got = set(sumset(b, b).members_array().tolist())
         assert got == sumset_enum(members, m)
 
+    def test_self_convolution_takes_one_forward_transform(self, monkeypatch):
+        # m^2 is above the direct-product limit, so the counts come from FFTs
+        m = 8000
+        rng = np.random.default_rng(5)
+        b = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
+        c = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
+        rfft, calls = np.fft.rfft, []
+
+        def counting_rfft(a, *args, **kwargs):
+            calls.append(a.size)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        expected = sumset_enum(b.members_array().tolist(), m)
+        assert set(sumset(b, b).members_array().tolist()) == expected
+        assert cyclic_sumset_size(b.members_array(), m) == len(expected)
+        assert len(calls) == 2
+        sumset(b, c)
+        assert len(calls) == 4
+
     @given(st.integers(min_value=2, max_value=200), st.data())
     def test_cyclic_size_agrees(self, m, data):
         members = np.asarray(sorted(data.draw(member_sets(m))), dtype=np.int64)

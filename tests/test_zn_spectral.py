@@ -4,23 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from primesum.errors import DomainError
+from primesum.errors import DomainError, InvariantViolation
 from primesum.zn_spectral import (
     DensityFunction,
     bohr_set,
     constant,
-    convolution_proof_quantities,
     convolve,
+    convolve_pairs,
     dft,
     green_decompose,
     indicator,
     inverse_dft,
+    l2sq_from_half_spectrum,
     large_spectrum,
     lp_fourier_norm,
     positive_support,
 )
 
-from oracles import bohr_double_average, convolve_oracle, dft_oracle, sumset_enum
+from oracles import (
+    bohr_double_average,
+    convolve_oracle,
+    dft_oracle,
+    pair_pieces_oracle,
+    sumset_enum,
+)
 
 
 def nonneg_values(n, max_value=4.0):
@@ -204,6 +211,18 @@ class TestGreenDecompose:
         assert np.max(np.abs(d.f1.values - f.values)) < 1e-9
         assert np.max(np.abs(d.f2)) < 1e-9
 
+    def test_collapsed_bohr_split_is_exact(self):
+        from primesum.prime_embed import choose_N, embed_class, partition_and_densities
+
+        from oracles import trial_primes
+
+        part = partition_and_densities(trial_primes(20000), 20000, 3)
+        f = embed_class(part, 1, choose_N(20000, 6)).f
+        d = green_decompose(f, 0.02, 0.1)
+        assert d.bohr.size == 1
+        assert np.array_equal(d.f1.values, f.values)
+        assert d.f2.dtype == np.float64 and not np.any(d.f2)
+
     def test_mean_preserved_and_nonneg(self):
         rng = np.random.default_rng(11)
         for trial in range(10):
@@ -256,23 +275,77 @@ class TestPositiveSupport:
 
 
 class TestConvolutionProofQuantities:
+    """``convolve_pairs``, the batched route for the per-pair quantities."""
+
     def test_all_ones_main_mass(self):
         n = 64
         f = constant(n, 1.0)
         d = green_decompose(f, 0.5, 0.1)
-        rep = convolution_proof_quantities(f, f, d, d)
-        assert abs(rep.main_l1 - n * n) < 1e-6
-        assert rep.main_count == n
-        assert all(v == 0 for v in rep.error_counts.values())
-        assert all(v < 1e-12 for v in rep.error_l2sq.values())
+        rep = convolve_pairs([f], [d], [(0, 0, 0, 0)], 0.1)
+        assert abs(rep.main_l1[0] - n * n) < 1e-6
+        assert rep.main_count[0] == n
+        assert rep.support[0] == n
+        assert np.all(rep.error_count == 0)
+        assert np.all(rep.error_l2sq < 1e-12)
 
     def test_identities_on_random_pairs(self):
         rng = np.random.default_rng(23)
-        for trial in range(5):
-            f = DensityFunction(N=128, values=rng.random(128))
-            g = DensityFunction(N=128, values=rng.random(128))
-            df = green_decompose(f, 0.2, 0.05)
-            dg = green_decompose(g, 0.2, 0.05)
-            rep = convolution_proof_quantities(f, g, df, dg)
-            assert rep.N == 128
-            assert rep.error_count_reference == 0.05 * 128
+        fs = [DensityFunction(N=128, values=rng.random(128)) for _ in range(6)]
+        # a point mass splits exactly (Bohr set {0}), so some pairs mix an
+        # exact split with a smoothed one and one pair takes a single inverse
+        fs.append(DensityFunction(N=128, values=128.0 * indicator(128, [3]).values))
+        ds = [green_decompose(f, 0.2, 0.05) for f in fs]
+        assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
+        pairs = [(i, j, i, j) for i in range(7) for j in range(i, 7)]
+        rep = convolve_pairs(fs, ds, pairs, 0.05)
+        assert rep.support.shape == rep.main_count.shape == (len(pairs),)
+        assert rep.error_count.shape == rep.error_l2sq.shape == (len(pairs), 3)
+        for p, (i, j, _, _) in enumerate(pairs):
+            f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
+            want = pair_pieces_oracle(
+                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
+            )
+            assert rep.support[p] == positive_support(f, g, 0.0)
+            assert rep.main_count[p] == want["main_count"]
+            assert rep.main_l1[p] == pytest.approx(df.f1.l1() * dg.f1.l1(), rel=1e-9)
+            for c, key in enumerate(("12", "21", "22")):
+                assert rep.error_count[p, c] == want[f"err{key}_count"]
+                assert rep.error_l2sq[p, c] == pytest.approx(
+                    want[f"err{key}_l2sq"], rel=1e-9, abs=1e-12
+                )
+        exact = pairs.index((6, 6, 6, 6))
+        assert np.all(rep.error_l2sq[exact] == 0.0)
+
+    def test_broken_mass_fails_the_l1_identity(self, monkeypatch):
+        f = constant(16, 1.0)
+        d = green_decompose(f, 0.5, 0.1)
+        l1 = DensityFunction.l1
+        monkeypatch.setattr(
+            DensityFunction, "l1", lambda self: l1(self) * (1.5 if self is d.f1 else 1.0)
+        )
+        with pytest.raises(InvariantViolation, match="L1 mass"):
+            convolve_pairs([f], [d], [(0, 0, 0, 0)], 0.1)
+
+    def test_no_pairs(self):
+        rep = convolve_pairs([], [], [], 0.1)
+        assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
+
+
+class TestHalfSpectrumParseval:
+    @given(st.integers(min_value=1, max_value=24).flatmap(
+        lambda n: st.tuples(nonneg_values(n), nonneg_values(n))))
+    @settings(max_examples=60)
+    def test_matches_oracle_convolution(self, fg):
+        f, g = fg
+        n = len(f)
+        prod = np.fft.rfft(f) * np.fft.rfft(g)
+        want = float(np.sum(convolve_oracle(f, g) ** 2))
+        got = float(l2sq_from_half_spectrum(prod, n))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_rows_odd_and_even(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.random((3, n))
+        got = l2sq_from_half_spectrum(np.fft.rfft(rows, axis=-1), n)
+        assert np.allclose(got, np.sum(rows**2, axis=-1), rtol=1e-12)
