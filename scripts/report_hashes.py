@@ -31,10 +31,12 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # the benchmark's two workloads, then pipeline runs that cover the other
 # branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
 # subset (no good classes), an explicit k, a thinned subset, and levels where
-# the Bohr sets are nontrivial; then the Z_m commands that build sets from
-# member lists
+# the Bohr sets are nontrivial, and a run whose per-class table holds a NaN
+# cell (rendered as null); then the Z_m commands that build sets from member
+# lists, and the random-host report as JSON and CSV
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
+RANDOM_HOST = "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"
 CASES = [
     ("pairs-w7-s1", f"{PAIRS_W7} 1"),
     ("pairs-w7-s2", f"{PAIRS_W7} 2"),
@@ -56,8 +58,11 @@ CASES = [
     ("split-n20000",
      "pipeline --n 20000 --W 5 --eps0 1.0 --sigma 6 --rule random-thinning --delta 0.5"),
     ("split-all-of-zn", "pipeline --n 3000 --W 3 --eps0 1.0 --sigma 20"),
+    ("pipeline-nan-cell", "pipeline --n 3000 --W 2"),
     ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
+    ("random-host", RANDOM_HOST),
+    ("random-host-csv", f"{RANDOM_HOST} --format csv"),
 ]
 
 

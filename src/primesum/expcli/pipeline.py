@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from ..zm_sumsets import (
     sumset,
 )
 from .config import ExperimentConfig, RandomSetExperiment, build_subset
+from .reports import Columns
 
 __all__ = [
     "CheckRow",
@@ -60,26 +60,6 @@ def _pair_workers() -> int:
     return max(1, min(value, os.cpu_count() or 1))
 
 
-def _sanitize(value):
-    """Coerce a report value to a JSON-native one (NaN/inf become null)."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset, np.ndarray)):
-        return [_sanitize(v) for v in value]
-    return str(value)
-
-
 @dataclass(frozen=True)
 class CheckRow:
     """One line of the verification ledger.
@@ -96,69 +76,50 @@ class CheckRow:
     relation: str
     passed: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lhs": _sanitize(self.lhs),
-            "rhs": _sanitize(self.rhs),
-            "relation": self.relation,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class FinalReport:
-    """Everything a pipeline run produced, already JSON-native."""
+    """Everything a pipeline run produced; the pair table is held as its
+    columns, the other tables as rows."""
 
     config: dict
     summary: dict
     per_class: list[dict]
-    pair_reports: list[dict]
+    pair_reports: Columns
     residue_density: list[dict]
     sumset_residues: list[dict]
     checks: list[CheckRow]
 
-    def to_dict(self) -> dict:
+    def _tables(self) -> dict[str, Columns]:
         return {
-            "config": _sanitize(self.config),
-            "tables": {
-                "summary": _sanitize(self.summary),
-                "per_class": _sanitize(self.per_class),
-                "pair_reports": _sanitize(self.pair_reports),
-                "residue_density": _sanitize(self.residue_density),
-                "sumset_residues": _sanitize(self.sumset_residues),
-            },
-            "checks": [row.to_dict() for row in self.checks],
+            "per_class": Columns.from_rows(self.per_class),
+            "pair_reports": self.pair_reports,
+            "residue_density": Columns.from_rows(self.residue_density),
+            "sumset_residues": Columns.from_rows(self.sumset_residues),
         }
 
-    def to_tables(self) -> list[tuple[str, list[str], list[list]]]:
-        tables: list[tuple[str, list[str], list[list]]] = []
-        tables.append(("config", ["key", "value"], _kv_rows(self.config)))
-        tables.append(("summary", ["key", "value"], _kv_rows(self.summary)))
-        for name, rows in (
-            ("per_class", self.per_class),
-            ("pair_reports", self.pair_reports),
-            ("residue_density", self.residue_density),
-            ("sumset_residues", self.sumset_residues),
-        ):
-            header = list(rows[0]) if rows else []
-            tables.append(
-                (name, header, [[_sanitize(r[h]) for h in header] for r in rows])
-            )
-        check_header = ["name", "kind", "lhs", "rhs", "relation", "passed"]
-        tables.append(
-            (
-                "checks",
-                check_header,
-                [[row.to_dict()[h] for h in check_header] for row in self.checks],
-            )
-        )
-        return tables
+    def to_dict(self) -> dict:
+        return {
+            "config": self.config,
+            "tables": {"summary": self.summary, **self._tables()},
+            "checks": _check_columns(self.checks),
+        }
+
+    def to_tables(self) -> list[tuple[str, Columns]]:
+        return [
+            ("config", _key_values(self.config)),
+            ("summary", _key_values(self.summary)),
+            *self._tables().items(),
+            ("checks", _check_columns(self.checks)),
+        ]
 
 
-def _kv_rows(mapping: dict) -> list[list]:
-    return [[key, _sanitize(value)] for key, value in mapping.items()]
+def _key_values(mapping: dict) -> Columns:
+    return Columns(key=list(mapping), value=list(mapping.values()))
+
+
+def _check_columns(checks: list[CheckRow]) -> Columns:
+    return Columns.from_rows([vars(row) for row in checks])
 
 
 def _rel_gap(lhs: float, rhs: float) -> float:
@@ -276,10 +237,10 @@ def _pair_stage(
     good: list[int],
     eps0: float,
     sigma: float,
-) -> tuple[dict[tuple[int, int], int], list[dict]]:
+) -> tuple[dict[tuple[int, int], int], Columns]:
     """Bound the sumset of every unordered good pair from the classes'
-    splits; returns the exact support count by pair and the rows, in pair
-    order.  Threads, when enabled, take whole blocks of pairs."""
+    splits; returns the exact support count by pair and the pair table, in
+    pair order.  Threads, when enabled, take whole blocks of pairs."""
     classes = [embeds[b] for b in good]
     workers = _pair_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -294,7 +255,7 @@ def _pair_stage(
         "all pairs reach mean density - eps",
         all(passed) if passed else None,
     )
-    return support, [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return support, Columns(columns)
 
 
 def _residue_chain(
@@ -544,7 +505,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     sum_delta_good = _reconcile_partition(ledger, part, total_a, total_p)
     embeds, per_class = _class_rows(ledger, part, big_n)
     good = sorted(part.good)
-    support, pair_rows = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
+    support, pair_table = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
 
     agg = aggregate_delta(part, cfg.eps) if good else None
     if agg is not None:
@@ -596,7 +557,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         config=cfg.echo(),
         summary=summary,
         per_class=per_class,
-        pair_reports=pair_rows,
+        pair_reports=pair_table,
         residue_density=residue_density,
         sumset_residues=sumset_residues,
         checks=ledger,
@@ -613,24 +574,16 @@ class RandomHostReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": _sanitize(self.config),
-            "tables": {
-                "summary": _sanitize(self.summary),
-                "trials": _sanitize(self.trials),
-            },
+            "config": self.config,
+            "tables": {"summary": self.summary, "trials": Columns.from_rows(self.trials)},
             "checks": [],
         }
 
-    def to_tables(self) -> list[tuple[str, list[str], list[list]]]:
-        header = list(self.trials[0]) if self.trials else []
+    def to_tables(self) -> list[tuple[str, Columns]]:
         return [
-            ("config", ["key", "value"], _kv_rows(self.config)),
-            ("summary", ["key", "value"], _kv_rows(self.summary)),
-            (
-                "trials",
-                header,
-                [[_sanitize(r[h]) for h in header] for r in self.trials],
-            ),
+            ("config", _key_values(self.config)),
+            ("summary", _key_values(self.summary)),
+            ("trials", Columns.from_rows(self.trials)),
         ]
 
 

@@ -246,7 +246,7 @@ def embedding_mass_check(ec: EmbeddedClass, delta_b: float | None = None) -> Mas
     """Sum the weight over the embedded subset (compensated summation) and
     compare with delta_b / 16.  Reported, never asserted."""
     d = ec.delta_b if delta_b is None else float(delta_b)
-    mass = math.fsum(float(v) for v in ec.f.values) / ec.N
+    mass = math.fsum(ec.f.values.tolist()) / ec.N
     threshold = d / 16.0
     return MassCheck(b=ec.b, mass=mass, threshold=threshold, passed=mass >= threshold)
 
@@ -341,7 +341,9 @@ def pair_sumset_columns(
     b = np.array([ec.b for ec in classes], dtype=np.int64)
     mean, delta = np.array(means), np.array([ec.delta_b for ec in classes])
     alpha = np.minimum(mean[c1], mean[c2])
-    d1, d2 = ([splits[live_pair[k]] for live_pair in live] for k in (2, 3))
+    f1_max = np.array([d.f1_max for d in splits])
+    bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
+    s1, s2 = np.array([pair[2:] for pair in live], dtype=np.int64).reshape(-1, 2).T
 
     def scatter(values, dtype=np.float64) -> np.ndarray:
         out = np.zeros((len(pairs),) + np.shape(values)[1:], dtype=dtype)
@@ -370,10 +372,10 @@ def pair_sumset_columns(
         **{f"err{p}_count": error_count[:, k] for k, p in enumerate(pieces)},
         "err_count_reference": np.full(len(pairs), sigma * n),
         **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(pieces)},
-        "f1_max": scatter([d.f1_max for d in d1]),
-        "g1_max": scatter([d.f1_max for d in d2]),
-        "bohr_size_f": scatter([d.bohr.size for d in d1], np.int64),
-        "bohr_size_g": scatter([d.bohr.size for d in d2], np.int64),
+        "f1_max": scatter(f1_max[s1]),
+        "g1_max": scatter(f1_max[s2]),
+        "bohr_size_f": scatter(bohr_size[s1], np.int64),
+        "bohr_size_g": scatter(bohr_size[s2], np.int64),
         "support_count": support,
     }
     return {name: np.asarray(values).tolist() for name, values in columns.items()}
