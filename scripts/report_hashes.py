@@ -32,8 +32,10 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
 # subset (no good classes), an explicit k, a thinned subset, and levels where
 # the Bohr sets are nontrivial, and a run whose per-class table holds a NaN
-# cell (rendered as null); then the Z_m commands that build sets from member
-# lists, and the random-host report as JSON and CSV
+# cell (rendered as null); then the Z_m commands: a sumset small enough to be
+# counted pair by pair and a dense one that takes the FFT, a moments run, a
+# non-squarefree modulus (the radical-block certificate), a list: spec and the
+# extremal family; and the random-host report as JSON and CSV
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 RANDOM_HOST = "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"
@@ -60,6 +62,10 @@ CASES = [
     ("split-all-of-zn", "pipeline --n 3000 --W 3 --eps0 1.0 --sigma 20"),
     ("pipeline-nan-cell", "pipeline --n 3000 --W 2"),
     ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),
+    ("sumset-dense", "sumset --m 30030 --set-spec units"),
+    ("moments-z30030", "moments --m 30030 --set-spec units-random:0.05:2 --k 3"),
+    ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),
+    ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
     ("random-host", RANDOM_HOST),
     ("random-host-csv", f"{RANDOM_HOST} --format csv"),

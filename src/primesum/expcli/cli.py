@@ -20,7 +20,7 @@ from ..errors import (
     InvariantViolation,
     SizeLimitError,
 )
-from ..ntheory import factorize, sieve_primes
+from ..ntheory import factorize, gcd_table, sieve_primes
 from ..prime_embed import (
     choose_N,
     embed_class,
@@ -60,11 +60,14 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
         raise ConfigurationError(f"m must lie in [1, {_MAX_M}], got {m}")
     parts = text.strip().split(":")
     kind = parts[0]
-    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1).astype(np.int64)
+
+    def units() -> np.ndarray:
+        return np.flatnonzero(gcd_table(factorize(m)) == 1)
+
     if kind == "units":
         if len(parts) != 1:
             raise ConfigurationError(f"units takes no parameters, got {text!r}")
-        return SubsetOfZm.from_members(m, units)
+        return SubsetOfZm.from_members(m, units())
     if kind == "units-filter":
         if len(parts) != 3:
             raise ConfigurationError(f"units-filter needs b0 and m0, got {text!r}")
@@ -74,7 +77,8 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             raise ConfigurationError(f"bad units-filter parameters in {text!r}") from exc
         if m0 < 1:
             raise ConfigurationError(f"units-filter modulus must be >= 1, got {m0}")
-        return SubsetOfZm.from_members(m, units[units % m0 == b0 % m0])
+        pool = units()
+        return SubsetOfZm.from_members(m, pool[pool % m0 == b0 % m0])
     if kind == "list":
         if len(parts) != 2:
             raise ConfigurationError(f"list needs members, e.g. list:1,7, got {text!r}")
@@ -95,7 +99,7 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             raise ConfigurationError(f"frac must lie in (0, 1], got {frac}")
         if seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {seed}")
-        pool = units if kind == "units-random" else np.arange(m, dtype=np.int64)
+        pool = units() if kind == "units-random" else np.arange(m, dtype=np.int64)
         size = math.ceil(frac * pool.size)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))

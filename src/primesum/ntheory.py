@@ -21,6 +21,7 @@ __all__ = [
     "sieve_primes",
     "primorial",
     "factorize",
+    "gcd_table",
     "split_by_threshold",
 ]
 
@@ -153,6 +154,19 @@ def factorize(m: int) -> FactoredModulus:
     if rem > 1:
         pairs.append((rem, 1))
     return _modulus_from_pairs(tuple(pairs))
+
+
+def gcd_table(mod: FactoredModulus) -> np.ndarray:
+    """gcd(x, m) for every x in [0, m), indexed by x.
+
+    One strided pass per prime power p^i dividing m multiplies in a factor p
+    at the multiples of p^i, so no gcd is ever evaluated.
+    """
+    g = np.ones(mod.m, dtype=np.int64)
+    for p, e in mod.primes:
+        for i in range(1, e + 1):
+            g[:: p**i] *= p
+    return g
 
 
 def split_by_threshold(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .ntheory import FactoredModulus, PrimeTable, primorial, sieve_primes
+from .ntheory import FactoredModulus, PrimeTable, gcd_table, primorial, sieve_primes
 from .zn_spectral import (
     Decomposition,
     DensityFunction,
@@ -105,7 +105,7 @@ def partition_and_densities(a_members, n: int, w: int) -> ResiduePartition:
     mod = primorial(w)
     m = mod.m
 
-    unit_list = [int(x) for x in np.flatnonzero(np.gcd(np.arange(m), m) == 1)]
+    unit_list = np.flatnonzero(gcd_table(mod) == 1).tolist()
     divisor_set = np.asarray(mod.prime_divisors, dtype=np.int64)
     residual_primes = table.primes[np.isin(table.primes, divisor_set)]
     residual_a = a_arr[np.isin(a_arr, divisor_set)]

@@ -3,9 +3,13 @@ moment-method lower-bound certificates over unit groups.
 
 Counting is exact throughout: representation numbers come from integer
 convolutions, moments are accumulated as Python integers, and collision
-fractions are exact rationals.  Convolutions switch from a direct integer
-product to a float FFT only when the direct cost is prohibitive, and the FFT
-result must then pass a distance-to-integer certificate before rounding.
+fractions are exact rationals.  A cyclic convolution of two sets counts
+their pairwise sums by ``np.bincount`` (the sparse route) while the pairs
+number at most the butterflies of the real FFT it replaces, and takes that
+float FFT beyond; the FFT result must pass a distance-to-integer certificate
+before rounding.  Kernels over all of Z_m read the modulus's prime structure: one
+strided gcd table for the unit group and the gcd layers, and a Moebius
+count factored one prime at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     RangeOverflowError,
     SizeLimitError,
 )
-from .ntheory import FactoredModulus, factorize, primorial, sieve_primes
+from .ntheory import FactoredModulus, factorize, gcd_table, primorial, sieve_primes
 
 __all__ = [
     "SubsetOfZm",
@@ -55,7 +59,6 @@ __all__ = [
     "mertens_ratio",
 ]
 
-_DIRECT_CONV_WORK = 30_000_000
 _BITMASK_WORK = 2_000_000_000
 _TUPLE_ENUM_LIMIT = 100_000_000
 _SPAN_LIMIT = 200_000_000
@@ -111,8 +114,7 @@ class SubsetOfZm:
         """The unit group Z_m^* as a subset."""
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
-        flags = np.gcd(np.arange(m, dtype=np.int64), m) == 1
-        return SubsetOfZm(m=m, bits=_pack_bits(flags))
+        return SubsetOfZm(m=m, bits=_pack_bits(gcd_table(factorize(m)) == 1))
 
     @property
     def cardinality(self) -> int:
@@ -128,20 +130,23 @@ class SubsetOfZm:
         return 0 <= x < self.m and bool((self.bits >> x) & 1)
 
 
+def _padded_length(n: int) -> int:
+    """The power-of-two FFT length that holds a linear convolution of length n."""
+    return 1 << (n - 1).bit_length()
+
+
 def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of nonnegative integer vectors.
 
-    Uses a direct integer product when affordable; otherwise a float FFT
-    whose output must sit within 0.25 of integers before being rounded.  A
-    self-convolution (``b is a``) takes one forward transform and squares it.
+    A float FFT whose output must sit within 0.25 of integers before being
+    rounded.  A self-convolution (``b is a``) takes one forward transform and
+    squares it.
     """
     la, lb = int(a.size), int(b.size)
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
-    if la * lb <= _DIRECT_CONV_WORK:
-        return np.convolve(a.astype(np.int64), b.astype(np.int64))
     n = la + lb - 1
-    nfft = 1 << (n - 1).bit_length()
+    nfft = _padded_length(n)
     spec = np.fft.rfft(a.astype(np.float64), nfft)
     spec *= spec if b is a else np.fft.rfft(b.astype(np.float64), nfft)
     conv = np.fft.irfft(spec, nfft)[:n]
@@ -165,8 +170,36 @@ def _fold_cyclic(linear: np.ndarray, m: int) -> np.ndarray:
 
 
 def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact cyclic convolution of two 0/1 indicators of one length m: the
+    count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
+
+    While the pairs number at most (nfft/2) log2(nfft/2), the butterflies of
+    the complex transform of half length that a real FFT of the padded
+    length nfft runs, their sums are counted by ``np.bincount`` in chunks of
+    at most nfft sums, so the route never holds more than the FFT would.
+    Beyond that the certified FFT convolves the indicators.  ``b is a``
+    marks a self-convolution.
+    """
     m = int(a.size)
-    return _fold_cyclic(_convolve_int_exact(a, b), m)
+    nfft = _padded_length(2 * m - 1)
+    half = nfft // 2
+    card_a = int(np.count_nonzero(a))
+    card_b = card_a if b is a else int(np.count_nonzero(b))
+    if card_a * card_b > half * (half.bit_length() - 1):
+        return _fold_cyclic(_convolve_int_exact(a, b), m)
+    x = np.flatnonzero(a)
+    small, big = sorted((x, x if b is a else np.flatnonzero(b)), key=len)
+    rows = nfft // max(1, big.size)
+
+    def chunk_counts(i: int) -> np.ndarray:
+        return np.bincount((small[i : i + rows, None] + big).ravel(), minlength=2 * m)
+
+    # the first chunk's counts are the accumulator: a fresh zeroed array of
+    # 2m counts would cost more than one chunk of a small set
+    counts = chunk_counts(0)
+    for i in range(rows, small.size, rows):
+        counts += chunk_counts(i)
+    return counts[:m] + counts[m:]
 
 
 def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
@@ -210,8 +243,8 @@ def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
     """|A + A mod m| by certified integer convolution alone.
 
     Single-route fast path for large m where the dual-route ``sumset``
-    would be too expensive; the convolution is still exact (either a direct
-    integer product or a certified FFT).
+    would be too expensive; the convolution is still exact (pairwise sums
+    counted by bincount, or a certified FFT).
     """
     arr = np.asarray(members, dtype=np.int64)
     if arr.size == 0:
@@ -283,17 +316,34 @@ def _all_units(b: SubsetOfZm) -> bool:
     return bool(np.all(np.gcd(b.members_array(), b.m) == 1))
 
 
+def _power_sums(counts: np.ndarray, k: int) -> list[int]:
+    """Exact sums of c * v**k over each row of a histogram counts[.., v] = c,
+    one Python-int term per nonzero count."""
+    counts = np.atleast_2d(counts)
+    powers = [v**k for v in range(counts.shape[1])]
+    sums = [0] * counts.shape[0]
+    rows, values = np.nonzero(counts)
+    for row, v, c in zip(rows.tolist(), values.tolist(), counts[rows, values].tolist()):
+        sums[row] += c * powers[v]
+    return sums
+
+
 def _power_sum(values: np.ndarray, k: int) -> int:
     """Exact sum of v**k over nonnegative integers, one term per distinct value."""
-    return sum(c * v**k for v, c in enumerate(np.bincount(values).tolist()) if c)
+    return _power_sums(np.bincount(values), k)[0]
 
 
 def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     """R[x] = |{(member, unit) : member + unit = x mod m}|, two ways.
 
     The unit-shift convolution of B with the unit indicator must agree exactly
-    with the Moebius sum over squarefree d | m of mu(d) #{b in B : b = x mod d},
-    which counts the members avoiding x modulo every prime divisor of m.
+    with the Moebius count R[x] = sum over b in B of the product over p | m
+    of (1 - [x = b mod p]): the members avoiding x modulo every prime divisor.
+    The product is applied to the indicator h of B one prime at a time.  Laid
+    out as p rows of length m/p, the p entries of a column are the p residues
+    mod p of one residue mod m/p (CRT), so the factor for p maps h to its
+    column sums minus h.  These omega passes expand to the inclusion-exclusion
+    sum over squarefree d | m of mu(d) #{b in B : b = x mod d}.
     Requires a squarefree modulus and members inside the unit group.
     """
     if mod.m != b.m:
@@ -302,26 +352,33 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
         raise DomainError(f"modulus must be squarefree, got {mod.m}")
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
-    m = mod.m
-    units = (np.gcd(np.arange(m, dtype=np.int64), m) == 1).astype(np.int64)
-    r_route = _cyclic_int_convolution(b.indicator_array(), units)
-
-    barr = b.members_array()
-    mobius_terms = [(1, 1)]
+    h = b.indicator_array()
+    r_route = _cyclic_int_convolution(h, gcd_table(mod) == 1)
+    # h turns into the Moebius count in place, one prime factor at a time
     for p in mod.prime_divisors:
-        mobius_terms += [(d * p, -mu) for d, mu in mobius_terms]
-    mobius = np.zeros(m, dtype=np.int64)
-    for d, mu in mobius_terms:
-        mobius.reshape(-1, d)[:] += mu * np.bincount(barr % d, minlength=d)
-    if not np.array_equal(r_route, mobius):
+        columns = h.reshape(p, -1)
+        np.subtract(columns.sum(axis=0), columns, out=columns)
+    if not np.array_equal(r_route, h):
         raise InvariantViolation("unit-shift and Moebius counts disagree")
     return r_route
 
 
+def _gcd_layers(mod: FactoredModulus) -> tuple[list[int], np.ndarray]:
+    """The divisors of m ascending, and for each x in Z_m the position of
+    gcd(x, m) among them, looked up through a table indexed by divisor."""
+    divisors = mod.divisors()
+    rank = np.zeros(mod.m + 1, dtype=np.min_scalar_type(len(divisors)))
+    rank[divisors] = np.arange(len(divisors))
+    return divisors, rank[gcd_table(mod)]
+
+
 def divisor_stratification(mod: FactoredModulus) -> dict[int, np.ndarray]:
-    """Partition of Z_m into layers X_d = {x : gcd(x, m) = d}, keyed by d."""
-    g = np.gcd(np.arange(mod.m, dtype=np.int64), mod.m)
-    return {d: np.flatnonzero(g == d).astype(np.int64) for d in mod.divisors()}
+    """Partition of Z_m into layers X_d = {x : gcd(x, m) = d}, keyed by d
+    ascending, each layer ascending."""
+    divisors, layer = _gcd_layers(mod)
+    order = np.argsort(layer, kind="stable")
+    ends = np.cumsum(np.bincount(layer, minlength=len(divisors)))
+    return dict(zip(divisors, np.split(order, ends[:-1])))
 
 
 @dataclass(frozen=True)
@@ -456,8 +513,14 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     big_r = capital_R(b, mod)
     if np.any(big_r < hist.r):
         raise InvariantViolation("unit-shift counts fail to dominate pointwise")
-    strata = divisor_stratification(mod)
-    stratified = {d: _power_sum(big_r[xs], k) for d, xs in sorted(strata.items())}
+    divisors, layer = _gcd_layers(mod)
+    top = int(big_r.max()) + 1
+    # one histogram of (gcd layer, R[x]), row j for the layer of divisors[j];
+    # R <= |B| bounds it by 2^omega (|B| + 1) bins
+    keys = np.multiply(layer, top, dtype=np.int64)
+    keys += big_r
+    binned = np.bincount(keys, minlength=len(divisors) * top)
+    stratified = dict(zip(divisors, _power_sums(binned.reshape(-1, top), k)))
     s_r = _power_sum(big_r, k)
     if sum(stratified.values()) != s_r:
         raise InvariantViolation("stratified moments fail to reassemble the total")

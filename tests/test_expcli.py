@@ -102,6 +102,13 @@ class TestParseSetSpec:
         with pytest.raises(DomainError):
             parse_set_spec("list:50", 30)
 
+    def test_list_spec_builds_no_unit_list(self):
+        # the unit list of Z_(10^7) takes about 0.5 s; a list spec reads none
+        start = time.perf_counter()
+        s = parse_set_spec("list:1,7,13", 10_000_000)
+        assert time.perf_counter() - start < 0.1
+        assert s.members_array().tolist() == [1, 7, 13]
+
 
 class TestExperimentConfig:
     def test_validate_passes(self):

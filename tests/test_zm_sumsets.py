@@ -1,14 +1,16 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from primesum.errors import DomainError, InvariantViolation
-from primesum.ntheory import factorize, primorial
+import primesum.zm_sumsets as zm
+from primesum.ntheory import factorize, gcd_table, primorial
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,
@@ -92,12 +94,8 @@ class TestSumset:
         got = set(sumset(b, b).members_array().tolist())
         assert got == sumset_enum(members, m)
 
-    def test_self_convolution_takes_one_forward_transform(self, monkeypatch):
-        # m^2 is above the direct-product limit, so the counts come from FFTs
-        m = 8000
-        rng = np.random.default_rng(5)
-        b = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
-        c = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
+    @staticmethod
+    def count_rfft(monkeypatch) -> list:
         rfft, calls = np.fft.rfft, []
 
         def counting_rfft(a, *args, **kwargs):
@@ -105,12 +103,57 @@ class TestSumset:
             return rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        return calls
+
+    def test_self_convolution_takes_one_forward_transform(self, monkeypatch):
+        # 600^2 pairs are more than the 8192 log2(8192) butterflies of the
+        # real FFT at the padded length 16384, so the counts come from FFTs
+        m = 8000
+        rng = np.random.default_rng(5)
+        b = SubsetOfZm.from_members(m, rng.choice(m, 600, replace=False).tolist())
+        c = SubsetOfZm.from_members(m, rng.choice(m, 600, replace=False).tolist())
+        calls = self.count_rfft(monkeypatch)
         expected = sumset_enum(b.members_array().tolist(), m)
         assert set(sumset(b, b).members_array().tolist()) == expected
         assert cyclic_sumset_size(b.members_array(), m) == len(expected)
         assert len(calls) == 2
         sumset(b, c)
         assert len(calls) == 4
+
+    def test_sparse_counts_take_no_transform(self, monkeypatch):
+        m = 8000
+        rng = np.random.default_rng(5)
+        b = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
+        c = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
+        calls = self.count_rfft(monkeypatch)
+        expected = sumset_enum(b.members_array().tolist(), m)
+        assert set(sumset(b, b).members_array().tolist()) == expected
+        assert cyclic_sumset_size(b.members_array(), m) == len(expected)
+        sumset(b, c)
+        assert calls == []
+
+    @given(st.integers(min_value=1, max_value=120), st.booleans(), st.data())
+    def test_counts_match_enumeration_on_both_routes(self, m, dense, data):
+        # the bincount route serves at most (nfft/2) log2(nfft/2) pairs, and
+        # counts more than nfft of them in several chunks
+        half = (1 << (2 * m - 2).bit_length()) // 2
+        cut = math.isqrt(half * (half.bit_length() - 1))
+        assume(not dense or cut < m)
+        lo, hi = (cut + 1, m) if dense else (0, min(cut, m))
+        members = sorted(
+            data.draw(st.sets(st.integers(0, m - 1), min_size=lo, max_size=hi))
+        )
+        others = sorted(data.draw(member_sets(m, max_size=m)))
+        b = SubsetOfZm.from_members(m, members)
+        c = SubsetOfZm.from_members(m, others)
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            assert rep_histogram(b).r.tolist() == rep_enum(members, m).tolist()
+        assert fft.called == dense
+        expected = np.zeros(m, dtype=np.int64)
+        for y in members:
+            for z in others:
+                expected[(y + z) % m] += 1
+        assert zm._sumset_counts(b, c).tolist() == expected.tolist()
 
     @given(st.integers(min_value=2, max_value=200), st.data())
     def test_cyclic_size_agrees(self, m, data):
@@ -179,6 +222,35 @@ class TestCapitalR:
         assert r_big.tolist() == relaxed_rep_enum(members, m).tolist()
         assert np.all(r_big >= rep_histogram(b).r)
 
+    @given(
+        st.sampled_from([1, 2, 6, 30, 2310, 30030]),
+        st.sampled_from(["empty", "single", "full"]),
+        st.data(),
+    )
+    def test_factored_mobius_matches_enumeration(self, m, kind, data):
+        # capital_R returns only when the per-prime Moebius passes agree
+        # with the convolution; all 5760^2 unit pairs of Z_30030 are too
+        # many to enumerate, so its full set is left to the closed form below
+        assume(not (kind == "full" and m == 30030))
+        units = units_of(m)
+        members = {
+            "empty": [],
+            "single": [data.draw(st.sampled_from(units))],
+            "full": units,
+        }[kind]
+        b = SubsetOfZm.from_members(m, members)
+        assert capital_R(b, factorize(m)).tolist() == relaxed_rep_enum(members, m).tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 30, 2310, 30030])
+    def test_full_unit_group_closed_form(self, m):
+        # a pair of units summing to x has p - 1 choices mod p when p | x,
+        # and p - 2 otherwise
+        primes = factorize(m).prime_divisors
+        expected = [
+            math.prod(p - 1 if x % p == 0 else p - 2 for p in primes) for x in range(m)
+        ]
+        assert capital_R(SubsetOfZm.units(m), factorize(m)).tolist() == expected
+
     def test_disagreeing_routes_raise(self, monkeypatch):
         import primesum.zm_sumsets as zm
 
@@ -206,6 +278,21 @@ def test_non_unit_member_rejected(certify):
 
 
 class TestDivisorStratification:
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2000),
+            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
+        )
+    )
+    def test_matches_gcd(self, m):
+        mod = factorize(m)
+        g = np.gcd(np.arange(m), m)
+        assert np.array_equal(gcd_table(mod), g)
+        strata = divisor_stratification(mod)
+        assert list(strata) == mod.divisors()
+        for d, xs in strata.items():
+            assert xs.tolist() == np.flatnonzero(g == d).tolist()
+
     def test_m30_layers(self):
         strata = divisor_stratification(factorize(30))
         assert strata[6].tolist() == [6, 12, 18, 24]
@@ -294,7 +381,14 @@ class TestKthMoment:
         assert cert.s_rb <= cert.s_r
         assert sum(cert.stratified.values()) == cert.s_r
         assert cert.s_rb == sum(int(v) ** 3 for v in rep_enum(members, 210))
-        assert cert.s_r == sum(int(v) ** 3 for v in relaxed_rep_enum(members, 210))
+        relaxed = relaxed_rep_enum(members, 210)
+        assert cert.s_r == sum(int(v) ** 3 for v in relaxed)
+        divisors = factorize(210).divisors()
+        assert list(cert.stratified) == divisors
+        assert cert.stratified == {
+            d: sum(int(relaxed[x]) ** 3 for x in range(210) if math.gcd(x, 210) == d)
+            for d in divisors
+        }
 
 
 class TestCkSeries:
@@ -415,10 +509,17 @@ class TestZnStarCertificate:
             return exact(a, b)
 
         monkeypatch.setattr(zm, "_convolve_int_exact", counting)
-        b = SubsetOfZm.from_members(210, units_of(210)[::3])
-        znstar_certificate(b, factorize(210))
+        # 400 of the 480 units of Z_2310: both products have more pairs than
+        # the 4096 log2(4096) butterflies at the padded length 8192, so both
+        # take the FFT
+        b = SubsetOfZm.from_members(2310, units_of(2310)[:400])
+        znstar_certificate(b, factorize(2310))
         # B * B for the histogram, B * units for capital_R
         assert sorted(is_self) == [False, True]
+        # 16 units of Z_210 are counted pair by pair, with no transform
+        is_self.clear()
+        znstar_certificate(SubsetOfZm.from_members(210, units_of(210)[::3]), factorize(210))
+        assert is_self == []
 
 
 class TestExtremalConstruct:
