@@ -129,22 +129,23 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _embedded_class(args):
+def _partition(args):
     cfg = ExperimentConfig(n=args.n, w=args.W, rule=parse_rule(args.rule))
     cfg.validate()
     table = sieve_primes(cfg.n)
-    part = partition_and_densities(build_subset(cfg, table), cfg.n, cfg.w)
-    big_n = choose_N(cfg.n, part.modulus.m)
+    return partition_and_densities(build_subset(cfg, table), cfg.n, cfg.w)
+
+
+def _embedded_class(args):
+    part = _partition(args)
+    big_n = choose_N(part.n, part.modulus.m)
     if args.b not in part.classes:
         raise DomainError(f"{args.b} is not a reduced residue of {part.modulus.m}")
-    return part, embed_class(part, args.b, big_n)
+    return embed_class(part, args.b, big_n)
 
 
 def _cmd_partition(args) -> int:
-    cfg = ExperimentConfig(n=args.n, w=args.W, rule=parse_rule(args.rule))
-    cfg.validate()
-    table = sieve_primes(cfg.n)
-    part = partition_and_densities(build_subset(cfg, table), cfg.n, cfg.w)
+    part = _partition(args)
     mod = part.modulus
     _print(
         f"n={args.n} W={args.W} m={mod.m} phi={mod.totient} "
@@ -163,7 +164,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    part, ec = _embedded_class(args)
+    ec = _embedded_class(args)
     deficit = pseudorandom_deficit(ec)
     mass = embedding_mass_check(ec)
     _print(
@@ -183,7 +184,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    part, ec = _embedded_class(args)
+    ec = _embedded_class(args)
     decomp = green_decompose(ec.f, args.eps0, args.sigma)
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
     sup_hat = float(np.max(np.abs(dft(ec.f).coeffs)))

@@ -1,9 +1,9 @@
 """Exact prime and multiplicative arithmetic.
 
-Sieves, primorials, factorizations, totients and threshold splits of
-squarefree moduli.  Everything here is deterministic and exact; no
-probabilistic primality tests are used anywhere.  Python integers are
-arbitrary precision, so products such as primorials never wrap around.
+Sieves, primorials, factorizations, totients and gcd tables.  Everything
+here is deterministic and exact; no probabilistic primality tests are used
+anywhere.  Python integers are arbitrary precision, so products such as
+primorials never wrap around.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ __all__ = [
     "primorial",
     "factorize",
     "gcd_table",
-    "split_by_threshold",
 ]
-
-_SIMPLE_SIEVE_LIMIT = 100_000_000
-_SEGMENT_SIZE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,41 +86,17 @@ def _modulus_from_pairs(pairs: tuple[tuple[int, int], ...]) -> FactoredModulus:
     )
 
 
-def _simple_sieve(n: int) -> np.ndarray:
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
-def _segmented_sieve(n: int) -> np.ndarray:
-    root = math.isqrt(n)
-    base = _simple_sieve(root)
-    chunks = [base]
-    lo = root + 1
-    while lo <= n:
-        hi = min(lo + _SEGMENT_SIZE, n + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                flags[start - lo :: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
-        lo = hi
-    return np.concatenate(chunks)
-
-
 def sieve_primes(n: int) -> PrimeTable:
     """Enumerate all primes <= n (requires n >= 2)."""
     if n < 2:
         raise DomainError(f"sieve limit must be >= 2, got {n}")
     n = int(n)
-    if n <= _SIMPLE_SIEVE_LIMIT:
-        return PrimeTable(limit=n, primes=_simple_sieve(n))
-    return PrimeTable(limit=n, primes=_segmented_sieve(n))
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return PrimeTable(limit=n, primes=np.flatnonzero(flags).astype(np.int64))
 
 
 def primorial(w: int) -> FactoredModulus:
@@ -168,19 +140,3 @@ def gcd_table(mod: FactoredModulus) -> np.ndarray:
             g[:: p**i] *= p
     return g
 
-
-def split_by_threshold(
-    mod: FactoredModulus, t: int
-) -> tuple[FactoredModulus, FactoredModulus]:
-    """Split a squarefree modulus into (product of p <= t, product of p > t).
-
-    The two parts are coprime and multiply back to the original modulus; an
-    empty side is returned as the modulus 1 with an empty factorization.
-    """
-    if not mod.squarefree:
-        raise DomainError(f"threshold split needs a squarefree modulus, got {mod.m}")
-    if t < 1:
-        raise DomainError(f"threshold must be a positive integer, got {t}")
-    small = tuple((p, 1) for p, _ in mod.primes if p <= t)
-    large = tuple((p, 1) for p, _ in mod.primes if p > t)
-    return _modulus_from_pairs(small), _modulus_from_pairs(large)

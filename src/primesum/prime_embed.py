@@ -35,7 +35,6 @@ __all__ = [
     "PseudorandomDeficit",
     "DeltaAggregate",
     "partition_and_densities",
-    "good_set",
     "choose_N",
     "embed_class",
     "embedding_mass_check",
@@ -85,8 +84,6 @@ class EmbeddedClass:
     f: DensityFunction
     delta_b: float
     w: int
-    n: int
-    modulus: FactoredModulus
 
 
 def partition_and_densities(a_members, n: int, w: int) -> ResiduePartition:
@@ -151,13 +148,6 @@ def partition_and_densities(a_members, n: int, w: int) -> ResiduePartition:
         residual_primes=residual_primes,
         residual_a=residual_a,
     )
-
-
-def good_set(part: ResiduePartition, threshold: float) -> frozenset[int]:
-    """Classes whose density reaches ``threshold`` (0 keeps every class)."""
-    if not 0 <= threshold <= 1:
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
-    return frozenset(b for b in part.classes if part.delta_b[b] >= threshold)
 
 
 def choose_N(n: int, m: int) -> int:
@@ -226,8 +216,6 @@ def embed_class(
         f=DensityFunction(N=big_n, values=f_vals),
         delta_b=part.delta_b[b],
         w=part.w,
-        n=part.n,
-        modulus=part.modulus,
     )
 
 
@@ -242,12 +230,11 @@ class MassCheck:
     passed: bool
 
 
-def embedding_mass_check(ec: EmbeddedClass, delta_b: float | None = None) -> MassCheck:
+def embedding_mass_check(ec: EmbeddedClass) -> MassCheck:
     """Sum the weight over the embedded subset (compensated summation) and
     compare with delta_b / 16.  Reported, never asserted."""
-    d = ec.delta_b if delta_b is None else float(delta_b)
     mass = math.fsum(ec.f.values.tolist()) / ec.N
-    threshold = d / 16.0
+    threshold = ec.delta_b / 16.0
     return MassCheck(b=ec.b, mass=mass, threshold=threshold, passed=mass >= threshold)
 
 

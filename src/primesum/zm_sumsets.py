@@ -41,19 +41,16 @@ __all__ = [
     "BlockReport",
     "ExtremalConstruction",
     "sumset",
-    "integer_sumset",
     "integer_sumset_flags",
     "cyclic_sumset_size",
     "rep_histogram",
     "capital_R",
-    "divisor_stratification",
     "collision_stats",
     "tail_count",
     "kth_moment",
     "ck_series",
     "holder_lower_bound",
     "choose_moment_order",
-    "implied_constant_trend",
     "znstar_certificate",
     "extremal_construct",
     "mertens_ratio",
@@ -97,16 +94,18 @@ class SubsetOfZm:
     @staticmethod
     def from_members(m: int, members) -> "SubsetOfZm":
         """The subset holding the given integers, each of which must lie in
-        [0, m); the range is checked on Python ints, so a member of any size
-        is reported rather than overflowing a fixed-width array."""
-        values = [int(x) for x in members]
-        bad = next((x for x in values if not 0 <= x < m), None)
-        if bad is not None:
-            raise DomainError(f"member {bad} outside Z_{m}")
+        [0, m); a member too large for int64 is reported, never wrapped."""
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
+        try:
+            values = np.asarray(members, dtype=np.int64)
+        except OverflowError as exc:
+            raise DomainError(f"a member lies outside Z_{m}") from exc
+        outside = (values < 0) | (values >= m)
+        if outside.any():
+            raise DomainError(f"member {int(values[outside][0])} outside Z_{m}")
         flags = np.zeros(m, dtype=bool)
-        flags[np.asarray(values, dtype=np.int64)] = True
+        flags[values] = True
         return SubsetOfZm(m=m, bits=_pack_bits(flags))
 
     @staticmethod
@@ -280,21 +279,12 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     return lo, conv > 0
 
 
-def integer_sumset(b1, b2) -> set[int]:
-    """Sumset {x + y} of two finite integer sets (no reduction)."""
-    a1 = np.unique(np.fromiter((int(x) for x in b1), dtype=np.int64))
-    a2 = np.unique(np.fromiter((int(x) for x in b2), dtype=np.int64))
-    lo, flags = integer_sumset_flags(a1, a2)
-    return {int(i) + lo for i in np.flatnonzero(flags)}
-
-
 @dataclass(frozen=True)
 class RepresentationHistogram:
     """r[x] = number of ordered pairs of members summing to x mod m."""
 
     m: int
     r: np.ndarray
-    source_card: int
 
     def __post_init__(self) -> None:
         self.r.setflags(write=False)
@@ -309,7 +299,7 @@ def rep_histogram(b: SubsetOfZm) -> RepresentationHistogram:
         raise InvariantViolation(
             f"representation counts sum to {total}, expected {b.cardinality ** 2}"
         )
-    return RepresentationHistogram(m=b.m, r=r, source_card=b.cardinality)
+    return RepresentationHistogram(m=b.m, r=r)
 
 
 def _all_units(b: SubsetOfZm) -> bool:
@@ -372,15 +362,6 @@ def _gcd_layers(mod: FactoredModulus) -> tuple[list[int], np.ndarray]:
     return divisors, rank[gcd_table(mod)]
 
 
-def divisor_stratification(mod: FactoredModulus) -> dict[int, np.ndarray]:
-    """Partition of Z_m into layers X_d = {x : gcd(x, m) = d}, keyed by d
-    ascending, each layer ascending."""
-    divisors, layer = _gcd_layers(mod)
-    order = np.argsort(layer, kind="stable")
-    ends = np.cumsum(np.bincount(layer, minlength=len(divisors)))
-    return dict(zip(divisors, np.split(order, ends[:-1])))
-
-
 @dataclass(frozen=True)
 class CollisionStats:
     """Per-prime distinct-residue counts of a tuple and the exact rational
@@ -427,9 +408,9 @@ def tail_count(
 ) -> TailCountReport:
     """Count ordered k-tuples of members with collision weight >= beta.
 
-    Exhaustive and exact (rational weights, no rounding); guarded by a
-    tuple-count limit.  ``c`` only parameterizes the attached reference
-    bound, which is reported and never asserted.
+    Exhaustive and exact (the rational weights of ``collision_stats``, no
+    rounding); guarded by a tuple-count limit.  ``c`` only parameterizes the
+    attached reference bound, which is reported and never asserted.
     """
     if k < 1:
         raise DomainError(f"tuple length must be >= 1, got {k}")
@@ -440,18 +421,10 @@ def tail_count(
     if total > _TUPLE_ENUM_LIMIT:
         raise SizeLimitError(f"{total} tuples exceed the enumeration limit")
     beta_frac = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    members = [int(x) for x in b.members_array()]
-    primes = mod.prime_divisors
-    residues = {p: [x % p for x in members] for p in primes}
-    count = 0
-    for idx in itertools.product(range(card), repeat=k):
-        weight = Fraction(0)
-        for p in primes:
-            res = residues[p]
-            if len({res[i] for i in idx}) <= k - 1:
-                weight += Fraction(1, p)
-        if weight >= beta_frac:
-            count += 1
+    count = sum(
+        collision_stats(tup, mod).f >= beta_frac
+        for tup in itertools.product(b.members_array().tolist(), repeat=k)
+    )
     arg = float(beta_frac) / (c * k * k)
     inner = math.exp(arg) if arg < 700 else math.inf
     decay = 2.0 ** (-inner) if inner < 1e300 else 0.0
@@ -720,33 +693,6 @@ def choose_moment_order(alpha: float) -> tuple[int, int]:
     return raw, max(3, raw)
 
 
-def implied_constant_trend(
-    b: SubsetOfZm, mod: FactoredModulus, k_values=(2, 3, 4)
-) -> list[dict]:
-    """Per-k implied constants from the moment comparator.
-
-    For each k, reports s_rb, the comparator, their ratio, and the constant
-    log(ratio) / (k^3 log k) implied by an e^(C k^3 log k) envelope.
-    """
-    rows = []
-    for k in k_values:
-        cert = kth_moment(b, int(k), mod)
-        ratio = cert.comparator_ratio
-        implied = (
-            math.log(ratio) / (k**3 * math.log(k)) if ratio > 0 and k >= 2 else None
-        )
-        rows.append(
-            {
-                "k": int(k),
-                "s_rb": cert.s_rb,
-                "comparator": cert.comparator,
-                "ratio": ratio,
-                "implied_constant": implied,
-            }
-        )
-    return rows
-
-
 @dataclass(frozen=True)
 class BlockReport:
     """One radical-length block of a non-squarefree reduction."""
@@ -862,7 +808,7 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         raise InvariantViolation(
             f"block densities sum to {mass}, expected {rhs}"
         )
-    actual_integer = len(integer_sumset(members.tolist(), members.tolist()))
+    actual_integer = int(np.count_nonzero(integer_sumset_flags(members, members)[1]))
     # block bounds certify cyclic block sumsets, which lower-bound the
     # integer block sumsets sitting in disjoint windows of length 2 m1
     if final_bound > actual_integer + 1e-9:

@@ -4,12 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primesum.errors import DomainError
-from primesum.ntheory import (
-    factorize,
-    primorial,
-    sieve_primes,
-    split_by_threshold,
-)
+from primesum.ntheory import factorize, gcd_table, primorial, sieve_primes
 
 from oracles import brute_phi, trial_primes
 
@@ -39,14 +34,6 @@ class TestSievePrimes:
     @given(st.integers(min_value=2, max_value=2000))
     def test_matches_trial_division(self, n):
         assert sieve_primes(n).primes.tolist() == trial_primes(n)
-
-    def test_segmented_agrees_with_simple(self):
-        # The segmented path only engages above its threshold; compare the
-        # two code paths on a window around it via the module internals.
-        from primesum.ntheory import _segmented_sieve, _simple_sieve
-
-        n = 1 << 21
-        assert np.array_equal(_segmented_sieve(n), _simple_sieve(n))
 
 
 class TestPrimorial:
@@ -117,30 +104,12 @@ class TestFactorize:
         ]
 
 
-class TestSplitByThreshold:
-    def test_m210_t6(self):
-        small, large = split_by_threshold(factorize(210), 6)
-        assert small.m == 30
-        assert large.m == 7
-
-    def test_empty_small(self):
-        small, large = split_by_threshold(factorize(30), 1)
-        assert small.m == 1
-        assert large.m == 30
-
-    def test_empty_large(self):
-        small, large = split_by_threshold(factorize(30), 5)
-        assert small.m == 30
-        assert large.m == 1
-
-    def test_requires_squarefree(self):
-        with pytest.raises(DomainError):
-            split_by_threshold(factorize(12), 2)
-
-    @given(st.integers(min_value=1, max_value=300))
-    def test_parts_multiply_back(self, t):
-        mod = factorize(2 * 3 * 5 * 7 * 11)
-        small, large = split_by_threshold(mod, t)
-        assert small.m * large.m == mod.m
-        assert all(p <= t for p in small.prime_divisors)
-        assert all(p > t for p in large.prime_divisors)
+class TestGcdTable:
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2000),
+            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
+        )
+    )
+    def test_matches_gcd(self, m):
+        assert np.array_equal(gcd_table(factorize(m)), np.gcd(np.arange(m), m))

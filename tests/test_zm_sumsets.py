@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from primesum.errors import DomainError, InvariantViolation
 import primesum.zm_sumsets as zm
-from primesum.ntheory import factorize, gcd_table, primorial
+from primesum.ntheory import factorize, primorial
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,
@@ -18,11 +18,9 @@ from primesum.zm_sumsets import (
     ck_series,
     collision_stats,
     cyclic_sumset_size,
-    divisor_stratification,
     extremal_construct,
     holder_lower_bound,
-    implied_constant_trend,
-    integer_sumset,
+    integer_sumset_flags,
     kth_moment,
     mertens_ratio,
     rep_histogram,
@@ -162,17 +160,28 @@ class TestSumset:
         assert cyclic_sumset_size(members, m) == sumset(b, b).cardinality
 
 
+def sumset_members(a, b) -> tuple[int, np.ndarray, set[int]]:
+    """``integer_sumset_flags`` of two finite integer sets, with the members
+    offset + i that its flags mark."""
+    lo, flags = integer_sumset_flags(
+        np.array(sorted(a), dtype=np.int64), np.array(sorted(b), dtype=np.int64)
+    )
+    return lo, flags, set((lo + np.flatnonzero(flags)).tolist())
+
+
 class TestIntegerSumset:
     def test_hand_count(self):
-        assert integer_sumset([1, 3], [1, 3]) == {2, 4, 6}
+        lo, flags, _ = sumset_members([1, 3], [1, 3])
+        assert lo == 2
+        assert flags.tolist() == [True, False, True, False, True]
 
     def test_identity(self):
         s = {4, 9, 11}
-        assert integer_sumset([0], s) == s
+        assert sumset_members([0], s)[2] == s
 
     def test_primes_one_mod_six(self):
         primes = [q for q in trial_primes(100) if q % 6 == 1]
-        total = integer_sumset(primes, primes)
+        total = sumset_members(primes, primes)[2]
         assert all(x % 6 == 2 for x in total)
         assert total == int_sumset_enum(primes, primes)
 
@@ -181,7 +190,10 @@ class TestIntegerSumset:
         st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=20),
     )
     def test_matches_enumeration(self, a, b):
-        assert integer_sumset(a, b) == int_sumset_enum(a, b)
+        lo, flags, members = sumset_members(a, b)
+        assert lo == min(a) + min(b)
+        assert flags.size == max(a) + max(b) - lo + 1
+        assert members == int_sumset_enum(a, b)
 
 
 class TestRepHistogram:
@@ -275,37 +287,6 @@ def test_non_unit_member_rejected(certify):
     b = SubsetOfZm.from_members(30, [1, 6, 7])
     with pytest.raises(DomainError):
         certify(b, factorize(30))
-
-
-class TestDivisorStratification:
-    @given(
-        st.one_of(
-            st.integers(min_value=1, max_value=2000),
-            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
-        )
-    )
-    def test_matches_gcd(self, m):
-        mod = factorize(m)
-        g = np.gcd(np.arange(m), m)
-        assert np.array_equal(gcd_table(mod), g)
-        strata = divisor_stratification(mod)
-        assert list(strata) == mod.divisors()
-        for d, xs in strata.items():
-            assert xs.tolist() == np.flatnonzero(g == d).tolist()
-
-    def test_m30_layers(self):
-        strata = divisor_stratification(factorize(30))
-        assert strata[6].tolist() == [6, 12, 18, 24]
-        assert strata[30].tolist() == [0]
-
-    def test_partition_identity(self):
-        for m in (12, 30, 210):
-            strata = divisor_stratification(factorize(m))
-            total = sum(len(v) for v in strata.values())
-            assert total == m
-            mod = factorize(m)
-            for d, xs in strata.items():
-                assert len(xs) == factorize(m // d).totient
 
 
 class TestCollisionStats:
@@ -564,13 +545,3 @@ class TestMertensRatio:
         # phi = 2 makes loglog negative; the ratio is not meaningful there.
         with pytest.raises(DomainError):
             mertens_ratio(3)
-
-
-class TestImpliedConstantTrend:
-    def test_finite_values(self):
-        b = SubsetOfZm.from_members(30, [1, 7, 13, 19])
-        rows = implied_constant_trend(b, factorize(30))
-        assert len(rows) == 3
-        for row in rows:
-            assert math.isfinite(row["ratio"])
-            assert math.isfinite(row["implied_constant"])
