@@ -285,10 +285,11 @@ def pair_sumset_columns(
     class is split again at that level unless its Bohr set is {0}, and each
     (class, level) split is made once.  The support of f * g is reported
     against the mean class density minus eps; the smoothed main term is
-    counted against sigma mean(f) N and the mixed pieces against a tenth of
-    that.  A pair with an all-zero density has nothing to decompose: every
-    count is 0.  The last column, ``support_count``, is the exact count
-    behind ``support_fraction``.  ``map_blocks`` runs the blocks of
+    counted against sigma alpha N, alpha the smaller class mean (the row's
+    ``alpha``), and the mixed pieces against a tenth of that.  A pair with an
+    all-zero density has nothing to decompose: every count is 0.  The last
+    column, ``support_count``, is the exact count behind
+    ``support_fraction``.  ``map_blocks`` runs the blocks of
     ``convolve_pairs``.
     """
     lengths = sorted({ec.N for ec in classes})

@@ -273,10 +273,11 @@ PAIR_BLOCK_BYTES = 1 << 20
 class PairConvolutions:
     """Per-pair results of ``convolve_pairs``: ``support`` counts the points
     where f*g is positive (as ``positive_support`` at threshold 0),
-    ``main_count`` those where f1*g1 exceeds sigma mean(f) N, and
-    ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2 of ``error_count`` and
-    ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the points where |f_i*g_j|
-    exceeds a tenth of the main threshold, and ||f_i*g_j||_2^2."""
+    ``main_count`` those where f1*g1 exceeds sigma alpha N, alpha the smaller
+    of mean(f) and mean(g), and ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2
+    of ``error_count`` and ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the
+    points where |f_i*g_j| exceeds a tenth of the main threshold, and
+    ||f_i*g_j||_2^2."""
 
     support: np.ndarray
     main_count: np.ndarray
@@ -360,7 +361,7 @@ def convolve_pairs(
 
     def run(lo: int) -> None:
         block = slice(lo, lo + size)
-        level = sigma * mean[i[block]] * n
+        level = sigma * np.minimum(mean[i[block]], mean[j[block]]) * n
         _, first = convolve(i[block], j[block])
         scale = np.maximum(1.0, mass[i[block]] * mass[j[block]] / n)
         out.support[block] = np.count_nonzero(first > 1e-9 * scale[:, None], axis=-1)

@@ -104,9 +104,10 @@ def collision_weight(tup, prime_divisors) -> Fraction:
 def pair_pieces_oracle(f, f1, f2, g, g1, g2, sigma: float) -> dict:
     """The per-pair route of the positivity argument: one full-length inverse
     transform for each of f1*g1, f1*g2, f2*g1 and f2*g2, with the main count
-    against sigma mean(f) N and the mixed counts against a tenth of that."""
+    against sigma min(mean(f), mean(g)) N and the mixed counts against a
+    tenth of that."""
     n = len(f)
-    level = sigma * (float(np.sum(f)) / n) * n
+    level = sigma * min(float(np.sum(f)) / n, float(np.sum(g)) / n) * n
     main = np.fft.ifft(np.fft.fft(f1) * np.fft.fft(g1)).real
     out = {
         "main_l1": float(np.sum(np.abs(main))),

@@ -218,6 +218,16 @@ class TestPairSumsetReport:
         rep = pair_report(ec, ec, 0.1, 0.5, 0.01)
         assert rep["eps0_used"] <= 0.01**6 * 1.0**4 / 400.0
 
+    def test_main_term_counts_against_the_smaller_mean(self):
+        # the b1 class is the denser one: f1*g1 = 0.5 everywhere clears
+        # sigma alpha N = 0.25 at the smaller mean alpha = 1/16, though not
+        # sigma N = 4 at the b1 class's mean
+        dense = synthetic_class(np.ones(8), b=1)
+        sparse = synthetic_class(0.5 * np.eye(8)[0], b=5)
+        rep = pair_report(dense, sparse, 0.1, 0.01, 0.5)
+        assert rep["alpha"] == 1 / 16
+        assert rep["main_fraction"] == 1.0
+
     def test_class_density_transformed_once(self, monkeypatch):
         part = partition_and_densities(trial_primes(2000), 2000, 3)
         big_n = choose_N(2000, 6)
