@@ -1,9 +1,9 @@
 """Exact prime and multiplicative arithmetic.
 
-Sieves, primorials, factorizations, totients and gcd tables.  Everything
-here is deterministic and exact; no probabilistic primality tests are used
-anywhere.  Python integers are arbitrary precision, so products such as
-primorials never wrap around.
+Sieves, primorials, factorizations, totients, gcd tables and threshold
+splits of squarefree moduli.  Everything here is deterministic and exact;
+no probabilistic primality tests are used anywhere.  Python integers are
+arbitrary precision, so products such as primorials never wrap around.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "primorial",
     "factorize",
     "gcd_table",
+    "split_by_threshold",
 ]
 
 
@@ -140,3 +141,19 @@ def gcd_table(mod: FactoredModulus) -> np.ndarray:
             g[:: p**i] *= p
     return g
 
+
+def split_by_threshold(
+    mod: FactoredModulus, t: int
+) -> tuple[FactoredModulus, FactoredModulus]:
+    """Split a squarefree modulus into (product of p <= t, product of p > t).
+
+    The two parts are coprime and multiply back to the original modulus; an
+    empty side is returned as the modulus 1 with an empty factorization.
+    """
+    if not mod.squarefree:
+        raise DomainError(f"threshold split needs a squarefree modulus, got {mod.m}")
+    if t < 1:
+        raise DomainError(f"threshold must be a positive integer, got {t}")
+    small = tuple((p, 1) for p, _ in mod.primes if p <= t)
+    large = tuple((p, 1) for p, _ in mod.primes if p > t)
+    return _modulus_from_pairs(small), _modulus_from_pairs(large)

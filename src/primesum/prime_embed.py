@@ -35,6 +35,7 @@ __all__ = [
     "PseudorandomDeficit",
     "DeltaAggregate",
     "partition_and_densities",
+    "good_set",
     "choose_N",
     "embed_class",
     "embedding_mass_check",
@@ -148,6 +149,13 @@ def partition_and_densities(a_members, n: int, w: int) -> ResiduePartition:
         residual_primes=residual_primes,
         residual_a=residual_a,
     )
+
+
+def good_set(part: ResiduePartition, threshold: float) -> frozenset[int]:
+    """Classes whose density reaches ``threshold`` (0 keeps every class)."""
+    if not 0 <= threshold <= 1:
+        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
+    return frozenset(b for b in part.classes if part.delta_b[b] >= threshold)
 
 
 def choose_N(n: int, m: int) -> int:

@@ -42,6 +42,7 @@ __all__ = [
     "dft",
     "inverse_dft",
     "convolve",
+    "lp_fourier_norm",
     "large_spectrum",
     "bohr_set",
     "green_decompose",
@@ -176,6 +177,14 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     # rounding can leave tiny negatives on a mathematically nonnegative result
     np.maximum(vals, 0.0, out=vals)
     return DensityFunction(N=f.N, values=vals)
+
+
+def lp_fourier_norm(f: DensityFunction, s: float) -> float:
+    """(sum_xi |fhat(xi)|^s)^(1/s) for s > 2."""
+    if not s > 2:
+        raise DomainError(f"spectral norm exponent must exceed 2, got {s}")
+    mags = np.abs(dft(f).coeffs)
+    return float(np.sum(mags**s) ** (1.0 / s))
 
 
 def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:

@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primesum.errors import DomainError
-from primesum.ntheory import factorize, gcd_table, primorial, sieve_primes
+from primesum.ntheory import (
+    factorize,
+    gcd_table,
+    primorial,
+    sieve_primes,
+    split_by_threshold,
+)
 
 from oracles import brute_phi, trial_primes
 
@@ -102,6 +108,35 @@ class TestFactorize:
         assert sorted(factorize(30).divisors()) == [
             1, 2, 3, 5, 6, 10, 15, 30,
         ]
+
+
+class TestSplitByThreshold:
+    def test_m210_t6(self):
+        small, large = split_by_threshold(factorize(210), 6)
+        assert small.m == 30
+        assert large.m == 7
+
+    def test_empty_small(self):
+        small, large = split_by_threshold(factorize(30), 1)
+        assert small.m == 1
+        assert large.m == 30
+
+    def test_empty_large(self):
+        small, large = split_by_threshold(factorize(30), 5)
+        assert small.m == 30
+        assert large.m == 1
+
+    def test_requires_squarefree(self):
+        with pytest.raises(DomainError):
+            split_by_threshold(factorize(12), 2)
+
+    @given(st.integers(min_value=1, max_value=300))
+    def test_parts_multiply_back(self, t):
+        mod = factorize(2 * 3 * 5 * 7 * 11)
+        small, large = split_by_threshold(mod, t)
+        assert small.m * large.m == mod.m
+        assert all(p <= t for p in small.prime_divisors)
+        assert all(p > t for p in large.prime_divisors)
 
 
 class TestGcdTable:

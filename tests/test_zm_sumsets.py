@@ -289,6 +289,42 @@ def test_non_unit_member_rejected(certify):
         certify(b, factorize(30))
 
 
+def gcd_strata(mod) -> dict[int, np.ndarray]:
+    """The layers X_d = {x : gcd(x, m) = d} that ``kth_moment`` bins its
+    moments over, read from ``_gcd_layers`` and keyed by d ascending."""
+    divisors, layer = zm._gcd_layers(mod)
+    return {d: np.flatnonzero(layer == j) for j, d in enumerate(divisors)}
+
+
+class TestDivisorStratification:
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2000),
+            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
+        )
+    )
+    def test_matches_gcd(self, m):
+        mod = factorize(m)
+        g = np.gcd(np.arange(m), m)
+        strata = gcd_strata(mod)
+        assert list(strata) == mod.divisors()
+        for d, xs in strata.items():
+            assert xs.tolist() == np.flatnonzero(g == d).tolist()
+
+    def test_m30_layers(self):
+        strata = gcd_strata(factorize(30))
+        assert strata[6].tolist() == [6, 12, 18, 24]
+        assert strata[30].tolist() == [0]
+
+    def test_partition_identity(self):
+        for m in (12, 30, 210):
+            strata = gcd_strata(factorize(m))
+            total = sum(len(v) for v in strata.values())
+            assert total == m
+            for d, xs in strata.items():
+                assert len(xs) == factorize(m // d).totient
+
+
 class TestCollisionStats:
     def test_three_tuple(self):
         stats = collision_stats((1, 6, 2), factorize(30))

@@ -17,6 +17,7 @@ from primesum.zn_spectral import (
     inverse_dft,
     l2sq_from_half_spectrum,
     large_spectrum,
+    lp_fourier_norm,
     positive_support,
 )
 
@@ -113,6 +114,25 @@ class TestConvolve:
         lhs = dft(convolve(f, g)).coeffs
         rhs = 20 * dft(f).coeffs * dft(g).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+class TestLpFourierNorm:
+    def test_point_mass(self):
+        value = lp_fourier_norm(indicator(4, [0]), 3.0)
+        assert abs(value - (4 * 0.25**3) ** (1 / 3)) < 1e-12
+
+    def test_constant(self):
+        assert abs(lp_fourier_norm(constant(16, 0.3), 5.0) - 0.3) < 1e-12
+
+    def test_rejects_small_exponent(self):
+        with pytest.raises(DomainError):
+            lp_fourier_norm(constant(4, 1.0), 2.0)
+
+    @given(nonneg_values(16))
+    def test_matches_direct_sum(self, vals):
+        f = DensityFunction(N=16, values=vals)
+        mags = np.abs(dft_oracle(vals))
+        assert abs(lp_fourier_norm(f, 3.0) - float(np.sum(mags**3)) ** (1 / 3)) < 1e-9
 
 
 class TestLargeSpectrum:
