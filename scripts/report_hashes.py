@@ -35,7 +35,9 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # cell (rendered as null); then the Z_m commands: a sumset small enough to be
 # counted pair by pair and a dense one that takes the FFT, a moments run, a
 # non-squarefree modulus (the radical-block certificate), a list: spec and the
-# extremal family; and the random-host report as JSON and CSV
+# extremal family; the random-host report as JSON and CSV; and the one-class
+# commands, which share the pipeline's prime table: sieve, partition,
+# spectrum, decompose, and a spectrum whose --b is rejected (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 RANDOM_HOST = "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"
@@ -69,6 +71,11 @@ CASES = [
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
     ("random-host", RANDOM_HOST),
     ("random-host-csv", f"{RANDOM_HOST} --format csv"),
+    ("sieve-n100000", "sieve --n 100000"),
+    ("partition-w5", "partition --n 100000 --W 5"),
+    ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),
+    ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05 --sigma 0.01"),
+    ("spectrum-rejected-b", "spectrum --n 1000 --W 5 --b 6"),
 ]
 
 

@@ -7,153 +7,21 @@ machinery on Z_m (`zm_sumsets`), and an experiment pipeline with a CLI
 (`expcli`).
 """
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InvariantViolation,
-    RangeOverflowError,
-    SizeLimitError,
-)
-from .ntheory import (
-    FactoredModulus,
-    PrimeTable,
-    factorize,
-    gcd_table,
-    primorial,
-    sieve_primes,
-    split_by_threshold,
-)
-from .prime_embed import (
-    DeltaAggregate,
-    EmbeddedClass,
-    MassCheck,
-    PseudorandomDeficit,
-    ResiduePartition,
-    aggregate_delta,
-    choose_N,
-    class_decomposition,
-    embed_class,
-    embedding_mass_check,
-    good_set,
-    pair_sumset_columns,
-    partition_and_densities,
-    pseudorandom_deficit,
-)
-from .zm_sumsets import (
-    BlockReport,
-    CkSeriesResult,
-    CollisionStats,
-    ExtremalConstruction,
-    HolderCertificate,
-    MomentCertificate,
-    RepresentationHistogram,
-    SubsetOfZm,
-    TailCountReport,
-    ZnStarReport,
-    capital_R,
-    choose_moment_order,
-    ck_series,
-    collision_stats,
-    cyclic_sumset_size,
-    extremal_construct,
-    holder_lower_bound,
-    integer_sumset_flags,
-    kth_moment,
-    mertens_ratio,
-    rep_histogram,
-    sumset,
-    tail_count,
-    znstar_certificate,
-)
-from .zn_spectral import (
-    BohrSet,
-    Decomposition,
-    DensityFunction,
-    PairConvolutions,
-    Spectrum,
-    bohr_set,
-    constant,
-    convolve,
-    convolve_pairs,
-    dft,
-    green_decompose,
-    indicator,
-    inverse_dft,
-    l2sq_from_half_spectrum,
-    large_spectrum,
-    lp_fourier_norm,
-    positive_support,
-)
+from . import errors, ntheory, prime_embed, zm_sumsets, zn_spectral
+from .errors import *  # noqa: F403
+from .ntheory import *  # noqa: F403
+from .prime_embed import *  # noqa: F403
+from .zm_sumsets import *  # noqa: F403
+from .zn_spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# every submodule's own ``__all__``, so each public name is listed once
 __all__ = [
-    "ConfigurationError",
-    "DomainError",
-    "InvariantViolation",
-    "RangeOverflowError",
-    "SizeLimitError",
-    "FactoredModulus",
-    "PrimeTable",
-    "factorize",
-    "gcd_table",
-    "primorial",
-    "sieve_primes",
-    "split_by_threshold",
-    "DeltaAggregate",
-    "EmbeddedClass",
-    "MassCheck",
-    "PseudorandomDeficit",
-    "ResiduePartition",
-    "aggregate_delta",
-    "choose_N",
-    "class_decomposition",
-    "embed_class",
-    "embedding_mass_check",
-    "good_set",
-    "pair_sumset_columns",
-    "partition_and_densities",
-    "pseudorandom_deficit",
-    "BlockReport",
-    "CkSeriesResult",
-    "CollisionStats",
-    "ExtremalConstruction",
-    "HolderCertificate",
-    "MomentCertificate",
-    "RepresentationHistogram",
-    "SubsetOfZm",
-    "TailCountReport",
-    "ZnStarReport",
-    "capital_R",
-    "choose_moment_order",
-    "ck_series",
-    "collision_stats",
-    "cyclic_sumset_size",
-    "extremal_construct",
-    "holder_lower_bound",
-    "integer_sumset_flags",
-    "kth_moment",
-    "mertens_ratio",
-    "rep_histogram",
-    "sumset",
-    "tail_count",
-    "znstar_certificate",
-    "BohrSet",
-    "Decomposition",
-    "DensityFunction",
-    "PairConvolutions",
-    "Spectrum",
-    "bohr_set",
-    "constant",
-    "convolve",
-    "convolve_pairs",
-    "dft",
-    "green_decompose",
-    "indicator",
-    "inverse_dft",
-    "l2sq_from_half_spectrum",
-    "large_spectrum",
-    "lp_fourier_norm",
-    "positive_support",
+    *errors.__all__,
+    *ntheory.__all__,
+    *prime_embed.__all__,
+    *zm_sumsets.__all__,
+    *zn_spectral.__all__,
     "__version__",
 ]

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "SizeLimitError",
+    "RangeOverflowError",
+    "ConfigurationError",
+    "InvariantViolation",
+]
+
 
 class DomainError(ValueError):
     """An operation was called with arguments outside its stated domain."""

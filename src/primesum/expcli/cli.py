@@ -20,10 +20,10 @@ from ..errors import (
     InvariantViolation,
     SizeLimitError,
 )
-from ..ntheory import factorize, gcd_table, sieve_primes
+from ..ntheory import PrimeTable, factorize, primorial, sieve_primes, unit_indicator
 from ..prime_embed import (
-    choose_N,
     embed_class,
+    embedding_limit,
     embedding_mass_check,
     partition_and_densities,
     pseudorandom_deficit,
@@ -62,7 +62,7 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     kind = parts[0]
 
     def units() -> np.ndarray:
-        return np.flatnonzero(gcd_table(factorize(m)) == 1)
+        return np.flatnonzero(unit_indicator(factorize(m)))
 
     if kind == "units":
         if len(parts) != 1:
@@ -75,8 +75,8 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             b0, m0 = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigurationError(f"bad units-filter parameters in {text!r}") from exc
-        if m0 < 1:
-            raise ConfigurationError(f"units-filter modulus must be >= 1, got {m0}")
+        if not 1 <= m0 < 2**63:
+            raise ConfigurationError(f"units-filter needs 1 <= m0 < 2^63, got {m0}")
         pool = units()
         return SubsetOfZm.from_members(m, pool[pool % m0 == b0 % m0])
     if kind == "list":
@@ -97,8 +97,8 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             raise ConfigurationError(f"bad parameters in {text!r}") from exc
         if not 0 < frac <= 1:
             raise ConfigurationError(f"frac must lie in (0, 1], got {frac}")
-        if seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+        if not 0 <= seed < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
         pool = units() if kind == "units-random" else np.arange(m, dtype=np.int64)
         size = math.ceil(frac * pool.size)
         rng = np.random.Generator(
@@ -129,23 +129,35 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _partition(args):
-    cfg = ExperimentConfig(n=args.n, w=args.W, rule=parse_rule(args.rule))
-    cfg.validate()
-    table = sieve_primes(cfg.n)
-    return partition_and_densities(build_subset(cfg, table), cfg.n, cfg.w)
+def _config(args) -> ExperimentConfig:
+    """The experiment of a command's options; those it lacks keep defaults."""
+    fields = ("delta", "eps", "eps0", "sigma", "k", "seed")
+    options = {name: getattr(args, name) for name in fields if hasattr(args, name)}
+    if hasattr(args, "format"):
+        options["output_format"] = args.format
+    return ExperimentConfig(n=args.n, w=args.W, rule=parse_rule(args.rule), **options)
+
+
+def _partition(cfg: ExperimentConfig, table: PrimeTable):
+    primes = table.upto(cfg.n)
+    return partition_and_densities(build_subset(cfg, primes), primes, cfg.w)
 
 
 def _embedded_class(args):
-    part = _partition(args)
-    big_n = choose_N(part.n, part.modulus.m)
-    if args.b not in part.classes:
-        raise DomainError(f"{args.b} is not a reduced residue of {part.modulus.m}")
-    return embed_class(part, args.b, big_n)
+    """The class of --b, checked first, embedded against one sieve to m N + m."""
+    cfg = _config(args)
+    cfg.validate()
+    m = primorial(cfg.w).m
+    if not 0 <= args.b < m or math.gcd(args.b, m) != 1:
+        raise DomainError(f"{args.b} is not a reduced residue of {m}")
+    table = sieve_primes(embedding_limit(cfg.n, m))
+    return embed_class(_partition(cfg, table), args.b, table)
 
 
 def _cmd_partition(args) -> int:
-    part = _partition(args)
+    cfg = _config(args)
+    cfg.validate()
+    part = _partition(cfg, sieve_primes(cfg.n))
     mod = part.modulus
     _print(
         f"n={args.n} W={args.W} m={mod.m} phi={mod.totient} "
@@ -282,34 +294,23 @@ def _cmd_simulate_random(args) -> int:
         theta=args.theta,
         beta=args.beta,
     )
-    report = simulate_random_host(exp)
-    text = emit_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _print(f"wrote {args.format} report to {args.out}")
+    _write_report(simulate_random_host(exp), args)
     return 0
 
 
-def _cmd_pipeline(args) -> int:
-    cfg = ExperimentConfig(
-        n=args.n,
-        w=args.W,
-        delta=args.delta,
-        rule=parse_rule(args.rule),
-        eps=args.eps,
-        eps0=args.eps0,
-        sigma=args.sigma,
-        k=args.k,
-        seed=args.seed,
-        output_format=args.format,
-    )
-    report = run_pipeline(cfg)
+def _write_report(report, args) -> bool:
+    """Render the report to stdout or to --out; True when it went to a file."""
     text = emit_report(report, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        _print(f"wrote {args.format} report to {args.out}")
+        return False
+    _print(f"wrote {args.format} report to {args.out}")
+    return True
+
+
+def _cmd_pipeline(args) -> int:
+    report = run_pipeline(_config(args))
+    if _write_report(report, args):
         summary = report.summary
         _print(
             f"checks passed {summary['checks_passed']}/{summary['checks_total']} "
@@ -326,32 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def experiment(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--W", type=int, required=True)
+        p.add_argument("--rule", default="all-primes")
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("sieve", help="count primes up to a bound")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_sieve)
 
-    p = sub.add_parser("partition", help="residue-class densities of a prime subset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--W", type=int, required=True)
-    p.add_argument("--rule", default="all-primes")
-    p.set_defaults(func=_cmd_partition)
+    experiment("partition", _cmd_partition, "residue-class densities of a prime subset")
 
-    p = sub.add_parser("spectrum", help="transform profile of one embedded class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--W", type=int, required=True)
+    p = experiment("spectrum", _cmd_spectrum, "transform profile of one embedded class")
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--rule", default="all-primes")
     p.add_argument("--top", type=int, default=8)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("decompose", help="smooth/small split of one embedded class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--W", type=int, required=True)
+    p = experiment("decompose", _cmd_decompose, "smooth/small split of one class")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--eps0", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--rule", default="all-primes")
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("sumset", help="cyclic sumset of a set with itself")
     p.add_argument("--m", type=int, required=True)
@@ -386,19 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate_random)
 
-    p = sub.add_parser("pipeline", help="full partition-to-bound experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--W", type=int, required=True)
+    p = experiment("pipeline", _cmd_pipeline, "full partition-to-bound experiment")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eps0", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rule", default="all-primes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..ntheory import PrimeTable, primorial
+from ..ntheory import PrimeTable
+from ..prime_embed import choose_N
 
 __all__ = [
     "SubsetRule",
@@ -63,9 +64,10 @@ def parse_rule(text: str) -> SubsetRule:
             b0, m0 = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigurationError(f"bad residue-filter parameters in {text!r}") from exc
-        if m0 < 2 or not 0 <= b0 < m0:
+        if not 2 <= m0 < 2**63 or not 0 <= b0 < m0:
             raise ConfigurationError(
-                f"residue-filter needs 0 <= b0 < m0 and m0 >= 2, got b0={b0}, m0={m0}"
+                f"residue-filter needs 0 <= b0 < m0 and 2 <= m0 < 2^63, "
+                f"got b0={b0}, m0={m0}"
             )
         return SubsetRule(kind="residue-filter", b0=b0, m0=m0)
     if kind == "random-thinning":
@@ -105,29 +107,30 @@ class ExperimentConfig:
             raise ConfigurationError(f"eps must lie in (0, 1), got {self.eps}")
         if self.eps0 is not None and not 0 < self.eps0 <= 1:
             raise ConfigurationError(f"eps0 must lie in (0, 1], got {self.eps0}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        if self.k is not None and self.k < 2:
-            raise ConfigurationError(f"k must be >= 2, got {self.k}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        # sigma^6 and m^k (m <= 2n) stay finite floats in the decomposition
+        # level and the moment comparator
+        if self.sigma is not None and not 0 < self.sigma <= 1e50:
+            raise ConfigurationError(f"sigma must lie in (0, 1e50], got {self.sigma}")
+        if self.k is not None and not 2 <= self.k <= 32:
+            raise ConfigurationError(f"k must lie in [2, 32], got {self.k}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.output_format not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
-        # 4n >= 2m, checked by a running product before the primorial exists:
-        # p is prime exactly when it is coprime to the primes below it, and
-        # the product passes 2n within a few primes
-        product = 1
+        # the primorial m of w and its totient by a running product, stopped
+        # once m passes 2n (the embedding needs 4n >= 2m): p is prime exactly
+        # when it is coprime to the primes below it
+        m = phi = 1
         for p in range(2, min(self.w, 2 * self.n) + 1):
-            if math.gcd(p, product) == 1:
-                product *= p
-                if product > 2 * self.n:
+            if math.gcd(p, m) == 1:
+                m, phi = m * p, phi * (p - 1)
+                if m > 2 * self.n:
                     raise ConfigurationError(f"primorial of {self.w} exceeds 2n; lower w")
-        mod = primorial(self.w)
-        big_n = (4 * self.n) // mod.m
-        if mod.totient**2 * big_n > _MAX_PAIR_WORK:
+        work = phi**2 * choose_N(self.n, m)
+        if work > _MAX_PAIR_WORK:
             raise ConfigurationError(
-                f"pairwise workload phi^2 N = {mod.totient ** 2 * big_n} exceeds "
-                f"{_MAX_PAIR_WORK}; lower w or n"
+                f"pairwise workload phi^2 N = {work} exceeds {_MAX_PAIR_WORK}; "
+                "lower w or n"
             )
 
     def resolved_sigma(self) -> float:
@@ -142,18 +145,8 @@ class ExperimentConfig:
         return 0.01
 
     def echo(self) -> dict:
-        return {
-            "n": self.n,
-            "w": self.w,
-            "delta": self.delta,
-            "rule": self.rule.spec_string(),
-            "eps": self.eps,
-            "eps0": self.eps0,
-            "sigma": self.sigma,
-            "k": self.k,
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
+        """The fields in their declared order, the rule as its spec string."""
+        return {**vars(self), "rule": self.rule.spec_string()}
 
 
 def build_subset(cfg: ExperimentConfig, table: PrimeTable) -> np.ndarray:
@@ -204,8 +197,8 @@ class RandomSetExperiment:
             raise ConfigurationError(
                 f"trials must lie in [1, 10000], got {self.trials}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
 
     def echo(self) -> dict:
         return {

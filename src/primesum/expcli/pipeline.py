@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvariantViolation
-from ..ntheory import sieve_primes
+from ..ntheory import PrimeTable, primorial, sieve_primes
 from ..prime_embed import (
     DeltaAggregate,
     EmbeddedClass,
@@ -24,6 +24,7 @@ from ..prime_embed import (
     aggregate_delta,
     choose_N,
     embed_class,
+    embedding_limit,
     embedding_mass_check,
     pair_sumset_columns,
     partition_and_densities,
@@ -193,13 +194,11 @@ def _reconcile_partition(
 
 
 def _class_rows(
-    ledger: _Ledger, part: ResiduePartition, big_n: int
+    ledger: _Ledger, part: ResiduePartition, table: PrimeTable
 ) -> tuple[dict[int, EmbeddedClass], list[dict]]:
-    """Embed every unit class against one shared sieve; returns the
+    """Embed every unit class against the run's prime table; returns the
     embeddings by class and one row per class."""
-    m = part.modulus.m
-    extended = sieve_primes(m * big_n + m)
-    embeds = {b: embed_class(part, b, big_n, extended) for b in part.units}
+    embeds = {b: embed_class(part, b, table) for b in part.units}
     per_class: list[dict] = []
     for b, ec in embeds.items():
         mass = embedding_mass_check(ec)
@@ -484,11 +483,13 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     cfg.validate()
     ledger = _Ledger()
 
-    table = sieve_primes(cfg.n)
-    a_arr = build_subset(cfg, table)
-    part = partition_and_densities(a_arr, cfg.n, cfg.w)
-    m = part.modulus.m
+    # one sieve serves the run; the primes up to n are its prefix
+    m = primorial(cfg.w).m
     big_n = choose_N(cfg.n, m)
+    table = sieve_primes(embedding_limit(cfg.n, m))
+    primes = table.upto(cfg.n)
+    a_arr = build_subset(cfg, primes)
+    part = partition_and_densities(a_arr, primes, cfg.w)
     ledger.require(
         "embedding-window",
         m * big_n,
@@ -501,9 +502,10 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     eps0 = cfg.resolved_eps0(part.delta)
     ledger.report("sigma-vs-eps", sigma, cfg.eps / 10.0, "<", sigma < cfg.eps / 10.0)
 
-    total_a, total_p = int(a_arr.size), int(table.primes.size)
+    total_a, total_p = int(a_arr.size), len(primes)
     sum_delta_good = _reconcile_partition(ledger, part, total_a, total_p)
-    embeds, per_class = _class_rows(ledger, part, big_n)
+    embeds, per_class = _class_rows(ledger, part, table)
+    del table, primes  # the embeddings were the last readers of the prime table
     good = sorted(part.good)
     support, pair_table = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
 

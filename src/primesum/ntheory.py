@@ -1,7 +1,7 @@
 """Exact prime and multiplicative arithmetic.
 
-Sieves, primorials, factorizations, totients, gcd tables and threshold
-splits of squarefree moduli.  Everything here is deterministic and exact;
+Sieves, primorials, factorizations, totients, gcd tables, unit indicators
+and threshold splits of squarefree moduli.  Everything here is deterministic and exact;
 no probabilistic primality tests are used anywhere.  Python integers are
 arbitrary precision, so products such as primorials never wrap around.
 """
@@ -22,6 +22,7 @@ __all__ = [
     "primorial",
     "factorize",
     "gcd_table",
+    "unit_indicator",
     "split_by_threshold",
 ]
 
@@ -42,6 +43,13 @@ class PrimeTable:
     def __contains__(self, value: int) -> bool:
         i = int(np.searchsorted(self.primes, value))
         return i < self.primes.size and int(self.primes[i]) == int(value)
+
+    def upto(self, limit: int) -> "PrimeTable":
+        """The primes up to ``limit``, a view of this table's array."""
+        if limit > self.limit:
+            raise DomainError(f"prime table reaches {self.limit}, need {limit}")
+        end = int(np.searchsorted(self.primes, limit, side="right"))
+        return PrimeTable(limit=int(limit), primes=self.primes[:end])
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,15 @@ def gcd_table(mod: FactoredModulus) -> np.ndarray:
         for i in range(1, e + 1):
             g[:: p**i] *= p
     return g
+
+
+def unit_indicator(mod: FactoredModulus) -> np.ndarray:
+    """[gcd(x, m) = 1] for every x in [0, m): one strided pass per prime
+    divisor of m clears its multiples, so no gcd is evaluated."""
+    units = np.ones(mod.m, dtype=bool)
+    for p in mod.prime_divisors:
+        units[::p] = False
+    return units
 
 
 def split_by_threshold(

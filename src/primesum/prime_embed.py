@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .ntheory import FactoredModulus, PrimeTable, gcd_table, primorial, sieve_primes
+from .ntheory import FactoredModulus, PrimeTable, primorial, unit_indicator
 from .zn_spectral import (
     Decomposition,
     DensityFunction,
@@ -37,6 +37,7 @@ __all__ = [
     "partition_and_densities",
     "good_set",
     "choose_N",
+    "embedding_limit",
     "embed_class",
     "embedding_mass_check",
     "pseudorandom_deficit",
@@ -87,67 +88,62 @@ class EmbeddedClass:
     w: int
 
 
-def partition_and_densities(a_members, n: int, w: int) -> ResiduePartition:
-    """Split A (a set of primes <= n) along the reduced residues mod the
-    primorial of w, with per-class and global densities.
+def partition_and_densities(a_members, table: PrimeTable, w: int) -> ResiduePartition:
+    """Split A (a set of primes in the table) along the reduced residues mod
+    the primorial of w, with per-class and global densities; n is the
+    table's limit.
 
     A class with no primes at all gets density 0 by convention.  The good
     set collects classes at least half as dense as A itself.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    table = sieve_primes(n)
-    a_arr = np.unique(np.asarray(list(a_members), dtype=np.int64))
-    if a_arr.size and np.setdiff1d(a_arr, table.primes).size:
-        raise DomainError("members must all be primes <= n")
+    if table.limit < 2:
+        raise DomainError(f"need n >= 2, got {table.limit}")
+    primes = table.primes
+    members = np.asarray(list(a_members), dtype=np.int64)
+    at = np.searchsorted(primes, members)
+    if np.any(primes[np.minimum(at, primes.size - 1)] != members):
+        raise DomainError(f"members must all be primes <= {table.limit}")
+    in_a = np.zeros(primes.size, dtype=bool)
+    in_a[at] = True
     mod = primorial(w)
-    m = mod.m
 
-    unit_list = np.flatnonzero(gcd_table(mod) == 1).tolist()
-    divisor_set = np.asarray(mod.prime_divisors, dtype=np.int64)
-    residual_primes = table.primes[np.isin(table.primes, divisor_set)]
-    residual_a = a_arr[np.isin(a_arr, divisor_set)]
+    # the primes dividing m are the primes up to w; every other prime lies
+    # in a unit class, and a stable sort by residue keeps each class ascending
+    n_residual = int(np.searchsorted(primes, w, side="right"))
+    units = np.flatnonzero(unit_indicator(mod))
+    res = primes % mod.m
+    order = np.argsort(res, kind="stable")
+    starts, ends = np.searchsorted(res[order], [units, units + 1]).tolist()
+    classes = {}
+    for b, start, end in zip(units.tolist(), starts, ends):
+        in_class = order[start:end]
+        classes[b] = (primes[in_class[in_a[in_class]]], primes[in_class])
 
-    def split_by_residue(arr: np.ndarray) -> dict[int, np.ndarray]:
-        res = arr % m
-        order = np.argsort(res, kind="stable")
-        sorted_res = res[order]
-        out = {}
-        for b in unit_list:
-            lo = int(np.searchsorted(sorted_res, b, side="left"))
-            hi = int(np.searchsorted(sorted_res, b, side="right"))
-            out[b] = arr[order[lo:hi]]
-        return out
-
-    p_split = split_by_residue(table.primes)
-    a_split = split_by_residue(a_arr)
-    classes = {b: (a_split[b], p_split[b]) for b in unit_list}
-
-    covered = sum(v.size for v in p_split.values()) + residual_primes.size
-    if covered != table.primes.size:
+    covered = sum(p_arr.size for _, p_arr in classes.values()) + n_residual
+    if covered != primes.size:
         raise InvariantViolation("residue classes fail to cover the primes")
 
     delta_b = {
-        b: (a_split[b].size / p_split[b].size) if p_split[b].size else 0.0
-        for b in unit_list
+        b: (a_arr.size / p_arr.size) if p_arr.size else 0.0
+        for b, (a_arr, p_arr) in classes.items()
     }
-    delta = a_arr.size / table.primes.size
+    delta = int(np.count_nonzero(in_a)) / primes.size
     # An empty subset has no good classes; the >= delta/2 rule would
     # otherwise admit every class vacuously.
     if delta == 0.0:
         good = frozenset()
     else:
-        good = frozenset(b for b in unit_list if delta_b[b] >= delta / 2)
+        good = frozenset(b for b in classes if delta_b[b] >= delta / 2)
     return ResiduePartition(
-        n=n,
+        n=table.limit,
         w=w,
         modulus=mod,
         classes=classes,
         delta_b=delta_b,
         delta=delta,
         good=good,
-        residual_primes=residual_primes,
-        residual_a=residual_a,
+        residual_primes=primes[:n_residual].copy(),
+        residual_a=primes[:n_residual][in_a[:n_residual]],
     )
 
 
@@ -172,28 +168,24 @@ def choose_N(n: int, m: int) -> int:
     return big_n
 
 
-def embed_class(
-    part: ResiduePartition,
-    b: int,
-    big_n: int,
-    table: PrimeTable | None = None,
-) -> EmbeddedClass:
-    """Map the class of b into Z_N with its log weight.
+def embedding_limit(n: int, m: int) -> int:
+    """m N + m, N = choose_N(n, m): the prime table every class embeds against."""
+    return m * choose_N(n, m) + m
+
+
+def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedClass:
+    """Map the class of b into Z_N, N = choose_N(n, m), with its log weight.
 
     Positions x run over 1..N (x = N wraps to residue 0); the weight needs
-    primality of m x + b up to m N + b, so a table at least that large is
-    sieved here unless one is supplied.
+    primality of m x + b up to m N + b, which the table must reach.
     """
     if b not in part.classes:
         raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
-    if big_n < 1:
-        raise DomainError(f"need N >= 1, got {big_n}")
     m = part.modulus.m
     phi = part.modulus.totient
+    big_n = choose_N(part.n, m)
     hi = m * big_n + b
-    if table is None:
-        table = sieve_primes(hi)
-    elif table.limit < hi:
+    if table.limit < hi:
         raise DomainError(f"prime table reaches {table.limit}, need {hi}")
 
     primes = table.primes

@@ -27,7 +27,14 @@ from .errors import (
     RangeOverflowError,
     SizeLimitError,
 )
-from .ntheory import FactoredModulus, factorize, gcd_table, primorial, sieve_primes
+from .ntheory import (
+    FactoredModulus,
+    factorize,
+    gcd_table,
+    primorial,
+    sieve_primes,
+    unit_indicator,
+)
 
 __all__ = [
     "SubsetOfZm",
@@ -113,7 +120,7 @@ class SubsetOfZm:
         """The unit group Z_m^* as a subset."""
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
-        return SubsetOfZm(m=m, bits=_pack_bits(gcd_table(factorize(m)) == 1))
+        return SubsetOfZm(m=m, bits=_pack_bits(unit_indicator(factorize(m))))
 
     @property
     def cardinality(self) -> int:
@@ -343,7 +350,7 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
     h = b.indicator_array()
-    r_route = _cyclic_int_convolution(h, gcd_table(mod) == 1)
+    r_route = _cyclic_int_convolution(h, unit_indicator(mod))
     # h turns into the Moebius count in place, one prime factor at a time
     for p in mod.prime_divisors:
         columns = h.reshape(p, -1)

@@ -259,20 +259,22 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     budget = Budget(120.0)
     table = sieve_primes(4_000_020)
 
-    part = partition_and_densities(sieve_primes(100_000).primes, 100_000, 5)
-    big_n = choose_N(100_000, 30)
+    primes = table.upto(100_000)
+    part = partition_and_densities(primes.primes, primes, 5)
     for b in sorted(part.delta_b):
-        ec = embed_class(part, b, big_n, table)
+        ec = embed_class(part, b, table)
+        assert ec.N == choose_N(100_000, 30)
         check = embedding_mass_check(ec)
         assert abs(check.threshold - part.delta_b[b] / 16.0) < 1e-15
         assert check.passed, f"class {b} mass {check.mass} below {check.threshold}"
 
     offpeaks = {}
     for w in (3, 5):
-        part = partition_and_densities(sieve_primes(1_000_000).primes, 1_000_000, w)
-        big_n = choose_N(1_000_000, part.modulus.m)
+        primes = table.upto(1_000_000)
+        part = partition_and_densities(primes.primes, primes, w)
         for b in sorted(part.delta_b):
-            ec = embed_class(part, b, big_n, table)
+            ec = embed_class(part, b, table)
+            assert ec.N == choose_N(1_000_000, part.modulus.m)
             d = pseudorandom_deficit(ec)
             assert d.zero_mode_error <= 0.05, (w, b, d.zero_mode_error)
             assert math.isfinite(d.offpeak_sup) and d.offpeak_sup >= 0.0
@@ -302,8 +304,9 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
         direct = bohr_double_average(f.values, d.bohr.members)
         assert float(np.max(np.abs(d.f1.values - direct))) <= 1e-9
 
-    part = partition_and_densities(sieve_primes(100_000).primes, 100_000, 3)
-    ec = embed_class(part, 1, choose_N(100_000, 6))
+    table = sieve_primes(6 * choose_N(100_000, 6) + 6)
+    primes = table.upto(100_000)
+    ec = embed_class(partition_and_densities(primes.primes, primes, 3), 1, table)
     check_split(ec.f, 0.05, 0.01)
 
     rng = make_rng(10)

@@ -1,0 +1,113 @@
+"""The CLI contract under arbitrary argument vectors: every run of sieve,
+partition, spectrum, decompose and pipeline exits 0, 2 or 3 with no
+traceback, and a rejected request (exit 2) comes back fast.
+
+Accepted runs keep n at most 10^4; a larger n is drawn only together with a
+--W or a --b that must be rejected before anything is sieved.
+"""
+
+import contextlib
+import io
+import math
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primesum.expcli.cli import main
+
+
+def mostly(valid, invalid):
+    """Draw from ``valid`` three times in four."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+VALID_W = st.sampled_from([2, 3, 5, 7])
+# below 2, or a primorial far past 2n for any n the CLI accepts
+INVALID_W = st.one_of(st.integers(-5, 1), st.integers(60, 10**15))
+SMALL_N = mostly(st.integers(100, 10**4), st.integers(-10, 99))
+LARGE_N = st.integers(10**4 + 1, 10**15)
+ODD_FLOATS = st.sampled_from(
+    [0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+)
+UNIT_FLOATS = mostly(st.floats(min_value=1e-6, max_value=1.0), ODD_FLOATS)
+FLOATS = mostly(st.floats(min_value=1e-6, max_value=30.0), ODD_FLOATS)
+RULES = mostly(
+    st.sampled_from(["all-primes", "random-thinning", "residue-filter:1:4"]),
+    st.sampled_from(
+        [
+            "residue-filter:0:4",
+            "residue-filter:5:4",
+            "residue-filter:1:100000000000000000000",
+            "residue-filter:x:4",
+            "no-such-rule",
+        ]
+    ),
+)
+K = mostly(st.integers(2, 40), st.integers(max_value=10**12))
+SEED = mostly(st.integers(0, 9), st.integers(-2, 2**70))
+
+
+def primorial_of(w: int) -> int:
+    return math.prod(p for p in range(2, w + 1) if all(p % q for q in range(2, p)))
+
+
+def units_and_others(w: int) -> tuple[list[int], list[int]]:
+    """The reduced residues of the primorial of w, and a few other values."""
+    m = primorial_of(w)
+    units = [b for b in range(m) if math.gcd(b, m) == 1]
+    return units, [b for b in range(-3, m + 3) if b not in units]
+
+
+@st.composite
+def argv(draw) -> list[str]:
+    command = draw(
+        st.sampled_from(["sieve", "partition", "spectrum", "decompose", "pipeline"])
+    )
+    if command == "sieve":
+        n = draw(mostly(SMALL_N, st.integers(10**7 + 1, 10**15)))
+        return ["sieve", "--n", str(n)]
+    has_b = command in ("spectrum", "decompose")
+    large = draw(mostly(st.just(False), st.just(True)))
+    # a large n comes with an invalid --W, or with an invalid --b
+    bad_b = has_b and large and draw(st.booleans())
+    w = draw(VALID_W if bad_b or not large else INVALID_W)
+    n = draw(LARGE_N if large else SMALL_N)
+    out = [command, "--n", str(n), "--W", str(w), "--rule", draw(RULES)]
+    if has_b:
+        units, others = units_and_others(w) if w in (2, 3, 5, 7) else ([1], [0])
+        valid_b, invalid_b = st.sampled_from(units), st.sampled_from(others)
+        out += ["--b", str(draw(invalid_b if bad_b else mostly(valid_b, invalid_b)))]
+    if command == "spectrum":
+        top = mostly(st.integers(1, 20), st.integers(-3, 10**20))
+        out += ["--top", str(draw(top))]
+    if command == "decompose":
+        out += ["--eps0", repr(draw(UNIT_FLOATS)), "--sigma", repr(draw(FLOATS))]
+    if command == "pipeline":
+        for flag, values in (
+            ("--delta", UNIT_FLOATS),
+            ("--eps", UNIT_FLOATS),
+            ("--eps0", UNIT_FLOATS),
+            ("--sigma", FLOATS),
+            ("--k", K),
+            ("--seed", SEED),
+        ):
+            if draw(st.booleans()):
+                out += [flag, repr(draw(values))]
+        formats = mostly(st.sampled_from(["json", "csv"]), st.just("xml"))
+        out += ["--format", draw(formats)]
+    return out
+
+
+@settings(max_examples=200)
+@given(argv())
+def test_exit_codes_and_fast_rejections(args):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert elapsed < 0.5, (args, elapsed)

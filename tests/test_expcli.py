@@ -34,6 +34,25 @@ from primesum.zm_sumsets import SubsetOfZm, cyclic_sumset_size, holder_lower_bou
 from oracles import trial_primes
 
 
+def record_calls(monkeypatch, name: str) -> list:
+    """The first argument of every call of ``ntheory.<name>``, made through
+    any primesum module that holds the function."""
+    import primesum.ntheory as ntheory
+
+    original = getattr(ntheory, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("primesum"):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def small_config(**overrides):
     base = dict(n=20000, w=3, rule=parse_rule("all-primes"))
     base.update(overrides)
@@ -285,6 +304,14 @@ class TestPipeline:
         run_pipeline(small_config(n=3000, w=5))
         assert calls == [True]
 
+    def test_one_sieve_past_w_per_run(self, monkeypatch):
+        from primesum.prime_embed import choose_N
+
+        limits = record_calls(monkeypatch, "sieve_primes")
+        run_pipeline(small_config(n=3000, w=5))
+        assert [x for x in limits if x > 5] == [30 * choose_N(3000, 30) + 30]
+        assert len(limits) <= 3
+
     @staticmethod
     def count_decompositions(monkeypatch) -> list:
         import primesum.prime_embed as pe
@@ -320,6 +347,7 @@ class TestPipeline:
             assert set(cols[f"err{k}_count"]) == {0}
 
     def test_pair_rows_match_per_pair_splits(self, monkeypatch):
+        from primesum.ntheory import primorial
         from primesum.prime_embed import choose_N, embed_class, partition_and_densities
         from primesum.zn_spectral import green_decompose, positive_support
 
@@ -344,11 +372,12 @@ class TestPipeline:
             sizes.setdefault(b, set()).add(size)
         assert any(len(v) > 1 for v in sizes.values())
 
-        part = partition_and_densities(
-            build_subset(cfg, sieve_primes(cfg.n)), cfg.n, cfg.w
-        )
-        big_n = choose_N(cfg.n, part.modulus.m)
-        embeds = {b: embed_class(part, b, big_n) for b in good}
+        m = primorial(cfg.w).m
+        big_n = choose_N(cfg.n, m)
+        table = sieve_primes(m * big_n + m)
+        primes = table.upto(cfg.n)
+        part = partition_and_densities(build_subset(cfg, primes), primes, cfg.w)
+        embeds = {b: embed_class(part, b, table) for b in good}
 
         def level(f):
             return min(1.0, 8.0**6 * f.mean() ** 4 / 400.0)
@@ -616,6 +645,31 @@ class TestCli:
             run_pipeline(small_config(n=3000, w=5))
         assert main(["pipeline", "--n", "3000", "--W", "5"]) == 3
         assert "L1 mass" in capsys.readouterr().err
+
+    CLASS_COMMANDS = [["spectrum"], ["decompose", "--eps0", "0.05", "--sigma", "0.01"]]
+
+    @pytest.mark.parametrize("command", CLASS_COMMANDS)
+    def test_one_sieve_past_w_per_class_command(self, monkeypatch, capsys, command):
+        from primesum.prime_embed import choose_N
+
+        limits = record_calls(monkeypatch, "sieve_primes")
+        assert main([*command, "--n", "20000", "--W", "5", "--b", "7"]) == 0
+        assert [x for x in limits if x > 5] == [30 * choose_N(20000, 30) + 30]
+
+    @pytest.mark.parametrize("command", CLASS_COMMANDS)
+    @pytest.mark.parametrize("b", ["6", "31", "-1"])
+    def test_non_unit_b_rejected_before_the_sieve(self, capsys, command, b):
+        start = time.perf_counter()
+        assert main([*command, "--n", "10000000", "--W", "5", "--b", b]) == 2
+        assert time.perf_counter() - start < 0.3
+        err = capsys.readouterr().err
+        assert err == f"error: {b} is not a reduced residue of 30\n"
+
+    def test_one_gcd_table_per_znstar_bound(self, monkeypatch, capsys):
+        tables = record_calls(monkeypatch, "gcd_table")
+        argv = ["znstar-bound", "--m", "2310", "--set-spec", "units-random:0.3:1"]
+        assert main(argv) == 0
+        assert [mod.m for mod in tables] == [2310]
 
     def test_huge_w_fails_fast(self):
         self.assert_fails_fast(["partition", "--n", "1000", "--W", "3000000"])

@@ -10,6 +10,7 @@ from primesum.ntheory import (
     primorial,
     sieve_primes,
     split_by_threshold,
+    unit_indicator,
 )
 
 from oracles import brute_phi, trial_primes
@@ -40,6 +41,19 @@ class TestSievePrimes:
     @given(st.integers(min_value=2, max_value=2000))
     def test_matches_trial_division(self, n):
         assert sieve_primes(n).primes.tolist() == trial_primes(n)
+
+    @given(st.integers(min_value=2, max_value=2000), st.data())
+    def test_prefix_is_a_view_of_the_table(self, n, data):
+        table = sieve_primes(n)
+        limit = data.draw(st.integers(min_value=0, max_value=n))
+        prefix = table.upto(limit)
+        assert prefix.limit == limit
+        assert prefix.primes.tolist() == [p for p in trial_primes(n) if p <= limit]
+        assert prefix.primes.size == 0 or np.shares_memory(prefix.primes, table.primes)
+
+    def test_prefix_past_the_limit_rejected(self):
+        with pytest.raises(DomainError):
+            sieve_primes(100).upto(101)
 
 
 class TestPrimorial:
@@ -148,3 +162,13 @@ class TestGcdTable:
     )
     def test_matches_gcd(self, m):
         assert np.array_equal(gcd_table(factorize(m)), np.gcd(np.arange(m), m))
+
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2000),
+            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
+        )
+    )
+    def test_unit_indicator_marks_the_units(self, m):
+        units = unit_indicator(factorize(m))
+        assert np.array_equal(units, np.gcd(np.arange(m), m) == 1)

@@ -44,6 +44,14 @@ def synthetic_partition(delta_b, delta, good, n=1000, w=3):
     )
 
 
+def partition_and_table(members, n, w):
+    """The partition of members among the primes up to n, and one prime
+    table reaching m N + m for its embeddings."""
+    m = primorial(w).m
+    table = sieve_primes(m * choose_N(n, m) + m)
+    return partition_and_densities(members, table.upto(n), w), table
+
+
 def synthetic_class(values, b=1, delta_b=1.0, w=5):
     from primesum.zn_spectral import DensityFunction
 
@@ -61,32 +69,42 @@ def synthetic_class(values, b=1, delta_b=1.0, w=5):
 
 class TestPartition:
     def test_primes_to_twenty(self):
-        part = partition_and_densities(trial_primes(20), 20, 3)
+        part = partition_and_densities(trial_primes(20), sieve_primes(20), 3)
         assert part.classes[1][0].tolist() == [7, 13, 19]
         assert part.classes[5][0].tolist() == [5, 11, 17]
         assert part.delta_b == {1: 1.0, 5: 1.0}
         assert part.residual_primes.tolist() == [2, 3]
 
     def test_full_primes_all_dense(self):
-        part = partition_and_densities(trial_primes(500), 500, 5)
+        part = partition_and_densities(trial_primes(500), sieve_primes(500), 5)
         for b, (a_arr, p_arr) in part.classes.items():
             if p_arr.size:
                 assert part.delta_b[b] == 1.0
 
     def test_empty_subset(self):
-        part = partition_and_densities([], 100, 3)
+        part = partition_and_densities([], sieve_primes(100), 3)
         assert all(v == 0.0 for v in part.delta_b.values())
         assert part.good == frozenset()
 
     def test_rejects_non_prime(self):
         with pytest.raises(DomainError):
-            partition_and_densities([9], 100, 3)
+            partition_and_densities([9], sieve_primes(100), 3)
+
+    def test_rejects_prime_past_the_table(self):
+        with pytest.raises(DomainError):
+            partition_and_densities([7, 101], sieve_primes(100), 3)
+
+    def test_members_in_any_order_once_each(self):
+        part = partition_and_densities([19, 7, 13, 7, 2], sieve_primes(20), 3)
+        assert part.classes[1][0].tolist() == [7, 13, 19]
+        assert part.residual_a.tolist() == [2]
+        assert part.delta == 4 / 8
 
     @given(st.integers(min_value=20, max_value=1500), st.data())
     def test_counts_reconcile(self, n, data):
         primes = trial_primes(n)
         members = sorted(data.draw(st.sets(st.sampled_from(primes))))
-        part = partition_and_densities(members, n, 3)
+        part = partition_and_densities(members, sieve_primes(n), 3)
         class_a = sum(v[0].size for v in part.classes.values())
         class_p = sum(v[1].size for v in part.classes.values())
         assert class_a + part.residual_a.size == len(members)
@@ -134,32 +152,36 @@ class TestChooseN:
 
 class TestEmbedClass:
     def test_positions_n100(self):
-        part = partition_and_densities(trial_primes(100), 100, 3)
-        ec = embed_class(part, 1, 66)
+        part, table = partition_and_table(trial_primes(100), 100, 3)
+        ec = embed_class(part, 1, table)
+        assert ec.N == 66
         positions = np.flatnonzero(ec.f.values).tolist()
         assert positions == [1, 2, 3, 5, 6, 7, 10, 11, 12, 13, 16]
 
     def test_weight_value(self):
-        part = partition_and_densities(trial_primes(100), 100, 3)
-        ec = embed_class(part, 1, 66)
+        part, table = partition_and_table(trial_primes(100), 100, 3)
+        ec = embed_class(part, 1, table)
+        assert ec.N == 66
         assert abs(ec.nu.values[1] / ec.N - (2.0 / 396.0) * math.log(7)) < 1e-12
 
     def test_zero_on_composite_positions(self):
-        part = partition_and_densities(trial_primes(100), 100, 3)
-        ec = embed_class(part, 1, 66)
+        part, table = partition_and_table(trial_primes(100), 100, 3)
+        ec = embed_class(part, 1, table)
+        assert ec.N == 66
         # position 4 would be 25 = 5*5
         assert ec.nu.values[4] / ec.N == 0.0
 
     def test_zero_mode_is_weight_sum(self):
-        part = partition_and_densities(trial_primes(2000), 2000, 3)
-        ec = embed_class(part, 1, choose_N(2000, 6))
+        part, table = partition_and_table(trial_primes(2000), 2000, 3)
+        ec = embed_class(part, 1, table)
+        assert ec.N == choose_N(2000, 6)
         zero_mode = dft(ec.nu).coeffs[0].real
         assert abs(zero_mode - math.fsum(ec.nu.values / ec.N)) < 1e-9
 
     def test_shared_table_must_reach(self):
-        part = partition_and_densities(trial_primes(100), 100, 3)
+        part = partition_and_densities(trial_primes(100), sieve_primes(100), 3)
         with pytest.raises(DomainError):
-            embed_class(part, 1, 66, sieve_primes(50))
+            embed_class(part, 1, sieve_primes(50))
 
 
 class TestMassCheck:
@@ -174,8 +196,9 @@ class TestMassCheck:
         assert not embedding_mass_check(ec).passed
 
     def test_real_class(self):
-        part = partition_and_densities(trial_primes(2000), 2000, 3)
-        ec = embed_class(part, 1, choose_N(2000, 6))
+        part, table = partition_and_table(trial_primes(2000), 2000, 3)
+        ec = embed_class(part, 1, table)
+        assert ec.N == choose_N(2000, 6)
         check = embedding_mass_check(ec)
         assert check.threshold == 1.0 / 16
         assert check.passed
@@ -249,9 +272,9 @@ class TestPairSumsetReport:
         assert rep["main_fraction"] == 1.0
 
     def test_class_density_transformed_once(self, monkeypatch):
-        part = partition_and_densities(trial_primes(2000), 2000, 3)
-        big_n = choose_N(2000, 6)
-        ec1, ec2 = (embed_class(part, b, big_n) for b in (1, 5))
+        part, table = partition_and_table(trial_primes(2000), 2000, 3)
+        ec1, ec2 = (embed_class(part, b, table) for b in (1, 5))
+        assert ec1.N == ec2.N == choose_N(2000, 6)
         stacks = []
         rfft = np.fft.rfft
 

@@ -212,12 +212,14 @@ class TestGreenDecompose:
         assert np.max(np.abs(d.f2)) < 1e-9
 
     def test_collapsed_bohr_split_is_exact(self):
+        from primesum.ntheory import sieve_primes
         from primesum.prime_embed import choose_N, embed_class, partition_and_densities
 
         from oracles import trial_primes
 
-        part = partition_and_densities(trial_primes(20000), 20000, 3)
-        f = embed_class(part, 1, choose_N(20000, 6)).f
+        table = sieve_primes(6 * choose_N(20000, 6) + 6)
+        part = partition_and_densities(trial_primes(20000), table.upto(20000), 3)
+        f = embed_class(part, 1, table).f
         d = green_decompose(f, 0.02, 0.1)
         assert d.bohr.size == 1
         assert np.array_equal(d.f1.values, f.values)
