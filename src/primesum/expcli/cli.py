@@ -20,7 +20,14 @@ from ..errors import (
     InvariantViolation,
     SizeLimitError,
 )
-from ..ntheory import PrimeTable, factorize, primorial, sieve_primes, unit_indicator
+from ..ntheory import (
+    FactoredModulus,
+    PrimeTable,
+    factorize,
+    primorial,
+    sieve_primes,
+    unit_indicator,
+)
 from ..prime_embed import (
     embed_class,
     embedding_limit,
@@ -37,7 +44,13 @@ from ..zm_sumsets import (
     znstar_certificate,
 )
 from ..zn_spectral import dft, green_decompose
-from .config import ExperimentConfig, RandomSetExperiment, build_subset, parse_rule
+from .config import (
+    ExperimentConfig,
+    RandomSetExperiment,
+    build_subset,
+    check_moment_order,
+    parse_rule,
+)
 from .pipeline import run_pipeline, simulate_random_host
 from .reports import emit_report
 
@@ -138,26 +151,27 @@ def _config(args) -> ExperimentConfig:
     return ExperimentConfig(n=args.n, w=args.W, rule=parse_rule(args.rule), **options)
 
 
-def _partition(cfg: ExperimentConfig, table: PrimeTable):
+def _partition(cfg: ExperimentConfig, table: PrimeTable, mod: FactoredModulus):
     primes = table.upto(cfg.n)
-    return partition_and_densities(build_subset(cfg, primes), primes, cfg.w)
+    return partition_and_densities(build_subset(cfg, primes), primes, cfg.w, mod)
 
 
 def _embedded_class(args):
     """The class of --b, checked first, embedded against one sieve to m N + m."""
     cfg = _config(args)
     cfg.validate()
-    m = primorial(cfg.w).m
+    mod = primorial(cfg.w)
+    m = mod.m
     if not 0 <= args.b < m or math.gcd(args.b, m) != 1:
         raise DomainError(f"{args.b} is not a reduced residue of {m}")
     table = sieve_primes(embedding_limit(cfg.n, m))
-    return embed_class(_partition(cfg, table), args.b, table)
+    return embed_class(_partition(cfg, table, mod), args.b, table)
 
 
 def _cmd_partition(args) -> int:
     cfg = _config(args)
     cfg.validate()
-    part = _partition(cfg, sieve_primes(cfg.n))
+    part = _partition(cfg, sieve_primes(cfg.n), primorial(cfg.w))
     mod = part.modulus
     _print(
         f"n={args.n} W={args.W} m={mod.m} phi={mod.totient} "
@@ -228,6 +242,7 @@ def _cmd_sumset(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    check_moment_order(args.k)
     b = parse_set_spec(args.set_spec, args.m)
     cert = kth_moment(b, args.k, factorize(args.m))
     _print(

@@ -23,10 +23,18 @@ __all__ = [
     "RandomSetExperiment",
     "parse_rule",
     "build_subset",
+    "check_moment_order",
 ]
 
 _MAX_N = 10_000_000
 _MAX_PAIR_WORK = 1_000_000_000
+
+
+def check_moment_order(k: int) -> None:
+    """Reject a moment order outside [2, 32], the range in which the moment
+    comparator's m^k and |B|^k (m <= 2 * 10^7) stay finite floats."""
+    if not 2 <= k <= 32:
+        raise ConfigurationError(f"k must lie in [2, 32], got {k}")
 
 
 @dataclass(frozen=True)
@@ -107,12 +115,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"eps must lie in (0, 1), got {self.eps}")
         if self.eps0 is not None and not 0 < self.eps0 <= 1:
             raise ConfigurationError(f"eps0 must lie in (0, 1], got {self.eps0}")
-        # sigma^6 and m^k (m <= 2n) stay finite floats in the decomposition
-        # level and the moment comparator
+        # sigma^6 stays a finite float in the decomposition level
         if self.sigma is not None and not 0 < self.sigma <= 1e50:
             raise ConfigurationError(f"sigma must lie in (0, 1e50], got {self.sigma}")
-        if self.k is not None and not 2 <= self.k <= 32:
-            raise ConfigurationError(f"k must lie in [2, 32], got {self.k}")
+        if self.k is not None:
+            check_moment_order(self.k)
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.output_format not in ("csv", "json"):

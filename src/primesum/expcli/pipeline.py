@@ -484,12 +484,13 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     ledger = _Ledger()
 
     # one sieve serves the run; the primes up to n are its prefix
-    m = primorial(cfg.w).m
+    mod = primorial(cfg.w)
+    m = mod.m
     big_n = choose_N(cfg.n, m)
     table = sieve_primes(embedding_limit(cfg.n, m))
     primes = table.upto(cfg.n)
     a_arr = build_subset(cfg, primes)
-    part = partition_and_densities(a_arr, primes, cfg.w)
+    part = partition_and_densities(a_arr, primes, cfg.w, mod)
     ledger.require(
         "embedding-window",
         m * big_n,

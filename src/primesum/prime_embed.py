@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .ntheory import FactoredModulus, PrimeTable, primorial, unit_indicator
+from .ntheory import FactoredModulus, PrimeTable, unit_indicator
 from .zn_spectral import (
     Decomposition,
     DensityFunction,
@@ -88,10 +88,12 @@ class EmbeddedClass:
     w: int
 
 
-def partition_and_densities(a_members, table: PrimeTable, w: int) -> ResiduePartition:
+def partition_and_densities(
+    a_members, table: PrimeTable, w: int, mod: FactoredModulus
+) -> ResiduePartition:
     """Split A (a set of primes in the table) along the reduced residues mod
-    the primorial of w, with per-class and global densities; n is the
-    table's limit.
+    ``mod``, the primorial of w, with per-class and global densities; n is
+    the table's limit.
 
     A class with no primes at all gets density 0 by convention.  The good
     set collects classes at least half as dense as A itself.
@@ -105,7 +107,6 @@ def partition_and_densities(a_members, table: PrimeTable, w: int) -> ResiduePart
         raise DomainError(f"members must all be primes <= {table.limit}")
     in_a = np.zeros(primes.size, dtype=bool)
     in_a[at] = True
-    mod = primorial(w)
 
     # the primes dividing m are the primes up to w; every other prime lies
     # in a unit class, and a stable sort by residue keeps each class ascending

@@ -15,7 +15,13 @@ Conventions used throughout:
 * a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
   real, so one ``rfft`` of the stacked densities and split parts serves every
-  pair, and each block of pairs takes one ``irfft`` per convolved piece.
+  pair, and each block of pairs takes one ``irfft`` per convolved piece;
+* densities that vanish past position h, with 2h < N, never wrap when
+  convolved: f*g lives in [0, 2h], so ``convolve_pairs`` takes it as a linear
+  convolution at ``smooth_length(2h + 1)`` when that is shorter than N, which
+  is often prime or has a large prime factor.  The pieces of a split whose
+  Bohr set is larger than {0} stay cyclic at N, because Bohr smoothing
+  spreads f1 and f2 over all of Z_N.
 
 Reductions use numpy's pairwise summation, whose order is fixed for a fixed
 input, so repeated runs on the same data give bit-identical results.
@@ -48,6 +54,7 @@ __all__ = [
     "green_decompose",
     "positive_support",
     "l2sq_from_half_spectrum",
+    "smooth_length",
     "convolve_pairs",
 ]
 
@@ -274,7 +281,8 @@ def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -
 
 
 # Bytes of temporaries one block of pairs may hold while its inverse
-# transforms run; a pair holds about 32 bytes per point of Z_N at a time.
+# transforms run; a pair holds about 32 bytes per point of its transform
+# length at a time.
 PAIR_BLOCK_BYTES = 1 << 20
 
 
@@ -304,6 +312,23 @@ def l2sq_from_half_spectrum(h_half: np.ndarray, n: int) -> np.ndarray:
     return (h_half.real**2 + h_half.imag**2) @ weights / n
 
 
+def smooth_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n (1 for n <= 1): a length whose
+    transforms run fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        three = five
+        while three < best:
+            two = three
+            while two < n:
+                two *= 2
+            best = min(best, two)
+            three *= 3
+        five *= 5
+    return best
+
+
 def _require_close(got: np.ndarray, expected: np.ndarray, message: str) -> None:
     """Raise unless every entry of ``got`` lies within 1e-9 of ``expected``,
     relative to max(1, |got|, |expected|)."""
@@ -324,14 +349,21 @@ def convolve_pairs(
     """Convolve the pieces of many pairs of split densities, block by block.
 
     Row (i, j, s, t) of ``pairs`` pairs f = densities[i], split as
-    splits[s], with g = densities[j], split as splits[t].  The densities and
-    the parts of the splits whose Bohr set is larger than {0} are stacked and
-    take one ``rfft``; each block of pairs then takes one ``irfft`` per piece.
-    A pair whose two Bohr sets are {0} has f1 = f, g1 = g and f2 = g2 = 0, so
-    its one inverse f*g is also f1*g1 and its mixed pieces are exactly 0.  The
-    other pairs of a block take four more: f1*g1 and the three mixed pieces.
-    ``map_blocks`` runs the blocks (a thread pool's ``map`` runs them in
-    parallel); the entries keep the order of ``pairs``.
+    splits[s], with g = densities[j], split as splits[t].  Every pair's f*g
+    comes first.  When all densities vanish past position h and 2h < N, f*g
+    is a linear convolution supported in [0, 2h]: the stacked densities take
+    one ``rfft`` at L = ``smooth_length(2h + 1)`` (N when L >= N), each block
+    of pairs one ``irfft`` at L, and the counts and L1 sums read entries
+    [0, 2h] only, since the others are 0 in exact arithmetic.  A pair whose
+    two Bohr sets are {0} has f1 = f, g1 = g and f2 = g2 = 0, so f*g is also
+    f1*g1 and its mixed pieces are exactly 0.  The other pairs take four more
+    inverses, all cyclic at N: f1*g1 and the three mixed pieces, from one
+    length-N ``rfft`` of the densities and of f1 and f2 of each split whose
+    Bohr set is larger than {0} (Bohr smoothing spreads those over all of
+    Z_N).  A block holds as many pairs as fit the temporaries of its longest
+    transform in ``PAIR_BLOCK_BYTES``.  ``map_blocks`` runs the blocks (a
+    thread pool's ``map`` runs them in parallel); the entries keep the order
+    of ``pairs``.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
@@ -344,9 +376,18 @@ def convolve_pairs(
     exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
     parts = [d for d in splits if d.bohr.size > 1]
     g, k = len(densities), len(parts)
-    # rows: the densities, f1 and f2 of each inexact split, then zeros
-    rows = [h.values for h in densities] + [d.f1.values for d in parts]
-    spec = np.fft.rfft(np.array(rows + [d.f2 for d in parts] + [np.zeros(n)]), axis=-1)
+    # f*g lies in [0, 2 top] and wraps only when 2 top >= N: its entries
+    # [0, span) are those of the length-``short`` transform
+    rows = [h.values for h in densities]
+    top = max((int(np.flatnonzero(v)[-1]) for v in rows if v.any()), default=0)
+    span = min(2 * top + 1, n)
+    short = min(smooth_length(span), n)
+    first_spec = np.fft.rfft(np.array(rows).reshape(g, n), short)
+    # rows at N: the densities, f1 and f2 of each inexact split, then zeros
+    spec = None
+    if k:
+        rows += [d.f1.values for d in parts] + [d.f2 for d in parts] + [np.zeros(n)]
+        spec = np.fft.rfft(np.array(rows), axis=-1)
     mass = np.array([h.l1() for h in densities] + [d.f1.l1() for d in parts])
     mean = np.array([h.mean() for h in densities])
     part_row = np.cumsum(~exact) - 1
@@ -361,17 +402,17 @@ def convolve_pairs(
         error_count=np.zeros((total, 3), dtype=np.int64),
         error_l2sq=np.zeros((total, 3)),
     )
-    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
+    size = max(1, PAIR_BLOCK_BYTES // (32 * (n if k else short)))
 
-    def convolve(a, b):
-        prod = spec[a]
-        prod *= spec[b]
-        return prod, np.fft.irfft(prod, n, axis=-1)
+    def convolve(spectra, length, a, b):
+        prod = spectra[a]
+        prod *= spectra[b]
+        return prod, np.fft.irfft(prod, length, axis=-1)
 
     def run(lo: int) -> None:
         block = slice(lo, lo + size)
         level = sigma * np.minimum(mean[i[block]], mean[j[block]]) * n
-        _, first = convolve(i[block], j[block])
+        first = convolve(first_spec, short, i[block], j[block])[1][:, :span]
         scale = np.maximum(1.0, mass[i[block]] * mass[j[block]] / n)
         out.support[block] = np.count_nonzero(first > 1e-9 * scale[:, None], axis=-1)
         main_l1, main_count = out.main_l1[block], out.main_count[block]
@@ -381,11 +422,11 @@ def convolve_pairs(
         if rest.size:
             a, b, x, y = (col[block][rest] for col in (one_f, one_g, two_f, two_g))
             cut = level[rest, None]
-            _, main = convolve(a, b)
+            _, main = convolve(spec, n, a, b)
             main_l1[rest] = np.sum(np.abs(main), axis=-1)
             main_count[rest] = np.count_nonzero(main > cut, axis=-1)
             for c, (u, v) in enumerate(((a, y), (x, b), (x, y))):
-                prod, conv = convolve(u, v)
+                prod, conv = convolve(spec, n, u, v)
                 l2sq = np.sum(conv * conv, axis=-1)
                 _require_close(
                     l2sq,

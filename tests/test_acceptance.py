@@ -17,7 +17,7 @@ import pytest
 from primesum.expcli.cli import main
 from primesum.expcli.config import ExperimentConfig, parse_rule
 from primesum.expcli.pipeline import run_pipeline
-from primesum.ntheory import factorize, sieve_primes
+from primesum.ntheory import factorize, primorial, sieve_primes
 from primesum.prime_embed import (
     choose_N,
     embed_class,
@@ -260,7 +260,7 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     table = sieve_primes(4_000_020)
 
     primes = table.upto(100_000)
-    part = partition_and_densities(primes.primes, primes, 5)
+    part = partition_and_densities(primes.primes, primes, 5, primorial(5))
     for b in sorted(part.delta_b):
         ec = embed_class(part, b, table)
         assert ec.N == choose_N(100_000, 30)
@@ -271,7 +271,7 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     offpeaks = {}
     for w in (3, 5):
         primes = table.upto(1_000_000)
-        part = partition_and_densities(primes.primes, primes, w)
+        part = partition_and_densities(primes.primes, primes, w, primorial(w))
         for b in sorted(part.delta_b):
             ec = embed_class(part, b, table)
             assert ec.N == choose_N(1_000_000, part.modulus.m)
@@ -306,7 +306,8 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
 
     table = sieve_primes(6 * choose_N(100_000, 6) + 6)
     primes = table.upto(100_000)
-    ec = embed_class(partition_and_densities(primes.primes, primes, 3), 1, table)
+    part = partition_and_densities(primes.primes, primes, 3, primorial(3))
+    ec = embed_class(part, 1, table)
     check_split(ec.f, 0.05, 0.01)
 
     rng = make_rng(10)

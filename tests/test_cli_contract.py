@@ -1,9 +1,11 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
-partition, spectrum, decompose and pipeline exits 0, 2 or 3 with no
+partition, spectrum, decompose, pipeline and moments exits 0, 2 or 3 with no
 traceback, and a rejected request (exit 2) comes back fast.
 
-Accepted runs keep n at most 10^4; a larger n is drawn only together with a
---W or a --b that must be rejected before anything is sieved.
+Accepted runs keep n at most 10^4 and m at most 3000; a larger n is drawn
+only together with a --W or a --b that must be rejected before anything is
+sieved, and a larger m only with a --k that must be rejected before any set
+is built.
 """
 
 import contextlib
@@ -45,6 +47,13 @@ RULES = mostly(
     ),
 )
 K = mostly(st.integers(2, 40), st.integers(max_value=10**12))
+INVALID_K = st.one_of(st.integers(max_value=1), st.integers(33, 10**12))
+SET_SPECS = mostly(
+    st.sampled_from(
+        ["units", "units-random:0.3:1", "random:0.2:5", "list:1,7,13", "units-filter:1:4"]
+    ),
+    st.sampled_from(["units-filter:0:2", "list:1,x", "random:2:1", "no-such-spec"]),
+)
 SEED = mostly(st.integers(0, 9), st.integers(-2, 2**70))
 
 
@@ -62,11 +71,23 @@ def units_and_others(w: int) -> tuple[list[int], list[int]]:
 @st.composite
 def argv(draw) -> list[str]:
     command = draw(
-        st.sampled_from(["sieve", "partition", "spectrum", "decompose", "pipeline"])
+        st.sampled_from(
+            ["sieve", "partition", "spectrum", "decompose", "pipeline", "moments"]
+        )
     )
     if command == "sieve":
         n = draw(mostly(SMALL_N, st.integers(10**7 + 1, 10**15)))
         return ["sieve", "--n", str(n)]
+    if command == "moments":
+        # a large m comes with an invalid --k
+        large = draw(mostly(st.just(False), st.just(True)))
+        m = draw(
+            st.integers(3001, 10**15)
+            if large
+            else mostly(st.integers(1, 3000), st.integers(-10, 0))
+        )
+        k = draw(INVALID_K if large else K)
+        return ["moments", "--m", str(m), "--set-spec", draw(SET_SPECS), "--k", str(k)]
     has_b = command in ("spectrum", "decompose")
     large = draw(mostly(st.just(False), st.just(True)))
     # a large n comes with an invalid --W, or with an invalid --b
@@ -111,3 +132,13 @@ def test_exit_codes_and_fast_rejections(args):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert elapsed < 0.5, (args, elapsed)
+
+
+def test_moments_rejects_an_overflowing_order_before_building_the_set():
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["moments", "--m", "30030", "--set-spec", "units", "--k", "1000"])
+    assert code == 2
+    assert "k must lie in [2, 32]" in err.getvalue()
+    assert time.perf_counter() - start < 0.5

@@ -372,11 +372,12 @@ class TestPipeline:
             sizes.setdefault(b, set()).add(size)
         assert any(len(v) > 1 for v in sizes.values())
 
-        m = primorial(cfg.w).m
+        mod = primorial(cfg.w)
+        m = mod.m
         big_n = choose_N(cfg.n, m)
         table = sieve_primes(m * big_n + m)
         primes = table.upto(cfg.n)
-        part = partition_and_densities(build_subset(cfg, primes), primes, cfg.w)
+        part = partition_and_densities(build_subset(cfg, primes), primes, cfg.w, mod)
         embeds = {b: embed_class(part, b, table) for b in good}
 
         def level(f):

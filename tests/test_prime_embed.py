@@ -47,9 +47,9 @@ def synthetic_partition(delta_b, delta, good, n=1000, w=3):
 def partition_and_table(members, n, w):
     """The partition of members among the primes up to n, and one prime
     table reaching m N + m for its embeddings."""
-    m = primorial(w).m
-    table = sieve_primes(m * choose_N(n, m) + m)
-    return partition_and_densities(members, table.upto(n), w), table
+    mod = primorial(w)
+    table = sieve_primes(mod.m * choose_N(n, mod.m) + mod.m)
+    return partition_and_densities(members, table.upto(n), w, mod), table
 
 
 def synthetic_class(values, b=1, delta_b=1.0, w=5):
@@ -69,33 +69,39 @@ def synthetic_class(values, b=1, delta_b=1.0, w=5):
 
 class TestPartition:
     def test_primes_to_twenty(self):
-        part = partition_and_densities(trial_primes(20), sieve_primes(20), 3)
+        part = partition_and_densities(
+            trial_primes(20), sieve_primes(20), 3, primorial(3)
+        )
         assert part.classes[1][0].tolist() == [7, 13, 19]
         assert part.classes[5][0].tolist() == [5, 11, 17]
         assert part.delta_b == {1: 1.0, 5: 1.0}
         assert part.residual_primes.tolist() == [2, 3]
 
     def test_full_primes_all_dense(self):
-        part = partition_and_densities(trial_primes(500), sieve_primes(500), 5)
+        part = partition_and_densities(
+            trial_primes(500), sieve_primes(500), 5, primorial(5)
+        )
         for b, (a_arr, p_arr) in part.classes.items():
             if p_arr.size:
                 assert part.delta_b[b] == 1.0
 
     def test_empty_subset(self):
-        part = partition_and_densities([], sieve_primes(100), 3)
+        part = partition_and_densities([], sieve_primes(100), 3, primorial(3))
         assert all(v == 0.0 for v in part.delta_b.values())
         assert part.good == frozenset()
 
     def test_rejects_non_prime(self):
         with pytest.raises(DomainError):
-            partition_and_densities([9], sieve_primes(100), 3)
+            partition_and_densities([9], sieve_primes(100), 3, primorial(3))
 
     def test_rejects_prime_past_the_table(self):
         with pytest.raises(DomainError):
-            partition_and_densities([7, 101], sieve_primes(100), 3)
+            partition_and_densities([7, 101], sieve_primes(100), 3, primorial(3))
 
     def test_members_in_any_order_once_each(self):
-        part = partition_and_densities([19, 7, 13, 7, 2], sieve_primes(20), 3)
+        part = partition_and_densities(
+            [19, 7, 13, 7, 2], sieve_primes(20), 3, primorial(3)
+        )
         assert part.classes[1][0].tolist() == [7, 13, 19]
         assert part.residual_a.tolist() == [2]
         assert part.delta == 4 / 8
@@ -104,7 +110,7 @@ class TestPartition:
     def test_counts_reconcile(self, n, data):
         primes = trial_primes(n)
         members = sorted(data.draw(st.sets(st.sampled_from(primes))))
-        part = partition_and_densities(members, sieve_primes(n), 3)
+        part = partition_and_densities(members, sieve_primes(n), 3, primorial(3))
         class_a = sum(v[0].size for v in part.classes.values())
         class_p = sum(v[1].size for v in part.classes.values())
         assert class_a + part.residual_a.size == len(members)
@@ -179,7 +185,9 @@ class TestEmbedClass:
         assert abs(zero_mode - math.fsum(ec.nu.values / ec.N)) < 1e-9
 
     def test_shared_table_must_reach(self):
-        part = partition_and_densities(trial_primes(100), sieve_primes(100), 3)
+        part = partition_and_densities(
+            trial_primes(100), sieve_primes(100), 3, primorial(3)
+        )
         with pytest.raises(DomainError):
             embed_class(part, 1, sieve_primes(50))
 

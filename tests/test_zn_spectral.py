@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from primesum.errors import DomainError, InvariantViolation
 from primesum.zn_spectral import (
+    BohrSet,
+    Decomposition,
     DensityFunction,
     bohr_set,
     constant,
@@ -19,6 +21,7 @@ from primesum.zn_spectral import (
     large_spectrum,
     lp_fourier_norm,
     positive_support,
+    smooth_length,
 )
 
 from oracles import (
@@ -212,13 +215,15 @@ class TestGreenDecompose:
         assert np.max(np.abs(d.f2)) < 1e-9
 
     def test_collapsed_bohr_split_is_exact(self):
-        from primesum.ntheory import sieve_primes
+        from primesum.ntheory import primorial, sieve_primes
         from primesum.prime_embed import choose_N, embed_class, partition_and_densities
 
         from oracles import trial_primes
 
         table = sieve_primes(6 * choose_N(20000, 6) + 6)
-        part = partition_and_densities(trial_primes(20000), table.upto(20000), 3)
+        part = partition_and_densities(
+            trial_primes(20000), table.upto(20000), 3, primorial(3)
+        )
         f = embed_class(part, 1, table).f
         d = green_decompose(f, 0.02, 0.1)
         assert d.bohr.size == 1
@@ -331,6 +336,138 @@ class TestConvolutionProofQuantities:
     def test_no_pairs(self):
         rep = convolve_pairs([], [], [], 0.1)
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
+
+
+def exact_split(f):
+    """The split of f at a Bohr set of {0}: f1 = f, f2 = 0."""
+    bohr = BohrSet(N=f.N, width=1.0, members=np.zeros(1, dtype=np.int64))
+    return Decomposition(f1=f, f2=np.zeros(f.N), bohr=bohr, sigma=0.1)
+
+
+def folded_reference(f, g, sigma):
+    """Support, main count and L1 of the cyclic f*g, folded from the linear
+    ``np.convolve``; exact for integer-valued densities."""
+    n = len(f)
+    full = np.convolve(f, g)
+    conv = np.zeros(n)
+    np.add.at(conv, np.arange(full.size) % n, full)
+    level = sigma * min(f.sum() / n, g.sum() / n) * n
+    return (
+        int(np.count_nonzero(conv > 0.5)),
+        int(np.count_nonzero(conv > level)),
+        float(conv.sum()),
+    )
+
+
+def check_against_fold(values, sigma):
+    """Run every unordered pair of the densities, all split exactly, and
+    compare with ``folded_reference``; the pairs run in the order (0, 0),
+    (0, 1), ..., (1, 1), ..."""
+    fs = [DensityFunction(N=len(v), values=v) for v in values]
+    pairs = [(i, j, i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+    rep = convolve_pairs(fs, [exact_split(f) for f in fs], pairs, sigma)
+    for p, (i, j, _, _) in enumerate(pairs):
+        support, main_count, main_l1 = folded_reference(values[i], values[j], sigma)
+        assert rep.support[p] == support
+        assert rep.main_count[p] == main_count
+        assert rep.main_l1[p] == pytest.approx(main_l1, rel=1e-9)
+    return rep
+
+
+# far from any ratio of small integers, so that no integer-valued convolution
+# lands within rounding of the main threshold
+IRRATIONAL_SIGMAS = st.sampled_from([2**0.5 / 20, 5**0.5 / 10, 3**-0.5])
+
+
+class TestConvolvePairs:
+    """The first piece f*g of ``convolve_pairs`` at the wrap-free length."""
+
+    @given(
+        st.sampled_from([31, 37, 97, 30, 64, 100]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, (n - 1) // 2),
+                st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=4),
+            )
+        ),
+        IRRATIONAL_SIGMAS,
+    )
+    @settings(max_examples=60)
+    def test_short_support_matches_the_folded_convolution(self, drawn, sigma):
+        n, h, rows = drawn
+        values = [np.array(row, dtype=np.float64) for row in rows]
+        for v in values:
+            v[h + 1 :] = 0.0
+        check_against_fold(values, sigma)
+
+    @pytest.mark.parametrize("n", [29, 30])
+    def test_support_past_half_of_zn_wraps_at_n(self, n):
+        rng = np.random.default_rng(n)
+        values = [rng.integers(0, 4, n).astype(np.float64) for _ in range(3)]
+        for v, h in zip(values, (n - 3, n // 2 + 1, 4)):
+            v[h + 1 :] = 0.0
+            v[h] = 1.0
+        check_against_fold(values, 2**0.5 / 20)
+
+    def test_point_mass_at_h_reaches_2h(self):
+        # 2h = 16 is 5-smooth, so a length one short of 2h + 1 would wrap the
+        # point 2h of f*f onto the point 0 and lose one point of the support
+        n, h = 37, 8
+        f = np.zeros(n)
+        f[[0, h]] = 1.0
+        g = np.zeros(n)
+        g[h] = 1.0
+        rep = check_against_fold([f, g], 2**0.5 / 20)
+        assert rep.support.tolist() == [3, 2, 1]
+
+    def test_short_support_with_smoothed_splits(self):
+        # the first piece runs short while f1*g1 and the mixed pieces of the
+        # smoothed splits stay cyclic at N
+        n, h = 128, 40
+        rng = np.random.default_rng(5)
+        fs = []
+        for _ in range(4):
+            v = rng.random(n)
+            v[h + 1 :] = 0.0
+            fs.append(DensityFunction(N=n, values=v))
+        v = np.zeros(n)
+        v[h] = float(n)
+        fs.append(DensityFunction(N=n, values=v))
+        ds = [green_decompose(f, 0.1, 0.05) for f in fs]
+        assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
+        pairs = [(i, j, i, j) for i in range(5) for j in range(i, 5)]
+        rep = convolve_pairs(fs, ds, pairs, 0.05)
+        for p, (i, j, _, _) in enumerate(pairs):
+            f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
+            want = pair_pieces_oracle(
+                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
+            )
+            assert rep.support[p] == positive_support(f, g, 0.0)
+            assert rep.main_count[p] == want["main_count"]
+            assert rep.main_l1[p] == pytest.approx(want["main_l1"], rel=1e-9)
+            for c, key in enumerate(("12", "21", "22")):
+                assert rep.error_count[p, c] == want[f"err{key}_count"]
+                assert rep.error_l2sq[p, c] == pytest.approx(
+                    want[f"err{key}_l2sq"], rel=1e-9, abs=1e-12
+                )
+
+
+class TestSmoothLength:
+    def test_matches_brute_force(self):
+        def smallest_smooth(n):
+            m = max(n, 1)
+            while True:
+                rest = m
+                for p in (2, 3, 5):
+                    while rest % p == 0:
+                        rest //= p
+                if rest == 1:
+                    return m
+                m += 1
+
+        for n in range(5001):
+            assert smooth_length(n) == smallest_smooth(n), n
 
 
 class TestHalfSpectrumParseval:
