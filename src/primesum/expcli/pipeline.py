@@ -23,12 +23,12 @@ from ..prime_embed import (
     ResiduePartition,
     aggregate_delta,
     choose_N,
-    embed_class,
+    embed_classes,
     embedding_limit,
     embedding_mass_check,
     pair_sumset_columns,
     partition_and_densities,
-    pseudorandom_deficit,
+    pseudorandom_deficits,
 )
 from ..zm_sumsets import (
     SubsetOfZm,
@@ -198,11 +198,11 @@ def _class_rows(
 ) -> tuple[dict[int, EmbeddedClass], list[dict]]:
     """Embed every unit class against the run's prime table; returns the
     embeddings by class and one row per class."""
-    embeds = {b: embed_class(part, b, table) for b in part.units}
+    embeds = embed_classes(part, table)
     per_class: list[dict] = []
-    for b, ec in embeds.items():
+    deficits = pseudorandom_deficits(list(embeds.values()))
+    for (b, ec), deficit in zip(embeds.items(), deficits):
         mass = embedding_mass_check(ec)
-        deficit = pseudorandom_deficit(ec)
         per_class.append(
             {
                 "b": b,

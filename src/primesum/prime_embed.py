@@ -21,11 +21,12 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, unit_indicator
 from .zn_spectral import (
+    PAIR_BLOCK_BYTES,
     Decomposition,
     DensityFunction,
     convolve_pairs,
-    dft,
     green_decompose,
+    stacked_densities,
 )
 
 __all__ = [
@@ -39,8 +40,10 @@ __all__ = [
     "choose_N",
     "embedding_limit",
     "embed_class",
+    "embed_classes",
     "embedding_mass_check",
     "pseudorandom_deficit",
+    "pseudorandom_deficits",
     "class_decomposition",
     "pair_sumset_columns",
     "aggregate_delta",
@@ -88,6 +91,16 @@ class EmbeddedClass:
     w: int
 
 
+def _by_residue(values: np.ndarray, m: int, residues: np.ndarray) -> list[np.ndarray]:
+    """For each of the ascending ``residues``, the indices of the ``values``
+    congruent to it mod m, from one stable sort by residue, so each class
+    keeps the order of ``values``."""
+    res = values % m
+    order = np.argsort(res, kind="stable")
+    starts, ends = np.searchsorted(res[order], [residues, residues + 1]).tolist()
+    return [order[start:end] for start, end in zip(starts, ends)]
+
+
 def partition_and_densities(
     a_members, table: PrimeTable, w: int, mod: FactoredModulus
 ) -> ResiduePartition:
@@ -109,15 +122,11 @@ def partition_and_densities(
     in_a[at] = True
 
     # the primes dividing m are the primes up to w; every other prime lies
-    # in a unit class, and a stable sort by residue keeps each class ascending
+    # in a unit class
     n_residual = int(np.searchsorted(primes, w, side="right"))
     units = np.flatnonzero(unit_indicator(mod))
-    res = primes % mod.m
-    order = np.argsort(res, kind="stable")
-    starts, ends = np.searchsorted(res[order], [units, units + 1]).tolist()
     classes = {}
-    for b, start, end in zip(units.tolist(), starts, ends):
-        in_class = order[start:end]
+    for b, in_class in zip(units.tolist(), _by_residue(primes, mod.m, units)):
         classes[b] = (primes[in_class[in_a[in_class]]], primes[in_class])
 
     covered = sum(p_arr.size for _, p_arr in classes.values()) + n_residual
@@ -174,6 +183,48 @@ def embedding_limit(n: int, m: int) -> int:
     return m * choose_N(n, m) + m
 
 
+def _window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
+    """The table's primes in [lo, hi]; the table must reach hi."""
+    if table.limit < hi:
+        raise DomainError(f"prime table reaches {table.limit}, need {hi}")
+    primes = table.primes
+    return primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
+
+
+def _embed_rows(
+    part: ResiduePartition,
+    b: int,
+    in_class: np.ndarray,
+    nu_row: np.ndarray,
+    f_row: np.ndarray,
+) -> None:
+    """Write the class of b's weight and its restriction to A into the zeroed
+    length-N rows ``nu_row`` and ``f_row``; ``in_class`` holds the primes
+    m x + b, x in [1, N], in ascending order."""
+    m = part.modulus.m
+    phi = part.modulus.totient
+    big_n = nu_row.size
+    xs = (in_class - b) // m
+    positions = np.where(xs == big_n, 0, xs)
+    lam = (phi / (m * big_n)) * np.log(in_class.astype(np.float64))
+    nu_row[positions] = big_n * lam
+
+    a_class = part.classes[b][0]
+    a_eligible = a_class[a_class >= m + b]
+    a_xs = (a_eligible - b) // m
+    if a_xs.size and int(a_xs.max()) > big_n:
+        raise InvariantViolation("subset member escaped the embedding window")
+    a_positions = np.where(a_xs == big_n, 0, a_xs)
+    f_row[a_positions] = nu_row[a_positions]
+
+
+def _embedded(
+    part: ResiduePartition, b: int, nu_row: np.ndarray, f: DensityFunction
+) -> EmbeddedClass:
+    nu = DensityFunction(N=f.N, values=nu_row)
+    return EmbeddedClass(b=b, N=f.N, nu=nu, f=f, delta_b=part.delta_b[b], w=part.w)
+
+
 def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedClass:
     """Map the class of b into Z_N, N = choose_N(n, m), with its log weight.
 
@@ -183,41 +234,38 @@ def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedCl
     if b not in part.classes:
         raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
     m = part.modulus.m
-    phi = part.modulus.totient
     big_n = choose_N(part.n, m)
-    hi = m * big_n + b
-    if table.limit < hi:
-        raise DomainError(f"prime table reaches {table.limit}, need {hi}")
+    in_class = _window(table, m + b, m * big_n + b)
+    nu_vals, f_vals = np.zeros(big_n), np.zeros(big_n)
+    _embed_rows(part, b, in_class[in_class % m == b], nu_vals, f_vals)
+    return _embedded(part, b, nu_vals, DensityFunction(N=big_n, values=f_vals))
 
-    primes = table.primes
-    lo_idx = int(np.searchsorted(primes, m + b))
-    hi_idx = int(np.searchsorted(primes, hi, side="right"))
-    in_class = primes[lo_idx:hi_idx]
-    in_class = in_class[in_class % m == b]
-    xs = (in_class - b) // m
-    positions = np.where(xs == big_n, 0, xs)
 
-    lam_vals = np.zeros(big_n, dtype=np.float64)
-    lam_vals[positions] = (phi / (m * big_n)) * np.log(in_class.astype(np.float64))
-    nu_vals = big_n * lam_vals
+def embed_classes(
+    part: ResiduePartition, table: PrimeTable
+) -> dict[int, EmbeddedClass]:
+    """Every unit class embedded as ``embed_class`` embeds it, by class.
 
-    a_class = part.classes[b][0]
-    a_eligible = a_class[a_class >= m + b]
-    a_xs = (a_eligible - b) // m
-    if a_xs.size and int(a_xs.max()) > big_n:
-        raise InvariantViolation("subset member escaped the embedding window")
-    a_positions = np.where(a_xs == big_n, 0, a_xs)
-    f_vals = np.zeros(big_n, dtype=np.float64)
-    f_vals[a_positions] = nu_vals[a_positions]
-
-    return EmbeddedClass(
-        b=b,
-        N=big_n,
-        nu=DensityFunction(N=big_n, values=nu_vals),
-        f=DensityFunction(N=big_n, values=f_vals),
-        delta_b=part.delta_b[b],
-        w=part.w,
-    )
+    The primes m x + b, x in [1, N], of all classes are the table's primes in
+    [m, m N + m), split once by a stable sort by residue.  The weights and
+    densities are written into the rows of two (phi(m), N) arrays, each class
+    holds views of its rows, and every f holds its row of one stacked
+    transform.
+    """
+    m = part.modulus.m
+    big_n = choose_N(part.n, m)
+    units = np.array(part.units, dtype=np.int64)
+    window = _window(table, m, m * big_n + int(units[-1]))
+    nu = np.zeros((units.size, big_n))
+    f = np.zeros((units.size, big_n))
+    for row, (b, in_class) in enumerate(
+        zip(units.tolist(), _by_residue(window, m, units))
+    ):
+        _embed_rows(part, b, window[in_class], nu[row], f[row])
+    return {
+        b: _embedded(part, b, nu_row, f_b)
+        for b, nu_row, f_b in zip(units.tolist(), nu, stacked_densities(f))
+    }
 
 
 @dataclass(frozen=True)
@@ -252,17 +300,42 @@ class PseudorandomDeficit:
 
 
 def pseudorandom_deficit(ec: EmbeddedClass) -> PseudorandomDeficit:
-    coeffs = dft(ec.nu).coeffs
-    zero_err = float(abs(coeffs[0] - 1.0))
-    offpeak = float(np.max(np.abs(coeffs[1:]))) if ec.N > 1 else 0.0
-    w = ec.w
-    reference = 2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
-    return PseudorandomDeficit(
-        b=ec.b,
-        zero_mode_error=zero_err,
-        offpeak_sup=offpeak,
-        reference_bound=reference,
-    )
+    return pseudorandom_deficits([ec])[0]
+
+
+def pseudorandom_deficits(
+    classes: Sequence[EmbeddedClass],
+) -> list[PseudorandomDeficit]:
+    """The deficit of each class, all of one length N, from the normalized
+    transform of its weight ``nu``.
+
+    The weights are transformed in stacked blocks of at most
+    ``PAIR_BLOCK_BYTES`` of temporaries (about 32 bytes per point), and each
+    block is dropped once read: no weight transform is kept.
+    """
+    lengths = sorted({ec.N for ec in classes})
+    if len(lengths) > 1:
+        raise DomainError(f"mismatched embedding lengths {lengths}")
+    n = lengths[0] if lengths else 1
+    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
+    out = []
+    for lo in range(0, len(classes), size):
+        block = classes[lo : lo + size]
+        coeffs = np.fft.fft(np.array([ec.nu.values for ec in block]), axis=-1)
+        coeffs /= n
+        for ec, row in zip(block, coeffs):
+            w = ec.w
+            out.append(
+                PseudorandomDeficit(
+                    b=ec.b,
+                    zero_mode_error=float(abs(row[0] - 1.0)),
+                    offpeak_sup=float(np.max(np.abs(row[1:]))) if n > 1 else 0.0,
+                    reference_bound=(
+                        2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
+                    ),
+                )
+            )
+    return out
 
 
 def class_decomposition(ec: EmbeddedClass, eps0: float, sigma: float) -> Decomposition:

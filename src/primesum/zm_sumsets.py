@@ -861,16 +861,20 @@ def extremal_construct(s: int, t: int) -> ExtremalConstruction:
     """Build the frozen/nonzero residue family via explicit reconstruction."""
     if not 1 <= t < s:
         raise DomainError(f"need 1 <= t < s, got t={t}, s={s}")
+    # the sieve stops growing once its primes multiply past the cap, so a
+    # large s is rejected without sieving up to its s-th prime
     limit = 8
     while True:
         primes = [int(p) for p in sieve_primes(limit).primes]
-        if len(primes) >= s:
+        if len(primes) >= s or math.prod(primes) > 100_000_000:
             break
         limit *= 2
     primes = primes[:s]
     m = math.prod(primes)
-    if m > 100_000_000:
-        raise RangeOverflowError(f"modulus {m} too large to materialize")
+    if len(primes) < s or m > 100_000_000:
+        raise RangeOverflowError(
+            f"the modulus of the first {s} primes is too large to materialize"
+        )
     expected_card = math.prod(p - 1 for p in primes[t:])
     if expected_card > 10_000_000:
         raise SizeLimitError(f"{expected_card} members exceed the enumeration limit")

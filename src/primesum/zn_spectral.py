@@ -11,7 +11,10 @@ Conventions used throughout:
   and composite N alike;
 * a density holds its own unnormalized transform ``np.fft.fft(values)``,
   computed on first use (its values are read-only), and every transform-side
-  operation reads it, so each density is transformed at most once;
+  operation reads it, so each density is transformed at most once; the
+  densities of ``stacked_densities`` are the rows of one array and take their
+  transforms from one stacked ``fft`` along the rows, which gives each row
+  the same bits as its own ``fft``;
 * a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
   real, so one ``rfft`` of the stacked densities and split parts serves every
@@ -45,6 +48,7 @@ __all__ = [
     "PairConvolutions",
     "indicator",
     "constant",
+    "stacked_densities",
     "dft",
     "inverse_dft",
     "convolve",
@@ -162,6 +166,22 @@ def constant(N: int, value: float) -> DensityFunction:
     return DensityFunction(N=N, values=np.full(N, float(value)))
 
 
+def stacked_densities(rows: np.ndarray) -> list[DensityFunction]:
+    """One density on each row of the 2-D array ``rows``, holding a view of
+    the row, not a copy, and its row of one stacked ``fft`` as its transform.
+    """
+    # transformed in place: a real input would take a complex copy of the
+    # whole stack beside the result
+    coeffs = rows.astype(np.complex128)
+    np.fft.fft(coeffs, axis=-1, out=coeffs)
+    coeffs.setflags(write=False)
+    densities = [DensityFunction(N=rows.shape[-1], values=row) for row in rows]
+    for f, transform in zip(densities, coeffs):
+        # where ``cached_property`` keeps a computed transform
+        f.__dict__["transform"] = transform
+    return densities
+
+
 def dft(f: DensityFunction) -> Spectrum:
     """Normalized transform: coeffs[xi] = (1/N) sum_x f(x) e(-x xi / N)."""
     return Spectrum(N=f.N, coeffs=f.transform / f.N)
@@ -209,18 +229,31 @@ def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
 def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
     """Members x of Z_N with |e(-x xi / N) - 1| <= eps0 for every frequency.
 
-    ``frequencies`` is any iterable of ints, such as the array returned by
-    ``large_spectrum``.  0 is always a member, so the set is never empty; once
-    membership has collapsed to {0} no further frequency can change it.
+    ``frequencies`` is any iterable of ints; they are reduced mod N and
+    visited once each, in ascending order.  An ascending integer array of
+    distinct frequencies in [0, N), such as ``large_spectrum`` returns, is
+    visited as it is.  0 is always a member, so the set is never empty; once
+    membership has collapsed to {0} no further frequency can change it, and
+    the rest are never read.
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     if not (0 < eps0 <= 1):
         raise DomainError(f"width must lie in (0, 1], got {eps0}")
-    freqs = np.unique(np.fromiter(frequencies, dtype=np.int64) % N)
+    freqs = frequencies
+    if not (
+        isinstance(freqs, np.ndarray)
+        and freqs.ndim == 1
+        and freqs.dtype.kind in "iu"
+        and (
+            freqs.size == 0
+            or (freqs[0] >= 0 and freqs[-1] < N and np.all(freqs[1:] > freqs[:-1]))
+        )
+    ):
+        freqs = np.unique(np.fromiter(frequencies, dtype=np.int64) % N)
     x = np.arange(N)
     mask = np.ones(N, dtype=bool)
-    for xi in freqs.tolist():
+    for xi in map(int, freqs):
         mask &= np.abs(np.exp((-2j * np.pi * xi / N) * x) - 1.0) <= eps0
         if np.count_nonzero(mask) == 1:
             break

@@ -1,11 +1,13 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
-partition, spectrum, decompose, pipeline and moments exits 0, 2 or 3 with no
-traceback, and a rejected request (exit 2) comes back fast.
+partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound,
+extremal and simulate-random exits 0, 2 or 3 with no traceback, and a
+rejected request (exit 2) comes back fast.
 
-Accepted runs keep n at most 10^4 and m at most 3000; a larger n is drawn
-only together with a --W or a --b that must be rejected before anything is
-sieved, and a larger m only with a --k that must be rejected before any set
-is built.
+Accepted runs keep n at most 10^4, m and the random host's N at most 3000,
+at most 5 random trials and at most 7 primes in the extremal modulus; a
+larger n is drawn only together with a --W or a --b that must be rejected
+before anything is sieved, and a larger m only with a --k that must be
+rejected before any set is built, or past the cap on m.
 """
 
 import contextlib
@@ -55,6 +57,21 @@ SET_SPECS = mostly(
     st.sampled_from(["units-filter:0:2", "list:1,x", "random:2:1", "no-such-spec"]),
 )
 SEED = mostly(st.integers(0, 9), st.integers(-2, 2**70))
+# invalid values are not positive or lie past a cap: 10^7 on m, 10^6 on the
+# random host's N, 10^4 on the trials; the first 9 primes multiply past the
+# extremal modulus cap of 10^8
+
+
+def small_or_invalid(top: int, cap: int):
+    return mostly(
+        st.integers(1, top), st.integers(-10, 0) | st.integers(cap + 1, 10**15)
+    )
+
+
+SET_M = small_or_invalid(3000, 10**7)
+HOST_N = small_or_invalid(3000, 10**6)
+TRIALS = small_or_invalid(5, 10**4)
+EXTREMAL_S = small_or_invalid(7, 8)
 
 
 def primorial_of(w: int) -> int:
@@ -72,7 +89,18 @@ def units_and_others(w: int) -> tuple[list[int], list[int]]:
 def argv(draw) -> list[str]:
     command = draw(
         st.sampled_from(
-            ["sieve", "partition", "spectrum", "decompose", "pipeline", "moments"]
+            [
+                "sieve",
+                "partition",
+                "spectrum",
+                "decompose",
+                "pipeline",
+                "moments",
+                "sumset",
+                "znstar-bound",
+                "extremal",
+                "simulate-random",
+            ]
         )
     )
     if command == "sieve":
@@ -88,6 +116,25 @@ def argv(draw) -> list[str]:
         )
         k = draw(INVALID_K if large else K)
         return ["moments", "--m", str(m), "--set-spec", draw(SET_SPECS), "--k", str(k)]
+    if command in ("sumset", "znstar-bound"):
+        return [command, "--m", str(draw(SET_M)), "--set-spec", draw(SET_SPECS)]
+    if command == "extremal":
+        t = draw(st.integers(-3, 9))
+        return ["extremal", "--s", str(draw(EXTREMAL_S)), "--t", str(t)]
+    if command == "simulate-random":
+        out = ["simulate-random", "--N", str(draw(HOST_N))]
+        out += ["--trials", str(draw(TRIALS))]
+        for flag, values in (("--p", UNIT_FLOATS), ("--alpha", UNIT_FLOATS)):
+            out += [flag, repr(draw(values))]
+        for flag, values in (
+            ("--seed", SEED),
+            ("--theta", FLOATS),
+            ("--beta", FLOATS),
+        ):
+            if draw(st.booleans()):
+                out += [flag, repr(draw(values))]
+        formats = mostly(st.sampled_from(["json", "csv"]), st.just("xml"))
+        return out + ["--format", draw(formats)]
     has_b = command in ("spectrum", "decompose")
     large = draw(mostly(st.just(False), st.just(True)))
     # a large n comes with an invalid --W, or with an invalid --b
@@ -142,3 +189,15 @@ def test_moments_rejects_an_overflowing_order_before_building_the_set():
     assert code == 2
     assert "k must lie in [2, 32]" in err.getvalue()
     assert time.perf_counter() - start < 0.5
+
+
+def test_extremal_rejects_a_large_s_before_sieving_its_primes():
+    # the first 1230 primes multiply past the 4300 digits ``str`` prints
+    for s in ("1230", "10000000000"):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["extremal", "--s", s, "--t", "1"])
+        assert code == 2, err.getvalue()
+        assert "too large to materialize" in err.getvalue()
+        assert time.perf_counter() - start < 0.5

@@ -312,6 +312,40 @@ class TestPipeline:
         assert [x for x in limits if x > 5] == [30 * choose_N(3000, 30) + 30]
         assert len(limits) <= 3
 
+    def test_class_transforms_stacked(self, monkeypatch):
+        # one stacked transform serves every class density f, the weights nu
+        # go through stacked blocks that nothing keeps, and no class is
+        # transformed on its own
+        import primesum.expcli.pipeline as pl
+        import primesum.prime_embed as pe
+
+        cfg = small_config(
+            n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
+        )
+        expected = run_pipeline(cfg).per_class
+        big_n, phi = pe.choose_N(cfg.n, 210), 48
+        shapes, embedded = [], []
+        fft, embed_classes = np.fft.fft, pl.embed_classes
+
+        def counting_fft(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        def keeping(*args):
+            embedded.append(embed_classes(*args))
+            return embedded[-1]
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(pl, "embed_classes", keeping)
+        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
+        report = run_pipeline(cfg)
+        assert report.pair_reports.size and report.per_class == expected
+        assert shapes == [(phi, big_n), (20, big_n), (20, big_n), (8, big_n)]
+        (classes,) = embedded
+        for ec in classes.values():
+            assert "transform" in ec.f.__dict__
+            assert "transform" not in ec.nu.__dict__
+
     @staticmethod
     def count_decompositions(monkeypatch) -> list:
         import primesum.prime_embed as pe

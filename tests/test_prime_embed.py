@@ -14,11 +14,13 @@ from primesum.prime_embed import (
     choose_N,
     class_decomposition,
     embed_class,
+    embed_classes,
     embedding_mass_check,
     good_set,
     pair_sumset_columns,
     partition_and_densities,
     pseudorandom_deficit,
+    pseudorandom_deficits,
 )
 from primesum.zn_spectral import constant, dft
 
@@ -190,6 +192,37 @@ class TestEmbedClass:
         )
         with pytest.raises(DomainError):
             embed_class(part, 1, sieve_primes(50))
+        with pytest.raises(DomainError):
+            embed_classes(part, sieve_primes(50))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestEmbedClasses:
+    def test_batch_matches_the_one_class_route(self):
+        # at n = 2000, W = 7 (N = 38) the primes 210 N + b of 21 classes sit
+        # at position N, which wraps to 0
+        part, table = partition_and_table(trial_primes(2000)[::2], 2000, 7)
+        batch = embed_classes(part, table)
+        assert list(batch) == part.units
+        assert sum(ec.nu.values[0] > 0 for ec in batch.values()) == 21
+        for b, ec in batch.items():
+            one = embed_class(part, b, table)
+            assert (ec.b, ec.N, ec.delta_b, ec.w) == (b, one.N, one.delta_b, one.w)
+            assert same_bits(ec.nu.values, one.nu.values)
+            assert same_bits(ec.f.values, one.f.values)
+            assert same_bits(ec.f.transform, np.fft.fft(ec.f.values))
+            assert not ec.f.transform.flags.writeable
+
+    def test_classes_hold_rows_of_two_arrays(self):
+        part, table = partition_and_table(trial_primes(2000), 2000, 5)
+        batch = list(embed_classes(part, table).values())
+        for field in ("f", "nu"):
+            rows = [getattr(ec, field).values for ec in batch]
+            assert all(row.base is rows[0].base for row in rows)
+            assert rows[0].base.shape == (len(batch), batch[0].N)
 
 
 class TestMassCheck:
@@ -227,6 +260,30 @@ class TestPseudorandomDeficit:
         ec = synthetic_class(np.ones(32), w=5)
         d = pseudorandom_deficit(ec)
         assert abs(d.reference_bound - 2 * math.log(math.log(5)) / 5) < 1e-12
+
+    def test_blocks_match_one_class_transforms(self, monkeypatch):
+        import primesum.prime_embed as pe
+
+        part, table = partition_and_table(trial_primes(2000), 2000, 7)
+        classes = list(embed_classes(part, table).values())
+        expected = []
+        for ec in classes:
+            coeffs = np.fft.fft(ec.nu.values) / ec.N
+            expected.append(
+                (float(abs(coeffs[0] - 1.0)), float(np.max(np.abs(coeffs[1:]))))
+            )
+        # five rows per block: the last block is short
+        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 5 * 32 * classes[0].N)
+        got = pseudorandom_deficits(classes)
+        assert [d.b for d in got] == [ec.b for ec in classes]
+        assert [(d.zero_mode_error, d.offpeak_sup) for d in got] == expected
+        assert all("transform" not in ec.nu.__dict__ for ec in classes)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(DomainError):
+            pseudorandom_deficits(
+                [synthetic_class(np.ones(32)), synthetic_class(np.ones(64))]
+            )
 
 
 def pair_report(ec1, ec2, eps, eps0, sigma):

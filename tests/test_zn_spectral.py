@@ -168,6 +168,46 @@ class TestBohrSet:
         assert 0 in b.members
         assert b.size >= 1
 
+    @pytest.mark.parametrize(
+        "ascending, unsorted, width, visits, members",
+        [
+            # {0, 10, 20} keeps the multiples of 3 at width 0.5
+            (
+                [0, 10, 20],
+                [20, 40, -20, 10 + 30 * 2**50, 0, 10, -30],
+                0.5,
+                3,
+                range(0, 30, 3),
+            ),
+            # at width 0.1 frequency 1 collapses the set to {0}, and the rest
+            # go unread
+            (list(range(30)), [29, 59, -1, 1, 1, 31, 0, 0, 30], 0.1, 2, [0]),
+        ],
+    )
+    def test_input_forms_visit_the_same_frequencies(
+        self, monkeypatch, ascending, unsorted, width, visits, members
+    ):
+        # the large spectrum's ascending array is visited as it is; any other
+        # input is reduced mod N and deduplicated, then visited in ascending
+        # order until the set collapses
+        exp, calls = np.exp, []
+
+        def counting_exp(z):
+            calls.append(z)
+            return exp(z)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        forms = [
+            np.array(ascending),
+            ascending,
+            (xi for xi in ascending),
+            np.array(unsorted),
+        ]
+        for form in forms:
+            calls.clear()
+            assert bohr_set(30, form, width).members.tolist() == list(members)
+            assert len(calls) == visits
+
     @given(
         st.integers(min_value=2, max_value=40),
         st.sets(st.integers(min_value=0, max_value=39), max_size=4),
