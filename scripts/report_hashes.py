@@ -30,7 +30,8 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 
 # the benchmark's two workloads, then pipeline runs that cover the other
 # branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
-# subset (no good classes), an explicit k, a thinned subset, a W=11 run whose
+# subset (no good classes), an explicit k, a thinned subset, a sparse thinned
+# subset whose exact integer sumset is counted pair by pair, a W=11 run whose
 # 115,440 pairs convolve at a short length below the non-smooth N, levels where
 # the Bohr sets are nontrivial, and a run whose per-class table holds a NaN
 # cell (rendered as null); then the Z_m commands: a sumset small enough to be
@@ -58,6 +59,8 @@ CASES = [
     ("pipeline-k4", "pipeline --n 100000 --W 5 --k 4"),
     ("pipeline-thin",
      "pipeline --n 200000 --W 5 --rule random-thinning --delta 0.3 --seed 4"),
+    ("pipeline-sparse-sumset",
+     "pipeline --n 30000 --W 3 --rule random-thinning --delta 0.05"),
     ("pipeline-w11", "pipeline --n 200000 --W 11"),
     ("split-n3000",
      "pipeline --n 3000 --W 5 --eps0 1.0 --sigma 8 --rule random-thinning --delta 0.5"),

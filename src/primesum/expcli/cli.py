@@ -190,6 +190,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.top < 0:
+        raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
     ec = _embedded_class(args)
     deficit = pseudorandom_deficit(ec)
     mass = embedding_mass_check(ec)

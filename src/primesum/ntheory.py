@@ -1,9 +1,9 @@
 """Exact prime and multiplicative arithmetic.
 
-Sieves, primorials, factorizations, totients, gcd tables, unit indicators
-and threshold splits of squarefree moduli.  Everything here is deterministic and exact;
-no probabilistic primality tests are used anywhere.  Python integers are
-arbitrary precision, so products such as primorials never wrap around.
+Sieves, primorials, factorizations, totients, gcd tables and unit
+indicators.  Everything here is deterministic and exact; no probabilistic
+primality tests are used anywhere.  Python integers are arbitrary
+precision, so products such as primorials never wrap around.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "factorize",
     "gcd_table",
     "unit_indicator",
-    "split_by_threshold",
 ]
 
 
@@ -158,19 +157,3 @@ def unit_indicator(mod: FactoredModulus) -> np.ndarray:
         units[::p] = False
     return units
 
-
-def split_by_threshold(
-    mod: FactoredModulus, t: int
-) -> tuple[FactoredModulus, FactoredModulus]:
-    """Split a squarefree modulus into (product of p <= t, product of p > t).
-
-    The two parts are coprime and multiply back to the original modulus; an
-    empty side is returned as the modulus 1 with an empty factorization.
-    """
-    if not mod.squarefree:
-        raise DomainError(f"threshold split needs a squarefree modulus, got {mod.m}")
-    if t < 1:
-        raise DomainError(f"threshold must be a positive integer, got {t}")
-    small = tuple((p, 1) for p, _ in mod.primes if p <= t)
-    large = tuple((p, 1) for p, _ in mod.primes if p > t)
-    return _modulus_from_pairs(small), _modulus_from_pairs(large)

@@ -36,7 +36,6 @@ __all__ = [
     "PseudorandomDeficit",
     "DeltaAggregate",
     "partition_and_densities",
-    "good_set",
     "choose_N",
     "embedding_limit",
     "embed_class",
@@ -155,13 +154,6 @@ def partition_and_densities(
         residual_primes=primes[:n_residual].copy(),
         residual_a=primes[:n_residual][in_a[:n_residual]],
     )
-
-
-def good_set(part: ResiduePartition, threshold: float) -> frozenset[int]:
-    """Classes whose density reaches ``threshold`` (0 keeps every class)."""
-    if not 0 <= threshold <= 1:
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
-    return frozenset(b for b in part.classes if part.delta_b[b] >= threshold)
 
 
 def choose_N(n: int, m: int) -> int:

@@ -3,12 +3,12 @@ moment-method lower-bound certificates over unit groups.
 
 Counting is exact throughout: representation numbers come from integer
 convolutions, moments are accumulated as Python integers, and collision
-fractions are exact rationals.  A cyclic convolution of two sets counts
-their pairwise sums by ``np.bincount`` (the sparse route) while the pairs
-number at most the butterflies of the real FFT it replaces, and takes that
+fractions are exact rationals.  Cyclic and integer sumsets alike count
+pairwise sums through one rule: ``np.bincount`` (the sparse route) while the
+pairs number at most the butterflies of the real FFT it replaces, and that
 float FFT beyond; the FFT result must pass a distance-to-integer certificate
-before rounding.  Kernels over all of Z_m read the modulus's prime structure: one
-strided gcd table for the unit group and the gcd layers, and a Moebius
+before rounding.  Kernels over all of Z_m read the modulus's prime structure:
+one strided gcd table for the unit group and the gcd layers, and a Moebius
 count factored one prime at a time.
 """
 
@@ -167,17 +167,9 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _fold_cyclic(linear: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(m, dtype=np.int64)
-    for start in range(0, linear.size, m):
-        seg = linear[start : start + m]
-        out[: seg.size] += seg
-    return out
-
-
-def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact cyclic convolution of two 0/1 indicators of one length m: the
-    count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
+def _pair_sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact linear convolution of two nonempty 0/1 indicators: entry x
+    counts the pairs (y, z) with a[y] = b[z] = 1 and y + z = x.
 
     While the pairs number at most (nfft/2) log2(nfft/2), the butterflies of
     the complex transform of half length that a real FFT of the padded
@@ -186,26 +178,40 @@ def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Beyond that the certified FFT convolves the indicators.  ``b is a``
     marks a self-convolution.
     """
-    m = int(a.size)
-    nfft = _padded_length(2 * m - 1)
+    n = int(a.size) + int(b.size) - 1
+    nfft = _padded_length(n)
     half = nfft // 2
     card_a = int(np.count_nonzero(a))
     card_b = card_a if b is a else int(np.count_nonzero(b))
     if card_a * card_b > half * (half.bit_length() - 1):
-        return _fold_cyclic(_convolve_int_exact(a, b), m)
+        return _convolve_int_exact(a, b)
     x = np.flatnonzero(a)
     small, big = sorted((x, x if b is a else np.flatnonzero(b)), key=len)
     rows = nfft // max(1, big.size)
 
     def chunk_counts(i: int) -> np.ndarray:
-        return np.bincount((small[i : i + rows, None] + big).ravel(), minlength=2 * m)
+        return np.bincount((small[i : i + rows, None] + big).ravel(), minlength=n)
 
     # the first chunk's counts are the accumulator: a fresh zeroed array of
-    # 2m counts would cost more than one chunk of a small set
+    # n counts would cost more than one chunk of a small set
     counts = chunk_counts(0)
     for i in range(rows, small.size, rows):
         counts += chunk_counts(i)
-    return counts[:m] + counts[m:]
+    return counts
+
+
+def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact cyclic convolution of two 0/1 indicators of one length m: the
+    count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
+
+    The linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so
+    no view keeps the linear buffer alive.
+    """
+    m = int(a.size)
+    linear = _pair_sum_counts(a, b)
+    counts = linear[:m].copy()
+    counts[: m - 1] += linear[m:]
+    return counts
 
 
 def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
@@ -276,14 +282,9 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     span = hi - lo + 1
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
-    if int(a1.size) * int(a2.size) <= 4_000_000:
-        sums = (np.add.outer(a1, a2)).ravel() - lo
-        flags = np.zeros(span, dtype=bool)
-        flags[sums] = True
-        return lo, flags
     ind1 = np.bincount(a1 - a1[0])
-    conv = _convolve_int_exact(ind1, ind1 if a2 is a1 else np.bincount(a2 - a2[0]))
-    return lo, conv > 0
+    counts = _pair_sum_counts(ind1, ind1 if a2 is a1 else np.bincount(a2 - a2[0]))
+    return lo, counts > 0
 
 
 @dataclass(frozen=True)
@@ -400,29 +401,23 @@ def collision_stats(b_tuple, mod: FactoredModulus) -> CollisionStats:
 @dataclass(frozen=True)
 class TailCountReport:
     """Exact count of k-tuples whose collision weight reaches beta, with the
-    heuristic reference bound k^2 2^(-e^(beta / c k^2)) |B|^(k-2) phi(m)^2."""
+    heuristic reference bound k^2 2^(-e^(beta / k^2)) |B|^(k-2) phi(m)^2."""
 
     count: int
-    total_tuples: int
     k: int
     beta: float
-    c: float
     reference_bound: float
 
 
-def tail_count(
-    b: SubsetOfZm, k: int, beta, mod: FactoredModulus, c: float = 1.0
-) -> TailCountReport:
+def tail_count(b: SubsetOfZm, k: int, beta, mod: FactoredModulus) -> TailCountReport:
     """Count ordered k-tuples of members with collision weight >= beta.
 
     Exhaustive and exact (the rational weights of ``collision_stats``, no
-    rounding); guarded by a tuple-count limit.  ``c`` only parameterizes the
-    attached reference bound, which is reported and never asserted.
+    rounding); guarded by a tuple-count limit.  The attached reference bound
+    is reported and never asserted.
     """
     if k < 1:
         raise DomainError(f"tuple length must be >= 1, got {k}")
-    if c <= 0:
-        raise DomainError(f"reference constant must be positive, got {c}")
     card = b.cardinality
     total = card**k
     if total > _TUPLE_ENUM_LIMIT:
@@ -432,17 +427,12 @@ def tail_count(
         collision_stats(tup, mod).f >= beta_frac
         for tup in itertools.product(b.members_array().tolist(), repeat=k)
     )
-    arg = float(beta_frac) / (c * k * k)
+    arg = float(beta_frac) / (k * k)
     inner = math.exp(arg) if arg < 700 else math.inf
     decay = 2.0 ** (-inner) if inner < 1e300 else 0.0
     reference = (k * k) * decay * float(card) ** (k - 2) * float(mod.totient) ** 2
     return TailCountReport(
-        count=count,
-        total_tuples=total,
-        k=k,
-        beta=float(beta_frac),
-        c=c,
-        reference_bound=reference,
+        count=count, k=k, beta=float(beta_frac), reference_bound=reference
     )
 
 
@@ -588,12 +578,9 @@ class CkSeriesResult:
     """Partial sum of sum_j e^(2(k+1) 2^j) 2^(-e^(2^j / c k^2)) with a
     rigorous geometric tail bound."""
 
-    c: float
     k: int
     partial_sum: float
-    log_partial_sum: float
     tail_bound: float
-    terms_used: int
     dominant_index: int
     maximizer_index_estimate: float | None
 
@@ -608,23 +595,19 @@ def _ck_term_log(j: int, c: float, k: int) -> float:
     return 2.0 * (k + 1) * pow2 - inner * ln2
 
 
-def ck_series(
-    c: float, k: int, j_max: int | None = None, tail_target: float = 1e-9
-) -> CkSeriesResult:
+def ck_series(c: float, k: int, j_max: int | None = None) -> CkSeriesResult:
     """Evaluate the doubly exponential series in log space.
 
     Terms are added until (a) the latest term is below 1e-30 of the running
     sum, (b) the index has passed the rigorous tail threshold
     ceil(log2(4 c^2 k^4 (k+1) / ln 2)), beyond which each term is at most
     2^(-2^j / (c k^2)), and (c) the geometric bound on everything dropped is
-    below ``tail_target``.  ``j_max`` only forces a minimum number of terms.
+    below 1e-9.  ``j_max`` only forces a minimum number of terms.
     """
     if c <= 0:
         raise DomainError(f"constant must be positive, got {c}")
     if k < 1:
         raise DomainError(f"index must be >= 1, got {k}")
-    if tail_target <= 0:
-        raise DomainError(f"tail target must be positive, got {tail_target}")
     ln2 = math.log(2.0)
     j_rigorous = max(0, math.ceil(math.log2(4.0 * c * c * k**4 * (k + 1) / ln2)))
 
@@ -661,7 +644,7 @@ def ck_series(
             past_forced
             and small_enough
             and next_j > j_rigorous
-            and tail_from(next_j) < tail_target
+            and tail_from(next_j) < 1e-9
         ):
             break
         j = next_j
@@ -671,12 +654,9 @@ def ck_series(
     mx = c * k**3 * math.log(4.0 * c * k * k * (k + 1) / ln2)
     estimate = math.log2(mx) if mx > 0 else None
     return CkSeriesResult(
-        c=c,
         k=k,
         partial_sum=math.exp(log_sum),
-        log_partial_sum=log_sum,
         tail_bound=tail_from(j + 1),
-        terms_used=j + 1,
         dominant_index=dominant[0],
         maximizer_index_estimate=estimate,
     )
@@ -728,10 +708,8 @@ class ZnStarReport:
     card: int
     alpha_units: float
     alpha_total: Fraction
-    k_formula: int
     k: int
     squarefree: bool
-    certificate: MomentCertificate | None
     blocks: tuple[BlockReport, ...] | None
     block_mass_lhs: Fraction | None
     block_mass_rhs: Fraction | None
@@ -752,7 +730,7 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
     card = b.cardinality
     alpha_units = card / mod.totient
     alpha_total = Fraction(card, mod.m)
-    k_formula, k = choose_moment_order(alpha_units)
+    k = choose_moment_order(alpha_units)[1]
 
     if mod.squarefree:
         cert = kth_moment(b, k, mod)
@@ -762,10 +740,8 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
             card=card,
             alpha_units=alpha_units,
             alpha_total=alpha_total,
-            k_formula=k_formula,
             k=k,
             squarefree=True,
-            certificate=cert,
             blocks=None,
             block_mass_lhs=None,
             block_mass_rhs=None,
@@ -827,10 +803,8 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         card=card,
         alpha_units=alpha_units,
         alpha_total=alpha_total,
-        k_formula=k_formula,
         k=k,
         squarefree=False,
-        certificate=None,
         blocks=tuple(blocks),
         block_mass_lhs=mass,
         block_mass_rhs=rhs,

@@ -52,7 +52,6 @@ __all__ = [
     "dft",
     "inverse_dft",
     "convolve",
-    "lp_fourier_norm",
     "large_spectrum",
     "bohr_set",
     "green_decompose",
@@ -141,7 +140,6 @@ class Decomposition:
     f1: DensityFunction
     f2: np.ndarray
     bohr: BohrSet
-    sigma: float
 
     def __post_init__(self) -> None:
         self.f2.setflags(write=False)
@@ -204,14 +202,6 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     # rounding can leave tiny negatives on a mathematically nonnegative result
     np.maximum(vals, 0.0, out=vals)
     return DensityFunction(N=f.N, values=vals)
-
-
-def lp_fourier_norm(f: DensityFunction, s: float) -> float:
-    """(sum_xi |fhat(xi)|^s)^(1/s) for s > 2."""
-    if not s > 2:
-        raise DomainError(f"spectral norm exponent must exceed 2, got {s}")
-    mags = np.abs(dft(f).coeffs)
-    return float(np.sum(mags**s) ** (1.0 / s))
 
 
 def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
@@ -279,7 +269,7 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
     bohr = bohr_set(n, large_spectrum(f, eps0), eps0)
     if bohr.size == 1:
         # B = {0} makes the multiplier 1 at every frequency: f1 is f itself
-        return Decomposition(f1=f, f2=np.zeros(n), bohr=bohr, sigma=sigma)
+        return Decomposition(f1=f, f2=np.zeros(n), bohr=bohr)
     u = np.zeros(n)
     u[bohr.members] = 1.0
     mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
@@ -292,7 +282,7 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
             f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
         )
     f2 = f.values - f1_vals
-    return Decomposition(f1=f1, f2=f2, bohr=bohr, sigma=sigma)
+    return Decomposition(f1=f1, f2=f2, bohr=bohr)
 
 
 def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -> int:

@@ -18,6 +18,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primesum.expcli import cli
 from primesum.expcli.cli import main
 
 
@@ -201,3 +202,20 @@ def test_extremal_rejects_a_large_s_before_sieving_its_primes():
         assert code == 2, err.getvalue()
         assert "too large to materialize" in err.getvalue()
         assert time.perf_counter() - start < 0.5
+
+
+def test_spectrum_rejects_a_negative_top_before_sieving(monkeypatch):
+    # the slice order[:top] would print all but the last |top| frequencies
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(cli, "sieve_primes", no_sieve)
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--n", "1000", "--W", "3", "--b", "1", "--top", "-3"])
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err.getvalue()

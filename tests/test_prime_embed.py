@@ -16,7 +16,6 @@ from primesum.prime_embed import (
     embed_class,
     embed_classes,
     embedding_mass_check,
-    good_set,
     pair_sumset_columns,
     partition_and_densities,
     pseudorandom_deficit,
@@ -117,25 +116,6 @@ class TestPartition:
         class_p = sum(v[1].size for v in part.classes.values())
         assert class_a + part.residual_a.size == len(members)
         assert class_p + part.residual_primes.size == len(primes)
-
-
-class TestGoodSet:
-    def test_threshold_between(self):
-        part = synthetic_partition({1: 0.3, 5: 0.2}, 0.25, [1])
-        assert good_set(part, 0.25) == frozenset({1})
-
-    def test_threshold_half(self):
-        part = synthetic_partition({1: 1.0, 5: 1.0}, 1.0, [1, 5])
-        assert good_set(part, 0.5) == frozenset({1, 5})
-
-    def test_threshold_zero_keeps_all(self):
-        part = synthetic_partition({1: 0.0, 5: 0.7}, 0.35, [5])
-        assert good_set(part, 0.0) == frozenset({1, 5})
-
-    def test_rejects_bad_threshold(self):
-        part = synthetic_partition({1: 0.5}, 0.5, [1])
-        with pytest.raises(DomainError):
-            good_set(part, 1.5)
 
 
 class TestChooseN:

@@ -196,6 +196,97 @@ class TestIntegerSumset:
         assert members == int_sumset_enum(a, b)
 
 
+def butterfly_bound(length: int) -> int:
+    """The pair count up to which a linear convolution of the given length is
+    counted by bincount: the (nfft/2) log2(nfft/2) butterflies of a real FFT
+    at the power-of-two nfft >= length."""
+    half = (1 << (length - 1).bit_length()) // 2
+    return half * (half.bit_length() - 1)
+
+
+def draw_cards(data, la, lb, lo, bound, above, same) -> tuple[int, int]:
+    """Cardinalities in [lo, la] x [lo, lb] whose product lies above the
+    bound, or at most at it; one shared cardinality when ``same``."""
+    if same:
+        cut = math.isqrt(bound)
+        lo_a, hi_a = (cut + 1, la) if above else (lo, min(cut, la))
+        assume(lo_a <= hi_a)
+        card = data.draw(st.integers(lo_a, hi_a))
+        return card, card
+    if above:
+        lo_a, hi_a = max(lo, -(-(bound + 1) // lb)), la
+    else:
+        lo_a, hi_a = lo, min(la, bound // lo)
+    assume(lo_a <= hi_a)
+    card_a = data.draw(st.integers(lo_a, hi_a))
+    if above:
+        lo_b, hi_b = max(lo, -(-(bound + 1) // card_a)), lb
+    else:
+        lo_b, hi_b = lo, min(lb, bound // card_a)
+    assume(lo_b <= hi_b)
+    return card_a, data.draw(st.integers(lo_b, hi_b))
+
+
+class TestPairSumKernel:
+    """The one bincount-or-FFT kernel behind every exact sumset, against
+    brute-force ``np.add.outer`` counts, with pair counts drawn on both sides
+    of the butterfly bound; the FFT is taken exactly above it."""
+
+    @given(
+        st.integers(min_value=1, max_value=150), st.booleans(), st.booleans(), st.data()
+    )
+    def test_cyclic_counts_fold_the_wrapped_sums(self, m, above, same, data):
+        card_a, card_b = draw_cards(data, m, m, 1, butterfly_bound(2 * m - 1), above, same)
+        x = np.sort(data.draw(st.permutations(range(m)))[:card_a])
+        y = x if same else np.sort(data.draw(st.permutations(range(m)))[:card_b])
+        a = np.zeros(m, dtype=np.int64)
+        a[x] = 1
+        b = a
+        if not same:
+            b = np.zeros(m, dtype=np.int64)
+            b[y] = 1
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            counts = zm._cyclic_int_convolution(a, b)
+        assert fft.called == above
+        expected = np.bincount((np.add.outer(x, y) % m).ravel(), minlength=m)
+        assert counts.tolist() == expected.tolist()
+        # a fresh array, not a view that keeps the linear counts alive
+        assert counts.base is None
+
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=200),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_integer_flags_on_both_sides_of_the_bound(self, la, lb, above, same, data):
+        # at most 200^2 pairs: above the bound, these are sets that a fixed
+        # cap of millions of pairs would still count pair by pair
+        lb = la if same else lb
+        card_a, card_b = draw_cards(
+            data, la, lb, min(2, la), butterfly_bound(la + lb - 1), above, same
+        )
+
+        def members(span: int, card: int) -> np.ndarray:
+            # 0 and span - 1 fix the span; the interior fills up to card
+            ends = sorted({0, span - 1})
+            inner = data.draw(st.permutations(range(1, span - 1)))[: card - len(ends)]
+            offset = data.draw(st.integers(min_value=0, max_value=10**6))
+            return offset + np.array(sorted(ends + inner), dtype=np.int64)
+
+        a1 = members(la, card_a)
+        a2 = a1 if same else members(lb, card_b)
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            lo, flags = integer_sumset_flags(a1, a2)
+        assert fft.called == above
+        sums = np.add.outer(a1, a2).ravel()
+        assert lo == sums.min()
+        expected = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
+        expected[sums - lo] = True
+        assert flags.tolist() == expected.tolist()
+
+
 class TestRepHistogram:
     def test_z5_units(self):
         b = SubsetOfZm.from_members(5, [1, 2, 3, 4])
