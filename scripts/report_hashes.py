@@ -39,7 +39,9 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # non-squarefree modulus (the radical-block certificate), a list: spec and the
 # extremal family; the random-host report as JSON and CSV; and the one-class
 # commands, which share the pipeline's prime table: sieve, partition,
-# spectrum, decompose, and a spectrum whose --b is rejected (exit 2)
+# spectrum, decompose, a spectrum whose --b is rejected (exit 2) and a W=13
+# spectrum past the pipeline's pair-work cap (exit 0: it runs no pairs); last
+# a W=13 pipeline that the cap rejects (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 RANDOM_HOST = "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"
@@ -81,11 +83,14 @@ CASES = [
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),
     ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05 --sigma 0.01"),
     ("spectrum-rejected-b", "spectrum --n 1000 --W 5 --b 6"),
+    ("spectrum-w13", "spectrum --n 300000 --W 13 --b 1"),
+    ("pipeline-w13-rejected", "pipeline --n 300000 --W 13"),
 ]
 
 
 def run_case(repo: Path, case: str) -> tuple[int, bytes]:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    # older checkouts, run through --repo and --diff, still read this variable
     env.pop("PRIMESUM_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-c", RUN_CLI, *case.split()],

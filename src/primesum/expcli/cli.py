@@ -213,7 +213,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_decompose(args) -> int:
     ec = _embedded_class(args)
-    decomp = green_decompose(ec.f, args.eps0, args.sigma)
+    decomp = green_decompose(ec.f, args.eps0)
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
     sup_hat = float(np.max(np.abs(dft(ec.f).coeffs)))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..ntheory import PrimeTable
-from ..prime_embed import choose_N
 
 __all__ = [
     "SubsetRule",
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 _MAX_N = 10_000_000
-_MAX_PAIR_WORK = 1_000_000_000
 
 
 def check_moment_order(k: int) -> None:
@@ -124,21 +122,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.output_format not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
-        # the primorial m of w and its totient by a running product, stopped
-        # once m passes 2n (the embedding needs 4n >= 2m): p is prime exactly
-        # when it is coprime to the primes below it
-        m = phi = 1
+        # the primorial m of w by a running product, stopped once m passes
+        # 2n (the embedding needs 4n >= 2m): p is prime exactly when it is
+        # coprime to the primes below it
+        m = 1
         for p in range(2, min(self.w, 2 * self.n) + 1):
             if math.gcd(p, m) == 1:
-                m, phi = m * p, phi * (p - 1)
+                m *= p
                 if m > 2 * self.n:
                     raise ConfigurationError(f"primorial of {self.w} exceeds 2n; lower w")
-        work = phi**2 * choose_N(self.n, m)
-        if work > _MAX_PAIR_WORK:
-            raise ConfigurationError(
-                f"pairwise workload phi^2 N = {work} exceeds {_MAX_PAIR_WORK}; "
-                "lower w or n"
-            )
 
     def resolved_sigma(self) -> float:
         return self.sigma if self.sigma is not None else self.eps / 20.0

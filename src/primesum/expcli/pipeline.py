@@ -9,13 +9,11 @@ recorded with their reference values and a pass flag, never asserted.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvariantViolation
+from ..errors import ConfigurationError, InvariantViolation
 from ..ntheory import PrimeTable, primorial, sieve_primes
 from ..prime_embed import (
     DeltaAggregate,
@@ -50,15 +48,7 @@ __all__ = [
 ]
 
 _ACTUAL_SUMSET_MAX_N = 2_000_000
-
-
-def _pair_workers() -> int:
-    text = os.environ.get("PRIMESUM_THREADS", "")
-    try:
-        value = int(text)
-    except ValueError:
-        return 1
-    return max(1, min(value, os.cpu_count() or 1))
+_MAX_PAIR_WORK = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -239,12 +229,9 @@ def _pair_stage(
 ) -> tuple[dict[tuple[int, int], int], Columns]:
     """Bound the sumset of every unordered good pair from the classes'
     splits; returns the exact support count by pair and the pair table, in
-    pair order.  Threads, when enabled, take whole blocks of pairs."""
+    pair order."""
     classes = [embeds[b] for b in good]
-    workers = _pair_workers()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map
-        columns = pair_sumset_columns(classes, cfg.eps, eps0, sigma, run)
+    columns = pair_sumset_columns(classes, cfg.eps, eps0, sigma)
     support = dict(zip(zip(columns["b1"], columns["b2"]), columns.pop("support_count")))
     passed = columns["passed"]
     ledger.report(
@@ -478,7 +465,8 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     The stages run in order (partition reconciliation, per-class rows, the
     pair stage, the residue/moment chain, the integer sumset, the summary)
     and record their checks in one ledger; a failing identity raises
-    InvariantViolation.
+    InvariantViolation.  A run whose pair stage would exceed phi^2 N = 10^9
+    is refused with ConfigurationError before the sieve.
     """
     cfg.validate()
     ledger = _Ledger()
@@ -487,6 +475,12 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     mod = primorial(cfg.w)
     m = mod.m
     big_n = choose_N(cfg.n, m)
+    work = mod.totient**2 * big_n
+    if work > _MAX_PAIR_WORK:
+        raise ConfigurationError(
+            f"pairwise workload phi^2 N = {work} exceeds {_MAX_PAIR_WORK}; "
+            "lower w or n"
+        )
     table = sieve_primes(embedding_limit(cfg.n, m))
     primes = table.upto(cfg.n)
     a_arr = build_subset(cfg, primes)

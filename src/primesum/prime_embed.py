@@ -333,7 +333,7 @@ def pseudorandom_deficits(
 def class_decomposition(ec: EmbeddedClass, eps0: float, sigma: float) -> Decomposition:
     """Split the class density at eps0 clamped down to sigma^6 mean^4 / 400."""
     cap = sigma**6 * ec.f.mean() ** 4 / 400.0
-    return green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0, sigma)
+    return green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0)
 
 
 def pair_sumset_columns(
@@ -341,7 +341,6 @@ def pair_sumset_columns(
     eps: float,
     eps0: float,
     sigma: float,
-    map_blocks=map,
 ) -> dict[str, list]:
     """Bound the sumset of every unordered pair of the classes, in the order
     (c1, c1), (c1, c2), ..., (c2, c2), ..., and return the report columns.
@@ -355,8 +354,7 @@ def pair_sumset_columns(
     ``alpha``), and the mixed pieces against a tenth of that.  A pair with an
     all-zero density has nothing to decompose: every count is 0.  The last
     column, ``support_count``, is the exact count behind
-    ``support_fraction``.  ``map_blocks`` runs the blocks of
-    ``convolve_pairs``.
+    ``support_fraction``.
     """
     lengths = sorted({ec.N for ec in classes})
     if len(lengths) > 1:
@@ -378,7 +376,7 @@ def pair_sumset_columns(
         key = (c, splits[c].bohr.width if splits[c].bohr.size == 1 else level)
         if key not in keys:
             keys[key] = len(splits)
-            splits.append(green_decompose(classes[c].f, level, sigma))
+            splits.append(green_decompose(classes[c].f, level))
         return keys[key]
 
     pairs = [(c1, c2) for c1 in range(len(classes)) for c2 in range(c1, len(classes))]
@@ -389,7 +387,7 @@ def pair_sumset_columns(
         eps0_used.append(level)
         if means[small] > 0.0:
             live.append((c1, c2, split_at(c1, level), split_at(c2, level)))
-    conv = convolve_pairs([ec.f for ec in classes], splits, live, sigma, map_blocks)
+    conv = convolve_pairs([ec.f for ec in classes], splits, live, sigma)
 
     c1, c2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     b = np.array([ec.b for ec in classes], dtype=np.int64)

@@ -251,7 +251,7 @@ def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
     return BohrSet(N=N, width=eps0, members=members)
 
 
-def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposition:
+def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
     """Split f into a Bohr-smoothed part and a spectrally small remainder.
 
     f1 is the double average of f over differences of the Bohr set attached
@@ -263,8 +263,6 @@ def green_decompose(f: DensityFunction, eps0: float, sigma: float) -> Decomposit
     """
     if not (0 < eps0 <= 1):
         raise DomainError(f"spectrum threshold must lie in (0, 1], got {eps0}")
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
     n = f.N
     bohr = bohr_set(n, large_spectrum(f, eps0), eps0)
     if bohr.size == 1:
@@ -367,7 +365,6 @@ def convolve_pairs(
     splits: Sequence[Decomposition],
     pairs,
     sigma: float,
-    map_blocks=map,
 ) -> PairConvolutions:
     """Convolve the pieces of many pairs of split densities, block by block.
 
@@ -384,9 +381,7 @@ def convolve_pairs(
     length-N ``rfft`` of the densities and of f1 and f2 of each split whose
     Bohr set is larger than {0} (Bohr smoothing spreads those over all of
     Z_N).  A block holds as many pairs as fit the temporaries of its longest
-    transform in ``PAIR_BLOCK_BYTES``.  ``map_blocks`` runs the blocks (a
-    thread pool's ``map`` runs them in parallel); the entries keep the order
-    of ``pairs``.
+    transform in ``PAIR_BLOCK_BYTES``; the blocks run in pair order.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
@@ -432,7 +427,7 @@ def convolve_pairs(
         prod *= spectra[b]
         return prod, np.fft.irfft(prod, length, axis=-1)
 
-    def run(lo: int) -> None:
+    for lo in range(0, total, size):
         block = slice(lo, lo + size)
         level = sigma * np.minimum(mean[i[block]], mean[j[block]]) * n
         first = convolve(first_spec, short, i[block], j[block])[1][:, :span]
@@ -465,7 +460,4 @@ def convolve_pairs(
             mass[one_f[block]] * mass[one_g[block]],
             "L1 mass of the smoothed convolution deviates from the product of masses",
         )
-
-    for _ in map_blocks(run, range(0, total, size)):
-        pass
     return out

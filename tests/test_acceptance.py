@@ -38,7 +38,6 @@ from primesum.zm_sumsets import (
 )
 from primesum.zn_spectral import (
     DensityFunction,
-    bohr_set,
     convolve,
     dft,
     green_decompose,
@@ -294,8 +293,8 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
     """
     budget = Budget(60.0)
 
-    def check_split(f: DensityFunction, eps0: float, sigma: float) -> None:
-        d = green_decompose(f, eps0, sigma)
+    def check_split(f: DensityFunction, eps0: float) -> None:
+        d = green_decompose(f, eps0)
         assert abs(d.f1.mean() - f.mean()) <= 1e-9
         assert np.all(d.f1.values >= 0.0)
         f_hat_sup = float(np.max(np.abs(dft(f).coeffs)))
@@ -308,7 +307,7 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
     primes = table.upto(100_000)
     part = partition_and_densities(primes.primes, primes, 3, primorial(3))
     ec = embed_class(part, 1, table)
-    check_split(ec.f, 0.05, 0.01)
+    check_split(ec.f, 0.05)
 
     rng = make_rng(10)
     for trial in range(50):
@@ -321,7 +320,7 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
                     1.0 + np.cos(2.0 * np.pi * freq * xs / 512.0)
                 )
         f = DensityFunction(N=512, values=base)
-        check_split(f, float(rng.uniform(0.02, 0.2)), 0.01)
+        check_split(f, float(rng.uniform(0.02, 0.2)))
     budget.check()
 
 

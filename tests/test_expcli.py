@@ -17,16 +17,10 @@ from primesum.expcli.cli import main, parse_set_spec
 from primesum.expcli.config import (
     ExperimentConfig,
     RandomSetExperiment,
-    SubsetRule,
     build_subset,
     parse_rule,
 )
-from primesum.expcli.pipeline import (
-    _Ledger,
-    _pair_workers,
-    run_pipeline,
-    simulate_random_host,
-)
+from primesum.expcli.pipeline import _Ledger, run_pipeline, simulate_random_host
 from primesum.expcli.reports import _sanitize, emit_report, render_csv, render_json
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import SubsetOfZm, cyclic_sumset_size, holder_lower_bound
@@ -258,37 +252,34 @@ class TestPipeline:
         again = run_pipeline(small_config())
         assert render_json(again) == render_json(pipeline_report)
 
-    def test_threaded_pairs_match_serial(self, monkeypatch):
-        # threads take whole blocks of pairs; neither the thread count nor the
-        # block size may change a byte, also where the Bohr sets are
-        # nontrivial and depend on the pair (the split-n3000 case)
+    # Bohr sets that are nontrivial and depend on the pair (split-n3000)
+    SPLIT = dict(
+        n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5, rule=parse_rule("random-thinning")
+    )
+
+    def test_pair_block_size_leaves_report_unchanged(self, monkeypatch):
         import primesum.zn_spectral as zs
 
-        split = small_config(
-            n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5,
-            rule=parse_rule("random-thinning"),
-        )
-        configs = [small_config(n=3000, w=5), split]
-        serial = [render_json(run_pipeline(cfg)) for cfg in configs]
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            monkeypatch.setenv("PRIMESUM_THREADS", "4")
-            assert _pair_workers() == 4
-            assert [render_json(run_pipeline(cfg)) for cfg in configs] == serial
-            monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 1)
-            for threads in ("1", "4"):
-                monkeypatch.setenv("PRIMESUM_THREADS", threads)
-                assert render_json(run_pipeline(split)) == serial[1]
-        finally:
-            sys.setswitchinterval(interval)
+        split = small_config(**self.SPLIT)
+        expected = render_json(run_pipeline(split))
+        monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 1)
+        assert render_json(run_pipeline(split)) == expected
 
-    def test_pair_workers_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("PRIMESUM_THREADS", "100000")
-        assert _pair_workers() == (os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _pair_workers() == 1
+    def test_pair_stage_starts_no_thread(self, monkeypatch):
+        # the retired thread-count variable is ignored: the run starts no
+        # thread and renders the same bytes
+        import threading
+
+        split = small_config(**self.SPLIT)
+        expected = render_json(run_pipeline(split))
+
+        def no_thread(self):
+            raise AssertionError("the pipeline started a thread")
+
+        monkeypatch.setenv("PRIMESUM_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert render_json(run_pipeline(split)) == expected
 
     def test_one_self_convolution_per_run(self, monkeypatch):
         import primesum.zm_sumsets as zm
@@ -353,9 +344,9 @@ class TestPipeline:
         decompose = pe.green_decompose
         calls = []
 
-        def counting(f, eps0, sigma):
+        def counting(f, eps0):
             calls.append((f.values.tobytes(), eps0))
-            return decompose(f, eps0, sigma)
+            return decompose(f, eps0)
 
         monkeypatch.setattr(pe, "green_decompose", counting)
         return calls
@@ -390,10 +381,7 @@ class TestPipeline:
         # at this level the Bohr sets are nontrivial and depend on the pair,
         # so the pair stage splits some classes again at the pair's level
         calls = self.count_decompositions(monkeypatch)
-        cfg = small_config(
-            n=3000, w=5, eps0=1.0, sigma=8.0, delta=0.5,
-            rule=parse_rule("random-thinning"),
-        )
+        cfg = small_config(**self.SPLIT)
         report = run_pipeline(cfg)
         good = report.summary["good_classes"]
         assert len(calls) > len(good)
@@ -419,7 +407,7 @@ class TestPipeline:
 
         # one split per (class, level): each class at its own level, and a
         # class whose own Bohr set is not {0} again at each pair's level
-        own = {b: green_decompose(ec.f, level(ec.f), 8.0) for b, ec in embeds.items()}
+        own = {b: green_decompose(ec.f, level(ec.f)) for b, ec in embeds.items()}
         keys = {(b, level(ec.f)) for b, ec in embeds.items()}
         for row in cols.rows():
             b1, b2 = row["b1"], row["b2"]
@@ -427,7 +415,7 @@ class TestPipeline:
             pair_level = level(f if f.mean() <= g.mean() else g)
             for b, h in ((b1, f), (b2, g)):
                 keys.add((b, level(h) if own[b].bohr.size == 1 else pair_level))
-            df, dg = (green_decompose(h, pair_level, 8.0) for h in (f, g))
+            df, dg = (green_decompose(h, pair_level) for h in (f, g))
             q = pair_pieces_oracle(
                 f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 8.0
             )
@@ -699,6 +687,32 @@ class TestCli:
         assert time.perf_counter() - start < 0.3
         err = capsys.readouterr().err
         assert err == f"error: {b} is not a reduced residue of 30\n"
+
+    @pytest.mark.parametrize(
+        "command", [["partition"], *(c + ["--b", "1"] for c in CLASS_COMMANDS)]
+    )
+    def test_one_class_commands_run_past_the_pair_work_cap(self, capsys, command):
+        # phi^2 N = 1.29e9 caps the pipeline's pairs; these commands run none
+        assert main([*command, "--n", "300000", "--W", "13"]) == 0
+
+    def test_pair_work_cap_rejects_before_the_sieve(self, monkeypatch, capsys):
+        import primesum.expcli.pipeline as pl
+
+        def no_sieve(limit):
+            raise AssertionError(f"sieved up to {limit}")
+
+        monkeypatch.setattr(pl, "sieve_primes", no_sieve)
+        cfg = ExperimentConfig(n=300000, w=13)
+        cfg.validate()
+        with pytest.raises(ConfigurationError, match="pairwise workload"):
+            run_pipeline(cfg)
+        start = time.perf_counter()
+        assert main(["pipeline", "--n", "300000", "--W", "13"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "error: pairwise workload phi^2 N = 1293926400 exceeds 1000000000; "
+            "lower w or n\n"
+        )
 
     def test_one_gcd_table_per_znstar_bound(self, monkeypatch, capsys):
         tables = record_calls(monkeypatch, "gcd_table")

@@ -12,7 +12,6 @@ from primesum.prime_embed import (
     ResiduePartition,
     aggregate_delta,
     choose_N,
-    class_decomposition,
     embed_class,
     embed_classes,
     embedding_mass_check,
@@ -21,7 +20,7 @@ from primesum.prime_embed import (
     pseudorandom_deficit,
     pseudorandom_deficits,
 )
-from primesum.zn_spectral import constant, dft
+from primesum.zn_spectral import dft
 
 from oracles import trial_primes
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from primesum.errors import DomainError, InvariantViolation
 import primesum.zm_sumsets as zm
-from primesum.ntheory import factorize, primorial
+from primesum.ntheory import factorize
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,

@@ -28,7 +28,6 @@ from oracles import (
     convolve_oracle,
     dft_oracle,
     pair_pieces_oracle,
-    sumset_enum,
 )
 
 
@@ -223,13 +222,13 @@ class TestBohrSet:
 class TestGreenDecompose:
     def test_constant_passthrough(self):
         f = constant(32, 0.5)
-        d = green_decompose(f, 0.1, 0.05)
+        d = green_decompose(f, 0.1)
         assert np.max(np.abs(d.f1.values - f.values)) < 1e-12
         assert np.max(np.abs(d.f2)) < 1e-12
 
     def test_point_mass_collapsed_bohr(self):
         f = DensityFunction(N=16, values=16.0 * indicator(16, [0]).values)
-        d = green_decompose(f, 0.1, 0.05)
+        d = green_decompose(f, 0.1)
         assert d.bohr.members.tolist() == [0]
         assert np.max(np.abs(d.f1.values - f.values)) < 1e-9
         assert np.max(np.abs(d.f2)) < 1e-9
@@ -245,7 +244,7 @@ class TestGreenDecompose:
             trial_primes(20000), table.upto(20000), 3, primorial(3)
         )
         f = embed_class(part, 1, table).f
-        d = green_decompose(f, 0.02, 0.1)
+        d = green_decompose(f, 0.02)
         assert d.bohr.size == 1
         assert np.array_equal(d.f1.values, f.values)
         assert d.f2.dtype == np.float64 and not np.any(d.f2)
@@ -254,7 +253,7 @@ class TestGreenDecompose:
         rng = np.random.default_rng(11)
         for trial in range(10):
             f = DensityFunction(N=128, values=rng.random(128))
-            d = green_decompose(f, 0.2, 0.05)
+            d = green_decompose(f, 0.2)
             assert abs(d.f1.mean() - f.mean()) < 1e-9
             assert np.all(d.f1.values >= 0)
 
@@ -263,7 +262,7 @@ class TestGreenDecompose:
         for trial in range(10):
             f = DensityFunction(N=128, values=rng.random(128))
             eps0 = 0.15
-            d = green_decompose(f, eps0, 0.05)
+            d = green_decompose(f, eps0)
             sup_f2 = float(np.max(np.abs(np.fft.fft(d.f2) / 128)))
             sup_f = float(np.max(np.abs(dft(f).coeffs)))
             assert sup_f2 <= 2 * eps0 * max(1.0, sup_f) + 1e-12
@@ -276,7 +275,7 @@ class TestGreenDecompose:
                 xs = np.arange(128)
                 vals = vals + 1.0 + np.cos(2 * np.pi * 3 * xs / 128)
             f = DensityFunction(N=128, values=vals)
-            d = green_decompose(f, 0.2, 0.05)
+            d = green_decompose(f, 0.2)
             direct = bohr_double_average(f.values, d.bohr.members)
             assert np.max(np.abs(d.f1.values - direct)) < 1e-9
 
@@ -307,7 +306,7 @@ class TestConvolutionProofQuantities:
     def test_all_ones_main_mass(self):
         n = 64
         f = constant(n, 1.0)
-        d = green_decompose(f, 0.5, 0.1)
+        d = green_decompose(f, 0.5)
         rep = convolve_pairs([f], [d], [(0, 0, 0, 0)], 0.1)
         assert abs(rep.main_l1[0] - n * n) < 1e-6
         assert rep.main_count[0] == n
@@ -321,7 +320,7 @@ class TestConvolutionProofQuantities:
         # a point mass splits exactly (Bohr set {0}), so some pairs mix an
         # exact split with a smoothed one and one pair takes a single inverse
         fs.append(DensityFunction(N=128, values=128.0 * indicator(128, [3]).values))
-        ds = [green_decompose(f, 0.2, 0.05) for f in fs]
+        ds = [green_decompose(f, 0.2) for f in fs]
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j, i, j) for i in range(7) for j in range(i, 7)]
         rep = convolve_pairs(fs, ds, pairs, 0.05)
@@ -345,7 +344,7 @@ class TestConvolutionProofQuantities:
 
     def test_broken_mass_fails_the_l1_identity(self, monkeypatch):
         f = constant(16, 1.0)
-        d = green_decompose(f, 0.5, 0.1)
+        d = green_decompose(f, 0.5)
         l1 = DensityFunction.l1
         monkeypatch.setattr(
             DensityFunction, "l1", lambda self: l1(self) * (1.5 if self is d.f1 else 1.0)
@@ -454,7 +453,7 @@ class TestConvolvePairs:
         v = np.zeros(n)
         v[h] = float(n)
         fs.append(DensityFunction(N=n, values=v))
-        ds = [green_decompose(f, 0.1, 0.05) for f in fs]
+        ds = [green_decompose(f, 0.1) for f in fs]
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j, i, j) for i in range(5) for j in range(i, 5)]
         rep = convolve_pairs(fs, ds, pairs, 0.05)
