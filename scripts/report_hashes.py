@@ -11,7 +11,9 @@ byte-identical:
 With ``--diff``, each case whose output differs from the one at DIR is
 followed by the fields that differ: one indented line per dotted path (list
 indices read ``*``) with the number of entries that differ and the largest
-relative and absolute gap between numeric values.
+relative and absolute gap between numeric values, and the number of entries
+found only at DIR or missing there.  A case that printed nothing on one side
+reads "no output at DIR" or "output only at DIR".
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ CASES = [
     ("sieve-n100000", "sieve --n 100000"),
     ("partition-w5", "partition --n 100000 --W 5"),
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),
-    ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05 --sigma 0.01"),
+    ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05"),
     ("spectrum-rejected-b", "spectrum --n 1000 --W 5 --b 6"),
     ("spectrum-w13", "spectrum --n 300000 --W 13 --b 1"),
     ("pipeline-w13-rejected", "pipeline --n 300000 --W 13"),
@@ -137,32 +139,47 @@ def as_float(value):
         return None
 
 
-def field_diff(old: str, new: str) -> list[str]:
-    """One line per generic path whose leaves differ between two outputs."""
+def field_diff(old: str, new: str, where: str = "DIR") -> list[str]:
+    """One line per generic path whose leaves differ between the output
+    ``old`` at the checkout ``where`` and the output ``new`` here; a leaf
+    on one side only reads "only at" or "missing at" ``where``."""
+    if not old:
+        return [f"  no output at {where}"]
+    if not new:
+        return [f"  output only at {where}"]
     before, after = ({p: (g, v) for p, g, v in flatten(parse_output(text))}
                      for text in (old, new))
     stats: dict[str, list] = {}
     for path in [*before, *(p for p in after if p not in before)]:
         generic = (before.get(path) or after[path])[0]
-        entry = stats.setdefault(generic, [0, 0, 0.0, 0.0])
+        entry = stats.setdefault(generic, [0, 0, 0.0, 0.0, 0, 0])
         entry[1] += 1
-        if path in before and path in after and before[path] == after[path]:
-            continue
-        entry[0] += 1
-        x, y = (as_float(side[path][1]) if path in side else None
-                for side in (before, after))
-        if x is None or y is None:
-            entry[2] = entry[3] = float("inf")
-        elif x != y:
-            gap = abs(x - y)
-            entry[2] = max(entry[2], gap / max(abs(x), abs(y)))
-            entry[3] = max(entry[3], gap)
-    return [
-        f"  {generic.lstrip('.')}: {differ} of {total} differ, "
-        f"max rel gap {rel:.3g}, max abs gap {gap:.3g}"
-        for generic, (differ, total, rel, gap) in stats.items()
-        if differ
-    ]
+        if path not in after:
+            entry[4] += 1
+        elif path not in before:
+            entry[5] += 1
+        elif before[path] != after[path]:
+            entry[0] += 1
+            x, y = as_float(before[path][1]), as_float(after[path][1])
+            if x is None or y is None:
+                entry[2] = entry[3] = float("inf")
+            elif x != y:
+                gap = abs(x - y)
+                entry[2] = max(entry[2], gap / max(abs(x), abs(y)))
+                entry[3] = max(entry[3], gap)
+    lines = []
+    for generic, (differ, total, rel, gap, only_old, only_new) in stats.items():
+        parts = []
+        if differ:
+            parts.append(f"{differ} of {total} differ, max rel gap {rel:.3g}, "
+                         f"max abs gap {gap:.3g}")
+        if only_old:
+            parts.append(f"{only_old} of {total} only at {where}")
+        if only_new:
+            parts.append(f"{only_new} of {total} missing at {where}")
+        if parts:
+            lines.append(f"  {generic.lstrip('.')}: " + "; ".join(parts))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -190,7 +207,7 @@ def main(argv=None) -> int:
         if other_code != code:
             print(f"  exit code differs: {other_code} at {args.diff}", flush=True)
         if other != out:
-            lines = field_diff(other.decode(), out.decode())
+            lines = field_diff(other.decode(), out.decode(), str(args.diff))
             print("\n".join(lines or ["  bytes differ, no field does"]), flush=True)
     return 0
 

@@ -218,8 +218,7 @@ def _cmd_decompose(args) -> int:
     sup_hat = float(np.max(np.abs(dft(ec.f).coeffs)))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(
-        f"b={ec.b} N={ec.N} eps0={_fmt(args.eps0)} sigma={_fmt(args.sigma)} "
-        f"bohr_size={decomp.bohr.size}"
+        f"b={ec.b} N={ec.N} eps0={_fmt(args.eps0)} bohr_size={decomp.bohr.size}"
     )
     _print(f"f_mean={_fmt(ec.f.mean())} f1_mean={_fmt(decomp.f1.mean())}")
     _print(
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = experiment("decompose", _cmd_decompose, "smooth/small split of one class")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
 
     p = sub.add_parser("sumset", help="cyclic sumset of a set with itself")
     p.add_argument("--m", type=int, required=True)

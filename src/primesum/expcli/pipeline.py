@@ -70,47 +70,29 @@ class CheckRow:
 
 @dataclass
 class FinalReport:
-    """Everything a pipeline run produced; the pair table is held as its
-    columns, the other tables as rows."""
+    """Everything a pipeline run produced; every table is held as its
+    columns."""
 
     config: dict
     summary: dict
-    per_class: list[dict]
+    per_class: Columns
     pair_reports: Columns
-    residue_density: list[dict]
-    sumset_residues: list[dict]
+    residue_density: Columns
+    sumset_residues: Columns
     checks: list[CheckRow]
-
-    def _tables(self) -> dict[str, Columns]:
-        return {
-            "per_class": Columns.from_rows(self.per_class),
-            "pair_reports": self.pair_reports,
-            "residue_density": Columns.from_rows(self.residue_density),
-            "sumset_residues": Columns.from_rows(self.sumset_residues),
-        }
 
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "tables": {"summary": self.summary, **self._tables()},
-            "checks": _check_columns(self.checks),
+            "tables": {
+                "summary": self.summary,
+                "per_class": self.per_class,
+                "pair_reports": self.pair_reports,
+                "residue_density": self.residue_density,
+                "sumset_residues": self.sumset_residues,
+            },
+            "checks": Columns.from_rows([vars(row) for row in self.checks]),
         }
-
-    def to_tables(self) -> list[tuple[str, Columns]]:
-        return [
-            ("config", _key_values(self.config)),
-            ("summary", _key_values(self.summary)),
-            *self._tables().items(),
-            ("checks", _check_columns(self.checks)),
-        ]
-
-
-def _key_values(mapping: dict) -> Columns:
-    return Columns(key=list(mapping), value=list(mapping.values()))
-
-
-def _check_columns(checks: list[CheckRow]) -> Columns:
-    return Columns.from_rows([vars(row) for row in checks])
 
 
 def _rel_gap(lhs: float, rhs: float) -> float:
@@ -185,36 +167,33 @@ def _reconcile_partition(
 
 def _class_rows(
     ledger: _Ledger, part: ResiduePartition, table: PrimeTable
-) -> tuple[dict[int, EmbeddedClass], list[dict]]:
+) -> tuple[dict[int, EmbeddedClass], Columns]:
     """Embed every unit class against the run's prime table; returns the
-    embeddings by class and one row per class."""
+    embeddings by class and the per-class table, one row per class."""
     embeds = embed_classes(part, table)
-    per_class: list[dict] = []
+    units = list(embeds)
+    masses = [embedding_mass_check(ec) for ec in embeds.values()]
     deficits = pseudorandom_deficits(list(embeds.values()))
-    for (b, ec), deficit in zip(embeds.items(), deficits):
-        mass = embedding_mass_check(ec)
-        per_class.append(
-            {
-                "b": b,
-                "prime_count": int(part.classes[b][1].size),
-                "subset_count": int(part.classes[b][0].size),
-                "delta_b": part.delta_b[b],
-                "good": b in part.good,
-                "mass": mass.mass,
-                "mass_threshold": mass.threshold,
-                "mass_passed": mass.passed,
-                "zero_mode_error": deficit.zero_mode_error,
-                "offpeak_sup": deficit.offpeak_sup,
-                "offpeak_reference": deficit.reference_bound,
-            }
-        )
-    good_rows = [row for row in per_class if row["good"]]
+    per_class = Columns(
+        b=units,
+        prime_count=[int(part.classes[b][1].size) for b in units],
+        subset_count=[int(part.classes[b][0].size) for b in units],
+        delta_b=[part.delta_b[b] for b in units],
+        good=[b in part.good for b in units],
+        mass=[mass.mass for mass in masses],
+        mass_threshold=[mass.threshold for mass in masses],
+        mass_passed=[mass.passed for mass in masses],
+        zero_mode_error=[deficit.zero_mode_error for deficit in deficits],
+        offpeak_sup=[deficit.offpeak_sup for deficit in deficits],
+        offpeak_reference=[deficit.reference_bound for deficit in deficits],
+    )
+    good_passed = [mass.passed for mass in masses if mass.b in part.good]
     ledger.report(
         "good-class-weight-mass",
-        sum(1 for row in good_rows if row["mass_passed"]),
+        sum(good_passed),
         len(part.good),
         "all good classes reach delta_b/16",
-        all(row["mass_passed"] for row in good_rows),
+        all(good_passed),
     )
     return embeds, per_class
 
@@ -251,32 +230,33 @@ def _residue_chain(
     agg: DeltaAggregate,
     support: dict[tuple[int, int], int],
     sum_delta_good: float,
-) -> tuple[int, int, list[dict], bool]:
+) -> tuple[int, int, Columns, bool]:
     """Check the residue-level chain from the pair densities to the moment
-    bound of the good set; returns (k_formula, k, residue rows, witness_ok)."""
+    bound of the good set; returns (k_formula, k, the residue table,
+    witness_ok)."""
     mod = part.modulus
-    m = mod.m
     good = sorted(part.good)
     alpha_good = len(good) / mod.totient
     k_formula, k_floor = choose_moment_order(alpha_good)
     k = cfg.k if cfg.k is not None else k_floor
-    cert = kth_moment(SubsetOfZm.from_members(m, good), k, mod)
-    r = cert.hist.r
-    gamma, delta = agg.gamma_x, agg.delta_x
-    for x, count in agg.count_x.items():
-        if count != int(r[x]):
-            raise InvariantViolation(f"pair multiplicity mismatch at residue {x}")
-    over = next((x for x in gamma if gamma[x] > delta[x] + 1e-12), None)
+    cert = kth_moment(SubsetOfZm.from_members(mod.m, good), k, mod)
+    r_x = cert.hist.r[agg.x]
+    mismatch = agg.x[agg.count != r_x]
+    if mismatch.size:
+        raise InvariantViolation(f"pair multiplicity mismatch at residue {mismatch[0]}")
+    over = agg.x[agg.gamma > agg.delta + 1e-12]
     ledger.require(
         "gamma-below-delta",
-        max(gamma[x] - delta[x] for x in gamma),
+        float(np.max(agg.gamma - agg.delta)),
         0.0,
         "<= (abs 1e-12)",
-        over is None,
-        f"average pair density exceeds its maximum at residue {over}",
+        not over.size,
+        f"average pair density exceeds its maximum at residue "
+        f"{over[0] if over.size else None}",
     )
 
-    sum_r_gamma = math.fsum(r[x] * gamma[x] for x in gamma)
+    gamma, delta = agg.gamma.tolist(), agg.delta.tolist()
+    sum_r_gamma = math.fsum((r_x * agg.gamma).tolist())
     rebracketed = len(good) * sum_delta_good
     gap = _rel_gap(sum_r_gamma, rebracketed)
     ledger.require(
@@ -297,8 +277,8 @@ def _residue_chain(
     )
 
     dual = k / (k - 1.0)
-    t_gamma = math.fsum(gamma[x] ** dual for x in gamma)
-    t_delta = math.fsum(delta[x] ** dual for x in delta)
+    t_gamma = math.fsum(g**dual for g in gamma)
+    t_delta = math.fsum(d**dual for d in delta)
     holder_rhs = cert.s_rb ** (1.0 / k) * t_gamma ** ((k - 1.0) / k)
     ledger.require(
         "holder-r-gamma",
@@ -316,13 +296,13 @@ def _residue_chain(
         t_gamma <= t_delta + 1e-12,
         "dual moment of averages exceeds maxima",
     )
-    sum_delta_x = math.fsum(delta.values())
+    sum_delta = math.fsum(delta)
     ledger.require(
         "power-mean-domination",
-        sum_delta_x,
+        sum_delta,
         t_delta,
         ">= (abs 1e-12)",
-        sum_delta_x >= t_delta - 1e-12,
+        sum_delta >= t_delta - 1e-12,
         "power mean domination failed",
     )
     ledger.report(
@@ -343,33 +323,30 @@ def _residue_chain(
 
     # A residue's contribution is certified once the witness pair's exact
     # support count (= |A_1 + A_2|, the convolution never wraps) covers it.
-    rows: list[dict] = []
-    for x, (b1, b2) in agg.witness.items():
-        count = support[min(b1, b2), max(b1, b2)]
-        contribution = max(delta[x] - cfg.eps, 0.0) * part.n / m
-        rows.append(
-            {
-                "x": x,
-                "r_x": int(r[x]),
-                "gamma_x": gamma[x],
-                "delta_x": delta[x],
-                "witness_b1": b1,
-                "witness_b2": b2,
-                "witness_support": count,
-                "witness_certified": count >= contribution - 1e-9,
-                "contribution": contribution,
-            }
-        )
-    contributing = [row for row in rows if row["contribution"] > 0]
-    witness_ok = all(row["witness_certified"] for row in contributing)
+    b1, b2 = agg.witness_b1.tolist(), agg.witness_b2.tolist()
+    witness_support = [support[min(pair), max(pair)] for pair in zip(b1, b2)]
+    certified = np.array(witness_support) >= agg.contribution - 1e-9
+    contributing = certified[agg.contribution > 0]
+    witness_ok = bool(contributing.all())
     ledger.report(
         "witness-support-count",
-        sum(1 for row in contributing if row["witness_certified"]),
-        len(contributing),
+        int(np.count_nonzero(contributing)),
+        contributing.size,
         "witness support covers each contribution",
         witness_ok,
     )
-    return k_formula, k, rows, witness_ok
+    residues = Columns(
+        x=agg.x.tolist(),
+        r_x=r_x.tolist(),
+        gamma_x=gamma,
+        delta_x=delta,
+        witness_b1=b1,
+        witness_b2=b2,
+        witness_support=witness_support,
+        witness_certified=certified.tolist(),
+        contribution=agg.contribution.tolist(),
+    )
+    return k_formula, k, residues, witness_ok
 
 
 def _integer_sumset(
@@ -378,25 +355,25 @@ def _integer_sumset(
     a_arr: np.ndarray,
     m: int,
     agg: DeltaAggregate | None,
-) -> tuple[int | None, list[dict]]:
+) -> tuple[int | None, Columns]:
     """|A + A| over the integers with its count per residue mod m, when
-    small enough to enumerate exactly; (None, []) otherwise."""
+    small enough to enumerate exactly; (None, an empty table) otherwise."""
     if not a_arr.size or cfg.n > _ACTUAL_SUMSET_MAX_N:
-        return None, []
+        return None, Columns()
     lo, flags = integer_sumset_flags(a_arr, a_arr)
     residues = (np.flatnonzero(flags) + lo) % m
     counts = np.bincount(residues.astype(np.int64), minlength=m)
     if agg is not None:
-        covered = sum(1 for x in agg.delta_x if counts[x] > 0)
+        covered = int(np.count_nonzero(counts[agg.x]))
         ledger.report(
             "sumset-covers-good-pairs",
             covered,
-            len(agg.delta_x),
+            agg.x.size,
             "every residue of G+G is hit",
-            covered == len(agg.delta_x),
+            covered == agg.x.size,
         )
-    rows = [{"x": int(x), "count": int(counts[x])} for x in np.flatnonzero(counts)]
-    return int(np.count_nonzero(flags)), rows
+    hit = np.flatnonzero(counts)
+    return int(np.count_nonzero(flags)), Columns(x=hit.tolist(), count=counts[hit].tolist())
 
 
 def _summary(
@@ -512,7 +489,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         lower_bound = agg.lower_bound
     else:
         k_formula, k = 0, cfg.k if cfg.k is not None else 3
-        residue_density, witness_ok, lower_bound = [], None, 0.0
+        residue_density, witness_ok, lower_bound = Columns(), None, 0.0
     actual_sumset, sumset_residues = _integer_sumset(ledger, cfg, a_arr, m, agg)
 
     # the bound binds only when every witness certified its contribution
@@ -575,13 +552,6 @@ class RandomHostReport:
             "tables": {"summary": self.summary, "trials": Columns.from_rows(self.trials)},
             "checks": [],
         }
-
-    def to_tables(self) -> list[tuple[str, Columns]]:
-        return [
-            ("config", _key_values(self.config)),
-            ("summary", _key_values(self.summary)),
-            ("trials", Columns.from_rows(self.trials)),
-        ]
 
 
 def simulate_random_host(exp: RandomSetExperiment) -> RandomHostReport:

@@ -147,11 +147,19 @@ def _cell(value) -> str:
 
 
 def render_csv(report) -> str:
-    """One section per table of ``report.to_tables()``: a ``section,name``
-    line, the header (empty for a table without rows), then the rows."""
+    """One section per table of ``report.to_dict()``: the config, each table
+    in document order (a dict as key/value rows), then the checks when they
+    are a table.  A section is a ``section,name`` line, the header (empty
+    for a table without rows), then the rows."""
+    doc = report.to_dict()
+    sections = [("config", doc["config"]), *doc["tables"].items()]
+    if isinstance(doc["checks"], Columns):
+        sections.append(("checks", doc["checks"]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for index, (name, table) in enumerate(report.to_tables()):
+    for index, (name, table) in enumerate(sections):
+        if not isinstance(table, Columns):
+            table = Columns(key=list(table), value=list(table.values()))
         if index:
             writer.writerow([])
         writer.writerow(["section", name])
@@ -161,11 +169,8 @@ def render_csv(report) -> str:
 
 
 def emit_report(report, output_format: str, path: str | None = None) -> str:
-    """Render ``report`` and optionally write it to ``path``.
-
-    The report object only needs ``to_dict`` (its document, for JSON) and
-    ``to_tables`` (its CSV sections as ``(name, Columns)`` pairs).
-    """
+    """Render ``report``, which only needs ``to_dict`` (its document), and
+    optionally write it to ``path``."""
     if output_format == "json":
         text = render_json(report)
     elif output_format == "csv":

@@ -435,59 +435,68 @@ def pair_sumset_columns(
 
 @dataclass(frozen=True)
 class DeltaAggregate:
-    """Best pair density for each reachable residue of the sumset.
+    """Best pair density for each reachable residue of the sumset, as arrays
+    aligned with ``x``, the ascending residues of G + G.
 
-    For x in G + G, the pair density of an ordered pair (b1, b2) with
-    b1 + b2 = x mod m is the mean of the two class densities.
-    ``delta_x[x]`` is the largest of them, with the lexicographically
-    smallest witness pair, ``gamma_x[x]`` their average and ``count_x[x]``
-    the number of ordered pairs.  The lower bound adds (delta_x - eps) n / m
-    over all x, clamping negative contributions to zero.
+    The pair density of an ordered pair (b1, b2) of good classes with
+    b1 + b2 = x mod m is the mean of the two class densities.  ``delta`` is
+    the largest of them, ``(witness_b1, witness_b2)`` the lexicographically
+    smallest pair attaining it, ``gamma`` their average and ``count`` the
+    number of ordered pairs.  ``contribution`` is max(delta - eps, 0) n / m
+    and the lower bound adds it up over all x.
     """
 
-    delta_x: dict[int, float]
-    witness: dict[int, tuple[int, int]]
-    gamma_x: dict[int, float]
-    count_x: dict[int, int]
-    eps: float
-    n: int
-    m: int
+    x: np.ndarray
+    delta: np.ndarray
+    witness_b1: np.ndarray
+    witness_b2: np.ndarray
+    gamma: np.ndarray
+    count: np.ndarray
+    contribution: np.ndarray
     lower_bound: float
 
 
 def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     """Aggregate pair densities over the good set into per-residue maxima,
-    averages and pair counts, in one pass over the ordered good pairs.
+    averages and pair counts.
 
-    Witness pairs are chosen by density alone, which is symmetric in the
-    pair order.
+    One stable sort groups the ordered good pairs, in row-major order, by
+    residue, so each group keeps ascending (b1, b2) and its first maximum is
+    the smallest witness.  Witness pairs are chosen by density alone, which
+    is symmetric in the pair order.
     """
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    good = sorted(part.good)
-    if not good:
+    good = np.array(sorted(part.good), dtype=np.int64)
+    if not good.size:
         raise DomainError("the good set is empty; nothing to aggregate")
     m = part.modulus.m
-    delta_x: dict[int, float] = {}
-    witness: dict[int, tuple[int, int]] = {}
-    vals: dict[int, list[float]] = {}
-    for b1 in good:
-        for b2 in good:
-            x = (b1 + b2) % m
-            val = (part.delta_b[b1] + part.delta_b[b2]) / 2.0
-            vals.setdefault(x, []).append(val)
-            if x not in delta_x or val > delta_x[x]:
-                delta_x[x] = val
-                witness[x] = (b1, b2)
-    reachable = sorted(vals)
-    lower = sum(max(delta_x[x] - eps, 0.0) * part.n / m for x in reachable)
+    # b1 + b2 < 2m: the narrowest type keeps the residues small and sorts
+    # 16-bit keys by radix
+    narrow = good.astype(np.min_scalar_type(2 * m))
+    residue = ((narrow[:, None] + narrow) % m).ravel()
+    order = np.argsort(residue, kind="stable")
+    counts = np.bincount(residue, minlength=m)
+    del residue
+    x = np.flatnonzero(counts)
+    count = counts[x]
+    starts = np.cumsum(count) - count
+    density = np.array([part.delta_b[b] for b in good.tolist()])
+    value = ((density[:, None] + density) / 2.0).ravel()[order]
+    delta = np.maximum.reduceat(value, starts)
+    hits = np.flatnonzero(value == np.repeat(delta, count))
+    first = order[hits[np.searchsorted(hits, starts)]]
+    # fsum is correctly rounded, so the order within a group does not matter
+    bounds = zip(starts.tolist(), (starts + count).tolist())
+    gamma = np.array([math.fsum(value[lo:hi].tolist()) for lo, hi in bounds]) / count
+    contribution = np.maximum(delta - eps, 0.0) * part.n / m
     return DeltaAggregate(
-        delta_x={x: delta_x[x] for x in reachable},
-        witness={x: witness[x] for x in reachable},
-        gamma_x={x: math.fsum(vals[x]) / len(vals[x]) for x in reachable},
-        count_x={x: len(vals[x]) for x in reachable},
-        eps=eps,
-        n=part.n,
-        m=m,
-        lower_bound=lower,
+        x=x,
+        delta=delta,
+        witness_b1=good[first // good.size],
+        witness_b2=good[first % good.size],
+        gamma=gamma,
+        count=count,
+        contribution=contribution,
+        lower_bound=sum(contribution.tolist()),
     )

@@ -118,3 +118,35 @@ def pair_pieces_oracle(f, f1, f2, g, g1, g2, sigma: float) -> dict:
         out[f"err{key}_count"] = int(np.count_nonzero(np.abs(conv) > level / 10.0))
         out[f"err{key}_l2sq"] = float(np.sum(conv * conv))
     return out
+
+
+def aggregate_enum(part, eps: float) -> dict:
+    """The per-residue pair densities of the good set, one ordered pair at a
+    time in row-major order: the maximum with its first (smallest) witness,
+    the fsum average, the pair count and the lower bound, as dicts keyed by
+    the ascending residues x."""
+    good = sorted(part.good)
+    m = part.modulus.m
+    delta_x: dict[int, float] = {}
+    witness: dict[int, tuple[int, int]] = {}
+    vals: dict[int, list[float]] = {}
+    for b1 in good:
+        for b2 in good:
+            x = (b1 + b2) % m
+            val = (part.delta_b[b1] + part.delta_b[b2]) / 2.0
+            vals.setdefault(x, []).append(val)
+            if x not in delta_x or val > delta_x[x]:
+                delta_x[x] = val
+                witness[x] = (b1, b2)
+    reachable = sorted(vals)
+    lower = sum(max(delta_x[x] - eps, 0.0) * part.n / m for x in reachable)
+    return {
+        "delta_x": {x: delta_x[x] for x in reachable},
+        "witness": {x: witness[x] for x in reachable},
+        "gamma_x": {x: math.fsum(vals[x]) / len(vals[x]) for x in reachable},
+        "count_x": {x: len(vals[x]) for x in reachable},
+        "contribution": {
+            x: max(delta_x[x] - eps, 0.0) * part.n / m for x in reachable
+        },
+        "lower_bound": lower,
+    }

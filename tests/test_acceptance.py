@@ -334,14 +334,14 @@ def test_a11_filtered_pipeline_certifies_its_lower_bound():
     cfg = ExperimentConfig(n=100_000, w=3, rule=parse_rule("residue-filter:1:6"))
     report = run_pipeline(cfg)
 
-    for row in report.residue_density:
+    for row in report.residue_density.rows():
         assert row["gamma_x"] <= row["delta_x"] + 1e-12
 
     rebracket = [c for c in report.checks if c.name == "pair-density-rebracketing"]
     assert len(rebracket) == 1
     assert rebracket[0].kind == "assert" and rebracket[0].passed
 
-    assert [r["x"] for r in report.sumset_residues] == [2]
+    assert report.sumset_residues["x"] == [2]
 
     s = report.summary
     assert s["witness_ok"] is True

@@ -1,7 +1,8 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
 partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound,
 extremal and simulate-random exits 0, 2 or 3 with no traceback, and a
-rejected request (exit 2) comes back fast.
+rejected request (exit 2) comes back fast.  A decompose given --sigma,
+which it does not take, exits 2.
 
 Accepted runs keep n at most 10^4, m and the random host's N at most 3000,
 at most 5 random trials and at most 7 primes in the extremal modulus; a
@@ -151,7 +152,10 @@ def argv(draw) -> list[str]:
         top = mostly(st.integers(1, 20), st.integers(-3, 10**20))
         out += ["--top", str(draw(top))]
     if command == "decompose":
-        out += ["--eps0", repr(draw(UNIT_FLOATS)), "--sigma", repr(draw(FLOATS))]
+        out += ["--eps0", repr(draw(UNIT_FLOATS))]
+        # decompose takes no --sigma: argparse rejects it (exit 2)
+        if draw(mostly(st.just(False), st.just(True))):
+            out += ["--sigma", repr(draw(FLOATS))]
     if command == "pipeline":
         for flag, values in (
             ("--delta", UNIT_FLOATS),
@@ -178,6 +182,8 @@ def test_exit_codes_and_fast_rejections(args):
     elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if args[0] == "decompose" and "--sigma" in args:
+        assert code == 2, (args, code)
     if code == 2:
         assert elapsed < 0.5, (args, elapsed)
 

@@ -233,11 +233,11 @@ class TestPipeline:
 
     def test_class_counts_reconcile(self, pipeline_report):
         s = pipeline_report.summary
-        class_p = sum(r["prime_count"] for r in pipeline_report.per_class)
+        class_p = sum(pipeline_report.per_class["prime_count"])
         assert class_p + s["residual_primes"] == s["prime_count"]
 
     def test_residue_chain(self, pipeline_report):
-        for row in pipeline_report.residue_density:
+        for row in pipeline_report.residue_density.rows():
             assert row["gamma_x"] <= row["delta_x"] + 1e-12
             assert row["contribution"] >= 0.0
             if row["contribution"] > 0:
@@ -245,7 +245,7 @@ class TestPipeline:
 
     def test_sumset_residue_masses_total(self, pipeline_report):
         s = pipeline_report.summary
-        total = sum(r["count"] for r in pipeline_report.sumset_residues)
+        total = sum(pipeline_report.sumset_residues["count"])
         assert total == s["actual_sumset"]
 
     def test_rerun_is_identical(self, pipeline_report):
@@ -444,8 +444,8 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("gamma_x", "average pair density exceeds its maximum"),
-            ("count_x", "pair multiplicity mismatch"),
+            ("gamma", "average pair density exceeds its maximum"),
+            ("count", "pair multiplicity mismatch"),
         ],
     )
     def test_residue_gates_raise(self, monkeypatch, field, message):
@@ -454,16 +454,19 @@ class TestPipeline:
         import primesum.expcli.pipeline as pipeline
 
         aggregate = pipeline.aggregate_delta
+        bumped_at = []
 
         def broken(part, eps):
             agg = aggregate(part, eps)
-            x = next(iter(agg.delta_x))
-            bumped = {**getattr(agg, field), x: getattr(agg, field)[x] + 1}
+            bumped = getattr(agg, field).copy()
+            bumped[0] += 1
+            bumped_at.append(agg.x[0])
             return dataclasses.replace(agg, **{field: bumped})
 
         monkeypatch.setattr(pipeline, "aggregate_delta", broken)
-        with pytest.raises(InvariantViolation, match=message):
+        with pytest.raises(InvariantViolation, match=message) as info:
             run_pipeline(small_config(n=3000, w=5))
+        assert str(info.value).endswith(f"at residue {bumped_at[0]}")
 
     def test_empty_subset_degrades_gracefully(self):
         cfg = small_config(rule=parse_rule("residue-filter:0:4"))
@@ -641,11 +644,11 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_decompose_exact_split_prints_zero_remainder(self, capsys):
-        argv = ["decompose", "--n", "20000", "--W", "3", "--b", "1",
-                "--eps0", "0.02", "--sigma", "0.1"]
+        argv = ["decompose", "--n", "20000", "--W", "3", "--b", "1", "--eps0", "0.02"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "bohr_size=1" in out and "f2_sup_coeff=0 " in out
+        assert "sigma" not in out
 
     def test_failing_l1_identity_maps_to_three(self, monkeypatch, capsys):
         import primesum.prime_embed as pe
@@ -669,7 +672,7 @@ class TestCli:
         assert main(["pipeline", "--n", "3000", "--W", "5"]) == 3
         assert "L1 mass" in capsys.readouterr().err
 
-    CLASS_COMMANDS = [["spectrum"], ["decompose", "--eps0", "0.05", "--sigma", "0.01"]]
+    CLASS_COMMANDS = [["spectrum"], ["decompose", "--eps0", "0.05"]]
 
     @pytest.mark.parametrize("command", CLASS_COMMANDS)
     def test_one_sieve_past_w_per_class_command(self, monkeypatch, capsys, command):

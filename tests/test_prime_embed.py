@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primesum.errors import DomainError
@@ -22,7 +22,7 @@ from primesum.prime_embed import (
 )
 from primesum.zn_spectral import dft
 
-from oracles import trial_primes
+from oracles import aggregate_enum, trial_primes, units_of
 
 
 def synthetic_partition(delta_b, delta, good, n=1000, w=3):
@@ -339,11 +339,12 @@ class TestAggregateDelta:
     def test_two_class_maxima(self):
         part = synthetic_partition({1: 0.6, 5: 0.8}, 0.6, [1, 5], n=600, w=3)
         agg = aggregate_delta(part, 0.1)
-        assert agg.delta_x == {0: 0.7, 2: 0.6, 4: 0.8}
-        assert agg.witness[2] == (1, 1)
-        assert agg.witness[0] == (1, 5)
-        assert agg.gamma_x == {0: 0.7, 2: 0.6, 4: 0.8}
-        assert agg.count_x == {0: 2, 2: 1, 4: 1}
+        assert agg.x.tolist() == [0, 2, 4]
+        assert agg.delta.tolist() == [0.7, 0.6, 0.8]
+        assert (agg.witness_b1[1], agg.witness_b2[1]) == (1, 1)
+        assert (agg.witness_b1[0], agg.witness_b2[0]) == (1, 5)
+        assert agg.gamma.tolist() == [0.7, 0.6, 0.8]
+        assert agg.count.tolist() == [2, 1, 1]
         expected = (0.6 + 0.5 + 0.7) * 600 / 6
         assert abs(agg.lower_bound - expected) < 1e-9
 
@@ -352,26 +353,60 @@ class TestAggregateDelta:
         delta_b = {1: 0.2, 7: 0.4, 13: 0.6, 19: 1.0}
         part = synthetic_partition(delta_b, 0.5, delta_b, n=3000, w=5)
         agg = aggregate_delta(part, 0.1)
-        assert agg.count_x[20] == 4
-        assert agg.delta_x[20] == 0.6 and agg.witness[20] == (1, 19)
-        assert agg.gamma_x[20] == pytest.approx(0.55)
-        assert sum(agg.count_x.values()) == len(delta_b) ** 2
-        assert list(agg.gamma_x) == list(agg.delta_x) == sorted(agg.delta_x)
+        at = agg.x.tolist().index(20)
+        assert agg.count[at] == 4
+        assert agg.delta[at] == 0.6
+        assert (agg.witness_b1[at], agg.witness_b2[at]) == (1, 19)
+        assert agg.gamma[at] == pytest.approx(0.55)
+        assert agg.count.sum() == len(delta_b) ** 2
+        assert agg.x.tolist() == sorted(set(agg.x.tolist()))
         # a mean of equal values may round one ulp above them
-        assert all(agg.gamma_x[x] <= agg.delta_x[x] + 1e-12 for x in agg.delta_x)
+        assert np.all(agg.gamma <= agg.delta + 1e-12)
 
     def test_equal_densities(self):
         part = synthetic_partition({1: 0.4, 5: 0.4}, 0.4, [1, 5])
         agg = aggregate_delta(part, 0.1)
-        assert all(abs(v - 0.4) < 1e-12 for v in agg.delta_x.values())
+        assert np.all(np.abs(agg.delta - 0.4) < 1e-12)
 
     def test_single_class(self):
         part = synthetic_partition({1: 0.9, 5: 0.1}, 0.5, [1])
         agg = aggregate_delta(part, 0.2)
-        assert set(agg.delta_x) == {2}
-        assert agg.delta_x[2] == 0.9
+        assert agg.x.tolist() == [2]
+        assert agg.delta.tolist() == [0.9]
 
     def test_empty_good_rejected(self):
         part = synthetic_partition({1: 0.0}, 0.0, [])
         with pytest.raises(DomainError):
             aggregate_delta(part, 0.1)
+
+
+# a few fractions, so that pair densities tie within a residue
+DENSITIES = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def good_partitions(draw):
+    w = draw(st.sampled_from([3, 5, 7]))
+    units = units_of(primorial(w).m)
+    delta_b = {b: draw(DENSITIES) for b in units}
+    good = draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+    n = draw(st.integers(primorial(w).m, 10**6))
+    eps = draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.7]))
+    return synthetic_partition(delta_b, 0.5, good, n=n, w=w), eps
+
+
+class TestAggregateOracle:
+    @settings(max_examples=100)
+    @given(good_partitions())
+    def test_matches_the_pair_loop(self, drawn):
+        part, eps = drawn
+        agg, ref = aggregate_delta(part, eps), aggregate_enum(part, eps)
+        xs = list(ref["delta_x"])
+        assert agg.x.tolist() == xs
+        assert agg.delta.tolist() == [ref["delta_x"][x] for x in xs]
+        witnesses = zip(agg.witness_b1.tolist(), agg.witness_b2.tolist())
+        assert list(witnesses) == [ref["witness"][x] for x in xs]
+        assert agg.gamma.tolist() == [ref["gamma_x"][x] for x in xs]
+        assert agg.count.tolist() == [ref["count_x"][x] for x in xs]
+        assert agg.contribution.tolist() == [ref["contribution"][x] for x in xs]
+        assert agg.lower_bound == ref["lower_bound"]

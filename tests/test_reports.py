@@ -1,5 +1,7 @@
 """The column-wise report writer against the stock indented JSON encoder."""
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primesum.expcli.pipeline import RandomHostReport
-from primesum.expcli.reports import Columns, _sanitize, render_csv, render_json
+from primesum.expcli.reports import Columns, _cell, _sanitize, render_csv, render_json
 
 # keys and strings that need escaping: quotes, backslashes, control and
 # non-ASCII characters, the list separator ", " and a "%" (the row template
@@ -136,3 +138,41 @@ class TestCsvWriter:
             "0,5,false,,\n1,7,true,9,0.3\n2,0,false,3,\n"
         )
         assert render_json(report) == stock(report.to_dict())
+
+
+def csv_text(doc) -> str:
+    """The CSV of ``doc`` written row by row: one section per table, in
+    document order, the checks only when they are a table."""
+    sections = [("config", doc["config"]), *doc["tables"].items()]
+    if isinstance(doc["checks"], Columns):
+        sections.append(("checks", doc["checks"]))
+    rows = []
+    for name, table in sections:
+        if not isinstance(table, Columns):
+            table = Columns(key=list(table), value=list(table.values()))
+        if rows:
+            rows.append([])
+        rows += [["section", name], list(table) if table.size else []]
+        rows += [[_cell(cell) for cell in row] for row in zip(*table.values())]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestCsvDocument:
+    @settings(max_examples=200)
+    @given(documents())
+    def test_one_section_per_table_in_document_order(self, doc):
+        assert render_csv(_Report(doc)) == csv_text(doc)
+
+    def test_checks_without_a_table_give_no_section(self):
+        doc = {
+            "config": {"n": 3},
+            "tables": {"summary": {"a": 1.5}, "t": Columns(x=[1, 2])},
+            "checks": [],
+        }
+        assert render_csv(_Report(doc)) == (
+            "section,config\nkey,value\nn,3\n\n"
+            "section,summary\nkey,value\na,1.5\n\n"
+            "section,t\nx\n1\n2\n"
+        )
