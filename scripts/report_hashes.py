@@ -39,7 +39,8 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # cell (rendered as null); then the Z_m commands: a sumset small enough to be
 # counted pair by pair and a dense one that takes the FFT, a moments run, a
 # non-squarefree modulus (the radical-block certificate), a list: spec and the
-# extremal family; the random-host report as JSON and CSV; and the one-class
+# extremal family; the random-host report as JSON and CSV, and given --theta,
+# which it does not take (exit 2); and the one-class
 # commands, which share the pipeline's prime table: sieve, partition,
 # spectrum, decompose, a spectrum whose --b is rejected (exit 2) and a W=13
 # spectrum past the pipeline's pair-work cap (exit 0: it runs no pairs); last
@@ -80,6 +81,7 @@ CASES = [
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
     ("random-host", RANDOM_HOST),
     ("random-host-csv", f"{RANDOM_HOST} --format csv"),
+    ("random-host-theta", f"{RANDOM_HOST} --theta 0.5"),
     ("sieve-n100000", "sieve --n 100000"),
     ("partition-w5", "partition --n 100000 --W 5"),
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),

@@ -26,7 +26,6 @@ from ..ntheory import (
     factorize,
     primorial,
     sieve_primes,
-    unit_indicator,
 )
 from ..prime_embed import (
     embed_class,
@@ -74,13 +73,10 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     parts = text.strip().split(":")
     kind = parts[0]
 
-    def units() -> np.ndarray:
-        return np.flatnonzero(unit_indicator(factorize(m)))
-
     if kind == "units":
         if len(parts) != 1:
             raise ConfigurationError(f"units takes no parameters, got {text!r}")
-        return SubsetOfZm.from_members(m, units())
+        return SubsetOfZm.units(m)
     if kind == "units-filter":
         if len(parts) != 3:
             raise ConfigurationError(f"units-filter needs b0 and m0, got {text!r}")
@@ -90,7 +86,7 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             raise ConfigurationError(f"bad units-filter parameters in {text!r}") from exc
         if not 1 <= m0 < 2**63:
             raise ConfigurationError(f"units-filter needs 1 <= m0 < 2^63, got {m0}")
-        pool = units()
+        pool = SubsetOfZm.units(m).members_array()
         return SubsetOfZm.from_members(m, pool[pool % m0 == b0 % m0])
     if kind == "list":
         if len(parts) != 2:
@@ -112,7 +108,10 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             raise ConfigurationError(f"frac must lie in (0, 1], got {frac}")
         if not 0 <= seed < 2**64:
             raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
-        pool = units() if kind == "units-random" else np.arange(m, dtype=np.int64)
+        if kind == "units-random":
+            pool = SubsetOfZm.units(m).members_array()
+        else:
+            pool = np.arange(m, dtype=np.int64)
         size = math.ceil(frac * pool.size)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -204,7 +203,7 @@ def _cmd_spectrum(args) -> int:
         f"mass={_fmt(mass.mass)} threshold={_fmt(mass.threshold)} "
         f"passed={_fmt(mass.passed)}"
     )
-    mags = np.abs(dft(ec.f).coeffs)
+    mags = np.abs(dft(ec.f))
     order = np.argsort(-mags, kind="stable")[: args.top]
     for xi in order:
         _print(f"xi={int(xi)} magnitude={_fmt(float(mags[xi]))}")
@@ -215,7 +214,7 @@ def _cmd_decompose(args) -> int:
     ec = _embedded_class(args)
     decomp = green_decompose(ec.f, args.eps0)
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
-    sup_hat = float(np.max(np.abs(dft(ec.f).coeffs)))
+    sup_hat = float(np.max(np.abs(dft(ec.f))))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(
         f"b={ec.b} N={ec.N} eps0={_fmt(args.eps0)} bohr_size={decomp.bohr.size}"
@@ -307,8 +306,6 @@ def _cmd_simulate_random(args) -> int:
         alpha=args.alpha,
         trials=args.trials,
         seed=args.seed,
-        theta=args.theta,
-        beta=args.beta,
     )
     _write_report(simulate_random_host(exp), args)
     return 0
@@ -392,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate_random)

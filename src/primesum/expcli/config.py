@@ -170,8 +170,7 @@ def build_subset(cfg: ExperimentConfig, table: PrimeTable) -> np.ndarray:
 class RandomSetExperiment:
     """Random host-and-subset trials on Z_N.
 
-    ``theta`` and ``beta`` are regime annotations echoed into the report;
-    each trial draws a host S by independent inclusion with probability p,
+    Each trial draws a host S by independent inclusion with probability p,
     then a uniform subset of size ceil(alpha |S|) by seeded shuffle.
     """
 
@@ -180,8 +179,6 @@ class RandomSetExperiment:
     alpha: float
     trials: int
     seed: int = 0
-    theta: float | None = None
-    beta: float | None = None
 
     def validate(self) -> None:
         if not isinstance(self.N, int) or self.N < 1:
@@ -204,8 +201,6 @@ class RandomSetExperiment:
             "N": self.N,
             "p": self.p,
             "alpha": self.alpha,
-            "beta": self.beta,
-            "theta": self.theta,
             "trials": self.trials,
             "seed": self.seed,
         }

@@ -240,7 +240,7 @@ def _residue_chain(
     k_formula, k_floor = choose_moment_order(alpha_good)
     k = cfg.k if cfg.k is not None else k_floor
     cert = kth_moment(SubsetOfZm.from_members(mod.m, good), k, mod)
-    r_x = cert.hist.r[agg.x]
+    r_x = cert.hist[agg.x]
     mismatch = agg.x[agg.count != r_x]
     if mismatch.size:
         raise InvariantViolation(f"pair multiplicity mismatch at residue {mismatch[0]}")

@@ -22,7 +22,6 @@ from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, unit_indicator
 from .zn_spectral import (
     PAIR_BLOCK_BYTES,
-    Decomposition,
     DensityFunction,
     convolve_pairs,
     green_decompose,
@@ -43,7 +42,6 @@ __all__ = [
     "embedding_mass_check",
     "pseudorandom_deficit",
     "pseudorandom_deficits",
-    "class_decomposition",
     "pair_sumset_columns",
     "aggregate_delta",
 ]
@@ -330,12 +328,6 @@ def pseudorandom_deficits(
     return out
 
 
-def class_decomposition(ec: EmbeddedClass, eps0: float, sigma: float) -> Decomposition:
-    """Split the class density at eps0 clamped down to sigma^6 mean^4 / 400."""
-    cap = sigma**6 * ec.f.mean() ** 4 / 400.0
-    return green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0)
-
-
 def pair_sumset_columns(
     classes: Sequence[EmbeddedClass],
     eps: float,
@@ -345,16 +337,16 @@ def pair_sumset_columns(
     """Bound the sumset of every unordered pair of the classes, in the order
     (c1, c1), (c1, c2), ..., (c2, c2), ..., and return the report columns.
 
-    Each class is split once at its own level (``class_decomposition``).  A
-    pair works at the level of the class with the smaller mean; the other
-    class is split again at that level unless its Bohr set is {0}, and each
-    (class, level) split is made once.  The support of f * g is reported
-    against the mean class density minus eps; the smoothed main term is
-    counted against sigma alpha N, alpha the smaller class mean (the row's
-    ``alpha``), and the mixed pieces against a tenth of that.  A pair with an
-    all-zero density has nothing to decompose: every count is 0.  The last
-    column, ``support_count``, is the exact count behind
-    ``support_fraction``.
+    Each class is split once at its own level: eps0 clamped down to
+    sigma^6 mean^4 / 400 when that cap is positive.  A pair works at the
+    level of the class with the smaller mean; the other class is split again
+    at that level unless its Bohr set is {0}, and each (class, level) split
+    is made once.  The support of f * g is reported against the mean class
+    density minus eps; the smoothed main term is counted against sigma alpha
+    N, alpha the smaller class mean (the row's ``alpha``), and the mixed
+    pieces against a tenth of that.  A pair with an all-zero density has
+    nothing to decompose: every count is 0.  The last column,
+    ``support_count``, is the exact count behind ``support_fraction``.
     """
     lengths = sorted({ec.N for ec in classes})
     if len(lengths) > 1:
@@ -367,7 +359,11 @@ def pair_sumset_columns(
         raise DomainError(f"eps0 must be positive, got {eps0}")
     n = lengths[0] if lengths else 1
     means = [ec.f.mean() for ec in classes]
-    splits = [class_decomposition(ec, eps0, sigma) for ec in classes]
+    caps = [sigma**6 * mean**4 / 400.0 for mean in means]
+    splits = [
+        green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0)
+        for ec, cap in zip(classes, caps)
+    ]
     keys = {(c, d.bohr.width): c for c, d in enumerate(splits)}
 
     def split_at(c: int, level: float) -> int:

@@ -38,9 +38,7 @@ from .ntheory import (
 
 __all__ = [
     "SubsetOfZm",
-    "RepresentationHistogram",
     "MomentCertificate",
-    "HolderCertificate",
     "TailCountReport",
     "CollisionStats",
     "CkSeriesResult",
@@ -56,7 +54,6 @@ __all__ = [
     "tail_count",
     "kth_moment",
     "ck_series",
-    "holder_lower_bound",
     "choose_moment_order",
     "znstar_certificate",
     "extremal_construct",
@@ -287,27 +284,17 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     return lo, counts > 0
 
 
-@dataclass(frozen=True)
-class RepresentationHistogram:
-    """r[x] = number of ordered pairs of members summing to x mod m."""
-
-    m: int
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r.setflags(write=False)
-
-
-def rep_histogram(b: SubsetOfZm) -> RepresentationHistogram:
-    """Ordered-pair representation counts of B + B in Z_m, exact; their
-    support passes the same dual-route check as ``sumset``."""
+def rep_histogram(b: SubsetOfZm) -> np.ndarray:
+    """Read-only counts r[x] of the ordered pairs of members summing to x mod
+    m, exact; their support passes the same dual-route check as ``sumset``."""
     r = _sumset_counts(b, b)
     total = int(np.sum(r))
     if total != b.cardinality**2:
         raise InvariantViolation(
             f"representation counts sum to {total}, expected {b.cardinality ** 2}"
         )
-    return RepresentationHistogram(m=b.m, r=r)
+    r.setflags(write=False)
+    return r
 
 
 def _all_units(b: SubsetOfZm) -> bool:
@@ -457,7 +444,7 @@ class MomentCertificate:
     comparator_ratio: float
     holder_bound: float | None
     actual_sumset: int
-    hist: RepresentationHistogram
+    hist: np.ndarray
 
 
 def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate:
@@ -465,7 +452,9 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
 
     All counts are Python integers (no overflow at any size); the chain
     s_rb <= s_r = sum of strata is verified exactly, and for k >= 2 the
-    power-mean lower bound on |B+B| is checked against the true sumset.
+    Hoelder bound |B+B| >= |B|^(2k/(k-1)) / s_rb^(1/(k-1)) is checked against
+    the true sumset in exact integers, as |B+B|^(k-1) s_rb >= |B|^(2k),
+    before its float value is reported.
     """
     if k < 1:
         raise DomainError(f"moment order must be >= 1, got {k}")
@@ -479,9 +468,9 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         raise DomainError("members must lie in the unit group")
 
     hist = rep_histogram(b)
-    s_rb = _power_sum(hist.r, k)
+    s_rb = _power_sum(hist, k)
     big_r = capital_R(b, mod)
-    if np.any(big_r < hist.r):
+    if np.any(big_r < hist):
         raise InvariantViolation("unit-shift counts fail to dominate pointwise")
     divisors, layer = _gcd_layers(mod)
     top = int(big_r.max()) + 1
@@ -504,11 +493,14 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     )
     ratio = float(s_rb) / comparator if comparator > 0 else math.inf
 
-    actual = int(np.count_nonzero(hist.r))
+    actual = int(np.count_nonzero(hist))
     holder_bound: float | None = None
     if k >= 2:
-        holder_bound = _holder_bound_value(card, s_rb, k)
-        _assert_holder_exact(actual, card, s_rb, k)
+        if actual ** (k - 1) * s_rb < card ** (2 * k):
+            raise InvariantViolation(
+                f"power-mean bound exceeds the true sumset size ({actual})"
+            )
+        holder_bound = math.exp((2.0 * k * math.log(card) - math.log(s_rb)) / (k - 1))
     return MomentCertificate(
         m=mod.m,
         k=k,
@@ -522,54 +514,6 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         holder_bound=holder_bound,
         actual_sumset=actual,
         hist=hist,
-    )
-
-
-def _holder_bound_value(card: int, s: int, k: int) -> float:
-    return math.exp((2.0 * k * math.log(card) - math.log(s)) / (k - 1))
-
-
-def _assert_holder_exact(actual: int, card: int, s: int, k: int) -> None:
-    # actual >= card^(2k/(k-1)) / s^(1/(k-1))  <=>  actual^(k-1) * s >= card^(2k)
-    if actual ** (k - 1) * s < card ** (2 * k):
-        raise InvariantViolation(
-            f"power-mean bound exceeds the true sumset size ({actual})"
-        )
-
-
-@dataclass(frozen=True)
-class HolderCertificate:
-    """Unconditional lower bound |B+B| >= |B|^(2k/(k-1)) / (sum r^k)^(1/(k-1))."""
-
-    m: int
-    k: int
-    card: int
-    moment: int
-    bound: float
-    actual: int
-
-
-def holder_lower_bound(b: SubsetOfZm, k: int) -> HolderCertificate:
-    """Power-mean lower bound on |B+B| from the k-th representation moment.
-
-    Valid for any subset of Z_m (no coprimality needed).  The inequality is
-    verified in exact integer arithmetic before the float bound is reported.
-    """
-    if k < 2:
-        raise DomainError(f"the bound needs k >= 2, got {k}")
-    if b.cardinality == 0:
-        raise DomainError("certificate refused for the empty set")
-    hist = rep_histogram(b)
-    s = _power_sum(hist.r, k)
-    actual = int(np.count_nonzero(hist.r))
-    _assert_holder_exact(actual, b.cardinality, s, k)
-    return HolderCertificate(
-        m=b.m,
-        k=k,
-        card=b.cardinality,
-        moment=s,
-        bound=_holder_bound_value(b.cardinality, s, k),
-        actual=actual,
     )
 
 

@@ -42,20 +42,14 @@ from .errors import DomainError, InvariantViolation
 
 __all__ = [
     "DensityFunction",
-    "Spectrum",
     "BohrSet",
     "Decomposition",
     "PairConvolutions",
-    "indicator",
-    "constant",
     "stacked_densities",
     "dft",
-    "inverse_dft",
-    "convolve",
     "large_spectrum",
     "bohr_set",
     "green_decompose",
-    "positive_support",
     "l2sq_from_half_spectrum",
     "smooth_length",
     "convolve_pairs",
@@ -98,24 +92,6 @@ class DensityFunction:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients of a function on Z_N under the 1/N-normalized
-    transform, indexed by frequency 0..N-1."""
-
-    N: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size != self.N:
-            raise DomainError(
-                f"coeffs must be a length-{self.N} vector, got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True)
 class BohrSet:
     """Points of Z_N at which every listed frequency stays within ``width``
     of the trivial character: |e(-x xi / N) - 1| <= width for all xi."""
@@ -149,21 +125,6 @@ class Decomposition:
         return float(np.max(self.f1.values)) if self.f1.N else 0.0
 
 
-def indicator(N: int, points) -> DensityFunction:
-    """0/1 indicator density of a subset of Z_N."""
-    vals = np.zeros(N, dtype=np.float64)
-    for x in points:
-        x = int(x)
-        if not 0 <= x < N:
-            raise DomainError(f"point {x} outside Z_{N}")
-        vals[x] = 1.0
-    return DensityFunction(N=N, values=vals)
-
-
-def constant(N: int, value: float) -> DensityFunction:
-    return DensityFunction(N=N, values=np.full(N, float(value)))
-
-
 def stacked_densities(rows: np.ndarray) -> list[DensityFunction]:
     """One density on each row of the 2-D array ``rows``, holding a view of
     the row, not a copy, and its row of one stacked ``fft`` as its transform.
@@ -180,28 +141,12 @@ def stacked_densities(rows: np.ndarray) -> list[DensityFunction]:
     return densities
 
 
-def dft(f: DensityFunction) -> Spectrum:
-    """Normalized transform: coeffs[xi] = (1/N) sum_x f(x) e(-x xi / N)."""
-    return Spectrum(N=f.N, coeffs=f.transform / f.N)
-
-
-def inverse_dft(spec: Spectrum) -> np.ndarray:
-    """Pointwise reconstruction f(x) = sum_xi coeffs[xi] e(x xi / N).
-
-    Returns the real part; for spectra of real functions the imaginary part
-    is at rounding level.
-    """
-    return np.fft.ifft(spec.coeffs * spec.N).real
-
-
-def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
-    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x - y)."""
-    if f.N != g.N:
-        raise DomainError(f"mismatched group orders {f.N} and {g.N}")
-    vals = np.fft.ifft(f.transform * g.transform).real
-    # rounding can leave tiny negatives on a mathematically nonnegative result
-    np.maximum(vals, 0.0, out=vals)
-    return DensityFunction(N=f.N, values=vals)
+def dft(f: DensityFunction) -> np.ndarray:
+    """Normalized transform, read-only: entry xi is (1/N) sum_x f(x) e(-x xi / N),
+    for the frequencies xi = 0..N-1."""
+    coeffs = f.transform / f.N
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
@@ -212,7 +157,7 @@ def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
     """
     if not eps0 > 0:
         raise DomainError(f"spectrum threshold must be positive, got {eps0}")
-    mags = np.round(np.abs(dft(f).coeffs), 12)
+    mags = np.round(np.abs(dft(f)), 12)
     return np.flatnonzero(mags >= eps0)
 
 
@@ -283,24 +228,6 @@ def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
     return Decomposition(f1=f1, f2=f2, bohr=bohr)
 
 
-def positive_support(f: DensityFunction, g: DensityFunction, threshold: float) -> int:
-    """Number of points where (f*g) exceeds ``threshold``.
-
-    At threshold 0, values within 1e-9 of zero relative to the convolution's
-    natural scale are clamped first so that transform noise on an exact zero
-    never counts as support.
-    """
-    if f.N != g.N:
-        raise DomainError(f"mismatched group orders {f.N} and {g.N}")
-    if threshold < 0:
-        raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    vals = np.fft.ifft(f.transform * g.transform).real
-    if threshold == 0:
-        scale = max(1.0, f.l1() * g.l1() / f.N)
-        vals = np.where(np.abs(vals) <= 1e-9 * scale, 0.0, vals)
-    return int(np.count_nonzero(vals > threshold))
-
-
 # Bytes of temporaries one block of pairs may hold while its inverse
 # transforms run; a pair holds about 32 bytes per point of its transform
 # length at a time.
@@ -310,7 +237,7 @@ PAIR_BLOCK_BYTES = 1 << 20
 @dataclass(frozen=True)
 class PairConvolutions:
     """Per-pair results of ``convolve_pairs``: ``support`` counts the points
-    where f*g is positive (as ``positive_support`` at threshold 0),
+    where f*g is positive, above 1e-9 of max(1, ||f||_1 ||g||_1 / N),
     ``main_count`` those where f1*g1 exceeds sigma alpha N, alpha the smaller
     of mean(f) and mean(g), and ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2
     of ``error_count`` and ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the

@@ -51,6 +51,15 @@ def convolve_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def positive_support(f, g) -> int:
+    """Number of points where the cyclic convolution f*g of two densities is
+    positive: above 1e-9 of its natural scale max(1, ||f||_1 ||g||_1 / N), so
+    that transform noise on an exact zero never counts as support."""
+    vals = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
+    scale = max(1.0, f.l1() * g.l1() / f.N)
+    return int(np.count_nonzero(vals > 1e-9 * scale))
+
+
 def bohr_double_average(values: np.ndarray, members: np.ndarray) -> np.ndarray:
     """f1(x) = |B|^-2 sum over (y1, y2) in B^2 of f(x + y1 - y2)."""
     n = len(values)

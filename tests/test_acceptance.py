@@ -30,19 +30,12 @@ from primesum.zm_sumsets import (
     capital_R,
     ck_series,
     extremal_construct,
-    holder_lower_bound,
     kth_moment,
     rep_histogram,
     sumset,
     tail_count,
 )
-from primesum.zn_spectral import (
-    DensityFunction,
-    convolve,
-    dft,
-    green_decompose,
-    inverse_dft,
-)
+from primesum.zn_spectral import DensityFunction, dft, green_decompose
 
 from oracles import bohr_double_average, rep_enum
 
@@ -86,13 +79,17 @@ def test_a01_fourier_identities_hold_on_random_functions():
             fh, gh = dft(f), dft(g)
 
             time_side = float(np.sum(f.values**2)) / big_n
-            freq_side = float(np.sum(np.abs(fh.coeffs) ** 2))
+            freq_side = float(np.sum(np.abs(fh) ** 2))
             assert abs(time_side - freq_side) <= 1e-9 * max(1.0, abs(time_side))
 
-            conv_hat = dft(convolve(f, g)).coeffs
-            assert rel_gap(conv_hat, big_n * fh.coeffs * gh.coeffs) <= 1e-9
+            # the cyclic f*g, folded mod N from the linear convolution
+            full = np.convolve(f.values, g.values)
+            conv = full[:big_n].copy()
+            conv[: big_n - 1] += full[big_n:]
+            conv_hat = dft(DensityFunction(N=big_n, values=conv))
+            assert rel_gap(conv_hat, big_n * fh * gh) <= 1e-9
 
-            back = inverse_dft(fh)
+            back = np.fft.ifft(fh * big_n).real
             assert float(np.max(np.abs(back - f.values))) <= 1e-9
     budget.check()
 
@@ -129,8 +126,8 @@ def test_a03_representation_histogram_is_exact():
         members = [u for i, u in enumerate(units30) if mask >> i & 1]
         b = SubsetOfZm.from_members(30, members)
         hist = rep_histogram(b)
-        assert hist.r.tolist() == rep_enum(members, 30).tolist()
-        assert int(hist.r.sum()) == len(members) ** 2
+        assert hist.tolist() == rep_enum(members, 30).tolist()
+        assert int(hist.sum()) == len(members) ** 2
 
     rng = make_rng(3)
     for _ in range(100):
@@ -138,36 +135,40 @@ def test_a03_representation_histogram_is_exact():
         b = random_subset(rng, m, rng.uniform(0.02, min(0.3, 60.0 / m)))
         members = b.members_array().tolist()
         hist = rep_histogram(b)
-        assert hist.r.tolist() == rep_enum(members, m).tolist()
-        assert int(hist.r.sum()) == len(members) ** 2
+        assert hist.tolist() == rep_enum(members, m).tolist()
+        assert int(hist.sum()) == len(members) ** 2
 
-    r5 = rep_histogram(SubsetOfZm.units(5)).r
+    r5 = rep_histogram(SubsetOfZm.units(5))
     assert int(np.sum(r5.astype(np.int64) ** 2)) == 52
     budget.check()
 
 
 def test_a04_holder_certificates_never_overshoot():
     """The moment-based lower bound stays at or below the true sumset size
-    on 500 random (set, order) draws, with the near-tight unit-group case
-    reproduced exactly.
+    on 500 random (set, order) draws of unit subsets of squarefree moduli,
+    with the near-tight unit-group case reproduced exactly.
     """
     budget = Budget(60.0)
     rng = make_rng(4)
     checked = 0
     while checked < 500:
-        m = int(rng.integers(3, 301))
-        b = random_subset(rng, m, rng.uniform(0.05, 0.4))
-        if b.cardinality == 0:
+        mod = factorize(int(rng.integers(3, 301)))
+        if not mod.squarefree:
+            continue
+        units = SubsetOfZm.units(mod.m).members_array()
+        members = units[rng.random(units.size) < rng.uniform(0.05, 0.4)]
+        if members.size == 0:
             continue
         k = int(rng.integers(2, 5))
-        cert = holder_lower_bound(b, k)
-        assert cert.actual >= cert.bound - 1e-9
+        cert = kth_moment(SubsetOfZm.from_members(mod.m, members), k, mod)
+        assert cert.actual_sumset >= cert.holder_bound - 1e-9
         checked += 1
 
-    tight = holder_lower_bound(SubsetOfZm.units(5), 2)
-    assert abs(tight.bound - 256.0 / 52.0) <= 1e-12
-    assert abs(tight.bound - 4.923) <= 1e-3
-    assert tight.actual == 5
+    tight = kth_moment(SubsetOfZm.units(5), 2, factorize(5))
+    assert tight.s_rb == 52
+    assert abs(tight.holder_bound - 256.0 / 52.0) <= 1e-12
+    assert abs(tight.holder_bound - 4.923) <= 1e-3
+    assert tight.actual_sumset == 5
     budget.check()
 
 
@@ -187,7 +188,7 @@ def test_a05_moment_stratification_is_consistent():
                 take[int(rng.integers(0, units.size))] = True
             b = SubsetOfZm.from_members(m, units[take])
             relaxed = capital_R(b, mod)
-            own = rep_histogram(b).r
+            own = rep_histogram(b)
             assert np.all(relaxed >= own)
             for k in (2, 3, 4):
                 cert = kth_moment(b, k, mod)
@@ -297,7 +298,7 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
         d = green_decompose(f, eps0)
         assert abs(d.f1.mean() - f.mean()) <= 1e-9
         assert np.all(d.f1.values >= 0.0)
-        f_hat_sup = float(np.max(np.abs(dft(f).coeffs)))
+        f_hat_sup = float(np.max(np.abs(dft(f))))
         f2_hat_sup = float(np.max(np.abs(np.fft.fft(d.f2) / f.N)))
         assert f2_hat_sup <= 2.0 * eps0 * max(1.0, f_hat_sup) + 1e-12
         direct = bohr_double_average(f.values, d.bohr.members)

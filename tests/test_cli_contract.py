@@ -1,8 +1,9 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
 partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound,
 extremal and simulate-random exits 0, 2 or 3 with no traceback, and a
-rejected request (exit 2) comes back fast.  A decompose given --sigma,
-which it does not take, exits 2.
+rejected request (exit 2) comes back fast.  A flag that a command does not
+take exits 2: decompose given --sigma, simulate-random given --theta or
+--beta.
 
 Accepted runs keep n at most 10^4, m and the random host's N at most 3000,
 at most 5 random trials and at most 7 primes in the extremal modulus; a
@@ -21,6 +22,10 @@ from hypothesis import strategies as st
 
 from primesum.expcli import cli
 from primesum.expcli.cli import main
+
+
+# flags that the commands once took and now reject
+REMOVED_FLAGS = {"decompose": ("--sigma",), "simulate-random": ("--theta", "--beta")}
 
 
 def mostly(valid, invalid):
@@ -87,6 +92,16 @@ def units_and_others(w: int) -> tuple[list[int], list[int]]:
     return units, [b for b in range(-3, m + 3) if b not in units]
 
 
+def removed_flags(draw, command: str) -> list[str]:
+    """Each flag of REMOVED_FLAGS that the command once took, one time in
+    four, with a value."""
+    out = []
+    for flag in REMOVED_FLAGS.get(command, ()):
+        if draw(mostly(st.just(False), st.just(True))):
+            out += [flag, repr(draw(FLOATS))]
+    return out
+
+
 @st.composite
 def argv(draw) -> list[str]:
     command = draw(
@@ -128,13 +143,9 @@ def argv(draw) -> list[str]:
         out += ["--trials", str(draw(TRIALS))]
         for flag, values in (("--p", UNIT_FLOATS), ("--alpha", UNIT_FLOATS)):
             out += [flag, repr(draw(values))]
-        for flag, values in (
-            ("--seed", SEED),
-            ("--theta", FLOATS),
-            ("--beta", FLOATS),
-        ):
-            if draw(st.booleans()):
-                out += [flag, repr(draw(values))]
+        if draw(st.booleans()):
+            out += ["--seed", repr(draw(SEED))]
+        out += removed_flags(draw, command)
         formats = mostly(st.sampled_from(["json", "csv"]), st.just("xml"))
         return out + ["--format", draw(formats)]
     has_b = command in ("spectrum", "decompose")
@@ -153,9 +164,7 @@ def argv(draw) -> list[str]:
         out += ["--top", str(draw(top))]
     if command == "decompose":
         out += ["--eps0", repr(draw(UNIT_FLOATS))]
-        # decompose takes no --sigma: argparse rejects it (exit 2)
-        if draw(mostly(st.just(False), st.just(True))):
-            out += ["--sigma", repr(draw(FLOATS))]
+    out += removed_flags(draw, command)
     if command == "pipeline":
         for flag, values in (
             ("--delta", UNIT_FLOATS),
@@ -182,7 +191,7 @@ def test_exit_codes_and_fast_rejections(args):
     elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if args[0] == "decompose" and "--sigma" in args:
+    if any(flag in args for flag in REMOVED_FLAGS.get(args[0], ())):
         assert code == 2, (args, code)
     if code == 2:
         assert elapsed < 0.5, (args, elapsed)

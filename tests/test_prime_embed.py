@@ -162,7 +162,7 @@ class TestEmbedClass:
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
         ec = embed_class(part, 1, table)
         assert ec.N == choose_N(2000, 6)
-        zero_mode = dft(ec.nu).coeffs[0].real
+        zero_mode = dft(ec.nu)[0].real
         assert abs(zero_mode - math.fsum(ec.nu.values / ec.N)) < 1e-9
 
     def test_shared_table_must_reach(self):
