@@ -37,9 +37,11 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # 115,440 pairs convolve at a short length below the non-smooth N, levels where
 # the Bohr sets are nontrivial, and a run whose per-class table holds a NaN
 # cell (rendered as null); then the Z_m commands: a sumset small enough to be
-# counted pair by pair and a dense one that takes the FFT, a moments run, a
-# non-squarefree modulus (the radical-block certificate), a list: spec and the
-# extremal family; the random-host report as JSON and CSV, and given --theta,
+# counted pair by pair and a dense one that takes the FFT, the units of
+# Z_1000000, whose FFT runs at length m, and of the prime 999983, whose FFT
+# runs at the padded power of two, a moments run, a non-squarefree modulus
+# (the radical-block certificate), a list: spec and the extremal family at
+# s=6 and s=7; the random-host report as JSON and CSV, and given --theta,
 # which it does not take (exit 2); and the one-class
 # commands, which share the pipeline's prime table: sieve, partition,
 # spectrum, decompose, a spectrum whose --b is rejected (exit 2) and a W=13
@@ -75,10 +77,13 @@ CASES = [
     ("pipeline-nan-cell", "pipeline --n 3000 --W 2"),
     ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),
     ("sumset-dense", "sumset --m 30030 --set-spec units"),
+    ("sumset-units-1000000", "sumset --m 1000000 --set-spec units"),
+    ("sumset-units-999983", "sumset --m 999983 --set-spec units"),
     ("moments-z30030", "moments --m 30030 --set-spec units-random:0.05:2 --k 3"),
     ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),
     ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
+    ("extremal-s7-t2", "extremal --s 7 --t 2"),
     ("random-host", RANDOM_HOST),
     ("random-host-csv", f"{RANDOM_HOST} --format csv"),
     ("random-host-theta", f"{RANDOM_HOST} --theta 0.5"),

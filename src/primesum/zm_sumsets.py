@@ -7,7 +7,11 @@ fractions are exact rationals.  Cyclic and integer sumsets alike count
 pairwise sums through one rule: ``np.bincount`` (the sparse route) while the
 pairs number at most the butterflies of the real FFT it replaces, and that
 float FFT beyond; the FFT result must pass a distance-to-integer certificate
-before rounding.  Kernels over all of Z_m read the modulus's prime structure:
+before rounding.  A cyclic convolution over Z_m runs that FFT as one cyclic
+transform of length m when m = prod p^e makes it the cheaper one, m sum p e
+below 2 nfft log2 nfft for the power of two nfft >= 2m - 1 (primorials and
+10^6, say), and as the padded linear transform folded onto Z_m otherwise (a
+prime m, say).  Kernels over all of Z_m read the modulus's prime structure:
 one strided gcd table for the unit group and the gcd layers, and a Moebius
 count factored one prime at a time.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -123,11 +128,26 @@ class SubsetOfZm:
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
+    # the bits are unpacked once per set, into read-only arrays
+    @cached_property
+    def _indicator(self) -> np.ndarray:
+        flags = _unpack_bits(self.bits, self.m)
+        flags.setflags(write=False)
+        return flags
+
+    @cached_property
+    def _members(self) -> np.ndarray:
+        members = np.flatnonzero(self._indicator).astype(np.int64, copy=False)
+        members.setflags(write=False)
+        return members
+
     def members_array(self) -> np.ndarray:
-        return np.flatnonzero(_unpack_bits(self.bits, self.m)).astype(np.int64)
+        """The members ascending, as a read-only int64 array."""
+        return self._members
 
     def indicator_array(self) -> np.ndarray:
-        return _unpack_bits(self.bits, self.m).astype(np.int64)
+        """The membership flags over [0, m), as a read-only bool array."""
+        return self._indicator
 
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.m and bool((self.bits >> x) & 1)
@@ -138,18 +158,20 @@ def _padded_length(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of nonnegative integer vectors.
+def _convolve_int_exact(a: np.ndarray, b: np.ndarray, nfft: int) -> np.ndarray:
+    """Exact convolution of nonnegative integer vectors by a float FFT of
+    length nfft >= max(la, lb): the cyclic convolution mod nfft of the inputs
+    zero-padded to nfft, in min(la + lb - 1, nfft) entries.  An nfft of at
+    least la + lb - 1 gives the linear convolution, and an nfft equal to both
+    lengths the cyclic one.
 
-    A float FFT whose output must sit within 0.25 of integers before being
-    rounded.  A self-convolution (``b is a``) takes one forward transform and
-    squares it.
+    The output must sit within 0.25 of integers before being rounded.  A
+    self-convolution (``b is a``) takes one forward transform and squares it.
     """
     la, lb = int(a.size), int(b.size)
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
-    n = la + lb - 1
-    nfft = _padded_length(n)
+    n = min(la + lb - 1, nfft)
     spec = np.fft.rfft(a.astype(np.float64), nfft)
     spec *= spec if b is a else np.fft.rfft(b.astype(np.float64), nfft)
     conv = np.fft.irfft(spec, nfft)[:n]
@@ -164,24 +186,39 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def _fft_pays(a: np.ndarray, b: np.ndarray, nfft: int) -> bool:
+    """Whether the pairs of the 0/1 indicators a and b outnumber
+    (nfft/2) log2(nfft/2), the butterflies of the complex transform of half
+    length that a real FFT of the power-of-two length nfft runs."""
+    half = nfft // 2
+    card_a = int(np.count_nonzero(a))
+    card_b = card_a if b is a else int(np.count_nonzero(b))
+    return card_a * card_b > half * (half.bit_length() - 1)
+
+
+def _cyclic_length_pays(m: int) -> bool:
+    """Whether one transform of length m = prod p^e costs less than one at
+    the power of two nfft >= 2m - 1: m sum p e, a radix-p pass costing about
+    p operations per point, against 2 nfft log2 nfft."""
+    nfft = _padded_length(2 * m - 1)
+    work = m * sum(p * e for p, e in factorize(m).primes)
+    return work < 2 * nfft * (nfft.bit_length() - 1)
+
+
 def _pair_sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of two nonempty 0/1 indicators: entry x
     counts the pairs (y, z) with a[y] = b[z] = 1 and y + z = x.
 
-    While the pairs number at most (nfft/2) log2(nfft/2), the butterflies of
-    the complex transform of half length that a real FFT of the padded
-    length nfft runs, their sums are counted by ``np.bincount`` in chunks of
-    at most nfft sums, so the route never holds more than the FFT would.
-    Beyond that the certified FFT convolves the indicators.  ``b is a``
-    marks a self-convolution.
+    While the pairs number at most the butterflies of a real FFT of the
+    padded length nfft (``_fft_pays``), their sums are counted by
+    ``np.bincount`` in chunks of at most nfft sums, so the route never holds
+    more than the FFT would.  Beyond that the certified FFT convolves the
+    indicators at length nfft.  ``b is a`` marks a self-convolution.
     """
     n = int(a.size) + int(b.size) - 1
     nfft = _padded_length(n)
-    half = nfft // 2
-    card_a = int(np.count_nonzero(a))
-    card_b = card_a if b is a else int(np.count_nonzero(b))
-    if card_a * card_b > half * (half.bit_length() - 1):
-        return _convolve_int_exact(a, b)
+    if _fft_pays(a, b, nfft):
+        return _convolve_int_exact(a, b, nfft)
     x = np.flatnonzero(a)
     small, big = sorted((x, x if b is a else np.flatnonzero(b)), key=len)
     rows = nfft // max(1, big.size)
@@ -201,10 +238,16 @@ def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two 0/1 indicators of one length m: the
     count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
 
-    The linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so
-    no view keeps the linear buffer alive.
+    The pairs choose bincount or the FFT as in ``_pair_sum_counts``.  The FFT
+    runs as one cyclic transform of length m when m's factorization makes it
+    cheaper than the padded one (``_cyclic_length_pays``: m sum p e below
+    2 nfft log2 nfft), and its counts are then already on Z_m.  Otherwise the
+    linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so no
+    view keeps the linear buffer alive.
     """
     m = int(a.size)
+    if _fft_pays(a, b, _padded_length(2 * m - 1)) and _cyclic_length_pays(m):
+        return _convolve_int_exact(a, b, m)
     linear = _pair_sum_counts(a, b)
     counts = linear[:m].copy()
     counts[: m - 1] += linear[m:]
@@ -226,8 +269,8 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
     small, big = (b1, b2) if b1.cardinality <= b2.cardinality else (b2, b1)
     if small.cardinality * m > _BITMASK_WORK:
         raise SizeLimitError(
-            f"sumset workload too large ({small.cardinality} members over Z_{m}); "
-            "use cyclic_sumset_size for a single-route count"
+            f"sumset of {small.cardinality} members over Z_{m} too large to count "
+            f"two ways: |B| m = {small.cardinality * m:,} exceeds {_BITMASK_WORK:,}"
         )
     acc = 0
     big_bits = big.bits
@@ -260,8 +303,8 @@ def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
         return 0
     if np.any(arr < 0) or np.any(arr >= m):
         raise DomainError(f"members outside Z_{m}")
-    ind = np.zeros(m, dtype=np.int64)
-    ind[arr] = 1
+    ind = np.zeros(m, dtype=bool)
+    ind[arr] = True
     conv = _cyclic_int_convolution(ind, ind)
     return int(np.count_nonzero(conv))
 
@@ -339,7 +382,8 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
         raise DomainError("members must lie in the unit group")
     h = b.indicator_array()
     r_route = _cyclic_int_convolution(h, unit_indicator(mod))
-    # h turns into the Moebius count in place, one prime factor at a time
+    # a copy of h turns into the Moebius count in place, one prime at a time
+    h = h.astype(np.int64)
     for p in mod.prime_divisors:
         columns = h.reshape(p, -1)
         np.subtract(columns.sum(axis=0), columns, out=columns)

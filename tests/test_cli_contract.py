@@ -234,3 +234,21 @@ def test_spectrum_rejects_a_negative_top_before_sieving(monkeypatch):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_sumset_too_large_for_two_routes_states_the_limit():
+    # |B| m = 40,000 * 100,000 and 92,160 * 255,255 both pass the 2*10^9 cap
+    # of the dual-route count that znstar-bound and moments run
+    for args in (
+        ["znstar-bound", "--m", "100000", "--set-spec", "units"],
+        ["moments", "--m", "255255", "--set-spec", "units", "--k", "3"],
+    ):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code == 2, err.getvalue()
+        assert time.perf_counter() - start < 0.5
+        message = err.getvalue()
+        assert message.startswith("error: ") and "exceeds 2,000,000,000" in message
+        assert "cyclic_sumset_size" not in message

@@ -69,6 +69,26 @@ class TestSubsetOfZm:
         assert b.cardinality == members.size
         assert np.array_equal(b.members_array(), np.sort(members))
 
+    def test_bits_unpack_once_into_read_only_arrays(self, monkeypatch):
+        unpacks = []
+        unpack = zm._unpack_bits
+
+        def counting(bits, m):
+            unpacks.append(m)
+            return unpack(bits, m)
+
+        monkeypatch.setattr(zm, "_unpack_bits", counting)
+        b = SubsetOfZm.from_members(2310, units_of(2310)[:400])
+        # the unit checks, both sumset routes and both routes of capital_R
+        znstar_certificate(b, factorize(2310))
+        assert unpacks == [2310]
+        assert b.indicator_array() is b.indicator_array()
+        assert b.members_array() is b.members_array()
+        assert b.indicator_array().dtype == bool
+        assert b.members_array().dtype == np.int64
+        assert not b.indicator_array().flags.writeable
+        assert not b.members_array().flags.writeable
+
 
 class TestSumset:
     def test_hand_count(self):
@@ -284,6 +304,90 @@ class TestPairSumKernel:
         expected = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
         expected[sums - lo] = True
         assert flags.tolist() == expected.tolist()
+
+
+PRIMES = [q for q in trial_primes(1500) if q > 100]
+# moduli whose convolutions take one transform of length m, and moduli whose
+# convolutions take the padded power of two
+SMOOTH_MODULI = st.one_of(
+    st.sampled_from([2, 6, 30, 210, 2310]),
+    st.tuples(st.integers(0, 10), st.integers(0, 4))
+    .map(lambda e: 2 ** e[0] * 5 ** e[1])
+    .filter(lambda m: 2 <= m <= 2000),
+)
+ROUGH_MODULI = st.one_of(
+    st.sampled_from(PRIMES), st.sampled_from([2 * q for q in PRIMES if q < 750])
+)
+
+
+class TestCyclicLength:
+    """The length rule of ``_cyclic_int_convolution``: the FFT runs at m
+    when m's factorization makes that cheaper than the padded power of two,
+    and its result passes the same certificate."""
+
+    @given(
+        st.one_of(
+            SMOOTH_MODULI.map(lambda m: (m, True)), ROUGH_MODULI.map(lambda m: (m, False))
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_counts_match_the_outer_sums_on_both_routes(self, modulus, above, same, data):
+        m, smooth = modulus
+        padded = 1 << (2 * m - 2).bit_length()
+        card_a, card_b = draw_cards(data, m, m, 1, butterfly_bound(2 * m - 1), above, same)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.sort(rng.choice(m, card_a, replace=False))
+        y = x if same else np.sort(rng.choice(m, card_b, replace=False))
+        a = np.zeros(m, dtype=bool)
+        a[x] = True
+        b = a
+        if not same:
+            b = np.zeros(m, dtype=bool)
+            b[y] = True
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            counts = zm._cyclic_int_convolution(a, b)
+        assert fft.called == above
+        if above:
+            assert fft.call_args.args[2] == (m if smooth else padded)
+        expected = np.bincount((np.add.outer(x, y) % m).ravel(), minlength=m)
+        assert counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("m, length", [(30030, 30030), (30011, 1 << 16)])
+    def test_transform_length(self, monkeypatch, m, length):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        units = SubsetOfZm.units(m).indicator_array()
+        counts = zm._cyclic_int_convolution(units, units)
+        assert lengths == [length]
+        # a pair of units summing to x has p - 1 choices mod p when p | x,
+        # and p - 2 otherwise
+        primes = factorize(m).prime_divisors
+        expected = [
+            math.prod(p - 1 if x % p == 0 else p - 2 for p in primes) for x in range(m)
+        ]
+        assert counts.tolist() == expected
+        zm._cyclic_int_convolution(units, units.copy())
+        assert lengths == [length] * 3
+
+    @pytest.mark.parametrize("m", [30030, 30011])
+    def test_an_off_integer_transform_fails_the_certificate(self, monkeypatch, m):
+        irfft = np.fft.irfft
+
+        def shifted(spec, n=None, *args, **kwargs):
+            return irfft(spec, n, *args, **kwargs) + 0.3
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        units = SubsetOfZm.units(m).indicator_array()
+        with pytest.raises(InvariantViolation, match="exactness certificate"):
+            zm._cyclic_int_convolution(units, units)
 
 
 class TestRepHistogram:
@@ -613,9 +717,9 @@ class TestZnStarCertificate:
         exact = zm._convolve_int_exact
         is_self = []
 
-        def counting(a, b):
+        def counting(a, b, nfft):
             is_self.append(np.array_equal(a, b))
-            return exact(a, b)
+            return exact(a, b, nfft)
 
         monkeypatch.setattr(zm, "_convolve_int_exact", counting)
         # 400 of the 480 units of Z_2310: both products have more pairs than
