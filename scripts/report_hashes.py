@@ -39,8 +39,9 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # cell (rendered as null); then the Z_m commands: a sumset small enough to be
 # counted pair by pair and a dense one that takes the FFT, the units of
 # Z_1000000, whose FFT runs at length m, and of the prime 999983, whose FFT
-# runs at the padded power of two, a moments run, a non-squarefree modulus
-# (the radical-block certificate), a list: spec and the extremal family at
+# runs at the padded power of two, a moments run and moments-k2 at k=2, the
+# lowest order the CLI takes, a non-squarefree modulus (the radical-block
+# certificate), a list: spec and the extremal family at
 # s=6 and s=7; the random-host report as JSON and CSV, and given --theta,
 # which it does not take (exit 2); and the one-class
 # commands, which share the pipeline's prime table: sieve, partition,
@@ -80,6 +81,7 @@ CASES = [
     ("sumset-units-1000000", "sumset --m 1000000 --set-spec units"),
     ("sumset-units-999983", "sumset --m 999983 --set-spec units"),
     ("moments-z30030", "moments --m 30030 --set-spec units-random:0.05:2 --k 3"),
+    ("moments-k2", "moments --m 30030 --set-spec units-random:0.05:2 --k 2"),
     ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),
     ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),

@@ -252,10 +252,7 @@ def _cmd_moments(args) -> int:
     _print(
         f"comparator={_fmt(cert.comparator)} ratio={_fmt(cert.comparator_ratio)}"
     )
-    if cert.holder_bound is not None:
-        _print(
-            f"holder_bound={_fmt(cert.holder_bound)} actual={cert.actual_sumset}"
-        )
+    _print(f"holder_bound={_fmt(cert.holder_bound)} actual={cert.actual_sumset}")
     return 0
 
 

@@ -2,18 +2,17 @@
 moment-method lower-bound certificates over unit groups.
 
 Counting is exact throughout: representation numbers come from integer
-convolutions, moments are accumulated as Python integers, and collision
-fractions are exact rationals.  Cyclic and integer sumsets alike count
-pairwise sums through one rule: ``np.bincount`` (the sparse route) while the
-pairs number at most the butterflies of the real FFT it replaces, and that
-float FFT beyond; the FFT result must pass a distance-to-integer certificate
-before rounding.  A cyclic convolution over Z_m runs that FFT as one cyclic
-transform of length m when m = prod p^e makes it the cheaper one, m sum p e
-below 2 nfft log2 nfft for the power of two nfft >= 2m - 1 (primorials and
-10^6, say), and as the padded linear transform folded onto Z_m otherwise (a
-prime m, say).  Kernels over all of Z_m read the modulus's prime structure:
-one strided gcd table for the unit group and the gcd layers, and a Moebius
-count factored one prime at a time.
+convolutions, and moments are accumulated as Python integers.  Cyclic and
+integer sumsets alike count pairwise sums through one rule: ``np.bincount``
+(the sparse route) while the pairs number at most the butterflies of the real
+FFT it replaces, and that float FFT beyond; the FFT result must pass a
+distance-to-integer certificate before rounding.  A cyclic convolution over
+Z_m runs that FFT as one cyclic transform of length m when m = prod p^e makes
+it the cheaper one, m sum p e below 2 nfft log2 nfft for the power of two
+nfft >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
+folded onto Z_m otherwise (a prime m, say).  Kernels over all of Z_m read the
+modulus's prime structure: one strided gcd table for the unit group and the
+gcd layers, and a Moebius count factored one prime at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ from .ntheory import (
 __all__ = [
     "SubsetOfZm",
     "MomentCertificate",
-    "TailCountReport",
-    "CollisionStats",
-    "CkSeriesResult",
     "ZnStarReport",
     "BlockReport",
     "ExtremalConstruction",
@@ -55,10 +51,7 @@ __all__ = [
     "cyclic_sumset_size",
     "rep_histogram",
     "capital_R",
-    "collision_stats",
-    "tail_count",
     "kth_moment",
-    "ck_series",
     "choose_moment_order",
     "znstar_certificate",
     "extremal_construct",
@@ -66,7 +59,6 @@ __all__ = [
 ]
 
 _BITMASK_WORK = 2_000_000_000
-_TUPLE_ENUM_LIMIT = 100_000_000
 _SPAN_LIMIT = 200_000_000
 
 
@@ -402,72 +394,6 @@ def _gcd_layers(mod: FactoredModulus) -> tuple[list[int], np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CollisionStats:
-    """Per-prime distinct-residue counts of a tuple and the exact rational
-    weight sum over primes with a collision."""
-
-    r_p: dict[int, int]
-    f: Fraction
-
-
-def collision_stats(b_tuple, mod: FactoredModulus) -> CollisionStats:
-    """Distinct residues of the tuple modulo each prime divisor, and the sum
-    of 1/p over primes where the tuple collides (fewer than k distinct)."""
-    if not mod.squarefree:
-        raise DomainError(f"modulus must be squarefree, got {mod.m}")
-    tup = [int(x) for x in b_tuple]
-    if not tup:
-        raise DomainError("tuple must be nonempty")
-    k = len(tup)
-    r_p: dict[int, int] = {}
-    weight = Fraction(0)
-    for p in mod.prime_divisors:
-        distinct = len({x % p for x in tup})
-        r_p[p] = distinct
-        if distinct <= k - 1:
-            weight += Fraction(1, p)
-    return CollisionStats(r_p=r_p, f=weight)
-
-
-@dataclass(frozen=True)
-class TailCountReport:
-    """Exact count of k-tuples whose collision weight reaches beta, with the
-    heuristic reference bound k^2 2^(-e^(beta / k^2)) |B|^(k-2) phi(m)^2."""
-
-    count: int
-    k: int
-    beta: float
-    reference_bound: float
-
-
-def tail_count(b: SubsetOfZm, k: int, beta, mod: FactoredModulus) -> TailCountReport:
-    """Count ordered k-tuples of members with collision weight >= beta.
-
-    Exhaustive and exact (the rational weights of ``collision_stats``, no
-    rounding); guarded by a tuple-count limit.  The attached reference bound
-    is reported and never asserted.
-    """
-    if k < 1:
-        raise DomainError(f"tuple length must be >= 1, got {k}")
-    card = b.cardinality
-    total = card**k
-    if total > _TUPLE_ENUM_LIMIT:
-        raise SizeLimitError(f"{total} tuples exceed the enumeration limit")
-    beta_frac = beta if isinstance(beta, Fraction) else Fraction(float(beta))
-    count = sum(
-        collision_stats(tup, mod).f >= beta_frac
-        for tup in itertools.product(b.members_array().tolist(), repeat=k)
-    )
-    arg = float(beta_frac) / (k * k)
-    inner = math.exp(arg) if arg < 700 else math.inf
-    decay = 2.0 ** (-inner) if inner < 1e300 else 0.0
-    reference = (k * k) * decay * float(card) ** (k - 2) * float(mod.totient) ** 2
-    return TailCountReport(
-        count=count, k=k, beta=float(beta_frac), reference_bound=reference
-    )
-
-
-@dataclass(frozen=True)
 class MomentCertificate:
     """k-th moments of the representation counts with their stratification.
 
@@ -486,22 +412,22 @@ class MomentCertificate:
     stratified: dict[int, int]
     comparator: float
     comparator_ratio: float
-    holder_bound: float | None
+    holder_bound: float
     actual_sumset: int
     hist: np.ndarray
 
 
 def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate:
-    """Exact moment certificate for a subset of the unit group.
+    """Exact moment certificate of order k >= 2 for a subset of the unit group.
 
     All counts are Python integers (no overflow at any size); the chain
-    s_rb <= s_r = sum of strata is verified exactly, and for k >= 2 the
-    Hoelder bound |B+B| >= |B|^(2k/(k-1)) / s_rb^(1/(k-1)) is checked against
-    the true sumset in exact integers, as |B+B|^(k-1) s_rb >= |B|^(2k),
-    before its float value is reported.
+    s_rb <= s_r = sum of strata is verified exactly, and the Hoelder bound
+    |B+B| >= |B|^(2k/(k-1)) / s_rb^(1/(k-1)) is checked against the true
+    sumset in exact integers, as |B+B|^(k-1) s_rb >= |B|^(2k), before its
+    float value is reported.
     """
-    if k < 1:
-        raise DomainError(f"moment order must be >= 1, got {k}")
+    if k < 2:
+        raise DomainError(f"moment order must be >= 2, got {k}")
     if b.cardinality == 0:
         raise DomainError("certificate refused for the empty set")
     if mod.m != b.m:
@@ -538,13 +464,11 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     ratio = float(s_rb) / comparator if comparator > 0 else math.inf
 
     actual = int(np.count_nonzero(hist))
-    holder_bound: float | None = None
-    if k >= 2:
-        if actual ** (k - 1) * s_rb < card ** (2 * k):
-            raise InvariantViolation(
-                f"power-mean bound exceeds the true sumset size ({actual})"
-            )
-        holder_bound = math.exp((2.0 * k * math.log(card) - math.log(s_rb)) / (k - 1))
+    if actual ** (k - 1) * s_rb < card ** (2 * k):
+        raise InvariantViolation(
+            f"power-mean bound exceeds the true sumset size ({actual})"
+        )
+    holder_bound = math.exp((2.0 * k * math.log(card) - math.log(s_rb)) / (k - 1))
     return MomentCertificate(
         m=mod.m,
         k=k,
@@ -558,95 +482,6 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         holder_bound=holder_bound,
         actual_sumset=actual,
         hist=hist,
-    )
-
-
-@dataclass(frozen=True)
-class CkSeriesResult:
-    """Partial sum of sum_j e^(2(k+1) 2^j) 2^(-e^(2^j / c k^2)) with a
-    rigorous geometric tail bound."""
-
-    k: int
-    partial_sum: float
-    tail_bound: float
-    dominant_index: int
-    maximizer_index_estimate: float | None
-
-
-def _ck_term_log(j: int, c: float, k: int) -> float:
-    ln2 = math.log(2.0)
-    pow2 = 2.0**j
-    arg = pow2 / (c * k * k)
-    inner = math.exp(arg) if arg < 700 else math.inf
-    if math.isinf(inner):
-        return -math.inf
-    return 2.0 * (k + 1) * pow2 - inner * ln2
-
-
-def ck_series(c: float, k: int, j_max: int | None = None) -> CkSeriesResult:
-    """Evaluate the doubly exponential series in log space.
-
-    Terms are added until (a) the latest term is below 1e-30 of the running
-    sum, (b) the index has passed the rigorous tail threshold
-    ceil(log2(4 c^2 k^4 (k+1) / ln 2)), beyond which each term is at most
-    2^(-2^j / (c k^2)), and (c) the geometric bound on everything dropped is
-    below 1e-9.  ``j_max`` only forces a minimum number of terms.
-    """
-    if c <= 0:
-        raise DomainError(f"constant must be positive, got {c}")
-    if k < 1:
-        raise DomainError(f"index must be >= 1, got {k}")
-    ln2 = math.log(2.0)
-    j_rigorous = max(0, math.ceil(math.log2(4.0 * c * c * k**4 * (k + 1) / ln2)))
-
-    def tail_from(j_start: int) -> float:
-        # for j >= j_rigorous each term is <= a_j = 2^(-2^j/(c k^2)),
-        # and a_(j+1) = a_j^2, so the tail is geometric once a_j < 1/2
-        exponent = (2.0**j_start) / (c * k * k)
-        a = 2.0**-exponent if exponent < 1e300 else 0.0
-        if a >= 0.5:
-            return math.inf
-        return a / (1.0 - a)
-
-    log_sum = -math.inf
-    dominant = (-1, -math.inf)
-    j = 0
-    while True:
-        term_log = _ck_term_log(j, c, k)
-        if term_log > dominant[1]:
-            dominant = (j, term_log)
-        if term_log > -math.inf:
-            if log_sum == -math.inf:
-                log_sum = term_log
-            else:
-                hi, lo = max(log_sum, term_log), min(log_sum, term_log)
-                log_sum = hi + math.log1p(math.exp(lo - hi))
-        if log_sum > 709.0:
-            raise RangeOverflowError(
-                f"partial sum overflows a double (dominant term at j={dominant[0]})"
-            )
-        small_enough = term_log < log_sum + math.log(1e-30)
-        past_forced = j_max is None or j >= j_max
-        next_j = j + 1
-        if (
-            past_forced
-            and small_enough
-            and next_j > j_rigorous
-            and tail_from(next_j) < 1e-9
-        ):
-            break
-        j = next_j
-        if j > 100_000:
-            raise RangeOverflowError("series failed to settle within 100000 terms")
-
-    mx = c * k**3 * math.log(4.0 * c * k * k * (k + 1) / ln2)
-    estimate = math.log2(mx) if mx > 0 else None
-    return CkSeriesResult(
-        k=k,
-        partial_sum=math.exp(log_sum),
-        tail_bound=tail_from(j + 1),
-        dominant_index=dominant[0],
-        maximizer_index_estimate=estimate,
     )
 
 
@@ -722,7 +557,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
 
     if mod.squarefree:
         cert = kth_moment(b, k, mod)
-        assert cert.holder_bound is not None
         return ZnStarReport(
             m=mod.m,
             card=card,
@@ -758,7 +592,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         if selected:
             block_set = SubsetOfZm.from_members(m1, (in_block - lo).tolist())
             cert_j = kth_moment(block_set, k, rad_mod)
-            assert cert_j.holder_bound is not None
             bound_j = cert_j.holder_bound
             actual_j = cert_j.actual_sumset
             final_bound += bound_j

@@ -1,14 +1,12 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is written against the definitions, not against the library:
-trial division, O(N^2) transforms, O(|B|^2) sumsets, exhaustive tuple
-enumeration.  Slow on purpose.
+trial division, O(N^2) transforms, O(|B|^2) sumsets.  Slow on purpose.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -99,15 +97,6 @@ def relaxed_rep_enum(members, m: int) -> np.ndarray:
         for u in us:
             r[(a + u) % m] += 1
     return r
-
-
-def collision_weight(tup, prime_divisors) -> Fraction:
-    k = len(tup)
-    weight = Fraction(0)
-    for p in prime_divisors:
-        if len({x % p for x in tup}) <= k - 1:
-            weight += Fraction(1, p)
-    return weight
 
 
 def pair_pieces_oracle(f, f1, f2, g, g1, g2, sigma: float) -> dict:

@@ -9,7 +9,6 @@ budget so the suite stays desk-scale.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,12 +27,10 @@ from primesum.prime_embed import (
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,
-    ck_series,
     extremal_construct,
     kth_moment,
     rep_histogram,
     sumset,
-    tail_count,
 )
 from primesum.zn_spectral import DensityFunction, dft, green_decompose
 
@@ -216,38 +213,6 @@ def test_a06_extremal_families_hit_closed_form_sizes():
 
     assert extremal_construct(3, 1).predicted_sumset == 15
     assert extremal_construct(4, 2).predicted_sumset == 35
-    budget.check()
-
-
-def test_a07_collision_tail_counts_match_brute_force():
-    """Exhaustive tuple counting puts exactly 8 ordered pairs of units of
-    Z_30 at collision weight 0.9 or more, and the count is non-increasing
-    along a 20-point threshold grid.
-    """
-    budget = Budget(5.0)
-    b = SubsetOfZm.units(30)
-    mod = factorize(30)
-    assert tail_count(b, 2, Fraction(9, 10), mod).count == 8
-
-    counts = [
-        tail_count(b, 2, Fraction(i, 16), mod).count for i in range(20)
-    ]
-    assert all(a >= bb for a, bb in zip(counts, counts[1:]))
-    assert counts[0] == b.cardinality ** 2
-    budget.check()
-
-
-def test_a08_series_partial_sum_and_tail_are_certified():
-    """The doubling-index series at c=1, k=1 sums to 26.05 within 0.05 with
-    a certified tail below 1e-9, and the dominant term sits within one index
-    of the stationary-point estimate.
-    """
-    budget = Budget(1.0)
-    r = ck_series(1.0, 1)
-    assert abs(r.partial_sum - 26.05) <= 0.05
-    assert 0.0 <= r.tail_bound < 1e-9
-    assert r.maximizer_index_estimate is not None
-    assert abs(r.dominant_index - r.maximizer_index_estimate) <= 1.0
     budget.check()
 
 

@@ -12,9 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = [
     info.name for info in pkgutil.iter_modules(primesum.__path__) if not info.ispkg
 ]
-# public functions still waiting for a caller: ROADMAP item 5c reports the
-# tail counts and the series next to the moment certificate
-AWAITING_CALLER = {"tail_count", "ck_series"}
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -57,10 +54,8 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         name
         for module in modules
         for name in getattr(module, "__all__", ())
-        if inspect.isfunction(getattr(module, name))
+        # public classes as well, so that a result type nothing builds fails too
+        if inspect.isfunction(obj := getattr(module, name)) or inspect.isclass(obj)
     }
-    uncalled = sorted(public - used - AWAITING_CALLER)
+    uncalled = sorted(public - used)
     assert not uncalled, f"no caller in src/ or scripts/: {uncalled}"
-    # an allowlisted name that has gained a caller leaves the list
-    stale = sorted(AWAITING_CALLER - (public - used))
-    assert not stale, f"called or no longer public: {stale}"
