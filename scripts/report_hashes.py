@@ -40,8 +40,11 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # counted pair by pair and a dense one that takes the FFT, the units of
 # Z_1000000, whose FFT runs at length m, and of the prime 999983, whose FFT
 # runs at the padded power of two, a moments run and moments-k2 at k=2, the
-# lowest order the CLI takes, a non-squarefree modulus (the radical-block
-# certificate), a list: spec and the extremal family at
+# lowest order the CLI takes, the three routes of capital_R's unit-shift
+# convolution: the odd 255255 (one transform pair at m, the unit spectrum in
+# closed form), 20014 = 2 * 10007 (folded onto the prime 10007, which keeps
+# the padded route) and the prime 999983 (padded); a non-squarefree modulus
+# (the radical-block certificate), a list: spec and the extremal family at
 # s=6 and s=7; the random-host report as JSON and CSV, and given --theta,
 # which it does not take (exit 2); and the one-class
 # commands, which share the pipeline's prime table: sieve, partition,
@@ -82,6 +85,9 @@ CASES = [
     ("sumset-units-999983", "sumset --m 999983 --set-spec units"),
     ("moments-z30030", "moments --m 30030 --set-spec units-random:0.05:2 --k 3"),
     ("moments-k2", "moments --m 30030 --set-spec units-random:0.05:2 --k 2"),
+    ("znstar-z255255", "znstar-bound --m 255255 --set-spec units-random:0.01:1"),
+    ("moments-z20014", "moments --m 20014 --set-spec units-random:0.3:1 --k 3"),
+    ("moments-z999983", "moments --m 999983 --set-spec units-random:0.001:1 --k 3"),
     ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),
     ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),

@@ -10,9 +10,14 @@ distance-to-integer certificate before rounding.  A cyclic convolution over
 Z_m runs that FFT as one cyclic transform of length m when m = prod p^e makes
 it the cheaper one, m sum p e below 2 nfft log2 nfft for the power of two
 nfft >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
-folded onto Z_m otherwise (a prime m, say).  Kernels over all of Z_m read the
-modulus's prime structure: one strided gcd table for the unit group and the
-gcd layers, and a Moebius count factored one prime at a time.
+folded onto Z_m otherwise (a prime m, say); its sparse route reduces the pair
+sums mod m before counting them.  Kernels over all of Z_m read the modulus's
+prime structure: one strided gcd table for the unit group and the gcd layers,
+and a Moebius count factored one prime at a time.  The unit-shift counts R
+that the Moebius count checks fold an even m = 2n onto Z_n, since members and
+units are odd, and take the unit indicator's transform in closed form (a
+product of Ramanujan sums), so R over Z_510510 costs one transform pair at
+length 255255.
 """
 
 from __future__ import annotations
@@ -150,7 +155,9 @@ def _padded_length(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _convolve_int_exact(a: np.ndarray, b: np.ndarray, nfft: int) -> np.ndarray:
+def _convolve_int_exact(
+    a: np.ndarray, b: np.ndarray, nfft: int, b_spectral: bool = False
+) -> np.ndarray:
     """Exact convolution of nonnegative integer vectors by a float FFT of
     length nfft >= max(la, lb): the cyclic convolution mod nfft of the inputs
     zero-padded to nfft, in min(la + lb - 1, nfft) entries.  An nfft of at
@@ -159,13 +166,19 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray, nfft: int) -> np.ndarray:
 
     The output must sit within 0.25 of integers before being rounded.  A
     self-convolution (``b is a``) takes one forward transform and squares it.
+    With ``b_spectral``, b is already the real half spectrum at nfft of the
+    vector to convolve with, and only a is transformed: a cyclic convolution
+    of a of length nfft.
     """
     la, lb = int(a.size), int(b.size)
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.int64)
     n = min(la + lb - 1, nfft)
     spec = np.fft.rfft(a.astype(np.float64), nfft)
-    spec *= spec if b is a else np.fft.rfft(b.astype(np.float64), nfft)
+    if b is a:
+        spec *= spec
+    else:
+        spec *= b if b_spectral else np.fft.rfft(b.astype(np.float64), nfft)
     conv = np.fft.irfft(spec, nfft)[:n]
     del spec
     rounded = np.rint(conv)
@@ -178,14 +191,18 @@ def _convolve_int_exact(a: np.ndarray, b: np.ndarray, nfft: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _fft_pays(a: np.ndarray, b: np.ndarray, nfft: int) -> bool:
-    """Whether the pairs of the 0/1 indicators a and b outnumber
-    (nfft/2) log2(nfft/2), the butterflies of the complex transform of half
-    length that a real FFT of the power-of-two length nfft runs."""
-    half = nfft // 2
+def _pair_count(a: np.ndarray, b: np.ndarray) -> int:
+    """The pairs (y, z) with a[y] and b[z] nonzero; ``b is a`` counts once."""
     card_a = int(np.count_nonzero(a))
-    card_b = card_a if b is a else int(np.count_nonzero(b))
-    return card_a * card_b > half * (half.bit_length() - 1)
+    return card_a * (card_a if b is a else int(np.count_nonzero(b)))
+
+
+def _fft_pays(pairs: int, nfft: int) -> bool:
+    """Whether the pairs outnumber (nfft/2) log2(nfft/2), the butterflies of
+    the complex transform of half length that a real FFT of the power-of-two
+    length nfft runs."""
+    half = nfft // 2
+    return pairs > half * (half.bit_length() - 1)
 
 
 def _cyclic_length_pays(m: int) -> bool:
@@ -197,61 +214,84 @@ def _cyclic_length_pays(m: int) -> bool:
     return work < 2 * nfft * (nfft.bit_length() - 1)
 
 
-def _pair_sum_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of two nonempty 0/1 indicators: entry x
-    counts the pairs (y, z) with a[y] = b[z] = 1 and y + z = x.
-
-    While the pairs number at most the butterflies of a real FFT of the
-    padded length nfft (``_fft_pays``), their sums are counted by
-    ``np.bincount`` in chunks of at most nfft sums, so the route never holds
-    more than the FFT would.  Beyond that the certified FFT convolves the
-    indicators at length nfft.  ``b is a`` marks a self-convolution.
-    """
-    n = int(a.size) + int(b.size) - 1
-    nfft = _padded_length(n)
-    if _fft_pays(a, b, nfft):
-        return _convolve_int_exact(a, b, nfft)
+def _pair_sums(a: np.ndarray, b: np.ndarray, nfft: int, m: int = 0):
+    """The sums y + z over the nonzero entries a[y] and b[z], reduced mod m
+    when m > 0, in flat chunks of at most nfft sums: marking or counting them
+    never holds more than an FFT of length nfft would.  An empty indicator
+    gives one empty chunk."""
     x = np.flatnonzero(a)
     small, big = sorted((x, x if b is a else np.flatnonzero(b)), key=len)
     rows = nfft // max(1, big.size)
-
-    def chunk_counts(i: int) -> np.ndarray:
-        return np.bincount((small[i : i + rows, None] + big).ravel(), minlength=n)
-
-    # the first chunk's counts are the accumulator: a fresh zeroed array of
-    # n counts would cost more than one chunk of a small set
-    counts = chunk_counts(0)
-    for i in range(rows, small.size, rows):
-        counts += chunk_counts(i)
-    return counts
+    for i in range(0, max(1, small.size), rows):
+        sums = small[i : i + rows, None] + big
+        if m:
+            sums %= m
+        yield sums.ravel()
 
 
 def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two 0/1 indicators of one length m: the
     count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
 
-    The pairs choose bincount or the FFT as in ``_pair_sum_counts``.  The FFT
-    runs as one cyclic transform of length m when m's factorization makes it
-    cheaper than the padded one (``_cyclic_length_pays``: m sum p e below
-    2 nfft log2 nfft), and its counts are then already on Z_m.  Otherwise the
-    linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so no
-    view keeps the linear buffer alive.
+    While the pairs number at most the butterflies of a real FFT of the
+    padded length nfft >= 2m - 1 (``_fft_pays``), their sums are reduced
+    mod m and counted by ``np.bincount``, chunk by chunk (``_pair_sums``).
+    Beyond that the certified FFT convolves the indicators: as one cyclic
+    transform of length m when m's factorization makes it cheaper than the
+    padded one (``_cyclic_length_pays``: m sum p e below 2 nfft log2 nfft),
+    and otherwise at nfft, whose linear counts over [0, 2m - 1) fold onto
+    Z_m into a fresh array, so no view keeps the linear buffer alive.
     """
     m = int(a.size)
-    if _fft_pays(a, b, _padded_length(2 * m - 1)) and _cyclic_length_pays(m):
+    nfft = _padded_length(2 * m - 1)
+    if not _fft_pays(_pair_count(a, b), nfft):
+        chunks = _pair_sums(a, b, nfft, m)
+        # the first chunk's counts are the accumulator: a fresh zeroed array
+        # of m counts would cost more than one chunk of a small set
+        counts = np.bincount(next(chunks), minlength=m)
+        for sums in chunks:
+            counts += np.bincount(sums, minlength=m)
+        return counts
+    if _cyclic_length_pays(m):
         return _convolve_int_exact(a, b, m)
-    linear = _pair_sum_counts(a, b)
+    linear = _convolve_int_exact(a, b, nfft)
     counts = linear[:m].copy()
     counts[: m - 1] += linear[m:]
     return counts
+
+
+def _cyclic_support(small: SubsetOfZm, big: SubsetOfZm) -> np.ndarray:
+    """The packed little-endian bits of {x + y mod m : x in small, y in big},
+    one in-place OR per member of small.
+
+    Laid twice end to end, big's bits from position m - x on are big shifted
+    cyclically by x.  Eight copies of that doubled string, shifted by 0 to 7
+    bits, start every such window at a byte boundary.
+    """
+    m = big.m
+    size = (m + 7) // 8
+    twice = np.frombuffer(
+        (big.bits << m | big.bits).to_bytes(2 * size + 1, "little"), dtype=np.uint8
+    )
+    copies = [twice[:-1]] + [
+        (twice[:-1] >> r) | (twice[1:] << (8 - r)) for r in range(1, 8)
+    ]
+    support = np.zeros(size, dtype=np.uint8)
+    for x in small.members_array().tolist():
+        start = m - x
+        support |= copies[start % 8][start // 8 : start // 8 + size]
+    # the last byte's bits past m belong to the next period
+    support[-1] &= 0xFF >> (-m % 8)
+    return support
 
 
 def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
     """Exact counts r[x] = #{(y, z) in b1 x b2 : y + z = x mod m}, with the
     support computed two independent ways.
 
-    A shift-accumulate pass over the smaller set and the support of the
-    exact integer convolution of the indicators must agree bit for bit.
+    Shifted copies of the larger set's bits, one per member of the smaller
+    set, and the support of the exact integer convolution of the indicators
+    must agree bit for bit.
     """
     if b1.m != b2.m:
         raise DomainError(f"mismatched moduli {b1.m} and {b2.m}")
@@ -264,16 +304,10 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
             f"sumset of {small.cardinality} members over Z_{m} too large to count "
             f"two ways: |B| m = {small.cardinality * m:,} exceeds {_BITMASK_WORK:,}"
         )
-    acc = 0
-    big_bits = big.bits
-    for x in small.members_array():
-        acc |= big_bits << int(x)
-    mask = (1 << m) - 1
-    shifted = (acc | (acc >> m)) & mask
-
+    shifted = _cyclic_support(small, big)
     ind1 = b1.indicator_array()
     counts = _cyclic_int_convolution(ind1, ind1 if b2 == b1 else b2.indicator_array())
-    if _pack_bits(counts > 0) != shifted:
+    if not np.array_equal(np.packbits(counts > 0, bitorder="little"), shifted):
         raise InvariantViolation("sumset routes disagree")
     return counts
 
@@ -301,11 +335,21 @@ def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
     return int(np.count_nonzero(conv))
 
 
+def _span_flags(a: np.ndarray) -> np.ndarray:
+    """Flags over [a[0], a[-1]] marking the members of a sorted array."""
+    flags = np.zeros(int(a[-1] - a[0]) + 1, dtype=bool)
+    flags[a - a[0]] = True
+    return flags
+
+
 def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
     """Indicator of {x + y} over the integers.
 
     Returns (offset, flags) where flags[i] marks membership of offset + i.
-    Inputs must be sorted integer arrays.
+    Inputs must be sorted integer arrays.  While the pairs number at most the
+    butterflies of the padded FFT (``_fft_pays``), their sums are marked in
+    the flags directly; beyond that the flags are the support of the
+    certified FFT convolution.
     """
     if a1.size == 0 or a2.size == 0:
         return 0, np.zeros(0, dtype=bool)
@@ -314,9 +358,15 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     span = hi - lo + 1
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
-    ind1 = np.bincount(a1 - a1[0])
-    counts = _pair_sum_counts(ind1, ind1 if a2 is a1 else np.bincount(a2 - a2[0]))
-    return lo, counts > 0
+    ind1 = _span_flags(a1)
+    ind2 = ind1 if a2 is a1 else _span_flags(a2)
+    nfft = _padded_length(span)
+    if _fft_pays(_pair_count(ind1, ind2), nfft):
+        return lo, _convolve_int_exact(ind1, ind2, nfft) > 0
+    flags = np.zeros(span, dtype=bool)
+    for sums in _pair_sums(ind1, ind2, nfft):
+        flags[sums] = True
+    return lo, flags
 
 
 def rep_histogram(b: SubsetOfZm) -> np.ndarray:
@@ -353,12 +403,56 @@ def _power_sum(values: np.ndarray, k: int) -> int:
     return _power_sums(np.bincount(values), k)[0]
 
 
+def _unit_spectrum(mod: FactoredModulus) -> np.ndarray:
+    """The real half spectrum rfft(u) of the unit indicator u of Z_m, m
+    squarefree, in closed form.  Entry xi is the Ramanujan sum c_m(xi), the
+    product over p | m of p - 1 when p | xi and -1 otherwise: one strided
+    pass per prime, as ``unit_indicator`` makes u.  float64 holds it
+    exactly, since no entry exceeds phi(m) in size."""
+    spec = np.full(mod.m // 2 + 1, (-1.0) ** len(mod.prime_divisors))
+    for p in mod.prime_divisors:
+        spec[::p] *= 1 - p
+    return spec
+
+
+def _unit_convolution(h: np.ndarray, mod: FactoredModulus) -> np.ndarray:
+    """Exact cyclic convolution of a 0/1 indicator h over Z_m, m squarefree,
+    with the unit indicator of Z_m.  Where the FFT pays and m's factorization
+    makes length m the cheaper one, the closed-form unit spectrum leaves one
+    transform pair at length m; elsewhere ``_cyclic_int_convolution`` runs
+    with the unit indicator itself."""
+    m = mod.m
+    pairs = int(np.count_nonzero(h)) * mod.totient
+    if _fft_pays(pairs, _padded_length(2 * m - 1)) and _cyclic_length_pays(m):
+        return _convolve_int_exact(h, _unit_spectrum(mod), m, b_spectral=True)
+    return _cyclic_int_convolution(h, unit_indicator(mod))
+
+
+def _on_even_residues(r_half: np.ndarray) -> np.ndarray:
+    """Counts over Z_2n, n odd, reading r_half[x mod n] at every even x and
+    0 at every odd x; x -> x mod n maps the even residues onto Z_n (CRT)."""
+    r = np.tile(r_half, 2)
+    r[1::2] = 0
+    return r
+
+
 def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     """R[x] = |{(member, unit) : member + unit = x mod m}|, two ways.
 
     The unit-shift convolution of B with the unit indicator must agree exactly
     with the Moebius count R[x] = sum over b in B of the product over p | m
     of (1 - [x = b mod p]): the members avoiding x modulo every prime divisor.
+
+    The convolution is a certified float FFT (or pair by pair, for few
+    pairs).  An even m = 2n folds onto Z_n first: members and units are odd,
+    so R vanishes on the odd residues, and on the even ones R[x] is the
+    convolution over Z_n of B mod n with the units of Z_n, at x mod n.  Over
+    the odd modulus the unit indicator's transform is the Ramanujan sum in
+    closed form, so where length m (or n) pays the route is one rfft and one
+    irfft; elsewhere the unit indicator is transformed with B at the padded
+    length.
+
+    The Moebius count runs over all of Z_m with every prime, 2 included.
     The product is applied to the indicator h of B one prime at a time.  Laid
     out as p rows of length m/p, the p entries of a column are the p residues
     mod p of one residue mod m/p (CRT), so the factor for p maps h to its
@@ -373,7 +467,11 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
     h = b.indicator_array()
-    r_route = _cyclic_int_convolution(h, unit_indicator(mod))
+    if mod.m % 2:
+        r_route = _unit_convolution(h, mod)
+    else:
+        n = mod.m // 2
+        r_route = _on_even_residues(_unit_convolution(h[:n] | h[n:], factorize(n)))
     # a copy of h turns into the Moebius count in place, one prime at a time
     h = h.astype(np.int64)
     for p in mod.prime_divisors:

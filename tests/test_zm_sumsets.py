@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from primesum.errors import DomainError, InvariantViolation
 import primesum.zm_sumsets as zm
-from primesum.ntheory import factorize
+from primesum.expcli.cli import main
+from primesum.ntheory import factorize, unit_indicator
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,
@@ -469,6 +470,80 @@ class TestCapitalR:
             capital_R(SubsetOfZm.units(30), factorize(30))
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 15015, 30030, 510510])
+    def test_unit_spectrum_is_the_transform_of_the_units(self, m):
+        mod = factorize(m)
+        gap = np.abs(zm._unit_spectrum(mod) - np.fft.rfft(unit_indicator(mod)))
+        assert gap.max() <= 1e-9 * mod.totient
+
+    @pytest.mark.parametrize(
+        "m, card, nfft",
+        # 2310 folds onto 1155 and 15015 stays: both take one transform pair
+        # at the odd modulus; 20014 folds onto the prime 10007, whose
+        # convolution takes the padded length 32768
+        [(2310, 60, 1155), (15015, 60, 15015), (20014, 40, 1 << 15)],
+    )
+    def test_each_route_matches_enumeration(self, m, card, nfft):
+        rng = np.random.default_rng(m)
+        members = sorted(rng.choice(units_of(m), card, replace=False).tolist())
+        b = SubsetOfZm.from_members(m, members)
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            r_big = capital_R(b, factorize(m))
+        assert fft.call_count == 1
+        assert fft.call_args.args[2] == nfft
+        assert fft.call_args.kwargs.get("b_spectral", False) == (nfft % 2 == 1)
+        assert r_big.tolist() == relaxed_rep_enum(members, m).tolist()
+
+    @staticmethod
+    def units_of_210():
+        # 35 of the 48 units of Z_210, which fold onto Z_105: their pairs with
+        # the units outnumber the butterflies at 256, so the route is one
+        # transform pair at 105
+        return SubsetOfZm.from_members(210, units_of(210)[:35])
+
+    def test_a_flipped_spectrum_entry_fails_the_moebius_gate(self, monkeypatch):
+        # flipping entry 0 moves every count by 2 |B| phi(105) / 105 = 32, an
+        # integer, so the rounding certificate passes and the gate must catch it
+        spectrum = zm._unit_spectrum
+
+        def flipped(mod):
+            spec = spectrum(mod)
+            spec[0] = -spec[0]
+            return spec
+
+        monkeypatch.setattr(zm, "_unit_spectrum", flipped)
+        with pytest.raises(InvariantViolation, match="unit-shift and Moebius counts disagree"):
+            capital_R(self.units_of_210(), factorize(210))
+
+    def test_counts_placed_on_the_odd_residues_fail_the_moebius_gate(self, monkeypatch):
+        def on_odd_residues(r_half):
+            r = np.tile(r_half, 2)
+            r[0::2] = 0
+            return r
+
+        monkeypatch.setattr(zm, "_on_even_residues", on_odd_residues)
+        with pytest.raises(InvariantViolation, match="unit-shift and Moebius counts disagree"):
+            capital_R(self.units_of_210(), factorize(210))
+
+    def test_znstar_bound_runs_one_transform_pair_at_half_length(self, monkeypatch, capsys):
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def recording(name, transform):
+            def call(a, n=None, *args, **kwargs):
+                lengths.append((name, n))
+                return transform(a, n, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", recording("rfft", rfft))
+        monkeypatch.setattr(np.fft, "irfft", recording("irfft", irfft))
+        argv = ["znstar-bound", "--m", "510510", "--set-spec", "units-random:0.005:1"]
+        assert main(argv) == 0
+        assert "card=461" in capsys.readouterr().out
+        assert lengths == [("rfft", 255255), ("irfft", 255255)]
+
+
 @pytest.mark.parametrize(
     "certify",
     [capital_R, lambda b, mod: kth_moment(b, 2, mod), znstar_certificate],
@@ -648,9 +723,9 @@ class TestZnStarCertificate:
         exact = zm._convolve_int_exact
         is_self = []
 
-        def counting(a, b, nfft):
+        def counting(a, b, nfft, **kwargs):
             is_self.append(np.array_equal(a, b))
-            return exact(a, b, nfft)
+            return exact(a, b, nfft, **kwargs)
 
         monkeypatch.setattr(zm, "_convolve_int_exact", counting)
         # 400 of the 480 units of Z_2310: both products have more pairs than
