@@ -45,15 +45,13 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # closed form), 20014 = 2 * 10007 (folded onto the prime 10007, which keeps
 # the padded route) and the prime 999983 (padded); a non-squarefree modulus
 # (the radical-block certificate), a list: spec and the extremal family at
-# s=6 and s=7; the random-host report as JSON and CSV, and given --theta,
-# which it does not take (exit 2); and the one-class
-# commands, which share the pipeline's prime table: sieve, partition,
+# s=6 and s=7; simulate-random, a command that is gone (exit 2); and the
+# one-class commands, which share the pipeline's prime table: sieve, partition,
 # spectrum, decompose, a spectrum whose --b is rejected (exit 2) and a W=13
 # spectrum past the pipeline's pair-work cap (exit 0: it runs no pairs); last
 # a W=13 pipeline that the cap rejects (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
-RANDOM_HOST = "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"
 CASES = [
     ("pairs-w7-s1", f"{PAIRS_W7} 1"),
     ("pairs-w7-s2", f"{PAIRS_W7} 2"),
@@ -92,9 +90,8 @@ CASES = [
     ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
     ("extremal-s6-t2", "extremal --s 6 --t 2"),
     ("extremal-s7-t2", "extremal --s 7 --t 2"),
-    ("random-host", RANDOM_HOST),
-    ("random-host-csv", f"{RANDOM_HOST} --format csv"),
-    ("random-host-theta", f"{RANDOM_HOST} --theta 0.5"),
+    ("simulate-random-removed",
+     "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"),
     ("sieve-n100000", "sieve --n 100000"),
     ("partition-w5", "partition --n 100000 --W 5"),
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),

@@ -1,32 +1,17 @@
 """Experiment configuration, pipeline, report serialization, and CLI."""
 
-from .config import (
-    ExperimentConfig,
-    RandomSetExperiment,
-    SubsetRule,
-    build_subset,
-    parse_rule,
-)
-from .pipeline import (
-    CheckRow,
-    FinalReport,
-    RandomHostReport,
-    run_pipeline,
-    simulate_random_host,
-)
+from .config import ExperimentConfig, SubsetRule, build_subset, parse_rule
+from .pipeline import CheckRow, FinalReport, run_pipeline
 from .reports import emit_report, render_csv, render_json
 
 __all__ = [
     "ExperimentConfig",
-    "RandomSetExperiment",
     "SubsetRule",
     "build_subset",
     "parse_rule",
     "CheckRow",
     "FinalReport",
-    "RandomHostReport",
     "run_pipeline",
-    "simulate_random_host",
     "emit_report",
     "render_csv",
     "render_json",

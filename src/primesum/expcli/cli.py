@@ -45,12 +45,11 @@ from ..zm_sumsets import (
 from ..zn_spectral import dft, green_decompose
 from .config import (
     ExperimentConfig,
-    RandomSetExperiment,
     build_subset,
     check_moment_order,
     parse_rule,
 )
-from .pipeline import run_pipeline, simulate_random_host
+from .pipeline import run_pipeline
 from .reports import emit_report
 
 __all__ = ["main", "build_parser", "parse_set_spec"]
@@ -296,37 +295,19 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
-def _cmd_simulate_random(args) -> int:
-    exp = RandomSetExperiment(
-        N=args.N,
-        p=args.p,
-        alpha=args.alpha,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    _write_report(simulate_random_host(exp), args)
-    return 0
-
-
-def _write_report(report, args) -> bool:
-    """Render the report to stdout or to --out; True when it went to a file."""
+def _cmd_pipeline(args) -> int:
+    report = run_pipeline(_config(args))
     text = emit_report(report, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)
-        return False
+        return 0
     _print(f"wrote {args.format} report to {args.out}")
-    return True
-
-
-def _cmd_pipeline(args) -> int:
-    report = run_pipeline(_config(args))
-    if _write_report(report, args):
-        summary = report.summary
-        _print(
-            f"checks passed {summary['checks_passed']}/{summary['checks_total']} "
-            f"lower_bound={_fmt(summary['lower_bound'])} "
-            f"actual={summary['actual_sumset']}"
-        )
+    summary = report.summary
+    _print(
+        f"checks passed {summary['checks_passed']}/{summary['checks_total']} "
+        f"lower_bound={_fmt(summary['lower_bound'])} "
+        f"actual={summary['actual_sumset']}"
+    )
     return 0
 
 
@@ -379,16 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=_cmd_extremal)
-
-    p = sub.add_parser("simulate-random", help="random host/subset sumset trials")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate_random)
 
     p = experiment("pipeline", _cmd_pipeline, "full partition-to-bound experiment")
     p.add_argument("--delta", type=float, default=1.0)

@@ -1,9 +1,8 @@
 """Experiment configuration objects and subset rules.
 
 Configs are plain dataclasses validated once up front; every run is fully
-determined by (config, seed).  Random draws use the counter-based Philox
-generator keyed by (seed, trial index), so trials are independent of
-evaluation order.
+determined by (config, seed).  The random-thinning rule draws from the
+counter-based Philox generator keyed by (seed, 0).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from ..ntheory import PrimeTable
 __all__ = [
     "SubsetRule",
     "ExperimentConfig",
-    "RandomSetExperiment",
     "parse_rule",
     "build_subset",
     "check_moment_order",
@@ -165,42 +163,3 @@ def build_subset(cfg: ExperimentConfig, table: PrimeTable) -> np.ndarray:
         return np.sort(chosen)
     raise ConfigurationError(f"unknown subset rule {rule.kind!r}")
 
-
-@dataclass(frozen=True)
-class RandomSetExperiment:
-    """Random host-and-subset trials on Z_N.
-
-    Each trial draws a host S by independent inclusion with probability p,
-    then a uniform subset of size ceil(alpha |S|) by seeded shuffle.
-    """
-
-    N: int
-    p: float
-    alpha: float
-    trials: int
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ConfigurationError(f"need integer N >= 1, got {self.N}")
-        if self.N > 1_000_000:
-            raise ConfigurationError(f"N = {self.N} exceeds the desk-scale cap 1000000")
-        if not 0 < self.p <= 1:
-            raise ConfigurationError(f"p must lie in (0, 1], got {self.p}")
-        if not 0 < self.alpha <= 1:
-            raise ConfigurationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 1 <= self.trials <= 10_000:
-            raise ConfigurationError(
-                f"trials must lie in [1, 10000], got {self.trials}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
-
-    def echo(self) -> dict:
-        return {
-            "N": self.N,
-            "p": self.p,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "seed": self.seed,
-        }

@@ -31,21 +31,13 @@ from ..prime_embed import (
 from ..zm_sumsets import (
     SubsetOfZm,
     choose_moment_order,
-    cyclic_sumset_size,
     integer_sumset_flags,
     kth_moment,
-    sumset,
 )
-from .config import ExperimentConfig, RandomSetExperiment, build_subset
+from .config import ExperimentConfig, build_subset
 from .reports import Columns
 
-__all__ = [
-    "CheckRow",
-    "FinalReport",
-    "RandomHostReport",
-    "run_pipeline",
-    "simulate_random_host",
-]
+__all__ = ["CheckRow", "FinalReport", "run_pipeline"]
 
 _ACTUAL_SUMSET_MAX_N = 2_000_000
 _MAX_PAIR_WORK = 1_000_000_000
@@ -537,75 +529,3 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         checks=ledger,
     )
 
-
-@dataclass
-class RandomHostReport:
-    """Trial-by-trial sumset fractions for random subsets of random hosts."""
-
-    config: dict
-    trials: list[dict]
-    summary: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "tables": {"summary": self.summary, "trials": Columns.from_rows(self.trials)},
-            "checks": [],
-        }
-
-
-def simulate_random_host(exp: RandomSetExperiment) -> RandomHostReport:
-    """Draw hosts by independent inclusion, subsets by seeded shuffle, and
-    record |A + A| / N per trial.
-
-    Each trial uses a counter-based generator keyed by (seed, trial), so the
-    results do not depend on evaluation order.
-    """
-    exp.validate()
-    rows: list[dict] = []
-    fractions: list[float] = []
-    for t in range(exp.trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([exp.seed, t], dtype=np.uint64))
-        )
-        host = np.flatnonzero(rng.random(exp.N) < exp.p).astype(np.int64)
-        if host.size == 0:
-            rows.append(
-                {
-                    "trial": t,
-                    "host_size": 0,
-                    "subset_size": 0,
-                    "skipped": True,
-                    "sumset_size": None,
-                    "sumset_fraction": None,
-                }
-            )
-            continue
-        target = math.ceil(exp.alpha * host.size)
-        subset = np.sort(rng.permutation(host)[:target])
-        if exp.N <= 8192:
-            s = SubsetOfZm.from_members(exp.N, subset)
-            size = sumset(s, s).cardinality
-        else:
-            size = cyclic_sumset_size(subset, exp.N)
-        fraction = size / exp.N
-        fractions.append(fraction)
-        rows.append(
-            {
-                "trial": t,
-                "host_size": int(host.size),
-                "subset_size": int(subset.size),
-                "skipped": False,
-                "sumset_size": int(size),
-                "sumset_fraction": fraction,
-            }
-        )
-    summary = {
-        "trials": exp.trials,
-        "completed": len(fractions),
-        "skipped": exp.trials - len(fractions),
-        "mean_fraction": math.fsum(fractions) / len(fractions) if fractions else None,
-        "min_fraction": min(fractions) if fractions else None,
-        "max_fraction": max(fractions) if fractions else None,
-    }
-    return RandomHostReport(config=exp.echo(), trials=rows, summary=summary)

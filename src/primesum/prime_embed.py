@@ -456,10 +456,12 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     """Aggregate pair densities over the good set into per-residue maxima,
     averages and pair counts.
 
-    One stable sort groups the ordered good pairs, in row-major order, by
-    residue, so each group keeps ascending (b1, b2) and its first maximum is
-    the smallest witness.  Witness pairs are chosen by density alone, which
-    is symmetric in the pair order.
+    The ordered good pairs are visited one row b1 at a time, in ascending
+    order.  A row meets each residue at most once, so its densities scatter
+    without collisions into per-residue runs, and a maximum replaced only by
+    a strictly larger density keeps the smallest witness.  Witness pairs are
+    chosen by density alone, which is symmetric in the pair order.  Apart
+    from the runs of densities themselves, the memory is O(m).
     """
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
@@ -467,21 +469,28 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     if not good.size:
         raise DomainError("the good set is empty; nothing to aggregate")
     m = part.modulus.m
-    # b1 + b2 < 2m: the narrowest type keeps the residues small and sorts
-    # 16-bit keys by radix
-    narrow = good.astype(np.min_scalar_type(2 * m))
-    residue = ((narrow[:, None] + narrow) % m).ravel()
-    order = np.argsort(residue, kind="stable")
-    counts = np.bincount(residue, minlength=m)
-    del residue
+    counts = np.zeros(m, dtype=np.int64)
+    for b1 in good.tolist():
+        counts[(b1 + good) % m] += 1
     x = np.flatnonzero(counts)
     count = counts[x]
-    starts = np.cumsum(count) - count
+    # slot[r] is where the next density with residue r goes
+    slot = np.cumsum(counts) - counts
+    starts = slot[x]
+    value = np.empty(good.size**2)
+    best = np.full(m, -np.inf)
+    witness = np.zeros(m, dtype=np.int64)
     density = np.array([part.delta_b[b] for b in good.tolist()])
-    value = ((density[:, None] + density) / 2.0).ravel()[order]
-    delta = np.maximum.reduceat(value, starts)
-    hits = np.flatnonzero(value == np.repeat(delta, count))
-    first = order[hits[np.searchsorted(hits, starts)]]
+    for b1, d1 in zip(good.tolist(), density.tolist()):
+        r = (b1 + good) % m
+        v = (d1 + density) / 2.0
+        value[slot[r]] = v
+        slot[r] += 1
+        up = v > best[r]
+        hit = r[up]
+        best[hit] = v[up]
+        witness[hit] = b1
+    delta = best[x]
     # fsum is correctly rounded, so the order within a group does not matter
     bounds = zip(starts.tolist(), (starts + count).tolist())
     gamma = np.array([math.fsum(value[lo:hi].tolist()) for lo, hi in bounds]) / count
@@ -489,8 +498,8 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     return DeltaAggregate(
         x=x,
         delta=delta,
-        witness_b1=good[first // good.size],
-        witness_b2=good[first % good.size],
+        witness_b1=witness[x],
+        witness_b2=(x - witness[x]) % m,
         gamma=gamma,
         count=count,
         contribution=contribution,

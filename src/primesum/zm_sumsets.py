@@ -40,7 +40,6 @@ from .ntheory import (
     FactoredModulus,
     factorize,
     gcd_table,
-    primorial,
     sieve_primes,
     unit_indicator,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "choose_moment_order",
     "znstar_certificate",
     "extremal_construct",
-    "mertens_ratio",
 ]
 
 _BITMASK_WORK = 2_000_000_000
@@ -796,18 +794,3 @@ def extremal_construct(s: int, t: int) -> ExtremalConstruction:
         predicted_alpha=Fraction(1, factorize(small_product).totient),
     )
 
-
-def mertens_ratio(w: int) -> float:
-    """m / (phi(m) loglog phi(m)) for the primorial of w.
-
-    Requires phi(m) >= 3 so the double logarithm is positive; the first
-    usable bound is w = 5.
-    """
-    if w < 3:
-        raise DomainError(f"need w >= 3, got {w}")
-    mod = primorial(w)
-    if mod.totient < 3:
-        raise DomainError(
-            f"phi({mod.m}) = {mod.totient} < 3 leaves loglog nonpositive"
-        )
-    return mod.m / (mod.totient * math.log(math.log(mod.totient)))

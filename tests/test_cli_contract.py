@@ -1,13 +1,11 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
-partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound,
-extremal and simulate-random exits 0, 2 or 3 with no traceback, and a
-rejected request (exit 2) comes back fast.  A flag that a command does not
-take exits 2: decompose given --sigma, simulate-random given --theta or
---beta.
+partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound and
+extremal exits 0, 2 or 3 with no traceback, and a rejected request (exit 2)
+comes back fast.  A flag that a command does not take exits 2 (decompose
+given --sigma), and so does a command that is gone (simulate-random).
 
-Accepted runs keep n at most 10^4, m and the random host's N at most 3000,
-at most 5 random trials and at most 7 primes in the extremal modulus; a
-larger n is drawn only together with a --W or a --b that must be rejected
+Accepted runs keep n at most 10^4, m at most 3000 and at most 7 primes in
+the extremal modulus; a larger n is drawn only together with a --W or a --b that must be rejected
 before anything is sieved, and a larger m only with a --k that must be
 rejected before any set is built, or past the cap on m.
 """
@@ -25,7 +23,11 @@ from primesum.expcli.cli import main
 
 
 # flags that the commands once took and now reject
-REMOVED_FLAGS = {"decompose": ("--sigma",), "simulate-random": ("--theta", "--beta")}
+REMOVED_FLAGS = {"decompose": ("--sigma",)}
+# commands that are gone, each with an argument vector it once accepted
+REMOVED_COMMANDS = {
+    "simulate-random": ["--N", "2000", "--p", "0.3", "--alpha", "0.5", "--trials", "3"],
+}
 
 
 def mostly(valid, invalid):
@@ -64,9 +66,8 @@ SET_SPECS = mostly(
     st.sampled_from(["units-filter:0:2", "list:1,x", "random:2:1", "no-such-spec"]),
 )
 SEED = mostly(st.integers(0, 9), st.integers(-2, 2**70))
-# invalid values are not positive or lie past a cap: 10^7 on m, 10^6 on the
-# random host's N, 10^4 on the trials; the first 9 primes multiply past the
-# extremal modulus cap of 10^8
+# invalid values are not positive or lie past a cap: 10^7 on m; the first 9
+# primes multiply past the extremal modulus cap of 10^8
 
 
 def small_or_invalid(top: int, cap: int):
@@ -76,8 +77,6 @@ def small_or_invalid(top: int, cap: int):
 
 
 SET_M = small_or_invalid(3000, 10**7)
-HOST_N = small_or_invalid(3000, 10**6)
-TRIALS = small_or_invalid(5, 10**4)
 EXTREMAL_S = small_or_invalid(7, 8)
 
 
@@ -116,10 +115,12 @@ def argv(draw) -> list[str]:
                 "sumset",
                 "znstar-bound",
                 "extremal",
-                "simulate-random",
+                *REMOVED_COMMANDS,
             ]
         )
     )
+    if command in REMOVED_COMMANDS:
+        return [command, *REMOVED_COMMANDS[command]]
     if command == "sieve":
         n = draw(mostly(SMALL_N, st.integers(10**7 + 1, 10**15)))
         return ["sieve", "--n", str(n)]
@@ -138,16 +139,6 @@ def argv(draw) -> list[str]:
     if command == "extremal":
         t = draw(st.integers(-3, 9))
         return ["extremal", "--s", str(draw(EXTREMAL_S)), "--t", str(t)]
-    if command == "simulate-random":
-        out = ["simulate-random", "--N", str(draw(HOST_N))]
-        out += ["--trials", str(draw(TRIALS))]
-        for flag, values in (("--p", UNIT_FLOATS), ("--alpha", UNIT_FLOATS)):
-            out += [flag, repr(draw(values))]
-        if draw(st.booleans()):
-            out += ["--seed", repr(draw(SEED))]
-        out += removed_flags(draw, command)
-        formats = mostly(st.sampled_from(["json", "csv"]), st.just("xml"))
-        return out + ["--format", draw(formats)]
     has_b = command in ("spectrum", "decompose")
     large = draw(mostly(st.just(False), st.just(True)))
     # a large n comes with an invalid --W, or with an invalid --b
@@ -191,7 +182,9 @@ def test_exit_codes_and_fast_rejections(args):
     elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if any(flag in args for flag in REMOVED_FLAGS.get(args[0], ())):
+    if args[0] in REMOVED_COMMANDS or any(
+        flag in args for flag in REMOVED_FLAGS.get(args[0], ())
+    ):
         assert code == 2, (args, code)
     if code == 2:
         assert elapsed < 0.5, (args, elapsed)

@@ -14,18 +14,13 @@ import pytest
 import primesum
 from primesum.errors import ConfigurationError, DomainError, InvariantViolation
 from primesum.expcli.cli import main, parse_set_spec
-from primesum.expcli.config import (
-    ExperimentConfig,
-    RandomSetExperiment,
-    build_subset,
-    parse_rule,
-)
-from primesum.expcli.pipeline import _Ledger, run_pipeline, simulate_random_host
+from primesum.expcli.config import ExperimentConfig, build_subset, parse_rule
+from primesum.expcli.pipeline import _Ledger, run_pipeline
 from primesum.expcli.reports import _sanitize, emit_report, render_csv, render_json
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import cyclic_sumset_size
 
-from oracles import rep_enum, trial_primes
+from oracles import trial_primes
 
 
 def record_calls(monkeypatch, name: str) -> list:
@@ -543,42 +538,6 @@ class TestReports:
             emit_report(pipeline_report, "json", str(tmp_path / "no" / "dir.json"))
 
 
-class TestRandomHost:
-    def test_full_density_fills(self):
-        exp = RandomSetExperiment(N=64, p=1.0, alpha=1.0, trials=3, seed=0)
-        report = simulate_random_host(exp)
-        assert all(r["sumset_fraction"] == 1.0 for r in report.trials)
-
-    def test_same_seed_identical(self):
-        exp = RandomSetExperiment(N=256, p=0.3, alpha=0.5, trials=4, seed=9)
-        a = simulate_random_host(exp)
-        b = simulate_random_host(exp)
-        assert render_json(a) == render_json(b)
-
-    def test_trials_beat_holder_bound(self):
-        exp = RandomSetExperiment(N=128, p=0.4, alpha=0.6, trials=5, seed=2)
-        report = simulate_random_host(exp)
-        for row in report.trials:
-            if row["skipped"]:
-                continue
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([2, row["trial"]], dtype=np.uint64))
-            )
-            host = np.flatnonzero(rng.random(128) < 0.4).astype(np.int64)
-            target = math.ceil(0.6 * host.size)
-            subset = np.sort(rng.permutation(host)[:target])
-            assert subset.size == row["subset_size"]
-            r = rep_enum(subset.tolist(), 128)
-            # the Hoelder bound at k = 2: |A+A| sum r^2 >= |A|^4
-            assert row["sumset_size"] * int(np.sum(r * r)) >= subset.size**4
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RandomSetExperiment(N=0, p=0.5, alpha=0.5, trials=1).validate()
-        with pytest.raises(ConfigurationError):
-            RandomSetExperiment(N=10, p=0.0, alpha=0.5, trials=1).validate()
-
-
 class TestCli:
     def test_sieve_exit_zero(self, capsys):
         assert main(["sieve", "--n", "30"]) == 0
@@ -752,24 +711,3 @@ class TestCli:
         )
         assert code == 3
         assert "invariant" in capsys.readouterr().err
-
-    def test_simulate_random_files_identical(self, tmp_path):
-        args = [
-            "simulate-random",
-            "--N",
-            "256",
-            "--p",
-            "0.5",
-            "--alpha",
-            "0.5",
-            "--trials",
-            "3",
-            "--seed",
-            "4",
-            "--format",
-            "csv",
-        ]
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(f1)]) == 0
-        assert main(args + ["--out", str(f2)]) == 0
-        assert f1.read_bytes() == f2.read_bytes()

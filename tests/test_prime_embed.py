@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,21 @@ class TestAggregateDelta:
         part = synthetic_partition({1: 0.0}, 0.0, [])
         with pytest.raises(DomainError):
             aggregate_delta(part, 0.1)
+
+    def test_memory_is_one_array_of_pair_densities(self):
+        # the 480 units of Z_2310 as good classes: G^2 = 230400 ordered
+        # pairs, whose densities alone take 8 G^2 bytes
+        units = units_of(primorial(11).m)
+        densities = np.random.default_rng(5).integers(0, 40, len(units)) / 40
+        part = synthetic_partition(dict(zip(units, densities.tolist())), 0.5, units, w=11)
+        aggregate_delta(part, 0.1)
+        tracemalloc.start()
+        try:
+            aggregate_delta(part, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * len(units) ** 2
 
 
 # a few fractions, so that pair densities tie within a residue

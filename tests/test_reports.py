@@ -10,7 +10,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesum.expcli.pipeline import RandomHostReport
 from primesum.expcli.reports import Columns, _cell, _sanitize, render_csv, render_json
 
 # keys and strings that need escaping: quotes, backslashes, control and
@@ -108,27 +107,31 @@ class TestCsvWriter:
     def test_matches_the_row_writer(self):
         # the expected text is what the row-wise CSV writer produced for this
         # report before tables became columns
-        report = RandomHostReport(
-            config={
+        doc = {
+            "config": {
                 "N": np.int64(12),
                 "label": 'a "quoted", välue',
                 "ratio": Fraction(1, 3),
                 "weights": [1, 2.5],
             },
-            trials=[
-                {"trial": 0, "host_size": np.int64(5), "skipped": np.bool_(False),
-                 "sumset_size": None, "sumset_fraction": math.nan},
-                {"trial": 1, "host_size": 7, "skipped": True,
-                 "sumset_size": 9, "sumset_fraction": 0.1 + 0.2},
-                {"trial": 2, "host_size": 0, "skipped": False,
-                 "sumset_size": np.int32(3), "sumset_fraction": np.float64(-math.inf)},
-            ],
-            summary={
-                "mean_fraction": np.float64(1e-20),
-                "max_fraction": math.inf,
-                "note": "line, with comma",
+            "tables": {
+                "summary": {
+                    "mean_fraction": np.float64(1e-20),
+                    "max_fraction": math.inf,
+                    "note": "line, with comma",
+                },
+                "trials": Columns.from_rows([
+                    {"trial": 0, "host_size": np.int64(5), "skipped": np.bool_(False),
+                     "sumset_size": None, "sumset_fraction": math.nan},
+                    {"trial": 1, "host_size": 7, "skipped": True,
+                     "sumset_size": 9, "sumset_fraction": 0.1 + 0.2},
+                    {"trial": 2, "host_size": 0, "skipped": False,
+                     "sumset_size": np.int32(3), "sumset_fraction": np.float64(-math.inf)},
+                ]),
             },
-        )
+            "checks": [],
+        }
+        report = _Report(doc)
         assert render_csv(report) == (
             'section,config\nkey,value\nN,12\nlabel,"a ""quoted"", välue"\n'
             'ratio,1/3\nweights,"[1, 2.5]"\n\n'
@@ -137,7 +140,7 @@ class TestCsvWriter:
             "section,trials\ntrial,host_size,skipped,sumset_size,sumset_fraction\n"
             "0,5,false,,\n1,7,true,9,0.3\n2,0,false,3,\n"
         )
-        assert render_json(report) == stock(report.to_dict())
+        assert render_json(report) == stock(doc)
 
 
 def csv_text(doc) -> str:

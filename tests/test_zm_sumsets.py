@@ -20,7 +20,6 @@ from primesum.zm_sumsets import (
     extremal_construct,
     integer_sumset_flags,
     kth_moment,
-    mertens_ratio,
     rep_histogram,
     sumset,
     znstar_certificate,
@@ -765,21 +764,3 @@ class TestExtremalConstruct:
         with pytest.raises(DomainError):
             extremal_construct(3, 3)
 
-
-class TestMertensRatio:
-    def test_w5(self):
-        assert abs(mertens_ratio(5) - 30 / (8 * math.log(math.log(8)))) < 1e-12
-        assert abs(mertens_ratio(5) - 5.122) < 2e-3
-
-    def test_w11(self):
-        assert abs(mertens_ratio(11) - 2310 / (480 * math.log(math.log(480)))) < 1e-12
-        assert abs(mertens_ratio(11) - 2.645) < 2e-3
-
-    def test_positive_from_w5(self):
-        for w in (5, 7, 11, 13):
-            assert mertens_ratio(w) > 0
-
-    def test_tiny_totient_rejected(self):
-        # phi = 2 makes loglog negative; the ratio is not meaningful there.
-        with pytest.raises(DomainError):
-            mertens_ratio(3)
