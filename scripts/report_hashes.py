@@ -47,9 +47,10 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # (the radical-block certificate), a list: spec and the extremal family at
 # s=6 and s=7; simulate-random, a command that is gone (exit 2); and the
 # one-class commands, which share the pipeline's prime table: sieve, partition,
-# spectrum, decompose, a spectrum whose --b is rejected (exit 2) and a W=13
-# spectrum past the pipeline's pair-work cap (exit 0: it runs no pairs); last
-# a W=13 pipeline that the cap rejects (exit 2)
+# spectrum, spectrum-w2 (W=2, whose off-peak reference is NaN), decompose, a
+# spectrum whose --b is rejected (exit 2) and a W=13 spectrum past the
+# pipeline's pair-work cap (exit 0: it runs no pairs); last a W=13 pipeline
+# that the cap rejects (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 CASES = [
@@ -95,6 +96,7 @@ CASES = [
     ("sieve-n100000", "sieve --n 100000"),
     ("partition-w5", "partition --n 100000 --W 5"),
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),
+    ("spectrum-w2", "spectrum --n 3000 --W 2 --b 1"),
     ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05"),
     ("spectrum-rejected-b", "spectrum --n 1000 --W 5 --b 6"),
     ("spectrum-w13", "spectrum --n 300000 --W 13 --b 1"),

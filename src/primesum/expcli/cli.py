@@ -30,9 +30,7 @@ from ..ntheory import (
 from ..prime_embed import (
     embed_class,
     embedding_limit,
-    embedding_mass_check,
     partition_and_densities,
-    pseudorandom_deficit,
 )
 from ..zm_sumsets import (
     SubsetOfZm,
@@ -191,16 +189,14 @@ def _cmd_spectrum(args) -> int:
     if args.top < 0:
         raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
     ec = _embedded_class(args)
-    deficit = pseudorandom_deficit(ec)
-    mass = embedding_mass_check(ec)
     _print(
-        f"b={ec.b} N={ec.N} zero_mode_error={_fmt(deficit.zero_mode_error)} "
-        f"offpeak_sup={_fmt(deficit.offpeak_sup)} "
-        f"reference={_fmt(deficit.reference_bound)}"
+        f"b={ec.b} N={ec.N} zero_mode_error={_fmt(ec.zero_mode_error)} "
+        f"offpeak_sup={_fmt(ec.offpeak_sup)} "
+        f"reference={_fmt(ec.offpeak_reference)}"
     )
     _print(
-        f"mass={_fmt(mass.mass)} threshold={_fmt(mass.threshold)} "
-        f"passed={_fmt(mass.passed)}"
+        f"mass={_fmt(ec.mass)} threshold={_fmt(ec.mass_threshold)} "
+        f"passed={_fmt(ec.mass >= ec.mass_threshold)}"
     )
     mags = np.abs(dft(ec.f))
     order = np.argsort(-mags, kind="stable")[: args.top]

@@ -23,10 +23,8 @@ from ..prime_embed import (
     choose_N,
     embed_classes,
     embedding_limit,
-    embedding_mass_check,
     pair_sumset_columns,
     partition_and_densities,
-    pseudorandom_deficits,
 )
 from ..zm_sumsets import (
     SubsetOfZm,
@@ -163,23 +161,22 @@ def _class_rows(
     """Embed every unit class against the run's prime table; returns the
     embeddings by class and the per-class table, one row per class."""
     embeds = embed_classes(part, table)
-    units = list(embeds)
-    masses = [embedding_mass_check(ec) for ec in embeds.values()]
-    deficits = pseudorandom_deficits(list(embeds.values()))
+    units, classes = list(embeds), list(embeds.values())
+    passed = [ec.mass >= ec.mass_threshold for ec in classes]
     per_class = Columns(
         b=units,
         prime_count=[int(part.classes[b][1].size) for b in units],
         subset_count=[int(part.classes[b][0].size) for b in units],
         delta_b=[part.delta_b[b] for b in units],
         good=[b in part.good for b in units],
-        mass=[mass.mass for mass in masses],
-        mass_threshold=[mass.threshold for mass in masses],
-        mass_passed=[mass.passed for mass in masses],
-        zero_mode_error=[deficit.zero_mode_error for deficit in deficits],
-        offpeak_sup=[deficit.offpeak_sup for deficit in deficits],
-        offpeak_reference=[deficit.reference_bound for deficit in deficits],
+        mass=[ec.mass for ec in classes],
+        mass_threshold=[ec.mass_threshold for ec in classes],
+        mass_passed=passed,
+        zero_mode_error=[ec.zero_mode_error for ec in classes],
+        offpeak_sup=[ec.offpeak_sup for ec in classes],
+        offpeak_reference=[ec.offpeak_reference for ec in classes],
     )
-    good_passed = [mass.passed for mass in masses if mass.b in part.good]
+    good_passed = [ok for b, ok in zip(units, passed) if b in part.good]
     ledger.report(
         "good-class-weight-mass",
         sum(good_passed),

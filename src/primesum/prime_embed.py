@@ -3,8 +3,11 @@ into Z_N.
 
 A subset A of the primes up to n is split along the reduced residue classes
 of a primorial modulus m.  Each class embeds into Z_N (N about 4n/m) through
-x -> (prime - b) / m, carrying a log-weighted density normalized so that the
-all-class weight has average close to 1.  The embedded densities feed the
+x -> (prime - b) / m, carrying a log weight normalized so that the
+all-class weight has average close to 1, and its restriction f to A.  One
+pass builds each class's f and the checks of its weight: the mass of f
+against delta_b / 16, and the weight's zero-mode error and largest off-zero
+coefficient; the weight itself is not kept.  The densities f feed the
 spectral machinery from `zn_spectral`; everything asymptotic (weight mass,
 spectral flatness, support fractions) is reported with explicit pass flags
 rather than asserted.
@@ -12,8 +15,9 @@ rather than asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +35,12 @@ from .zn_spectral import (
 __all__ = [
     "ResiduePartition",
     "EmbeddedClass",
-    "MassCheck",
-    "PseudorandomDeficit",
     "DeltaAggregate",
     "partition_and_densities",
     "choose_N",
     "embedding_limit",
     "embed_class",
     "embed_classes",
-    "embedding_mass_check",
-    "pseudorandom_deficit",
-    "pseudorandom_deficits",
     "pair_sumset_columns",
     "aggregate_delta",
 ]
@@ -73,19 +72,27 @@ class ResiduePartition:
 
 @dataclass(frozen=True)
 class EmbeddedClass:
-    """One residue class mapped into Z_N with its log-weighted densities.
+    """One residue class mapped into Z_N with its log-weighted density and
+    the checks of its weight, reported, never asserted.
 
-    ``nu`` is the weight (phi(m) / m) log(m x + b) on the positions x in
-    [1, N] with m x + b prime (position N wraps to 0), and ``f`` is ``nu``
-    restricted to the positions coming from A.
+    The weight nu is (phi(m) / m) log(m x + b) on the positions x in [1, N]
+    with m x + b prime (position N wraps to 0), and ``f`` is nu restricted to
+    the positions coming from A.  ``mass`` is the compensated sum of f over
+    N, against ``mass_threshold`` = delta_b / 16.  ``zero_mode_error`` is the
+    distance of nu's normalized zero mode from 1 and ``offpeak_sup`` its
+    largest off-zero coefficient, with the asymptotic reference
+    2 loglog w / w (NaN below w = 3) as ``offpeak_reference``.
     """
 
     b: int
     N: int
-    nu: DensityFunction
     f: DensityFunction
     delta_b: float
-    w: int
+    mass: float
+    mass_threshold: float
+    zero_mode_error: float
+    offpeak_sup: float
+    offpeak_reference: float
 
 
 def _by_residue(values: np.ndarray, m: int, residues: np.ndarray) -> list[np.ndarray]:
@@ -208,11 +215,51 @@ def _embed_rows(
     f_row[a_positions] = nu_row[a_positions]
 
 
-def _embedded(
-    part: ResiduePartition, b: int, nu_row: np.ndarray, f: DensityFunction
-) -> EmbeddedClass:
-    nu = DensityFunction(N=f.N, values=nu_row)
-    return EmbeddedClass(b=b, N=f.N, nu=nu, f=f, delta_b=part.delta_b[b], w=part.w)
+def _embed(
+    part: ResiduePartition, units: list[int], in_classes: Iterable[np.ndarray]
+) -> dict[int, EmbeddedClass]:
+    """Embed the classes of ``units`` in one pass, by class; ``in_classes``
+    yields each class's primes m x + b, x in [1, N], in ascending order.
+
+    Each f is written into its row of one (classes, N) array and holds a view
+    of that row and its row of one stacked transform.  The weights are written
+    in blocks of at most ``PAIR_BLOCK_BYTES`` of transform temporaries (about
+    32 bytes per point); each block is transformed once, read for the checks
+    of its classes and dropped, so no weight is kept.
+    """
+    big_n = choose_N(part.n, part.modulus.m)
+    w = part.w
+    reference = 2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
+    size = max(1, PAIR_BLOCK_BYTES // (32 * big_n))
+    f = np.zeros((len(units), big_n))
+    zero_mode, offpeak = [], []
+    pending = zip(units, in_classes)
+    for lo in range(0, len(units), size):
+        block = list(itertools.islice(pending, size))
+        nu = np.zeros((len(block), big_n))
+        for nu_row, f_row, (b, in_class) in zip(nu, f[lo:], block):
+            _embed_rows(part, b, in_class, nu_row, f_row)
+        coeffs = np.fft.fft(nu, axis=-1)
+        coeffs /= big_n
+        for row in coeffs:
+            zero_mode.append(float(abs(row[0] - 1.0)))
+            offpeak.append(float(np.max(np.abs(row[1:]))))
+    return {
+        b: EmbeddedClass(
+            b=b,
+            N=big_n,
+            f=f_b,
+            delta_b=part.delta_b[b],
+            mass=math.fsum(f_b.values.tolist()) / big_n,
+            mass_threshold=part.delta_b[b] / 16.0,
+            zero_mode_error=zero_mode_b,
+            offpeak_sup=offpeak_b,
+            offpeak_reference=reference,
+        )
+        for b, f_b, zero_mode_b, offpeak_b in zip(
+            units, stacked_densities(f), zero_mode, offpeak
+        )
+    }
 
 
 def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedClass:
@@ -224,11 +271,8 @@ def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedCl
     if b not in part.classes:
         raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
     m = part.modulus.m
-    big_n = choose_N(part.n, m)
-    in_class = _window(table, m + b, m * big_n + b)
-    nu_vals, f_vals = np.zeros(big_n), np.zeros(big_n)
-    _embed_rows(part, b, in_class[in_class % m == b], nu_vals, f_vals)
-    return _embedded(part, b, nu_vals, DensityFunction(N=big_n, values=f_vals))
+    in_class = _window(table, m + b, m * choose_N(part.n, m) + b)
+    return _embed(part, [b], [in_class[in_class % m == b]])[b]
 
 
 def embed_classes(
@@ -237,95 +281,13 @@ def embed_classes(
     """Every unit class embedded as ``embed_class`` embeds it, by class.
 
     The primes m x + b, x in [1, N], of all classes are the table's primes in
-    [m, m N + m), split once by a stable sort by residue.  The weights and
-    densities are written into the rows of two (phi(m), N) arrays, each class
-    holds views of its rows, and every f holds its row of one stacked
-    transform.
+    [m, m N + m), split once by a stable sort by residue.
     """
     m = part.modulus.m
-    big_n = choose_N(part.n, m)
-    units = np.array(part.units, dtype=np.int64)
-    window = _window(table, m, m * big_n + int(units[-1]))
-    nu = np.zeros((units.size, big_n))
-    f = np.zeros((units.size, big_n))
-    for row, (b, in_class) in enumerate(
-        zip(units.tolist(), _by_residue(window, m, units))
-    ):
-        _embed_rows(part, b, window[in_class], nu[row], f[row])
-    return {
-        b: _embedded(part, b, nu_row, f_b)
-        for b, nu_row, f_b in zip(units.tolist(), nu, stacked_densities(f))
-    }
-
-
-@dataclass(frozen=True)
-class MassCheck:
-    """Compensated weight mass over the embedded subset against the
-    one-sixteenth density floor."""
-
-    b: int
-    mass: float
-    threshold: float
-    passed: bool
-
-
-def embedding_mass_check(ec: EmbeddedClass) -> MassCheck:
-    """Sum the weight over the embedded subset (compensated summation) and
-    compare with delta_b / 16.  Reported, never asserted."""
-    mass = math.fsum(ec.f.values.tolist()) / ec.N
-    threshold = ec.delta_b / 16.0
-    return MassCheck(b=ec.b, mass=mass, threshold=threshold, passed=mass >= threshold)
-
-
-@dataclass(frozen=True)
-class PseudorandomDeficit:
-    """Spectral flatness of the all-class weight: distance of the zero mode
-    from 1 and the largest off-zero coefficient, with the asymptotic
-    reference 2 loglog w / w alongside."""
-
-    b: int
-    zero_mode_error: float
-    offpeak_sup: float
-    reference_bound: float
-
-
-def pseudorandom_deficit(ec: EmbeddedClass) -> PseudorandomDeficit:
-    return pseudorandom_deficits([ec])[0]
-
-
-def pseudorandom_deficits(
-    classes: Sequence[EmbeddedClass],
-) -> list[PseudorandomDeficit]:
-    """The deficit of each class, all of one length N, from the normalized
-    transform of its weight ``nu``.
-
-    The weights are transformed in stacked blocks of at most
-    ``PAIR_BLOCK_BYTES`` of temporaries (about 32 bytes per point), and each
-    block is dropped once read: no weight transform is kept.
-    """
-    lengths = sorted({ec.N for ec in classes})
-    if len(lengths) > 1:
-        raise DomainError(f"mismatched embedding lengths {lengths}")
-    n = lengths[0] if lengths else 1
-    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
-    out = []
-    for lo in range(0, len(classes), size):
-        block = classes[lo : lo + size]
-        coeffs = np.fft.fft(np.array([ec.nu.values for ec in block]), axis=-1)
-        coeffs /= n
-        for ec, row in zip(block, coeffs):
-            w = ec.w
-            out.append(
-                PseudorandomDeficit(
-                    b=ec.b,
-                    zero_mode_error=float(abs(row[0] - 1.0)),
-                    offpeak_sup=float(np.max(np.abs(row[1:]))) if n > 1 else 0.0,
-                    reference_bound=(
-                        2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
-                    ),
-                )
-            )
-    return out
+    units = part.units
+    window = _window(table, m, m * choose_N(part.n, m) + units[-1])
+    in_classes = _by_residue(window, m, np.array(units, dtype=np.int64))
+    return _embed(part, units, (window[in_class] for in_class in in_classes))
 
 
 def pair_sumset_columns(

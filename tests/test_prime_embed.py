@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -15,13 +17,10 @@ from primesum.prime_embed import (
     choose_N,
     embed_class,
     embed_classes,
-    embedding_mass_check,
     pair_sumset_columns,
     partition_and_densities,
-    pseudorandom_deficit,
-    pseudorandom_deficits,
 )
-from primesum.zn_spectral import dft
+from primesum.zn_spectral import DensityFunction, dft
 
 from oracles import aggregate_enum, trial_primes, units_of
 
@@ -53,18 +52,42 @@ def partition_and_table(members, n, w):
     return partition_and_densities(members, table.upto(n), w, mod), table
 
 
-def synthetic_class(values, b=1, delta_b=1.0, w=5):
-    from primesum.zn_spectral import DensityFunction
+def table_primes(n):
+    return sieve_primes(n).primes.tolist()
 
+
+def weight_partition(n, w):
+    """The partition of every prime up to n and its prime table, with each
+    class's subset widened to all of its primes m x + b, x in [1, N]: then
+    every f is the weight nu itself."""
+    part, table = partition_and_table(table_primes(n), n, w)
+    m = part.modulus.m
+    primes = table.primes
+    top = m * choose_N(n, m)
+    classes = {}
+    for b, (_, p_arr) in part.classes.items():
+        window = primes[(primes >= m + b) & (primes <= top + b)]
+        classes[b] = (window[window % m == b], p_arr)
+    return dataclasses.replace(part, classes=classes), table
+
+
+def synthetic_class(values, b=1, delta_b=1.0):
+    """A class whose subset holds every prime, so that f is its weight
+    ``values``, with the checks read from ``values`` as the embedding reads
+    them."""
     big_n = len(values)
     f = DensityFunction(N=big_n, values=np.asarray(values, dtype=np.float64))
+    coeffs = np.fft.fft(f.values) / big_n
     return EmbeddedClass(
         b=b,
         N=big_n,
-        nu=f,
         f=f,
         delta_b=delta_b,
-        w=w,
+        mass=math.fsum(f.values.tolist()) / big_n,
+        mass_threshold=delta_b / 16.0,
+        zero_mode_error=float(abs(coeffs[0] - 1.0)),
+        offpeak_sup=float(np.max(np.abs(coeffs[1:]))),
+        offpeak_reference=math.nan,
     )
 
 
@@ -150,21 +173,28 @@ class TestEmbedClass:
         part, table = partition_and_table(trial_primes(100), 100, 3)
         ec = embed_class(part, 1, table)
         assert ec.N == 66
-        assert abs(ec.nu.values[1] / ec.N - (2.0 / 396.0) * math.log(7)) < 1e-12
+        assert abs(ec.f.values[1] / ec.N - (2.0 / 396.0) * math.log(7)) < 1e-12
 
     def test_zero_on_composite_positions(self):
-        part, table = partition_and_table(trial_primes(100), 100, 3)
+        part, table = weight_partition(100, 3)
         ec = embed_class(part, 1, table)
         assert ec.N == 66
         # position 4 would be 25 = 5*5
-        assert ec.nu.values[4] / ec.N == 0.0
+        assert ec.f.values[4] / ec.N == 0.0
+        # the weight lives on the positions x in [1, N] with 6 x + 1 prime,
+        # and 6 N + 1 = 397 is prime: position N wraps to 0
+        primes = set(trial_primes(6 * 66 + 1))
+        expected = [x % 66 for x in range(1, 67) if 6 * x + 1 in primes]
+        assert np.flatnonzero(ec.f.values).tolist() == sorted(expected)
+        assert expected[-1] == 0
 
     def test_zero_mode_is_weight_sum(self):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
         ec = embed_class(part, 1, table)
         assert ec.N == choose_N(2000, 6)
-        zero_mode = dft(ec.nu)[0].real
-        assert abs(zero_mode - math.fsum(ec.nu.values / ec.N)) < 1e-9
+        zero_mode = dft(ec.f)[0].real
+        assert abs(zero_mode - math.fsum(ec.f.values / ec.N)) < 1e-9
+        assert abs(zero_mode - ec.mass) < 1e-9
 
     def test_shared_table_must_reach(self):
         part = partition_and_densities(
@@ -180,6 +210,21 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_class(ec: EmbeddedClass, one: EmbeddedClass) -> None:
+    """Every field of the two records equal bit for bit, NaN included, and
+    f with the same transform."""
+    for field in dataclasses.fields(EmbeddedClass):
+        a, b = getattr(ec, field.name), getattr(one, field.name)
+        if isinstance(a, DensityFunction):
+            assert a.N == b.N
+            assert same_bits(a.values, b.values)
+            assert same_bits(a.transform, b.transform)
+        elif isinstance(a, float):
+            assert struct.pack("<d", a) == struct.pack("<d", b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
 class TestEmbedClasses:
     def test_batch_matches_the_one_class_route(self):
         # at n = 2000, W = 7 (N = 38) the primes 210 N + b of 21 classes sit
@@ -187,83 +232,117 @@ class TestEmbedClasses:
         part, table = partition_and_table(trial_primes(2000)[::2], 2000, 7)
         batch = embed_classes(part, table)
         assert list(batch) == part.units
-        assert sum(ec.nu.values[0] > 0 for ec in batch.values()) == 21
         for b, ec in batch.items():
-            one = embed_class(part, b, table)
-            assert (ec.b, ec.N, ec.delta_b, ec.w) == (b, one.N, one.delta_b, one.w)
-            assert same_bits(ec.nu.values, one.nu.values)
-            assert same_bits(ec.f.values, one.f.values)
+            assert ec.b == b
+            assert_same_class(ec, embed_class(part, b, table))
             assert same_bits(ec.f.transform, np.fft.fft(ec.f.values))
             assert not ec.f.transform.flags.writeable
+        weights = embed_classes(*weight_partition(2000, 7))
+        assert sum(ec.f.values[0] > 0 for ec in weights.values()) == 21
+
+    @pytest.mark.parametrize("w", [2, 5])
+    def test_every_unit_matches_across_routes(self, w):
+        part, table = partition_and_table(trial_primes(3000), 3000, w)
+        batch = embed_classes(part, table)
+        assert list(batch) == part.units
+        for b in part.units:
+            assert_same_class(batch[b], embed_class(part, b, table))
+        if w == 2:
+            assert math.isnan(batch[1].offpeak_reference)
 
     def test_classes_hold_rows_of_two_arrays(self):
+        # the densities f and their transforms: no weight row is kept
         part, table = partition_and_table(trial_primes(2000), 2000, 5)
         batch = list(embed_classes(part, table).values())
-        for field in ("f", "nu"):
-            rows = [getattr(ec, field).values for ec in batch]
+        for rows in (
+            [ec.f.values for ec in batch],
+            [ec.f.transform for ec in batch],
+        ):
             assert all(row.base is rows[0].base for row in rows)
             assert rows[0].base.shape == (len(batch), batch[0].N)
+
+    def test_memory_is_the_densities_and_their_transforms(self):
+        # at n = 10^6, W = 7 the phi = 48 rows of f take 8 phi N bytes and
+        # their transforms twice that; no weight row outlives its block
+        part, table = partition_and_table(table_primes(10**6), 10**6, 7)
+        unit = 8 * part.modulus.totient * choose_N(10**6, 210)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = embed_classes(part, table)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 48
+        assert held - before <= 3.5 * unit
+        assert peak - before <= 4 * unit
 
 
 class TestMassCheck:
     def test_empty_class_zero_density(self):
-        ec = synthetic_class(np.zeros(16), delta_b=0.0)
-        check = embedding_mass_check(ec)
-        assert check.mass == 0.0
-        assert check.passed
+        # primes 1 mod 6 only: the class of 5 has density 0 and f = 0
+        members = [p for p in trial_primes(100) if p % 6 == 1]
+        part, table = partition_and_table(members, 100, 3)
+        ec = embed_class(part, 5, table)
+        assert part.delta_b[5] == 0.0 and not ec.f.values.any()
+        assert ec.mass == 0.0 == ec.mass_threshold
+        assert ec.mass >= ec.mass_threshold
 
     def test_empty_class_positive_density(self):
-        ec = synthetic_class(np.zeros(16), delta_b=0.5)
-        assert not embedding_mass_check(ec).passed
+        # 5 sits at x = 0, below the window: density 1/12, but f = 0
+        part, table = partition_and_table([5], 100, 3)
+        ec = embed_class(part, 5, table)
+        assert part.delta_b[5] > 0.0 and not ec.f.values.any()
+        assert ec.mass == 0.0
+        assert not ec.mass >= ec.mass_threshold
 
     def test_real_class(self):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
         ec = embed_class(part, 1, table)
         assert ec.N == choose_N(2000, 6)
-        check = embedding_mass_check(ec)
-        assert check.threshold == 1.0 / 16
-        assert check.passed
+        assert ec.mass == math.fsum(ec.f.values.tolist()) / ec.N
+        assert ec.mass_threshold == 1.0 / 16
+        assert ec.mass >= ec.mass_threshold
 
 
 class TestPseudorandomDeficit:
-    def test_idealized_measure(self):
-        ec = synthetic_class(np.ones(32))
-        d = pseudorandom_deficit(ec)
-        assert d.zero_mode_error < 1e-12
-        assert d.offpeak_sup < 1e-12
+    def test_zero_mode_error_reads_the_weight_mass(self):
+        # f = nu, so the zero mode of nu is the mass of f
+        part, table = weight_partition(20000, 5)
+        for ec in embed_classes(part, table).values():
+            assert abs(ec.zero_mode_error - abs(ec.mass - 1.0)) < 1e-12
+            assert 0.0 < ec.offpeak_sup < 1.0
 
     def test_zero_measure(self):
-        ec = synthetic_class(np.zeros(32))
-        assert pseudorandom_deficit(ec).zero_mode_error == 1.0
+        # at n = 105, W = 7 (N = 2) both 210 + 109 = 11 * 29 and
+        # 420 + 109 = 23^2 are composite: the weight of 109 is zero
+        part, table = weight_partition(105, 7)
+        ec = embed_class(part, 109, table)
+        assert ec.N == 2 and not ec.f.values.any()
+        assert ec.zero_mode_error == 1.0
+        assert ec.offpeak_sup == 0.0
 
     def test_reference_value(self):
-        ec = synthetic_class(np.ones(32), w=5)
-        d = pseudorandom_deficit(ec)
-        assert abs(d.reference_bound - 2 * math.log(math.log(5)) / 5) < 1e-12
+        part, table = partition_and_table(trial_primes(3000), 3000, 5)
+        ec = embed_class(part, 1, table)
+        assert abs(ec.offpeak_reference - 2 * math.log(math.log(5)) / 5) < 1e-12
+        part, table = partition_and_table(trial_primes(3000), 3000, 2)
+        assert math.isnan(embed_class(part, 1, table).offpeak_reference)
 
     def test_blocks_match_one_class_transforms(self, monkeypatch):
         import primesum.prime_embed as pe
 
-        part, table = partition_and_table(trial_primes(2000), 2000, 7)
+        part, table = weight_partition(2000, 7)
+        # five rows per block: the last block is short
+        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 5 * 32 * choose_N(2000, 210))
         classes = list(embed_classes(part, table).values())
         expected = []
         for ec in classes:
-            coeffs = np.fft.fft(ec.nu.values) / ec.N
+            coeffs = np.fft.fft(ec.f.values) / ec.N
             expected.append(
                 (float(abs(coeffs[0] - 1.0)), float(np.max(np.abs(coeffs[1:]))))
             )
-        # five rows per block: the last block is short
-        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 5 * 32 * classes[0].N)
-        got = pseudorandom_deficits(classes)
-        assert [d.b for d in got] == [ec.b for ec in classes]
-        assert [(d.zero_mode_error, d.offpeak_sup) for d in got] == expected
-        assert all("transform" not in ec.nu.__dict__ for ec in classes)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(DomainError):
-            pseudorandom_deficits(
-                [synthetic_class(np.ones(32)), synthetic_class(np.ones(64))]
-            )
+        assert [(ec.zero_mode_error, ec.offpeak_sup) for ec in classes] == expected
 
 
 def pair_report(ec1, ec2, eps, eps0, sigma):
