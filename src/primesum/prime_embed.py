@@ -29,7 +29,6 @@ from .zn_spectral import (
     DensityFunction,
     convolve_pairs,
     green_decompose,
-    stacked_densities,
 )
 
 __all__ = [
@@ -222,7 +221,7 @@ def _embed(
     yields each class's primes m x + b, x in [1, N], in ascending order.
 
     Each f is written into its row of one (classes, N) array and holds a view
-    of that row and its row of one stacked transform.  The weights are written
+    of that row; no f is transformed here.  The weights are written
     in blocks of at most ``PAIR_BLOCK_BYTES`` of transform temporaries (about
     32 bytes per point); each block is transformed once, read for the checks
     of its classes and dropped, so no weight is kept.
@@ -244,6 +243,7 @@ def _embed(
         for row in coeffs:
             zero_mode.append(float(abs(row[0] - 1.0)))
             offpeak.append(float(np.max(np.abs(row[1:]))))
+    densities = [DensityFunction(N=big_n, values=row) for row in f]
     return {
         b: EmbeddedClass(
             b=b,
@@ -256,9 +256,7 @@ def _embed(
             offpeak_sup=offpeak_b,
             offpeak_reference=reference,
         )
-        for b, f_b, zero_mode_b, offpeak_b in zip(
-            units, stacked_densities(f), zero_mode, offpeak
-        )
+        for b, f_b, zero_mode_b, offpeak_b in zip(units, densities, zero_mode, offpeak)
     }
 
 

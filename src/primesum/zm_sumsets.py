@@ -609,7 +609,6 @@ class BlockReport:
     alpha_j: Fraction
     selected: bool
     bound: float | None
-    actual_cyclic: int | None
 
 
 @dataclass(frozen=True)
@@ -630,8 +629,6 @@ class ZnStarReport:
     k: int
     squarefree: bool
     blocks: tuple[BlockReport, ...] | None
-    block_mass_lhs: Fraction | None
-    block_mass_rhs: Fraction | None
     final_bound: float
     actual_cyclic: int
     actual_integer: int | None
@@ -661,8 +658,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
             k=k,
             squarefree=True,
             blocks=None,
-            block_mass_lhs=None,
-            block_mass_rhs=None,
             final_bound=cert.holder_bound,
             actual_cyclic=cert.actual_sumset,
             actual_integer=None,
@@ -674,7 +669,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
     members = b.members_array()
     n_blocks = mod.m // m1
     blocks: list[BlockReport] = []
-    selected_sets: list[SubsetOfZm] = []
     mass = Fraction(0)
     final_bound = 0.0
     for j in range(n_blocks):
@@ -684,14 +678,10 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         mass += alpha_j
         selected = alpha_j > alpha_total / 2
         bound_j: float | None = None
-        actual_j: int | None = None
         if selected:
             block_set = SubsetOfZm.from_members(m1, (in_block - lo).tolist())
-            cert_j = kth_moment(block_set, k, rad_mod)
-            bound_j = cert_j.holder_bound
-            actual_j = cert_j.actual_sumset
+            bound_j = kth_moment(block_set, k, rad_mod).holder_bound
             final_bound += bound_j
-            selected_sets.append(block_set)
         blocks.append(
             BlockReport(
                 j=j,
@@ -700,7 +690,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
                 alpha_j=alpha_j,
                 selected=bool(selected),
                 bound=bound_j,
-                actual_cyclic=actual_j,
             )
         )
     rhs = alpha_total * n_blocks
@@ -723,8 +712,6 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
         k=k,
         squarefree=False,
         blocks=tuple(blocks),
-        block_mass_lhs=mass,
-        block_mass_rhs=rhs,
         final_bound=final_bound,
         actual_cyclic=actual_cyclic,
         actual_integer=actual_integer,

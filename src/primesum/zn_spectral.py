@@ -9,12 +9,9 @@ Conventions used throughout:
   becomes N * fhat * ghat on the transform side;
 * transforms are computed with numpy's exact-length FFT, which handles prime
   and composite N alike;
-* a density holds its own unnormalized transform ``np.fft.fft(values)``,
-  computed on first use (its values are read-only), and every transform-side
-  operation reads it, so each density is transformed at most once; the
-  densities of ``stacked_densities`` are the rows of one array and take their
-  transforms from one stacked ``fft`` along the rows, which gives each row
-  the same bits as its own ``fft``;
+* a density holds its values only, read-only; ``dft`` transforms them on
+  each call, and a split transforms its density while it is being made, so
+  no transform outlives the operation that reads it;
 * a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
   real, so one ``rfft`` of the stacked densities and split parts serves every
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +41,6 @@ __all__ = [
     "BohrSet",
     "Decomposition",
     "PairConvolutions",
-    "stacked_densities",
     "dft",
     "large_spectrum",
     "bohr_set",
@@ -83,13 +78,6 @@ class DensityFunction:
     def l1(self) -> float:
         return float(np.sum(self.values))
 
-    @cached_property
-    def transform(self) -> np.ndarray:
-        """Unnormalized transform sum_x f(x) e(-x xi / N), read-only."""
-        coeffs = np.fft.fft(self.values)
-        coeffs.setflags(write=False)
-        return coeffs
-
 
 @dataclass(frozen=True)
 class BohrSet:
@@ -125,26 +113,11 @@ class Decomposition:
         return float(np.max(self.f1.values)) if self.f1.N else 0.0
 
 
-def stacked_densities(rows: np.ndarray) -> list[DensityFunction]:
-    """One density on each row of the 2-D array ``rows``, holding a view of
-    the row, not a copy, and its row of one stacked ``fft`` as its transform.
-    """
-    # transformed in place: a real input would take a complex copy of the
-    # whole stack beside the result
-    coeffs = rows.astype(np.complex128)
-    np.fft.fft(coeffs, axis=-1, out=coeffs)
-    coeffs.setflags(write=False)
-    densities = [DensityFunction(N=rows.shape[-1], values=row) for row in rows]
-    for f, transform in zip(densities, coeffs):
-        # where ``cached_property`` keeps a computed transform
-        f.__dict__["transform"] = transform
-    return densities
-
-
 def dft(f: DensityFunction) -> np.ndarray:
     """Normalized transform, read-only: entry xi is (1/N) sum_x f(x) e(-x xi / N),
-    for the frequencies xi = 0..N-1."""
-    coeffs = f.transform / f.N
+    for the frequencies xi = 0..N-1, from one ``fft`` of the values per call."""
+    coeffs = np.fft.fft(f.values)
+    coeffs /= f.N
     coeffs.setflags(write=False)
     return coeffs
 
@@ -216,7 +189,7 @@ def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
     u = np.zeros(n)
     u[bohr.members] = 1.0
     mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
-    f1_vals = np.fft.ifft(f.transform * mu).real
+    f1_vals = np.fft.ifft(np.fft.fft(f.values) * mu).real
     np.maximum(f1_vals, 0.0, out=f1_vals)
     f1 = DensityFunction(N=n, values=f1_vals)
     mean_gap = abs(f1.mean() - f.mean())
@@ -298,17 +271,18 @@ def convolve_pairs(
     Row (i, j, s, t) of ``pairs`` pairs f = densities[i], split as
     splits[s], with g = densities[j], split as splits[t].  Every pair's f*g
     comes first.  When all densities vanish past position h and 2h < N, f*g
-    is a linear convolution supported in [0, 2h]: the stacked densities take
-    one ``rfft`` at L = ``smooth_length(2h + 1)`` (N when L >= N), each block
-    of pairs one ``irfft`` at L, and the counts and L1 sums read entries
-    [0, 2h] only, since the others are 0 in exact arithmetic.  A pair whose
-    two Bohr sets are {0} has f1 = f, g1 = g and f2 = g2 = 0, so f*g is also
-    f1*g1 and its mixed pieces are exactly 0.  The other pairs take four more
-    inverses, all cyclic at N: f1*g1 and the three mixed pieces, from one
-    length-N ``rfft`` of the densities and of f1 and f2 of each split whose
-    Bohr set is larger than {0} (Bohr smoothing spreads those over all of
-    Z_N).  A block holds as many pairs as fit the temporaries of its longest
-    transform in ``PAIR_BLOCK_BYTES``; the blocks run in pair order.
+    is a linear convolution supported in [0, 2h]: the stacked prefixes [0, h]
+    of the densities take one ``rfft`` at L = ``smooth_length(2h + 1)`` (N
+    when L >= N), each block of pairs one ``irfft`` at L, and the counts and
+    L1 sums read entries [0, 2h] only, since the others are 0 in exact
+    arithmetic.  A pair whose two Bohr sets are {0} has f1 = f, g1 = g and
+    f2 = g2 = 0, so f*g is also f1*g1 and its mixed pieces are exactly 0.
+    The other pairs take four more inverses, all cyclic at N: f1*g1 and the
+    three mixed pieces, from one length-N ``rfft`` of the densities and of f1
+    and f2 of each split whose Bohr set is larger than {0} (Bohr smoothing
+    spreads those over all of Z_N).  A block holds as many pairs as fit the
+    temporaries of its longest transform in ``PAIR_BLOCK_BYTES``; the blocks
+    run in pair order.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
@@ -327,7 +301,11 @@ def convolve_pairs(
     top = max((int(np.flatnonzero(v)[-1]) for v in rows if v.any()), default=0)
     span = min(2 * top + 1, n)
     short = min(smooth_length(span), n)
-    first_spec = np.fft.rfft(np.array(rows).reshape(g, n), short)
+    # only the prefixes [0, top] are stacked: rfft pads them with the zeros
+    # that follow, up to ``short``
+    first_spec = np.fft.rfft(
+        np.array([v[: top + 1] for v in rows]).reshape(g, top + 1), short
+    )
     # rows at N: the densities, f1 and f2 of each inexact split, then zeros
     spec = None
     if k:

@@ -299,9 +299,9 @@ class TestPipeline:
         assert len(limits) <= 3
 
     def test_class_transforms_stacked(self, monkeypatch):
-        # the weights nu go through stacked blocks that nothing keeps, then one
-        # stacked transform serves every class density f, and no class is
-        # transformed on its own
+        # the weights nu go through stacked blocks that nothing keeps, then
+        # each good class's density f is transformed once, by its split, and
+        # no class keeps a transform
         import primesum.expcli.pipeline as pl
         import primesum.prime_embed as pe
 
@@ -326,10 +326,12 @@ class TestPipeline:
         monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
         report = run_pipeline(cfg)
         assert report.pair_reports.size and report.per_class == expected
-        assert shapes == [(20, big_n), (20, big_n), (8, big_n), (phi, big_n)]
+        # a class that is not good is never transformed
+        good = report.summary["good_count"]
+        assert good < phi
+        assert shapes == [(20, big_n), (20, big_n), (8, big_n)] + [(big_n,)] * good
         (classes,) = embedded
-        for ec in classes.values():
-            assert "transform" in ec.f.__dict__
+        assert not any(hasattr(ec.f, "transform") for ec in classes.values())
 
     @staticmethod
     def count_decompositions(monkeypatch) -> list:

@@ -212,13 +212,13 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def assert_same_class(ec: EmbeddedClass, one: EmbeddedClass) -> None:
     """Every field of the two records equal bit for bit, NaN included, and
-    f with the same transform."""
+    f with the same ``dft``."""
     for field in dataclasses.fields(EmbeddedClass):
         a, b = getattr(ec, field.name), getattr(one, field.name)
         if isinstance(a, DensityFunction):
             assert a.N == b.N
             assert same_bits(a.values, b.values)
-            assert same_bits(a.transform, b.transform)
+            assert same_bits(dft(a), dft(b))
         elif isinstance(a, float):
             assert struct.pack("<d", a) == struct.pack("<d", b), field.name
         else:
@@ -235,8 +235,9 @@ class TestEmbedClasses:
         for b, ec in batch.items():
             assert ec.b == b
             assert_same_class(ec, embed_class(part, b, table))
-            assert same_bits(ec.f.transform, np.fft.fft(ec.f.values))
-            assert not ec.f.transform.flags.writeable
+            coeffs = dft(ec.f)
+            assert same_bits(coeffs, np.fft.fft(ec.f.values) / ec.N)
+            assert not coeffs.flags.writeable
         weights = embed_classes(*weight_partition(2000, 7))
         assert sum(ec.f.values[0] > 0 for ec in weights.values()) == 21
 
@@ -250,20 +251,18 @@ class TestEmbedClasses:
         if w == 2:
             assert math.isnan(batch[1].offpeak_reference)
 
-    def test_classes_hold_rows_of_two_arrays(self):
-        # the densities f and their transforms: no weight row is kept
+    def test_classes_hold_rows_of_one_array(self):
+        # the densities f: no weight row and no transform is kept
         part, table = partition_and_table(trial_primes(2000), 2000, 5)
         batch = list(embed_classes(part, table).values())
-        for rows in (
-            [ec.f.values for ec in batch],
-            [ec.f.transform for ec in batch],
-        ):
-            assert all(row.base is rows[0].base for row in rows)
-            assert rows[0].base.shape == (len(batch), batch[0].N)
+        rows = [ec.f.values for ec in batch]
+        assert all(row.base is rows[0].base for row in rows)
+        assert rows[0].base.shape == (len(batch), batch[0].N)
+        assert not any(hasattr(ec.f, "transform") for ec in batch)
 
-    def test_memory_is_the_densities_and_their_transforms(self):
-        # at n = 10^6, W = 7 the phi = 48 rows of f take 8 phi N bytes and
-        # their transforms twice that; no weight row outlives its block
+    def test_memory_is_the_densities(self):
+        # at n = 10^6, W = 7 the phi = 48 rows of f take 8 phi N bytes; no
+        # weight row outlives its block and no f is transformed
         part, table = partition_and_table(table_primes(10**6), 10**6, 7)
         unit = 8 * part.modulus.totient * choose_N(10**6, 210)
         tracemalloc.start()
@@ -274,8 +273,8 @@ class TestEmbedClasses:
         finally:
             tracemalloc.stop()
         assert len(batch) == 48
-        assert held - before <= 3.5 * unit
-        assert peak - before <= 4 * unit
+        assert held - before <= 1.25 * unit
+        assert peak - before <= 2 * unit
 
 
 class TestMassCheck:
@@ -409,10 +408,33 @@ class TestPairSumsetReport:
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         columns = pair_sumset_columns([ec1, ec2], 0.1, 0.01, 0.01)
         assert len(columns["alpha"]) == 3 and min(columns["alpha"]) > 0
-        # one forward transform of the stacked rows serves all three pairs
-        assert len(stacks) == 1
-        for ec in (ec1, ec2):
-            assert sum(np.array_equal(row, ec.f.values) for row in stacks[0]) == 1
+        # one forward transform of the stacked rows serves all three pairs;
+        # a row is its density's prefix, past which the density is zero
+        assert len(stacks) == 1 and len(stacks[0]) == 2
+        for row, ec in zip(stacks[0], (ec1, ec2)):
+            assert row.size < ec.N
+            assert np.array_equal(row, ec.f.values[: row.size])
+            assert not ec.f.values[row.size :].any()
+
+    def test_memory_of_the_good_pairs(self):
+        # at n = 10^6, W = 7 and the pipeline's default levels (eps = 0.1,
+        # sigma = eps / 20, eps0 = sigma^6 delta^4 / 400), in units of the
+        # 8 phi N bytes of the rows of f
+        part, table = partition_and_table(table_primes(10**6), 10**6, 7)
+        unit = 8 * part.modulus.totient * choose_N(10**6, 210)
+        embeds = embed_classes(part, table)
+        classes = [embeds[b] for b in sorted(part.good)]
+        sigma = 0.1 / 20
+        eps0 = sigma**6 * part.delta**4 / 400
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            columns = pair_sumset_columns(classes, 0.1, eps0, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns["alpha"]) == len(classes) * (len(classes) + 1) // 2
+        assert peak - before <= 2.2 * unit
 
 
 class TestAggregateDelta:

@@ -694,7 +694,8 @@ class TestZnStarCertificate:
         rep = znstar_certificate(b, factorize(20))
         assert not rep.squarefree
         assert rep.blocks is not None
-        assert rep.block_mass_lhs == rep.block_mass_rhs
+        mass = sum(blk.alpha_j for blk in rep.blocks)
+        assert mass == rep.alpha_total * len(rep.blocks)
         selected = [blk for blk in rep.blocks if blk.selected]
         assert selected and selected[0].alpha_j == Fraction(2, 5)
         assert rep.final_bound <= rep.actual_integer + 1e-9
