@@ -1,0 +1,177 @@
+"""Time the pipeline stage by stage at a fixed grid of scale points and write
+``BENCH_<rev>.json``.
+
+    python3 scripts/bench_grid.py                   # the checkout holding this file
+    python3 scripts/bench_grid.py --repo DIR        # another checkout's src/
+    python3 scripts/bench_grid.py --against DIR     # this checkout and DIR, alternately
+
+Each point runs ``run_pipeline`` on all primes up to n at W with the default
+parameters, then renders the JSON report with ``emit_report``, in a fresh
+process.  Every stage function that ``run_pipeline`` calls through its
+module's globals (sieve, subset, partition, class rows, pair stage,
+aggregation, residue chain, integer sumset, summary) and ``emit_report`` is
+wrapped: each call records its wall time and the process's VmHWM (peak
+resident set, read from /proc/self/status) when it returns.  A point also
+records the total time, the sha256 of the report and the process's max RSS.
+
+``--rounds R`` runs every point R times; with ``--against DIR`` the two
+checkouts take turns point by point, so both see the same machine load.  Each
+checkout gets its own file, named by its short git revision, with the
+per-stage medians over the rounds and the line count of its ``src/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GRID = [(2_000_000, 7), (10_000_000, 7), (1_000_000, 11)]
+STAGES = (
+    "sieve_primes",
+    "build_subset",
+    "partition_and_densities",
+    "_reconcile_partition",
+    "_class_rows",
+    "_pair_stage",
+    "aggregate_delta",
+    "_residue_chain",
+    "_integer_sumset",
+    "_summary",
+)
+
+
+def _vmhwm_mb() -> float:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return float("nan")
+
+
+def run_point(n: int, w: int) -> dict:
+    """One point in this process: the stage records, in call order."""
+    import primesum.expcli.pipeline as pipeline
+    from primesum.expcli.config import ExperimentConfig, parse_rule
+    from primesum.expcli.reports import emit_report
+
+    stages = []
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            stages.append(
+                {"name": name, "s": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
+            )
+            return out
+
+        return wrapper
+
+    for name in STAGES:
+        if hasattr(pipeline, name):
+            setattr(pipeline, name, timed(name, getattr(pipeline, name)))
+    render = timed("emit_report", emit_report)
+    cfg = ExperimentConfig(n=n, w=w, rule=parse_rule("all-primes"))
+    start = time.perf_counter()
+    text = render(pipeline.run_pipeline(cfg), "json")
+    total = time.perf_counter() - start
+    return {
+        "total_s": total,
+        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "stages": stages,
+    }
+
+
+def _git(repo: Path, *args: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", str(repo), *args], capture_output=True, text=True, check=False
+    )
+    return out.stdout.strip() if out.returncode == 0 else ""
+
+
+def _src_lines(repo: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((repo / "src").rglob("*.py")))
+
+
+def _measure(repo: Path, n: int, w: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--point", str(n), str(w)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def _summarize(repo: Path, runs: dict) -> dict:
+    points = []
+    for (n, w), samples in runs.items():
+        names = [stage["name"] for stage in samples[0]["stages"]]
+        points.append(
+            {
+                "n": n,
+                "W": w,
+                "total_s_median": statistics.median(s["total_s"] for s in samples),
+                "max_rss_mb_max": max(s["max_rss_mb"] for s in samples),
+                "report_sha256": sorted({s["report_sha256"] for s in samples}),
+                "stage_s_median": {
+                    name: statistics.median(s["stages"][i]["s"] for s in samples)
+                    for i, name in enumerate(names)
+                },
+                "stage_vmhwm_mb_max": {
+                    name: max(s["stages"][i]["vmhwm_mb"] for s in samples)
+                    for i, name in enumerate(names)
+                },
+                "runs": samples,
+            }
+        )
+    return {
+        "rev": _git(repo, "rev-parse", "--short", "HEAD") or "unknown",
+        "dirty": bool(_git(repo, "status", "--porcelain", "--", "src")),
+        "src_lines": _src_lines(repo),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "rounds": len(next(iter(runs.values()))),
+        "points": points,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--against", type=Path, help="a second checkout, run alternately")
+    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--out-dir", type=Path, default=Path.cwd())
+    parser.add_argument("--point", nargs=2, type=int, metavar=("N", "W"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.point:
+        print(json.dumps(run_point(*args.point)))
+        return 0
+    repos = [args.repo.resolve()] + ([args.against.resolve()] if args.against else [])
+    runs = {repo: {point: [] for point in GRID} for repo in repos}
+    for round_ in range(args.rounds):
+        for n, w in GRID:
+            for repo in repos if round_ % 2 == 0 else repos[::-1]:
+                sample = _measure(repo, n, w)
+                runs[repo][(n, w)].append(sample)
+                print(f"{repo} n={n} W={w} {sample['total_s']:.2f} s", file=sys.stderr)
+    for repo in repos:
+        doc = _summarize(repo, runs[repo])
+        path = args.out_dir / f"BENCH_{doc['rev']}.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

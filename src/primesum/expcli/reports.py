@@ -9,8 +9,9 @@ Both writers are deterministic, so identical runs produce byte-identical
 files.  The JSON layout is that of ``json.dumps(doc, sort_keys=True,
 indent=2)``.  Dicts are written key by key and other small values by that
 stock encoder, but tables render column-wise: a column of numbers, bools and
-nulls is encoded by one call of the C encoder per block of rows, and the
-cells are zipped into rows through one row template per table.  CSV uses a
+nulls is encoded by one call of the C encoder per block of rows (a column of
+floats only encodes each distinct bit pattern once), and the cells are
+zipped into rows through one row template per table.  CSV uses a
 fixed "\\n" terminator with floats at 12 significant digits.
 """
 
@@ -80,16 +81,30 @@ def _stock(value, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
-def _column_tokens(cells: list, depth: int) -> list[str]:
-    """The JSON token of every cell of a column whose cells sit at ``depth``."""
-    if not set(map(type, cells)) <= _UNQUOTED:
-        return [_stock(cell, depth) for cell in cells]
-    # numbers, bools and nulls hold no ", ", so the list splits into cells
+def _encode_cells(cells: list) -> list[str]:
+    """The JSON token of each number, bool or null: numbers, bools and nulls
+    hold no ", ", so the encoded list splits into cells."""
     text = _ENCODER.encode(cells)
     tokens = text[1:-1].split(", ")
     if "N" in text or "I" in text:
         tokens = ["null" if token in _NON_FINITE else token for token in tokens]
     return tokens
+
+
+def _column_tokens(cells: list, depth: int) -> list[str]:
+    """The JSON token of every cell of a column whose cells sit at ``depth``."""
+    types = set(map(type, cells))
+    if types == {float}:
+        # a float's token depends on its bits alone, so each distinct bit
+        # pattern is encoded once; 0.0 and -0.0 stay apart
+        bits, inverse = np.unique(
+            np.array(cells, dtype=np.float64).view(np.int64), return_inverse=True
+        )
+        tokens = np.array(_encode_cells(bits.view(np.float64).tolist()), dtype=object)
+        return tokens[inverse].tolist()
+    if not types <= _UNQUOTED:
+        return [_stock(cell, depth) for cell in cells]
+    return _encode_cells(cells)
 
 
 def _write_table(out: list[str], table: Columns, depth: int) -> None:

@@ -28,7 +28,7 @@ from .zn_spectral import (
     PAIR_BLOCK_BYTES,
     DensityFunction,
     convolve_pairs,
-    green_decompose,
+    split_densities,
 )
 
 __all__ = [
@@ -244,13 +244,15 @@ def _embed(
             zero_mode.append(float(abs(row[0] - 1.0)))
             offpeak.append(float(np.max(np.abs(row[1:]))))
     densities = [DensityFunction(N=big_n, values=row) for row in f]
+    # fsum is correctly rounded and zeros add nothing, so each mass sums the
+    # support of f only
     return {
         b: EmbeddedClass(
             b=b,
             N=big_n,
             f=f_b,
             delta_b=part.delta_b[b],
-            mass=math.fsum(f_b.values.tolist()) / big_n,
+            mass=math.fsum(f_b.values[f_b.values != 0.0].tolist()) / big_n,
             mass_threshold=part.delta_b[b] / 16.0,
             zero_mode_error=zero_mode_b,
             offpeak_sup=offpeak_b,
@@ -301,10 +303,12 @@ def pair_sumset_columns(
     sigma^6 mean^4 / 400 when that cap is positive.  A pair works at the
     level of the class with the smaller mean; the other class is split again
     at that level unless its Bohr set is {0}, and each (class, level) split
-    is made once.  The support of f * g is reported against the mean class
-    density minus eps; the smoothed main term is counted against sigma alpha
-    N, alpha the smaller class mean (the row's ``alpha``), and the mixed
-    pieces against a tenth of that.  A pair with an all-zero density has
+    is made once.  The own-level splits take one ``split_densities`` batch
+    and the pair-level ones another, and the plan of the pairs (levels, live
+    rows, split indices) is built as arrays.  The support of f * g is
+    reported against the mean class density minus eps; the smoothed main
+    term is counted against sigma alpha N, alpha the smaller class mean (the
+    row's ``alpha``), and the mixed pieces against a tenth of that.  A pair with an all-zero density has
     nothing to decompose: every count is 0.  The last column,
     ``support_count``, is the exact count behind ``support_fraction``.
     """
@@ -320,42 +324,53 @@ def pair_sumset_columns(
     n = lengths[0] if lengths else 1
     means = [ec.f.mean() for ec in classes]
     caps = [sigma**6 * mean**4 / 400.0 for mean in means]
-    splits = [
-        green_decompose(ec.f, min(eps0, cap) if cap > 0 else eps0)
-        for ec, cap in zip(classes, caps)
-    ]
-    keys = {(c, d.bohr.width): c for c, d in enumerate(splits)}
+    levels = [min(eps0, cap) if cap > 0 else eps0 for cap in caps]
+    splits = split_densities([ec.f for ec in classes], levels)
 
-    def split_at(c: int, level: float) -> int:
-        # a lower level adds frequencies and narrows the width over the same
-        # floats, so a Bohr set of {0} stays {0}: the same split, bit for bit
-        key = (c, splits[c].bohr.width if splits[c].bohr.size == 1 else level)
-        if key not in keys:
-            keys[key] = len(splits)
-            splits.append(green_decompose(classes[c].f, level))
-        return keys[key]
+    # the pairs in row-major order; a pair works at the level of its class
+    # with the smaller mean, and one whose smaller mean is 0 runs nothing
+    c1, c2 = np.triu_indices(len(classes))
+    mean = np.array(means)
+    width = np.array([d.bohr.width for d in splits])
+    small = np.where(mean[c1] <= mean[c2], c1, c2)
+    alpha = mean[small]
+    live = alpha > 0.0
+    eps0_used = np.where(live, width[small], eps0)
+    # each side of a live pair takes its class's own split when that split
+    # is exact or made at the pair's level: a lower level adds frequencies
+    # and narrows the width over the same floats, so a Bohr set of {0} stays
+    # {0}, bit for bit.  Every other (class, level) is split once, in the
+    # order of its first use, class c1 before c2 within a pair.
+    sides = np.stack([c1[live], c2[live]], axis=-1)
+    level = np.broadcast_to(eps0_used[live, None], sides.shape)
+    exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
+    again = ~(exact[sides] | (level == width[sides]))
+    if again.any():
+        key_class, key_level = sides[again], level[again]
+        keys = np.stack([key_class, key_level.view(np.int64)], axis=-1)
+        _, first, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        sides[again] = len(splits) + rank[inverse.reshape(-1)]
+        at = first[order]
+        splits += split_densities(
+            [classes[c].f for c in key_class[at].tolist()], key_level[at].tolist()
+        )
+    s1, s2 = sides.T
+    live_pairs = np.stack([c1[live], c2[live], s1, s2], axis=-1)
+    conv = convolve_pairs([ec.f for ec in classes], splits, live_pairs, sigma)
 
-    pairs = [(c1, c2) for c1 in range(len(classes)) for c2 in range(c1, len(classes))]
-    eps0_used, live = [], []
-    for c1, c2 in pairs:
-        small = c1 if means[c1] <= means[c2] else c2
-        level = splits[small].bohr.width if means[small] > 0.0 else eps0
-        eps0_used.append(level)
-        if means[small] > 0.0:
-            live.append((c1, c2, split_at(c1, level), split_at(c2, level)))
-    conv = convolve_pairs([ec.f for ec in classes], splits, live, sigma)
-
-    c1, c2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     b = np.array([ec.b for ec in classes], dtype=np.int64)
-    mean, delta = np.array(means), np.array([ec.delta_b for ec in classes])
-    alpha = np.minimum(mean[c1], mean[c2])
+    delta = np.array([ec.delta_b for ec in classes])
     f1_max = np.array([d.f1_max for d in splits])
     bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
-    s1, s2 = np.array([pair[2:] for pair in live], dtype=np.int64).reshape(-1, 2).T
 
     def scatter(values, dtype=np.float64) -> np.ndarray:
-        out = np.zeros((len(pairs),) + np.shape(values)[1:], dtype=dtype)
-        out[alpha > 0.0] = values
+        out = np.zeros(c1.shape + np.shape(values)[1:], dtype=dtype)
+        out[live] = values
         return out
 
     support = scatter(conv.support, np.int64)
@@ -378,7 +393,7 @@ def pair_sumset_columns(
         "main_target": main_target,
         "main_passed": main_fraction >= main_target,
         **{f"err{p}_count": error_count[:, k] for k, p in enumerate(pieces)},
-        "err_count_reference": np.full(len(pairs), sigma * n),
+        "err_count_reference": np.full(c1.size, sigma * n),
         **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(pieces)},
         "f1_max": scatter(f1_max[s1]),
         "g1_max": scatter(f1_max[s2]),

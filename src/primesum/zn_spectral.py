@@ -10,7 +10,8 @@ Conventions used throughout:
 * transforms are computed with numpy's exact-length FFT, which handles prime
   and composite N alike;
 * a density holds its values only, read-only; ``dft`` transforms them on
-  each call, and a split transforms its density while it is being made, so
+  each call, and ``split_densities`` transforms the densities it splits in
+  stacked blocks and drops each block's transforms once its splits exist, so
   no transform outlives the operation that reads it;
 * a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
@@ -29,6 +30,7 @@ input, so repeated runs on the same data give bit-identical results.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -44,6 +46,7 @@ __all__ = [
     "dft",
     "large_spectrum",
     "bohr_set",
+    "split_densities",
     "green_decompose",
     "l2sq_from_half_spectrum",
     "smooth_length",
@@ -122,16 +125,26 @@ def dft(f: DensityFunction) -> np.ndarray:
     return coeffs
 
 
-def large_spectrum(f: DensityFunction, eps0: float) -> np.ndarray:
-    """Frequencies whose coefficient magnitude reaches eps0, in ascending order.
+def large_spectrum(coeffs: np.ndarray, eps0: float) -> np.ndarray:
+    """Frequencies whose coefficient magnitude reaches eps0, in ascending
+    order, from a normalized transform such as ``dft`` returns.
 
     Magnitudes are rounded to 12 decimal digits before the comparison so that
     boundary cases are stable across platforms.
     """
     if not eps0 > 0:
         raise DomainError(f"spectrum threshold must be positive, got {eps0}")
-    mags = np.round(np.abs(dft(f)), 12)
+    mags = np.round(np.abs(coeffs), 12)
     return np.flatnonzero(mags >= eps0)
+
+
+@functools.lru_cache(maxsize=8)
+def _character_gap(n: int, xi: int) -> np.ndarray:
+    """|e(-x xi / N) - 1| for x = 0..N-1, read-only.  It depends on (N, xi)
+    alone, so a pass that builds many Bohr sets computes each row once."""
+    gap = np.abs(np.exp((-2j * np.pi * xi / n) * np.arange(n)) - 1.0)
+    gap.setflags(write=False)
+    return gap
 
 
 def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
@@ -142,7 +155,9 @@ def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
     distinct frequencies in [0, N), such as ``large_spectrum`` returns, is
     visited as it is.  0 is always a member, so the set is never empty; once
     membership has collapsed to {0} no further frequency can change it, and
-    the rest are never read.
+    the rest are never read.  The row of distances for each (N, xi) is
+    computed once and kept for the next sets while it is among the last
+    eight used.
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
@@ -159,14 +174,67 @@ def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
         )
     ):
         freqs = np.unique(np.fromiter(frequencies, dtype=np.int64) % N)
-    x = np.arange(N)
     mask = np.ones(N, dtype=bool)
     for xi in map(int, freqs):
-        mask &= np.abs(np.exp((-2j * np.pi * xi / N) * x) - 1.0) <= eps0
+        mask &= _character_gap(N, xi) <= eps0
         if np.count_nonzero(mask) == 1:
             break
     members = np.flatnonzero(mask).astype(np.int64)
     return BohrSet(N=N, width=eps0, members=members)
+
+
+# Bytes of transform temporaries one block may hold: a block of densities
+# while they are split, or of pairs while their inverse transforms run; a
+# row holds about 32 bytes per point of its transform length at a time.
+PAIR_BLOCK_BYTES = 1 << 20
+
+
+def split_densities(
+    densities: Sequence[DensityFunction], levels: Sequence[float]
+) -> list[Decomposition]:
+    """Split each density at its level, as ``green_decompose`` splits one.
+
+    The densities share one N and are transformed in stacked blocks of as
+    many rows as fit ``PAIR_BLOCK_BYTES`` at 32 bytes per point.  A block's
+    transforms give the large spectrum of each of its densities and smooth
+    those whose Bohr set is larger than {0}; they are dropped once the
+    block's splits exist.  A stacked row equals the transform of the density
+    alone, so every split is the one-density split, bit for bit.  Exact
+    splits share one read-only zero array as f2.
+    """
+    if len(levels) != len(densities):
+        raise DomainError(f"{len(densities)} densities but {len(levels)} levels")
+    for level in levels:
+        if not (0 < level <= 1):
+            raise DomainError(f"spectrum threshold must lie in (0, 1], got {level}")
+    n = densities[0].N if densities else 1
+    if any(f.N != n for f in densities):
+        raise DomainError("all densities must share one group order")
+    zero = np.zeros(n)
+    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
+    splits = []
+    for lo in range(0, len(densities), size):
+        block = densities[lo : lo + size]
+        spectra = np.fft.fft(np.array([f.values for f in block]), axis=-1)
+        for f, level, spectrum in zip(block, levels[lo : lo + size], spectra):
+            bohr = bohr_set(n, large_spectrum(spectrum / n, level), level)
+            if bohr.size == 1:
+                # B = {0} makes the multiplier 1 at every frequency: f1 is f
+                splits.append(Decomposition(f1=f, f2=zero, bohr=bohr))
+                continue
+            u = np.zeros(n)
+            u[bohr.members] = 1.0
+            mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
+            f1_vals = np.fft.ifft(spectrum * mu).real
+            np.maximum(f1_vals, 0.0, out=f1_vals)
+            f1 = DensityFunction(N=n, values=f1_vals)
+            mean_gap = abs(f1.mean() - f.mean())
+            if mean_gap > 1e-9 * max(1.0, f.mean()):
+                raise InvariantViolation(
+                    f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
+                )
+            splits.append(Decomposition(f1=f1, f2=f.values - f1_vals, bohr=bohr))
+    return splits
 
 
 def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
@@ -177,34 +245,10 @@ def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
     multiplication by |sum_{y in B} e(-xi y / N)|^2 / |B|^2.  By construction
     f1 >= 0, f1 has the same mean as f, and every coefficient of f2 = f - f1
     is bounded by 2 eps0 max(1, ||fhat||_inf).  When the Bohr set is {0} the
-    split is exact: f1 is f and f2 is 0.
+    split is exact: f1 is f and f2 is 0.  This is the one-density case of
+    ``split_densities``.
     """
-    if not (0 < eps0 <= 1):
-        raise DomainError(f"spectrum threshold must lie in (0, 1], got {eps0}")
-    n = f.N
-    bohr = bohr_set(n, large_spectrum(f, eps0), eps0)
-    if bohr.size == 1:
-        # B = {0} makes the multiplier 1 at every frequency: f1 is f itself
-        return Decomposition(f1=f, f2=np.zeros(n), bohr=bohr)
-    u = np.zeros(n)
-    u[bohr.members] = 1.0
-    mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
-    f1_vals = np.fft.ifft(np.fft.fft(f.values) * mu).real
-    np.maximum(f1_vals, 0.0, out=f1_vals)
-    f1 = DensityFunction(N=n, values=f1_vals)
-    mean_gap = abs(f1.mean() - f.mean())
-    if mean_gap > 1e-9 * max(1.0, f.mean()):
-        raise InvariantViolation(
-            f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
-        )
-    f2 = f.values - f1_vals
-    return Decomposition(f1=f1, f2=f2, bohr=bohr)
-
-
-# Bytes of temporaries one block of pairs may hold while its inverse
-# transforms run; a pair holds about 32 bytes per point of its transform
-# length at a time.
-PAIR_BLOCK_BYTES = 1 << 20
+    return split_densities([f], [eps0])[0]
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,61 @@ def pair_pieces_oracle(f, f1, f2, g, g1, g2, sigma: float) -> dict:
     return out
 
 
+def split_oracle(values: np.ndarray, eps0: float):
+    """One density split by single-row transforms: the large spectrum from
+    its own ``fft``, the Bohr set by the definition with a fresh distance row
+    per frequency until it collapses to {0}, and f1 from a second ``fft`` of
+    the values.  Returns (f1, f2, members)."""
+    n = values.size
+    coeffs = np.fft.fft(values)
+    coeffs /= n
+    spectrum = np.flatnonzero(np.round(np.abs(coeffs), 12) >= eps0)
+    x = np.arange(n)
+    mask = np.ones(n, dtype=bool)
+    for xi in spectrum.tolist():
+        mask &= np.abs(np.exp((-2j * np.pi * xi / n) * x) - 1.0) <= eps0
+        if np.count_nonzero(mask) == 1:
+            break
+    members = np.flatnonzero(mask)
+    if members.size == 1:
+        return values, np.zeros(n), members
+    u = np.zeros(n)
+    u[members] = 1.0
+    mu = np.abs(np.fft.fft(u)) ** 2 / float(members.size) ** 2
+    f1 = np.fft.ifft(np.fft.fft(values) * mu).real
+    np.maximum(f1, 0.0, out=f1)
+    return f1, values - f1, members
+
+
+def pair_plan_oracle(means, widths, exact, eps0, resplit):
+    """The pair plan one pair at a time: ``eps0_used`` per pair and the rows
+    (c1, c2, s1, s2) of the pairs with a positive smaller mean.  Split s < G
+    is class s's own split (its Bohr width in ``widths``, ``exact`` when its
+    Bohr set is {0}); a class whose own split is not exact is split again
+    by ``resplit(c, level)`` at each new pair level, and that split takes
+    the next index.  Returns (eps0_used, live, resplits)."""
+    keys = {(c, w): c for c, w in enumerate(widths)}
+    resplits = []
+
+    def split_at(c, level):
+        key = (c, widths[c] if exact[c] else level)
+        if key not in keys:
+            keys[key] = len(widths) + len(resplits)
+            resplits.append(resplit(c, level))
+        return keys[key]
+
+    eps0_used, live = [], []
+    g = len(means)
+    for c1 in range(g):
+        for c2 in range(c1, g):
+            small = c1 if means[c1] <= means[c2] else c2
+            level = widths[small] if means[small] > 0.0 else eps0
+            eps0_used.append(level)
+            if means[small] > 0.0:
+                live.append((c1, c2, split_at(c1, level), split_at(c2, level)))
+    return eps0_used, live, resplits
+
+
 def aggregate_enum(part, eps: float) -> dict:
     """The per-residue pair densities of the good set, one ordered pair at a
     time in row-major order: the maximum with its first (smallest) witness,

@@ -300,10 +300,12 @@ class TestPipeline:
 
     def test_class_transforms_stacked(self, monkeypatch):
         # the weights nu go through stacked blocks that nothing keeps, then
-        # each good class's density f is transformed once, by its split, and
-        # no class keeps a transform
+        # the densities f of the good classes go through stacked blocks of
+        # their own, made and dropped by the splits, and no class keeps a
+        # transform
         import primesum.expcli.pipeline as pl
         import primesum.prime_embed as pe
+        import primesum.zn_spectral as zs
 
         cfg = small_config(
             n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
@@ -324,27 +326,30 @@ class TestPipeline:
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         monkeypatch.setattr(pl, "embed_classes", keeping)
         monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
+        monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
         report = run_pipeline(cfg)
         assert report.pair_reports.size and report.per_class == expected
         # a class that is not good is never transformed
         good = report.summary["good_count"]
-        assert good < phi
-        assert shapes == [(20, big_n), (20, big_n), (8, big_n)] + [(big_n,)] * good
+        assert 40 < good < phi
+        nu_blocks = [(20, big_n), (20, big_n), (8, big_n)]
+        assert shapes == nu_blocks + [(20, big_n), (20, big_n), (good - 40, big_n)]
         (classes,) = embedded
         assert not any(hasattr(ec.f, "transform") for ec in classes.values())
 
     @staticmethod
     def count_decompositions(monkeypatch) -> list:
+        # one entry (density bytes, level) per split the pair stage makes
         import primesum.prime_embed as pe
 
-        decompose = pe.green_decompose
+        split = pe.split_densities
         calls = []
 
-        def counting(f, eps0):
-            calls.append((f.values.tobytes(), eps0))
-            return decompose(f, eps0)
+        def counting(densities, levels):
+            calls.extend((f.values.tobytes(), level) for f, level in zip(densities, levels))
+            return split(densities, levels)
 
-        monkeypatch.setattr(pe, "green_decompose", counting)
+        monkeypatch.setattr(pe, "split_densities", counting)
         return calls
 
     def test_one_split_per_class(self, monkeypatch):
@@ -436,6 +441,86 @@ class TestPipeline:
         by_values = {ec.f.values.tobytes(): b for b, ec in embeds.items()}
         assert len(calls) == len(set(calls))
         assert {(by_values[v], eps0) for v, eps0 in calls} == keys
+
+    # exact splits only (W=7), and Bohr sets that are nontrivial and depend
+    # on the pair (SPLIT)
+    PLAN_CONFIGS = {
+        "w7": dict(n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1),
+        "split": SPLIT,
+    }
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("name", ["w7", "split"])
+    def test_batched_splits_match_one_density_splits(self, monkeypatch, name, rows):
+        # blocks of one row, of three rows (the last one partial) and one
+        # block of every density give the splits of each density alone
+        import primesum.prime_embed as pe
+        import primesum.zn_spectral as zs
+        from primesum.zn_spectral import green_decompose
+
+        from oracles import split_oracle
+
+        def same_bits(a, b):
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        cfg = small_config(**self.PLAN_CONFIGS[name])
+        if rows is not None:
+            big_n = pe.choose_N(cfg.n, 210 if cfg.w == 7 else 30)
+            monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", rows * 32 * big_n)
+        split, made = pe.split_densities, []
+
+        def keeping(densities, levels):
+            out = split(densities, levels)
+            made.extend(zip(densities, levels, out))
+            return out
+
+        monkeypatch.setattr(pe, "split_densities", keeping)
+        run_pipeline(cfg)
+        assert len(made) >= 8
+        sizes = set()
+        for f, level, d in made:
+            one = green_decompose(f, level)
+            f1, f2, members = split_oracle(f.values, level)
+            for got in (d, one):
+                assert got.bohr.width == level
+                assert got.bohr.members.tolist() == members.tolist()
+                assert same_bits(got.f1.values, f1) and same_bits(got.f2, f2)
+            sizes.add(d.bohr.size)
+        assert (max(sizes) > 1) == (name == "split")
+
+    @pytest.mark.parametrize("name", ["w7", "split"])
+    def test_pair_plan_matches_the_loop(self, monkeypatch, name):
+        import primesum.prime_embed as pe
+        from primesum.zn_spectral import green_decompose
+
+        from oracles import pair_plan_oracle
+
+        convolve, seen = pe.convolve_pairs, []
+
+        def keeping(densities, splits, pairs, sigma):
+            seen.append((densities, splits, pairs))
+            return convolve(densities, splits, pairs, sigma)
+
+        monkeypatch.setattr(pe, "convolve_pairs", keeping)
+        report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
+        ((densities, splits, pairs),) = seen
+        g = len(densities)
+        own = splits[:g]
+        eps0_used, live, resplits = pair_plan_oracle(
+            [f.mean() for f in densities],
+            [d.bohr.width for d in own],
+            [d.bohr.size == 1 for d in own],
+            report.summary["eps0"],
+            lambda c, level: green_decompose(densities[c], level),
+        )
+        assert report.pair_reports["eps0_used"] == eps0_used
+        assert np.asarray(pairs).tolist() == [list(row) for row in live]
+        assert len(splits) == g + len(resplits)
+        for got, expected in zip(splits[g:], resplits):
+            assert got.bohr.width == expected.bohr.width
+            assert got.bohr.members.tolist() == expected.bohr.members.tolist()
+            assert got.f1.values.tobytes() == expected.f1.values.tobytes()
+        assert bool(resplits) == (name == "split")
 
     @pytest.mark.parametrize(
         "field, message",

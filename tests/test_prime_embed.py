@@ -304,6 +304,18 @@ class TestMassCheck:
         assert ec.mass >= ec.mass_threshold
 
 
+    @pytest.mark.parametrize("w", [2, 7])
+    def test_mass_sums_the_support(self, w):
+        # the mass sums the nonzero entries of f only; fsum is correctly
+        # rounded, so it is the fsum of every entry, bit for bit
+        part, table = partition_and_table(trial_primes(6000)[::3], 6000, w)
+        batch = embed_classes(part, table)
+        assert any(not ec.f.values.all() for ec in batch.values())
+        for ec in batch.values():
+            expected = math.fsum(ec.f.values.tolist()) / ec.N
+            assert struct.pack("<d", ec.mass) == struct.pack("<d", expected)
+
+
 class TestPseudorandomDeficit:
     def test_zero_mode_error_reads_the_weight_mass(self):
         # f = nu, so the zero mode of nu is the mass of f

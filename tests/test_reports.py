@@ -98,6 +98,29 @@ class TestJsonWriter:
         assert text == stock(doc)
         assert json.loads(text)["one_row"] == [{"a": True, "b": None, "c": None}]
 
+    def test_repeated_floats_are_encoded_by_their_bits(self):
+        # an all-float column encodes each distinct bit pattern once; 0.0
+        # and -0.0 stay apart, every NaN and infinity is null, and the
+        # tokens land back on their rows across row blocks
+        from primesum.expcli import reports
+
+        cells = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2]
+        rng = np.random.default_rng(5)
+        rows = len(cells) * 1000
+        doc = {
+            "t": Columns(
+                x=[cells[i] for i in rng.integers(0, len(cells), rows).tolist()],
+                y=[float(v) for v in rng.integers(0, 3, rows)],
+                k=rng.integers(-5, 5, rows).tolist(),
+                ok=[bool(v) for v in rng.integers(0, 2, rows)],
+                z=[-0.0, 0.0] * (rows // 2),
+            )
+        }
+        assert rows > reports._BLOCK_ROWS
+        text = render_json(_Report(doc))
+        assert text == stock(doc)
+        assert '"z": -0.0' in text and '"x": null' in text and '"x": 5e-324' in text
+
     def test_nested_dicts_without_tables(self):
         doc = {"a": {"b": {"c": [1, {"d": np.int64(2)}]}, "e": {}}, "f": Fraction(1, 3)}
         assert render_json(_Report(doc)) == stock(doc)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import primesum.zn_spectral as zs
 from primesum.errors import DomainError, InvariantViolation
 from primesum.zn_spectral import (
     BohrSet,
@@ -98,17 +99,17 @@ class TestDft:
 
 class TestLargeSpectrum:
     def test_constant_peak(self):
-        assert large_spectrum(constant(12, 0.5), 0.3).tolist() == [0]
+        assert large_spectrum(dft(constant(12, 0.5)), 0.3).tolist() == [0]
 
     def test_point_mass_all(self):
         f = DensityFunction(N=10, values=10.0 * indicator(10, [0]).values)
-        assert large_spectrum(f, 0.5).tolist() == list(range(10))
+        assert large_spectrum(dft(f), 0.5).tolist() == list(range(10))
 
     def test_constant_empty(self):
-        assert large_spectrum(constant(12, 0.2), 0.5).tolist() == []
+        assert large_spectrum(dft(constant(12, 0.2)), 0.5).tolist() == []
 
     def test_boundary_inclusive(self):
-        assert 0 in large_spectrum(constant(9, 0.3), 0.3)
+        assert 0 in large_spectrum(dft(constant(9, 0.3)), 0.3)
 
 
 class TestBohrSet:
@@ -162,6 +163,9 @@ class TestBohrSet:
             np.array(unsorted),
         ]
         for form in forms:
+            # distance rows are cached by (N, xi); an empty cache makes each
+            # visited frequency take one exp
+            zs._character_gap.cache_clear()
             calls.clear()
             assert bohr_set(30, form, width).members.tolist() == list(members)
             assert len(calls) == visits
@@ -193,8 +197,8 @@ class TestBohrSet:
         # its Bohr set is {0}; that relies on this monotonicity
         lo, hi = sorted((e1, e2))
         f = DensityFunction(N=48, values=values)
-        low = bohr_set(48, large_spectrum(f, lo), lo).members.tolist()
-        high = bohr_set(48, large_spectrum(f, hi), hi).members.tolist()
+        low = bohr_set(48, large_spectrum(dft(f), lo), lo).members.tolist()
+        high = bohr_set(48, large_spectrum(dft(f), hi), hi).members.tolist()
         assert set(low) <= set(high)
 
 
@@ -257,6 +261,47 @@ class TestGreenDecompose:
             d = green_decompose(f, 0.2)
             direct = bohr_double_average(f.values, d.bohr.members)
             assert np.max(np.abs(d.f1.values - direct)) < 1e-9
+
+
+class TestSplitDensities:
+    @pytest.mark.parametrize("n", [97, 1006, 1731, 3000, 4096])
+    def test_stacked_rows_are_the_single_row_transforms(self, n):
+        # the splits read stacked transforms; each row must be the transform
+        # of its density alone, bit for bit, at prime, smooth and Bluestein
+        # lengths
+        rows = np.random.default_rng(n).random((5, n))
+        stacked = np.fft.fft(rows, axis=-1)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == np.fft.fft(row).tobytes()
+
+    def test_one_distance_row_per_frequency(self, monkeypatch):
+        # every density has the large frequencies 0, 1 and 63, whose Bohr
+        # set at width 0.2 is {-2, ..., 2}; the pass computes the distance
+        # row of each frequency once, not once per density
+        exp, calls = np.exp, []
+
+        def counting_exp(z):
+            calls.append(z)
+            return exp(z)
+
+        xs = np.arange(64)
+        fs = [
+            DensityFunction(N=64, values=1.0 + np.cos(2 * np.pi * xs / 64) * a)
+            for a in (0.5, 0.6, 0.7, 0.8)
+        ]
+        zs._character_gap.cache_clear()
+        monkeypatch.setattr(np, "exp", counting_exp)
+        splits = zs.split_densities(fs, [0.2] * 4)
+        assert [d.bohr.members.tolist() for d in splits] == [[0, 1, 2, 62, 63]] * 4
+        assert len(calls) == 3
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError):
+            zs.split_densities([constant(4, 1.0)], [0.1, 0.2])
+        with pytest.raises(DomainError):
+            zs.split_densities([constant(4, 1.0), constant(5, 1.0)], [0.1, 0.1])
+        with pytest.raises(DomainError):
+            zs.split_densities([constant(4, 1.0)], [1.5])
 
 
 class TestPositiveSupport:
