@@ -34,23 +34,24 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
 # subset (no good classes), an explicit k, a thinned subset, a sparse thinned
 # subset whose exact integer sumset is counted pair by pair, a W=11 run whose
-# 115,440 pairs convolve at a short length below the non-smooth N, levels where
-# the Bohr sets are nontrivial, and a run whose per-class table holds a NaN
-# cell (rendered as null); then the Z_m commands: a sumset small enough to be
-# counted pair by pair and a dense one that takes the FFT, the units of
-# Z_1000000, whose FFT runs at length m, and of the prime 999983, whose FFT
-# runs at the padded power of two, a moments run and moments-k2 at k=2, the
-# lowest order the CLI takes, the three routes of capital_R's unit-shift
-# convolution: the odd 255255 (one transform pair at m, the unit spectrum in
-# closed form), 20014 = 2 * 10007 (folded onto the prime 10007, which keeps
-# the padded route) and the prime 999983 (padded); a non-squarefree modulus
-# (the radical-block certificate), a list: spec and the extremal family at
-# s=6 and s=7; simulate-random, a command that is gone (exit 2); and the
-# one-class commands, which share the pipeline's prime table: sieve, partition,
-# spectrum, spectrum-w2 (W=2, whose off-peak reference is NaN), decompose, a
-# spectrum whose --b is rejected (exit 2) and a W=13 spectrum past the
-# pipeline's pair-work cap (exit 0: it runs no pairs); last a W=13 pipeline
-# that the cap rejects (exit 2)
+# 115,440 pairs convolve at a short length below the non-smooth N, levels
+# where the Bohr sets are nontrivial, a run whose per-class table holds a NaN
+# cell (rendered as null), and a run above n = 2 * 10^6, the size up to which
+# the exact integer sumset was once counted; then the Z_m commands: a sumset
+# small enough to be counted pair by pair and a dense one that takes the FFT,
+# the units of Z_1000000, whose FFT runs at length m, and of the prime 999983,
+# whose FFT runs at the padded power of two, a moments run and moments-k2 at
+# k=2, the lowest order the CLI takes, the three routes of capital_R's
+# unit-shift convolution: the odd 255255 (one transform pair at m, the unit
+# spectrum in closed form), 20014 = 2 * 10007 (folded onto the prime 10007,
+# which keeps the padded route) and the prime 999983 (padded); a
+# non-squarefree modulus (the radical-block certificate), a list: spec and the
+# extremal family at s=6 and s=7; simulate-random, a command that is gone
+# (exit 2); and the one-class commands, which share the pipeline's prime
+# table: sieve, partition, spectrum, spectrum-w2 (W=2, whose off-peak
+# reference is NaN), decompose, a spectrum whose --b is rejected (exit 2) and
+# a W=13 spectrum past the pipeline's pair-work cap (exit 0: it runs no
+# pairs); last a W=13 pipeline that the cap rejects (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 CASES = [
@@ -78,6 +79,7 @@ CASES = [
      "pipeline --n 20000 --W 5 --eps0 1.0 --sigma 6 --rule random-thinning --delta 0.5"),
     ("split-all-of-zn", "pipeline --n 3000 --W 3 --eps0 1.0 --sigma 20"),
     ("pipeline-nan-cell", "pipeline --n 3000 --W 2"),
+    ("pipeline-n3e6", "pipeline --n 3000000 --W 5"),
     ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),
     ("sumset-dense", "sumset --m 30030 --set-spec units"),
     ("sumset-units-1000000", "sumset --m 1000000 --set-spec units"),

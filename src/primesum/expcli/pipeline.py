@@ -37,8 +37,9 @@ from .reports import Columns
 
 __all__ = ["CheckRow", "FinalReport", "run_pipeline"]
 
-_ACTUAL_SUMSET_MAX_N = 2_000_000
 _MAX_PAIR_WORK = 1_000_000_000
+# flags read per block when the integer sumset is counted by residue
+_RESIDUE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -339,19 +340,19 @@ def _residue_chain(
 
 
 def _integer_sumset(
-    ledger: _Ledger,
-    cfg: ExperimentConfig,
-    a_arr: np.ndarray,
-    m: int,
-    agg: DeltaAggregate | None,
+    ledger: _Ledger, a_arr: np.ndarray, m: int, agg: DeltaAggregate | None
 ) -> tuple[int | None, Columns]:
-    """|A + A| over the integers with its count per residue mod m, when
-    small enough to enumerate exactly; (None, an empty table) otherwise."""
-    if not a_arr.size or cfg.n > _ACTUAL_SUMSET_MAX_N:
+    """|A + A| over the integers with its count per residue mod m; (None, an
+    empty table) for an empty A.  The residues are counted from the flags in
+    blocks of ``_RESIDUE_BLOCK``, so no array of every sum is held."""
+    if not a_arr.size:
         return None, Columns()
     lo, flags = integer_sumset_flags(a_arr, a_arr)
-    residues = (np.flatnonzero(flags) + lo) % m
-    counts = np.bincount(residues.astype(np.int64), minlength=m)
+    counts = np.zeros(m, dtype=np.int64)
+    for start in range(0, flags.size, _RESIDUE_BLOCK):
+        sums = np.flatnonzero(flags[start : start + _RESIDUE_BLOCK])
+        sums += lo + start
+        counts += np.bincount(sums % m, minlength=m)
     if agg is not None:
         covered = int(np.count_nonzero(counts[agg.x]))
         ledger.report(
@@ -362,7 +363,7 @@ def _integer_sumset(
             covered == agg.x.size,
         )
     hit = np.flatnonzero(counts)
-    return int(np.count_nonzero(flags)), Columns(x=hit.tolist(), count=counts[hit].tolist())
+    return int(counts.sum()), Columns(x=hit.tolist(), count=counts[hit].tolist())
 
 
 def _summary(
@@ -469,6 +470,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     del table, primes  # the embeddings were the last readers of the prime table
     good = sorted(part.good)
     support, pair_table = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
+    del embeds  # the pair stage was the last reader of the class densities
 
     agg = aggregate_delta(part, cfg.eps) if good else None
     if agg is not None:
@@ -479,7 +481,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     else:
         k_formula, k = 0, cfg.k if cfg.k is not None else 3
         residue_density, witness_ok, lower_bound = Columns(), None, 0.0
-    actual_sumset, sumset_residues = _integer_sumset(ledger, cfg, a_arr, m, agg)
+    actual_sumset, sumset_residues = _integer_sumset(ledger, a_arr, m, agg)
 
     # the bound binds only when every witness certified its contribution
     bound_ok: bool | None = None

@@ -11,8 +11,9 @@ indent=2)``.  Dicts are written key by key and other small values by that
 stock encoder, but tables render column-wise: a column of numbers, bools and
 nulls is encoded by one call of the C encoder per block of rows (a column of
 floats only encodes each distinct bit pattern once), and the cells are
-zipped into rows through one row template per table.  CSV uses a
-fixed "\\n" terminator with floats at 12 significant digits.
+zipped into rows through one row template per table.  CSV uses a fixed
+"\\n" terminator with floats at 12 significant digits; it too formats each
+block of rows column by column, each distinct float once.
 """
 
 from __future__ import annotations
@@ -91,17 +92,22 @@ def _encode_cells(cells: list) -> list[str]:
     return tokens
 
 
+def _by_bit_pattern(cells: list[float], encode) -> list[str]:
+    """``encode`` (a list of floats to their tokens) applied to a column of
+    floats: a float's token depends on its bits alone, so each distinct bit
+    pattern is encoded once; 0.0 and -0.0 stay apart."""
+    bits, inverse = np.unique(
+        np.array(cells, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    tokens = np.array(encode(bits.view(np.float64).tolist()), dtype=object)
+    return tokens[inverse].tolist()
+
+
 def _column_tokens(cells: list, depth: int) -> list[str]:
     """The JSON token of every cell of a column whose cells sit at ``depth``."""
     types = set(map(type, cells))
     if types == {float}:
-        # a float's token depends on its bits alone, so each distinct bit
-        # pattern is encoded once; 0.0 and -0.0 stay apart
-        bits, inverse = np.unique(
-            np.array(cells, dtype=np.float64).view(np.int64), return_inverse=True
-        )
-        tokens = np.array(_encode_cells(bits.view(np.float64).tolist()), dtype=object)
-        return tokens[inverse].tolist()
+        return _by_bit_pattern(cells, _encode_cells)
     if not types <= _UNQUOTED:
         return [_stock(cell, depth) for cell in cells]
     return _encode_cells(cells)
@@ -161,6 +167,24 @@ def _cell(value) -> str:
     return str(value)
 
 
+_BOOL_FIELDS = {True: "true", False: "false", None: ""}
+
+
+def _csv_fields(cells: list) -> list[str]:
+    """The CSV field of every cell of a column, as ``_cell`` writes it: a
+    column of floats formats each distinct bit pattern once, a column of ints,
+    or of bools and nulls, maps its cells without ``_cell``'s type tests, and
+    any other column goes cell by cell."""
+    types = set(map(type, cells))
+    if types == {float}:
+        return _by_bit_pattern(cells, lambda values: list(map(_cell, values)))
+    if types == {int}:
+        return list(map(str, cells))
+    if types <= {bool, type(None)}:
+        return list(map(_BOOL_FIELDS.__getitem__, cells))
+    return list(map(_cell, cells))
+
+
 def render_csv(report) -> str:
     """One section per table of ``report.to_dict()``: the config, each table
     in document order (a dict as key/value rows), then the checks when they
@@ -179,7 +203,9 @@ def render_csv(report) -> str:
             writer.writerow([])
         writer.writerow(["section", name])
         writer.writerow(list(table) if table.size else [])
-        writer.writerows(zip(*(map(_cell, cells) for cells in table.values())))
+        for lo in range(0, table.size, _BLOCK_ROWS):
+            block = [_csv_fields(cells[lo : lo + _BLOCK_ROWS]) for cells in table.values()]
+            writer.writerows(zip(*block))
     return buf.getvalue()
 
 

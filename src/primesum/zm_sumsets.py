@@ -6,18 +6,22 @@ convolutions, and moments are accumulated as Python integers.  Cyclic and
 integer sumsets alike count pairwise sums through one rule: ``np.bincount``
 (the sparse route) while the pairs number at most the butterflies of the real
 FFT it replaces, and that float FFT beyond; the FFT result must pass a
-distance-to-integer certificate before rounding.  A cyclic convolution over
-Z_m runs that FFT as one cyclic transform of length m when m = prod p^e makes
-it the cheaper one, m sum p e below 2 nfft log2 nfft for the power of two
-nfft >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
-folded onto Z_m otherwise (a prime m, say); its sparse route reduces the pair
-sums mod m before counting them.  Kernels over all of Z_m read the modulus's
-prime structure: one strided gcd table for the unit group and the gcd layers,
-and a Moebius count factored one prime at a time.  The unit-shift counts R
-that the Moebius count checks fold an even m = 2n onto Z_n, since members and
-units are odd, and take the unit indicator's transform in closed form (a
-product of Ramanujan sums), so R over Z_510510 costs one transform pair at
-length 255255.
+distance-to-integer certificate before rounding.  An integer sumset's FFT
+splits both sets by residue mod 30: each class is a 0/1 row over the
+positions a // 30, about span/60 long, all rows take one stacked transform at
+a 5-smooth length, the class pairs whose residues add to one s share one
+inverse, and the rounded counts must add up to the number of pairs.  A cyclic
+convolution over Z_m runs that FFT as one cyclic transform of length m when
+m = prod p^e makes it the cheaper one, m sum p e below 2 nfft log2 nfft for
+the power of two nfft >= 2m - 1 (primorials and 10^6, say), and as the padded
+linear transform folded onto Z_m otherwise (a prime m, say); its sparse route
+reduces the pair sums mod m before counting them.  Kernels over all of Z_m
+read the modulus's prime structure: one strided gcd table for the unit group
+and the gcd layers, and a Moebius count factored one prime at a time.  The
+unit-shift counts R that the Moebius count checks fold an even m = 2n onto
+Z_n, since members and units are odd, and take the unit indicator's transform
+in closed form (a product of Ramanujan sums), so R over Z_510510 costs one
+transform pair at length 255255.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .ntheory import (
     sieve_primes,
     unit_indicator,
 )
+from .zn_spectral import smooth_length
 
 __all__ = [
     "SubsetOfZm",
@@ -63,6 +68,11 @@ __all__ = [
 
 _BITMASK_WORK = 2_000_000_000
 _SPAN_LIMIT = 200_000_000
+# The integer sumset convolves the residue classes of its inputs mod 30, and
+# runs their inverse transforms in blocks of at most this many bytes of
+# temporaries; a row holds about 32 bytes per point of its length at a time.
+_SPLIT_MODULUS = 30
+_SPLIT_BLOCK_BYTES = 1 << 20
 
 
 def _pack_bits(flags: np.ndarray) -> int:
@@ -179,6 +189,12 @@ def _convolve_int_exact(
         spec *= b if b_spectral else np.fft.rfft(b.astype(np.float64), nfft)
     conv = np.fft.irfft(spec, nfft)[:n]
     del spec
+    return _certified_round(conv)
+
+
+def _certified_round(conv: np.ndarray) -> np.ndarray:
+    """The float convolution ``conv`` rounded to int64 counts, once every
+    entry sits within 0.25 of an integer; ``conv`` is overwritten."""
     rounded = np.rint(conv)
     conv -= rounded
     err = float(np.max(np.abs(conv, out=conv)))
@@ -340,14 +356,96 @@ def _span_flags(a: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _distinct_count(a: np.ndarray) -> int:
+    """The number of distinct entries of a nonempty sorted array."""
+    return int(np.count_nonzero(np.diff(a))) + 1
+
+
+def _class_indicators(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The nonempty residue classes of a sorted array mod ``_SPLIT_MODULUS``:
+    their residues ascending, the origin q0 = a[0] // m0, and one 0/1 float
+    row per class over the positions a // m0 - q0 of its members."""
+    m0 = _SPLIT_MODULUS
+    q0 = int(a[0]) // m0
+    residues, row = np.unique(a % m0, return_inverse=True)
+    position = a // m0 - q0
+    indicators = np.zeros((residues.size, int(position[-1]) + 1))
+    indicators[row, position] = 1.0
+    return residues, q0, indicators
+
+
+def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
+    """``integer_sumset_flags`` by one certified convolution of the inputs'
+    residue classes mod m0 = ``_SPLIT_MODULUS``.
+
+    Each nonempty class becomes a 0/1 row over the positions a // m0, about
+    span / (2 m0) long, and all rows take one stacked rfft at the 5-smooth
+    length that holds their linear convolution.  A sum y + z whose residues
+    add to s (0 <= s <= 2 m0 - 2) sits at m0 (t + q1 + q2) + s, where t
+    indexes the inverse of the summed spectrum products of the class pairs
+    with that s; a self-sumset takes the pairs i <= j and doubles the
+    off-diagonal ones.  The inverses run stacked, in blocks under
+    ``_SPLIT_BLOCK_BYTES``, and each block is rounded under the 0.25
+    certificate.  The rounded counts must add up to |A1| |A2|, the ordered
+    pairs of distinct members.
+    """
+    m0 = _SPLIT_MODULUS
+    same = a2 is a1
+    res1, q1, rows1 = _class_indicators(a1)
+    res2, q2, rows2 = (res1, q1, rows1) if same else _class_indicators(a2)
+    length = rows1.shape[1] + rows2.shape[1] - 1
+    nfft = smooth_length(length)
+    spec1 = np.fft.rfft(rows1, nfft)
+    spec2 = spec1 if same else np.fft.rfft(rows2, nfft)
+    del rows1, rows2
+    # the class pairs by the sum s of their residues
+    plan: dict[int, list[tuple[int, int, bool]]] = {}
+    for x, r1 in enumerate(res1.tolist()):
+        for y, r2 in enumerate(res2.tolist()):
+            if not same or x <= y:
+                plan.setdefault(r1 + r2, []).append((x, y, same and x < y))
+    sums = sorted(plan)
+
+    # row t + s // m0, column s % m0 stands for the integer m0 (t + q1 + q2) + s
+    grid = np.zeros((length + 1, m0), dtype=bool)
+    total = 0
+    size = max(1, _SPLIT_BLOCK_BYTES // (32 * nfft))
+    product = np.empty(spec1.shape[1], dtype=spec1.dtype)
+    for lo in range(0, len(sums), size):
+        block = sums[lo : lo + size]
+        spec = np.zeros((len(block), spec1.shape[1]), dtype=spec1.dtype)
+        for row, s in zip(spec, block):
+            for x, y, doubled in plan[s]:
+                np.multiply(spec1[x], spec2[y], out=product)
+                if doubled:
+                    product *= 2
+                row += product
+        counts = _certified_round(np.fft.irfft(spec, nfft)[:, :length])
+        del spec
+        total += int(counts.sum())
+        for row, s in zip(counts, block):
+            grid[s // m0 : s // m0 + length, s % m0] |= row > 0
+    card1 = _distinct_count(a1)
+    pairs = card1 * (card1 if same else _distinct_count(a2))
+    if total != pairs:
+        raise InvariantViolation(
+            f"split convolution counts sum to {total}, expected |A1| |A2| = {pairs}"
+        )
+    lo = int(a1[0]) + int(a2[0])
+    start = lo - m0 * (q1 + q2)
+    return lo, grid.ravel()[start : start + int(a1[-1]) + int(a2[-1]) - lo + 1]
+
+
 def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
     """Indicator of {x + y} over the integers.
 
     Returns (offset, flags) where flags[i] marks membership of offset + i.
     Inputs must be sorted integer arrays.  While the pairs number at most the
-    butterflies of the padded FFT (``_fft_pays``), their sums are marked in
-    the flags directly; beyond that the flags are the support of the
-    certified FFT convolution.
+    butterflies of a real FFT at the power of two that holds the span
+    (``_fft_pays``), their sums are marked in the flags directly; beyond that
+    the flags are the support of the certified convolution of the inputs'
+    residue classes mod 30 (``_split_sumset_flags``), whose counts must sum
+    to the number of pairs.
     """
     if a1.size == 0 or a2.size == 0:
         return 0, np.zeros(0, dtype=bool)
@@ -356,11 +454,12 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     span = hi - lo + 1
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
+    nfft = _padded_length(span)
+    card1 = _distinct_count(a1)
+    if _fft_pays(card1 * (card1 if a2 is a1 else _distinct_count(a2)), nfft):
+        return _split_sumset_flags(a1, a2)
     ind1 = _span_flags(a1)
     ind2 = ind1 if a2 is a1 else _span_flags(a2)
-    nfft = _padded_length(span)
-    if _fft_pays(_pair_count(ind1, ind2), nfft):
-        return lo, _convolve_int_exact(ind1, ind2, nfft) > 0
     flags = np.zeros(span, dtype=bool)
     for sums in _pair_sums(ind1, ind2, nfft):
         flags[sums] = True

@@ -243,6 +243,24 @@ class TestPipeline:
         total = sum(pipeline_report.sumset_residues["count"])
         assert total == s["actual_sumset"]
 
+    def test_residue_table_counted_in_blocks(self, monkeypatch, pipeline_report):
+        import primesum.expcli.pipeline as pipeline
+        from primesum.zm_sumsets import integer_sumset_flags
+
+        cfg = small_config()
+        a = build_subset(cfg, sieve_primes(cfg.n))
+        lo, flags = integer_sumset_flags(a, a)
+        m = pipeline_report.summary["m"]
+        counts = np.bincount((np.flatnonzero(flags) + lo) % m, minlength=m)
+        hit = np.flatnonzero(counts)
+        expected = {"x": hit.tolist(), "count": counts[hit].tolist()}
+        assert dict(pipeline_report.sumset_residues) == expected
+        # blocks of 7 flags, a length prime to m = 6
+        monkeypatch.setattr(pipeline, "_RESIDUE_BLOCK", 7)
+        blocked = run_pipeline(cfg)
+        assert dict(blocked.sumset_residues) == expected
+        assert blocked.summary["actual_sumset"] == int(np.count_nonzero(flags))
+
     def test_rerun_is_identical(self, pipeline_report):
         again = run_pipeline(small_config())
         assert render_json(again) == render_json(pipeline_report)

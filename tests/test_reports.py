@@ -191,6 +191,34 @@ class TestCsvDocument:
     def test_one_section_per_table_in_document_order(self, doc):
         assert render_csv(_Report(doc)) == csv_text(doc)
 
+    def test_repeated_floats_are_formatted_by_their_bits(self):
+        # an all-float column formats each distinct bit pattern once, an int
+        # column and a bool/null column map their cells in one pass, and the
+        # fields land back on their rows across row blocks
+        from primesum.expcli import reports
+
+        cells = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2]
+        rng = np.random.default_rng(7)
+        rows = len(cells) * 1000
+        flags = [True, False, None]
+        doc = {
+            "config": {"n": 3},
+            "tables": {
+                "t": Columns(
+                    x=[cells[i] for i in rng.integers(0, len(cells), rows).tolist()],
+                    k=rng.integers(-5, 5, rows).tolist(),
+                    ok=[flags[i] for i in rng.integers(0, 3, rows).tolist()],
+                    z=[-0.0, 0.0] * (rows // 2),
+                    s=["a, b", 1] * (rows // 2),
+                )
+            },
+            "checks": [],
+        }
+        assert rows > reports._BLOCK_ROWS
+        text = render_csv(_Report(doc))
+        assert text == csv_text(doc)
+        assert "nan" not in text and "inf" not in text and "\n-0," in text
+
     def test_checks_without_a_table_give_no_section(self):
         doc = {
             "config": {"n": 3},

@@ -243,9 +243,10 @@ def draw_cards(data, la, lb, lo, bound, above, same) -> tuple[int, int]:
 
 
 class TestPairSumKernel:
-    """The one bincount-or-FFT kernel behind every exact sumset, against
+    """The bincount-or-FFT rule behind every exact sumset, against
     brute-force ``np.add.outer`` counts, with pair counts drawn on both sides
-    of the butterfly bound; the FFT is taken exactly above it."""
+    of the butterfly bound; the FFT (for integer sumsets, the residue-split
+    convolution) is taken exactly above it."""
 
     @given(
         st.integers(min_value=1, max_value=150), st.booleans(), st.booleans(), st.data()
@@ -292,14 +293,109 @@ class TestPairSumKernel:
 
         a1 = members(la, card_a)
         a2 = a1 if same else members(lb, card_b)
-        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+        with mock.patch.object(
+            zm, "_split_sumset_flags", wraps=zm._split_sumset_flags
+        ) as split:
             lo, flags = integer_sumset_flags(a1, a2)
-        assert fft.called == above
+        assert split.called == above
         sums = np.add.outer(a1, a2).ravel()
         assert lo == sums.min()
         expected = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
         expected[sums - lo] = True
         assert flags.tolist() == expected.tolist()
+
+
+
+def outer_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, list[bool]]:
+    """The offset and flags of {y + z} over the integers, from every pair."""
+    sums = np.add.outer(a1, a2).ravel()
+    lo = int(sums.min())
+    flags = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
+    flags[sums - lo] = True
+    return lo, flags.tolist()
+
+
+@st.composite
+def split_inputs(draw, max_classes=30):
+    """A sorted int64 array that fills a drawn set of residue classes mod
+    30, each with one to a few members (a one-member class included when
+    drawn), shifted by an offset of up to 10^12 either way."""
+    residues = draw(st.sets(st.integers(0, 29), min_size=1, max_size=max_classes))
+    members = set()
+    for r in residues:
+        quotients = draw(st.sets(st.integers(0, 60), min_size=1, max_size=6))
+        members.update(30 * q + r for q in quotients)
+    offset = draw(st.integers(-(10**12), 10**12))
+    return offset + np.array(sorted(members), dtype=np.int64)
+
+
+class TestSplitSumset:
+    """The residue-split convolution behind ``integer_sumset_flags``."""
+
+    @given(split_inputs(), split_inputs(), st.booleans())
+    def test_flags_match_the_outer_sums(self, a1, a2, same):
+        a2 = a1 if same else a2
+        lo, flags = zm._split_sumset_flags(a1, a2)
+        expected_lo, expected = outer_flags(a1, a2)
+        assert lo == expected_lo
+        assert flags.tolist() == expected
+
+    @pytest.mark.parametrize("limit", [100, 3000])
+    def test_primes_with_their_one_member_classes(self, limit):
+        # 2, 3 and 5 are the only members of their classes mod 30
+        primes = np.array(trial_primes(limit), dtype=np.int64)
+        lo, flags = zm._split_sumset_flags(primes, primes)
+        assert set((lo + np.flatnonzero(flags)).tolist()) == int_sumset_enum(
+            primes.tolist(), primes.tolist()
+        )
+        odd = primes[primes > 5]
+        lo, flags = zm._split_sumset_flags(odd, primes[:3])
+        assert (lo, flags.tolist()) == outer_flags(odd, primes[:3])
+
+    def test_one_stacked_forward_transform_and_blocked_inverses(self, monkeypatch):
+        primes = np.array(trial_primes(3000), dtype=np.int64)
+        rows = int(np.unique(primes % 30).size)
+        positions = int(primes[-1]) // 30 + 1
+        nfft = zm.smooth_length(2 * positions - 1)
+        calls = {"rfft": [], "irfft": []}
+        for name in calls:
+            real = getattr(np.fft, name)
+
+            def recording(a, n=None, *args, _real=real, _name=name, **kwargs):
+                calls[_name].append((np.shape(a), n))
+                return _real(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        # two inverse rows per block
+        monkeypatch.setattr(zm, "_SPLIT_BLOCK_BYTES", 2 * 32 * nfft)
+        zm._split_sumset_flags(primes, primes)
+        assert calls["rfft"] == [((rows, positions), nfft)]
+        sums = {int(x) for x in np.add.outer(primes % 30, primes % 30).ravel()}
+        shapes = [shape for shape, n in calls["irfft"] if n == nfft]
+        assert len(shapes) == len(calls["irfft"]) == -(-len(sums) // 2)
+        assert [shape[0] for shape in shapes] == [2] * (len(sums) // 2) + [1] * (
+            len(sums) % 2
+        )
+
+    def test_a_count_off_by_one_fails_the_pair_total(self, monkeypatch):
+        round_exact = zm._certified_round
+
+        def corrupted(conv):
+            counts = round_exact(conv)
+            counts.flat[-1] += 1
+            return counts
+
+        monkeypatch.setattr(zm, "_certified_round", corrupted)
+        primes = np.array(trial_primes(1000), dtype=np.int64)
+        with pytest.raises(InvariantViolation, match=r"expected \|A1\| \|A2\|"):
+            zm._split_sumset_flags(primes, primes)
+
+    def test_unrounded_counts_fail_the_certificate(self, monkeypatch):
+        primes = np.array(trial_primes(1000), dtype=np.int64)
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
+        with pytest.raises(InvariantViolation, match="exactness certificate"):
+            zm._split_sumset_flags(primes, primes)
 
 
 PRIMES = [q for q in trial_primes(1500) if q > 100]
