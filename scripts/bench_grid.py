@@ -11,7 +11,8 @@ process.  Every stage function that ``run_pipeline`` calls through its
 module's globals (sieve, subset, partition, class rows, pair stage,
 aggregation, residue chain, integer sumset, summary) and ``emit_report`` is
 wrapped: each call records its wall time and the process's VmHWM (peak
-resident set, read from /proc/self/status) when it returns.  A point also
+resident set, read from /proc/self/status) when it returns.  A stage name the
+pipeline module lacks is an error, not a stage left untimed.  A point also
 records the total time, the sha256 of the report and the process's max RSS.
 
 ``--rounds R`` runs every point R times; with ``--against DIR`` the two
@@ -78,8 +79,9 @@ def run_point(n: int, w: int) -> dict:
         return wrapper
 
     for name in STAGES:
-        if hasattr(pipeline, name):
-            setattr(pipeline, name, timed(name, getattr(pipeline, name)))
+        if not hasattr(pipeline, name):
+            raise AttributeError(f"pipeline has no stage {name!r} to time")
+        setattr(pipeline, name, timed(name, getattr(pipeline, name)))
     render = timed("emit_report", emit_report)
     cfg = ExperimentConfig(n=n, w=w, rule=parse_rule("all-primes"))
     start = time.perf_counter()

@@ -40,11 +40,11 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # the exact integer sumset was once counted; then the Z_m commands: a sumset
 # small enough to be counted pair by pair and a dense one that takes the FFT,
 # the units of Z_1000000, whose FFT runs at length m, and of the prime 999983,
-# whose FFT runs at the padded power of two, a moments run and moments-k2 at
-# k=2, the lowest order the CLI takes, the three routes of capital_R's
-# unit-shift convolution: the odd 255255 (one transform pair at m, the unit
-# spectrum in closed form), 20014 = 2 * 10007 (folded onto the prime 10007,
-# which keeps the padded route) and the prime 999983 (padded); a
+# whose FFT runs at the padded 5-smooth length 2 * 10^6, a moments run and
+# moments-k2 at k=2, the lowest order the CLI takes, the three routes of
+# capital_R's unit-shift convolution: the odd 255255 (one transform pair at m,
+# the unit spectrum in closed form), 20014 = 2 * 10007 (folded onto the prime
+# 10007, padded to 20250) and the prime 999983 (padded); a
 # non-squarefree modulus (the radical-block certificate), a list: spec and the
 # extremal family at s=6 and s=7; simulate-random, a command that is gone
 # (exit 2); and the one-class commands, which share the pipeline's prime

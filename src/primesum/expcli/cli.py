@@ -46,6 +46,7 @@ from .config import (
     build_subset,
     check_moment_order,
     parse_rule,
+    seeded_thinning,
 )
 from .pipeline import run_pipeline
 from .reports import emit_report
@@ -109,12 +110,7 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
             pool = SubsetOfZm.units(m).members_array()
         else:
             pool = np.arange(m, dtype=np.int64)
-        size = math.ceil(frac * pool.size)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        )
-        chosen = np.sort(rng.permutation(pool)[:size])
-        return SubsetOfZm.from_members(m, chosen)
+        return SubsetOfZm.from_members(m, seeded_thinning(pool, frac, seed))
     raise ConfigurationError(f"unknown set spec {kind!r}")
 
 

@@ -1,8 +1,8 @@
 """Experiment configuration objects and subset rules.
 
 Configs are plain dataclasses validated once up front; every run is fully
-determined by (config, seed).  The random-thinning rule draws from the
-counter-based Philox generator keyed by (seed, 0).
+determined by (config, seed).  Every seeded draw, the random-thinning rule
+and the CLI's random set specs alike, goes through ``seeded_thinning``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_rule",
     "build_subset",
+    "seeded_thinning",
     "check_moment_order",
 ]
 
@@ -146,6 +147,16 @@ class ExperimentConfig:
         return {**vars(self), "rule": self.rule.spec_string()}
 
 
+def seeded_thinning(pool: np.ndarray, density: float, seed: int) -> np.ndarray:
+    """The first ceil(density * |pool|) entries of a shuffle of ``pool`` by the
+    counter-based Philox generator keyed by (seed, 0), ascending."""
+    size = math.ceil(density * pool.size)
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    )
+    return np.sort(rng.permutation(pool)[:size])
+
+
 def build_subset(cfg: ExperimentConfig, table: PrimeTable) -> np.ndarray:
     """Materialize the configured prime subset from a sieve table."""
     primes = table.primes
@@ -155,11 +166,6 @@ def build_subset(cfg: ExperimentConfig, table: PrimeTable) -> np.ndarray:
     if rule.kind == "residue-filter":
         return primes[primes % rule.m0 == rule.b0]
     if rule.kind == "random-thinning":
-        size = math.ceil(cfg.delta * primes.size)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
-        )
-        chosen = rng.permutation(primes)[:size]
-        return np.sort(chosen)
+        return seeded_thinning(primes, cfg.delta, cfg.seed)
     raise ConfigurationError(f"unknown subset rule {rule.kind!r}")
 

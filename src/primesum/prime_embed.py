@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, unit_indicator
 from .zn_spectral import (
-    PAIR_BLOCK_BYTES,
+    BLOCK_BYTES,
     DensityFunction,
     convolve_pairs,
     split_densities,
@@ -222,14 +222,14 @@ def _embed(
 
     Each f is written into its row of one (classes, N) array and holds a view
     of that row; no f is transformed here.  The weights are written
-    in blocks of at most ``PAIR_BLOCK_BYTES`` of transform temporaries (about
+    in blocks of at most ``BLOCK_BYTES`` of transform temporaries (about
     32 bytes per point); each block is transformed once, read for the checks
     of its classes and dropped, so no weight is kept.
     """
     big_n = choose_N(part.n, part.modulus.m)
     w = part.w
     reference = 2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
-    size = max(1, PAIR_BLOCK_BYTES // (32 * big_n))
+    size = max(1, BLOCK_BYTES // (32 * big_n))
     f = np.zeros((len(units), big_n))
     zero_mode, offpeak = [], []
     pending = zip(units, in_classes)

@@ -1,21 +1,25 @@
 """Cyclic and integer sumsets, representation-function moments, and the
 moment-method lower-bound certificates over unit groups.
 
-Counting is exact throughout: representation numbers come from integer
-convolutions, and moments are accumulated as Python integers.  Cyclic and
-integer sumsets alike count pairwise sums through one rule: ``np.bincount``
-(the sparse route) while the pairs number at most the butterflies of the real
-FFT it replaces, and that float FFT beyond; the FFT result must pass a
-distance-to-integer certificate before rounding.  An integer sumset's FFT
-splits both sets by residue mod 30: each class is a 0/1 row over the
-positions a // 30, about span/60 long, all rows take one stacked transform at
-a 5-smooth length, the class pairs whose residues add to one s share one
-inverse, and the rounded counts must add up to the number of pairs.  A cyclic
-convolution over Z_m runs that FFT as one cyclic transform of length m when
-m = prod p^e makes it the cheaper one, m sum p e below 2 nfft log2 nfft for
-the power of two nfft >= 2m - 1 (primorials and 10^6, say), and as the padded
-linear transform folded onto Z_m otherwise (a prime m, say); its sparse route
-reduces the pair sums mod m before counting them.  Kernels over all of Z_m
+A subset of Z_m holds its membership indicator: a read-only bool array of
+length m.  Counting is exact throughout: representation numbers come from
+integer convolutions, and moments are accumulated as Python integers.  Cyclic
+and integer sumsets alike count pairwise sums through one rule:
+``np.bincount`` (the sparse route) while the pairs number at most the
+butterflies of the real FFT it replaces, and that float FFT beyond; the FFT
+result must pass a distance-to-integer certificate before rounding.  Every
+padded transform, and every cost estimate, takes the smallest 5-smooth length
+that holds the linear convolution (``smooth_length``).  An integer sumset's
+FFT splits both sets by residue mod 30: each class is a 0/1 row over the
+positions a // 30, about span/60 long, all rows take one stacked transform,
+the class pairs whose residues add to one s share one inverse, and the
+rounded counts must add up to the number of pairs.  A cyclic convolution over
+Z_m runs that FFT as one cyclic transform of length m when m = prod p^e makes
+it the cheaper one, m sum p e below 2 L log2 L for the padded length
+L >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
+folded onto Z_m otherwise (a prime m, say); one function, ``_cyclic_route``,
+picks the route of every cyclic convolution.  The sparse route reduces the
+pair sums mod m before counting them.  Kernels over all of Z_m
 read the modulus's prime structure: one strided gcd table for the unit group
 and the gcd layers, and a Moebius count factored one prime at a time.  The
 unit-shift counts R that the Moebius count checks fold an even m = 2n onto
@@ -47,7 +51,7 @@ from .ntheory import (
     sieve_primes,
     unit_indicator,
 )
-from .zn_spectral import smooth_length
+from .zn_spectral import BLOCK_BYTES, smooth_length
 
 __all__ = [
     "SubsetOfZm",
@@ -68,42 +72,31 @@ __all__ = [
 
 _BITMASK_WORK = 2_000_000_000
 _SPAN_LIMIT = 200_000_000
-# The integer sumset convolves the residue classes of its inputs mod 30, and
-# runs their inverse transforms in blocks of at most this many bytes of
-# temporaries; a row holds about 32 bytes per point of its length at a time.
+# The integer sumset convolves the residue classes of its inputs mod 30.
 _SPLIT_MODULUS = 30
-_SPLIT_BLOCK_BYTES = 1 << 20
 
 
-def _pack_bits(flags: np.ndarray) -> int:
-    if flags.size == 0:
-        return 0
-    packed = np.packbits(flags.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _unpack_bits(bits: int, m: int) -> np.ndarray:
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    raw = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:m].astype(bool)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetOfZm:
-    """A subset of Z_m held as a bit-packed membership indicator.
+    """A subset of Z_m held as its membership indicator.
 
-    Bit x of ``bits`` is set exactly when x is a member.
+    ``indicator`` is a bool array of length m, True exactly at the members;
+    the set makes it read-only.  Two sets are equal only when they are the
+    same object.
     """
 
     m: int
-    bits: int
+    indicator: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DomainError(f"modulus must be >= 1, got {self.m}")
-        if self.bits < 0 or self.bits >> self.m:
-            raise DomainError("membership bits outside [0, m)")
+        if self.indicator.dtype != bool or self.indicator.shape != (self.m,):
+            raise DomainError(
+                f"indicator must be a bool array of length {self.m}, got "
+                f"{self.indicator.dtype} of shape {self.indicator.shape}"
+            )
+        self.indicator.setflags(write=False)
 
     @staticmethod
     def from_members(m: int, members) -> "SubsetOfZm":
@@ -120,29 +113,22 @@ class SubsetOfZm:
             raise DomainError(f"member {int(values[outside][0])} outside Z_{m}")
         flags = np.zeros(m, dtype=bool)
         flags[values] = True
-        return SubsetOfZm(m=m, bits=_pack_bits(flags))
+        return SubsetOfZm(m=m, indicator=flags)
 
     @staticmethod
     def units(m: int) -> "SubsetOfZm":
         """The unit group Z_m^* as a subset."""
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
-        return SubsetOfZm(m=m, bits=_pack_bits(unit_indicator(factorize(m))))
+        return SubsetOfZm(m=m, indicator=unit_indicator(factorize(m)))
 
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    # the bits are unpacked once per set, into read-only arrays
     @cached_property
-    def _indicator(self) -> np.ndarray:
-        flags = _unpack_bits(self.bits, self.m)
-        flags.setflags(write=False)
-        return flags
+    def cardinality(self) -> int:
+        return int(np.count_nonzero(self.indicator))
 
     @cached_property
     def _members(self) -> np.ndarray:
-        members = np.flatnonzero(self._indicator).astype(np.int64, copy=False)
+        members = np.flatnonzero(self.indicator).astype(np.int64, copy=False)
         members.setflags(write=False)
         return members
 
@@ -150,17 +136,8 @@ class SubsetOfZm:
         """The members ascending, as a read-only int64 array."""
         return self._members
 
-    def indicator_array(self) -> np.ndarray:
-        """The membership flags over [0, m), as a read-only bool array."""
-        return self._indicator
-
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.m and bool((self.bits >> x) & 1)
-
-
-def _padded_length(n: int) -> int:
-    """The power-of-two FFT length that holds a linear convolution of length n."""
-    return 1 << (n - 1).bit_length()
+        return 0 <= x < self.m and bool(self.indicator[x])
 
 
 def _convolve_int_exact(
@@ -213,29 +190,38 @@ def _pair_count(a: np.ndarray, b: np.ndarray) -> int:
 
 def _fft_pays(pairs: int, nfft: int) -> bool:
     """Whether the pairs outnumber (nfft/2) log2(nfft/2), the butterflies of
-    the complex transform of half length that a real FFT of the power-of-two
-    length nfft runs."""
+    the complex transform of half length that a real FFT of length nfft
+    runs, log2 rounded down."""
     half = nfft // 2
     return pairs > half * (half.bit_length() - 1)
 
 
-def _cyclic_length_pays(m: int) -> bool:
-    """Whether one transform of length m = prod p^e costs less than one at
-    the power of two nfft >= 2m - 1: m sum p e, a radix-p pass costing about
-    p operations per point, against 2 nfft log2 nfft."""
-    nfft = _padded_length(2 * m - 1)
+def _cyclic_route(pairs: int, m: int) -> int:
+    """How a cyclic convolution over Z_m whose inputs make this many pairs
+    runs: 0 to count the pairs one by one, m for one cyclic transform of
+    length m, or the padded length L = ``smooth_length(2m - 1)`` of a linear
+    transform to fold onto Z_m.
+
+    The pairs are counted one by one while they number at most the
+    butterflies of a real FFT at L (``_fft_pays``).  Length m = prod p^e is
+    taken when it costs less than L: m sum p e, a radix-p pass costing about
+    p operations per point, against 2 L log2 L.
+    """
+    nfft = smooth_length(2 * m - 1)
+    if not _fft_pays(pairs, nfft):
+        return 0
     work = m * sum(p * e for p, e in factorize(m).primes)
-    return work < 2 * nfft * (nfft.bit_length() - 1)
+    return m if work < 2 * nfft * (nfft.bit_length() - 1) else nfft
 
 
-def _pair_sums(a: np.ndarray, b: np.ndarray, nfft: int, m: int = 0):
+def _pair_sums(a: np.ndarray, b: np.ndarray, limit: int, m: int = 0):
     """The sums y + z over the nonzero entries a[y] and b[z], reduced mod m
-    when m > 0, in flat chunks of at most nfft sums: marking or counting them
-    never holds more than an FFT of length nfft would.  An empty indicator
-    gives one empty chunk."""
+    when m > 0, in flat chunks of at most ``limit`` sums; ``limit`` must be
+    at least the nonzero entries of either input.  An empty indicator gives
+    one empty chunk."""
     x = np.flatnonzero(a)
     small, big = sorted((x, x if b is a else np.flatnonzero(b)), key=len)
-    rows = nfft // max(1, big.size)
+    rows = limit // max(1, big.size)
     for i in range(0, max(1, small.size), rows):
         sums = small[i : i + rows, None] + big
         if m:
@@ -247,26 +233,24 @@ def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two 0/1 indicators of one length m: the
     count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
 
-    While the pairs number at most the butterflies of a real FFT of the
-    padded length nfft >= 2m - 1 (``_fft_pays``), their sums are reduced
-    mod m and counted by ``np.bincount``, chunk by chunk (``_pair_sums``).
-    Beyond that the certified FFT convolves the indicators: as one cyclic
-    transform of length m when m's factorization makes it cheaper than the
-    padded one (``_cyclic_length_pays``: m sum p e below 2 nfft log2 nfft),
-    and otherwise at nfft, whose linear counts over [0, 2m - 1) fold onto
-    Z_m into a fresh array, so no view keeps the linear buffer alive.
+    ``_cyclic_route`` picks the route.  Pair by pair, the sums are reduced
+    mod m and counted by ``np.bincount``, in chunks of at most 2m - 1 sums
+    (``_pair_sums``).  Otherwise the certified FFT convolves the indicators:
+    as one cyclic transform of length m, or at the padded length, whose
+    linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so no
+    view keeps the linear buffer alive.
     """
     m = int(a.size)
-    nfft = _padded_length(2 * m - 1)
-    if not _fft_pays(_pair_count(a, b), nfft):
-        chunks = _pair_sums(a, b, nfft, m)
+    nfft = _cyclic_route(_pair_count(a, b), m)
+    if not nfft:
+        chunks = _pair_sums(a, b, 2 * m - 1, m)
         # the first chunk's counts are the accumulator: a fresh zeroed array
         # of m counts would cost more than one chunk of a small set
         counts = np.bincount(next(chunks), minlength=m)
         for sums in chunks:
             counts += np.bincount(sums, minlength=m)
         return counts
-    if _cyclic_length_pays(m):
+    if nfft == m:
         return _convolve_int_exact(a, b, m)
     linear = _convolve_int_exact(a, b, nfft)
     counts = linear[:m].copy()
@@ -278,15 +262,16 @@ def _cyclic_support(small: SubsetOfZm, big: SubsetOfZm) -> np.ndarray:
     """The packed little-endian bits of {x + y mod m : x in small, y in big},
     one in-place OR per member of small.
 
-    Laid twice end to end, big's bits from position m - x on are big shifted
-    cyclically by x.  Eight copies of that doubled string, shifted by 0 to 7
-    bits, start every such window at a byte boundary.
+    Laid twice end to end, big's indicator from position m - x on is big
+    shifted cyclically by x.  Packed, with a zero byte after it, eight copies
+    of that doubled string, shifted by 0 to 7 bits, start every such window
+    at a byte boundary.
     """
     m = big.m
     size = (m + 7) // 8
-    twice = np.frombuffer(
-        (big.bits << m | big.bits).to_bytes(2 * size + 1, "little"), dtype=np.uint8
-    )
+    laid = np.zeros(8 * (2 * size + 1), dtype=bool)
+    laid[:m] = laid[m : 2 * m] = big.indicator
+    twice = np.packbits(laid, bitorder="little")
     copies = [twice[:-1]] + [
         (twice[:-1] >> r) | (twice[1:] << (8 - r)) for r in range(1, 8)
     ]
@@ -303,14 +288,15 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
     """Exact counts r[x] = #{(y, z) in b1 x b2 : y + z = x mod m}, with the
     support computed two independent ways.
 
-    Shifted copies of the larger set's bits, one per member of the smaller
-    set, and the support of the exact integer convolution of the indicators
-    must agree bit for bit.
+    Shifted copies of the larger set's indicator, one per member of the
+    smaller set, and the support of the exact integer convolution of the
+    indicators must agree bit for bit.  When b2 is b1, the same object, the
+    convolution is a self-convolution.
     """
     if b1.m != b2.m:
         raise DomainError(f"mismatched moduli {b1.m} and {b2.m}")
     m = b1.m
-    if b1.bits == 0 or b2.bits == 0:
+    if b1.cardinality == 0 or b2.cardinality == 0:
         return np.zeros(m, dtype=np.int64)
     small, big = (b1, b2) if b1.cardinality <= b2.cardinality else (b2, b1)
     if small.cardinality * m > _BITMASK_WORK:
@@ -319,8 +305,7 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
             f"two ways: |B| m = {small.cardinality * m:,} exceeds {_BITMASK_WORK:,}"
         )
     shifted = _cyclic_support(small, big)
-    ind1 = b1.indicator_array()
-    counts = _cyclic_int_convolution(ind1, ind1 if b2 == b1 else b2.indicator_array())
+    counts = _cyclic_int_convolution(b1.indicator, b2.indicator)
     if not np.array_equal(np.packbits(counts > 0, bitorder="little"), shifted):
         raise InvariantViolation("sumset routes disagree")
     return counts
@@ -328,7 +313,7 @@ def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
 
 def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
     """Cyclic sumset {x + y mod m}, computed two independent ways."""
-    return SubsetOfZm(m=b1.m, bits=_pack_bits(_sumset_counts(b1, b2) > 0))
+    return SubsetOfZm(m=b1.m, indicator=_sumset_counts(b1, b2) > 0)
 
 
 def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
@@ -385,7 +370,7 @@ def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray
     indexes the inverse of the summed spectrum products of the class pairs
     with that s; a self-sumset takes the pairs i <= j and doubles the
     off-diagonal ones.  The inverses run stacked, in blocks under
-    ``_SPLIT_BLOCK_BYTES``, and each block is rounded under the 0.25
+    ``BLOCK_BYTES``, and each block is rounded under the 0.25
     certificate.  The rounded counts must add up to |A1| |A2|, the ordered
     pairs of distinct members.
     """
@@ -409,7 +394,7 @@ def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray
     # row t + s // m0, column s % m0 stands for the integer m0 (t + q1 + q2) + s
     grid = np.zeros((length + 1, m0), dtype=bool)
     total = 0
-    size = max(1, _SPLIT_BLOCK_BYTES // (32 * nfft))
+    size = max(1, BLOCK_BYTES // (32 * nfft))
     product = np.empty(spec1.shape[1], dtype=spec1.dtype)
     for lo in range(0, len(sums), size):
         block = sums[lo : lo + size]
@@ -441,8 +426,9 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
 
     Returns (offset, flags) where flags[i] marks membership of offset + i.
     Inputs must be sorted integer arrays.  While the pairs number at most the
-    butterflies of a real FFT at the power of two that holds the span
-    (``_fft_pays``), their sums are marked in the flags directly; beyond that
+    butterflies of a real FFT at the 5-smooth length that holds the span
+    (``_fft_pays``), their sums are marked in the flags directly, in chunks of
+    at most span sums; beyond that
     the flags are the support of the certified convolution of the inputs'
     residue classes mod 30 (``_split_sumset_flags``), whose counts must sum
     to the number of pairs.
@@ -454,14 +440,14 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     span = hi - lo + 1
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
-    nfft = _padded_length(span)
     card1 = _distinct_count(a1)
-    if _fft_pays(card1 * (card1 if a2 is a1 else _distinct_count(a2)), nfft):
+    pairs = card1 * (card1 if a2 is a1 else _distinct_count(a2))
+    if _fft_pays(pairs, smooth_length(span)):
         return _split_sumset_flags(a1, a2)
     ind1 = _span_flags(a1)
     ind2 = ind1 if a2 is a1 else _span_flags(a2)
     flags = np.zeros(span, dtype=bool)
-    for sums in _pair_sums(ind1, ind2, nfft):
+    for sums in _pair_sums(ind1, ind2, span):
         flags[sums] = True
     return lo, flags
 
@@ -514,13 +500,12 @@ def _unit_spectrum(mod: FactoredModulus) -> np.ndarray:
 
 def _unit_convolution(h: np.ndarray, mod: FactoredModulus) -> np.ndarray:
     """Exact cyclic convolution of a 0/1 indicator h over Z_m, m squarefree,
-    with the unit indicator of Z_m.  Where the FFT pays and m's factorization
-    makes length m the cheaper one, the closed-form unit spectrum leaves one
-    transform pair at length m; elsewhere ``_cyclic_int_convolution`` runs
-    with the unit indicator itself."""
+    with the unit indicator of Z_m.  Where ``_cyclic_route`` picks one
+    transform of length m, the closed-form unit spectrum leaves one transform
+    pair; elsewhere ``_cyclic_int_convolution`` runs with the unit indicator
+    itself."""
     m = mod.m
-    pairs = int(np.count_nonzero(h)) * mod.totient
-    if _fft_pays(pairs, _padded_length(2 * m - 1)) and _cyclic_length_pays(m):
+    if _cyclic_route(int(np.count_nonzero(h)) * mod.totient, m) == m:
         return _convolve_int_exact(h, _unit_spectrum(mod), m, b_spectral=True)
     return _cyclic_int_convolution(h, unit_indicator(mod))
 
@@ -563,7 +548,7 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
         raise DomainError(f"modulus must be squarefree, got {mod.m}")
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
-    h = b.indicator_array()
+    h = b.indicator
     if mod.m % 2:
         r_route = _unit_convolution(h, mod)
     else:

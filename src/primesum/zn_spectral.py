@@ -183,10 +183,12 @@ def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
     return BohrSet(N=N, width=eps0, members=members)
 
 
-# Bytes of transform temporaries one block may hold: a block of densities
-# while they are split, or of pairs while their inverse transforms run; a
-# row holds about 32 bytes per point of its transform length at a time.
-PAIR_BLOCK_BYTES = 1 << 20
+# Bytes of transform temporaries one block may hold: a block of weights
+# while the embedding checks them, of densities while they are split, of
+# pairs while their inverse transforms run, or of an integer sumset's
+# inverse transforms; a row holds about 32 bytes per point of its transform
+# length at a time.
+BLOCK_BYTES = 1 << 20
 
 
 def split_densities(
@@ -195,7 +197,7 @@ def split_densities(
     """Split each density at its level, as ``green_decompose`` splits one.
 
     The densities share one N and are transformed in stacked blocks of as
-    many rows as fit ``PAIR_BLOCK_BYTES`` at 32 bytes per point.  A block's
+    many rows as fit ``BLOCK_BYTES`` at 32 bytes per point.  A block's
     transforms give the large spectrum of each of its densities and smooth
     those whose Bohr set is larger than {0}; they are dropped once the
     block's splits exist.  A stacked row equals the transform of the density
@@ -211,7 +213,7 @@ def split_densities(
     if any(f.N != n for f in densities):
         raise DomainError("all densities must share one group order")
     zero = np.zeros(n)
-    size = max(1, PAIR_BLOCK_BYTES // (32 * n))
+    size = max(1, BLOCK_BYTES // (32 * n))
     splits = []
     for lo in range(0, len(densities), size):
         block = densities[lo : lo + size]
@@ -325,7 +327,7 @@ def convolve_pairs(
     three mixed pieces, from one length-N ``rfft`` of the densities and of f1
     and f2 of each split whose Bohr set is larger than {0} (Bohr smoothing
     spreads those over all of Z_N).  A block holds as many pairs as fit the
-    temporaries of its longest transform in ``PAIR_BLOCK_BYTES``; the blocks
+    temporaries of its longest transform in ``BLOCK_BYTES``; the blocks
     run in pair order.
 
     Raises InvariantViolation unless every pair has
@@ -369,7 +371,7 @@ def convolve_pairs(
         error_count=np.zeros((total, 3), dtype=np.int64),
         error_l2sq=np.zeros((total, 3)),
     )
-    size = max(1, PAIR_BLOCK_BYTES // (32 * (n if k else short)))
+    size = max(1, BLOCK_BYTES // (32 * (n if k else short)))
 
     def convolve(spectra, length, a, b):
         prod = spectra[a]

@@ -205,7 +205,7 @@ def test_a06_extremal_families_hit_closed_form_sizes():
             assert ec.m == math.prod(primes[:s])
             assert ec.set.cardinality == math.prod(p - 1 for p in primes[t:s])
             units = SubsetOfZm.units(ec.m)
-            assert ec.set.bits & ~units.bits == 0
+            assert not np.any(ec.set.indicator & ~units.indicator)
             actual = sumset(ec.set, ec.set).cardinality
             assert actual == ec.predicted_sumset == ec.m // math.prod(primes[:t])
 

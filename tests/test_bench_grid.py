@@ -1,0 +1,33 @@
+"""scripts/bench_grid.py times every named pipeline stage of a grid point."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_grid.py"
+spec = importlib.util.spec_from_file_location("bench_grid", SCRIPT)
+bench_grid = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_grid)
+
+
+def test_a_point_records_every_stage_and_the_render():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--point", "3000", "5"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    record = json.loads(out.stdout)
+    names = sorted(stage["name"] for stage in record["stages"])
+    assert names == sorted([*bench_grid.STAGES, "emit_report"])
+
+
+def test_a_stage_the_pipeline_lacks_is_an_error(monkeypatch):
+    monkeypatch.setattr(bench_grid, "STAGES", ("no_such_stage",))
+    with pytest.raises(AttributeError, match="no_such_stage"):
+        bench_grid.run_point(3000, 5)

@@ -275,7 +275,7 @@ class TestPipeline:
 
         split = small_config(**self.SPLIT)
         expected = render_json(run_pipeline(split))
-        monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 1)
+        monkeypatch.setattr(zs, "BLOCK_BYTES", 1)
         assert render_json(run_pipeline(split)) == expected
 
     def test_pair_stage_starts_no_thread(self, monkeypatch):
@@ -343,8 +343,8 @@ class TestPipeline:
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         monkeypatch.setattr(pl, "embed_classes", keeping)
-        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
-        monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", 20 * 32 * big_n)
+        monkeypatch.setattr(pe, "BLOCK_BYTES", 20 * 32 * big_n)
+        monkeypatch.setattr(zs, "BLOCK_BYTES", 20 * 32 * big_n)
         report = run_pipeline(cfg)
         assert report.pair_reports.size and report.per_class == expected
         # a class that is not good is never transformed
@@ -484,7 +484,7 @@ class TestPipeline:
         cfg = small_config(**self.PLAN_CONFIGS[name])
         if rows is not None:
             big_n = pe.choose_N(cfg.n, 210 if cfg.w == 7 else 30)
-            monkeypatch.setattr(zs, "PAIR_BLOCK_BYTES", rows * 32 * big_n)
+            monkeypatch.setattr(zs, "BLOCK_BYTES", rows * 32 * big_n)
         split, made = pe.split_densities, []
 
         def keeping(densities, levels):

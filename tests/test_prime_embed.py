@@ -345,7 +345,7 @@ class TestPseudorandomDeficit:
 
         part, table = weight_partition(2000, 7)
         # five rows per block: the last block is short
-        monkeypatch.setattr(pe, "PAIR_BLOCK_BYTES", 5 * 32 * choose_N(2000, 210))
+        monkeypatch.setattr(pe, "BLOCK_BYTES", 5 * 32 * choose_N(2000, 210))
         classes = list(embed_classes(part, table).values())
         expected = []
         for ec in classes:

@@ -65,25 +65,32 @@ class TestSubsetOfZm:
         assert b.cardinality == members.size
         assert np.array_equal(b.members_array(), np.sort(members))
 
-    def test_bits_unpack_once_into_read_only_arrays(self, monkeypatch):
-        unpacks = []
-        unpack = zm._unpack_bits
+    def test_members_found_once_into_read_only_arrays(self, monkeypatch):
+        flatnonzero, scans = np.flatnonzero, []
 
-        def counting(bits, m):
-            unpacks.append(m)
-            return unpack(bits, m)
+        def counting(a):
+            scans.append(a.size)
+            return flatnonzero(a)
 
-        monkeypatch.setattr(zm, "_unpack_bits", counting)
         b = SubsetOfZm.from_members(2310, units_of(2310)[:400])
+        monkeypatch.setattr(np, "flatnonzero", counting)
         # the unit checks, both sumset routes and both routes of capital_R
         znstar_certificate(b, factorize(2310))
-        assert unpacks == [2310]
-        assert b.indicator_array() is b.indicator_array()
         assert b.members_array() is b.members_array()
-        assert b.indicator_array().dtype == bool
+        assert scans.count(2310) == 1
+        assert b.indicator.dtype == bool
         assert b.members_array().dtype == np.int64
-        assert not b.indicator_array().flags.writeable
+        assert not b.indicator.flags.writeable
         assert not b.members_array().flags.writeable
+
+    @pytest.mark.parametrize(
+        "indicator",
+        [np.zeros(9, bool), np.zeros(11, bool), np.zeros((2, 5), bool), np.zeros(10, np.uint8)],
+        ids=["short", "long", "two-dimensional", "uint8"],
+    )
+    def test_rejects_an_indicator_of_the_wrong_length_or_dtype(self, indicator):
+        with pytest.raises(DomainError, match="bool array of length 10"):
+            SubsetOfZm(m=10, indicator=indicator)
 
 
 class TestSumset:
@@ -119,8 +126,9 @@ class TestSumset:
         return calls
 
     def test_self_convolution_takes_one_forward_transform(self, monkeypatch):
-        # 600^2 pairs are more than the 8192 log2(8192) butterflies of the
-        # real FFT at the padded length 16384, so the counts come from FFTs
+        # 600^2 pairs are more than the 8000 log2(8000) butterflies (log2
+        # rounded down) of the real FFT at the padded length 16000, so the
+        # counts come from FFTs
         m = 8000
         rng = np.random.default_rng(5)
         b = SubsetOfZm.from_members(m, rng.choice(m, 600, replace=False).tolist())
@@ -147,10 +155,9 @@ class TestSumset:
 
     @given(st.integers(min_value=1, max_value=120), st.booleans(), st.data())
     def test_counts_match_enumeration_on_both_routes(self, m, dense, data):
-        # the bincount route serves at most (nfft/2) log2(nfft/2) pairs, and
-        # counts more than nfft of them in several chunks
-        half = (1 << (2 * m - 2).bit_length()) // 2
-        cut = math.isqrt(half * (half.bit_length() - 1))
+        # the bincount route serves at most (L/2) log2(L/2) pairs, and
+        # counts more than 2m - 1 of them in several chunks
+        cut = math.isqrt(butterfly_bound(2 * m - 1))
         assume(not dense or cut < m)
         lo, hi = (cut + 1, m) if dense else (0, min(cut, m))
         members = sorted(
@@ -213,9 +220,9 @@ class TestIntegerSumset:
 
 def butterfly_bound(length: int) -> int:
     """The pair count up to which a linear convolution of the given length is
-    counted by bincount: the (nfft/2) log2(nfft/2) butterflies of a real FFT
-    at the power-of-two nfft >= length."""
-    half = (1 << (length - 1).bit_length()) // 2
+    counted by bincount: the (L/2) log2(L/2) butterflies, log2 rounded down,
+    of a real FFT at the smallest 5-smooth L >= length."""
+    half = zm.smooth_length(length) // 2
     return half * (half.bit_length() - 1)
 
 
@@ -268,6 +275,20 @@ class TestPairSumKernel:
         assert counts.tolist() == expected.tolist()
         # a fresh array, not a view that keeps the linear counts alive
         assert counts.base is None
+
+    @pytest.mark.parametrize("card_b, above", [(5, False), (6, True)])
+    def test_pairs_on_the_bound_are_counted_one_by_one(self, card_b, above):
+        # Z_15 pads to 30, whose real FFT runs 15 log2 15 = 45 butterflies
+        # (log2 rounded down): 9 x 5 pairs sit on the bound, 9 x 6 above it
+        assert butterfly_bound(2 * 15 - 1) == 45
+        x, y = np.arange(9), np.arange(card_b)
+        a, b = np.zeros(15, dtype=bool), np.zeros(15, dtype=bool)
+        a[x], b[y] = True, True
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            counts = zm._cyclic_int_convolution(a, b)
+        assert fft.called == above
+        expected = np.bincount((np.add.outer(x, y) % 15).ravel(), minlength=15)
+        assert counts.tolist() == expected.tolist()
 
     @given(
         st.integers(min_value=1, max_value=200),
@@ -367,7 +388,7 @@ class TestSplitSumset:
 
             monkeypatch.setattr(np.fft, name, recording)
         # two inverse rows per block
-        monkeypatch.setattr(zm, "_SPLIT_BLOCK_BYTES", 2 * 32 * nfft)
+        monkeypatch.setattr(zm, "BLOCK_BYTES", 2 * 32 * nfft)
         zm._split_sumset_flags(primes, primes)
         assert calls["rfft"] == [((rows, positions), nfft)]
         sums = {int(x) for x in np.add.outer(primes % 30, primes % 30).ravel()}
@@ -400,7 +421,7 @@ class TestSplitSumset:
 
 PRIMES = [q for q in trial_primes(1500) if q > 100]
 # moduli whose convolutions take one transform of length m, and moduli whose
-# convolutions take the padded power of two
+# convolutions take the padded 5-smooth length
 SMOOTH_MODULI = st.one_of(
     st.sampled_from([2, 6, 30, 210, 2310]),
     st.tuples(st.integers(0, 10), st.integers(0, 4))
@@ -414,8 +435,8 @@ ROUGH_MODULI = st.one_of(
 
 class TestCyclicLength:
     """The length rule of ``_cyclic_int_convolution``: the FFT runs at m
-    when m's factorization makes that cheaper than the padded power of two,
-    and its result passes the same certificate."""
+    when m's factorization makes that cheaper than the padded 5-smooth
+    length, and its result passes the same certificate."""
 
     @given(
         st.one_of(
@@ -427,7 +448,7 @@ class TestCyclicLength:
     )
     def test_counts_match_the_outer_sums_on_both_routes(self, modulus, above, same, data):
         m, smooth = modulus
-        padded = 1 << (2 * m - 2).bit_length()
+        padded = zm.smooth_length(2 * m - 1)
         card_a, card_b = draw_cards(data, m, m, 1, butterfly_bound(2 * m - 1), above, same)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = np.sort(rng.choice(m, card_a, replace=False))
@@ -446,7 +467,8 @@ class TestCyclicLength:
         expected = np.bincount((np.add.outer(x, y) % m).ravel(), minlength=m)
         assert counts.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("m, length", [(30030, 30030), (30011, 1 << 16)])
+    # the prime 30011 pads 60021 to the 5-smooth 2 * 3^5 * 5^3
+    @pytest.mark.parametrize("m, length", [(30030, 30030), (30011, 60750)])
     def test_transform_length(self, monkeypatch, m, length):
         lengths = []
         rfft = np.fft.rfft
@@ -456,7 +478,7 @@ class TestCyclicLength:
             return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", recording)
-        units = SubsetOfZm.units(m).indicator_array()
+        units = SubsetOfZm.units(m).indicator
         counts = zm._cyclic_int_convolution(units, units)
         assert lengths == [length]
         # a pair of units summing to x has p - 1 choices mod p when p | x,
@@ -477,7 +499,7 @@ class TestCyclicLength:
             return irfft(spec, n, *args, **kwargs) + 0.3
 
         monkeypatch.setattr(np.fft, "irfft", shifted)
-        units = SubsetOfZm.units(m).indicator_array()
+        units = SubsetOfZm.units(m).indicator
         with pytest.raises(InvariantViolation, match="exactness certificate"):
             zm._cyclic_int_convolution(units, units)
 
@@ -561,8 +583,10 @@ class TestCapitalR:
             return out
 
         monkeypatch.setattr(zm, "_cyclic_int_convolution", off_by_one)
+        # 1 and 7 fold onto Z_15, where their 2 * 8 pairs with the units are
+        # at most the 15 log2 15 butterflies at 30: counted pair by pair
         with pytest.raises(InvariantViolation):
-            capital_R(SubsetOfZm.units(30), factorize(30))
+            capital_R(SubsetOfZm.from_members(30, [1, 7]), factorize(30))
 
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 15015, 30030, 510510])
@@ -575,8 +599,8 @@ class TestCapitalR:
         "m, card, nfft",
         # 2310 folds onto 1155 and 15015 stays: both take one transform pair
         # at the odd modulus; 20014 folds onto the prime 10007, whose
-        # convolution takes the padded length 32768
-        [(2310, 60, 1155), (15015, 60, 15015), (20014, 40, 1 << 15)],
+        # convolution takes the padded length 20250 = 2 * 3^4 * 5^3
+        [(2310, 60, 1155), (15015, 60, 15015), (20014, 40, 20250)],
     )
     def test_each_route_matches_enumeration(self, m, card, nfft):
         rng = np.random.default_rng(m)
@@ -586,13 +610,14 @@ class TestCapitalR:
             r_big = capital_R(b, factorize(m))
         assert fft.call_count == 1
         assert fft.call_args.args[2] == nfft
-        assert fft.call_args.kwargs.get("b_spectral", False) == (nfft % 2 == 1)
+        odd = m if m % 2 else m // 2
+        assert fft.call_args.kwargs.get("b_spectral", False) == (nfft == odd)
         assert r_big.tolist() == relaxed_rep_enum(members, m).tolist()
 
     @staticmethod
     def units_of_210():
         # 35 of the 48 units of Z_210, which fold onto Z_105: their pairs with
-        # the units outnumber the butterflies at 256, so the route is one
+        # the units outnumber the butterflies at 216, so the route is one
         # transform pair at 105
         return SubsetOfZm.from_members(210, units_of(210)[:35])
 
@@ -825,15 +850,18 @@ class TestZnStarCertificate:
 
         monkeypatch.setattr(zm, "_convolve_int_exact", counting)
         # 400 of the 480 units of Z_2310: both products have more pairs than
-        # the 4096 log2(4096) butterflies at the padded length 8192, so both
+        # the butterflies at their padded lengths, 2400 log2 2400 at 4800 for
+        # B * B and 1200 log2 1200 at 2400 for B mod 1155 * units, so both
         # take the FFT
         b = SubsetOfZm.from_members(2310, units_of(2310)[:400])
         znstar_certificate(b, factorize(2310))
         # B * B for the histogram, B * units for capital_R
         assert sorted(is_self) == [False, True]
-        # 16 units of Z_210 are counted pair by pair, with no transform
+        # 12 units of Z_210 are counted pair by pair, with no transform: 144
+        # pairs, and 12 * 48 = 576 with the units of Z_105, at most the
+        # 108 log2 108 = 648 butterflies at 216
         is_self.clear()
-        znstar_certificate(SubsetOfZm.from_members(210, units_of(210)[::3]), factorize(210))
+        znstar_certificate(SubsetOfZm.from_members(210, units_of(210)[::4]), factorize(210))
         assert is_self == []
 
 
