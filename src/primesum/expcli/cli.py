@@ -42,6 +42,7 @@ from ..zm_sumsets import (
 )
 from ..zn_spectral import dft, green_decompose
 from .config import (
+    MAX_N,
     ExperimentConfig,
     build_subset,
     check_moment_order,
@@ -53,11 +54,6 @@ from .reports import emit_report
 
 __all__ = ["main", "build_parser", "parse_set_spec"]
 
-# the desk-scale cap the pipeline puts on n, applied to sieve's n and to the
-# Z_m commands' m
-_MAX_M = 10_000_000
-
-
 def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     """Build a subset of Z_m from a compact spec string.
 
@@ -66,8 +62,8 @@ def parse_set_spec(text: str, m: int) -> SubsetOfZm:
     ``units-random:frac:seed`` (seeded shuffle of the units).  m must lie
     in [1, 10^7], checked before any array is built.
     """
-    if not 1 <= m <= _MAX_M:
-        raise ConfigurationError(f"m must lie in [1, {_MAX_M}], got {m}")
+    if not 1 <= m <= MAX_N:
+        raise ConfigurationError(f"m must lie in [1, {MAX_N}], got {m}")
     parts = text.strip().split(":")
     kind = parts[0]
 
@@ -127,8 +123,8 @@ def _fmt(value) -> str:
 
 
 def _cmd_sieve(args) -> int:
-    if args.n > _MAX_M:
-        raise ConfigurationError(f"n must be at most {_MAX_M}, got {args.n}")
+    if args.n > MAX_N:
+        raise ConfigurationError(f"n must be at most {MAX_N}, got {args.n}")
     table = sieve_primes(args.n)
     _print(f"n={args.n} count={table.primes.size} largest={int(table.primes[-1])}")
     return 0
@@ -224,7 +220,7 @@ def _cmd_sumset(args) -> int:
         size = sumset(b, b).cardinality
     except SizeLimitError:
         # too large for the dual-route count: one certified convolution
-        size = cyclic_sumset_size(b.members_array(), args.m)
+        size = cyclic_sumset_size(b)
     _print(
         f"m={args.m} card={b.cardinality} sumset={size} "
         f"fraction={_fmt(size / args.m)}"
@@ -280,7 +276,7 @@ def _cmd_extremal(args) -> int:
         f"predicted_alpha={built.predicted_alpha}"
     )
     if built.m <= 1_000_000:
-        actual = cyclic_sumset_size(built.set.members_array(), built.m)
+        actual = cyclic_sumset_size(built.set)
         _print(
             f"actual_sumset={actual} matches={_fmt(actual == built.predicted_sumset)}"
         )

@@ -16,6 +16,7 @@ from ..errors import ConfigurationError
 from ..ntheory import PrimeTable
 
 __all__ = [
+    "MAX_N",
     "SubsetRule",
     "ExperimentConfig",
     "parse_rule",
@@ -24,7 +25,9 @@ __all__ = [
     "check_moment_order",
 ]
 
-_MAX_N = 10_000_000
+# the desk-scale cap on n, which the CLI also puts on sieve's n and on the
+# Z_m commands' m
+MAX_N = 10_000_000
 
 
 def check_moment_order(k: int) -> None:
@@ -102,8 +105,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not isinstance(self.n, int) or self.n < 100:
             raise ConfigurationError(f"need integer n >= 100, got {self.n}")
-        if self.n > _MAX_N:
-            raise ConfigurationError(f"n = {self.n} exceeds the desk-scale cap {_MAX_N}")
+        if self.n > MAX_N:
+            raise ConfigurationError(f"n = {self.n} exceeds the desk-scale cap {MAX_N}")
         if not isinstance(self.w, int) or self.w < 2:
             raise ConfigurationError(f"need integer w >= 2, got {self.w}")
         if not 0 < self.delta <= 1:

@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, unit_indicator
-from .zn_spectral import (
-    BLOCK_BYTES,
-    DensityFunction,
-    convolve_pairs,
-    split_densities,
-)
+from .zn_spectral import BLOCK_BYTES, DensityFunction, convolve_pairs
 
 __all__ = [
     "ResiduePartition",
@@ -299,74 +294,45 @@ def pair_sumset_columns(
     """Bound the sumset of every unordered pair of the classes, in the order
     (c1, c1), (c1, c2), ..., (c2, c2), ..., and return the report columns.
 
-    Each class is split once at its own level: eps0 clamped down to
-    sigma^6 mean^4 / 400 when that cap is positive.  A pair works at the
-    level of the class with the smaller mean; the other class is split again
-    at that level unless its Bohr set is {0}, and each (class, level) split
-    is made once.  The own-level splits take one ``split_densities`` batch
-    and the pair-level ones another, and the plan of the pairs (levels, live
-    rows, split indices) is built as arrays.  The support of f * g is
-    reported against the mean class density minus eps; the smoothed main
-    term is counted against sigma alpha N, alpha the smaller class mean (the
-    row's ``alpha``), and the mixed pieces against a tenth of that.  A pair with an all-zero density has
-    nothing to decompose: every count is 0.  The last column,
-    ``support_count``, is the exact count behind ``support_fraction``.
+    Each class has its own level: eps0 clamped down to sigma^6 mean^4 / 400
+    when that cap is positive.  A pair works at the level of the class with
+    the smaller mean, and ``convolve_pairs`` splits both classes at it.  The
+    support of f * g is reported against the mean class density minus eps;
+    the smoothed main term is counted against sigma alpha N, alpha the
+    smaller class mean (the row's ``alpha``), and the mixed pieces against a
+    tenth of that.  A pair with an all-zero density has nothing to
+    decompose: every count is 0.  The last column, ``support_count``, is the
+    exact count behind ``support_fraction``.
     """
-    lengths = sorted({ec.N for ec in classes})
-    if len(lengths) > 1:
-        raise DomainError(f"mismatched embedding lengths {lengths}")
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not eps0 > 0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    n = lengths[0] if lengths else 1
-    means = [ec.f.mean() for ec in classes]
-    caps = [sigma**6 * mean**4 / 400.0 for mean in means]
-    levels = [min(eps0, cap) if cap > 0 else eps0 for cap in caps]
-    splits = split_densities([ec.f for ec in classes], levels)
+    n = classes[0].N if classes else 1
+    mean = np.array([ec.f.mean() for ec in classes])
+    # Python's float power: numpy's rounds some of these levels differently
+    caps = [sigma**6 * x**4 / 400.0 for x in mean.tolist()]
+    levels = np.array([min(eps0, cap) if cap > 0 else eps0 for cap in caps])
 
     # the pairs in row-major order; a pair works at the level of its class
     # with the smaller mean, and one whose smaller mean is 0 runs nothing
     c1, c2 = np.triu_indices(len(classes))
-    mean = np.array(means)
-    width = np.array([d.bohr.width for d in splits])
     small = np.where(mean[c1] <= mean[c2], c1, c2)
     alpha = mean[small]
     live = alpha > 0.0
-    eps0_used = np.where(live, width[small], eps0)
-    # each side of a live pair takes its class's own split when that split
-    # is exact or made at the pair's level: a lower level adds frequencies
-    # and narrows the width over the same floats, so a Bohr set of {0} stays
-    # {0}, bit for bit.  Every other (class, level) is split once, in the
-    # order of its first use, class c1 before c2 within a pair.
-    sides = np.stack([c1[live], c2[live]], axis=-1)
-    level = np.broadcast_to(eps0_used[live, None], sides.shape)
-    exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
-    again = ~(exact[sides] | (level == width[sides]))
-    if again.any():
-        key_class, key_level = sides[again], level[again]
-        keys = np.stack([key_class, key_level.view(np.int64)], axis=-1)
-        _, first, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        sides[again] = len(splits) + rank[inverse.reshape(-1)]
-        at = first[order]
-        splits += split_densities(
-            [classes[c].f for c in key_class[at].tolist()], key_level[at].tolist()
-        )
-    s1, s2 = sides.T
-    live_pairs = np.stack([c1[live], c2[live], s1, s2], axis=-1)
-    conv = convolve_pairs([ec.f for ec in classes], splits, live_pairs, sigma)
+    eps0_used = np.where(live, levels[small], eps0)
+    conv = convolve_pairs(
+        [ec.f for ec in classes],
+        levels,
+        np.stack([c1[live], c2[live]], axis=-1),
+        eps0_used[live],
+        sigma,
+    )
 
     b = np.array([ec.b for ec in classes], dtype=np.int64)
     delta = np.array([ec.delta_b for ec in classes])
-    f1_max = np.array([d.f1_max for d in splits])
-    bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
 
     def scatter(values, dtype=np.float64) -> np.ndarray:
         out = np.zeros(c1.shape + np.shape(values)[1:], dtype=dtype)
@@ -379,6 +345,8 @@ def pair_sumset_columns(
     main_target = (mean[c1] + mean[c2]) / 2.0 - 3.0 * sigma
     error_count = scatter(conv.error_count, np.int64)
     error_l2sq = scatter(conv.error_l2sq)
+    f1_max = scatter(conv.f1_max)
+    bohr_size = scatter(conv.bohr_size, np.int64)
     pieces = ("12", "21", "22")
     columns = {
         "b1": b[c1],
@@ -395,10 +363,10 @@ def pair_sumset_columns(
         **{f"err{p}_count": error_count[:, k] for k, p in enumerate(pieces)},
         "err_count_reference": np.full(c1.size, sigma * n),
         **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(pieces)},
-        "f1_max": scatter(f1_max[s1]),
-        "g1_max": scatter(f1_max[s2]),
-        "bohr_size_f": scatter(bohr_size[s1], np.int64),
-        "bohr_size_g": scatter(bohr_size[s2], np.int64),
+        "f1_max": f1_max[:, 0],
+        "g1_max": f1_max[:, 1],
+        "bohr_size_f": bohr_size[:, 0],
+        "bohr_size_g": bohr_size[:, 1],
         "support_count": support,
     }
     return {name: np.asarray(values).tolist() for name, values in columns.items()}

@@ -316,22 +316,14 @@ def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
     return SubsetOfZm(m=b1.m, indicator=_sumset_counts(b1, b2) > 0)
 
 
-def cyclic_sumset_size(members: np.ndarray, m: int) -> int:
-    """|A + A mod m| by certified integer convolution alone.
+def cyclic_sumset_size(b: SubsetOfZm) -> int:
+    """|B + B mod m| by certified integer convolution alone.
 
     Single-route fast path for large m where the dual-route ``sumset``
-    would be too expensive; the convolution is still exact (pairwise sums
-    counted by bincount, or a certified FFT).
+    would be too expensive; the convolution of the indicator with itself is
+    still exact (pairwise sums counted by bincount, or a certified FFT).
     """
-    arr = np.asarray(members, dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    if np.any(arr < 0) or np.any(arr >= m):
-        raise DomainError(f"members outside Z_{m}")
-    ind = np.zeros(m, dtype=bool)
-    ind[arr] = True
-    conv = _cyclic_int_convolution(ind, ind)
-    return int(np.count_nonzero(conv))
+    return int(np.count_nonzero(_cyclic_int_convolution(b.indicator, b.indicator)))
 
 
 def _span_flags(a: np.ndarray) -> np.ndarray:
@@ -359,7 +351,9 @@ def _class_indicators(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return residues, q0, indicators
 
 
-def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
+def _split_sumset_flags(
+    a1: np.ndarray, a2: np.ndarray, pairs: int
+) -> tuple[int, np.ndarray]:
     """``integer_sumset_flags`` by one certified convolution of the inputs'
     residue classes mod m0 = ``_SPLIT_MODULUS``.
 
@@ -371,8 +365,8 @@ def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray
     with that s; a self-sumset takes the pairs i <= j and doubles the
     off-diagonal ones.  The inverses run stacked, in blocks under
     ``BLOCK_BYTES``, and each block is rounded under the 0.25
-    certificate.  The rounded counts must add up to |A1| |A2|, the ordered
-    pairs of distinct members.
+    certificate.  The rounded counts must add up to ``pairs``, the
+    |A1| |A2| ordered pairs of distinct members.
     """
     m0 = _SPLIT_MODULUS
     same = a2 is a1
@@ -410,8 +404,6 @@ def _split_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray
         total += int(counts.sum())
         for row, s in zip(counts, block):
             grid[s // m0 : s // m0 + length, s % m0] |= row > 0
-    card1 = _distinct_count(a1)
-    pairs = card1 * (card1 if same else _distinct_count(a2))
     if total != pairs:
         raise InvariantViolation(
             f"split convolution counts sum to {total}, expected |A1| |A2| = {pairs}"
@@ -443,7 +435,7 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     card1 = _distinct_count(a1)
     pairs = card1 * (card1 if a2 is a1 else _distinct_count(a2))
     if _fft_pays(pairs, smooth_length(span)):
-        return _split_sumset_flags(a1, a2)
+        return _split_sumset_flags(a1, a2, pairs)
     ind1 = _span_flags(a1)
     ind2 = ind1 if a2 is a1 else _span_flags(a2)
     flags = np.zeros(span, dtype=bool)

@@ -261,13 +261,17 @@ class PairConvolutions:
     of mean(f) and mean(g), and ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2
     of ``error_count`` and ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the
     points where |f_i*g_j| exceeds a tenth of the main threshold, and
-    ||f_i*g_j||_2^2."""
+    ||f_i*g_j||_2^2.  Columns 0 and 1 of ``bohr_size`` and ``f1_max`` are
+    the Bohr set size and the largest value of f1 of the splits of f and g
+    at the pair's level."""
 
     support: np.ndarray
     main_count: np.ndarray
     main_l1: np.ndarray
     error_count: np.ndarray
     error_l2sq: np.ndarray
+    bohr_size: np.ndarray
+    f1_max: np.ndarray
 
 
 def l2sq_from_half_spectrum(h_half: np.ndarray, n: int) -> np.ndarray:
@@ -308,38 +312,63 @@ def _require_close(got: np.ndarray, expected: np.ndarray, message: str) -> None:
 
 def convolve_pairs(
     densities: Sequence[DensityFunction],
-    splits: Sequence[Decomposition],
+    levels: Sequence[float],
     pairs,
+    pair_levels,
     sigma: float,
 ) -> PairConvolutions:
-    """Convolve the pieces of many pairs of split densities, block by block.
+    """Split the densities and convolve the pieces of many pairs of them,
+    block by block.
 
-    Row (i, j, s, t) of ``pairs`` pairs f = densities[i], split as
-    splits[s], with g = densities[j], split as splits[t].  Every pair's f*g
-    comes first.  When all densities vanish past position h and 2h < N, f*g
-    is a linear convolution supported in [0, 2h]: the stacked prefixes [0, h]
-    of the densities take one ``rfft`` at L = ``smooth_length(2h + 1)`` (N
-    when L >= N), each block of pairs one ``irfft`` at L, and the counts and
-    L1 sums read entries [0, 2h] only, since the others are 0 in exact
-    arithmetic.  A pair whose two Bohr sets are {0} has f1 = f, g1 = g and
-    f2 = g2 = 0, so f*g is also f1*g1 and its mixed pieces are exactly 0.
-    The other pairs take four more inverses, all cyclic at N: f1*g1 and the
-    three mixed pieces, from one length-N ``rfft`` of the densities and of f1
-    and f2 of each split whose Bohr set is larger than {0} (Bohr smoothing
-    spreads those over all of Z_N).  A block holds as many pairs as fit the
-    temporaries of its longest transform in ``BLOCK_BYTES``; the blocks
-    run in pair order.
+    Row (i, j) of ``pairs`` pairs f = densities[i] with g = densities[j],
+    each split at the pair's entry of ``pair_levels``.  Each density is
+    split at its own entry of ``levels``, and a side takes that split when
+    it was made at the pair's level, or when it is exact and the pair's
+    level is lower: a lower level adds frequencies and narrows the width,
+    so a Bohr set of {0} stays {0}.  Every other (density, level) is split
+    once, in one ``split_densities`` batch.  A stacked row splits as the
+    row alone, so a pair's results do not depend on the other pairs.
+
+    Every pair's f*g comes first.  When all densities vanish past position h
+    and 2h < N, f*g is a linear convolution supported in [0, 2h]: the
+    stacked prefixes [0, h] of the densities take one ``rfft`` at
+    L = ``smooth_length(2h + 1)`` (N when L >= N), each block of pairs one
+    ``irfft`` at L, and the counts and L1 sums read entries [0, 2h] only,
+    since the others are 0 in exact arithmetic.  A pair whose two splits are
+    exact has f1 = f, g1 = g and f2 = g2 = 0, so f*g is also f1*g1 and its
+    mixed pieces are exactly 0.  The other pairs take four more inverses,
+    all cyclic at N: f1*g1 and the three mixed pieces, from one length-N
+    ``rfft`` of the densities and of f1 and f2 of each split whose Bohr set
+    is larger than {0} (Bohr smoothing spreads those over all of Z_N).  A
+    block holds as many pairs as fit the temporaries of its longest
+    transform in ``BLOCK_BYTES``; the blocks run in pair order.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
     mixed piece has ||f_i*g_j||_2^2 = N^3 sum_xi |fhat_i|^2 |ghat_j|^2.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
-    n = densities[0].N if densities else 1
-    if any(h.N != n for h in densities) or any(d.f1.N != n for d in splits):
-        raise DomainError("all inputs must share one group order")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    splits = split_densities(densities, levels)
+    # sides[p] indexes the splits of the two sides of pair p
+    sides = pairs.copy()
+    side_level = np.repeat(np.asarray(pair_levels, dtype=np.float64), 2).reshape(-1, 2)
+    own = np.asarray(levels, dtype=np.float64)[sides]
     exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
-    parts = [d for d in splits if d.bohr.size > 1]
+    again = ~((side_level == own) | (exact[sides] & (side_level < own)))
+    if again.any():
+        # one row (density, level) per split to make; levels lie in (0, 1],
+        # so equal floats are equal bits
+        keys = np.stack([sides[again], side_level[again]], axis=-1)
+        keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+        sides[again] = len(splits) + inverse.reshape(-1)
+        splits += split_densities(
+            [densities[c] for c in keys[:, 0].astype(np.int64).tolist()],
+            keys[:, 1].tolist(),
+        )
+    bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
+    exact = bohr_size == 1
+    parts = [d for d, e in zip(splits, exact) if not e]
+    n = densities[0].N if densities else 1
     g, k = len(densities), len(parts)
     # f*g lies in [0, 2 top] and wraps only when 2 top >= N: its entries
     # [0, span) are those of the length-``short`` transform
@@ -360,7 +389,8 @@ def convolve_pairs(
     mass = np.array([h.l1() for h in densities] + [d.f1.l1() for d in parts])
     mean = np.array([h.mean() for h in densities])
     part_row = np.cumsum(~exact) - 1
-    i, j, s, t = pairs.T
+    i, j = pairs.T
+    s, t = sides.T
     one_f, one_g = (np.where(exact[x], y, g + part_row[x]) for x, y in ((s, i), (t, j)))
     two_f, two_g = (np.where(exact[x], g + 2 * k, g + k + part_row[x]) for x in (s, t))
     total = len(pairs)
@@ -370,6 +400,8 @@ def convolve_pairs(
         main_l1=np.zeros(total),
         error_count=np.zeros((total, 3), dtype=np.int64),
         error_l2sq=np.zeros((total, 3)),
+        bohr_size=bohr_size[sides],
+        f1_max=np.array([d.f1_max for d in splits])[sides],
     )
     size = max(1, BLOCK_BYTES // (32 * (n if k else short)))
 

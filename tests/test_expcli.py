@@ -358,17 +358,33 @@ class TestPipeline:
     @staticmethod
     def count_decompositions(monkeypatch) -> list:
         # one entry (density bytes, level) per split the pair stage makes
-        import primesum.prime_embed as pe
+        import primesum.zn_spectral as zs
 
-        split = pe.split_densities
+        split = zs.split_densities
         calls = []
 
         def counting(densities, levels):
             calls.extend((f.values.tobytes(), level) for f, level in zip(densities, levels))
             return split(densities, levels)
 
-        monkeypatch.setattr(pe, "split_densities", counting)
+        monkeypatch.setattr(zs, "split_densities", counting)
         return calls
+
+    @staticmethod
+    def record_splits(monkeypatch) -> tuple[list, object]:
+        # one entry ((id of the density, level), split) per split made;
+        # also returns the unpatched split_densities
+        import primesum.zn_spectral as zs
+
+        split, made = zs.split_densities, []
+
+        def recording(densities, levels):
+            out = split(densities, levels)
+            made.extend(((id(f), level), d) for f, level, d in zip(densities, levels, out))
+            return out
+
+        monkeypatch.setattr(zs, "split_densities", recording)
+        return made, split
 
     def test_one_split_per_class(self, monkeypatch):
         calls = self.count_decompositions(monkeypatch)
@@ -402,6 +418,8 @@ class TestPipeline:
         calls = self.count_decompositions(monkeypatch)
         cfg = small_config(**self.SPLIT)
         report = run_pipeline(cfg)
+        # the splits below are the reference, not the run's
+        monkeypatch.undo()
         good = report.summary["good_classes"]
         assert len(calls) > len(good)
         cols = report.pair_reports
@@ -485,15 +503,16 @@ class TestPipeline:
         if rows is not None:
             big_n = pe.choose_N(cfg.n, 210 if cfg.w == 7 else 30)
             monkeypatch.setattr(zs, "BLOCK_BYTES", rows * 32 * big_n)
-        split, made = pe.split_densities, []
+        split, made = zs.split_densities, []
 
         def keeping(densities, levels):
             out = split(densities, levels)
             made.extend(zip(densities, levels, out))
             return out
 
-        monkeypatch.setattr(pe, "split_densities", keeping)
+        monkeypatch.setattr(zs, "split_densities", keeping)
         run_pipeline(cfg)
+        monkeypatch.setattr(zs, "split_densities", split)
         assert len(made) >= 8
         sizes = set()
         for f, level, d in made:
@@ -509,36 +528,83 @@ class TestPipeline:
     @pytest.mark.parametrize("name", ["w7", "split"])
     def test_pair_plan_matches_the_loop(self, monkeypatch, name):
         import primesum.prime_embed as pe
+        import primesum.zn_spectral as zs
         from primesum.zn_spectral import green_decompose
 
         from oracles import pair_plan_oracle
 
         convolve, seen = pe.convolve_pairs, []
 
-        def keeping(densities, splits, pairs, sigma):
-            seen.append((densities, splits, pairs))
-            return convolve(densities, splits, pairs, sigma)
+        def keeping(*args):
+            seen.append((*args, convolve(*args)))
+            return seen[-1][-1]
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
+        made, split = self.record_splits(monkeypatch)
         report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
-        ((densities, splits, pairs),) = seen
-        g = len(densities)
-        own = splits[:g]
+        monkeypatch.setattr(zs, "split_densities", split)
+        ((densities, levels, pairs, _, _, conv),) = seen
+        own = [green_decompose(f, level) for f, level in zip(densities, levels)]
         eps0_used, live, resplits = pair_plan_oracle(
             [f.mean() for f in densities],
-            [d.bohr.width for d in own],
+            list(levels),
             [d.bohr.size == 1 for d in own],
             report.summary["eps0"],
             lambda c, level: green_decompose(densities[c], level),
         )
         assert report.pair_reports["eps0_used"] == eps0_used
-        assert np.asarray(pairs).tolist() == [list(row) for row in live]
-        assert len(splits) == g + len(resplits)
-        for got, expected in zip(splits[g:], resplits):
-            assert got.bohr.width == expected.bohr.width
-            assert got.bohr.members.tolist() == expected.bohr.members.tolist()
-            assert got.f1.values.tobytes() == expected.f1.values.tobytes()
+        assert np.asarray(pairs).tolist() == [[c1, c2] for c1, c2, _, _ in live]
+        # each (class, level) is split once, and each side of a pair takes
+        # the split the oracle gives it
+        by_key = dict(made)
+        assert len(by_key) == len(made) == len(densities) + len(resplits)
+        reference = own + resplits
+        for p, (c1, c2, s1, s2) in enumerate(live):
+            for side, (c, s) in enumerate(((c1, s1), (c2, s2))):
+                expected = reference[s]
+                got = by_key[id(densities[c]), expected.bohr.width]
+                assert got.bohr.width == expected.bohr.width
+                assert got.bohr.members.tolist() == expected.bohr.members.tolist()
+                assert got.f1.values.tobytes() == expected.f1.values.tobytes()
+                assert conv.bohr_size[p, side] == expected.bohr.size
+                assert conv.f1_max[p, side] == expected.f1_max
         assert bool(resplits) == (name == "split")
+
+    def test_pair_results_do_not_depend_on_the_other_pairs(self, monkeypatch):
+        # at the split-n20000 levels some sides are split again at the
+        # pair's level, and some of those splits come back exact
+        import dataclasses
+
+        import primesum.prime_embed as pe
+
+        convolve, seen = pe.convolve_pairs, []
+
+        def keeping(*args):
+            seen.append(args)
+            return convolve(*args)
+
+        monkeypatch.setattr(pe, "convolve_pairs", keeping)
+        run_pipeline(
+            small_config(
+                n=20000, w=5, eps0=1.0, sigma=6.0, delta=0.5,
+                rule=parse_rule("random-thinning"),
+            )
+        )
+        ((densities, levels, pairs, pair_levels, sigma),) = seen
+        made, _ = self.record_splits(monkeypatch)
+        full = convolve(densities, levels, pairs, pair_levels, sigma)
+        g = len(densities)
+        assert len(dict(made)) == len(made)
+        again = [d.bohr.size for _, d in made[g:]]
+        assert min(again) == 1 < max(again)
+
+        pick = np.random.default_rng(1).permutation(len(pairs))[: len(pairs) // 2]
+        made.clear()
+        part = convolve(densities, levels, pairs[pick], pair_levels[pick], sigma)
+        assert len(dict(made)) == len(made) > g
+        for field in dataclasses.fields(full):
+            got, expected = getattr(part, field.name), getattr(full, field.name)[pick]
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "field, message",
@@ -682,7 +748,7 @@ class TestCli:
         assert main(["sumset", "--m", "1000000", "--set-spec", spec]) == 0
         out = capsys.readouterr().out
         b = parse_set_spec(spec, 1_000_000)
-        expected = cyclic_sumset_size(b.members_array(), 1_000_000)
+        expected = cyclic_sumset_size(b)
         assert f" sumset={expected} " in out
 
     def test_config_error_maps_to_two(self, capsys):

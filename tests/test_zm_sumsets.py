@@ -136,7 +136,7 @@ class TestSumset:
         calls = self.count_rfft(monkeypatch)
         expected = sumset_enum(b.members_array().tolist(), m)
         assert set(sumset(b, b).members_array().tolist()) == expected
-        assert cyclic_sumset_size(b.members_array(), m) == len(expected)
+        assert cyclic_sumset_size(b) == len(expected)
         assert len(calls) == 2
         sumset(b, c)
         assert len(calls) == 4
@@ -149,7 +149,7 @@ class TestSumset:
         calls = self.count_rfft(monkeypatch)
         expected = sumset_enum(b.members_array().tolist(), m)
         assert set(sumset(b, b).members_array().tolist()) == expected
-        assert cyclic_sumset_size(b.members_array(), m) == len(expected)
+        assert cyclic_sumset_size(b) == len(expected)
         sumset(b, c)
         assert calls == []
 
@@ -179,7 +179,7 @@ class TestSumset:
     def test_cyclic_size_agrees(self, m, data):
         members = np.asarray(sorted(data.draw(member_sets(m))), dtype=np.int64)
         b = SubsetOfZm.from_members(m, members)
-        assert cyclic_sumset_size(members, m) == sumset(b, b).cardinality
+        assert cyclic_sumset_size(b) == sumset(b, b).cardinality
 
 
 def sumset_members(a, b) -> tuple[int, np.ndarray, set[int]]:
@@ -336,6 +336,12 @@ def outer_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, list[bool]]:
     return lo, flags.tolist()
 
 
+def split_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
+    """``_split_sumset_flags`` of two arrays of distinct members, given their
+    |A1| |A2| pairs."""
+    return zm._split_sumset_flags(a1, a2, a1.size * a2.size)
+
+
 @st.composite
 def split_inputs(draw):
     """A sorted int64 array that fills a drawn set of residue classes mod
@@ -356,7 +362,7 @@ class TestSplitSumset:
     @given(split_inputs(), split_inputs(), st.booleans())
     def test_flags_match_the_outer_sums(self, a1, a2, same):
         a2 = a1 if same else a2
-        lo, flags = zm._split_sumset_flags(a1, a2)
+        lo, flags = split_flags(a1, a2)
         expected_lo, expected = outer_flags(a1, a2)
         assert lo == expected_lo
         assert flags.tolist() == expected
@@ -365,12 +371,12 @@ class TestSplitSumset:
     def test_primes_with_their_one_member_classes(self, limit):
         # 2, 3 and 5 are the only members of their classes mod 30
         primes = np.array(trial_primes(limit), dtype=np.int64)
-        lo, flags = zm._split_sumset_flags(primes, primes)
+        lo, flags = split_flags(primes, primes)
         assert set((lo + np.flatnonzero(flags)).tolist()) == int_sumset_enum(
             primes.tolist(), primes.tolist()
         )
         odd = primes[primes > 5]
-        lo, flags = zm._split_sumset_flags(odd, primes[:3])
+        lo, flags = split_flags(odd, primes[:3])
         assert (lo, flags.tolist()) == outer_flags(odd, primes[:3])
 
     def test_one_stacked_forward_transform_and_blocked_inverses(self, monkeypatch):
@@ -389,7 +395,7 @@ class TestSplitSumset:
             monkeypatch.setattr(np.fft, name, recording)
         # two inverse rows per block
         monkeypatch.setattr(zm, "BLOCK_BYTES", 2 * 32 * nfft)
-        zm._split_sumset_flags(primes, primes)
+        split_flags(primes, primes)
         assert calls["rfft"] == [((rows, positions), nfft)]
         sums = {int(x) for x in np.add.outer(primes % 30, primes % 30).ravel()}
         shapes = [shape for shape, n in calls["irfft"] if n == nfft]
@@ -409,14 +415,14 @@ class TestSplitSumset:
         monkeypatch.setattr(zm, "_certified_round", corrupted)
         primes = np.array(trial_primes(1000), dtype=np.int64)
         with pytest.raises(InvariantViolation, match=r"expected \|A1\| \|A2\|"):
-            zm._split_sumset_flags(primes, primes)
+            split_flags(primes, primes)
 
     def test_unrounded_counts_fail_the_certificate(self, monkeypatch):
         primes = np.array(trial_primes(1000), dtype=np.int64)
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
         with pytest.raises(InvariantViolation, match="exactness certificate"):
-            zm._split_sumset_flags(primes, primes)
+            split_flags(primes, primes)
 
 
 PRIMES = [q for q in trial_primes(1500) if q > 100]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,8 +335,10 @@ class TestConvolutionProofQuantities:
         n = 64
         f = constant(n, 1.0)
         d = green_decompose(f, 0.5)
-        rep = convolve_pairs([f], [d], [(0, 0, 0, 0)], 0.1)
+        rep = convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
         assert abs(rep.main_l1[0] - n * n) < 1e-6
+        assert rep.bohr_size.tolist() == [[d.bohr.size] * 2]
+        assert rep.f1_max.tolist() == [[d.f1_max] * 2]
         assert rep.main_count[0] == n
         assert rep.support[0] == n
         assert np.all(rep.error_count == 0)
@@ -348,11 +352,12 @@ class TestConvolutionProofQuantities:
         fs.append(DensityFunction(N=128, values=128.0 * indicator(128, [3]).values))
         ds = [green_decompose(f, 0.2) for f in fs]
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
-        pairs = [(i, j, i, j) for i in range(7) for j in range(i, 7)]
-        rep = convolve_pairs(fs, ds, pairs, 0.05)
+        pairs = [(i, j) for i in range(7) for j in range(i, 7)]
+        rep = convolve_pairs(fs, [0.2] * 7, pairs, [0.2] * len(pairs), 0.05)
         assert rep.support.shape == rep.main_count.shape == (len(pairs),)
         assert rep.error_count.shape == rep.error_l2sq.shape == (len(pairs), 3)
-        for p, (i, j, _, _) in enumerate(pairs):
+        assert rep.bohr_size.shape == rep.f1_max.shape == (len(pairs), 2)
+        for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
             want = pair_pieces_oracle(
                 f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
@@ -360,27 +365,57 @@ class TestConvolutionProofQuantities:
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
             assert rep.main_l1[p] == pytest.approx(df.f1.l1() * dg.f1.l1(), rel=1e-9)
+            assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
+            assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
             for c, key in enumerate(("12", "21", "22")):
                 assert rep.error_count[p, c] == want[f"err{key}_count"]
                 assert rep.error_l2sq[p, c] == pytest.approx(
                     want[f"err{key}_l2sq"], rel=1e-9, abs=1e-12
                 )
-        exact = pairs.index((6, 6, 6, 6))
+        exact = pairs.index((6, 6))
         assert np.all(rep.error_l2sq[exact] == 0.0)
 
     def test_broken_mass_fails_the_l1_identity(self, monkeypatch):
+        # the split's f1 has half as much mass again as it should
         f = constant(16, 1.0)
         d = green_decompose(f, 0.5)
+        monkeypatch.setattr(zs, "split_densities", lambda densities, levels: [d])
         l1 = DensityFunction.l1
         monkeypatch.setattr(
             DensityFunction, "l1", lambda self: l1(self) * (1.5 if self is d.f1 else 1.0)
         )
         with pytest.raises(InvariantViolation, match="L1 mass"):
-            convolve_pairs([f], [d], [(0, 0, 0, 0)], 0.1)
+            convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
 
     def test_no_pairs(self):
-        rep = convolve_pairs([], [], [], 0.1)
+        rep = convolve_pairs([], [], [], [], 0.1)
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
+        assert rep.bohr_size.shape == rep.f1_max.shape == (0, 2)
+
+    def test_sides_split_once_at_the_pair_level(self, monkeypatch):
+        # a side reuses its own split when the pair's level is its own, or
+        # when that split is exact and the pair's level is no higher; every
+        # other (density, level) is split once
+        rng = np.random.default_rng(3)
+        smooth = DensityFunction(N=64, values=rng.random(64))
+        point = DensityFunction(N=64, values=64.0 * indicator(64, [3]).values)
+        split, made = zs.split_densities, []
+
+        def keeping(densities, levels):
+            made.extend((int(f is point), level) for f, level in zip(densities, levels))
+            return split(densities, levels)
+
+        monkeypatch.setattr(zs, "split_densities", keeping)
+        pairs = [(0, 1), (0, 1), (1, 1), (0, 0), (1, 0)]
+        pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
+        rep = convolve_pairs([smooth, point], [0.2, 0.2], pairs, pair_levels, 0.05)
+        assert made == [(0, 0.2), (1, 0.2), (0, 0.1), (0, 0.3), (1, 0.3)]
+        assert green_decompose(smooth, 0.2).bohr.size > 1
+        assert green_decompose(point, 0.3).bohr.size == 1
+        for p, ((i, j), level) in enumerate(zip(pairs, pair_levels)):
+            df, dg = (green_decompose([smooth, point][c], level) for c in (i, j))
+            assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
+            assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
 
 
 def exact_split(f):
@@ -409,9 +444,12 @@ def check_against_fold(values, sigma):
     compare with ``folded_reference``; the pairs run in the order (0, 0),
     (0, 1), ..., (1, 1), ..."""
     fs = [DensityFunction(N=len(v), values=v) for v in values]
-    pairs = [(i, j, i, j) for i in range(len(fs)) for j in range(i, len(fs))]
-    rep = convolve_pairs(fs, [exact_split(f) for f in fs], pairs, sigma)
-    for p, (i, j, _, _) in enumerate(pairs):
+    pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+    with mock.patch.object(
+        zs, "split_densities", lambda densities, _: [exact_split(f) for f in densities]
+    ):
+        rep = convolve_pairs(fs, [1.0] * len(fs), pairs, [1.0] * len(pairs), sigma)
+    for p, (i, j) in enumerate(pairs):
         support, main_count, main_l1 = folded_reference(values[i], values[j], sigma)
         assert rep.support[p] == support
         assert rep.main_count[p] == main_count
@@ -481,9 +519,9 @@ class TestConvolvePairs:
         fs.append(DensityFunction(N=n, values=v))
         ds = [green_decompose(f, 0.1) for f in fs]
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
-        pairs = [(i, j, i, j) for i in range(5) for j in range(i, 5)]
-        rep = convolve_pairs(fs, ds, pairs, 0.05)
-        for p, (i, j, _, _) in enumerate(pairs):
+        pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+        rep = convolve_pairs(fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05)
+        for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
             want = pair_pieces_oracle(
                 f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
