@@ -18,7 +18,10 @@ records the total time, the sha256 of the report and the process's max RSS.
 ``--rounds R`` runs every point R times; with ``--against DIR`` the two
 checkouts take turns point by point, so both see the same machine load.  Each
 checkout gets its own file, named by its short git revision, with the
-per-stage medians over the rounds and the line count of its ``src/``.
+per-stage medians over the rounds and the line count of its ``src/``.  Two
+checkouts that read the same revision (two trees at one commit, or two
+without git, which read ``unknown``) would write one file, so the run stops
+before its first point.
 """
 
 from __future__ import annotations
@@ -102,6 +105,10 @@ def _git(repo: Path, *args: str) -> str:
     return out.stdout.strip() if out.returncode == 0 else ""
 
 
+def _rev(repo: Path) -> str:
+    return _git(repo, "rev-parse", "--short", "HEAD") or "unknown"
+
+
 def _src_lines(repo: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((repo / "src").rglob("*.py")))
 
@@ -138,7 +145,7 @@ def _summarize(repo: Path, runs: dict) -> dict:
             }
         )
     return {
-        "rev": _git(repo, "rev-parse", "--short", "HEAD") or "unknown",
+        "rev": _rev(repo),
         "dirty": bool(_git(repo, "status", "--porcelain", "--", "src")),
         "src_lines": _src_lines(repo),
         "python": platform.python_version(),
@@ -160,6 +167,12 @@ def main(argv=None) -> int:
         print(json.dumps(run_point(*args.point)))
         return 0
     repos = [args.repo.resolve()] + ([args.against.resolve()] if args.against else [])
+    paths = [args.out_dir / f"BENCH_{_rev(repo)}.json" for repo in repos]
+    if len(set(paths)) < len(paths):
+        parser.error(
+            f"both checkouts would write {paths[0]}: they read the same revision "
+            "(a checkout without git reads 'unknown')"
+        )
     runs = {repo: {point: [] for point in GRID} for repo in repos}
     for round_ in range(args.rounds):
         for n, w in GRID:
@@ -167,9 +180,8 @@ def main(argv=None) -> int:
                 sample = _measure(repo, n, w)
                 runs[repo][(n, w)].append(sample)
                 print(f"{repo} n={n} W={w} {sample['total_s']:.2f} s", file=sys.stderr)
-    for repo in repos:
+    for repo, path in zip(repos, paths):
         doc = _summarize(repo, runs[repo])
-        path = args.out_dir / f"BENCH_{doc['rev']}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(path)
     return 0

@@ -40,7 +40,7 @@ from ..zm_sumsets import (
     sumset,
     znstar_certificate,
 )
-from ..zn_spectral import dft, green_decompose
+from ..zn_spectral import dft, split_densities
 from .config import (
     MAX_N,
     ExperimentConfig,
@@ -166,9 +166,9 @@ def _cmd_partition(args) -> int:
         f"delta={_fmt(part.delta)} good={','.join(str(b) for b in sorted(part.good))}"
     )
     for b in part.units:
-        a_arr, p_arr = part.classes[b]
+        a_arr, count = part.classes[b]
         _print(
-            f"b={b} primes={p_arr.size} subset={a_arr.size} "
+            f"b={b} primes={count} subset={a_arr.size} "
             f"delta_b={_fmt(part.delta_b[b])} good={_fmt(b in part.good)}"
         )
     _print(
@@ -199,7 +199,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_decompose(args) -> int:
     ec = _embedded_class(args)
-    decomp = green_decompose(ec.f, args.eps0)
+    (decomp,) = split_densities([ec.f], [args.eps0])
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
     sup_hat = float(np.max(np.abs(dft(ec.f))))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)

@@ -45,14 +45,14 @@ class ResiduePartition:
     """A prime subset split along the reduced residues of a primorial.
 
     ``classes`` maps each unit b to the pair (members of A in the class,
-    all primes in the class); primes dividing the modulus sit in the
-    residual arrays so that totals reconcile exactly.
+    the count of primes in the class); primes dividing the modulus sit in
+    the residual arrays so that totals reconcile exactly.
     """
 
     n: int
     w: int
     modulus: FactoredModulus
-    classes: dict[int, tuple[np.ndarray, np.ndarray]]
+    classes: dict[int, tuple[np.ndarray, int]]
     delta_b: dict[int, float]
     delta: float
     good: frozenset[int]
@@ -125,15 +125,15 @@ def partition_and_densities(
     units = np.flatnonzero(unit_indicator(mod))
     classes = {}
     for b, in_class in zip(units.tolist(), _by_residue(primes, mod.m, units)):
-        classes[b] = (primes[in_class[in_a[in_class]]], primes[in_class])
+        classes[b] = (primes[in_class[in_a[in_class]]], in_class.size)
 
-    covered = sum(p_arr.size for _, p_arr in classes.values()) + n_residual
+    covered = sum(count for _, count in classes.values()) + n_residual
     if covered != primes.size:
         raise InvariantViolation("residue classes fail to cover the primes")
 
     delta_b = {
-        b: (a_arr.size / p_arr.size) if p_arr.size else 0.0
-        for b, (a_arr, p_arr) in classes.items()
+        b: (a_arr.size / count) if count else 0.0
+        for b, (a_arr, count) in classes.items()
     }
     delta = int(np.count_nonzero(in_a)) / primes.size
     # An empty subset has no good classes; the >= delta/2 rule would

@@ -40,14 +40,12 @@ from .errors import DomainError, InvariantViolation
 
 __all__ = [
     "DensityFunction",
-    "BohrSet",
     "Decomposition",
     "PairConvolutions",
     "dft",
     "large_spectrum",
     "bohr_set",
     "split_densities",
-    "green_decompose",
     "l2sq_from_half_spectrum",
     "smooth_length",
     "convolve_pairs",
@@ -83,30 +81,15 @@ class DensityFunction:
 
 
 @dataclass(frozen=True)
-class BohrSet:
-    """Points of Z_N at which every listed frequency stays within ``width``
-    of the trivial character: |e(-x xi / N) - 1| <= width for all xi."""
-
-    N: int
-    width: float
-    members: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.members.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Split of a density into a smoothed part ``f1`` (nonnegative, same
-    mean) and a spectrally small remainder ``f2 = f - f1``."""
+    mean) and a spectrally small remainder ``f2 = f - f1``; ``bohr`` holds
+    the members of the Bohr set B it was smoothed over, as ``bohr_set``
+    returns them, so ``bohr.size`` is |B|."""
 
     f1: DensityFunction
     f2: np.ndarray
-    bohr: BohrSet
+    bohr: np.ndarray
 
     def __post_init__(self) -> None:
         self.f2.setflags(write=False)
@@ -147,8 +130,9 @@ def _character_gap(n: int, xi: int) -> np.ndarray:
     return gap
 
 
-def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
-    """Members x of Z_N with |e(-x xi / N) - 1| <= eps0 for every frequency.
+def bohr_set(N: int, frequencies, eps0: float) -> np.ndarray:
+    """Members x of Z_N with |e(-x xi / N) - 1| <= eps0 for every frequency,
+    as an ascending read-only int64 array.
 
     ``frequencies`` is any iterable of ints; they are reduced mod N and
     visited once each, in ascending order.  An ascending integer array of
@@ -180,7 +164,8 @@ def bohr_set(N: int, frequencies, eps0: float) -> BohrSet:
         if np.count_nonzero(mask) == 1:
             break
     members = np.flatnonzero(mask).astype(np.int64)
-    return BohrSet(N=N, width=eps0, members=members)
+    members.setflags(write=False)
+    return members
 
 
 # Bytes of transform temporaries one block may hold: a block of weights
@@ -194,7 +179,15 @@ BLOCK_BYTES = 1 << 20
 def split_densities(
     densities: Sequence[DensityFunction], levels: Sequence[float]
 ) -> list[Decomposition]:
-    """Split each density at its level, as ``green_decompose`` splits one.
+    """Split each density f, at its entry eps0 of ``levels``, into a
+    Bohr-smoothed part f1 and a spectrally small remainder f2.
+
+    f1 is the double average of f over differences of the Bohr set attached
+    to the large spectrum at level eps0, realized on the transform side as
+    multiplication by |sum_{y in B} e(-xi y / N)|^2 / |B|^2.  By construction
+    f1 >= 0, f1 has the same mean as f, and every coefficient of f2 = f - f1
+    is bounded by 2 eps0 max(1, ||fhat||_inf).  When the Bohr set is {0} the
+    split is exact: f1 is f and f2 is 0.
 
     The densities share one N and are transformed in stacked blocks of as
     many rows as fit ``BLOCK_BYTES`` at 32 bytes per point.  A block's
@@ -225,7 +218,7 @@ def split_densities(
                 splits.append(Decomposition(f1=f, f2=zero, bohr=bohr))
                 continue
             u = np.zeros(n)
-            u[bohr.members] = 1.0
+            u[bohr] = 1.0
             mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
             f1_vals = np.fft.ifft(spectrum * mu).real
             np.maximum(f1_vals, 0.0, out=f1_vals)
@@ -237,20 +230,6 @@ def split_densities(
                 )
             splits.append(Decomposition(f1=f1, f2=f.values - f1_vals, bohr=bohr))
     return splits
-
-
-def green_decompose(f: DensityFunction, eps0: float) -> Decomposition:
-    """Split f into a Bohr-smoothed part and a spectrally small remainder.
-
-    f1 is the double average of f over differences of the Bohr set attached
-    to the large spectrum at level eps0, realized on the transform side as
-    multiplication by |sum_{y in B} e(-xi y / N)|^2 / |B|^2.  By construction
-    f1 >= 0, f1 has the same mean as f, and every coefficient of f2 = f - f1
-    is bounded by 2 eps0 max(1, ||fhat||_inf).  When the Bohr set is {0} the
-    split is exact: f1 is f and f2 is 0.  This is the one-density case of
-    ``split_densities``.
-    """
-    return split_densities([f], [eps0])[0]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from primesum.zm_sumsets import (
     rep_histogram,
     sumset,
 )
-from primesum.zn_spectral import DensityFunction, dft, green_decompose
+from primesum.zn_spectral import DensityFunction, dft, split_densities
 
 from oracles import bohr_double_average, rep_enum
 
@@ -258,13 +258,13 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
     budget = Budget(60.0)
 
     def check_split(f: DensityFunction, eps0: float) -> None:
-        d = green_decompose(f, eps0)
+        (d,) = split_densities([f], [eps0])
         assert abs(d.f1.mean() - f.mean()) <= 1e-9
         assert np.all(d.f1.values >= 0.0)
         f_hat_sup = float(np.max(np.abs(dft(f))))
         f2_hat_sup = float(np.max(np.abs(np.fft.fft(d.f2) / f.N)))
         assert f2_hat_sup <= 2.0 * eps0 * max(1.0, f_hat_sup) + 1e-12
-        direct = bohr_double_average(f.values, d.bohr.members)
+        direct = bohr_double_average(f.values, d.bohr)
         assert float(np.max(np.abs(d.f1.values - direct))) <= 1e-9
 
     table = sieve_primes(6 * choose_N(100_000, 6) + 6)

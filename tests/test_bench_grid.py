@@ -31,3 +31,27 @@ def test_a_stage_the_pipeline_lacks_is_an_error(monkeypatch):
     monkeypatch.setattr(bench_grid, "STAGES", ("no_such_stage",))
     with pytest.raises(AttributeError, match="no_such_stage"):
         bench_grid.run_point(3000, 5)
+
+
+@pytest.mark.parametrize("same", ["no-git", "one-checkout"])
+def test_two_checkouts_never_write_one_file(monkeypatch, tmp_path, capsys, same):
+    # checkouts without git both read rev "unknown", and one checkout read
+    # twice has one rev: the run stops before its first point
+    def no_point(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(bench_grid, "_measure", no_point)
+    if same == "no-git":
+        repos = [tmp_path / "a", tmp_path / "b"]
+        for repo in repos:
+            repo.mkdir()
+    else:
+        repos = [ROOT, ROOT]
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["--repo", str(repos[0]), "--against", str(repos[1]), "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as info:
+        bench_grid.main(argv)
+    assert info.value.code == 2
+    assert "both checkouts would write" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -409,7 +409,7 @@ class TestPipeline:
     def test_pair_rows_match_per_pair_splits(self, monkeypatch):
         from primesum.ntheory import primorial
         from primesum.prime_embed import choose_N, embed_class, partition_and_densities
-        from primesum.zn_spectral import green_decompose
+        from primesum.zn_spectral import split_densities
 
         from oracles import pair_pieces_oracle, positive_support
 
@@ -444,7 +444,7 @@ class TestPipeline:
 
         # one split per (class, level): each class at its own level, and a
         # class whose own Bohr set is not {0} again at each pair's level
-        own = {b: green_decompose(ec.f, level(ec.f)) for b, ec in embeds.items()}
+        own = {b: split_densities([ec.f], [level(ec.f)])[0] for b, ec in embeds.items()}
         keys = {(b, level(ec.f)) for b, ec in embeds.items()}
         for row in cols.rows():
             b1, b2 = row["b1"], row["b2"]
@@ -452,7 +452,7 @@ class TestPipeline:
             pair_level = level(f if f.mean() <= g.mean() else g)
             for b, h in ((b1, f), (b2, g)):
                 keys.add((b, level(h) if own[b].bohr.size == 1 else pair_level))
-            df, dg = (green_decompose(h, pair_level) for h in (f, g))
+            df, dg = split_densities([f, g], [pair_level] * 2)
             q = pair_pieces_oracle(
                 f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 8.0
             )
@@ -492,7 +492,6 @@ class TestPipeline:
         # block of every density give the splits of each density alone
         import primesum.prime_embed as pe
         import primesum.zn_spectral as zs
-        from primesum.zn_spectral import green_decompose
 
         from oracles import split_oracle
 
@@ -516,11 +515,10 @@ class TestPipeline:
         assert len(made) >= 8
         sizes = set()
         for f, level, d in made:
-            one = green_decompose(f, level)
+            (one,) = split([f], [level])
             f1, f2, members = split_oracle(f.values, level)
             for got in (d, one):
-                assert got.bohr.width == level
-                assert got.bohr.members.tolist() == members.tolist()
+                assert got.bohr.tolist() == members.tolist()
                 assert same_bits(got.f1.values, f1) and same_bits(got.f2, f2)
             sizes.add(d.bohr.size)
         assert (max(sizes) > 1) == (name == "split")
@@ -529,7 +527,6 @@ class TestPipeline:
     def test_pair_plan_matches_the_loop(self, monkeypatch, name):
         import primesum.prime_embed as pe
         import primesum.zn_spectral as zs
-        from primesum.zn_spectral import green_decompose
 
         from oracles import pair_plan_oracle
 
@@ -544,13 +541,14 @@ class TestPipeline:
         report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
         monkeypatch.setattr(zs, "split_densities", split)
         ((densities, levels, pairs, _, _, conv),) = seen
-        own = [green_decompose(f, level) for f, level in zip(densities, levels)]
+        # the reference splits, each with the level it was made at
+        own = list(zip(levels, split(densities, levels)))
         eps0_used, live, resplits = pair_plan_oracle(
             [f.mean() for f in densities],
             list(levels),
-            [d.bohr.size == 1 for d in own],
+            [d.bohr.size == 1 for _, d in own],
             report.summary["eps0"],
-            lambda c, level: green_decompose(densities[c], level),
+            lambda c, level: (level, split([densities[c]], [level])[0]),
         )
         assert report.pair_reports["eps0_used"] == eps0_used
         assert np.asarray(pairs).tolist() == [[c1, c2] for c1, c2, _, _ in live]
@@ -561,10 +559,9 @@ class TestPipeline:
         reference = own + resplits
         for p, (c1, c2, s1, s2) in enumerate(live):
             for side, (c, s) in enumerate(((c1, s1), (c2, s2))):
-                expected = reference[s]
-                got = by_key[id(densities[c]), expected.bohr.width]
-                assert got.bohr.width == expected.bohr.width
-                assert got.bohr.members.tolist() == expected.bohr.members.tolist()
+                level, expected = reference[s]
+                got = by_key[id(densities[c]), level]
+                assert got.bohr.tolist() == expected.bohr.tolist()
                 assert got.f1.values.tobytes() == expected.f1.values.tobytes()
                 assert conv.bohr_size[p, side] == expected.bohr.size
                 assert conv.f1_max[p, side] == expected.f1_max
@@ -644,6 +641,78 @@ class TestPipeline:
         assert s["witness_ok"] is None
         hard = [c for c in report.checks if c.kind == "assert"]
         assert all(c.passed for c in hard)
+
+    def test_aggregate_bound_binds_when_every_witness_passes(
+        self, monkeypatch, pipeline_report
+    ):
+        import primesum.expcli.pipeline as pipeline
+
+        s = pipeline_report.summary
+        (row,) = [c for c in pipeline_report.checks if c.name == "aggregate-bound-vs-sumset"]
+        assert s["witness_ok"] is True and s["lower_bound"] > 0
+        assert vars(row) == dict(
+            name="aggregate-bound-vs-sumset",
+            kind="assert",
+            lhs=s["lower_bound"],
+            rhs=s["actual_sumset"],
+            relation="<= (binding when witnesses pass)",
+            passed=True,
+        )
+        integer_sumset = pipeline._integer_sumset
+
+        def no_sums(*args):
+            return 0, integer_sumset(*args)[1]
+
+        monkeypatch.setattr(pipeline, "_integer_sumset", no_sums)
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"^aggregated bound {s['lower_bound']:.6g} exceeds the sumset "
+            "size 0 although every witness passed$",
+        ):
+            run_pipeline(small_config())
+
+    def test_aggregate_bound_is_reported_without_a_good_set(self):
+        # A = {2} divides the modulus: A + A = {4}, yet no class is good
+        report = run_pipeline(small_config(rule=parse_rule("residue-filter:2:4")))
+        (row,) = [c for c in report.checks if c.name == "aggregate-bound-vs-sumset"]
+        assert report.summary["good_count"] == 0
+        assert (row.kind, row.lhs, row.rhs, row.passed) == ("report", 0.0, 1, None)
+
+
+class TestGateCoverage:
+    """Every inequality assert row holds strictly in at least one small run,
+    so that no such gate is an equality by construction on all the data the
+    suite runs it on."""
+
+    CONFIGS = {
+        "all-primes": dict(n=200_000, w=5),
+        "thinning": dict(
+            n=200_000, w=5, delta=0.5, rule=parse_rule("random-thinning"), seed=1
+        ),
+        "residue-filter": dict(n=200_000, w=5, rule=parse_rule("residue-filter:1:3")),
+        "split-n3000": TestPipeline.SPLIT,
+    }
+
+    def test_every_inequality_row_is_strict_somewhere(self):
+        strict = {}
+        for name, overrides in self.CONFIGS.items():
+            for row in run_pipeline(small_config(**overrides)).checks:
+                less, greater = "<=" in row.relation, ">=" in row.relation
+                if row.kind == "assert" and (less or greater):
+                    held = row.lhs < row.rhs if less else row.lhs > row.rhs
+                    strict.setdefault(row.name, set())
+                    if held:
+                        strict[row.name].add(name)
+        assert set(strict) >= {
+            "embedding-window",
+            "gamma-below-delta",
+            "holder-r-gamma",
+            "dual-moment-monotone",
+            "power-mean-domination",
+            "good-set-moment-strata",
+            "aggregate-bound-vs-sumset",
+        }
+        assert [row for row, configs in strict.items() if not configs] == []
 
 
 class TestLedger:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesum.errors import DomainError
+from primesum.errors import DomainError, InvariantViolation
 from primesum.ntheory import primorial, sieve_primes
 from primesum.prime_embed import (
     EmbeddedClass,
@@ -27,10 +27,7 @@ from oracles import aggregate_enum, trial_primes, units_of
 
 def synthetic_partition(delta_b, delta, good, n=1000, w=3):
     mod = primorial(w)
-    classes = {
-        b: (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        for b in delta_b
-    }
+    classes = {b: (np.zeros(0, dtype=np.int64), 0) for b in delta_b}
     return ResiduePartition(
         n=n,
         w=w,
@@ -65,9 +62,9 @@ def weight_partition(n, w):
     primes = table.primes
     top = m * choose_N(n, m)
     classes = {}
-    for b, (_, p_arr) in part.classes.items():
+    for b, (_, count) in part.classes.items():
         window = primes[(primes >= m + b) & (primes <= top + b)]
-        classes[b] = (window[window % m == b], p_arr)
+        classes[b] = (window[window % m == b], count)
     return dataclasses.replace(part, classes=classes), table
 
 
@@ -98,6 +95,7 @@ class TestPartition:
         )
         assert part.classes[1][0].tolist() == [7, 13, 19]
         assert part.classes[5][0].tolist() == [5, 11, 17]
+        assert [part.classes[b][1] for b in (1, 5)] == [3, 3]
         assert part.delta_b == {1: 1.0, 5: 1.0}
         assert part.residual_primes.tolist() == [2, 3]
 
@@ -105,8 +103,8 @@ class TestPartition:
         part = partition_and_densities(
             trial_primes(500), sieve_primes(500), 5, primorial(5)
         )
-        for b, (a_arr, p_arr) in part.classes.items():
-            if p_arr.size:
+        for b, (a_arr, count) in part.classes.items():
+            if count:
                 assert part.delta_b[b] == 1.0
 
     def test_empty_subset(self):
@@ -136,9 +134,27 @@ class TestPartition:
         members = sorted(data.draw(st.sets(st.sampled_from(primes))))
         part = partition_and_densities(members, sieve_primes(n), 3, primorial(3))
         class_a = sum(v[0].size for v in part.classes.values())
-        class_p = sum(v[1].size for v in part.classes.values())
+        class_p = sum(v[1] for v in part.classes.values())
         assert class_a + part.residual_a.size == len(members)
         assert class_p + part.residual_primes.size == len(primes)
+        assert {b: v[1] for b, v in part.classes.items()} == {
+            b: sum(p % 6 == b for p in primes) for b in (1, 5)
+        }
+
+    def test_a_class_that_loses_a_prime_fails_the_cover(self, monkeypatch):
+        # the partition is the one check that the class prime counts and the
+        # residual primes add up to every prime
+        import primesum.prime_embed as pe
+
+        by_residue = pe._by_residue
+
+        def dropping(values, m, residues):
+            classes = by_residue(values, m, residues)
+            return [classes[0][1:], *classes[1:]]
+
+        monkeypatch.setattr(pe, "_by_residue", dropping)
+        with pytest.raises(InvariantViolation, match="fail to cover the primes"):
+            partition_and_densities(trial_primes(100), sieve_primes(100), 3, primorial(3))
 
 
 class TestChooseN:

@@ -9,16 +9,15 @@ from hypothesis.extra.numpy import arrays
 import primesum.zn_spectral as zs
 from primesum.errors import DomainError, InvariantViolation
 from primesum.zn_spectral import (
-    BohrSet,
     Decomposition,
     DensityFunction,
     bohr_set,
     convolve_pairs,
     dft,
-    green_decompose,
     l2sq_from_half_spectrum,
     large_spectrum,
     smooth_length,
+    split_densities,
 )
 
 from oracles import (
@@ -116,18 +115,19 @@ class TestLargeSpectrum:
 
 class TestBohrSet:
     def test_zero_frequency(self):
-        assert bohr_set(10, [0], 0.1).members.tolist() == list(range(10))
+        assert bohr_set(10, [0], 0.1).tolist() == list(range(10))
 
     def test_no_frequencies(self):
-        assert bohr_set(10, [], 0.1).members.tolist() == list(range(10))
+        assert bohr_set(10, [], 0.1).tolist() == list(range(10))
 
     def test_twelve_one_frequency(self):
-        assert bohr_set(12, [1], 0.6).members.tolist() == [0, 1, 11]
+        assert bohr_set(12, [1], 0.6).tolist() == [0, 1, 11]
 
     def test_zero_always_member(self):
         b = bohr_set(37, [1, 5, 9], 1e-6)
-        assert 0 in b.members
+        assert 0 in b
         assert b.size >= 1
+        assert b.dtype == np.int64 and not b.flags.writeable
 
     @pytest.mark.parametrize(
         "ascending, unsorted, width, visits, members",
@@ -169,7 +169,7 @@ class TestBohrSet:
             # visited frequency take one exp
             zs._character_gap.cache_clear()
             calls.clear()
-            assert bohr_set(30, form, width).members.tolist() == list(members)
+            assert bohr_set(30, form, width).tolist() == list(members)
             assert len(calls) == visits
 
     @given(
@@ -178,7 +178,7 @@ class TestBohrSet:
         st.floats(min_value=0.01, max_value=1.0),
     )
     def test_matches_definition(self, n, freqs, eps0):
-        got = set(bohr_set(n, freqs, eps0).members.tolist())
+        got = set(bohr_set(n, freqs, eps0).tolist())
         expected = {
             x
             for x in range(n)
@@ -199,22 +199,24 @@ class TestBohrSet:
         # its Bohr set is {0}; that relies on this monotonicity
         lo, hi = sorted((e1, e2))
         f = DensityFunction(N=48, values=values)
-        low = bohr_set(48, large_spectrum(dft(f), lo), lo).members.tolist()
-        high = bohr_set(48, large_spectrum(dft(f), hi), hi).members.tolist()
+        low = bohr_set(48, large_spectrum(dft(f), lo), lo).tolist()
+        high = bohr_set(48, large_spectrum(dft(f), hi), hi).tolist()
         assert set(low) <= set(high)
 
 
 class TestGreenDecompose:
+    """The contract of Green's split, through ``split_densities``."""
+
     def test_constant_passthrough(self):
         f = constant(32, 0.5)
-        d = green_decompose(f, 0.1)
+        (d,) = split_densities([f], [0.1])
         assert np.max(np.abs(d.f1.values - f.values)) < 1e-12
         assert np.max(np.abs(d.f2)) < 1e-12
 
     def test_point_mass_collapsed_bohr(self):
         f = DensityFunction(N=16, values=16.0 * indicator(16, [0]).values)
-        d = green_decompose(f, 0.1)
-        assert d.bohr.members.tolist() == [0]
+        (d,) = split_densities([f], [0.1])
+        assert d.bohr.tolist() == [0]
         assert np.max(np.abs(d.f1.values - f.values)) < 1e-9
         assert np.max(np.abs(d.f2)) < 1e-9
 
@@ -229,7 +231,7 @@ class TestGreenDecompose:
             trial_primes(20000), table.upto(20000), 3, primorial(3)
         )
         f = embed_class(part, 1, table).f
-        d = green_decompose(f, 0.02)
+        (d,) = split_densities([f], [0.02])
         assert d.bohr.size == 1
         assert np.array_equal(d.f1.values, f.values)
         assert d.f2.dtype == np.float64 and not np.any(d.f2)
@@ -238,7 +240,7 @@ class TestGreenDecompose:
         rng = np.random.default_rng(11)
         for trial in range(10):
             f = DensityFunction(N=128, values=rng.random(128))
-            d = green_decompose(f, 0.2)
+            (d,) = split_densities([f], [0.2])
             assert abs(d.f1.mean() - f.mean()) < 1e-9
             assert np.all(d.f1.values >= 0)
 
@@ -247,7 +249,7 @@ class TestGreenDecompose:
         for trial in range(10):
             f = DensityFunction(N=128, values=rng.random(128))
             eps0 = 0.15
-            d = green_decompose(f, eps0)
+            (d,) = split_densities([f], [eps0])
             sup_f2 = float(np.max(np.abs(np.fft.fft(d.f2) / 128)))
             sup_f = float(np.max(np.abs(dft(f))))
             assert sup_f2 <= 2 * eps0 * max(1.0, sup_f) + 1e-12
@@ -260,8 +262,8 @@ class TestGreenDecompose:
                 xs = np.arange(128)
                 vals = vals + 1.0 + np.cos(2 * np.pi * 3 * xs / 128)
             f = DensityFunction(N=128, values=vals)
-            d = green_decompose(f, 0.2)
-            direct = bohr_double_average(f.values, d.bohr.members)
+            (d,) = split_densities([f], [0.2])
+            direct = bohr_double_average(f.values, d.bohr)
             assert np.max(np.abs(d.f1.values - direct)) < 1e-9
 
 
@@ -294,7 +296,7 @@ class TestSplitDensities:
         zs._character_gap.cache_clear()
         monkeypatch.setattr(np, "exp", counting_exp)
         splits = zs.split_densities(fs, [0.2] * 4)
-        assert [d.bohr.members.tolist() for d in splits] == [[0, 1, 2, 62, 63]] * 4
+        assert [d.bohr.tolist() for d in splits] == [[0, 1, 2, 62, 63]] * 4
         assert len(calls) == 3
 
     def test_rejects_bad_inputs(self):
@@ -334,7 +336,7 @@ class TestConvolutionProofQuantities:
     def test_all_ones_main_mass(self):
         n = 64
         f = constant(n, 1.0)
-        d = green_decompose(f, 0.5)
+        (d,) = split_densities([f], [0.5])
         rep = convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
         assert abs(rep.main_l1[0] - n * n) < 1e-6
         assert rep.bohr_size.tolist() == [[d.bohr.size] * 2]
@@ -350,7 +352,7 @@ class TestConvolutionProofQuantities:
         # a point mass splits exactly (Bohr set {0}), so some pairs mix an
         # exact split with a smoothed one and one pair takes a single inverse
         fs.append(DensityFunction(N=128, values=128.0 * indicator(128, [3]).values))
-        ds = [green_decompose(f, 0.2) for f in fs]
+        ds = split_densities(fs, [0.2] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(7) for j in range(i, 7)]
         rep = convolve_pairs(fs, [0.2] * 7, pairs, [0.2] * len(pairs), 0.05)
@@ -378,7 +380,7 @@ class TestConvolutionProofQuantities:
     def test_broken_mass_fails_the_l1_identity(self, monkeypatch):
         # the split's f1 has half as much mass again as it should
         f = constant(16, 1.0)
-        d = green_decompose(f, 0.5)
+        (d,) = split_densities([f], [0.5])
         monkeypatch.setattr(zs, "split_densities", lambda densities, levels: [d])
         l1 = DensityFunction.l1
         monkeypatch.setattr(
@@ -410,18 +412,17 @@ class TestConvolutionProofQuantities:
         pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
         rep = convolve_pairs([smooth, point], [0.2, 0.2], pairs, pair_levels, 0.05)
         assert made == [(0, 0.2), (1, 0.2), (0, 0.1), (0, 0.3), (1, 0.3)]
-        assert green_decompose(smooth, 0.2).bohr.size > 1
-        assert green_decompose(point, 0.3).bohr.size == 1
+        assert split([smooth], [0.2])[0].bohr.size > 1
+        assert split([point], [0.3])[0].bohr.size == 1
         for p, ((i, j), level) in enumerate(zip(pairs, pair_levels)):
-            df, dg = (green_decompose([smooth, point][c], level) for c in (i, j))
+            df, dg = split([[smooth, point][c] for c in (i, j)], [level] * 2)
             assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
             assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
 
 
 def exact_split(f):
     """The split of f at a Bohr set of {0}: f1 = f, f2 = 0."""
-    bohr = BohrSet(N=f.N, width=1.0, members=np.zeros(1, dtype=np.int64))
-    return Decomposition(f1=f, f2=np.zeros(f.N), bohr=bohr)
+    return Decomposition(f1=f, f2=np.zeros(f.N), bohr=np.zeros(1, dtype=np.int64))
 
 
 def folded_reference(f, g, sigma):
@@ -517,7 +518,7 @@ class TestConvolvePairs:
         v = np.zeros(n)
         v[h] = float(n)
         fs.append(DensityFunction(N=n, values=v))
-        ds = [green_decompose(f, 0.1) for f in fs]
+        ds = split_densities(fs, [0.1] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(5) for j in range(i, 5)]
         rep = convolve_pairs(fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05)
