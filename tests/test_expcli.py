@@ -664,12 +664,12 @@ class TestPipeline:
             return 0, integer_sumset(*args)[1]
 
         monkeypatch.setattr(pipeline, "_integer_sumset", no_sums)
-        with pytest.raises(
-            InvariantViolation,
-            match=rf"^aggregated bound {s['lower_bound']:.6g} exceeds the sumset "
-            "size 0 although every witness passed$",
-        ):
+        with pytest.raises(InvariantViolation) as info:
             run_pipeline(small_config())
+        assert str(info.value) == (
+            f"aggregated bound {s['lower_bound']:.6g} exceeds the sumset size 0 "
+            "although every witness passed"
+        )
 
     def test_aggregate_bound_is_reported_without_a_good_set(self):
         # A = {2} divides the modulus: A + A = {4}, yet no class is good
