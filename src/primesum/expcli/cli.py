@@ -171,26 +171,25 @@ def _cmd_partition(args) -> int:
             f"b={b} primes={count} subset={a_arr.size} "
             f"delta_b={_fmt(part.delta_b[b])} good={_fmt(b in part.good)}"
         )
-    _print(
-        f"residual primes={part.residual_primes.size} subset={part.residual_a.size}"
-    )
+    _print(f"residual primes={part.residual_primes} subset={part.residual_a}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     if args.top < 0:
         raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
-    ec = _embedded_class(args)
+    emb = _embedded_class(args)
     _print(
-        f"b={ec.b} N={ec.N} zero_mode_error={_fmt(ec.zero_mode_error)} "
-        f"offpeak_sup={_fmt(ec.offpeak_sup)} "
-        f"reference={_fmt(ec.offpeak_reference)}"
+        f"b={emb.units[0]} N={emb.f.shape[1]} "
+        f"zero_mode_error={_fmt(emb.zero_mode_error[0])} "
+        f"offpeak_sup={_fmt(emb.offpeak_sup[0])} "
+        f"reference={_fmt(emb.offpeak_reference)}"
     )
     _print(
-        f"mass={_fmt(ec.mass)} threshold={_fmt(ec.mass_threshold)} "
-        f"passed={_fmt(ec.mass >= ec.mass_threshold)}"
+        f"mass={_fmt(emb.mass[0])} threshold={_fmt(emb.mass_threshold[0])} "
+        f"passed={_fmt(emb.mass[0] >= emb.mass_threshold[0])}"
     )
-    mags = np.abs(dft(ec.f))
+    mags = np.abs(dft(emb.f)[0])
     order = np.argsort(-mags, kind="stable")[: args.top]
     for xi in order:
         _print(f"xi={int(xi)} magnitude={_fmt(float(mags[xi]))}")
@@ -198,15 +197,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    ec = _embedded_class(args)
-    (decomp,) = split_densities([ec.f], [args.eps0])
-    f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / ec.N)))
-    sup_hat = float(np.max(np.abs(dft(ec.f))))
+    emb = _embedded_class(args)
+    big_n = emb.f.shape[1]
+    (decomp,) = split_densities(emb.f, [args.eps0])
+    f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / big_n)))
+    sup_hat = float(np.max(np.abs(dft(emb.f))))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(
-        f"b={ec.b} N={ec.N} eps0={_fmt(args.eps0)} bohr_size={decomp.bohr.size}"
+        f"b={emb.units[0]} N={big_n} eps0={_fmt(args.eps0)} "
+        f"bohr_size={decomp.bohr.size}"
     )
-    _print(f"f_mean={_fmt(ec.f.mean())} f1_mean={_fmt(decomp.f1.mean())}")
+    _print(f"f_mean={_fmt(emb.f[0].mean())} f1_mean={_fmt(decomp.f1.mean())}")
     _print(
         f"f2_sup_coeff={_fmt(f2_sup)} bound={_fmt(bound)} "
         f"within={_fmt(f2_sup <= bound + 1e-12)}"

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..ntheory import PrimeTable
+from ..prime_embed import split_level
 
 __all__ = [
     "MAX_N",
@@ -142,7 +143,7 @@ class ExperimentConfig:
             return self.eps0
         sigma = self.resolved_sigma()
         if measured_delta > 0:
-            return max(min(sigma**6 * measured_delta**4 / 400.0, 0.01), 1e-30)
+            return max(min(split_level(sigma, measured_delta), 0.01), 1e-30)
         return 0.01
 
     def echo(self) -> dict:

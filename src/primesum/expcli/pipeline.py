@@ -17,7 +17,7 @@ from ..errors import ConfigurationError, InvariantViolation
 from ..ntheory import PrimeTable, primorial, sieve_primes
 from ..prime_embed import (
     DeltaAggregate,
-    EmbeddedClass,
+    EmbeddedClasses,
     ResiduePartition,
     aggregate_delta,
     choose_N,
@@ -117,10 +117,10 @@ def _reconcile_partition(
     class_a = sum(part.classes[b][0].size for b in units)
     ledger.require(
         "class-mass-reconciliation",
-        class_a + part.residual_a.size,
+        class_a + part.residual_a,
         total_a,
         "==",
-        class_a + part.residual_a.size == total_a,
+        class_a + part.residual_a == total_a,
         "subset classes fail to reconcile with the subset",
     )
     weighted = math.fsum(part.delta_b[b] * part.classes[b][1] for b in units)
@@ -156,24 +156,24 @@ def _reconcile_partition(
 
 def _class_rows(
     ledger: _Ledger, part: ResiduePartition, table: PrimeTable
-) -> tuple[dict[int, EmbeddedClass], Columns]:
+) -> tuple[EmbeddedClasses, Columns]:
     """Embed every unit class against the run's prime table; returns the
-    embeddings by class and the per-class table, one row per class."""
-    embeds = embed_classes(part, table)
-    units, classes = list(embeds), list(embeds.values())
-    passed = [ec.mass >= ec.mass_threshold for ec in classes]
+    embedding and the per-class table, one row per class."""
+    emb = embed_classes(part, table)
+    units = list(emb.units)
+    passed = [mass >= cut for mass, cut in zip(emb.mass, emb.mass_threshold)]
     per_class = Columns(
         b=units,
         prime_count=[part.classes[b][1] for b in units],
         subset_count=[int(part.classes[b][0].size) for b in units],
         delta_b=[part.delta_b[b] for b in units],
         good=[b in part.good for b in units],
-        mass=[ec.mass for ec in classes],
-        mass_threshold=[ec.mass_threshold for ec in classes],
+        mass=list(emb.mass),
+        mass_threshold=list(emb.mass_threshold),
         mass_passed=passed,
-        zero_mode_error=[ec.zero_mode_error for ec in classes],
-        offpeak_sup=[ec.offpeak_sup for ec in classes],
-        offpeak_reference=[ec.offpeak_reference for ec in classes],
+        zero_mode_error=list(emb.zero_mode_error),
+        offpeak_sup=list(emb.offpeak_sup),
+        offpeak_reference=[emb.offpeak_reference] * len(units),
     )
     good_passed = [ok for b, ok in zip(units, passed) if b in part.good]
     ledger.report(
@@ -183,22 +183,26 @@ def _class_rows(
         "all good classes reach delta_b/16",
         all(good_passed),
     )
-    return embeds, per_class
+    return emb, per_class
 
 
 def _pair_stage(
     ledger: _Ledger,
     cfg: ExperimentConfig,
-    embeds: dict[int, EmbeddedClass],
-    good: list[int],
+    part: ResiduePartition,
+    emb: EmbeddedClasses,
     eps0: float,
     sigma: float,
 ) -> tuple[dict[tuple[int, int], int], Columns]:
     """Bound the sumset of every unordered good pair from the classes'
     splits; returns the exact support count by pair and the pair table, in
     pair order."""
-    classes = [embeds[b] for b in good]
-    columns = pair_sumset_columns(classes, cfg.eps, eps0, sigma)
+    good = sorted(part.good)
+    # when every class is good, as in an all-primes run, the rows are the
+    # embedding's own array, not a copy of it
+    f = emb.f if len(good) == len(emb.units) else emb.f[np.searchsorted(emb.units, good)]
+    delta_b = [part.delta_b[b] for b in good]
+    columns = pair_sumset_columns(f, good, delta_b, cfg.eps, eps0, sigma)
     support = dict(zip(zip(columns["b1"], columns["b2"]), columns.pop("support_count")))
     passed = columns["passed"]
     ledger.report(
@@ -404,8 +408,8 @@ def _summary(
         "N": big_n,
         "prime_count": total_p,
         "subset_count": total_a,
-        "residual_primes": int(part.residual_primes.size),
-        "residual_subset": int(part.residual_a.size),
+        "residual_primes": part.residual_primes,
+        "residual_subset": part.residual_a,
         "delta": part.delta,
         "good_count": len(part.good),
         "good_classes": sorted(part.good),
@@ -464,13 +468,12 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
 
     total_a, total_p = int(a_arr.size), len(primes)
     sum_delta_good = _reconcile_partition(ledger, part, total_a)
-    embeds, per_class = _class_rows(ledger, part, table)
-    del table, primes  # the embeddings were the last readers of the prime table
-    good = sorted(part.good)
-    support, pair_table = _pair_stage(ledger, cfg, embeds, good, eps0, sigma)
-    del embeds  # the pair stage was the last reader of the class densities
+    emb, per_class = _class_rows(ledger, part, table)
+    del table, primes  # the embedding was the last reader of the prime table
+    support, pair_table = _pair_stage(ledger, cfg, part, emb, eps0, sigma)
+    del emb  # the pair stage was the last reader of the class densities
 
-    agg = aggregate_delta(part, cfg.eps) if good else None
+    agg = aggregate_delta(part, cfg.eps) if part.good else None
     if agg is not None:
         k_formula, k, residue_density, witness_ok = _residue_chain(
             ledger, cfg, part, agg, support, sum_delta_good

@@ -5,12 +5,12 @@ A subset A of the primes up to n is split along the reduced residue classes
 of a primorial modulus m.  Each class embeds into Z_N (N about 4n/m) through
 x -> (prime - b) / m, carrying a log weight normalized so that the
 all-class weight has average close to 1, and its restriction f to A.  One
-pass builds each class's f and the checks of its weight: the mass of f
-against delta_b / 16, and the weight's zero-mode error and largest off-zero
-coefficient; the weight itself is not kept.  The densities f feed the
-spectral machinery from `zn_spectral`; everything asymptotic (weight mass,
-spectral flatness, support fractions) is reported with explicit pass flags
-rather than asserted.
+pass writes every class's f as a row of one (classes, N) array, with the
+checks of its weight: the mass of f against delta_b / 16, and the weight's
+zero-mode error and largest off-zero coefficient; the weight itself is not
+kept.  The rows of f feed the spectral machinery from `zn_spectral` as
+they are; everything asymptotic (weight mass, spectral flatness, support
+fractions) is reported with explicit pass flags rather than asserted.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .ntheory import FactoredModulus, PrimeTable, unit_indicator
-from .zn_spectral import BLOCK_BYTES, DensityFunction, convolve_pairs
+from .zn_spectral import block_rows, convolve_pairs
 
 __all__ = [
     "ResiduePartition",
-    "EmbeddedClass",
+    "EmbeddedClasses",
     "DeltaAggregate",
     "partition_and_densities",
     "choose_N",
@@ -45,8 +45,8 @@ class ResiduePartition:
     """A prime subset split along the reduced residues of a primorial.
 
     ``classes`` maps each unit b to the pair (members of A in the class,
-    the count of primes in the class); primes dividing the modulus sit in
-    the residual arrays so that totals reconcile exactly.
+    the count of primes in the class); the residual counts take the primes
+    dividing the modulus, so that totals reconcile exactly.
     """
 
     n: int
@@ -56,8 +56,8 @@ class ResiduePartition:
     delta_b: dict[int, float]
     delta: float
     good: frozenset[int]
-    residual_primes: np.ndarray
-    residual_a: np.ndarray
+    residual_primes: int
+    residual_a: int
 
     @property
     def units(self) -> list[int]:
@@ -65,27 +65,26 @@ class ResiduePartition:
 
 
 @dataclass(frozen=True)
-class EmbeddedClass:
-    """One residue class mapped into Z_N with its log-weighted density and
-    the checks of its weight, reported, never asserted.
+class EmbeddedClasses:
+    """Residue classes mapped into Z_N, as columns aligned with ``units``:
+    log-weighted densities and the checks of their weights, never asserted.
 
-    The weight nu is (phi(m) / m) log(m x + b) on the positions x in [1, N]
-    with m x + b prime (position N wraps to 0), and ``f`` is nu restricted to
-    the positions coming from A.  ``mass`` is the compensated sum of f over
-    N, against ``mass_threshold`` = delta_b / 16.  ``zero_mode_error`` is the
-    distance of nu's normalized zero mode from 1 and ``offpeak_sup`` its
-    largest off-zero coefficient, with the asymptotic reference
-    2 loglog w / w (NaN below w = 3) as ``offpeak_reference``.
+    The weight nu of b is (phi(m) / m) log(m x + b) on the positions x in
+    [1, N] with m x + b prime (position N wraps to 0), and b's row of the
+    read-only (classes, N) array ``f`` is nu restricted to the positions from
+    A.  ``mass`` is the compensated sum of the row over N, against
+    ``mass_threshold`` = delta_b / 16.  ``zero_mode_error`` is the distance
+    of nu's normalized zero mode from 1 and ``offpeak_sup`` its largest
+    off-zero coefficient; the asymptotic reference 2 loglog w / w (NaN below
+    w = 3) is ``offpeak_reference``.
     """
 
-    b: int
-    N: int
-    f: DensityFunction
-    delta_b: float
-    mass: float
-    mass_threshold: float
-    zero_mode_error: float
-    offpeak_sup: float
+    units: tuple[int, ...]
+    f: np.ndarray
+    mass: tuple[float, ...]
+    mass_threshold: tuple[float, ...]
+    zero_mode_error: tuple[float, ...]
+    offpeak_sup: tuple[float, ...]
     offpeak_reference: float
 
 
@@ -150,8 +149,8 @@ def partition_and_densities(
         delta_b=delta_b,
         delta=delta,
         good=good,
-        residual_primes=primes[:n_residual].copy(),
-        residual_a=primes[:n_residual][in_a[:n_residual]],
+        residual_primes=n_residual,
+        residual_a=int(np.count_nonzero(in_a[:n_residual])),
     )
 
 
@@ -210,21 +209,19 @@ def _embed_rows(
 
 
 def _embed(
-    part: ResiduePartition, units: list[int], in_classes: Iterable[np.ndarray]
-) -> dict[int, EmbeddedClass]:
-    """Embed the classes of ``units`` in one pass, by class; ``in_classes``
-    yields each class's primes m x + b, x in [1, N], in ascending order.
+    part: ResiduePartition, big_n: int, units: list[int], in_classes: Iterable
+) -> EmbeddedClasses:
+    """Embed the classes of ``units`` into Z_N, N = ``big_n``, in one pass;
+    ``in_classes`` yields each class's primes m x + b, x in [1, N], ascending.
 
-    Each f is written into its row of one (classes, N) array and holds a view
-    of that row; no f is transformed here.  The weights are written
-    in blocks of at most ``BLOCK_BYTES`` of transform temporaries (about
-    32 bytes per point); each block is transformed once, read for the checks
-    of its classes and dropped, so no weight is kept.
+    Each f is written into its row of one (classes, N) array; no f is
+    transformed here.  The weights are written in blocks of ``block_rows(N)``
+    rows; each block is transformed once, read for the checks of its classes
+    and dropped, so no weight is kept.
     """
-    big_n = choose_N(part.n, part.modulus.m)
     w = part.w
     reference = 2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
-    size = max(1, BLOCK_BYTES // (32 * big_n))
+    size = block_rows(big_n)
     f = np.zeros((len(units), big_n))
     zero_mode, offpeak = [], []
     pending = zip(units, in_classes)
@@ -238,26 +235,21 @@ def _embed(
         for row in coeffs:
             zero_mode.append(float(abs(row[0] - 1.0)))
             offpeak.append(float(np.max(np.abs(row[1:]))))
-    densities = [DensityFunction(N=big_n, values=row) for row in f]
+    f.setflags(write=False)
     # fsum is correctly rounded and zeros add nothing, so each mass sums the
-    # support of f only
-    return {
-        b: EmbeddedClass(
-            b=b,
-            N=big_n,
-            f=f_b,
-            delta_b=part.delta_b[b],
-            mass=math.fsum(f_b.values[f_b.values != 0.0].tolist()) / big_n,
-            mass_threshold=part.delta_b[b] / 16.0,
-            zero_mode_error=zero_mode_b,
-            offpeak_sup=offpeak_b,
-            offpeak_reference=reference,
-        )
-        for b, f_b, zero_mode_b, offpeak_b in zip(units, densities, zero_mode, offpeak)
-    }
+    # support of its row only
+    return EmbeddedClasses(
+        units=tuple(units),
+        f=f,
+        mass=tuple(math.fsum(row[row != 0.0].tolist()) / big_n for row in f),
+        mass_threshold=tuple(part.delta_b[b] / 16.0 for b in units),
+        zero_mode_error=tuple(zero_mode),
+        offpeak_sup=tuple(offpeak),
+        offpeak_reference=reference,
+    )
 
 
-def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedClass:
+def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedClasses:
     """Map the class of b into Z_N, N = choose_N(n, m), with its log weight.
 
     Positions x run over 1..N (x = N wraps to residue 0); the weight needs
@@ -266,37 +258,41 @@ def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedCl
     if b not in part.classes:
         raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
     m = part.modulus.m
-    in_class = _window(table, m + b, m * choose_N(part.n, m) + b)
-    return _embed(part, [b], [in_class[in_class % m == b]])[b]
+    big_n = choose_N(part.n, m)
+    in_class = _window(table, m + b, m * big_n + b)
+    return _embed(part, big_n, [b], [in_class[in_class % m == b]])
 
 
-def embed_classes(
-    part: ResiduePartition, table: PrimeTable
-) -> dict[int, EmbeddedClass]:
-    """Every unit class embedded as ``embed_class`` embeds it, by class.
+def embed_classes(part: ResiduePartition, table: PrimeTable) -> EmbeddedClasses:
+    """Every unit class embedded as ``embed_class`` embeds it, in order.
 
     The primes m x + b, x in [1, N], of all classes are the table's primes in
     [m, m N + m), split once by a stable sort by residue.
     """
     m = part.modulus.m
     units = part.units
-    window = _window(table, m, m * choose_N(part.n, m) + units[-1])
+    big_n = choose_N(part.n, m)
+    window = _window(table, m, m * big_n + units[-1])
     in_classes = _by_residue(window, m, np.array(units, dtype=np.int64))
-    return _embed(part, units, (window[in_class] for in_class in in_classes))
+    return _embed(part, big_n, units, (window[in_class] for in_class in in_classes))
+
+
+def split_level(sigma: float, density: float) -> float:
+    """The paper's level sigma^6 density^4 / 400, in Python float arithmetic:
+    numpy's power rounds some of these levels differently."""
+    return sigma**6 * density**4 / 400.0
 
 
 def pair_sumset_columns(
-    classes: Sequence[EmbeddedClass],
-    eps: float,
-    eps0: float,
-    sigma: float,
+    f, b: Sequence[int], delta_b: Sequence[float], eps: float, eps0: float, sigma: float
 ) -> dict[str, list]:
-    """Bound the sumset of every unordered pair of the classes, in the order
-    (c1, c1), (c1, c2), ..., (c2, c2), ..., and return the report columns.
+    """Bound the sumset of every unordered pair of the classes b with rows f
+    and densities delta_b, in the order (c1, c1), (c1, c2), ..., (c2, c2),
+    ..., and return the report columns; the rows go to ``convolve_pairs``.
 
-    Each class has its own level: eps0 clamped down to sigma^6 mean^4 / 400
-    when that cap is positive.  A pair works at the level of the class with
-    the smaller mean, and ``convolve_pairs`` splits both classes at it.  The
+    Each class has its own level: eps0 clamped down to ``split_level`` of
+    its mean when that cap is positive.  A pair works at the level of the
+    class with the smaller mean, and ``convolve_pairs`` splits both at it.  The
     support of f * g is reported against the mean class density minus eps;
     the smoothed main term is counted against sigma alpha N, alpha the
     smaller class mean (the row's ``alpha``), and the mixed pieces against a
@@ -310,29 +306,32 @@ def pair_sumset_columns(
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not eps0 > 0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    n = classes[0].N if classes else 1
-    mean = np.array([ec.f.mean() for ec in classes])
-    # Python's float power: numpy's rounds some of these levels differently
-    caps = [sigma**6 * x**4 / 400.0 for x in mean.tolist()]
+    try:
+        f = np.asarray(f, dtype=np.float64)
+    except ValueError:
+        raise DomainError("all densities must share one group order") from None
+    n = f.shape[1]
+    mean = f.sum(axis=1) / n
+    caps = [split_level(sigma, x) for x in mean.tolist()]
     levels = np.array([min(eps0, cap) if cap > 0 else eps0 for cap in caps])
 
     # the pairs in row-major order; a pair works at the level of its class
     # with the smaller mean, and one whose smaller mean is 0 runs nothing
-    c1, c2 = np.triu_indices(len(classes))
+    c1, c2 = np.triu_indices(len(f))
     small = np.where(mean[c1] <= mean[c2], c1, c2)
     alpha = mean[small]
     live = alpha > 0.0
     eps0_used = np.where(live, levels[small], eps0)
     conv = convolve_pairs(
-        [ec.f for ec in classes],
+        f,
         levels,
         np.stack([c1[live], c2[live]], axis=-1),
         eps0_used[live],
         sigma,
     )
 
-    b = np.array([ec.b for ec in classes], dtype=np.int64)
-    delta = np.array([ec.delta_b for ec in classes])
+    b = np.asarray(b, dtype=np.int64)
+    delta = np.asarray(delta_b, dtype=np.float64)
 
     def scatter(values, dtype=np.float64) -> np.ndarray:
         out = np.zeros(c1.shape + np.shape(values)[1:], dtype=dtype)

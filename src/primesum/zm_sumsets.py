@@ -51,7 +51,7 @@ from .ntheory import (
     sieve_primes,
     unit_indicator,
 )
-from .zn_spectral import BLOCK_BYTES, smooth_length
+from .zn_spectral import block_rows, smooth_length
 
 __all__ = [
     "SubsetOfZm",
@@ -363,8 +363,8 @@ def _split_sumset_flags(
     add to s (0 <= s <= 2 m0 - 2) sits at m0 (t + q1 + q2) + s, where t
     indexes the inverse of the summed spectrum products of the class pairs
     with that s; a self-sumset takes the pairs i <= j and doubles the
-    off-diagonal ones.  The inverses run stacked, in blocks under
-    ``BLOCK_BYTES``, and each block is rounded under the 0.25
+    off-diagonal ones.  The inverses run stacked, in blocks of
+    ``block_rows``, and each block is rounded under the 0.25
     certificate.  The rounded counts must add up to ``pairs``, the
     |A1| |A2| ordered pairs of distinct members.
     """
@@ -388,7 +388,7 @@ def _split_sumset_flags(
     # row t + s // m0, column s % m0 stands for the integer m0 (t + q1 + q2) + s
     grid = np.zeros((length + 1, m0), dtype=bool)
     total = 0
-    size = max(1, BLOCK_BYTES // (32 * nfft))
+    size = block_rows(nfft)
     product = np.empty(spec1.shape[1], dtype=spec1.dtype)
     for lo in range(0, len(sums), size):
         block = sums[lo : lo + size]

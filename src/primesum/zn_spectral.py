@@ -9,10 +9,10 @@ Conventions used throughout:
   becomes N * fhat * ghat on the transform side;
 * transforms are computed with numpy's exact-length FFT, which handles prime
   and composite N alike;
-* a density holds its values only, read-only; ``dft`` transforms them on
-  each call, and ``split_densities`` transforms the densities it splits in
-  stacked blocks and drops each block's transforms once its splits exist, so
-  no transform outlives the operation that reads it;
+* densities are the rows of one float array, checked once per call; ``dft``
+  transforms them on each call, and ``split_densities`` transforms slices of
+  the rows it splits in blocks and drops each block's transforms once its
+  splits exist, so no transform outlives the operation that reads it;
 * a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
   real, so one ``rfft`` of the stacked densities and split parts serves every
@@ -39,7 +39,6 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 
 __all__ = [
-    "DensityFunction",
     "Decomposition",
     "PairConvolutions",
     "dft",
@@ -51,33 +50,24 @@ __all__ = [
     "convolve_pairs",
 ]
 
-@dataclass(frozen=True)
-class DensityFunction:
-    """A nonnegative real function on Z_N, stored pointwise."""
-
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if self.N < 1:
-            raise DomainError(f"N must be a positive integer, got {self.N}")
-        if vals.ndim != 1 or vals.size != self.N:
-            raise DomainError(
-                f"values must be a length-{self.N} vector, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("values must be finite")
-        if np.any(vals < 0):
-            raise DomainError("values must be nonnegative")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def mean(self) -> float:
-        return float(np.sum(self.values)) / self.N
-
-    def l1(self) -> float:
-        return float(np.sum(self.values))
+def _density_rows(values) -> np.ndarray:
+    """``values`` as a (rows, N) float array of densities on one Z_N, N >= 1,
+    finite and nonnegative; an empty batch is 0 rows on Z_1."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except ValueError:
+        raise DomainError("all densities must share one group order") from None
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 1)
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise DomainError(f"densities must be rows on Z_N, got shape {rows.shape}")
+    # a NaN or an infinity reaches the minimum or the maximum
+    lo, hi = rows.min(initial=0.0), rows.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("values must be finite")
+    if lo < 0:
+        raise DomainError("values must be nonnegative")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -87,23 +77,26 @@ class Decomposition:
     the members of the Bohr set B it was smoothed over, as ``bohr_set``
     returns them, so ``bohr.size`` is |B|."""
 
-    f1: DensityFunction
+    f1: np.ndarray
     f2: np.ndarray
     bohr: np.ndarray
 
     def __post_init__(self) -> None:
+        self.f1.setflags(write=False)
         self.f2.setflags(write=False)
 
     @property
     def f1_max(self) -> float:
-        return float(np.max(self.f1.values)) if self.f1.N else 0.0
+        return float(np.max(self.f1))
 
 
-def dft(f: DensityFunction) -> np.ndarray:
-    """Normalized transform, read-only: entry xi is (1/N) sum_x f(x) e(-x xi / N),
-    for the frequencies xi = 0..N-1, from one ``fft`` of the values per call."""
-    coeffs = np.fft.fft(f.values)
-    coeffs /= f.N
+def dft(densities) -> np.ndarray:
+    """Normalized transforms of density rows, read-only: entry (r, xi) is
+    (1/N) sum_x f_r(x) e(-x xi / N), for the frequencies xi = 0..N-1, from
+    one ``fft`` of the rows per call."""
+    rows = _density_rows(densities)
+    coeffs = np.fft.fft(rows, axis=-1)
+    coeffs /= rows.shape[1]
     coeffs.setflags(write=False)
     return coeffs
 
@@ -171,15 +164,18 @@ def bohr_set(N: int, frequencies, eps0: float) -> np.ndarray:
 # Bytes of transform temporaries one block may hold: a block of weights
 # while the embedding checks them, of densities while they are split, of
 # pairs while their inverse transforms run, or of an integer sumset's
-# inverse transforms; a row holds about 32 bytes per point of its transform
-# length at a time.
+# inverse transforms.
 BLOCK_BYTES = 1 << 20
 
 
-def split_densities(
-    densities: Sequence[DensityFunction], levels: Sequence[float]
-) -> list[Decomposition]:
-    """Split each density f, at its entry eps0 of ``levels``, into a
+def block_rows(length: int) -> int:
+    """Rows of transform length ``length`` that one block holds: a row holds
+    about 32 bytes per point of its transform length at a time."""
+    return max(1, BLOCK_BYTES // (32 * length))
+
+
+def split_densities(densities, levels: Sequence[float]) -> list[Decomposition]:
+    """Split each density row f, at its entry eps0 of ``levels``, into a
     Bohr-smoothed part f1 and a spectrally small remainder f2.
 
     f1 is the double average of f over differences of the Bohr set attached
@@ -187,30 +183,29 @@ def split_densities(
     multiplication by |sum_{y in B} e(-xi y / N)|^2 / |B|^2.  By construction
     f1 >= 0, f1 has the same mean as f, and every coefficient of f2 = f - f1
     is bounded by 2 eps0 max(1, ||fhat||_inf).  When the Bohr set is {0} the
-    split is exact: f1 is f and f2 is 0.
+    split is exact: f1 is the row f and f2 is 0.
 
-    The densities share one N and are transformed in stacked blocks of as
-    many rows as fit ``BLOCK_BYTES`` at 32 bytes per point.  A block's
+    The densities are the rows of a 2-D float array, and slices of
+    ``block_rows(N)`` of them are transformed in turn.  A block's
     transforms give the large spectrum of each of its densities and smooth
     those whose Bohr set is larger than {0}; they are dropped once the
-    block's splits exist.  A stacked row equals the transform of the density
-    alone, so every split is the one-density split, bit for bit.  Exact
-    splits share one read-only zero array as f2.
+    block's splits exist.  A row of a block transforms as the row alone, so
+    every split is the one-density split, bit for bit.  Exact splits share
+    one read-only zero array as f2.
     """
-    if len(levels) != len(densities):
-        raise DomainError(f"{len(densities)} densities but {len(levels)} levels")
+    values = _density_rows(densities)
+    if len(levels) != len(values):
+        raise DomainError(f"{len(values)} densities but {len(levels)} levels")
     for level in levels:
         if not (0 < level <= 1):
             raise DomainError(f"spectrum threshold must lie in (0, 1], got {level}")
-    n = densities[0].N if densities else 1
-    if any(f.N != n for f in densities):
-        raise DomainError("all densities must share one group order")
+    count, n = values.shape
     zero = np.zeros(n)
-    size = max(1, BLOCK_BYTES // (32 * n))
+    size = block_rows(n)
     splits = []
-    for lo in range(0, len(densities), size):
-        block = densities[lo : lo + size]
-        spectra = np.fft.fft(np.array([f.values for f in block]), axis=-1)
+    for lo in range(0, count, size):
+        block = values[lo : lo + size]
+        spectra = np.fft.fft(block, axis=-1)
         for f, level, spectrum in zip(block, levels[lo : lo + size], spectra):
             bohr = bohr_set(n, large_spectrum(spectrum / n, level), level)
             if bohr.size == 1:
@@ -220,15 +215,15 @@ def split_densities(
             u = np.zeros(n)
             u[bohr] = 1.0
             mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
-            f1_vals = np.fft.ifft(spectrum * mu).real
-            np.maximum(f1_vals, 0.0, out=f1_vals)
-            f1 = DensityFunction(N=n, values=f1_vals)
-            mean_gap = abs(f1.mean() - f.mean())
-            if mean_gap > 1e-9 * max(1.0, f.mean()):
+            f1 = np.fft.ifft(spectrum * mu).real
+            np.maximum(f1, 0.0, out=f1)
+            mean = float(np.sum(f)) / n
+            mean_gap = abs(float(np.sum(f1)) / n - mean)
+            if mean_gap > 1e-9 * max(1.0, mean):
                 raise InvariantViolation(
                     f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
                 )
-            splits.append(Decomposition(f1=f1, f2=f.values - f1_vals, bohr=bohr))
+            splits.append(Decomposition(f1=f1, f2=f - f1, bohr=bohr))
     return splits
 
 
@@ -290,7 +285,7 @@ def _require_close(got: np.ndarray, expected: np.ndarray, message: str) -> None:
 
 
 def convolve_pairs(
-    densities: Sequence[DensityFunction],
+    densities,
     levels: Sequence[float],
     pairs,
     pair_levels,
@@ -299,35 +294,37 @@ def convolve_pairs(
     """Split the densities and convolve the pieces of many pairs of them,
     block by block.
 
-    Row (i, j) of ``pairs`` pairs f = densities[i] with g = densities[j],
-    each split at the pair's entry of ``pair_levels``.  Each density is
-    split at its own entry of ``levels``, and a side takes that split when
-    it was made at the pair's level, or when it is exact and the pair's
-    level is lower: a lower level adds frequencies and narrows the width,
-    so a Bohr set of {0} stays {0}.  Every other (density, level) is split
-    once, in one ``split_densities`` batch.  A stacked row splits as the
-    row alone, so a pair's results do not depend on the other pairs.
+    The densities are the rows of a 2-D float array.  Row (i, j) of
+    ``pairs`` pairs f = densities[i] with g = densities[j], each split at
+    the pair's entry of ``pair_levels``.  Each density is split at its own
+    entry of ``levels``, and a side takes that split when it was made at the
+    pair's level, or when it is exact and the pair's level is lower: a lower
+    level adds frequencies and narrows the width, so a Bohr set of {0} stays
+    {0}.  Every other (density, level) is split once, in one
+    ``split_densities`` batch.  A row splits as the row alone, so a pair's
+    results do not depend on the other pairs.
 
     Every pair's f*g comes first.  When all densities vanish past position h
     and 2h < N, f*g is a linear convolution supported in [0, 2h]: the
-    stacked prefixes [0, h] of the densities take one ``rfft`` at
+    columns [0, h] of the densities take one ``rfft`` at
     L = ``smooth_length(2h + 1)`` (N when L >= N), each block of pairs one
     ``irfft`` at L, and the counts and L1 sums read entries [0, 2h] only,
     since the others are 0 in exact arithmetic.  A pair whose two splits are
     exact has f1 = f, g1 = g and f2 = g2 = 0, so f*g is also f1*g1 and its
     mixed pieces are exactly 0.  The other pairs take four more inverses,
-    all cyclic at N: f1*g1 and the three mixed pieces, from one length-N
-    ``rfft`` of the densities and of f1 and f2 of each split whose Bohr set
+    all cyclic at N: f1*g1 and the three mixed pieces, from length-N
+    ``rfft``s of the densities and of f1 and f2 of each split whose Bohr set
     is larger than {0} (Bohr smoothing spreads those over all of Z_N).  A
-    block holds as many pairs as fit the temporaries of its longest
-    transform in ``BLOCK_BYTES``; the blocks run in pair order.
+    block holds ``block_rows`` pairs at its longest transform length; the
+    blocks run in pair order.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
     mixed piece has ||f_i*g_j||_2^2 = N^3 sum_xi |fhat_i|^2 |ghat_j|^2.
     """
+    values = _density_rows(densities)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    splits = split_densities(densities, levels)
+    splits = split_densities(values, levels)
     # sides[p] indexes the splits of the two sides of pair p
     sides = pairs.copy()
     side_level = np.repeat(np.asarray(pair_levels, dtype=np.float64), 2).reshape(-1, 2)
@@ -340,33 +337,30 @@ def convolve_pairs(
         keys = np.stack([sides[again], side_level[again]], axis=-1)
         keys, inverse = np.unique(keys, axis=0, return_inverse=True)
         sides[again] = len(splits) + inverse.reshape(-1)
-        splits += split_densities(
-            [densities[c] for c in keys[:, 0].astype(np.int64).tolist()],
-            keys[:, 1].tolist(),
-        )
+        splits += split_densities(values[keys[:, 0].astype(int)], keys[:, 1].tolist())
     bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
     exact = bohr_size == 1
     parts = [d for d, e in zip(splits, exact) if not e]
-    n = densities[0].N if densities else 1
-    g, k = len(densities), len(parts)
+    g, n = values.shape
+    k = len(parts)
     # f*g lies in [0, 2 top] and wraps only when 2 top >= N: its entries
     # [0, span) are those of the length-``short`` transform
-    rows = [h.values for h in densities]
-    top = max((int(np.flatnonzero(v)[-1]) for v in rows if v.any()), default=0)
+    top = int(np.flatnonzero(values.any(axis=0)).max(initial=0))
     span = min(2 * top + 1, n)
     short = min(smooth_length(span), n)
-    # only the prefixes [0, top] are stacked: rfft pads them with the zeros
-    # that follow, up to ``short``
-    first_spec = np.fft.rfft(
-        np.array([v[: top + 1] for v in rows]).reshape(g, top + 1), short
-    )
-    # rows at N: the densities, f1 and f2 of each inexact split, then zeros
-    spec = None
+    # only the columns [0, top] are read: rfft pads them with the zeros that
+    # follow, up to ``short``
+    first_spec = np.fft.rfft(values[:, : top + 1], short)
+    sums = values.sum(axis=1)
+    mean = sums / n
+    # spectra at N: the densities, f1 and f2 of each inexact split, then zeros
+    spec, mass = None, sums
     if k:
-        rows += [d.f1.values for d in parts] + [d.f2 for d in parts] + [np.zeros(n)]
-        spec = np.fft.rfft(np.array(rows), axis=-1)
-    mass = np.array([h.l1() for h in densities] + [d.f1.l1() for d in parts])
-    mean = np.array([h.mean() for h in densities])
+        pieces = np.array([d.f1 for d in parts] + [d.f2 for d in parts] + [np.zeros(n)])
+        spec = np.empty((g + len(pieces), n // 2 + 1), dtype=np.complex128)
+        spec[:g] = np.fft.rfft(values, axis=-1)
+        spec[g:] = np.fft.rfft(pieces, axis=-1)
+        mass = np.concatenate([sums, pieces[:k].sum(axis=1)])
     part_row = np.cumsum(~exact) - 1
     i, j = pairs.T
     s, t = sides.T
@@ -382,7 +376,7 @@ def convolve_pairs(
         bohr_size=bohr_size[sides],
         f1_max=np.array([d.f1_max for d in splits])[sides],
     )
-    size = max(1, BLOCK_BYTES // (32 * (n if k else short)))
+    size = block_rows(n if k else short)
 
     def convolve(spectra, length, a, b):
         prod = spectra[a]

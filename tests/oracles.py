@@ -53,8 +53,8 @@ def positive_support(f, g) -> int:
     """Number of points where the cyclic convolution f*g of two densities is
     positive: above 1e-9 of its natural scale max(1, ||f||_1 ||g||_1 / N), so
     that transform noise on an exact zero never counts as support."""
-    vals = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
-    scale = max(1.0, f.l1() * g.l1() / f.N)
+    vals = np.fft.ifft(np.fft.fft(f) * np.fft.fft(g)).real
+    scale = max(1.0, float(np.sum(f)) * float(np.sum(g)) / len(f))
     return int(np.count_nonzero(vals > 1e-9 * scale))
 
 

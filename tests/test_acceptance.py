@@ -30,7 +30,7 @@ from primesum.zm_sumsets import (
     rep_histogram,
     sumset,
 )
-from primesum.zn_spectral import DensityFunction, dft, split_densities
+from primesum.zn_spectral import dft, split_densities
 
 from oracles import bohr_double_average, rep_enum
 
@@ -69,23 +69,22 @@ def test_a01_fourier_identities_hold_on_random_functions():
     rng = make_rng(1)
     for big_n in (64, 255, 1024):
         for _ in range(100):
-            f = DensityFunction(N=big_n, values=rng.random(big_n) * 4.0)
-            g = DensityFunction(N=big_n, values=rng.random(big_n) * 4.0)
-            fh, gh = dft(f), dft(g)
+            f, g = rng.random(big_n) * 4.0, rng.random(big_n) * 4.0
+            fh, gh = dft([f, g])
 
-            time_side = float(np.sum(f.values**2)) / big_n
+            time_side = float(np.sum(f**2)) / big_n
             freq_side = float(np.sum(np.abs(fh) ** 2))
             assert abs(time_side - freq_side) <= 1e-9 * max(1.0, abs(time_side))
 
             # the cyclic f*g, folded mod N from the linear convolution
-            full = np.convolve(f.values, g.values)
+            full = np.convolve(f, g)
             conv = full[:big_n].copy()
             conv[: big_n - 1] += full[big_n:]
-            conv_hat = dft(DensityFunction(N=big_n, values=conv))
+            (conv_hat,) = dft([conv])
             assert rel_gap(conv_hat, big_n * fh * gh) <= 1e-9
 
             back = np.fft.ifft(fh * big_n).real
-            assert float(np.max(np.abs(back - f.values))) <= 1e-9
+            assert float(np.max(np.abs(back - f))) <= 1e-9
     budget.check()
 
 
@@ -225,23 +224,23 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     primes = table.upto(100_000)
     part = partition_and_densities(primes.primes, primes, 5, primorial(5))
     for b in sorted(part.delta_b):
-        ec = embed_class(part, b, table)
-        assert ec.N == choose_N(100_000, 30)
-        assert abs(ec.mass_threshold - part.delta_b[b] / 16.0) < 1e-15
-        assert ec.mass >= ec.mass_threshold, (
-            f"class {b} mass {ec.mass} below {ec.mass_threshold}"
-        )
+        emb = embed_class(part, b, table)
+        (mass,), (threshold,) = emb.mass, emb.mass_threshold
+        assert emb.f.shape[1] == choose_N(100_000, 30)
+        assert abs(threshold - part.delta_b[b] / 16.0) < 1e-15
+        assert mass >= threshold, f"class {b} mass {mass} below {threshold}"
 
     offpeaks = {}
     for w in (3, 5):
         primes = table.upto(1_000_000)
         part = partition_and_densities(primes.primes, primes, w, primorial(w))
         for b in sorted(part.delta_b):
-            ec = embed_class(part, b, table)
-            assert ec.N == choose_N(1_000_000, part.modulus.m)
-            assert ec.zero_mode_error <= 0.05, (w, b, ec.zero_mode_error)
-            assert math.isfinite(ec.offpeak_sup) and ec.offpeak_sup >= 0.0
-            offpeaks[(w, b)] = ec.offpeak_sup
+            emb = embed_class(part, b, table)
+            (zero_mode,), (offpeak,) = emb.zero_mode_error, emb.offpeak_sup
+            assert emb.f.shape[1] == choose_N(1_000_000, part.modulus.m)
+            assert zero_mode <= 0.05, (w, b, zero_mode)
+            assert math.isfinite(offpeak) and offpeak >= 0.0
+            offpeaks[(w, b)] = offpeak
     print(
         "off-peak sup by (W, class): "
         + ", ".join(f"{k}={v:.4f}" for k, v in sorted(offpeaks.items()))
@@ -257,21 +256,20 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
     """
     budget = Budget(60.0)
 
-    def check_split(f: DensityFunction, eps0: float) -> None:
+    def check_split(f: np.ndarray, eps0: float) -> None:
         (d,) = split_densities([f], [eps0])
         assert abs(d.f1.mean() - f.mean()) <= 1e-9
-        assert np.all(d.f1.values >= 0.0)
-        f_hat_sup = float(np.max(np.abs(dft(f))))
-        f2_hat_sup = float(np.max(np.abs(np.fft.fft(d.f2) / f.N)))
+        assert np.all(d.f1 >= 0.0)
+        f_hat_sup = float(np.max(np.abs(dft([f]))))
+        f2_hat_sup = float(np.max(np.abs(np.fft.fft(d.f2) / f.size)))
         assert f2_hat_sup <= 2.0 * eps0 * max(1.0, f_hat_sup) + 1e-12
-        direct = bohr_double_average(f.values, d.bohr)
-        assert float(np.max(np.abs(d.f1.values - direct))) <= 1e-9
+        direct = bohr_double_average(f, d.bohr)
+        assert float(np.max(np.abs(d.f1 - direct))) <= 1e-9
 
     table = sieve_primes(6 * choose_N(100_000, 6) + 6)
     primes = table.upto(100_000)
     part = partition_and_densities(primes.primes, primes, 3, primorial(3))
-    ec = embed_class(part, 1, table)
-    check_split(ec.f, 0.05)
+    check_split(embed_class(part, 1, table).f[0], 0.05)
 
     rng = make_rng(10)
     for trial in range(50):
@@ -283,8 +281,7 @@ def test_a10_decomposition_preserves_mass_and_flattens_remainder():
                 base = base + rng.uniform(0.5, 2.0) * (
                     1.0 + np.cos(2.0 * np.pi * freq * xs / 512.0)
                 )
-        f = DensityFunction(N=512, values=base)
-        check_split(f, float(rng.uniform(0.02, 0.2)))
+        check_split(base, float(rng.uniform(0.02, 0.2)))
     budget.check()
 
 

@@ -318,9 +318,9 @@ class TestPipeline:
 
     def test_class_transforms_stacked(self, monkeypatch):
         # the weights nu go through stacked blocks that nothing keeps, then
-        # the densities f of the good classes go through stacked blocks of
-        # their own, made and dropped by the splits, and no class keeps a
-        # transform
+        # the densities f of the good classes go through blocks of their
+        # own, made and dropped by the splits, and the embedding keeps only
+        # its read-only rows of f
         import primesum.expcli.pipeline as pl
         import primesum.prime_embed as pe
         import primesum.zn_spectral as zs
@@ -343,7 +343,6 @@ class TestPipeline:
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
         monkeypatch.setattr(pl, "embed_classes", keeping)
-        monkeypatch.setattr(pe, "BLOCK_BYTES", 20 * 32 * big_n)
         monkeypatch.setattr(zs, "BLOCK_BYTES", 20 * 32 * big_n)
         report = run_pipeline(cfg)
         assert report.pair_reports.size and report.per_class == expected
@@ -352,8 +351,9 @@ class TestPipeline:
         assert 40 < good < phi
         nu_blocks = [(20, big_n), (20, big_n), (8, big_n)]
         assert shapes == nu_blocks + [(20, big_n), (20, big_n), (good - 40, big_n)]
-        (classes,) = embedded
-        assert not any(hasattr(ec.f, "transform") for ec in classes.values())
+        (emb,) = embedded
+        assert emb.f.shape == (phi, big_n) and not emb.f.flags.writeable
+        assert [k for k, v in vars(emb).items() if isinstance(v, np.ndarray)] == ["f"]
 
     @staticmethod
     def count_decompositions(monkeypatch) -> list:
@@ -364,7 +364,7 @@ class TestPipeline:
         calls = []
 
         def counting(densities, levels):
-            calls.extend((f.values.tobytes(), level) for f, level in zip(densities, levels))
+            calls.extend((f.tobytes(), level) for f, level in zip(densities, levels))
             return split(densities, levels)
 
         monkeypatch.setattr(zs, "split_densities", counting)
@@ -372,7 +372,7 @@ class TestPipeline:
 
     @staticmethod
     def record_splits(monkeypatch) -> tuple[list, object]:
-        # one entry ((id of the density, level), split) per split made;
+        # one entry ((bytes of the density, level), split) per split made;
         # also returns the unpatched split_densities
         import primesum.zn_spectral as zs
 
@@ -380,7 +380,9 @@ class TestPipeline:
 
         def recording(densities, levels):
             out = split(densities, levels)
-            made.extend(((id(f), level), d) for f, level, d in zip(densities, levels, out))
+            made.extend(
+                ((f.tobytes(), level), d) for f, level, d in zip(densities, levels, out)
+            )
             return out
 
         monkeypatch.setattr(zs, "split_densities", recording)
@@ -437,27 +439,28 @@ class TestPipeline:
         table = sieve_primes(m * big_n + m)
         primes = table.upto(cfg.n)
         part = partition_and_densities(build_subset(cfg, primes), primes, cfg.w, mod)
-        embeds = {b: embed_class(part, b, table) for b in good}
+        rows = {b: embed_class(part, b, table).f[0] for b in good}
+
+        def mean(f):
+            return float(np.sum(f)) / f.size
 
         def level(f):
-            return min(1.0, 8.0**6 * f.mean() ** 4 / 400.0)
+            return min(1.0, 8.0**6 * mean(f) ** 4 / 400.0)
 
         # one split per (class, level): each class at its own level, and a
         # class whose own Bohr set is not {0} again at each pair's level
-        own = {b: split_densities([ec.f], [level(ec.f)])[0] for b, ec in embeds.items()}
-        keys = {(b, level(ec.f)) for b, ec in embeds.items()}
+        own = {b: split_densities([f], [level(f)])[0] for b, f in rows.items()}
+        keys = {(b, level(f)) for b, f in rows.items()}
         for row in cols.rows():
             b1, b2 = row["b1"], row["b2"]
-            f, g = embeds[b1].f, embeds[b2].f
-            pair_level = level(f if f.mean() <= g.mean() else g)
+            f, g = rows[b1], rows[b2]
+            pair_level = level(f if mean(f) <= mean(g) else g)
             for b, h in ((b1, f), (b2, g)):
                 keys.add((b, level(h) if own[b].bohr.size == 1 else pair_level))
             df, dg = split_densities([f, g], [pair_level] * 2)
-            q = pair_pieces_oracle(
-                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 8.0
-            )
+            q = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 8.0)
             expected = {
-                "alpha": min(f.mean(), g.mean()),
+                "alpha": min(mean(f), mean(g)),
                 "eps0_used": pair_level,
                 "support_fraction": positive_support(f, g) / big_n,
                 "main_fraction": q["main_count"] / big_n,
@@ -474,7 +477,7 @@ class TestPipeline:
                 assert row[f"err{k}_l2sq"] == pytest.approx(
                     q[f"err{k}_l2sq"], rel=1e-12, abs=1e-12
                 )
-        by_values = {ec.f.values.tobytes(): b for b, ec in embeds.items()}
+        by_values = {f.tobytes(): b for b, f in rows.items()}
         assert len(calls) == len(set(calls))
         assert {(by_values[v], eps0) for v, eps0 in calls} == keys
 
@@ -516,10 +519,10 @@ class TestPipeline:
         sizes = set()
         for f, level, d in made:
             (one,) = split([f], [level])
-            f1, f2, members = split_oracle(f.values, level)
+            f1, f2, members = split_oracle(f, level)
             for got in (d, one):
                 assert got.bohr.tolist() == members.tolist()
-                assert same_bits(got.f1.values, f1) and same_bits(got.f2, f2)
+                assert same_bits(got.f1, f1) and same_bits(got.f2, f2)
             sizes.add(d.bohr.size)
         assert (max(sizes) > 1) == (name == "split")
 
@@ -544,7 +547,7 @@ class TestPipeline:
         # the reference splits, each with the level it was made at
         own = list(zip(levels, split(densities, levels)))
         eps0_used, live, resplits = pair_plan_oracle(
-            [f.mean() for f in densities],
+            [float(np.sum(f)) / f.size for f in densities],
             list(levels),
             [d.bohr.size == 1 for _, d in own],
             report.summary["eps0"],
@@ -560,9 +563,9 @@ class TestPipeline:
         for p, (c1, c2, s1, s2) in enumerate(live):
             for side, (c, s) in enumerate(((c1, s1), (c2, s2))):
                 level, expected = reference[s]
-                got = by_key[id(densities[c]), level]
+                got = by_key[densities[c].tobytes(), level]
                 assert got.bohr.tolist() == expected.bohr.tolist()
-                assert got.f1.values.tobytes() == expected.f1.values.tobytes()
+                assert got.f1.tobytes() == expected.f1.tobytes()
                 assert conv.bohr_size[p, side] == expected.bohr.size
                 assert conv.f1_max[p, side] == expected.f1_max
         assert bool(resplits) == (name == "split")
@@ -849,23 +852,31 @@ class TestCli:
         assert "bohr_size=1" in out and "f2_sup_coeff=0 " in out
         assert "sigma" not in out
 
+    @pytest.mark.parametrize("b, passed", [(1, "true"), (5, "false")])
+    def test_spectrum_prints_the_mass_check_in_lowercase(self, capsys, b, passed):
+        # A = {5}: the class of 1 holds none of it (mass 0 against 0), and 5
+        # sits at x = 0, below the window (mass 0 against delta_5 / 16 > 0)
+        rule = ["--rule", "residue-filter:5:100"]
+        assert main(["spectrum", "--n", "100", "--W", "3", "--b", str(b), *rule]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("mass=0 threshold=") and line.endswith(f" passed={passed}")
+
     def test_failing_l1_identity_maps_to_three(self, monkeypatch, capsys):
-        import primesum.prime_embed as pe
-        from primesum.zn_spectral import DensityFunction
+        import primesum.zn_spectral as zs
 
-        convolve_pairs, l1 = pe.convolve_pairs, DensityFunction.l1
+        split = zs.split_densities
 
-        def broken(densities, *args):
-            # one class mass off by half: its pairs miss the L1 identity
-            target = densities[-1]
-            monkeypatch.setattr(
-                DensityFunction,
-                "l1",
-                lambda self: l1(self) * (1.5 if self is target else 1.0),
-            )
-            return convolve_pairs(densities, *args)
+        def broken(densities, levels):
+            # the last split of a batch comes back with an f1 that alternates
+            # in sign (N = 400 is even): the last class's pair with itself
+            # misses the L1 identity ||f1*g1||_1 = ||f1||_1 ||g1||_1
+            splits = split(densities, levels)
+            d = splits[-1]
+            sign = (-1.0) ** np.arange(d.f1.size)
+            splits[-1] = zs.Decomposition(f1=d.f1 * sign, f2=d.f2, bohr=np.arange(2))
+            return splits
 
-        monkeypatch.setattr(pe, "convolve_pairs", broken)
+        monkeypatch.setattr(zs, "split_densities", broken)
         with pytest.raises(InvariantViolation, match="L1 mass"):
             run_pipeline(small_config(n=3000, w=5))
         assert main(["pipeline", "--n", "3000", "--W", "5"]) == 3

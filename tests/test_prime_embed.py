@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from primesum.errors import DomainError, InvariantViolation
 from primesum.ntheory import primorial, sieve_primes
 from primesum.prime_embed import (
-    EmbeddedClass,
+    EmbeddedClasses,
     ResiduePartition,
     aggregate_delta,
     choose_N,
@@ -20,7 +20,7 @@ from primesum.prime_embed import (
     pair_sumset_columns,
     partition_and_densities,
 )
-from primesum.zn_spectral import DensityFunction, dft
+from primesum.zn_spectral import dft
 
 from oracles import aggregate_enum, trial_primes, units_of
 
@@ -36,8 +36,8 @@ def synthetic_partition(delta_b, delta, good, n=1000, w=3):
         delta_b=dict(delta_b),
         delta=delta,
         good=frozenset(good),
-        residual_primes=np.zeros(0, dtype=np.int64),
-        residual_a=np.zeros(0, dtype=np.int64),
+        residual_primes=0,
+        residual_a=0,
     )
 
 
@@ -68,26 +68,6 @@ def weight_partition(n, w):
     return dataclasses.replace(part, classes=classes), table
 
 
-def synthetic_class(values, b=1, delta_b=1.0):
-    """A class whose subset holds every prime, so that f is its weight
-    ``values``, with the checks read from ``values`` as the embedding reads
-    them."""
-    big_n = len(values)
-    f = DensityFunction(N=big_n, values=np.asarray(values, dtype=np.float64))
-    coeffs = np.fft.fft(f.values) / big_n
-    return EmbeddedClass(
-        b=b,
-        N=big_n,
-        f=f,
-        delta_b=delta_b,
-        mass=math.fsum(f.values.tolist()) / big_n,
-        mass_threshold=delta_b / 16.0,
-        zero_mode_error=float(abs(coeffs[0] - 1.0)),
-        offpeak_sup=float(np.max(np.abs(coeffs[1:]))),
-        offpeak_reference=math.nan,
-    )
-
-
 class TestPartition:
     def test_primes_to_twenty(self):
         part = partition_and_densities(
@@ -97,7 +77,7 @@ class TestPartition:
         assert part.classes[5][0].tolist() == [5, 11, 17]
         assert [part.classes[b][1] for b in (1, 5)] == [3, 3]
         assert part.delta_b == {1: 1.0, 5: 1.0}
-        assert part.residual_primes.tolist() == [2, 3]
+        assert part.residual_primes == 2 and part.residual_a == 2
 
     def test_full_primes_all_dense(self):
         part = partition_and_densities(
@@ -125,7 +105,7 @@ class TestPartition:
             [19, 7, 13, 7, 2], sieve_primes(20), 3, primorial(3)
         )
         assert part.classes[1][0].tolist() == [7, 13, 19]
-        assert part.residual_a.tolist() == [2]
+        assert part.residual_a == 1
         assert part.delta == 4 / 8
 
     @given(st.integers(min_value=20, max_value=1500), st.data())
@@ -135,8 +115,8 @@ class TestPartition:
         part = partition_and_densities(members, sieve_primes(n), 3, primorial(3))
         class_a = sum(v[0].size for v in part.classes.values())
         class_p = sum(v[1] for v in part.classes.values())
-        assert class_a + part.residual_a.size == len(members)
-        assert class_p + part.residual_primes.size == len(primes)
+        assert class_a + part.residual_a == len(members)
+        assert class_p + part.residual_primes == len(primes)
         assert {b: v[1] for b, v in part.classes.items()} == {
             b: sum(p % 6 == b for p in primes) for b in (1, 5)
         }
@@ -180,37 +160,38 @@ class TestChooseN:
 class TestEmbedClass:
     def test_positions_n100(self):
         part, table = partition_and_table(trial_primes(100), 100, 3)
-        ec = embed_class(part, 1, table)
-        assert ec.N == 66
-        positions = np.flatnonzero(ec.f.values).tolist()
+        emb = embed_class(part, 1, table)
+        assert emb.units == (1,) and emb.f.shape == (1, 66)
+        positions = np.flatnonzero(emb.f[0]).tolist()
         assert positions == [1, 2, 3, 5, 6, 7, 10, 11, 12, 13, 16]
 
     def test_weight_value(self):
         part, table = partition_and_table(trial_primes(100), 100, 3)
-        ec = embed_class(part, 1, table)
-        assert ec.N == 66
-        assert abs(ec.f.values[1] / ec.N - (2.0 / 396.0) * math.log(7)) < 1e-12
+        f = embed_class(part, 1, table).f[0]
+        assert f.size == 66
+        assert abs(f[1] / 66 - (2.0 / 396.0) * math.log(7)) < 1e-12
 
     def test_zero_on_composite_positions(self):
         part, table = weight_partition(100, 3)
-        ec = embed_class(part, 1, table)
-        assert ec.N == 66
+        f = embed_class(part, 1, table).f[0]
+        assert f.size == 66
         # position 4 would be 25 = 5*5
-        assert ec.f.values[4] / ec.N == 0.0
+        assert f[4] == 0.0
         # the weight lives on the positions x in [1, N] with 6 x + 1 prime,
         # and 6 N + 1 = 397 is prime: position N wraps to 0
         primes = set(trial_primes(6 * 66 + 1))
         expected = [x % 66 for x in range(1, 67) if 6 * x + 1 in primes]
-        assert np.flatnonzero(ec.f.values).tolist() == sorted(expected)
+        assert np.flatnonzero(f).tolist() == sorted(expected)
         assert expected[-1] == 0
 
     def test_zero_mode_is_weight_sum(self):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
-        ec = embed_class(part, 1, table)
-        assert ec.N == choose_N(2000, 6)
-        zero_mode = dft(ec.f)[0].real
-        assert abs(zero_mode - math.fsum(ec.f.values / ec.N)) < 1e-9
-        assert abs(zero_mode - ec.mass) < 1e-9
+        emb = embed_class(part, 1, table)
+        big_n = emb.f.shape[1]
+        assert big_n == choose_N(2000, 6)
+        zero_mode = dft(emb.f)[0, 0].real
+        assert abs(zero_mode - math.fsum(emb.f[0] / big_n)) < 1e-9
+        assert abs(zero_mode - emb.mass[0]) < 1e-9
 
     def test_shared_table_must_reach(self):
         part = partition_and_densities(
@@ -226,16 +207,19 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_class(ec: EmbeddedClass, one: EmbeddedClass) -> None:
-    """Every field of the two records equal bit for bit, NaN included, and
-    f with the same ``dft``."""
-    for field in dataclasses.fields(EmbeddedClass):
-        a, b = getattr(ec, field.name), getattr(one, field.name)
-        if isinstance(a, DensityFunction):
-            assert a.N == b.N
-            assert same_bits(a.values, b.values)
-            assert same_bits(dft(a), dft(b))
-        elif isinstance(a, float):
+def assert_same_class(batch: EmbeddedClasses, r: int, one: EmbeddedClasses) -> None:
+    """Row r of ``batch`` and row 0 of the one-class record ``one`` equal
+    field by field, bit for bit, NaN included, and f with the same ``dft``."""
+    assert len(one.units) == one.f.shape[0] == 1
+    for field in dataclasses.fields(EmbeddedClasses):
+        a, b = getattr(batch, field.name), getattr(one, field.name)
+        if field.name == "f":
+            assert same_bits(a[r], b[0]) and not a.flags.writeable
+            assert same_bits(dft(a[r : r + 1]), dft(b))
+            continue
+        if field.name != "offpeak_reference":
+            a, b = a[r], b[0]
+        if isinstance(a, float):
             assert struct.pack("<d", a) == struct.pack("<d", b), field.name
         else:
             assert type(a) is type(b) and a == b, field.name
@@ -247,34 +231,36 @@ class TestEmbedClasses:
         # at position N, which wraps to 0
         part, table = partition_and_table(trial_primes(2000)[::2], 2000, 7)
         batch = embed_classes(part, table)
-        assert list(batch) == part.units
-        for b, ec in batch.items():
-            assert ec.b == b
-            assert_same_class(ec, embed_class(part, b, table))
-            coeffs = dft(ec.f)
-            assert same_bits(coeffs, np.fft.fft(ec.f.values) / ec.N)
-            assert not coeffs.flags.writeable
+        assert list(batch.units) == part.units
+        for r, b in enumerate(batch.units):
+            assert_same_class(batch, r, embed_class(part, b, table))
+        coeffs = dft(batch.f)
+        assert same_bits(coeffs, np.fft.fft(batch.f, axis=-1) / batch.f.shape[1])
+        assert not coeffs.flags.writeable
         weights = embed_classes(*weight_partition(2000, 7))
-        assert sum(ec.f.values[0] > 0 for ec in weights.values()) == 21
+        assert np.count_nonzero(weights.f[:, 0] > 0) == 21
 
     @pytest.mark.parametrize("w", [2, 5])
     def test_every_unit_matches_across_routes(self, w):
         part, table = partition_and_table(trial_primes(3000), 3000, w)
         batch = embed_classes(part, table)
-        assert list(batch) == part.units
-        for b in part.units:
-            assert_same_class(batch[b], embed_class(part, b, table))
+        assert list(batch.units) == part.units
+        for r, b in enumerate(part.units):
+            assert_same_class(batch, r, embed_class(part, b, table))
         if w == 2:
-            assert math.isnan(batch[1].offpeak_reference)
+            assert math.isnan(batch.offpeak_reference)
 
     def test_classes_hold_rows_of_one_array(self):
-        # the densities f: no weight row and no transform is kept
+        # the densities f, one read-only row per class: no weight row and no
+        # transform is kept
         part, table = partition_and_table(trial_primes(2000), 2000, 5)
-        batch = list(embed_classes(part, table).values())
-        rows = [ec.f.values for ec in batch]
-        assert all(row.base is rows[0].base for row in rows)
-        assert rows[0].base.shape == (len(batch), batch[0].N)
-        assert not any(hasattr(ec.f, "transform") for ec in batch)
+        batch = embed_classes(part, table)
+        assert batch.f.shape == (len(part.units), choose_N(2000, 30))
+        assert batch.f.dtype == np.float64 and not batch.f.flags.writeable
+        arrays = [k for k, v in vars(batch).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["f"]
+        columns = (batch.mass, batch.mass_threshold, batch.zero_mode_error, batch.offpeak_sup)
+        assert all(len(column) == len(part.units) for column in columns)
 
     def test_memory_is_the_densities(self):
         # at n = 10^6, W = 7 the phi = 48 rows of f take 8 phi N bytes; no
@@ -288,7 +274,7 @@ class TestEmbedClasses:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(batch) == 48
+        assert len(batch.units) == 48
         assert held - before <= 1.25 * unit
         assert peak - before <= 2 * unit
 
@@ -298,26 +284,26 @@ class TestMassCheck:
         # primes 1 mod 6 only: the class of 5 has density 0 and f = 0
         members = [p for p in trial_primes(100) if p % 6 == 1]
         part, table = partition_and_table(members, 100, 3)
-        ec = embed_class(part, 5, table)
-        assert part.delta_b[5] == 0.0 and not ec.f.values.any()
-        assert ec.mass == 0.0 == ec.mass_threshold
-        assert ec.mass >= ec.mass_threshold
+        emb = embed_class(part, 5, table)
+        assert part.delta_b[5] == 0.0 and not emb.f.any()
+        assert emb.mass == (0.0,) == emb.mass_threshold
 
     def test_empty_class_positive_density(self):
         # 5 sits at x = 0, below the window: density 1/12, but f = 0
         part, table = partition_and_table([5], 100, 3)
-        ec = embed_class(part, 5, table)
-        assert part.delta_b[5] > 0.0 and not ec.f.values.any()
-        assert ec.mass == 0.0
-        assert not ec.mass >= ec.mass_threshold
+        emb = embed_class(part, 5, table)
+        assert part.delta_b[5] > 0.0 and not emb.f.any()
+        assert emb.mass == (0.0,)
+        assert not emb.mass[0] >= emb.mass_threshold[0]
 
     def test_real_class(self):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
-        ec = embed_class(part, 1, table)
-        assert ec.N == choose_N(2000, 6)
-        assert ec.mass == math.fsum(ec.f.values.tolist()) / ec.N
-        assert ec.mass_threshold == 1.0 / 16
-        assert ec.mass >= ec.mass_threshold
+        emb = embed_class(part, 1, table)
+        big_n = emb.f.shape[1]
+        assert big_n == choose_N(2000, 6)
+        assert emb.mass[0] == math.fsum(emb.f[0].tolist()) / big_n
+        assert emb.mass_threshold == (1.0 / 16,)
+        assert emb.mass[0] >= emb.mass_threshold[0]
 
 
     @pytest.mark.parametrize("w", [2, 7])
@@ -326,106 +312,101 @@ class TestMassCheck:
         # rounded, so it is the fsum of every entry, bit for bit
         part, table = partition_and_table(trial_primes(6000)[::3], 6000, w)
         batch = embed_classes(part, table)
-        assert any(not ec.f.values.all() for ec in batch.values())
-        for ec in batch.values():
-            expected = math.fsum(ec.f.values.tolist()) / ec.N
-            assert struct.pack("<d", ec.mass) == struct.pack("<d", expected)
+        assert not batch.f.all(axis=1).all()
+        for row, mass in zip(batch.f, batch.mass):
+            expected = math.fsum(row.tolist()) / row.size
+            assert struct.pack("<d", mass) == struct.pack("<d", expected)
 
 
 class TestPseudorandomDeficit:
     def test_zero_mode_error_reads_the_weight_mass(self):
         # f = nu, so the zero mode of nu is the mass of f
         part, table = weight_partition(20000, 5)
-        for ec in embed_classes(part, table).values():
-            assert abs(ec.zero_mode_error - abs(ec.mass - 1.0)) < 1e-12
-            assert 0.0 < ec.offpeak_sup < 1.0
+        batch = embed_classes(part, table)
+        for mass, zero_mode, offpeak in zip(
+            batch.mass, batch.zero_mode_error, batch.offpeak_sup
+        ):
+            assert abs(zero_mode - abs(mass - 1.0)) < 1e-12
+            assert 0.0 < offpeak < 1.0
 
     def test_zero_measure(self):
         # at n = 105, W = 7 (N = 2) both 210 + 109 = 11 * 29 and
         # 420 + 109 = 23^2 are composite: the weight of 109 is zero
         part, table = weight_partition(105, 7)
-        ec = embed_class(part, 109, table)
-        assert ec.N == 2 and not ec.f.values.any()
-        assert ec.zero_mode_error == 1.0
-        assert ec.offpeak_sup == 0.0
+        emb = embed_class(part, 109, table)
+        assert emb.f.shape == (1, 2) and not emb.f.any()
+        assert emb.zero_mode_error == (1.0,)
+        assert emb.offpeak_sup == (0.0,)
 
     def test_reference_value(self):
         part, table = partition_and_table(trial_primes(3000), 3000, 5)
-        ec = embed_class(part, 1, table)
-        assert abs(ec.offpeak_reference - 2 * math.log(math.log(5)) / 5) < 1e-12
+        emb = embed_class(part, 1, table)
+        assert abs(emb.offpeak_reference - 2 * math.log(math.log(5)) / 5) < 1e-12
         part, table = partition_and_table(trial_primes(3000), 3000, 2)
         assert math.isnan(embed_class(part, 1, table).offpeak_reference)
 
     def test_blocks_match_one_class_transforms(self, monkeypatch):
-        import primesum.prime_embed as pe
+        import primesum.zn_spectral as zs
 
         part, table = weight_partition(2000, 7)
         # five rows per block: the last block is short
-        monkeypatch.setattr(pe, "BLOCK_BYTES", 5 * 32 * choose_N(2000, 210))
-        classes = list(embed_classes(part, table).values())
+        monkeypatch.setattr(zs, "BLOCK_BYTES", 5 * 32 * choose_N(2000, 210))
+        batch = embed_classes(part, table)
         expected = []
-        for ec in classes:
-            coeffs = np.fft.fft(ec.f.values) / ec.N
+        for row in batch.f:
+            coeffs = np.fft.fft(row) / row.size
             expected.append(
                 (float(abs(coeffs[0] - 1.0)), float(np.max(np.abs(coeffs[1:]))))
             )
-        assert [(ec.zero_mode_error, ec.offpeak_sup) for ec in classes] == expected
+        assert list(zip(batch.zero_mode_error, batch.offpeak_sup)) == expected
 
 
-def pair_report(ec1, ec2, eps, eps0, sigma):
-    """The row of the pair (ec1, ec2) from ``pair_sumset_columns``."""
-    classes = [ec1] if ec1 is ec2 else [ec1, ec2]
-    columns = pair_sumset_columns(classes, eps, eps0, sigma)
+def pair_report(classes, eps, eps0, sigma):
+    """The row of the last pair from ``pair_sumset_columns`` of ``classes``,
+    (b, row of f, delta_b) triples: one class with itself, or two classes
+    together."""
+    b, rows, delta_b = zip(*classes)
+    columns = pair_sumset_columns(list(rows), b, delta_b, eps, eps0, sigma)
     return {name: values[len(classes) - 1] for name, values in columns.items()}
 
 
 class TestPairSumsetReport:
     def test_idealized_full_support(self):
-        ec = synthetic_class(np.ones(64), delta_b=1.0)
-        rep = pair_report(ec, ec, 0.1, 0.01, 0.01)
+        rep = pair_report([(1, np.ones(64), 1.0)], 0.1, 0.01, 0.01)
         assert rep["support_fraction"] == 1.0
         assert rep["passed"]
 
     def test_zero_function_fails_when_dense(self):
-        zero = synthetic_class(np.zeros(64), delta_b=0.3)
-        rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
+        rep = pair_report([(1, np.zeros(64), 0.3)], 0.2, 0.01, 0.01)
         assert rep["support_count"] == 0
         assert not rep["passed"]
 
     def test_zero_function_passes_when_sparse(self):
-        zero = synthetic_class(np.zeros(64), delta_b=0.05)
-        rep = pair_report(zero, zero, 0.2, 0.01, 0.01)
+        rep = pair_report([(1, np.zeros(64), 0.05)], 0.2, 0.01, 0.01)
         assert rep["passed"]
 
     def test_mismatched_lengths(self):
         with pytest.raises(DomainError):
-            pair_report(
-                synthetic_class(np.ones(32)),
-                synthetic_class(np.ones(64)),
-                0.1,
-                0.01,
-                0.01,
-            )
+            pair_report([(1, np.ones(32), 1.0), (5, np.ones(64), 1.0)], 0.1, 0.01, 0.01)
 
     def test_eps0_clamped_to_parameter_relation(self):
-        ec = synthetic_class(np.ones(64), delta_b=1.0)
-        rep = pair_report(ec, ec, 0.1, 0.5, 0.01)
+        rep = pair_report([(1, np.ones(64), 1.0)], 0.1, 0.5, 0.01)
         assert rep["eps0_used"] <= 0.01**6 * 1.0**4 / 400.0
 
     def test_main_term_counts_against_the_smaller_mean(self):
         # the b1 class is the denser one: f1*g1 = 0.5 everywhere clears
         # sigma alpha N = 0.25 at the smaller mean alpha = 1/16, though not
         # sigma N = 4 at the b1 class's mean
-        dense = synthetic_class(np.ones(8), b=1)
-        sparse = synthetic_class(0.5 * np.eye(8)[0], b=5)
-        rep = pair_report(dense, sparse, 0.1, 0.01, 0.5)
+        dense, sparse = (1, np.ones(8), 1.0), (5, 0.5 * np.eye(8)[0], 1.0)
+        rep = pair_report([dense, sparse], 0.1, 0.01, 0.5)
         assert rep["alpha"] == 1 / 16
         assert rep["main_fraction"] == 1.0
 
     def test_class_density_transformed_once(self, monkeypatch):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
-        ec1, ec2 = (embed_class(part, b, table) for b in (1, 5))
-        assert ec1.N == ec2.N == choose_N(2000, 6)
+        emb = embed_classes(part, table)
+        assert emb.units == (1, 5) and emb.f.shape[1] == choose_N(2000, 6)
+        delta_b = [part.delta_b[b] for b in emb.units]
         stacks = []
         rfft = np.fft.rfft
 
@@ -434,15 +415,15 @@ class TestPairSumsetReport:
             return rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        columns = pair_sumset_columns([ec1, ec2], 0.1, 0.01, 0.01)
+        columns = pair_sumset_columns(emb.f, emb.units, delta_b, 0.1, 0.01, 0.01)
         assert len(columns["alpha"]) == 3 and min(columns["alpha"]) > 0
-        # one forward transform of the stacked rows serves all three pairs;
-        # a row is its density's prefix, past which the density is zero
+        # one forward transform of the rows serves all three pairs; a row is
+        # its density's prefix, past which the density is zero
         assert len(stacks) == 1 and len(stacks[0]) == 2
-        for row, ec in zip(stacks[0], (ec1, ec2)):
-            assert row.size < ec.N
-            assert np.array_equal(row, ec.f.values[: row.size])
-            assert not ec.f.values[row.size :].any()
+        for row, f in zip(stacks[0], emb.f):
+            assert row.size < f.size
+            assert np.array_equal(row, f[: row.size])
+            assert not f[row.size :].any()
 
     def test_memory_of_the_good_pairs(self):
         # at n = 10^6, W = 7 and the pipeline's default levels (eps = 0.1,
@@ -450,18 +431,20 @@ class TestPairSumsetReport:
         # 8 phi N bytes of the rows of f
         part, table = partition_and_table(table_primes(10**6), 10**6, 7)
         unit = 8 * part.modulus.totient * choose_N(10**6, 210)
-        embeds = embed_classes(part, table)
-        classes = [embeds[b] for b in sorted(part.good)]
+        emb = embed_classes(part, table)
+        good = sorted(part.good)
+        rows = emb.f[np.searchsorted(emb.units, good)]
+        delta_b = [part.delta_b[b] for b in good]
         sigma = 0.1 / 20
         eps0 = sigma**6 * part.delta**4 / 400
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            columns = pair_sumset_columns(classes, 0.1, eps0, sigma)
+            columns = pair_sumset_columns(rows, good, delta_b, 0.1, eps0, sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(columns["alpha"]) == len(classes) * (len(classes) + 1) // 2
+        assert len(columns["alpha"]) == len(good) * (len(good) + 1) // 2
         assert peak - before <= 2.2 * unit
 
 

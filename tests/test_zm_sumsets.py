@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from primesum.errors import DomainError, InvariantViolation
 import primesum.zm_sumsets as zm
+import primesum.zn_spectral as zs
 from primesum.expcli.cli import main
 from primesum.ntheory import factorize, unit_indicator
 from primesum.zm_sumsets import (
@@ -394,7 +395,7 @@ class TestSplitSumset:
 
             monkeypatch.setattr(np.fft, name, recording)
         # two inverse rows per block
-        monkeypatch.setattr(zm, "BLOCK_BYTES", 2 * 32 * nfft)
+        monkeypatch.setattr(zs, "BLOCK_BYTES", 2 * 32 * nfft)
         split_flags(primes, primes)
         assert calls["rfft"] == [((rows, positions), nfft)]
         sums = {int(x) for x in np.add.outer(primes % 30, primes % 30).ravel()}

@@ -10,7 +10,6 @@ import primesum.zn_spectral as zs
 from primesum.errors import DomainError, InvariantViolation
 from primesum.zn_spectral import (
     Decomposition,
-    DensityFunction,
     bohr_set,
     convolve_pairs,
     dft,
@@ -33,11 +32,11 @@ def indicator(N, points):
     """0/1 indicator density of a subset of Z_N."""
     vals = np.zeros(N)
     vals[list(points)] = 1.0
-    return DensityFunction(N=N, values=vals)
+    return vals
 
 
 def constant(N, value):
-    return DensityFunction(N=N, values=np.full(N, float(value)))
+    return np.full(N, float(value))
 
 
 def nonneg_values(n, max_value=4.0):
@@ -48,69 +47,102 @@ def nonneg_values(n, max_value=4.0):
     )
 
 
-class TestDensityFunction:
+def rejects(rows, message):
+    """Every call that takes density rows raises DomainError on ``rows``."""
+    levels = [0.5] * len(rows)
+    calls = (
+        lambda: dft(rows),
+        lambda: split_densities(rows, levels),
+        lambda: convolve_pairs(rows, levels, [], [], 0.1),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+class TestDensityRows:
+    """The one check of a batch of density rows that ``dft``,
+    ``split_densities`` and ``convolve_pairs`` each make."""
+
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            DensityFunction(N=3, values=np.array([1.0, -0.5, 0.0]))
+        rejects([[1.0, 0.5, 0.0], [1.0, -0.5, 0.0]], "nonnegative")
+        rejects(np.array([[0.0, -np.finfo(float).tiny]]), "nonnegative")
 
     def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            DensityFunction(N=2, values=np.array([np.nan, 0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            rejects([[1.0, 0.0], [bad, 0.0]], "finite")
+            rejects(np.array([[0.0, 1.0, bad]]), "finite")
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            DensityFunction(N=4, values=np.zeros(3))
+        # ragged rows, one row that is not in a batch, a batch of batches
+        # and rows on Z_0
+        rejects([np.zeros(4), np.zeros(3)], "one group order")
+        for rows in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 0))):
+            rejects(rows, "rows on Z_N")
 
-    def test_mean_and_l1(self):
+    def test_row_sums_give_mass_and_mean(self):
+        # f = 1_{1, 2, 3} on Z_8, split exactly: mass 3 and mean 3/8; f*f
+        # reads 1, 2, 3, 2, 1 at 2..6, and sigma * mean * N = 1.5 keeps the
+        # three middle points
         f = indicator(8, [1, 2, 3])
-        assert f.l1() == 3.0
-        assert f.mean() == 3.0 / 8
+        rep = convolve_pairs([f], [0.01], [(0, 0)], [0.01], 0.5)
+        assert rep.bohr_size.tolist() == [[1, 1]]
+        assert rep.main_l1[0] == pytest.approx(9.0, rel=1e-12)
+        assert rep.main_count[0] == 3 and rep.support[0] == 5
+
+    def test_empty_batch(self):
+        assert dft([]).shape == (0, 1)
+        assert split_densities(np.zeros((0, 5)), []) == []
 
 
 class TestDft:
     def test_all_ones(self):
-        coeffs = dft(constant(4, 1.0))
+        coeffs = dft([constant(4, 1.0)])[0]
         assert np.allclose(coeffs, [1, 0, 0, 0], atol=1e-12)
 
     def test_point_mass(self):
-        coeffs = dft(indicator(4, [0]))
+        coeffs = dft([indicator(4, [0])])[0]
         assert np.allclose(coeffs, 0.25, atol=1e-12)
 
     def test_indicator_pair_z5(self):
         f = indicator(5, [1, 2])
-        coeffs = dft(f)
+        coeffs = dft([f])[0]
         assert abs(coeffs[0] - 0.4) < 1e-12
-        assert np.max(np.abs(coeffs - dft_oracle(f.values))) < 1e-12
+        assert np.max(np.abs(coeffs - dft_oracle(f))) < 1e-12
 
     @given(nonneg_values(24))
     def test_matches_direct_kernel(self, vals):
-        f = DensityFunction(N=24, values=vals)
-        assert np.max(np.abs(dft(f) - dft_oracle(vals))) < 1e-9
+        assert np.max(np.abs(dft([vals])[0] - dft_oracle(vals))) < 1e-9
 
     def test_read_only(self):
-        assert not dft(indicator(6, [1])).flags.writeable
+        assert not dft([indicator(6, [1])]).flags.writeable
+
+    def test_rows_transform_alone(self):
+        rows = np.random.default_rng(7).random((3, 1006))
+        coeffs = dft(rows)
+        for row, got in zip(rows, coeffs):
+            assert got.tobytes() == (np.fft.fft(row) / 1006).tobytes()
 
     @given(nonneg_values(17))
     def test_plancherel(self, vals):
-        f = DensityFunction(N=17, values=vals)
-        lhs = float(np.sum(np.abs(dft(f)) ** 2))
+        lhs = float(np.sum(np.abs(dft([vals])[0]) ** 2))
         rhs = float(np.sum(vals**2)) / 17
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 class TestLargeSpectrum:
     def test_constant_peak(self):
-        assert large_spectrum(dft(constant(12, 0.5)), 0.3).tolist() == [0]
+        assert large_spectrum(dft([constant(12, 0.5)])[0], 0.3).tolist() == [0]
 
     def test_point_mass_all(self):
-        f = DensityFunction(N=10, values=10.0 * indicator(10, [0]).values)
-        assert large_spectrum(dft(f), 0.5).tolist() == list(range(10))
+        f = 10.0 * indicator(10, [0])
+        assert large_spectrum(dft([f])[0], 0.5).tolist() == list(range(10))
 
     def test_constant_empty(self):
-        assert large_spectrum(dft(constant(12, 0.2)), 0.5).tolist() == []
+        assert large_spectrum(dft([constant(12, 0.2)])[0], 0.5).tolist() == []
 
     def test_boundary_inclusive(self):
-        assert 0 in large_spectrum(dft(constant(9, 0.3)), 0.3)
+        assert 0 in large_spectrum(dft([constant(9, 0.3)])[0], 0.3)
 
 
 class TestBohrSet:
@@ -198,9 +230,9 @@ class TestBohrSet:
         # a class split made at a higher level is reused at a lower one when
         # its Bohr set is {0}; that relies on this monotonicity
         lo, hi = sorted((e1, e2))
-        f = DensityFunction(N=48, values=values)
-        low = bohr_set(48, large_spectrum(dft(f), lo), lo).tolist()
-        high = bohr_set(48, large_spectrum(dft(f), hi), hi).tolist()
+        coeffs = dft([values])[0]
+        low = bohr_set(48, large_spectrum(coeffs, lo), lo).tolist()
+        high = bohr_set(48, large_spectrum(coeffs, hi), hi).tolist()
         assert set(low) <= set(high)
 
 
@@ -210,14 +242,15 @@ class TestGreenDecompose:
     def test_constant_passthrough(self):
         f = constant(32, 0.5)
         (d,) = split_densities([f], [0.1])
-        assert np.max(np.abs(d.f1.values - f.values)) < 1e-12
+        assert np.max(np.abs(d.f1 - f)) < 1e-12
         assert np.max(np.abs(d.f2)) < 1e-12
+        assert not d.f1.flags.writeable
 
     def test_point_mass_collapsed_bohr(self):
-        f = DensityFunction(N=16, values=16.0 * indicator(16, [0]).values)
+        f = 16.0 * indicator(16, [0])
         (d,) = split_densities([f], [0.1])
         assert d.bohr.tolist() == [0]
-        assert np.max(np.abs(d.f1.values - f.values)) < 1e-9
+        assert np.max(np.abs(d.f1 - f)) < 1e-9
         assert np.max(np.abs(d.f2)) < 1e-9
 
     def test_collapsed_bohr_split_is_exact(self):
@@ -231,27 +264,27 @@ class TestGreenDecompose:
             trial_primes(20000), table.upto(20000), 3, primorial(3)
         )
         f = embed_class(part, 1, table).f
-        (d,) = split_densities([f], [0.02])
+        (d,) = split_densities(f, [0.02])
         assert d.bohr.size == 1
-        assert np.array_equal(d.f1.values, f.values)
+        assert np.array_equal(d.f1, f[0]) and not d.f1.flags.writeable
         assert d.f2.dtype == np.float64 and not np.any(d.f2)
 
     def test_mean_preserved_and_nonneg(self):
         rng = np.random.default_rng(11)
         for trial in range(10):
-            f = DensityFunction(N=128, values=rng.random(128))
+            f = rng.random(128)
             (d,) = split_densities([f], [0.2])
             assert abs(d.f1.mean() - f.mean()) < 1e-9
-            assert np.all(d.f1.values >= 0)
+            assert np.all(d.f1 >= 0)
 
     def test_remainder_spectrally_small(self):
         rng = np.random.default_rng(13)
         for trial in range(10):
-            f = DensityFunction(N=128, values=rng.random(128))
+            f = rng.random(128)
             eps0 = 0.15
             (d,) = split_densities([f], [eps0])
             sup_f2 = float(np.max(np.abs(np.fft.fft(d.f2) / 128)))
-            sup_f = float(np.max(np.abs(dft(f))))
+            sup_f = float(np.max(np.abs(dft([f]))))
             assert sup_f2 <= 2 * eps0 * max(1.0, sup_f) + 1e-12
 
     def test_multiplier_equals_double_average(self):
@@ -261,10 +294,9 @@ class TestGreenDecompose:
             if trial % 2:
                 xs = np.arange(128)
                 vals = vals + 1.0 + np.cos(2 * np.pi * 3 * xs / 128)
-            f = DensityFunction(N=128, values=vals)
-            (d,) = split_densities([f], [0.2])
-            direct = bohr_double_average(f.values, d.bohr)
-            assert np.max(np.abs(d.f1.values - direct)) < 1e-9
+            (d,) = split_densities([vals], [0.2])
+            direct = bohr_double_average(vals, d.bohr)
+            assert np.max(np.abs(d.f1 - direct)) < 1e-9
 
 
 class TestSplitDensities:
@@ -289,10 +321,7 @@ class TestSplitDensities:
             return exp(z)
 
         xs = np.arange(64)
-        fs = [
-            DensityFunction(N=64, values=1.0 + np.cos(2 * np.pi * xs / 64) * a)
-            for a in (0.5, 0.6, 0.7, 0.8)
-        ]
+        fs = [1.0 + np.cos(2 * np.pi * xs / 64) * a for a in (0.5, 0.6, 0.7, 0.8)]
         zs._character_gap.cache_clear()
         monkeypatch.setattr(np, "exp", counting_exp)
         splits = zs.split_densities(fs, [0.2] * 4)
@@ -348,10 +377,10 @@ class TestConvolutionProofQuantities:
 
     def test_identities_on_random_pairs(self):
         rng = np.random.default_rng(23)
-        fs = [DensityFunction(N=128, values=rng.random(128)) for _ in range(6)]
+        fs = [rng.random(128) for _ in range(6)]
         # a point mass splits exactly (Bohr set {0}), so some pairs mix an
         # exact split with a smoothed one and one pair takes a single inverse
-        fs.append(DensityFunction(N=128, values=128.0 * indicator(128, [3]).values))
+        fs.append(128.0 * indicator(128, [3]))
         ds = split_densities(fs, [0.2] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(7) for j in range(i, 7)]
@@ -361,12 +390,10 @@ class TestConvolutionProofQuantities:
         assert rep.bohr_size.shape == rep.f1_max.shape == (len(pairs), 2)
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
-            want = pair_pieces_oracle(
-                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
-            )
+            want = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 0.05)
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
-            assert rep.main_l1[p] == pytest.approx(df.f1.l1() * dg.f1.l1(), rel=1e-9)
+            assert rep.main_l1[p] == pytest.approx(df.f1.sum() * dg.f1.sum(), rel=1e-9)
             assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
             assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
             for c, key in enumerate(("12", "21", "22")):
@@ -378,14 +405,13 @@ class TestConvolutionProofQuantities:
         assert np.all(rep.error_l2sq[exact] == 0.0)
 
     def test_broken_mass_fails_the_l1_identity(self, monkeypatch):
-        # the split's f1 has half as much mass again as it should
+        # an injected split whose f1 alternates in sign: ||f1*f1||_1 is 16^2,
+        # while the product of the masses of f1 is 0
         f = constant(16, 1.0)
         (d,) = split_densities([f], [0.5])
-        monkeypatch.setattr(zs, "split_densities", lambda densities, levels: [d])
-        l1 = DensityFunction.l1
-        monkeypatch.setattr(
-            DensityFunction, "l1", lambda self: l1(self) * (1.5 if self is d.f1 else 1.0)
-        )
+        assert d.bohr.size == 16
+        broken = Decomposition(f1=d.f1 * (-1.0) ** np.arange(16), f2=d.f2, bohr=d.bohr)
+        monkeypatch.setattr(zs, "split_densities", lambda densities, levels: [broken])
         with pytest.raises(InvariantViolation, match="L1 mass"):
             convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
 
@@ -399,12 +425,14 @@ class TestConvolutionProofQuantities:
         # when that split is exact and the pair's level is no higher; every
         # other (density, level) is split once
         rng = np.random.default_rng(3)
-        smooth = DensityFunction(N=64, values=rng.random(64))
-        point = DensityFunction(N=64, values=64.0 * indicator(64, [3]).values)
+        smooth = rng.random(64)
+        point = 64.0 * indicator(64, [3])
         split, made = zs.split_densities, []
 
         def keeping(densities, levels):
-            made.extend((int(f is point), level) for f, level in zip(densities, levels))
+            made.extend(
+                (int(np.array_equal(f, point)), level) for f, level in zip(densities, levels)
+            )
             return split(densities, levels)
 
         monkeypatch.setattr(zs, "split_densities", keeping)
@@ -422,7 +450,7 @@ class TestConvolutionProofQuantities:
 
 def exact_split(f):
     """The split of f at a Bohr set of {0}: f1 = f, f2 = 0."""
-    return Decomposition(f1=f, f2=np.zeros(f.N), bohr=np.zeros(1, dtype=np.int64))
+    return Decomposition(f1=f, f2=np.zeros(f.size), bohr=np.zeros(1, dtype=np.int64))
 
 
 def folded_reference(f, g, sigma):
@@ -444,12 +472,13 @@ def check_against_fold(values, sigma):
     """Run every unordered pair of the densities, all split exactly, and
     compare with ``folded_reference``; the pairs run in the order (0, 0),
     (0, 1), ..., (1, 1), ..."""
-    fs = [DensityFunction(N=len(v), values=v) for v in values]
-    pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+    pairs = [(i, j) for i in range(len(values)) for j in range(i, len(values))]
     with mock.patch.object(
         zs, "split_densities", lambda densities, _: [exact_split(f) for f in densities]
     ):
-        rep = convolve_pairs(fs, [1.0] * len(fs), pairs, [1.0] * len(pairs), sigma)
+        rep = convolve_pairs(
+            values, [1.0] * len(values), pairs, [1.0] * len(pairs), sigma
+        )
     for p, (i, j) in enumerate(pairs):
         support, main_count, main_l1 = folded_reference(values[i], values[j], sigma)
         assert rep.support[p] == support
@@ -514,19 +543,17 @@ class TestConvolvePairs:
         for _ in range(4):
             v = rng.random(n)
             v[h + 1 :] = 0.0
-            fs.append(DensityFunction(N=n, values=v))
+            fs.append(v)
         v = np.zeros(n)
         v[h] = float(n)
-        fs.append(DensityFunction(N=n, values=v))
+        fs.append(v)
         ds = split_densities(fs, [0.1] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(5) for j in range(i, 5)]
         rep = convolve_pairs(fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05)
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
-            want = pair_pieces_oracle(
-                f.values, df.f1.values, df.f2, g.values, dg.f1.values, dg.f2, 0.05
-            )
+            want = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 0.05)
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
             assert rep.main_l1[p] == pytest.approx(want["main_l1"], rel=1e-9)
