@@ -48,10 +48,12 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # non-squarefree modulus (the radical-block certificate), a list: spec and the
 # extremal family at s=6 and s=7; simulate-random, a command that is gone
 # (exit 2); and the one-class commands, which share the pipeline's prime
-# table: sieve, partition, spectrum, spectrum-w2 (W=2, whose off-peak
-# reference is NaN), decompose, a spectrum whose --b is rejected (exit 2) and
-# a W=13 spectrum past the pipeline's pair-work cap (exit 0: it runs no
-# pairs); last a W=13 pipeline that the cap rejects (exit 2)
+# table: sieve, partition, partition-residue (a filtered subset at W=7 with
+# classes that are good, classes that are not and classes with no prime),
+# spectrum, spectrum-w2 (W=2, whose off-peak reference is NaN), decompose, a
+# spectrum whose --b is rejected (exit 2) and a W=13 spectrum past the
+# pipeline's pair-work cap (exit 0: it runs no pairs); last a W=13 pipeline
+# that the cap rejects (exit 2)
 PAIRS_W7 = "pipeline --n 52815 --W 7 --rule random-thinning --delta 0.5 --seed"
 MOMENTS = "znstar-bound --m 510510 --set-spec units-random:0.005:"
 CASES = [
@@ -97,6 +99,7 @@ CASES = [
      "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"),
     ("sieve-n100000", "sieve --n 100000"),
     ("partition-w5", "partition --n 100000 --W 5"),
+    ("partition-residue", "partition --n 300 --W 7 --rule residue-filter:1:3"),
     ("spectrum-w5-b7", "spectrum --n 100000 --W 5 --b 7"),
     ("spectrum-w2", "spectrum --n 3000 --W 2 --b 1"),
     ("decompose-w3-b1", "decompose --n 100000 --W 3 --b 1 --eps0 0.05"),

@@ -161,15 +161,17 @@ def _cmd_partition(args) -> int:
     cfg.validate()
     part = _partition(cfg, sieve_primes(cfg.n), primorial(cfg.w))
     mod = part.modulus
+    good = ",".join(map(str, part.units[part.good].tolist()))
     _print(
         f"n={args.n} W={args.W} m={mod.m} phi={mod.totient} "
-        f"delta={_fmt(part.delta)} good={','.join(str(b) for b in sorted(part.good))}"
+        f"delta={_fmt(part.delta)} good={good}"
     )
-    for b in part.units:
-        a_arr, count = part.classes[b]
+    counts, densities = part.prime_count.tolist(), part.delta_b.tolist()
+    rows = zip(part.units.tolist(), counts, part.members, densities, part.good.tolist())
+    for b, count, a_arr, delta_b, is_good in rows:
         _print(
             f"b={b} primes={count} subset={a_arr.size} "
-            f"delta_b={_fmt(part.delta_b[b])} good={_fmt(b in part.good)}"
+            f"delta_b={_fmt(delta_b)} good={_fmt(is_good)}"
         )
     _print(f"residual primes={part.residual_primes} subset={part.residual_a}")
     return 0
@@ -180,7 +182,7 @@ def _cmd_spectrum(args) -> int:
         raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
     emb = _embedded_class(args)
     _print(
-        f"b={emb.units[0]} N={emb.f.shape[1]} "
+        f"b={args.b} N={emb.f.shape[1]} "
         f"zero_mode_error={_fmt(emb.zero_mode_error[0])} "
         f"offpeak_sup={_fmt(emb.offpeak_sup[0])} "
         f"reference={_fmt(emb.offpeak_reference)}"
@@ -204,7 +206,7 @@ def _cmd_decompose(args) -> int:
     sup_hat = float(np.max(np.abs(dft(emb.f))))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(
-        f"b={emb.units[0]} N={big_n} eps0={_fmt(args.eps0)} "
+        f"b={args.b} N={big_n} eps0={_fmt(args.eps0)} "
         f"bohr_size={decomp.bohr.size}"
     )
     _print(f"f_mean={_fmt(emb.f[0].mean())} f1_mean={_fmt(decomp.f1.mean())}")

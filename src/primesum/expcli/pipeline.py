@@ -113,8 +113,7 @@ def _reconcile_partition(
     and record the density masses; returns the summed density of the good
     classes.  The partition itself checks that its prime counts cover the
     primes."""
-    units = part.units
-    class_a = sum(part.classes[b][0].size for b in units)
+    class_a = sum(a_arr.size for a_arr in part.members)
     ledger.require(
         "class-mass-reconciliation",
         class_a + part.residual_a,
@@ -123,7 +122,7 @@ def _reconcile_partition(
         class_a + part.residual_a == total_a,
         "subset classes fail to reconcile with the subset",
     )
-    weighted = math.fsum(part.delta_b[b] * part.classes[b][1] for b in units)
+    weighted = math.fsum((part.delta_b * part.prime_count).tolist())
     gap = _rel_gap(weighted, class_a)
     ledger.require(
         "delta-weighted-count",
@@ -135,7 +134,7 @@ def _reconcile_partition(
     )
 
     totient = part.modulus.totient
-    sum_delta_units = math.fsum(part.delta_b[b] for b in units)
+    sum_delta_units = math.fsum(part.delta_b.tolist())
     ledger.report(
         "unit-density-mass",
         sum_delta_units,
@@ -143,7 +142,7 @@ def _reconcile_partition(
         ">=",
         sum_delta_units >= part.delta * totient,
     )
-    sum_delta_good = math.fsum(part.delta_b[b] for b in sorted(part.good))
+    sum_delta_good = math.fsum(part.delta_b[part.good].tolist())
     ledger.report(
         "good-density-mass",
         sum_delta_good,
@@ -160,26 +159,25 @@ def _class_rows(
     """Embed every unit class against the run's prime table; returns the
     embedding and the per-class table, one row per class."""
     emb = embed_classes(part, table)
-    units = list(emb.units)
     passed = [mass >= cut for mass, cut in zip(emb.mass, emb.mass_threshold)]
     per_class = Columns(
-        b=units,
-        prime_count=[part.classes[b][1] for b in units],
-        subset_count=[int(part.classes[b][0].size) for b in units],
-        delta_b=[part.delta_b[b] for b in units],
-        good=[b in part.good for b in units],
+        b=part.units.tolist(),
+        prime_count=part.prime_count.tolist(),
+        subset_count=[a_arr.size for a_arr in part.members],
+        delta_b=part.delta_b.tolist(),
+        good=part.good.tolist(),
         mass=list(emb.mass),
         mass_threshold=list(emb.mass_threshold),
         mass_passed=passed,
         zero_mode_error=list(emb.zero_mode_error),
         offpeak_sup=list(emb.offpeak_sup),
-        offpeak_reference=[emb.offpeak_reference] * len(units),
+        offpeak_reference=[emb.offpeak_reference] * len(passed),
     )
-    good_passed = [ok for b, ok in zip(units, passed) if b in part.good]
+    good_passed = [ok for ok, good in zip(passed, per_class["good"]) if good]
     ledger.report(
         "good-class-weight-mass",
         sum(good_passed),
-        len(part.good),
+        len(good_passed),
         "all good classes reach delta_b/16",
         all(good_passed),
     )
@@ -197,12 +195,7 @@ def _pair_stage(
     """Bound the sumset of every unordered good pair from the classes'
     splits; returns the exact support count by pair and the pair table, in
     pair order."""
-    good = sorted(part.good)
-    # when every class is good, as in an all-primes run, the rows are the
-    # embedding's own array, not a copy of it
-    f = emb.f if len(good) == len(emb.units) else emb.f[np.searchsorted(emb.units, good)]
-    delta_b = [part.delta_b[b] for b in good]
-    columns = pair_sumset_columns(f, good, delta_b, cfg.eps, eps0, sigma)
+    columns = pair_sumset_columns(part, emb, cfg.eps, eps0, sigma)
     support = dict(zip(zip(columns["b1"], columns["b2"]), columns.pop("support_count")))
     passed = columns["passed"]
     ledger.report(
@@ -227,8 +220,8 @@ def _residue_chain(
     bound of the good set; returns (k_formula, k, the residue table,
     witness_ok)."""
     mod = part.modulus
-    good = sorted(part.good)
-    alpha_good = len(good) / mod.totient
+    good = part.units[part.good]
+    alpha_good = good.size / mod.totient
     k_formula, k_floor = choose_moment_order(alpha_good)
     k = cfg.k if cfg.k is not None else k_floor
     cert = kth_moment(SubsetOfZm.from_members(mod.m, good), k, mod)
@@ -249,7 +242,7 @@ def _residue_chain(
 
     gamma, delta = agg.gamma.tolist(), agg.delta.tolist()
     sum_r_gamma = math.fsum((r_x * agg.gamma).tolist())
-    rebracketed = len(good) * sum_delta_good
+    rebracketed = good.size * sum_delta_good
     gap = _rel_gap(sum_r_gamma, rebracketed)
     ledger.require(
         "pair-density-rebracketing",
@@ -259,7 +252,7 @@ def _residue_chain(
         gap <= 1e-9,
         f"pair-density re-bracketing misses by relative gap {gap:.3g}",
     )
-    rg_reference = (part.delta / (2.0 * alpha_good)) * len(good) ** 2
+    rg_reference = (part.delta / (2.0 * alpha_good)) * good.size**2
     ledger.report(
         "pair-density-vs-global",
         sum_r_gamma,
@@ -411,8 +404,8 @@ def _summary(
         "residual_primes": part.residual_primes,
         "residual_subset": part.residual_a,
         "delta": part.delta,
-        "good_count": len(part.good),
-        "good_classes": sorted(part.good),
+        "good_count": int(np.count_nonzero(part.good)),
+        "good_classes": part.units[part.good].tolist(),
         "eps": cfg.eps,
         "sigma": sigma,
         "eps0": eps0,
@@ -473,7 +466,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     support, pair_table = _pair_stage(ledger, cfg, part, emb, eps0, sigma)
     del emb  # the pair stage was the last reader of the class densities
 
-    agg = aggregate_delta(part, cfg.eps) if part.good else None
+    agg = aggregate_delta(part, cfg.eps) if part.good.any() else None
     if agg is not None:
         k_formula, k, residue_density, witness_ok = _residue_chain(
             ledger, cfg, part, agg, support, sum_delta_good

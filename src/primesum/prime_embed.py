@@ -42,31 +42,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResiduePartition:
-    """A prime subset split along the reduced residues of a primorial.
-
-    ``classes`` maps each unit b to the pair (members of A in the class,
-    the count of primes in the class); the residual counts take the primes
-    dividing the modulus, so that totals reconcile exactly.
+    """A prime subset split along the reduced residues of a primorial, as
+    read-only columns aligned with the ascending int64 ``units``: each
+    class's ``members`` of A, its ``prime_count``, its density ``delta_b``
+    (0.0 for a class with no primes) and the ``good`` mask of the classes at
+    least half as dense as A (all False when delta = 0).  The residual
+    counts take the primes dividing the modulus, so totals reconcile exactly.
     """
 
     n: int
     w: int
     modulus: FactoredModulus
-    classes: dict[int, tuple[np.ndarray, int]]
-    delta_b: dict[int, float]
+    units: np.ndarray
+    members: tuple[np.ndarray, ...]
+    prime_count: np.ndarray
+    delta_b: np.ndarray
     delta: float
-    good: frozenset[int]
+    good: np.ndarray
     residual_primes: int
     residual_a: int
-
-    @property
-    def units(self) -> list[int]:
-        return sorted(self.classes)
 
 
 @dataclass(frozen=True)
 class EmbeddedClasses:
-    """Residue classes mapped into Z_N, as columns aligned with ``units``:
+    """Residue classes mapped into Z_N, as columns aligned with the
+    partition's ``units`` (or holding the one class of ``embed_class``):
     log-weighted densities and the checks of their weights, never asserted.
 
     The weight nu of b is (phi(m) / m) log(m x + b) on the positions x in
@@ -79,7 +79,6 @@ class EmbeddedClasses:
     w = 3) is ``offpeak_reference``.
     """
 
-    units: tuple[int, ...]
     f: np.ndarray
     mass: tuple[float, ...]
     mass_threshold: tuple[float, ...]
@@ -111,9 +110,9 @@ def partition_and_densities(
     if table.limit < 2:
         raise DomainError(f"need n >= 2, got {table.limit}")
     primes = table.primes
-    members = np.asarray(list(a_members), dtype=np.int64)
-    at = np.searchsorted(primes, members)
-    if np.any(primes[np.minimum(at, primes.size - 1)] != members):
+    subset = np.asarray(list(a_members), dtype=np.int64)
+    at = np.searchsorted(primes, subset)
+    if np.any(primes[np.minimum(at, primes.size - 1)] != subset):
         raise DomainError(f"members must all be primes <= {table.limit}")
     in_a = np.zeros(primes.size, dtype=bool)
     in_a[at] = True
@@ -121,31 +120,29 @@ def partition_and_densities(
     # the primes dividing m are the primes up to w; every other prime lies
     # in a unit class
     n_residual = int(np.searchsorted(primes, w, side="right"))
-    units = np.flatnonzero(unit_indicator(mod))
-    classes = {}
-    for b, in_class in zip(units.tolist(), _by_residue(primes, mod.m, units)):
-        classes[b] = (primes[in_class[in_a[in_class]]], in_class.size)
+    units = np.flatnonzero(unit_indicator(mod)).astype(np.int64)
+    in_classes = _by_residue(primes, mod.m, units)
+    members = tuple(primes[in_class[in_a[in_class]]] for in_class in in_classes)
+    prime_count = np.array([in_class.size for in_class in in_classes], dtype=np.int64)
 
-    covered = sum(count for _, count in classes.values()) + n_residual
-    if covered != primes.size:
+    if int(prime_count.sum()) + n_residual != primes.size:
         raise InvariantViolation("residue classes fail to cover the primes")
 
-    delta_b = {
-        b: (a_arr.size / count) if count else 0.0
-        for b, (a_arr, count) in classes.items()
-    }
+    # a class with no primes has no members either: its density is 0 / 1
+    delta_b = np.array([a_arr.size for a_arr in members]) / np.maximum(prime_count, 1)
     delta = int(np.count_nonzero(in_a)) / primes.size
     # An empty subset has no good classes; the >= delta/2 rule would
     # otherwise admit every class vacuously.
-    if delta == 0.0:
-        good = frozenset()
-    else:
-        good = frozenset(b for b in classes if delta_b[b] >= delta / 2)
+    good = (delta_b >= delta / 2) & (delta > 0.0)
+    for column in (units, prime_count, delta_b, good, *members):
+        column.setflags(write=False)
     return ResiduePartition(
         n=table.limit,
         w=w,
         modulus=mod,
-        classes=classes,
+        units=units,
+        members=members,
+        prime_count=prime_count,
         delta_b=delta_b,
         delta=delta,
         good=good,
@@ -183,14 +180,15 @@ def _window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
 
 def _embed_rows(
     part: ResiduePartition,
-    b: int,
+    r: int,
     in_class: np.ndarray,
     nu_row: np.ndarray,
     f_row: np.ndarray,
 ) -> None:
-    """Write the class of b's weight and its restriction to A into the zeroed
-    length-N rows ``nu_row`` and ``f_row``; ``in_class`` holds the primes
-    m x + b, x in [1, N], in ascending order."""
+    """Write the weight of the class b at row r of the partition and its
+    restriction to A into the zeroed length-N rows ``nu_row`` and ``f_row``;
+    ``in_class`` holds the primes m x + b, x in [1, N], in ascending order."""
+    b = int(part.units[r])
     m = part.modulus.m
     phi = part.modulus.totient
     big_n = nu_row.size
@@ -199,7 +197,7 @@ def _embed_rows(
     lam = (phi / (m * big_n)) * np.log(in_class.astype(np.float64))
     nu_row[positions] = big_n * lam
 
-    a_class = part.classes[b][0]
+    a_class = part.members[r]
     a_eligible = a_class[a_class >= m + b]
     a_xs = (a_eligible - b) // m
     if a_xs.size and int(a_xs.max()) > big_n:
@@ -209,10 +207,11 @@ def _embed_rows(
 
 
 def _embed(
-    part: ResiduePartition, big_n: int, units: list[int], in_classes: Iterable
+    part: ResiduePartition, big_n: int, rows: Sequence[int], in_classes: Iterable
 ) -> EmbeddedClasses:
-    """Embed the classes of ``units`` into Z_N, N = ``big_n``, in one pass;
-    ``in_classes`` yields each class's primes m x + b, x in [1, N], ascending.
+    """Embed the partition's classes at ``rows`` into Z_N, N = ``big_n``, in
+    one pass; ``in_classes`` yields each class's primes m x + b, x in [1, N],
+    ascending.
 
     Each f is written into its row of one (classes, N) array; no f is
     transformed here.  The weights are written in blocks of ``block_rows(N)``
@@ -222,14 +221,14 @@ def _embed(
     w = part.w
     reference = 2.0 * math.log(math.log(w)) / w if w >= 3 else math.nan
     size = block_rows(big_n)
-    f = np.zeros((len(units), big_n))
+    f = np.zeros((len(rows), big_n))
     zero_mode, offpeak = [], []
-    pending = zip(units, in_classes)
-    for lo in range(0, len(units), size):
+    pending = zip(rows, in_classes)
+    for lo in range(0, len(rows), size):
         block = list(itertools.islice(pending, size))
         nu = np.zeros((len(block), big_n))
-        for nu_row, f_row, (b, in_class) in zip(nu, f[lo:], block):
-            _embed_rows(part, b, in_class, nu_row, f_row)
+        for nu_row, f_row, (r, in_class) in zip(nu, f[lo:], block):
+            _embed_rows(part, r, in_class, nu_row, f_row)
         coeffs = np.fft.fft(nu, axis=-1)
         coeffs /= big_n
         for row in coeffs:
@@ -239,10 +238,9 @@ def _embed(
     # fsum is correctly rounded and zeros add nothing, so each mass sums the
     # support of its row only
     return EmbeddedClasses(
-        units=tuple(units),
         f=f,
         mass=tuple(math.fsum(row[row != 0.0].tolist()) / big_n for row in f),
-        mass_threshold=tuple(part.delta_b[b] / 16.0 for b in units),
+        mass_threshold=tuple((part.delta_b[rows] / 16.0).tolist()),
         zero_mode_error=tuple(zero_mode),
         offpeak_sup=tuple(offpeak),
         offpeak_reference=reference,
@@ -255,12 +253,13 @@ def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedCl
     Positions x run over 1..N (x = N wraps to residue 0); the weight needs
     primality of m x + b up to m N + b, which the table must reach.
     """
-    if b not in part.classes:
+    r = int(np.searchsorted(part.units, b))
+    if r == part.units.size or part.units[r] != b:
         raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
     m = part.modulus.m
     big_n = choose_N(part.n, m)
     in_class = _window(table, m + b, m * big_n + b)
-    return _embed(part, big_n, [b], [in_class[in_class % m == b]])
+    return _embed(part, big_n, [r], [in_class[in_class % m == b]])
 
 
 def embed_classes(part: ResiduePartition, table: PrimeTable) -> EmbeddedClasses:
@@ -272,9 +271,9 @@ def embed_classes(part: ResiduePartition, table: PrimeTable) -> EmbeddedClasses:
     m = part.modulus.m
     units = part.units
     big_n = choose_N(part.n, m)
-    window = _window(table, m, m * big_n + units[-1])
-    in_classes = _by_residue(window, m, np.array(units, dtype=np.int64))
-    return _embed(part, big_n, units, (window[in_class] for in_class in in_classes))
+    window = _window(table, m, m * big_n + int(units[-1]))
+    in_classes = _by_residue(window, m, units)
+    return _embed(part, big_n, range(units.size), (window[c] for c in in_classes))
 
 
 def split_level(sigma: float, density: float) -> float:
@@ -284,11 +283,13 @@ def split_level(sigma: float, density: float) -> float:
 
 
 def pair_sumset_columns(
-    f, b: Sequence[int], delta_b: Sequence[float], eps: float, eps0: float, sigma: float
+    part: ResiduePartition, emb: EmbeddedClasses, eps: float, eps0: float, sigma: float
 ) -> dict[str, list]:
-    """Bound the sumset of every unordered pair of the classes b with rows f
-    and densities delta_b, in the order (c1, c1), (c1, c2), ..., (c2, c2),
-    ..., and return the report columns; the rows go to ``convolve_pairs``.
+    """Bound the sumset of every unordered pair of the good classes c1 < c2
+    < ..., in the order (c1, c1), (c1, c2), ..., (c2, c2), ..., and return
+    the report columns.  The rows of ``emb`` align with the units; the good
+    ones go to ``convolve_pairs``: the embedding's own array when every class
+    is good, as in an all-primes run, and a copy of the good rows otherwise.
 
     Each class has its own level: eps0 clamped down to ``split_level`` of
     its mean when that cap is positive.  A pair works at the level of the
@@ -306,10 +307,9 @@ def pair_sumset_columns(
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not eps0 > 0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    try:
-        f = np.asarray(f, dtype=np.float64)
-    except ValueError:
-        raise DomainError("all densities must share one group order") from None
+    if len(emb.f) != part.units.size:
+        raise DomainError("the embedding's rows must align with the partition's units")
+    f = emb.f if part.good.all() else emb.f[part.good]
     n = f.shape[1]
     mean = f.sum(axis=1) / n
     caps = [split_level(sigma, x) for x in mean.tolist()]
@@ -330,8 +330,8 @@ def pair_sumset_columns(
         sigma,
     )
 
-    b = np.asarray(b, dtype=np.int64)
-    delta = np.asarray(delta_b, dtype=np.float64)
+    b = part.units[part.good]
+    delta = part.delta_b[part.good]
 
     def scatter(values, dtype=np.float64) -> np.ndarray:
         out = np.zeros(c1.shape + np.shape(values)[1:], dtype=dtype)
@@ -407,7 +407,7 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     """
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    good = np.array(sorted(part.good), dtype=np.int64)
+    good = part.units[part.good]
     if not good.size:
         raise DomainError("the good set is empty; nothing to aggregate")
     m = part.modulus.m
@@ -422,7 +422,7 @@ def aggregate_delta(part: ResiduePartition, eps: float) -> DeltaAggregate:
     value = np.empty(good.size**2)
     best = np.full(m, -np.inf)
     witness = np.zeros(m, dtype=np.int64)
-    density = np.array([part.delta_b[b] for b in good.tolist()])
+    density = part.delta_b[part.good]
     for b1, d1 in zip(good.tolist(), density.tolist()):
         r = (b1 + good) % m
         v = (d1 + density) / 2.0

@@ -193,7 +193,11 @@ def split_densities(densities, levels: Sequence[float]) -> list[Decomposition]:
     every split is the one-density split, bit for bit.  Exact splits share
     one read-only zero array as f2.
     """
-    values = _density_rows(densities)
+    return _split_rows(_density_rows(densities), levels)
+
+
+def _split_rows(values: np.ndarray, levels: Sequence[float]) -> list[Decomposition]:
+    """``split_densities`` of rows that ``_density_rows`` has checked."""
     if len(levels) != len(values):
         raise DomainError(f"{len(values)} densities but {len(levels)} levels")
     for level in levels:
@@ -300,9 +304,9 @@ def convolve_pairs(
     entry of ``levels``, and a side takes that split when it was made at the
     pair's level, or when it is exact and the pair's level is lower: a lower
     level adds frequencies and narrows the width, so a Bohr set of {0} stays
-    {0}.  Every other (density, level) is split once, in one
-    ``split_densities`` batch.  A row splits as the row alone, so a pair's
-    results do not depend on the other pairs.
+    {0}.  Every other (density, level) is split once, in one more batch of
+    the rows, which are checked once, on entry.  A row splits as the row
+    alone, so a pair's results do not depend on the other pairs.
 
     Every pair's f*g comes first.  When all densities vanish past position h
     and 2h < N, f*g is a linear convolution supported in [0, 2h]: the
@@ -324,7 +328,7 @@ def convolve_pairs(
     """
     values = _density_rows(densities)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    splits = split_densities(values, levels)
+    splits = _split_rows(values, levels)
     # sides[p] indexes the splits of the two sides of pair p
     sides = pairs.copy()
     side_level = np.repeat(np.asarray(pair_levels, dtype=np.float64), 2).reshape(-1, 2)
@@ -337,7 +341,7 @@ def convolve_pairs(
         keys = np.stack([sides[again], side_level[again]], axis=-1)
         keys, inverse = np.unique(keys, axis=0, return_inverse=True)
         sides[again] = len(splits) + inverse.reshape(-1)
-        splits += split_densities(values[keys[:, 0].astype(int)], keys[:, 1].tolist())
+        splits += _split_rows(values[keys[:, 0].astype(int)], keys[:, 1].tolist())
     bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
     exact = bohr_size == 1
     parts = [d for d, e in zip(splits, exact) if not e]

@@ -178,7 +178,8 @@ def aggregate_enum(part, eps: float) -> dict:
     time in row-major order: the maximum with its first (smallest) witness,
     the fsum average, the pair count and the lower bound, as dicts keyed by
     the ascending residues x."""
-    good = sorted(part.good)
+    good = part.units[part.good].tolist()
+    delta_b = dict(zip(good, part.delta_b[part.good].tolist()))
     m = part.modulus.m
     delta_x: dict[int, float] = {}
     witness: dict[int, tuple[int, int]] = {}
@@ -186,7 +187,7 @@ def aggregate_enum(part, eps: float) -> dict:
     for b1 in good:
         for b2 in good:
             x = (b1 + b2) % m
-            val = (part.delta_b[b1] + part.delta_b[b2]) / 2.0
+            val = (delta_b[b1] + delta_b[b2]) / 2.0
             vals.setdefault(x, []).append(val)
             if x not in delta_x or val > delta_x[x]:
                 delta_x[x] = val

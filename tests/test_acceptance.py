@@ -223,18 +223,18 @@ def test_a09_prime_embedding_mass_and_zero_mode():
 
     primes = table.upto(100_000)
     part = partition_and_densities(primes.primes, primes, 5, primorial(5))
-    for b in sorted(part.delta_b):
+    for b, delta_b in zip(part.units.tolist(), part.delta_b.tolist()):
         emb = embed_class(part, b, table)
         (mass,), (threshold,) = emb.mass, emb.mass_threshold
         assert emb.f.shape[1] == choose_N(100_000, 30)
-        assert abs(threshold - part.delta_b[b] / 16.0) < 1e-15
+        assert abs(threshold - delta_b / 16.0) < 1e-15
         assert mass >= threshold, f"class {b} mass {mass} below {threshold}"
 
     offpeaks = {}
     for w in (3, 5):
         primes = table.upto(1_000_000)
         part = partition_and_densities(primes.primes, primes, w, primorial(w))
-        for b in sorted(part.delta_b):
+        for b in part.units.tolist():
             emb = embed_class(part, b, table)
             (zero_mode,), (offpeak,) = emb.zero_mode_error, emb.offpeak_sup
             assert emb.f.shape[1] == choose_N(1_000_000, part.modulus.m)

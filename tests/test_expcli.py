@@ -20,7 +20,7 @@ from primesum.expcli.reports import _sanitize, emit_report, render_csv, render_j
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import cyclic_sumset_size
 
-from oracles import trial_primes
+from oracles import trial_primes, units_of
 
 
 def record_calls(monkeypatch, name: str) -> list:
@@ -360,23 +360,23 @@ class TestPipeline:
         # one entry (density bytes, level) per split the pair stage makes
         import primesum.zn_spectral as zs
 
-        split = zs.split_densities
+        split = zs._split_rows
         calls = []
 
         def counting(densities, levels):
             calls.extend((f.tobytes(), level) for f, level in zip(densities, levels))
             return split(densities, levels)
 
-        monkeypatch.setattr(zs, "split_densities", counting)
+        monkeypatch.setattr(zs, "_split_rows", counting)
         return calls
 
     @staticmethod
     def record_splits(monkeypatch) -> tuple[list, object]:
         # one entry ((bytes of the density, level), split) per split made;
-        # also returns the unpatched split_densities
+        # also returns the unpatched splitter of checked rows
         import primesum.zn_spectral as zs
 
-        split, made = zs.split_densities, []
+        split, made = zs._split_rows, []
 
         def recording(densities, levels):
             out = split(densities, levels)
@@ -385,7 +385,7 @@ class TestPipeline:
             )
             return out
 
-        monkeypatch.setattr(zs, "split_densities", recording)
+        monkeypatch.setattr(zs, "_split_rows", recording)
         return made, split
 
     def test_one_split_per_class(self, monkeypatch):
@@ -505,20 +505,20 @@ class TestPipeline:
         if rows is not None:
             big_n = pe.choose_N(cfg.n, 210 if cfg.w == 7 else 30)
             monkeypatch.setattr(zs, "BLOCK_BYTES", rows * 32 * big_n)
-        split, made = zs.split_densities, []
+        rows_split, made = zs._split_rows, []
 
         def keeping(densities, levels):
-            out = split(densities, levels)
+            out = rows_split(densities, levels)
             made.extend(zip(densities, levels, out))
             return out
 
-        monkeypatch.setattr(zs, "split_densities", keeping)
+        monkeypatch.setattr(zs, "_split_rows", keeping)
         run_pipeline(cfg)
-        monkeypatch.setattr(zs, "split_densities", split)
+        monkeypatch.setattr(zs, "_split_rows", rows_split)
         assert len(made) >= 8
         sizes = set()
         for f, level, d in made:
-            (one,) = split([f], [level])
+            (one,) = zs.split_densities([f], [level])
             f1, f2, members = split_oracle(f, level)
             for got in (d, one):
                 assert got.bohr.tolist() == members.tolist()
@@ -540,9 +540,10 @@ class TestPipeline:
             return seen[-1][-1]
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
-        made, split = self.record_splits(monkeypatch)
+        made, rows_split = self.record_splits(monkeypatch)
         report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
-        monkeypatch.setattr(zs, "split_densities", split)
+        monkeypatch.setattr(zs, "_split_rows", rows_split)
+        split = zs.split_densities
         ((densities, levels, pairs, _, _, conv),) = seen
         # the reference splits, each with the level it was made at
         own = list(zip(levels, split(densities, levels)))
@@ -786,6 +787,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "29" in out
 
+    def test_partition_prints_good_empty_and_other_classes(self, capsys):
+        # the primes 1 mod 3 up to 300 along the 48 classes mod 210 (a
+        # multiple of 3, so each class is all in or all out): 21 good
+        # classes and 27 that are not, 5 of those with no prime at all
+        argv = ["partition", "--n", "300", "--W", "7", "--rule", "residue-filter:1:3"]
+        assert main(argv) == 0
+        head, *rows, residual = capsys.readouterr().out.splitlines()
+        good = [1, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97, 103, 109, 127, 139, 151]
+        good += [157, 163, 181, 193, 199]
+        assert head == (
+            "n=300 W=7 m=210 phi=48 delta=0.451612903226 good="
+            + ",".join(map(str, good))
+        )
+        assert rows[:2] == [
+            "b=1 primes=1 subset=1 delta_b=1 good=true",
+            "b=11 primes=1 subset=0 delta_b=0 good=false",
+        ]
+        assert rows[-1] == "b=209 primes=0 subset=0 delta_b=0 good=false"
+        assert residual == "residual primes=4 subset=1"
+        fields = [dict(field.split("=") for field in row.split()) for row in rows]
+        assert [int(row["b"]) for row in fields] == units_of(210)
+        assert [int(row["b"]) for row in fields if row["good"] == "true"] == good
+        assert {row["good"] for row in fields} == {"true", "false"}
+        empty = [row for row in fields if row["primes"] == "0"]
+        assert [int(row["b"]) for row in empty] == [121, 143, 169, 187, 209]
+        assert all(row["subset"] == "0" and row["delta_b"] == "0" for row in empty)
+        # every count is an integer: 62 primes up to 300, 28 of them 1 mod 3
+        assert sum(int(row["primes"]) for row in fields) + 4 == 62
+        assert sum(int(row["subset"]) for row in fields) + 1 == 28
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -864,7 +895,7 @@ class TestCli:
     def test_failing_l1_identity_maps_to_three(self, monkeypatch, capsys):
         import primesum.zn_spectral as zs
 
-        split = zs.split_densities
+        split = zs._split_rows
 
         def broken(densities, levels):
             # the last split of a batch comes back with an f1 that alternates
@@ -876,7 +907,7 @@ class TestCli:
             splits[-1] = zs.Decomposition(f1=d.f1 * sign, f2=d.f2, bohr=np.arange(2))
             return splits
 
-        monkeypatch.setattr(zs, "split_densities", broken)
+        monkeypatch.setattr(zs, "_split_rows", broken)
         with pytest.raises(InvariantViolation, match="L1 mass"):
             run_pipeline(small_config(n=3000, w=5))
         assert main(["pipeline", "--n", "3000", "--W", "5"]) == 3

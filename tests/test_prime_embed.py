@@ -26,16 +26,19 @@ from oracles import aggregate_enum, trial_primes, units_of
 
 
 def synthetic_partition(delta_b, delta, good, n=1000, w=3):
-    mod = primorial(w)
-    classes = {b: (np.zeros(0, dtype=np.int64), 0) for b in delta_b}
+    """The columns of a partition whose classes are the keys of ``delta_b``
+    (unit -> density), with no primes, and whose good classes are ``good``."""
+    units = np.array(sorted(delta_b), dtype=np.int64)
     return ResiduePartition(
         n=n,
         w=w,
-        modulus=mod,
-        classes=classes,
-        delta_b=dict(delta_b),
+        modulus=primorial(w),
+        units=units,
+        members=tuple(np.zeros(0, dtype=np.int64) for _ in units),
+        prime_count=np.zeros(units.size, dtype=np.int64),
+        delta_b=np.array([delta_b[b] for b in units.tolist()], dtype=np.float64),
         delta=delta,
-        good=frozenset(good),
+        good=np.isin(units, list(good)),
         residual_primes=0,
         residual_a=0,
     )
@@ -61,11 +64,11 @@ def weight_partition(n, w):
     m = part.modulus.m
     primes = table.primes
     top = m * choose_N(n, m)
-    classes = {}
-    for b, (_, count) in part.classes.items():
+    members = []
+    for b in part.units.tolist():
         window = primes[(primes >= m + b) & (primes <= top + b)]
-        classes[b] = (window[window % m == b], count)
-    return dataclasses.replace(part, classes=classes), table
+        members.append(window[window % m == b])
+    return dataclasses.replace(part, members=tuple(members)), table
 
 
 class TestPartition:
@@ -73,24 +76,51 @@ class TestPartition:
         part = partition_and_densities(
             trial_primes(20), sieve_primes(20), 3, primorial(3)
         )
-        assert part.classes[1][0].tolist() == [7, 13, 19]
-        assert part.classes[5][0].tolist() == [5, 11, 17]
-        assert [part.classes[b][1] for b in (1, 5)] == [3, 3]
-        assert part.delta_b == {1: 1.0, 5: 1.0}
+        assert part.units.tolist() == [1, 5]
+        assert [a_arr.tolist() for a_arr in part.members] == [[7, 13, 19], [5, 11, 17]]
+        assert part.prime_count.tolist() == [3, 3]
+        assert part.delta_b.tolist() == [1.0, 1.0]
+        assert part.good.tolist() == [True, True]
         assert part.residual_primes == 2 and part.residual_a == 2
+
+    def test_columns_align_with_the_ascending_units(self):
+        # at n = 300 five of the 48 classes mod 210 hold no prime
+        members = [p for p in trial_primes(300) if p % 3 == 1]
+        part = partition_and_densities(members, sieve_primes(300), 7, primorial(7))
+        assert part.units.tolist() == units_of(210)
+        columns = {
+            "units": (part.units, np.int64),
+            "prime_count": (part.prime_count, np.int64),
+            "delta_b": (part.delta_b, np.float64),
+            "good": (part.good, np.bool_),
+        }
+        for name, (column, dtype) in columns.items():
+            assert column.dtype == dtype and column.shape == (48,), name
+            assert not column.flags.writeable, name
+        assert len(part.members) == 48
+        assert [a_arr.dtype for a_arr in part.members] == [np.int64] * 48
+        assert not any(a_arr.flags.writeable for a_arr in part.members)
+        # a class with no primes has density 0 and is never good
+        empty = part.prime_count == 0
+        assert np.count_nonzero(empty) == 5 and not part.delta_b[empty].any()
+        assert not part.good[empty].any()
+        assert part.good.tolist() == (part.delta_b >= part.delta / 2).tolist()
+        assert 0 < np.count_nonzero(part.good) < 43
 
     def test_full_primes_all_dense(self):
         part = partition_and_densities(
             trial_primes(500), sieve_primes(500), 5, primorial(5)
         )
-        for b, (a_arr, count) in part.classes.items():
+        for count, density in zip(part.prime_count.tolist(), part.delta_b.tolist()):
             if count:
-                assert part.delta_b[b] == 1.0
+                assert density == 1.0
+        assert part.good.all()
 
     def test_empty_subset(self):
         part = partition_and_densities([], sieve_primes(100), 3, primorial(3))
-        assert all(v == 0.0 for v in part.delta_b.values())
-        assert part.good == frozenset()
+        assert part.delta_b.tolist() == [0.0, 0.0]
+        # 0 >= 0 / 2 would admit every class; the empty subset has none
+        assert part.good.tolist() == [False, False]
 
     def test_rejects_non_prime(self):
         with pytest.raises(DomainError):
@@ -104,7 +134,7 @@ class TestPartition:
         part = partition_and_densities(
             [19, 7, 13, 7, 2], sieve_primes(20), 3, primorial(3)
         )
-        assert part.classes[1][0].tolist() == [7, 13, 19]
+        assert part.members[0].tolist() == [7, 13, 19]
         assert part.residual_a == 1
         assert part.delta == 4 / 8
 
@@ -113,13 +143,13 @@ class TestPartition:
         primes = trial_primes(n)
         members = sorted(data.draw(st.sets(st.sampled_from(primes))))
         part = partition_and_densities(members, sieve_primes(n), 3, primorial(3))
-        class_a = sum(v[0].size for v in part.classes.values())
-        class_p = sum(v[1] for v in part.classes.values())
+        class_a = sum(a_arr.size for a_arr in part.members)
+        class_p = int(part.prime_count.sum())
         assert class_a + part.residual_a == len(members)
         assert class_p + part.residual_primes == len(primes)
-        assert {b: v[1] for b, v in part.classes.items()} == {
-            b: sum(p % 6 == b for p in primes) for b in (1, 5)
-        }
+        assert part.prime_count.tolist() == [
+            sum(p % 6 == b for p in primes) for b in (1, 5)
+        ]
 
     def test_a_class_that_loses_a_prime_fails_the_cover(self, monkeypatch):
         # the partition is the one check that the class prime counts and the
@@ -161,7 +191,7 @@ class TestEmbedClass:
     def test_positions_n100(self):
         part, table = partition_and_table(trial_primes(100), 100, 3)
         emb = embed_class(part, 1, table)
-        assert emb.units == (1,) and emb.f.shape == (1, 66)
+        assert emb.f.shape == (1, 66)
         positions = np.flatnonzero(emb.f[0]).tolist()
         assert positions == [1, 2, 3, 5, 6, 7, 10, 11, 12, 13, 16]
 
@@ -202,6 +232,17 @@ class TestEmbedClass:
         with pytest.raises(DomainError):
             embed_classes(part, sieve_primes(50))
 
+    @pytest.mark.parametrize("b", [-1, 0, 3, 7, 11])
+    def test_lookup_rejects_a_non_unit(self, b):
+        # the units of 6 are 1 and 5: 3 sits between them, and 7 and 11 lie
+        # past the last unit, where the lookup lands on the column's end
+        part, table = partition_and_table(trial_primes(100), 100, 3)
+        with pytest.raises(DomainError, match="not a reduced residue of 6"):
+            embed_class(part, b, table)
+        primes = trial_primes(100)
+        positions = [x for x in range(1, 17) if 6 * x + 5 in primes]
+        assert np.flatnonzero(embed_class(part, 5, table).f[0]).tolist() == positions
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -210,7 +251,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def assert_same_class(batch: EmbeddedClasses, r: int, one: EmbeddedClasses) -> None:
     """Row r of ``batch`` and row 0 of the one-class record ``one`` equal
     field by field, bit for bit, NaN included, and f with the same ``dft``."""
-    assert len(one.units) == one.f.shape[0] == 1
+    assert one.f.shape[0] == 1
     for field in dataclasses.fields(EmbeddedClasses):
         a, b = getattr(batch, field.name), getattr(one, field.name)
         if field.name == "f":
@@ -231,8 +272,8 @@ class TestEmbedClasses:
         # at position N, which wraps to 0
         part, table = partition_and_table(trial_primes(2000)[::2], 2000, 7)
         batch = embed_classes(part, table)
-        assert list(batch.units) == part.units
-        for r, b in enumerate(batch.units):
+        assert len(batch.f) == part.units.size
+        for r, b in enumerate(part.units.tolist()):
             assert_same_class(batch, r, embed_class(part, b, table))
         coeffs = dft(batch.f)
         assert same_bits(coeffs, np.fft.fft(batch.f, axis=-1) / batch.f.shape[1])
@@ -244,8 +285,8 @@ class TestEmbedClasses:
     def test_every_unit_matches_across_routes(self, w):
         part, table = partition_and_table(trial_primes(3000), 3000, w)
         batch = embed_classes(part, table)
-        assert list(batch.units) == part.units
-        for r, b in enumerate(part.units):
+        assert len(batch.f) == part.units.size
+        for r, b in enumerate(part.units.tolist()):
             assert_same_class(batch, r, embed_class(part, b, table))
         if w == 2:
             assert math.isnan(batch.offpeak_reference)
@@ -274,7 +315,7 @@ class TestEmbedClasses:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(batch.units) == 48
+        assert len(batch.f) == 48
         assert held - before <= 1.25 * unit
         assert peak - before <= 2 * unit
 
@@ -285,14 +326,15 @@ class TestMassCheck:
         members = [p for p in trial_primes(100) if p % 6 == 1]
         part, table = partition_and_table(members, 100, 3)
         emb = embed_class(part, 5, table)
-        assert part.delta_b[5] == 0.0 and not emb.f.any()
+        assert part.units.tolist() == [1, 5]
+        assert part.delta_b[1] == 0.0 and not emb.f.any()
         assert emb.mass == (0.0,) == emb.mass_threshold
 
     def test_empty_class_positive_density(self):
         # 5 sits at x = 0, below the window: density 1/12, but f = 0
         part, table = partition_and_table([5], 100, 3)
         emb = embed_class(part, 5, table)
-        assert part.delta_b[5] > 0.0 and not emb.f.any()
+        assert part.delta_b[1] > 0.0 and not emb.f.any()
         assert emb.mass == (0.0,)
         assert not emb.mass[0] >= emb.mass_threshold[0]
 
@@ -361,12 +403,21 @@ class TestPseudorandomDeficit:
         assert list(zip(batch.zero_mode_error, batch.offpeak_sup)) == expected
 
 
+def embedding_of(rows) -> EmbeddedClasses:
+    """An embedding record around the density rows; the pair stage reads
+    ``f`` alone, so the checks are placeholders."""
+    f = np.array(rows, dtype=np.float64)
+    zeros = (0.0,) * len(f)
+    return EmbeddedClasses(f, zeros, zeros, zeros, zeros, math.nan)
+
+
 def pair_report(classes, eps, eps0, sigma):
     """The row of the last pair from ``pair_sumset_columns`` of ``classes``,
-    (b, row of f, delta_b) triples: one class with itself, or two classes
-    together."""
+    (b, row of f, delta_b) triples in ascending b, all good: one class with
+    itself, or two classes together."""
     b, rows, delta_b = zip(*classes)
-    columns = pair_sumset_columns(list(rows), b, delta_b, eps, eps0, sigma)
+    part = synthetic_partition(dict(zip(b, delta_b)), 0.5, b)
+    columns = pair_sumset_columns(part, embedding_of(rows), eps, eps0, sigma)
     return {name: values[len(classes) - 1] for name, values in columns.items()}
 
 
@@ -385,9 +436,38 @@ class TestPairSumsetReport:
         rep = pair_report([(1, np.zeros(64), 0.05)], 0.2, 0.01, 0.01)
         assert rep["passed"]
 
-    def test_mismatched_lengths(self):
-        with pytest.raises(DomainError):
-            pair_report([(1, np.ones(32), 1.0), (5, np.ones(64), 1.0)], 0.1, 0.01, 0.01)
+    def test_rows_must_align_with_the_units(self):
+        part = synthetic_partition({1: 1.0, 5: 1.0}, 0.5, [1, 5])
+        with pytest.raises(DomainError, match="align with the partition's units"):
+            pair_sumset_columns(part, embedding_of([np.ones(8)]), 0.1, 0.01, 0.01)
+
+    def test_good_rows_are_picked_from_the_embedding(self, monkeypatch):
+        import primesum.prime_embed as pe
+
+        convolve, seen = pe.convolve_pairs, []
+
+        def keeping(f, *args):
+            seen.append(f)
+            return convolve(f, *args)
+
+        monkeypatch.setattr(pe, "convolve_pairs", keeping)
+        rows = np.arange(1.0, 25.0).reshape(3, 8)
+        emb = embedding_of(rows)
+        densities = {1: 0.3, 7: 0.1, 11: 0.5}
+        # every class good: the embedding's own array, not a copy
+        every = pair_sumset_columns(
+            synthetic_partition(densities, 0.2, densities, w=5), emb, 0.1, 0.01, 0.01
+        )
+        assert seen.pop() is emb.f
+        assert every["b1"] == [1, 1, 1, 7, 7, 11]
+        # the good classes 1 and 11 only: their rows, labels and densities
+        part = synthetic_partition(densities, 0.2, [1, 11], w=5)
+        some = pair_sumset_columns(part, emb, 0.1, 0.01, 0.01)
+        assert seen.pop().tolist() == rows[[0, 2]].tolist()
+        assert (some["b1"], some["b2"]) == ([1, 1, 11], [1, 11, 11])
+        kept = [0, 2, 5]
+        assert some == {name: [column[p] for p in kept] for name, column in every.items()}
+        assert some["target_fraction"] == [0.3 - 0.1, 0.4 - 0.1, 0.5 - 0.1]
 
     def test_eps0_clamped_to_parameter_relation(self):
         rep = pair_report([(1, np.ones(64), 1.0)], 0.1, 0.5, 0.01)
@@ -405,8 +485,7 @@ class TestPairSumsetReport:
     def test_class_density_transformed_once(self, monkeypatch):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
         emb = embed_classes(part, table)
-        assert emb.units == (1, 5) and emb.f.shape[1] == choose_N(2000, 6)
-        delta_b = [part.delta_b[b] for b in emb.units]
+        assert part.good.all() and emb.f.shape == (2, choose_N(2000, 6))
         stacks = []
         rfft = np.fft.rfft
 
@@ -415,7 +494,7 @@ class TestPairSumsetReport:
             return rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        columns = pair_sumset_columns(emb.f, emb.units, delta_b, 0.1, 0.01, 0.01)
+        columns = pair_sumset_columns(part, emb, 0.1, 0.01, 0.01)
         assert len(columns["alpha"]) == 3 and min(columns["alpha"]) > 0
         # one forward transform of the rows serves all three pairs; a row is
         # its density's prefix, past which the density is zero
@@ -432,19 +511,17 @@ class TestPairSumsetReport:
         part, table = partition_and_table(table_primes(10**6), 10**6, 7)
         unit = 8 * part.modulus.totient * choose_N(10**6, 210)
         emb = embed_classes(part, table)
-        good = sorted(part.good)
-        rows = emb.f[np.searchsorted(emb.units, good)]
-        delta_b = [part.delta_b[b] for b in good]
+        good = int(np.count_nonzero(part.good))
         sigma = 0.1 / 20
         eps0 = sigma**6 * part.delta**4 / 400
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            columns = pair_sumset_columns(rows, good, delta_b, 0.1, eps0, sigma)
+            columns = pair_sumset_columns(part, emb, 0.1, eps0, sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(columns["alpha"]) == len(good) * (len(good) + 1) // 2
+        assert len(columns["alpha"]) == good * (good + 1) // 2
         assert peak - before <= 2.2 * unit
 
 

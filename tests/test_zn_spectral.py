@@ -90,6 +90,26 @@ class TestDensityRows:
         assert rep.main_l1[0] == pytest.approx(9.0, rel=1e-12)
         assert rep.main_count[0] == 3 and rep.support[0] == 5
 
+    def test_convolve_pairs_checks_its_rows_once(self, monkeypatch):
+        # the rows are checked on entry; the splits at the densities' own
+        # levels and the second batch at the pairs' levels take them checked
+        check, split, checks, batches = zs._density_rows, zs._split_rows, [], []
+
+        def counting_checks(values):
+            checks.append(len(values))
+            return check(values)
+
+        def counting_batches(values, levels):
+            batches.append(list(levels))
+            return split(values, levels)
+
+        monkeypatch.setattr(zs, "_density_rows", counting_checks)
+        monkeypatch.setattr(zs, "_split_rows", counting_batches)
+        rows = [np.random.default_rng(3).random(64), 64.0 * indicator(64, [3])]
+        convolve_pairs(rows, [0.2, 0.2], [(0, 1), (0, 0)], [0.1, 0.3], 0.05)
+        assert checks == [2]
+        assert batches == [[0.2, 0.2], [0.1, 0.3]]
+
     def test_empty_batch(self):
         assert dft([]).shape == (0, 1)
         assert split_densities(np.zeros((0, 5)), []) == []
@@ -411,7 +431,7 @@ class TestConvolutionProofQuantities:
         (d,) = split_densities([f], [0.5])
         assert d.bohr.size == 16
         broken = Decomposition(f1=d.f1 * (-1.0) ** np.arange(16), f2=d.f2, bohr=d.bohr)
-        monkeypatch.setattr(zs, "split_densities", lambda densities, levels: [broken])
+        monkeypatch.setattr(zs, "_split_rows", lambda densities, levels: [broken])
         with pytest.raises(InvariantViolation, match="L1 mass"):
             convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
 
@@ -427,15 +447,15 @@ class TestConvolutionProofQuantities:
         rng = np.random.default_rng(3)
         smooth = rng.random(64)
         point = 64.0 * indicator(64, [3])
-        split, made = zs.split_densities, []
+        split, rows_split, made = zs.split_densities, zs._split_rows, []
 
         def keeping(densities, levels):
             made.extend(
                 (int(np.array_equal(f, point)), level) for f, level in zip(densities, levels)
             )
-            return split(densities, levels)
+            return rows_split(densities, levels)
 
-        monkeypatch.setattr(zs, "split_densities", keeping)
+        monkeypatch.setattr(zs, "_split_rows", keeping)
         pairs = [(0, 1), (0, 1), (1, 1), (0, 0), (1, 0)]
         pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
         rep = convolve_pairs([smooth, point], [0.2, 0.2], pairs, pair_levels, 0.05)
@@ -474,7 +494,7 @@ def check_against_fold(values, sigma):
     (0, 1), ..., (1, 1), ..."""
     pairs = [(i, j) for i in range(len(values)) for j in range(i, len(values))]
     with mock.patch.object(
-        zs, "split_densities", lambda densities, _: [exact_split(f) for f in densities]
+        zs, "_split_rows", lambda densities, _: [exact_split(f) for f in densities]
     ):
         rep = convolve_pairs(
             values, [1.0] * len(values), pairs, [1.0] * len(pairs), sigma
