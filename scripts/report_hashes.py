@@ -44,9 +44,10 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # moments-k2 at k=2, the lowest order the CLI takes, the three routes of
 # capital_R's unit-shift convolution: the odd 255255 (one transform pair at m,
 # the unit spectrum in closed form), 20014 = 2 * 10007 (folded onto the prime
-# 10007, padded to 20250) and the prime 999983 (padded); a
-# non-squarefree modulus (the radical-block certificate), a list: spec and the
-# extremal family at s=6 and s=7; simulate-random, a command that is gone
+# 10007, padded to 20250) and the prime 999983 (padded); the CLI's largest
+# primorial, 9699690, whose 166 members' counts fit one byte each; a
+# non-squarefree modulus (the radical-block certificate), a list: spec and
+# the extremal family at s=6 and s=7; simulate-random, a command that is gone
 # (exit 2); and the one-class commands, which share the pipeline's prime
 # table: sieve, partition, partition-residue (a filtered subset at W=7 with
 # classes that are good, classes that are not and classes with no prime),
@@ -89,6 +90,7 @@ CASES = [
     ("moments-z30030", "moments --m 30030 --set-spec units-random:0.05:2 --k 3"),
     ("moments-k2", "moments --m 30030 --set-spec units-random:0.05:2 --k 2"),
     ("znstar-z255255", "znstar-bound --m 255255 --set-spec units-random:0.01:1"),
+    ("znstar-z9699690", "znstar-bound --m 9699690 --set-spec units-random:0.0001:1"),
     ("moments-z20014", "moments --m 20014 --set-spec units-random:0.3:1 --k 3"),
     ("moments-z999983", "moments --m 999983 --set-spec units-random:0.001:1 --k 3"),
     ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),

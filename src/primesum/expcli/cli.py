@@ -145,7 +145,8 @@ def _partition(cfg: ExperimentConfig, table: PrimeTable, mod: FactoredModulus):
 
 
 def _embedded_class(args):
-    """The class of --b, checked first, embedded against one sieve to m N + m."""
+    """The partition, and the class of --b, checked first, embedded against
+    one sieve to m N + m."""
     cfg = _config(args)
     cfg.validate()
     mod = primorial(cfg.w)
@@ -153,7 +154,8 @@ def _embedded_class(args):
     if not 0 <= args.b < m or math.gcd(args.b, m) != 1:
         raise DomainError(f"{args.b} is not a reduced residue of {m}")
     table = sieve_primes(embedding_limit(cfg.n, m))
-    return embed_class(_partition(cfg, table, mod), args.b, table)
+    part = _partition(cfg, table, mod)
+    return part, embed_class(part, args.b, table)
 
 
 def _cmd_partition(args) -> int:
@@ -180,7 +182,8 @@ def _cmd_partition(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.top < 0:
         raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
-    emb = _embedded_class(args)
+    part, emb = _embedded_class(args)
+    threshold = float(part.delta_b[np.searchsorted(part.units, args.b)]) / 16.0
     _print(
         f"b={args.b} N={emb.f.shape[1]} "
         f"zero_mode_error={_fmt(emb.zero_mode_error[0])} "
@@ -188,8 +191,8 @@ def _cmd_spectrum(args) -> int:
         f"reference={_fmt(emb.offpeak_reference)}"
     )
     _print(
-        f"mass={_fmt(emb.mass[0])} threshold={_fmt(emb.mass_threshold[0])} "
-        f"passed={_fmt(emb.mass[0] >= emb.mass_threshold[0])}"
+        f"mass={_fmt(emb.mass[0])} threshold={_fmt(threshold)} "
+        f"passed={_fmt(emb.mass[0] >= threshold)}"
     )
     mags = np.abs(dft(emb.f)[0])
     order = np.argsort(-mags, kind="stable")[: args.top]
@@ -199,7 +202,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    emb = _embedded_class(args)
+    _, emb = _embedded_class(args)
     big_n = emb.f.shape[1]
     (decomp,) = split_densities(emb.f, [args.eps0])
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / big_n)))

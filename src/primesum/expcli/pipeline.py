@@ -159,7 +159,8 @@ def _class_rows(
     """Embed every unit class against the run's prime table; returns the
     embedding and the per-class table, one row per class."""
     emb = embed_classes(part, table)
-    passed = [mass >= cut for mass, cut in zip(emb.mass, emb.mass_threshold)]
+    threshold = (part.delta_b / 16.0).tolist()
+    passed = [mass >= cut for mass, cut in zip(emb.mass, threshold)]
     per_class = Columns(
         b=part.units.tolist(),
         prime_count=part.prime_count.tolist(),
@@ -167,7 +168,7 @@ def _class_rows(
         delta_b=part.delta_b.tolist(),
         good=part.good.tolist(),
         mass=list(emb.mass),
-        mass_threshold=list(emb.mass_threshold),
+        mass_threshold=threshold,
         mass_passed=passed,
         zero_mode_error=list(emb.zero_mode_error),
         offpeak_sup=list(emb.offpeak_sup),
@@ -225,7 +226,8 @@ def _residue_chain(
     k_formula, k_floor = choose_moment_order(alpha_good)
     k = cfg.k if cfg.k is not None else k_floor
     cert = kth_moment(SubsetOfZm.from_members(mod.m, good), k, mod)
-    r_x = cert.hist[agg.x]
+    # the counts leave their narrow dtype before any arithmetic
+    r_x = cert.hist[agg.x].astype(np.int64)
     mismatch = agg.x[agg.count != r_x]
     if mismatch.size:
         raise InvariantViolation(f"pair multiplicity mismatch at residue {mismatch[0]}")

@@ -1,9 +1,9 @@
 """Exact prime and multiplicative arithmetic.
 
-Sieves, primorials, factorizations, totients, gcd tables and unit
-indicators.  Everything here is deterministic and exact; no probabilistic
-primality tests are used anywhere.  Python integers are arbitrary
-precision, so products such as primorials never wrap around.
+Sieves, primorials, factorizations, totients and unit indicators.
+Everything here is deterministic and exact; no probabilistic primality
+tests are used anywhere.  Python integers are arbitrary precision, so
+products such as primorials never wrap around.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "sieve_primes",
     "primorial",
     "factorize",
-    "gcd_table",
     "unit_indicator",
 ]
 
@@ -134,19 +133,6 @@ def factorize(m: int) -> FactoredModulus:
     if rem > 1:
         pairs.append((rem, 1))
     return _modulus_from_pairs(tuple(pairs))
-
-
-def gcd_table(mod: FactoredModulus) -> np.ndarray:
-    """gcd(x, m) for every x in [0, m), indexed by x.
-
-    One strided pass per prime power p^i dividing m multiplies in a factor p
-    at the multiples of p^i, so no gcd is ever evaluated.
-    """
-    g = np.ones(mod.m, dtype=np.int64)
-    for p, e in mod.primes:
-        for i in range(1, e + 1):
-            g[:: p**i] *= p
-    return g
 
 
 def unit_indicator(mod: FactoredModulus) -> np.ndarray:

@@ -72,8 +72,8 @@ class EmbeddedClasses:
     The weight nu of b is (phi(m) / m) log(m x + b) on the positions x in
     [1, N] with m x + b prime (position N wraps to 0), and b's row of the
     read-only (classes, N) array ``f`` is nu restricted to the positions from
-    A.  ``mass`` is the compensated sum of the row over N, against
-    ``mass_threshold`` = delta_b / 16.  ``zero_mode_error`` is the distance
+    A.  ``mass`` is the compensated sum of the row over N, which its readers
+    hold against the class's delta_b / 16.  ``zero_mode_error`` is the distance
     of nu's normalized zero mode from 1 and ``offpeak_sup`` its largest
     off-zero coefficient; the asymptotic reference 2 loglog w / w (NaN below
     w = 3) is ``offpeak_reference``.
@@ -81,7 +81,6 @@ class EmbeddedClasses:
 
     f: np.ndarray
     mass: tuple[float, ...]
-    mass_threshold: tuple[float, ...]
     zero_mode_error: tuple[float, ...]
     offpeak_sup: tuple[float, ...]
     offpeak_reference: float
@@ -240,7 +239,6 @@ def _embed(
     return EmbeddedClasses(
         f=f,
         mass=tuple(math.fsum(row[row != 0.0].tolist()) / big_n for row in f),
-        mass_threshold=tuple((part.delta_b[rows] / 16.0).tolist()),
         zero_mode_error=tuple(zero_mode),
         offpeak_sup=tuple(offpeak),
         offpeak_reference=reference,
@@ -288,8 +286,9 @@ def pair_sumset_columns(
     """Bound the sumset of every unordered pair of the good classes c1 < c2
     < ..., in the order (c1, c1), (c1, c2), ..., (c2, c2), ..., and return
     the report columns.  The rows of ``emb`` align with the units; the good
-    ones go to ``convolve_pairs``: the embedding's own array when every class
-    is good, as in an all-primes run, and a copy of the good rows otherwise.
+    ones go to ``convolve_pairs`` with their row sums, summed once here: the
+    embedding's own array when every class is good, as in an all-primes run,
+    and a copy of the good rows otherwise.
 
     Each class has its own level: eps0 clamped down to ``split_level`` of
     its mean when that cap is positive.  A pair works at the level of the
@@ -311,7 +310,8 @@ def pair_sumset_columns(
         raise DomainError("the embedding's rows must align with the partition's units")
     f = emb.f if part.good.all() else emb.f[part.good]
     n = f.shape[1]
-    mean = f.sum(axis=1) / n
+    sums = f.sum(axis=1)
+    mean = sums / n
     caps = [split_level(sigma, x) for x in mean.tolist()]
     levels = np.array([min(eps0, cap) if cap > 0 else eps0 for cap in caps])
 
@@ -328,6 +328,7 @@ def pair_sumset_columns(
         np.stack([c1[live], c2[live]], axis=-1),
         eps0_used[live],
         sigma,
+        sums=sums,
     )
 
     b = part.units[part.good]

@@ -20,16 +20,31 @@ L >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
 folded onto Z_m otherwise (a prime m, say); one function, ``_cyclic_route``,
 picks the route of every cyclic convolution.  The sparse route reduces the
 pair sums mod m before counting them.  Kernels over all of Z_m
-read the modulus's prime structure: one strided gcd table for the unit group
-and the gcd layers, and a Moebius count factored one prime at a time.  The
-unit-shift counts R that the Moebius count checks fold an even m = 2n onto
-Z_n, since members and units are odd, and take the unit indicator's transform
-in closed form (a product of Ramanujan sums), so R over Z_510510 costs one
-transform pair at length 255255.
+read the modulus's prime structure: strided passes over the prime powers for
+the unit group and the gcd layers, and a Moebius count factored one prime at
+a time.  The unit-shift counts R that the Moebius count checks fold an even
+m = 2n onto Z_n, since members and units are odd, and multiply the forward
+spectrum in place by the unit indicator's transform in closed form (a
+product of Ramanujan sums), so R over Z_510510 costs one transform pair at
+length 255255.
+
+Every count of the certificate lies in [0, |B|]: r_B(x), R(x), each partial
+Moebius count, and each count of a convolution of a set with a larger one.
+Each is held in the narrowest unsigned dtype that holds its bound,
+``np.min_scalar_type(|B|)`` (uint8 up to 255, uint16 up to 65535), and so is
+the gcd layer of each residue; no int64 array of length m is built, and the
+consumers widen the counts before any arithmetic.  The float results are
+rounded block by block, and the histograms of the moments count block by
+block, so their intp keys are block-sized.  numpy's sparse ``bincount``
+still returns one intp array of length m, which is narrowed as it is added
+in.  One ``kth_moment`` over Z_510510 with 461 members peaks at about 14
+traced bytes per residue (28 with int64 counts), and over Z_9699690 with
+166 members at about 10.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +62,6 @@ from .errors import (
 from .ntheory import (
     FactoredModulus,
     factorize,
-    gcd_table,
     sieve_primes,
     unit_indicator,
 )
@@ -140,52 +154,64 @@ class SubsetOfZm:
         return 0 <= x < self.m and bool(self.indicator[x])
 
 
-def _convolve_int_exact(
-    a: np.ndarray, b: np.ndarray, nfft: int, b_spectral: bool = False
-) -> np.ndarray:
+def _convolve_int_exact(a: np.ndarray, b, nfft: int, *, dtype) -> np.ndarray:
     """Exact convolution of nonnegative integer vectors by a float FFT of
     length nfft >= max(la, lb): the cyclic convolution mod nfft of the inputs
-    zero-padded to nfft, in min(la + lb - 1, nfft) entries.  An nfft of at
-    least la + lb - 1 gives the linear convolution, and an nfft equal to both
-    lengths the cyclic one.
+    zero-padded to nfft, in min(la + lb - 1, nfft) entries of ``dtype``,
+    which must hold every count.  An nfft of at least la + lb - 1 gives the
+    linear convolution, and an nfft equal to both lengths the cyclic one.
 
     The output must sit within 0.25 of integers before being rounded.  A
     self-convolution (``b is a``) takes one forward transform and squares it.
-    With ``b_spectral``, b is already the real half spectrum at nfft of the
-    vector to convolve with, and only a is transformed: a cyclic convolution
-    of a of length nfft.
+    A callable b multiplies the real half spectrum at nfft of a, in place,
+    by that of the vector to convolve with: a cyclic convolution of a of
+    length nfft.  When a is nfft long, the inverse runs into a's float copy.
     """
-    la, lb = int(a.size), int(b.size)
+    la = int(a.size)
+    lb = nfft if callable(b) else int(b.size)
     if la == 0 or lb == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype)
     n = min(la + lb - 1, nfft)
-    spec = np.fft.rfft(a.astype(np.float64), nfft)
+    buf = a.astype(np.float64)
+    spec = np.fft.rfft(buf, nfft)
+    if la != nfft:
+        buf = None
     if b is a:
         spec *= spec
+    elif callable(b):
+        b(spec)
     else:
-        spec *= b if b_spectral else np.fft.rfft(b.astype(np.float64), nfft)
-    conv = np.fft.irfft(spec, nfft)[:n]
+        spec *= np.fft.rfft(b.astype(np.float64), nfft)
+    conv = np.fft.irfft(spec, nfft, out=buf)
     del spec
-    return _certified_round(conv)
+    return _certified_round(conv[:n], dtype)
 
 
-def _certified_round(conv: np.ndarray) -> np.ndarray:
-    """The float convolution ``conv`` rounded to int64 counts, once every
-    entry sits within 0.25 of an integer; ``conv`` is overwritten."""
-    rounded = np.rint(conv)
-    conv -= rounded
-    err = float(np.max(np.abs(conv, out=conv)))
-    if err >= 0.25:
-        raise InvariantViolation(
-            f"float convolution failed the exactness certificate (deviation {err:.3g})"
-        )
-    return rounded.astype(np.int64)
+def _certified_round(conv: np.ndarray, dtype) -> np.ndarray:
+    """The float convolution ``conv`` rounded to counts of ``dtype``, once
+    every entry sits within 0.25 of an integer; ``conv`` is overwritten.
 
-
-def _pair_count(a: np.ndarray, b: np.ndarray) -> int:
-    """The pairs (y, z) with a[y] and b[z] nonzero; ``b is a`` counts once."""
-    card_a = int(np.count_nonzero(a))
-    return card_a * (card_a if b is a else int(np.count_nonzero(b)))
+    Each row is rounded in blocks of ``block_rows(1)`` points, and each
+    block must pass the certificate, so no rounded float copy of the whole
+    of ``conv`` is made.  The caller picks the narrowest unsigned dtype
+    that holds the counts' bound (``np.min_scalar_type``): 1, 2 or 4 bytes
+    per count where int64 took 8.
+    """
+    out = np.empty(conv.shape, dtype=dtype)
+    size = block_rows(1)
+    for row, counts in zip(np.atleast_2d(conv), np.atleast_2d(out)):
+        for lo in range(0, row.size, size):
+            part = row[lo : lo + size]
+            rounded = np.rint(part)
+            counts[lo : lo + size] = rounded
+            part -= rounded
+            err = float(np.max(np.abs(part, out=part)))
+            if err >= 0.25:
+                raise InvariantViolation(
+                    "float convolution failed the exactness certificate "
+                    f"(deviation {err:.3g})"
+                )
+    return out
 
 
 def _fft_pays(pairs: int, nfft: int) -> bool:
@@ -231,28 +257,32 @@ def _pair_sums(a: np.ndarray, b: np.ndarray, limit: int, m: int = 0):
 
 def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two 0/1 indicators of one length m: the
-    count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m.
+    count of pairs (y, z) with a[y] = b[z] = 1 and y + z = x mod m, held in
+    the narrowest unsigned dtype that holds the smaller set's size, which
+    bounds every count.
 
     ``_cyclic_route`` picks the route.  Pair by pair, the sums are reduced
     mod m and counted by ``np.bincount``, in chunks of at most 2m - 1 sums
-    (``_pair_sums``).  Otherwise the certified FFT convolves the indicators:
-    as one cyclic transform of length m, or at the padded length, whose
-    linear counts over [0, 2m - 1) fold onto Z_m into a fresh array, so no
-    view keeps the linear buffer alive.
+    (``_pair_sums``); each chunk's intp counts are narrowed as they are
+    added in.  Otherwise the certified FFT convolves the indicators: as one
+    cyclic transform of length m, or at the padded length, whose linear
+    counts over [0, 2m - 1) fold onto Z_m into a fresh array, so no view
+    keeps the linear buffer alive.
     """
     m = int(a.size)
-    nfft = _cyclic_route(_pair_count(a, b), m)
+    card_a = int(np.count_nonzero(a))
+    card_b = card_a if b is a else int(np.count_nonzero(b))
+    dtype = np.min_scalar_type(min(card_a, card_b))
+    nfft = _cyclic_route(card_a * card_b, m)
     if not nfft:
         chunks = _pair_sums(a, b, 2 * m - 1, m)
-        # the first chunk's counts are the accumulator: a fresh zeroed array
-        # of m counts would cost more than one chunk of a small set
-        counts = np.bincount(next(chunks), minlength=m)
+        counts = np.bincount(next(chunks), minlength=m).astype(dtype)
         for sums in chunks:
-            counts += np.bincount(sums, minlength=m)
+            np.add(counts, np.bincount(sums, minlength=m), out=counts, casting="unsafe")
         return counts
     if nfft == m:
-        return _convolve_int_exact(a, b, m)
-    linear = _convolve_int_exact(a, b, nfft)
+        return _convolve_int_exact(a, b, m, dtype=dtype)
+    linear = _convolve_int_exact(a, b, nfft, dtype=dtype)
     counts = linear[:m].copy()
     counts[: m - 1] += linear[m:]
     return counts
@@ -352,7 +382,7 @@ def _class_indicators(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _split_sumset_flags(
-    a1: np.ndarray, a2: np.ndarray, pairs: int
+    a1: np.ndarray, a2: np.ndarray, card1: int, card2: int
 ) -> tuple[int, np.ndarray]:
     """``integer_sumset_flags`` by one certified convolution of the inputs'
     residue classes mod m0 = ``_SPLIT_MODULUS``.
@@ -364,11 +394,14 @@ def _split_sumset_flags(
     indexes the inverse of the summed spectrum products of the class pairs
     with that s; a self-sumset takes the pairs i <= j and doubles the
     off-diagonal ones.  The inverses run stacked, in blocks of
-    ``block_rows``, and each block is rounded under the 0.25
-    certificate.  The rounded counts must add up to ``pairs``, the
-    |A1| |A2| ordered pairs of distinct members.
+    ``block_rows``, and each block is rounded under the 0.25 certificate
+    into the narrowest unsigned dtype that holds min(|A1|, |A2|), which
+    bounds every count.  The rounded counts must add up to the |A1| |A2|
+    ordered pairs of distinct members, ``card1`` by ``card2``.
     """
     m0 = _SPLIT_MODULUS
+    pairs = card1 * card2
+    dtype = np.min_scalar_type(min(card1, card2))
     same = a2 is a1
     res1, q1, rows1 = _class_indicators(a1)
     res2, q2, rows2 = (res1, q1, rows1) if same else _class_indicators(a2)
@@ -399,9 +432,9 @@ def _split_sumset_flags(
                 if doubled:
                     product *= 2
                 row += product
-        counts = _certified_round(np.fft.irfft(spec, nfft)[:, :length])
+        counts = _certified_round(np.fft.irfft(spec, nfft)[:, :length], dtype)
         del spec
-        total += int(counts.sum())
+        total += int(counts.sum(dtype=np.int64))
         for row, s in zip(counts, block):
             grid[s // m0 : s // m0 + length, s % m0] |= row > 0
     if total != pairs:
@@ -433,9 +466,9 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
     card1 = _distinct_count(a1)
-    pairs = card1 * (card1 if a2 is a1 else _distinct_count(a2))
-    if _fft_pays(pairs, smooth_length(span)):
-        return _split_sumset_flags(a1, a2, pairs)
+    card2 = card1 if a2 is a1 else _distinct_count(a2)
+    if _fft_pays(card1 * card2, smooth_length(span)):
+        return _split_sumset_flags(a1, a2, card1, card2)
     ind1 = _span_flags(a1)
     ind2 = ind1 if a2 is a1 else _span_flags(a2)
     flags = np.zeros(span, dtype=bool)
@@ -446,9 +479,11 @@ def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarra
 
 def rep_histogram(b: SubsetOfZm) -> np.ndarray:
     """Read-only counts r[x] of the ordered pairs of members summing to x mod
-    m, exact; their support passes the same dual-route check as ``sumset``."""
+    m, exact, in the narrowest unsigned dtype that holds |B|; their support
+    passes the same dual-route check as ``sumset``, and they must add up to
+    |B|^2, summed in int64."""
     r = _sumset_counts(b, b)
-    total = int(np.sum(r))
+    total = int(r.sum(dtype=np.int64))
     if total != b.cardinality**2:
         raise InvariantViolation(
             f"representation counts sum to {total}, expected {b.cardinality ** 2}"
@@ -473,32 +508,57 @@ def _power_sums(counts: np.ndarray, k: int) -> list[int]:
     return sums
 
 
+def _histogram(
+    values: np.ndarray, top: int, layer: np.ndarray | None = None, layers: int = 1
+) -> np.ndarray:
+    """The int64 counts of (layer[x], values[x]) over x, as a (layers, top)
+    table whose row j counts the values in layer j; without ``layer``, one
+    row.  The values lie in [0, top).
+
+    ``np.bincount`` takes one block of ``block_rows(1)`` entries at a time,
+    so its intp copy of the keys is block-sized, whatever the dtype of the
+    values.
+    """
+    counts = np.zeros(layers * top, dtype=np.int64)
+    size = block_rows(1)
+    for lo in range(0, values.size, size):
+        keys = values[lo : lo + size]
+        if layer is not None:
+            keys = np.multiply(layer[lo : lo + size], top, dtype=np.intp) + keys
+        counts += np.bincount(keys, minlength=layers * top)
+    return counts.reshape(layers, top)
+
+
 def _power_sum(values: np.ndarray, k: int) -> int:
     """Exact sum of v**k over nonnegative integers, one term per distinct value."""
-    return _power_sums(np.bincount(values), k)[0]
+    return _power_sums(_histogram(values, int(values.max(initial=0)) + 1), k)[0]
 
 
-def _unit_spectrum(mod: FactoredModulus) -> np.ndarray:
-    """The real half spectrum rfft(u) of the unit indicator u of Z_m, m
-    squarefree, in closed form.  Entry xi is the Ramanujan sum c_m(xi), the
-    product over p | m of p - 1 when p | xi and -1 otherwise: one strided
-    pass per prime, as ``unit_indicator`` makes u.  float64 holds it
-    exactly, since no entry exceeds phi(m) in size."""
-    spec = np.full(mod.m // 2 + 1, (-1.0) ** len(mod.prime_divisors))
+def _apply_unit_spectrum(mod: FactoredModulus, spec: np.ndarray) -> None:
+    """Multiply a real half spectrum at m, in place, by rfft(u) of the unit
+    indicator u of Z_m, m squarefree, in closed form.  Entry xi of rfft(u)
+    is the Ramanujan sum c_m(xi), the product over p | m of p - 1 when p | xi
+    and -1 otherwise: the sign (-1)^omega, then one strided pass per prime
+    multiplies the multiples of p by 1 - p, as ``unit_indicator`` makes u.
+    Every factor is an integer that float64 holds exactly."""
+    if len(mod.prime_divisors) % 2:
+        np.negative(spec, out=spec)
     for p in mod.prime_divisors:
         spec[::p] *= 1 - p
-    return spec
 
 
 def _unit_convolution(h: np.ndarray, mod: FactoredModulus) -> np.ndarray:
     """Exact cyclic convolution of a 0/1 indicator h over Z_m, m squarefree,
-    with the unit indicator of Z_m.  Where ``_cyclic_route`` picks one
-    transform of length m, the closed-form unit spectrum leaves one transform
-    pair; elsewhere ``_cyclic_int_convolution`` runs with the unit indicator
-    itself."""
+    with the unit indicator of Z_m, counted in the narrowest unsigned dtype
+    that holds |h|.  Where ``_cyclic_route`` picks one transform of length
+    m, the closed-form unit spectrum multiplies h's spectrum in place and
+    leaves one transform pair; elsewhere ``_cyclic_int_convolution`` runs
+    with the unit indicator itself."""
     m = mod.m
-    if _cyclic_route(int(np.count_nonzero(h)) * mod.totient, m) == m:
-        return _convolve_int_exact(h, _unit_spectrum(mod), m, b_spectral=True)
+    card = int(np.count_nonzero(h))
+    if _cyclic_route(card * mod.totient, m) == m:
+        times_units = functools.partial(_apply_unit_spectrum, mod)
+        return _convolve_int_exact(h, times_units, m, dtype=np.min_scalar_type(card))
     return _cyclic_int_convolution(h, unit_indicator(mod))
 
 
@@ -511,7 +571,9 @@ def _on_even_residues(r_half: np.ndarray) -> np.ndarray:
 
 
 def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
-    """R[x] = |{(member, unit) : member + unit = x mod m}|, two ways.
+    """R[x] = |{(member, unit) : member + unit = x mod m}|, two ways, held
+    in the narrowest unsigned dtype that holds |B|, which bounds every count
+    (2 bytes per residue for 256 <= |B| < 65536).
 
     The unit-shift convolution of B with the unit indicator must agree exactly
     with the Moebius count R[x] = sum over b in B of the product over p | m
@@ -522,16 +584,18 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     so R vanishes on the odd residues, and on the even ones R[x] is the
     convolution over Z_n of B mod n with the units of Z_n, at x mod n.  Over
     the odd modulus the unit indicator's transform is the Ramanujan sum in
-    closed form, so where length m (or n) pays the route is one rfft and one
-    irfft; elsewhere the unit indicator is transformed with B at the padded
-    length.
+    closed form, multiplied into B's spectrum in place, so where length m
+    (or n) pays the route is one rfft and one irfft; elsewhere the unit
+    indicator is transformed with B at the padded length.
 
     The Moebius count runs over all of Z_m with every prime, 2 included.
     The product is applied to the indicator h of B one prime at a time.  Laid
     out as p rows of length m/p, the p entries of a column are the p residues
     mod p of one residue mod m/p (CRT), so the factor for p maps h to its
     column sums minus h.  These omega passes expand to the inclusion-exclusion
-    sum over squarefree d | m of mu(d) #{b in B : b = x mod d}.
+    sum over squarefree d | m of mu(d) #{b in B : b = x mod d}.  Every
+    partial count, column sums included, lies in [0, |B|], so the passes run
+    in the counts' narrow dtype.
     Requires a squarefree modulus and members inside the unit group.
     """
     if mod.m != b.m:
@@ -546,11 +610,13 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     else:
         n = mod.m // 2
         r_route = _on_even_residues(_unit_convolution(h[:n] | h[n:], factorize(n)))
-    # a copy of h turns into the Moebius count in place, one prime at a time
-    h = h.astype(np.int64)
+    # a copy of h turns into the Moebius count in place, one prime at a time;
+    # every partial count, column sums included, lies in [0, |B|]
+    dtype = np.min_scalar_type(b.cardinality)
+    h = h.astype(dtype)
     for p in mod.prime_divisors:
         columns = h.reshape(p, -1)
-        np.subtract(columns.sum(axis=0), columns, out=columns)
+        np.subtract(columns.sum(axis=0, dtype=dtype), columns, out=columns)
     if not np.array_equal(r_route, h):
         raise InvariantViolation("unit-shift and Moebius counts disagree")
     return r_route
@@ -558,11 +624,25 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
 
 def _gcd_layers(mod: FactoredModulus) -> tuple[list[int], np.ndarray]:
     """The divisors of m ascending, and for each x in Z_m the position of
-    gcd(x, m) among them, looked up through a table indexed by divisor."""
+    gcd(x, m) among them, in the narrowest unsigned dtype that holds it.
+
+    gcd(x, m) = prod p^min(v_p(x), e) is written in mixed radix over the
+    exponents: one strided pass per prime power p^i dividing m adds p's place
+    value at the multiples of p^i, so no gcd is evaluated, and a rank table
+    maps each code to its divisor's position."""
     divisors = mod.divisors()
-    rank = np.zeros(mod.m + 1, dtype=np.min_scalar_type(len(divisors)))
-    rank[divisors] = np.arange(len(divisors))
-    return divisors, rank[gcd_table(mod)]
+    dtype = np.min_scalar_type(len(divisors) - 1)
+    code = np.zeros(mod.m, dtype=dtype)
+    codes = {1: 0}
+    place = 1
+    for p, e in mod.primes:
+        for i in range(1, e + 1):
+            code[:: p**i] += place
+        codes = {d * p**i: c + i * place for d, c in codes.items() for i in range(e + 1)}
+        place *= e + 1
+    rank = np.empty(len(divisors), dtype=dtype)
+    rank[[codes[d] for d in divisors]] = np.arange(len(divisors))
+    return divisors, rank[code]
 
 
 @dataclass(frozen=True)
@@ -572,7 +652,8 @@ class MomentCertificate:
     ``s_rb`` is sum r_B(x)^k; ``s_r`` the same for the unit-shift counts R,
     which dominate pointwise; ``stratified`` reassembles ``s_r`` exactly over
     the gcd layers.  The comparator is the structure-independent reference
-    |B|^k phi(m)^k / m^(k-1) / alpha^2.  ``hist`` holds the counts r_B.
+    |B|^k phi(m)^k / m^(k-1) / alpha^2.  ``hist`` holds the counts r_B, in
+    the narrowest unsigned dtype that holds |B|.
     """
 
     m: int
@@ -615,13 +696,10 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     if np.any(big_r < hist):
         raise InvariantViolation("unit-shift counts fail to dominate pointwise")
     divisors, layer = _gcd_layers(mod)
-    top = int(big_r.max()) + 1
     # one histogram of (gcd layer, R[x]), row j for the layer of divisors[j];
     # R <= |B| bounds it by 2^omega (|B| + 1) bins
-    keys = np.multiply(layer, top, dtype=np.int64)
-    keys += big_r
-    binned = np.bincount(keys, minlength=len(divisors) * top)
-    stratified = dict(zip(divisors, _power_sums(binned.reshape(-1, top), k)))
+    binned = _histogram(big_r, int(big_r.max()) + 1, layer, len(divisors))
+    stratified = dict(zip(divisors, _power_sums(binned, k)))
     s_r = _power_sum(big_r, k)
     if sum(stratified.values()) != s_r:
         raise InvariantViolation("stratified moments fail to reassemble the total")

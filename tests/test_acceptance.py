@@ -225,9 +225,9 @@ def test_a09_prime_embedding_mass_and_zero_mode():
     part = partition_and_densities(primes.primes, primes, 5, primorial(5))
     for b, delta_b in zip(part.units.tolist(), part.delta_b.tolist()):
         emb = embed_class(part, b, table)
-        (mass,), (threshold,) = emb.mass, emb.mass_threshold
+        (mass,) = emb.mass
+        threshold = delta_b / 16.0
         assert emb.f.shape[1] == choose_N(100_000, 30)
-        assert abs(threshold - delta_b / 16.0) < 1e-15
         assert mass >= threshold, f"class {b} mass {mass} below {threshold}"
 
     offpeaks = {}

@@ -535,8 +535,8 @@ class TestPipeline:
 
         convolve, seen = pe.convolve_pairs, []
 
-        def keeping(*args):
-            seen.append((*args, convolve(*args)))
+        def keeping(*args, **kwargs):
+            seen.append((*args, convolve(*args, **kwargs)))
             return seen[-1][-1]
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
@@ -580,9 +580,9 @@ class TestPipeline:
 
         convolve, seen = pe.convolve_pairs, []
 
-        def keeping(*args):
+        def keeping(*args, **kwargs):
             seen.append(args)
-            return convolve(*args)
+            return convolve(*args, **kwargs)
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
         run_pipeline(
@@ -957,12 +957,6 @@ class TestCli:
             "error: pairwise workload phi^2 N = 1293926400 exceeds 1000000000; "
             "lower w or n\n"
         )
-
-    def test_one_gcd_table_per_znstar_bound(self, monkeypatch, capsys):
-        tables = record_calls(monkeypatch, "gcd_table")
-        argv = ["znstar-bound", "--m", "2310", "--set-spec", "units-random:0.3:1"]
-        assert main(argv) == 0
-        assert [mod.m for mod in tables] == [2310]
 
     def test_huge_w_fails_fast(self):
         self.assert_fails_fast(["partition", "--n", "1000", "--W", "3000000"])

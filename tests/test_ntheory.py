@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from primesum.errors import DomainError
 from primesum.ntheory import (
     factorize,
-    gcd_table,
     primorial,
     sieve_primes,
     unit_indicator,
@@ -123,16 +122,7 @@ class TestFactorize:
         ]
 
 
-class TestGcdTable:
-    @given(
-        st.one_of(
-            st.integers(min_value=1, max_value=2000),
-            st.sampled_from([1, 2, 4, 27, 625, 1024, 1331, 1849, 1800]),
-        )
-    )
-    def test_matches_gcd(self, m):
-        assert np.array_equal(gcd_table(factorize(m)), np.gcd(np.arange(m), m))
-
+class TestUnitIndicator:
     @given(
         st.one_of(
             st.integers(min_value=1, max_value=2000),

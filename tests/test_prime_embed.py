@@ -300,7 +300,7 @@ class TestEmbedClasses:
         assert batch.f.dtype == np.float64 and not batch.f.flags.writeable
         arrays = [k for k, v in vars(batch).items() if isinstance(v, np.ndarray)]
         assert arrays == ["f"]
-        columns = (batch.mass, batch.mass_threshold, batch.zero_mode_error, batch.offpeak_sup)
+        columns = (batch.mass, batch.zero_mode_error, batch.offpeak_sup)
         assert all(len(column) == len(part.units) for column in columns)
 
     def test_memory_is_the_densities(self):
@@ -328,7 +328,7 @@ class TestMassCheck:
         emb = embed_class(part, 5, table)
         assert part.units.tolist() == [1, 5]
         assert part.delta_b[1] == 0.0 and not emb.f.any()
-        assert emb.mass == (0.0,) == emb.mass_threshold
+        assert emb.mass == (0.0,)
 
     def test_empty_class_positive_density(self):
         # 5 sits at x = 0, below the window: density 1/12, but f = 0
@@ -336,7 +336,7 @@ class TestMassCheck:
         emb = embed_class(part, 5, table)
         assert part.delta_b[1] > 0.0 and not emb.f.any()
         assert emb.mass == (0.0,)
-        assert not emb.mass[0] >= emb.mass_threshold[0]
+        assert not emb.mass[0] >= part.delta_b[1] / 16.0
 
     def test_real_class(self):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
@@ -344,8 +344,8 @@ class TestMassCheck:
         big_n = emb.f.shape[1]
         assert big_n == choose_N(2000, 6)
         assert emb.mass[0] == math.fsum(emb.f[0].tolist()) / big_n
-        assert emb.mass_threshold == (1.0 / 16,)
-        assert emb.mass[0] >= emb.mass_threshold[0]
+        assert part.delta_b[0] == 1.0
+        assert emb.mass[0] >= part.delta_b[0] / 16.0
 
 
     @pytest.mark.parametrize("w", [2, 7])
@@ -408,7 +408,7 @@ def embedding_of(rows) -> EmbeddedClasses:
     ``f`` alone, so the checks are placeholders."""
     f = np.array(rows, dtype=np.float64)
     zeros = (0.0,) * len(f)
-    return EmbeddedClasses(f, zeros, zeros, zeros, zeros, math.nan)
+    return EmbeddedClasses(f, zeros, zeros, zeros, math.nan)
 
 
 def pair_report(classes, eps, eps0, sigma):
@@ -446,9 +446,11 @@ class TestPairSumsetReport:
 
         convolve, seen = pe.convolve_pairs, []
 
-        def keeping(f, *args):
+        def keeping(f, *args, sums):
+            # the row sums come along, summed once, with the bits of a new sum
+            assert sums.tobytes() == f.sum(axis=1).tobytes()
             seen.append(f)
-            return convolve(f, *args)
+            return convolve(f, *args, sums=sums)
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
         rows = np.arange(1.0, 25.0).reshape(3, 8)

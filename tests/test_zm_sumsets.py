@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from primesum.errors import DomainError, InvariantViolation
 import primesum.zm_sumsets as zm
 import primesum.zn_spectral as zs
-from primesum.expcli.cli import main
+from primesum.expcli.cli import main, parse_set_spec
 from primesum.ntheory import factorize, unit_indicator
 from primesum.zm_sumsets import (
     SubsetOfZm,
@@ -339,8 +340,8 @@ def outer_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, list[bool]]:
 
 def split_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
     """``_split_sumset_flags`` of two arrays of distinct members, given their
-    |A1| |A2| pairs."""
-    return zm._split_sumset_flags(a1, a2, a1.size * a2.size)
+    sizes |A1| and |A2|."""
+    return zm._split_sumset_flags(a1, a2, a1.size, a2.size)
 
 
 @st.composite
@@ -408,8 +409,8 @@ class TestSplitSumset:
     def test_a_count_off_by_one_fails_the_pair_total(self, monkeypatch):
         round_exact = zm._certified_round
 
-        def corrupted(conv):
-            counts = round_exact(conv)
+        def corrupted(conv, dtype):
+            counts = round_exact(conv, dtype)
             counts.flat[-1] += 1
             return counts
 
@@ -599,7 +600,9 @@ class TestCapitalR:
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 15015, 30030, 510510])
     def test_unit_spectrum_is_the_transform_of_the_units(self, m):
         mod = factorize(m)
-        gap = np.abs(zm._unit_spectrum(mod) - np.fft.rfft(unit_indicator(mod)))
+        spec = np.ones(m // 2 + 1, dtype=np.complex128)
+        zm._apply_unit_spectrum(mod, spec)
+        gap = np.abs(spec - np.fft.rfft(unit_indicator(mod)))
         assert gap.max() <= 1e-9 * mod.totient
 
     @pytest.mark.parametrize(
@@ -618,7 +621,8 @@ class TestCapitalR:
         assert fft.call_count == 1
         assert fft.call_args.args[2] == nfft
         odd = m if m % 2 else m // 2
-        assert fft.call_args.kwargs.get("b_spectral", False) == (nfft == odd)
+        # the closed-form unit spectrum comes as a callable multiplier
+        assert callable(fft.call_args.args[1]) == (nfft == odd)
         assert r_big.tolist() == relaxed_rep_enum(members, m).tolist()
 
     @staticmethod
@@ -631,14 +635,13 @@ class TestCapitalR:
     def test_a_flipped_spectrum_entry_fails_the_moebius_gate(self, monkeypatch):
         # flipping entry 0 moves every count by 2 |B| phi(105) / 105 = 32, an
         # integer, so the rounding certificate passes and the gate must catch it
-        spectrum = zm._unit_spectrum
+        spectrum = zm._apply_unit_spectrum
 
-        def flipped(mod):
-            spec = spectrum(mod)
+        def flipped(mod, spec):
+            spectrum(mod, spec)
             spec[0] = -spec[0]
-            return spec
 
-        monkeypatch.setattr(zm, "_unit_spectrum", flipped)
+        monkeypatch.setattr(zm, "_apply_unit_spectrum", flipped)
         with pytest.raises(InvariantViolation, match="unit-shift and Moebius counts disagree"):
             capital_R(self.units_of_210(), factorize(210))
 
@@ -752,6 +755,88 @@ class TestKthMoment:
             d: sum(int(relaxed[x]) ** 3 for x in range(210) if math.gcd(x, 210) == d)
             for d in divisors
         }
+
+
+class TestNarrowCounts:
+    """Every count of the certificate is held in the narrowest unsigned dtype
+    that holds |B|, its bound: one byte up to |B| = 255, two from 256.  On
+    both sides of that boundary the counts and the moments must equal int64
+    oracles."""
+
+    # at 30030 the 255^2 pairs of B + B are counted pair by pair; at 2310
+    # they outnumber the butterflies at 4800, so the FFT runs at length m
+    @pytest.mark.parametrize("m, rep_by_fft", [(30030, False), (2310, True)])
+    @pytest.mark.parametrize("card, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_counts_and_moments_match_int64_oracles(self, m, rep_by_fft, card, dtype):
+        rng = np.random.default_rng(card)
+        members = sorted(rng.choice(units_of(m), card, replace=False).tolist())
+        b = SubsetOfZm.from_members(m, members)
+        mod = factorize(m)
+        with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
+            hist = rep_histogram(b)
+        assert fft.called == rep_by_fft
+        big_r = capital_R(b, mod)
+        assert hist.dtype == big_r.dtype == dtype
+        rep = rep_enum(members, m).tolist()
+        # the brute-force R: every member plus every unit, counted in int64
+        sums = np.add.outer(np.array(members), np.array(units_of(m))) % m
+        relaxed = np.bincount(sums.ravel(), minlength=m).tolist()
+        assert hist.tolist() == rep
+        assert big_r.tolist() == relaxed
+
+        cert = kth_moment(b, 3, mod)
+        assert cert.hist.tolist() == rep
+        assert cert.s_rb == sum(v**3 for v in rep)
+        assert cert.s_r == sum(v**3 for v in relaxed)
+        strata = dict.fromkeys(mod.divisors(), 0)
+        for d, v in zip(np.gcd(np.arange(m), m).tolist(), relaxed):
+            strata[d] += v**3
+        assert cert.stratified == strata
+
+    def test_every_block_of_the_rounding_is_certified(self):
+        size = zs.block_rows(1)
+        exact = np.arange(2 * size + 1, dtype=np.float64) % 7
+        assert zm._certified_round(exact.copy(), np.uint8).tolist() == exact.tolist()
+        for where in (0, size - 1, size, 2 * size):
+            conv = exact.copy()
+            conv[where] += 0.3
+            with pytest.raises(InvariantViolation, match="exactness certificate"):
+                zm._certified_round(conv, np.uint8)
+        rows = np.zeros((3, 5))
+        rows[2, 4] = 0.3
+        with pytest.raises(InvariantViolation, match="exactness certificate"):
+            zm._certified_round(rows, np.uint8)
+
+    @pytest.mark.parametrize("m", [30030, 30011])
+    def test_an_off_integer_entry_past_the_first_block_fails(self, monkeypatch, m):
+        # blocks of 1000 points: the entry at m - 1 lies past the first one
+        monkeypatch.setattr(zs, "BLOCK_BYTES", 32 * 1000)
+        irfft = np.fft.irfft
+
+        def shifted(spec, n=None, *args, **kwargs):
+            out = irfft(spec, n, *args, **kwargs)
+            out[m - 1] += 0.3
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        units = SubsetOfZm.units(m).indicator
+        with pytest.raises(InvariantViolation, match="exactness certificate"):
+            zm._cyclic_int_convolution(units, units)
+
+    def test_kth_moment_holds_at_most_16_bytes_per_residue(self):
+        # tracemalloc counts numpy's own allocations, so the peak repeats
+        m = 510510
+        b = parse_set_spec("units-random:0.005:1", m)
+        mod = factorize(m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cert = kth_moment(b, 3, mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.card == 461
+        assert peak - before <= 16 * m
 
 
 class TestHolderLowerBound:
