@@ -145,8 +145,8 @@ def _partition(cfg: ExperimentConfig, table: PrimeTable, mod: FactoredModulus):
 
 
 def _embedded_class(args):
-    """The partition, and the class of --b, checked first, embedded against
-    one sieve to m N + m."""
+    """The class of --b, checked first, embedded against one sieve to
+    m N + m, and its density delta_b."""
     cfg = _config(args)
     cfg.validate()
     mod = primorial(cfg.w)
@@ -155,7 +155,7 @@ def _embedded_class(args):
         raise DomainError(f"{args.b} is not a reduced residue of {m}")
     table = sieve_primes(embedding_limit(cfg.n, m))
     part = _partition(cfg, table, mod)
-    return part, embed_class(part, args.b, table)
+    return embed_class(part, args.b, table), float(part.delta_b[part.row(args.b)])
 
 
 def _cmd_partition(args) -> int:
@@ -182,8 +182,8 @@ def _cmd_partition(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.top < 0:
         raise ConfigurationError(f"--top must be nonnegative, got {args.top}")
-    part, emb = _embedded_class(args)
-    threshold = float(part.delta_b[np.searchsorted(part.units, args.b)]) / 16.0
+    emb, delta_b = _embedded_class(args)
+    threshold = delta_b / 16.0
     _print(
         f"b={args.b} N={emb.f.shape[1]} "
         f"zero_mode_error={_fmt(emb.zero_mode_error[0])} "
@@ -202,7 +202,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _, emb = _embedded_class(args)
+    emb, _ = _embedded_class(args)
     big_n = emb.f.shape[1]
     (decomp,) = split_densities(emb.f, [args.eps0])
     f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / big_n)))

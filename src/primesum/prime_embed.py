@@ -62,6 +62,14 @@ class ResiduePartition:
     residual_primes: int
     residual_a: int
 
+    def row(self, b: int) -> int:
+        """The position of the class of b among the ``units``; raises
+        DomainError unless b is a reduced residue of the modulus."""
+        r = int(np.searchsorted(self.units, b))
+        if r == self.units.size or self.units[r] != b:
+            raise DomainError(f"{b} is not a reduced residue of {self.modulus.m}")
+        return r
+
 
 @dataclass(frozen=True)
 class EmbeddedClasses:
@@ -251,9 +259,7 @@ def embed_class(part: ResiduePartition, b: int, table: PrimeTable) -> EmbeddedCl
     Positions x run over 1..N (x = N wraps to residue 0); the weight needs
     primality of m x + b up to m N + b, which the table must reach.
     """
-    r = int(np.searchsorted(part.units, b))
-    if r == part.units.size or part.units[r] != b:
-        raise DomainError(f"{b} is not a reduced residue of {part.modulus.m}")
+    r = part.row(b)
     m = part.modulus.m
     big_n = choose_N(part.n, m)
     in_class = _window(table, m + b, m * big_n + b)

@@ -189,21 +189,23 @@ def _convolve_int_exact(a: np.ndarray, b, nfft: int, *, dtype) -> np.ndarray:
 
 def _certified_round(conv: np.ndarray, dtype) -> np.ndarray:
     """The float convolution ``conv`` rounded to counts of ``dtype``, once
-    every entry sits within 0.25 of an integer; ``conv`` is overwritten.
+    every entry sits within 0.25 of an integer that ``dtype`` holds;
+    ``conv`` is overwritten.
 
     Each row is rounded in blocks of ``block_rows(1)`` points, and each
     block must pass the certificate, so no rounded float copy of the whole
     of ``conv`` is made.  The caller picks the narrowest unsigned dtype
     that holds the counts' bound (``np.min_scalar_type``): 1, 2 or 4 bytes
-    per count where int64 took 8.
+    per count where int64 took 8.  A count outside that range fails too,
+    rather than wrapping in the cast.
     """
     out = np.empty(conv.shape, dtype=dtype)
+    info = np.iinfo(dtype)
     size = block_rows(1)
     for row, counts in zip(np.atleast_2d(conv), np.atleast_2d(out)):
         for lo in range(0, row.size, size):
             part = row[lo : lo + size]
             rounded = np.rint(part)
-            counts[lo : lo + size] = rounded
             part -= rounded
             err = float(np.max(np.abs(part, out=part)))
             if err >= 0.25:
@@ -211,6 +213,13 @@ def _certified_round(conv: np.ndarray, dtype) -> np.ndarray:
                     "float convolution failed the exactness certificate "
                     f"(deviation {err:.3g})"
                 )
+            low, high = float(rounded.min()), float(rounded.max())
+            if low < info.min or high > info.max:
+                raise InvariantViolation(
+                    f"float convolution has a count in [{low:.0f}, {high:.0f}] "
+                    f"outside {info.dtype}"
+                )
+            counts[lo : lo + size] = rounded
     return out
 
 

@@ -295,7 +295,7 @@ def convolve_pairs(
     pair_levels,
     sigma: float,
     *,
-    sums: np.ndarray | None = None,
+    sums: np.ndarray,
 ) -> PairConvolutions:
     """Split the densities and convolve the pieces of many pairs of them,
     block by block.
@@ -324,8 +324,8 @@ def convolve_pairs(
     block holds ``block_rows`` pairs at its longest transform length; the
     blocks run in pair order.
 
-    ``sums``, when given, are the row sums ``densities.sum(axis=1)`` that
-    the caller has already made; they give the masses and the means.
+    ``sums`` are the row sums ``densities.sum(axis=1)``, which the caller
+    has already made; they give the masses and the means.
 
     Raises InvariantViolation unless every pair has
     ||f1*g1||_1 = ||f1||_1 ||g1||_1 (all parts nonnegative) and every computed
@@ -360,8 +360,6 @@ def convolve_pairs(
     # only the columns [0, top] are read: rfft pads them with the zeros that
     # follow, up to ``short``
     first_spec = np.fft.rfft(values[:, : top + 1], short)
-    if sums is None:
-        sums = values.sum(axis=1)
     mean = sums / n
     # spectra at N: the densities, f1 and f2 of each inexact split, then zeros
     spec, mass = None, sums

@@ -581,7 +581,7 @@ class TestPipeline:
         convolve, seen = pe.convolve_pairs, []
 
         def keeping(*args, **kwargs):
-            seen.append(args)
+            seen.append((args, kwargs))
             return convolve(*args, **kwargs)
 
         monkeypatch.setattr(pe, "convolve_pairs", keeping)
@@ -591,9 +591,9 @@ class TestPipeline:
                 rule=parse_rule("random-thinning"),
             )
         )
-        ((densities, levels, pairs, pair_levels, sigma),) = seen
+        (((densities, levels, pairs, pair_levels, sigma), kwargs),) = seen
         made, _ = self.record_splits(monkeypatch)
-        full = convolve(densities, levels, pairs, pair_levels, sigma)
+        full = convolve(densities, levels, pairs, pair_levels, sigma, **kwargs)
         g = len(densities)
         assert len(dict(made)) == len(made)
         again = [d.bohr.size for _, d in made[g:]]
@@ -601,7 +601,9 @@ class TestPipeline:
 
         pick = np.random.default_rng(1).permutation(len(pairs))[: len(pairs) // 2]
         made.clear()
-        part = convolve(densities, levels, pairs[pick], pair_levels[pick], sigma)
+        part = convolve(
+            densities, levels, pairs[pick], pair_levels[pick], sigma, **kwargs
+        )
         assert len(dict(made)) == len(made) > g
         for field in dataclasses.fields(full):
             got, expected = getattr(part, field.name), getattr(full, field.name)[pick]

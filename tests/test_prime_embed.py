@@ -239,6 +239,7 @@ class TestEmbedClass:
         part, table = partition_and_table(trial_primes(100), 100, 3)
         with pytest.raises(DomainError, match="not a reduced residue of 6"):
             embed_class(part, b, table)
+        assert [part.row(1), part.row(5)] == [0, 1]
         primes = trial_primes(100)
         positions = [x for x in range(1, 17) if 6 * x + 5 in primes]
         assert np.flatnonzero(embed_class(part, 5, table).f[0]).tolist() == positions

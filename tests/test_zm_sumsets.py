@@ -633,17 +633,22 @@ class TestCapitalR:
         return SubsetOfZm.from_members(210, units_of(210)[:35])
 
     def test_a_flipped_spectrum_entry_fails_the_moebius_gate(self, monkeypatch):
-        # flipping entry 0 moves every count by 2 |B| phi(105) / 105 = 32, an
-        # integer, so the rounding certificate passes and the gate must catch it
+        # flipping entry 0 moves every count down by 2 |B| phi(105) / 105 = 32,
+        # an integer; some counts of at most |B| = 35 drop below 0, which the
+        # rounding's range check rejects.  Moved up by 32 instead, every count
+        # stays within uint8, the rounding certificate passes and the Moebius
+        # gate must catch it
         spectrum = zm._apply_unit_spectrum
+        for sign in (-1, 1):
 
-        def flipped(mod, spec):
-            spectrum(mod, spec)
-            spec[0] = -spec[0]
+            def shifted(mod, spec):
+                spectrum(mod, spec)
+                spec[0] += sign * 2 * spec[0].real
 
-        monkeypatch.setattr(zm, "_apply_unit_spectrum", flipped)
-        with pytest.raises(InvariantViolation, match="unit-shift and Moebius counts disagree"):
-            capital_R(self.units_of_210(), factorize(210))
+            monkeypatch.setattr(zm, "_apply_unit_spectrum", shifted)
+            message = "outside uint8" if sign < 0 else "Moebius counts disagree"
+            with pytest.raises(InvariantViolation, match=message):
+                capital_R(self.units_of_210(), factorize(210))
 
     def test_counts_placed_on_the_odd_residues_fail_the_moebius_gate(self, monkeypatch):
         def on_odd_residues(r_half):
@@ -806,6 +811,18 @@ class TestNarrowCounts:
         rows[2, 4] = 0.3
         with pytest.raises(InvariantViolation, match="exactness certificate"):
             zm._certified_round(rows, np.uint8)
+
+    def test_a_count_the_dtype_cannot_hold_fails_the_rounding(self):
+        size = zs.block_rows(1)
+        edge = np.zeros(2 * size + 1)
+        edge[-1] = 255.0
+        assert zm._certified_round(edge.copy(), np.uint8)[-1] == 255
+        for bad in (256.0, -1.0):
+            for where in (0, size, 2 * size):
+                conv = edge.copy()
+                conv[where] = bad
+                with pytest.raises(InvariantViolation, match="outside uint8"):
+                    zm._certified_round(conv, np.uint8)
 
     @pytest.mark.parametrize("m", [30030, 30011])
     def test_an_off_integer_entry_past_the_first_block_fails(self, monkeypatch, m):

@@ -35,6 +35,11 @@ def indicator(N, points):
     return vals
 
 
+def row_sums(rows):
+    """The row sums that ``convolve_pairs`` takes beside its densities."""
+    return np.sum(np.asarray(rows, dtype=np.float64), axis=1)
+
+
 def constant(N, value):
     return np.full(N, float(value))
 
@@ -53,7 +58,7 @@ def rejects(rows, message):
     calls = (
         lambda: dft(rows),
         lambda: split_densities(rows, levels),
-        lambda: convolve_pairs(rows, levels, [], [], 0.1),
+        lambda: convolve_pairs(rows, levels, [], [], 0.1, sums=np.zeros(0)),
     )
     for call in calls:
         with pytest.raises(DomainError, match=message):
@@ -85,7 +90,7 @@ class TestDensityRows:
         # reads 1, 2, 3, 2, 1 at 2..6, and sigma * mean * N = 1.5 keeps the
         # three middle points
         f = indicator(8, [1, 2, 3])
-        rep = convolve_pairs([f], [0.01], [(0, 0)], [0.01], 0.5)
+        rep = convolve_pairs([f], [0.01], [(0, 0)], [0.01], 0.5, sums=row_sums([f]))
         assert rep.bohr_size.tolist() == [[1, 1]]
         assert rep.main_l1[0] == pytest.approx(9.0, rel=1e-12)
         assert rep.main_count[0] == 3 and rep.support[0] == 5
@@ -106,7 +111,9 @@ class TestDensityRows:
         monkeypatch.setattr(zs, "_density_rows", counting_checks)
         monkeypatch.setattr(zs, "_split_rows", counting_batches)
         rows = [np.random.default_rng(3).random(64), 64.0 * indicator(64, [3])]
-        convolve_pairs(rows, [0.2, 0.2], [(0, 1), (0, 0)], [0.1, 0.3], 0.05)
+        convolve_pairs(
+            rows, [0.2, 0.2], [(0, 1), (0, 0)], [0.1, 0.3], 0.05, sums=row_sums(rows)
+        )
         assert checks == [2]
         assert batches == [[0.2, 0.2], [0.1, 0.3]]
 
@@ -386,7 +393,7 @@ class TestConvolutionProofQuantities:
         n = 64
         f = constant(n, 1.0)
         (d,) = split_densities([f], [0.5])
-        rep = convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
+        rep = convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
         assert abs(rep.main_l1[0] - n * n) < 1e-6
         assert rep.bohr_size.tolist() == [[d.bohr.size] * 2]
         assert rep.f1_max.tolist() == [[d.f1_max] * 2]
@@ -404,7 +411,9 @@ class TestConvolutionProofQuantities:
         ds = split_densities(fs, [0.2] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(7) for j in range(i, 7)]
-        rep = convolve_pairs(fs, [0.2] * 7, pairs, [0.2] * len(pairs), 0.05)
+        rep = convolve_pairs(
+            fs, [0.2] * 7, pairs, [0.2] * len(pairs), 0.05, sums=row_sums(fs)
+        )
         assert rep.support.shape == rep.main_count.shape == (len(pairs),)
         assert rep.error_count.shape == rep.error_l2sq.shape == (len(pairs), 3)
         assert rep.bohr_size.shape == rep.f1_max.shape == (len(pairs), 2)
@@ -433,10 +442,10 @@ class TestConvolutionProofQuantities:
         broken = Decomposition(f1=d.f1 * (-1.0) ** np.arange(16), f2=d.f2, bohr=d.bohr)
         monkeypatch.setattr(zs, "_split_rows", lambda densities, levels: [broken])
         with pytest.raises(InvariantViolation, match="L1 mass"):
-            convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1)
+            convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
 
     def test_no_pairs(self):
-        rep = convolve_pairs([], [], [], [], 0.1)
+        rep = convolve_pairs([], [], [], [], 0.1, sums=np.zeros(0))
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
         assert rep.bohr_size.shape == rep.f1_max.shape == (0, 2)
 
@@ -458,7 +467,10 @@ class TestConvolutionProofQuantities:
         monkeypatch.setattr(zs, "_split_rows", keeping)
         pairs = [(0, 1), (0, 1), (1, 1), (0, 0), (1, 0)]
         pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
-        rep = convolve_pairs([smooth, point], [0.2, 0.2], pairs, pair_levels, 0.05)
+        rows = [smooth, point]
+        rep = convolve_pairs(
+            rows, [0.2, 0.2], pairs, pair_levels, 0.05, sums=row_sums(rows)
+        )
         assert made == [(0, 0.2), (1, 0.2), (0, 0.1), (0, 0.3), (1, 0.3)]
         assert split([smooth], [0.2])[0].bohr.size > 1
         assert split([point], [0.3])[0].bohr.size == 1
@@ -497,7 +509,12 @@ def check_against_fold(values, sigma):
         zs, "_split_rows", lambda densities, _: [exact_split(f) for f in densities]
     ):
         rep = convolve_pairs(
-            values, [1.0] * len(values), pairs, [1.0] * len(pairs), sigma
+            values,
+            [1.0] * len(values),
+            pairs,
+            [1.0] * len(pairs),
+            sigma,
+            sums=row_sums(values),
         )
     for p, (i, j) in enumerate(pairs):
         support, main_count, main_l1 = folded_reference(values[i], values[j], sigma)
@@ -570,7 +587,9 @@ class TestConvolvePairs:
         ds = split_densities(fs, [0.1] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(5) for j in range(i, 5)]
-        rep = convolve_pairs(fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05)
+        rep = convolve_pairs(
+            fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05, sums=row_sums(fs)
+        )
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
             want = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 0.05)
