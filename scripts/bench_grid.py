@@ -6,14 +6,18 @@
     python3 scripts/bench_grid.py --against DIR     # this checkout and DIR, alternately
 
 Each point runs ``run_pipeline`` on all primes up to n at W with the default
-parameters, then renders the JSON report with ``emit_report``, in a fresh
-process.  Every stage function that ``run_pipeline`` calls through its
-module's globals (sieve, subset, partition, class rows, pair stage,
-aggregation, residue chain, integer sumset, summary) and ``emit_report`` is
-wrapped: each call records its wall time and the process's VmHWM (peak
-resident set, read from /proc/self/status) when it returns.  A stage name the
-pipeline module lacks is an error, not a stage left untimed.  A point also
-records the total time, the sha256 of the report and the process's max RSS.
+parameters, then writes the JSON report with ``write_report`` into a sink
+that keeps only the report's sha256, in a fresh process, so the render
+stage's memory is the writer's own and not that of a whole text.  (A
+checkout from before ``write_report`` hands the sink ``emit_report``'s text,
+timed under the same name.)  Every stage function that ``run_pipeline``
+calls through its module's globals (sieve, subset, partition, class rows,
+pair stage, aggregation, residue chain, integer sumset, summary) and the
+writer are wrapped: each call records its wall time and the process's VmHWM
+(peak resident set, read from /proc/self/status) when it returns.  A stage
+name the pipeline module lacks is an error, not a stage left untimed.  A
+point also records the total time, the sha256 of the report and the
+process's max RSS.
 
 ``--rounds R`` runs every point R times; with ``--against DIR`` the two
 checkouts take turns point by point, so both see the same machine load.  Each
@@ -62,11 +66,29 @@ def _vmhwm_mb() -> float:
     return float("nan")
 
 
+class _HashSink:
+    """A text handle that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+
 def run_point(n: int, w: int) -> dict:
     """One point in this process: the stage records, in call order."""
     import primesum.expcli.pipeline as pipeline
     from primesum.expcli.config import ExperimentConfig, parse_rule
-    from primesum.expcli.reports import emit_report
+
+    try:
+        from primesum.expcli.reports import write_report
+    except ImportError:  # a checkout from before the streaming writer
+        from primesum.expcli.reports import emit_report
+
+        def write_report(report, output_format, handle):
+            handle.write(emit_report(report, output_format))
 
     stages = []
 
@@ -85,15 +107,16 @@ def run_point(n: int, w: int) -> dict:
         if not hasattr(pipeline, name):
             raise AttributeError(f"pipeline has no stage {name!r} to time")
         setattr(pipeline, name, timed(name, getattr(pipeline, name)))
-    render = timed("emit_report", emit_report)
+    render = timed("write_report", write_report)
     cfg = ExperimentConfig(n=n, w=w, rule=parse_rule("all-primes"))
+    sink = _HashSink()
     start = time.perf_counter()
-    text = render(pipeline.run_pipeline(cfg), "json")
+    render(pipeline.run_pipeline(cfg), "json", sink)
     total = time.perf_counter() - start
     return {
         "total_s": total,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "report_sha256": sink.sha256.hexdigest(),
         "stages": stages,
     }
 

@@ -1,8 +1,9 @@
 """Print the sha256 of the CLI's stdout for a fixed list of argument vectors.
 
-Each line reads ``name exit sha256[:16]``.  Running the script on two
-checkouts and diffing the output shows whether a change kept every report
-byte-identical:
+Each case runs in a fresh directory; for a case that writes ``--out FILE``
+the hash covers FILE's bytes followed by stdout.  Each line reads ``name
+exit sha256[:16]``.  Running the script on two checkouts and diffing the
+output shows whether a change kept every report byte-identical:
 
     python3 scripts/report_hashes.py            # the checkout holding this file
     python3 scripts/report_hashes.py --repo DIR # another checkout's src/
@@ -26,13 +27,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.argv[1:]))"
 
-# the benchmark's two workloads, then pipeline runs that cover the other
-# branches: a requested eps0 (also as CSV), a residue-filter subset, an empty
-# subset (no good classes), an explicit k, a thinned subset, a sparse thinned
+# the benchmark's two workloads (pairs-w7 also written by --out, as JSON and
+# as CSV), then pipeline runs that cover the other branches: a requested eps0
+# (also as CSV), a residue-filter subset, an empty subset (no good classes),
+# an explicit k, a thinned subset, a sparse thinned
 # subset whose exact integer sumset is counted pair by pair, a W=11 run whose
 # 115,440 pairs convolve at a short length below the non-smooth N, levels
 # where the Bohr sets are nontrivial, a run whose per-class table holds a NaN
@@ -62,6 +65,8 @@ CASES = [
     ("pairs-w7-s2", f"{PAIRS_W7} 2"),
     ("pairs-w7-s3", f"{PAIRS_W7} 3"),
     ("pairs-w7-s2-csv", f"{PAIRS_W7} 2 --format csv"),
+    ("pairs-w7-s2-out", f"{PAIRS_W7} 2 --out report.json"),
+    ("pairs-w7-s2-csv-out", f"{PAIRS_W7} 2 --format csv --out report.csv"),
     ("moments-z510510-s1", f"{MOMENTS}1"),
     ("moments-z510510-s2", f"{MOMENTS}2"),
     ("moments-z510510-s3", f"{MOMENTS}3"),
@@ -112,16 +117,25 @@ CASES = [
 
 
 def run_case(repo: Path, case: str) -> tuple[int, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    """The exit code and stdout of the CLI on ``case``, run in a fresh
+    directory; a case that names ``--out FILE`` puts FILE's bytes first."""
+    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
     # older checkouts, run through --repo and --diff, still read this variable
     env.pop("PRIMESUM_THREADS", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", RUN_CLI, *case.split()],
-        env=env,
-        capture_output=True,
-        check=False,
-    )
-    return proc.returncode, proc.stdout
+    argv = case.split()
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, *argv],
+            env=env,
+            capture_output=True,
+            check=False,
+            cwd=cwd,
+        )
+        out = proc.stdout
+        if "--out" in argv:
+            path = Path(cwd, argv[argv.index("--out") + 1])
+            out = (path.read_bytes() if path.exists() else b"") + out
+    return proc.returncode, out
 
 
 def parse_output(text: str):

@@ -2,7 +2,7 @@
 
 from .config import ExperimentConfig, SubsetRule, build_subset, parse_rule
 from .pipeline import CheckRow, FinalReport, run_pipeline
-from .reports import emit_report, render_csv, render_json
+from .reports import write_report
 
 __all__ = [
     "ExperimentConfig",
@@ -12,7 +12,5 @@ __all__ = [
     "CheckRow",
     "FinalReport",
     "run_pipeline",
-    "emit_report",
-    "render_csv",
-    "render_json",
+    "write_report",
 ]

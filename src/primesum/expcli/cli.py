@@ -9,7 +9,9 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,7 +52,7 @@ from .config import (
     seeded_thinning,
 )
 from .pipeline import run_pipeline
-from .reports import emit_report
+from .reports import write_report
 
 __all__ = ["main", "build_parser", "parse_set_spec"]
 
@@ -289,12 +291,36 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
+def _write_file(report, output_format: str, path: str) -> None:
+    """Write the report to ``path``.  When a write fails part way, a file
+    this call created is removed, so no truncated report is left under a new
+    name; a path that existed before (a file, a device) is never removed."""
+    created = not os.path.lexists(path)
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
+    try:
+        with handle:
+            write_report(report, output_format, handle)
+    except OSError as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
+
+
 def _cmd_pipeline(args) -> int:
     report = run_pipeline(_config(args))
-    text = emit_report(report, args.format, args.out)
     if args.out is None:
-        sys.stdout.write(text)
+        # looked up now: a caller may have redirected sys.stdout
+        try:
+            write_report(report, args.format, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write report to stdout: {exc}") from exc
         return 0
+    _write_file(report, args.format, args.out)
     _print(f"wrote {args.format} report to {args.out}")
     summary = report.summary
     _print(

@@ -192,19 +192,19 @@ def _pair_stage(
     emb: EmbeddedClasses,
     eps0: float,
     sigma: float,
-) -> tuple[dict[tuple[int, int], int], Columns]:
+) -> tuple[np.ndarray, Columns]:
     """Bound the sumset of every unordered good pair from the classes'
-    splits; returns the exact support count by pair and the pair table, in
-    pair order."""
+    splits; returns the exact support counts and the pair table (its columns
+    numpy arrays), both in pair order."""
     columns = pair_sumset_columns(part, emb, cfg.eps, eps0, sigma)
-    support = dict(zip(zip(columns["b1"], columns["b2"]), columns.pop("support_count")))
+    support = columns.pop("support_count")
     passed = columns["passed"]
     ledger.report(
         "pair-support-targets",
-        sum(passed),
-        len(passed),
+        int(np.count_nonzero(passed)),
+        passed.size,
         "all pairs reach mean density - eps",
-        all(passed) if passed else None,
+        bool(passed.all()) if passed.size else None,
     )
     return support, Columns(columns)
 
@@ -214,12 +214,12 @@ def _residue_chain(
     cfg: ExperimentConfig,
     part: ResiduePartition,
     agg: DeltaAggregate,
-    support: dict[tuple[int, int], int],
+    support: np.ndarray,
     sum_delta_good: float,
 ) -> tuple[int, int, Columns, bool]:
     """Check the residue-level chain from the pair densities to the moment
-    bound of the good set; returns (k_formula, k, the residue table,
-    witness_ok)."""
+    bound of the good set, given the pair stage's support counts in pair
+    order; returns (k_formula, k, the residue table, witness_ok)."""
     mod = part.modulus
     good = part.units[part.good]
     alpha_good = good.size / mod.totient
@@ -310,9 +310,11 @@ def _residue_chain(
 
     # A residue's contribution is certified once the witness pair's exact
     # support count (= |A_1 + A_2|, the convolution never wraps) covers it.
-    b1, b2 = agg.witness_b1.tolist(), agg.witness_b2.tolist()
-    witness_support = [support[min(pair), max(pair)] for pair in zip(b1, b2)]
-    certified = np.array(witness_support) >= agg.contribution - 1e-9
+    # The pair of good rows i <= j sits at the row-major triangular index
+    # i G - i (i - 1) / 2 + j - i, G the number of good classes.
+    i, j = np.sort(np.searchsorted(good, [agg.witness_b1, agg.witness_b2]), axis=0)
+    witness_support = support[i * good.size - i * (i - 1) // 2 + j - i]
+    certified = witness_support >= agg.contribution - 1e-9
     contributing = certified[agg.contribution > 0]
     witness_ok = bool(contributing.all())
     ledger.report(
@@ -327,9 +329,9 @@ def _residue_chain(
         r_x=r_x.tolist(),
         gamma_x=gamma,
         delta_x=delta,
-        witness_b1=b1,
-        witness_b2=b2,
-        witness_support=witness_support,
+        witness_b1=agg.witness_b1.tolist(),
+        witness_b2=agg.witness_b2.tolist(),
+        witness_support=witness_support.tolist(),
         witness_certified=certified.tolist(),
         contribution=agg.contribution.tolist(),
     )

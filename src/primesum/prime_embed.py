@@ -288,13 +288,14 @@ def split_level(sigma: float, density: float) -> float:
 
 def pair_sumset_columns(
     part: ResiduePartition, emb: EmbeddedClasses, eps: float, eps0: float, sigma: float
-) -> dict[str, list]:
+) -> dict[str, np.ndarray]:
     """Bound the sumset of every unordered pair of the good classes c1 < c2
     < ..., in the order (c1, c1), (c1, c2), ..., (c2, c2), ..., and return
-    the report columns.  The rows of ``emb`` align with the units; the good
-    ones go to ``convolve_pairs`` with their row sums, summed once here: the
-    embedding's own array when every class is good, as in an all-primes run,
-    and a copy of the good rows otherwise.
+    the report columns as 1-D int64, float64 or bool arrays.  The rows of
+    ``emb`` align with the units; the good ones go to ``convolve_pairs`` with
+    their row sums, summed once here: the embedding's own array when every
+    class is good, as in an all-primes run, and a copy of the good rows
+    otherwise.
 
     Each class has its own level: eps0 clamped down to ``split_level`` of
     its mean when that cap is positive.  A pair works at the level of the
@@ -354,7 +355,7 @@ def pair_sumset_columns(
     f1_max = scatter(conv.f1_max)
     bohr_size = scatter(conv.bohr_size, np.int64)
     pieces = ("12", "21", "22")
-    columns = {
+    return {
         "b1": b[c1],
         "b2": b[c2],
         "alpha": alpha,
@@ -375,7 +376,6 @@ def pair_sumset_columns(
         "bohr_size_g": bohr_size[:, 1],
         "support_count": support,
     }
-    return {name: np.asarray(values).tolist() for name, values in columns.items()}
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def test_a_point_records_every_stage_and_the_render():
     )
     record = json.loads(out.stdout)
     names = sorted(stage["name"] for stage in record["stages"])
-    assert names == sorted([*bench_grid.STAGES, "emit_report"])
+    assert names == sorted([*bench_grid.STAGES, "write_report"])
 
 
 def test_a_stage_the_pipeline_lacks_is_an_error(monkeypatch):

@@ -16,7 +16,7 @@ from primesum.errors import ConfigurationError, DomainError, InvariantViolation
 from primesum.expcli.cli import main, parse_set_spec
 from primesum.expcli.config import ExperimentConfig, build_subset, parse_rule
 from primesum.expcli.pipeline import _Ledger, run_pipeline
-from primesum.expcli.reports import _sanitize, emit_report, render_csv, render_json
+from primesum.expcli.reports import _sanitize, render_csv, render_json, write_report
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import cyclic_sumset_size
 
@@ -554,7 +554,7 @@ class TestPipeline:
             report.summary["eps0"],
             lambda c, level: (level, split([densities[c]], [level])[0]),
         )
-        assert report.pair_reports["eps0_used"] == eps0_used
+        assert report.pair_reports["eps0_used"].tolist() == eps0_used
         assert np.asarray(pairs).tolist() == [[c1, c2] for c1, c2, _, _ in live]
         # each (class, level) is split once, and each side of a pair takes
         # the split the oracle gives it
@@ -734,18 +734,37 @@ class TestLedger:
         ]
 
 
+class FailsAfterFirstWrite:
+    """A text handle whose first write goes through (to ``inner``, if given)
+    and whose later writes raise, as a full disk or a closed pipe would."""
+
+    def __init__(self, inner=None):
+        self.inner, self.calls = inner, 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        if self.calls > 1:
+            raise OSError(28, "No space left on device")
+        return self.inner.write(text) if self.inner is not None else len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 class TestReports:
     def test_json_roundtrip(self, pipeline_report):
         parsed = json.loads(render_json(pipeline_report))
         assert parsed == _sanitize(pipeline_report.to_dict())
 
     def test_pair_columns_are_json_native(self, pipeline_report):
-        # the JSON writer encodes a column in one C-encoder call only when
-        # every cell is a plain number or bool
+        # the pair columns reach the writer as arrays of the dtypes whose
+        # blocks it encodes whole: floats by bit pattern, ints and bools in
+        # one C-encoder call, every cell as a Python scalar
         table = pipeline_report.pair_reports
         assert table.size
         for name, cells in table.items():
-            assert set(map(type, cells)) <= {int, float, bool}, name
+            assert isinstance(cells, np.ndarray) and cells.ndim == 1, name
+            assert cells.dtype in (np.int64, np.float64, np.bool_), name
 
     def test_json_key_order_stable(self, pipeline_report):
         text = render_json(pipeline_report)
@@ -775,12 +794,15 @@ class TestReports:
 
     def test_emit_to_file(self, pipeline_report, tmp_path):
         path = tmp_path / "out.json"
-        text = emit_report(pipeline_report, "json", str(path))
-        assert path.read_text() == text
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_report(pipeline_report, "json", handle)
+        assert path.read_text() == render_json(pipeline_report)
 
     def test_emit_bad_path(self, pipeline_report, tmp_path):
+        from primesum.expcli.cli import _write_file
+
         with pytest.raises(ConfigurationError):
-            emit_report(pipeline_report, "json", str(tmp_path / "no" / "dir.json"))
+            _write_file(pipeline_report, "json", str(tmp_path / "no" / "dir.json"))
 
 
 class TestCli:
@@ -861,6 +883,62 @@ class TestCli:
             ["pipeline", "--n", "50", "--W", "3", "--format", "json", "--out", "x"]
         )
         assert code == 2
+
+    PAIRS_W5 = ["pipeline", "--n", "20000", "--W", "5"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_stdout_report(self, capsys, tmp_path, fmt):
+        assert main([*self.PAIRS_W5, "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / f"r.{fmt}"
+        assert main([*self.PAIRS_W5, "--format", fmt, "--out", str(path)]) == 0
+        assert path.read_bytes() == text.encode("utf-8")
+        assert capsys.readouterr().out.startswith(f"wrote {fmt} report to {path}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_stdout_write_failing_part_way_maps_to_two(self, monkeypatch, capsys, fmt):
+        handle = FailsAfterFirstWrite()
+        monkeypatch.setattr(sys, "stdout", handle)
+        assert main([*self.PAIRS_W5, "--format", fmt]) == 2
+        assert handle.calls == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write report to stdout: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_an_out_write_failing_part_way_maps_to_two(
+        self, monkeypatch, capsys, tmp_path, existed
+    ):
+        # a file the run created is removed; a path that existed is not
+        import primesum.expcli.cli as cli_mod
+
+        write, handles = cli_mod.write_report, []
+
+        def failing(report, output_format, handle):
+            handles.append(FailsAfterFirstWrite(handle))
+            write(report, output_format, handles[-1])
+
+        monkeypatch.setattr(cli_mod, "write_report", failing)
+        path = tmp_path / "r.json"
+        if existed:
+            path.write_text("old")
+        assert main([*self.PAIRS_W5, "--out", str(path)]) == 2
+        assert [h.calls for h in handles] == [2]
+        assert path.exists() == existed
+        if existed:
+            assert path.read_text() == "{"  # truncated, then the first write
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot write report to {path}: [Errno 28] No space left on device\n",
+        )
+
+    def test_an_out_directory_maps_to_two(self, capsys, tmp_path):
+        assert main([*self.PAIRS_W5, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and tmp_path.is_dir()
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write report to {tmp_path}: ")
 
     @staticmethod
     def assert_fails_fast(argv: list[str]) -> None:

@@ -1,16 +1,28 @@
 """The column-wise report writer against the stock indented JSON encoder."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesum.expcli.reports import Columns, _cell, _sanitize, render_csv, render_json
+from primesum.errors import ConfigurationError
+from primesum.expcli import reports
+from primesum.expcli.reports import (
+    Columns,
+    _cell,
+    _sanitize,
+    render_csv,
+    render_json,
+    write_report,
+)
 
 # keys and strings that need escaping: quotes, backslashes, control and
 # non-ASCII characters, the list separator ", " and a "%" (the row template
@@ -230,3 +242,92 @@ class TestCsvDocument:
             "section,summary\nkey,value\na,1.5\n\n"
             "section,t\nx\n1\n2\n"
         )
+
+
+def array_table(rows: int, seed: int = 3) -> Columns:
+    """A table shaped like the pair table: int64, float64 and bool arrays,
+    one float column a strided view of a 2-D array, with -0.0, NaN, +-inf,
+    a subnormal and repeated values among the floats."""
+    rng = np.random.default_rng(seed)
+    special = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, 5e-324, 1e16])
+    pieces = rng.normal(size=(rows, 3))
+    pieces[::4, 1] = -0.0
+    return Columns(
+        b1=rng.integers(-(2**62), 2**62, rows),
+        count=rng.integers(0, 3, rows),
+        alpha=special[rng.integers(0, special.size, rows)],
+        l2sq=pieces[:, 1],
+        passed=rng.integers(0, 2, rows).astype(bool),
+    )
+
+
+def as_lists(table: Columns) -> Columns:
+    return Columns({name: cells.tolist() for name, cells in table.items()})
+
+
+class TestArrayColumns:
+    @pytest.mark.parametrize("block", [1, 3, reports._BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [0, 1, 10, 600])
+    def test_arrays_render_like_lists(self, monkeypatch, block, rows):
+        # block boundaries fall inside the table; every cell reaches the
+        # encoders as a Python scalar, so the text is that of the lists
+        monkeypatch.setattr(reports, "_BLOCK_ROWS", block)
+        arrays = array_table(rows)
+        assert {cells.dtype for cells in arrays.values()} == {
+            np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_)
+        }
+        docs = [
+            {"config": {"n": 3}, "tables": {"summary": {"a": 1.5}, "pairs": t}, "checks": t}
+            for t in (arrays, as_lists(arrays))
+        ]
+        json_text, csv_text_ = render_json(_Report(docs[1])), render_csv(_Report(docs[1]))
+        assert json_text == stock(docs[1])
+        assert csv_text_ == csv_text(docs[1])
+        assert render_json(_Report(docs[0])) == json_text
+        assert render_csv(_Report(docs[0])) == csv_text_
+        if rows >= 10:
+            assert '"alpha": -0.0' in json_text and '"alpha": null' in json_text
+            assert '"passed": true' in json_text and "True" not in json_text
+            assert "True" not in csv_text_ and "nan" not in csv_text_
+
+    def test_unknown_format_writes_nothing(self):
+        buf = io.StringIO()
+        with pytest.raises(ConfigurationError, match="unknown output format"):
+            write_report(_Report({"config": {}, "tables": {}, "checks": []}), "xml", buf)
+        assert buf.getvalue() == ""
+
+
+class _HashSink:
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_writer_peak_does_not_grow_with_the_rows(fmt):
+    # a 22-column table like the pair table (two int64 labels, sixteen
+    # float64 and four bool columns) written to a sink that keeps no text:
+    # only one block's tokens are alive at a time, so the traced peak of
+    # 80,000 rows stays within 1 MB of that of 20,000.  The floats repeat
+    # (16 values each), as many pair columns do, which keeps the traced run
+    # short; the text still grows with the rows.
+    def peak(rows: int) -> int:
+        rng = np.random.default_rng(rows)
+        table = Columns(
+            {f"b{k}": rng.integers(0, 2310, rows) for k in range(2)}
+            | {f"x{k:02d}": rng.integers(0, 16, rows) / 16 for k in range(16)}
+            | {f"ok{k}": rng.random(rows) < 0.5 for k in range(4)}
+        )
+        doc = {"config": {"rows": rows}, "tables": {"pairs": table}, "checks": []}
+        tracemalloc.start()
+        try:
+            write_report(_Report(doc), fmt, _HashSink())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(80_000)
+    assert abs(large - small) < 1 << 20, (small, large)
