@@ -48,10 +48,11 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # capital_R's unit-shift convolution: the odd 255255 (one transform pair at m,
 # the unit spectrum in closed form), 20014 = 2 * 10007 (folded onto the prime
 # 10007, padded to 20250) and the prime 999983 (padded); the CLI's largest
-# primorial, 9699690, whose 166 members' counts fit one byte each; a
-# non-squarefree modulus (the radical-block certificate), a list: spec and
-# the extremal family at s=6 and s=7; simulate-random, a command that is gone
-# (exit 2); and the one-class commands, which share the pipeline's prime
+# primorial, 9699690, whose 166 members' counts fit one byte each; the edges
+# of the fold of an even modulus m = 2n onto Z_n: m = 2 (n = 1), m = 6, a
+# dense half of the units of Z_30, and the odd 15015, which runs unfolded; a
+# non-squarefree modulus (rejected, exit 2) and a list: spec; simulate-random,
+# a command that is gone (exit 2); and the one-class commands, which share the pipeline's prime
 # table: sieve, partition, partition-residue (a filtered subset at W=7 with
 # classes that are good, classes that are not and classes with no prime),
 # spectrum, spectrum-w2 (W=2, whose off-peak reference is NaN), decompose, a
@@ -98,10 +99,12 @@ CASES = [
     ("znstar-z9699690", "znstar-bound --m 9699690 --set-spec units-random:0.0001:1"),
     ("moments-z20014", "moments --m 20014 --set-spec units-random:0.3:1 --k 3"),
     ("moments-z999983", "moments --m 999983 --set-spec units-random:0.001:1 --k 3"),
+    ("moments-z2", "moments --m 2 --set-spec units --k 2"),
+    ("znstar-z6", "znstar-bound --m 6 --set-spec units"),
+    ("moments-z30-dense", "moments --m 30 --set-spec units-random:0.5:1 --k 3"),
+    ("znstar-z15015", "znstar-bound --m 15015 --set-spec units-random:0.1:1"),
     ("znstar-non-squarefree", "znstar-bound --m 1800 --set-spec units-random:0.3:1"),
     ("znstar-list", "znstar-bound --m 30030 --set-spec list:1,17,19,23,29,31,37,41"),
-    ("extremal-s6-t2", "extremal --s 6 --t 2"),
-    ("extremal-s7-t2", "extremal --s 7 --t 2"),
     ("simulate-random-removed",
      "simulate-random --N 2000 --p 0.3 --alpha 0.5 --trials 3 --seed 1"),
     ("sieve-n100000", "sieve --n 100000"),

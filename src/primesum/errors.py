@@ -3,7 +3,6 @@
 __all__ = [
     "DomainError",
     "SizeLimitError",
-    "RangeOverflowError",
     "ConfigurationError",
     "InvariantViolation",
 ]
@@ -15,10 +14,6 @@ class DomainError(ValueError):
 
 class SizeLimitError(DomainError):
     """A workload guard was exceeded; the request is too large to enumerate."""
-
-
-class RangeOverflowError(DomainError):
-    """A result cannot be represented in the working precision."""
 
 
 class ConfigurationError(ValueError):

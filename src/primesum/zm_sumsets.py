@@ -1,5 +1,6 @@
 """Cyclic and integer sumsets, representation-function moments, and the
-moment-method lower-bound certificates over unit groups.
+moment-method lower-bound certificate over the unit group of a squarefree
+modulus.
 
 A subset of Z_m holds its membership indicator: a read-only bool array of
 length m.  Counting is exact throughout: representation numbers come from
@@ -22,11 +23,20 @@ picks the route of every cyclic convolution.  The sparse route reduces the
 pair sums mod m before counting them.  Kernels over all of Z_m
 read the modulus's prime structure: strided passes over the prime powers for
 the unit group and the gcd layers, and a Moebius count factored one prime at
-a time.  The unit-shift counts R that the Moebius count checks fold an even
-m = 2n onto Z_n, since members and units are odd, and multiply the forward
-spectrum in place by the unit indicator's transform in closed form (a
-product of Ramanujan sums), so R over Z_510510 costs one transform pair at
-length 255255.
+a time.  The unit-shift counts R that the Moebius count checks multiply the
+forward spectrum in place by the unit indicator's transform in closed form
+(a product of Ramanujan sums).
+
+An even squarefree m = 2n runs the moment certificate on Z_n.  Members and
+units are odd, so every count of the certificate vanishes on the odd
+residues, and the even residues are Z_n by x -> x mod n (CRT); one helper
+pair, ``_fold_half`` and ``_lift_half``, moves counts between the two and
+states the argument.  ``capital_R`` runs first, its transform over Z_n and
+its Moebius check over all of Z_m, so R over Z_510510 costs one transform
+pair at length 255255 while little else is held.  Then B and the checked R
+fold onto Z_n, where r_B (both routes), the gcd layers and the three
+histograms of the moments are counted; the layer of d | n stands for that
+of 2d, and r_B is lifted back onto Z_m for the certificate's ``hist``.
 
 Every count of the certificate lies in [0, |B|]: r_B(x), R(x), each partial
 Moebius count, and each count of a convolution of a set with a larger one.
@@ -37,42 +47,28 @@ consumers widen the counts before any arithmetic.  The float results are
 rounded block by block, and the histograms of the moments count block by
 block, so their intp keys are block-sized.  numpy's sparse ``bincount``
 still returns one intp array of length m, which is narrowed as it is added
-in.  One ``kth_moment`` over Z_510510 with 461 members peaks at about 14
-traced bytes per residue (28 with int64 counts), and over Z_9699690 with
-166 members at about 10.
+in.  One ``kth_moment`` over Z_510510 peaks at about 10 traced bytes per
+residue with 461 members and 19 with 1,844, and over Z_9699690 with 166
+members at about 8.5.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    RangeOverflowError,
-    SizeLimitError,
-)
-from .ntheory import (
-    FactoredModulus,
-    factorize,
-    sieve_primes,
-    unit_indicator,
-)
+from .errors import DomainError, InvariantViolation, SizeLimitError
+from .ntheory import FactoredModulus, factorize, unit_indicator
 from .zn_spectral import block_rows, smooth_length
 
 __all__ = [
     "SubsetOfZm",
     "MomentCertificate",
     "ZnStarReport",
-    "BlockReport",
-    "ExtremalConstruction",
     "sumset",
     "integer_sumset_flags",
     "cyclic_sumset_size",
@@ -81,7 +77,6 @@ __all__ = [
     "kth_moment",
     "choose_moment_order",
     "znstar_certificate",
-    "extremal_construct",
 ]
 
 _BITMASK_WORK = 2_000_000_000
@@ -571,12 +566,40 @@ def _unit_convolution(h: np.ndarray, mod: FactoredModulus) -> np.ndarray:
     return _cyclic_int_convolution(h, unit_indicator(mod))
 
 
-def _on_even_residues(r_half: np.ndarray) -> np.ndarray:
-    """Counts over Z_2n, n odd, reading r_half[x mod n] at every even x and
-    0 at every odd x; x -> x mod n maps the even residues onto Z_n (CRT)."""
-    r = np.tile(r_half, 2)
-    r[1::2] = 0
-    return r
+def _fold_half(values: np.ndarray) -> np.ndarray:
+    """Counts over Z_m, m = 2n with n odd, moved onto Z_n by x -> x mod n:
+    entry y of the result is values[y] + values[y + n], in values' dtype.
+    The inverse is ``_lift_half``.
+
+    This pair runs the moment certificate of an even squarefree m on Z_n.
+    The members of B and the units of Z_m are odd, so every count of the
+    certificate (r_B, R and their gcd layers) vanishes on the odd residues.
+    The even residues map one to one onto Z_n (CRT: an even x is fixed by x
+    mod n), and a sum of two odd residues is x mod m exactly when it is x
+    mod n.  So B mod n has |B| members, the units of Z_m fold onto those of
+    Z_n, and r_B(x) and R(x) at an even x are the counts over Z_n at x mod
+    n.  Of y and y + n, one is even and one is odd, so the fold is
+    injective on counts that vanish on the odd residues: it must keep every
+    nonzero entry apart, which for B's indicator says that B mod n keeps
+    |B| members.
+    """
+    n = values.size // 2
+    folded = values[:n] + values[n:]
+    kept, nonzero = int(np.count_nonzero(folded)), int(np.count_nonzero(values))
+    if kept != nonzero:
+        raise InvariantViolation(
+            f"folding Z_{values.size} onto Z_{n} merged entries: {nonzero} "
+            f"nonzero, {kept} after the fold"
+        )
+    return folded
+
+
+def _lift_half(counts: np.ndarray) -> np.ndarray:
+    """Counts over Z_n, n odd, on Z_2n: counts[x mod n] at every even x and
+    0 at every odd x, the inverse of ``_fold_half``."""
+    lifted = np.tile(counts, 2)
+    lifted[1::2] = 0
+    return lifted
 
 
 def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
@@ -589,13 +612,13 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     of (1 - [x = b mod p]): the members avoiding x modulo every prime divisor.
 
     The convolution is a certified float FFT (or pair by pair, for few
-    pairs).  An even m = 2n folds onto Z_n first: members and units are odd,
-    so R vanishes on the odd residues, and on the even ones R[x] is the
-    convolution over Z_n of B mod n with the units of Z_n, at x mod n.  Over
-    the odd modulus the unit indicator's transform is the Ramanujan sum in
-    closed form, multiplied into B's spectrum in place, so where length m
-    (or n) pays the route is one rfft and one irfft; elsewhere the unit
-    indicator is transformed with B at the padded length.
+    pairs).  An even m = 2n runs it over Z_n: B folds onto B mod n, and the
+    convolution of B mod n with the units of Z_n is lifted back onto the
+    even residues of Z_m (``_fold_half``, ``_lift_half``).  Over the odd
+    modulus the unit indicator's transform is the Ramanujan sum in closed
+    form, multiplied into B's spectrum in place, so where length m (or n)
+    pays the route is one rfft and one irfft; elsewhere the unit indicator
+    is transformed with B at the padded length.
 
     The Moebius count runs over all of Z_m with every prime, 2 included.
     The product is applied to the indicator h of B one prime at a time.  Laid
@@ -617,8 +640,7 @@ def capital_R(b: SubsetOfZm, mod: FactoredModulus) -> np.ndarray:
     if mod.m % 2:
         r_route = _unit_convolution(h, mod)
     else:
-        n = mod.m // 2
-        r_route = _on_even_residues(_unit_convolution(h[:n] | h[n:], factorize(n)))
+        r_route = _lift_half(_unit_convolution(_fold_half(h), factorize(mod.m // 2)))
     # a copy of h turns into the Moebius count in place, one prime at a time;
     # every partial count, column sums included, lies in [0, |B|]
     dtype = np.min_scalar_type(b.cardinality)
@@ -660,9 +682,11 @@ class MomentCertificate:
 
     ``s_rb`` is sum r_B(x)^k; ``s_r`` the same for the unit-shift counts R,
     which dominate pointwise; ``stratified`` reassembles ``s_r`` exactly over
-    the gcd layers.  The comparator is the structure-independent reference
-    |B|^k phi(m)^k / m^(k-1) / alpha^2.  ``hist`` holds the counts r_B, in
-    the narrowest unsigned dtype that holds |B|.
+    the gcd layers, keyed by every divisor d of m ascending, the moment of R
+    over {x : gcd(x, m) = d}.  The comparator is the structure-independent
+    reference |B|^k phi(m)^k / m^(k-1) / alpha^2.  ``hist`` holds the counts
+    r_B over all of Z_m, read-only, in the narrowest unsigned dtype that
+    holds |B|; for an even m they are counted over Z_{m/2} and lifted.
     """
 
     m: int
@@ -687,6 +711,13 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     |B+B| >= |B|^(2k/(k-1)) / s_rb^(1/(k-1)) is checked against the true
     sumset in exact integers, as |B+B|^(k-1) s_rb >= |B|^(2k), before its
     float value is reported.
+
+    ``capital_R`` runs first, over all of Z_m, while little else is held.
+    An even m = 2n then runs the rest over Z_n (``_fold_half``): the checked
+    R and B fold onto Z_n, where r_B, the gcd layers and the histograms of
+    the moments are counted.  The layer of d | n in Z_n is that of 2d in
+    Z_m, and the layers of the odd divisors of m hold no count, so their
+    moments are 0; r_B is lifted back onto Z_m for ``hist``.
     """
     if k < 2:
         raise DomainError(f"moment order must be >= 2, got {k}")
@@ -699,16 +730,25 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
 
-    hist = rep_histogram(b)
-    s_rb = _power_sum(hist, k)
     big_r = capital_R(b, mod)
+    even = mod.m % 2 == 0
+    if even:
+        big_r = _fold_half(big_r)
+        half_mod = factorize(mod.m // 2)
+        half = SubsetOfZm(m=half_mod.m, indicator=_fold_half(b.indicator))
+    else:
+        half_mod, half = mod, b
+    hist = rep_histogram(half)
+    s_rb = _power_sum(hist, k)
     if np.any(big_r < hist):
         raise InvariantViolation("unit-shift counts fail to dominate pointwise")
-    divisors, layer = _gcd_layers(mod)
+    divisors, layer = _gcd_layers(half_mod)
     # one histogram of (gcd layer, R[x]), row j for the layer of divisors[j];
     # R <= |B| bounds it by 2^omega (|B| + 1) bins
     binned = _histogram(big_r, int(big_r.max()) + 1, layer, len(divisors))
-    stratified = dict(zip(divisors, _power_sums(binned, k)))
+    stratified = dict.fromkeys(mod.divisors(), 0)
+    step = 2 if even else 1
+    stratified.update(zip((step * d for d in divisors), _power_sums(binned, k)))
     s_r = _power_sum(big_r, k)
     if sum(stratified.values()) != s_r:
         raise InvariantViolation("stratified moments fail to reassemble the total")
@@ -727,6 +767,9 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         raise InvariantViolation(
             f"power-mean bound exceeds the true sumset size ({actual})"
         )
+    if even:
+        hist = _lift_half(hist)
+        hist.setflags(write=False)
     holder_bound = math.exp((2.0 * k * math.log(card) - math.log(s_rb)) / (k - 1))
     return MomentCertificate(
         m=mod.m,
@@ -763,42 +806,23 @@ def choose_moment_order(alpha: float) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class BlockReport:
-    """One radical-length block of a non-squarefree reduction."""
-
-    j: int
-    start: int
-    count: int
-    alpha_j: Fraction
-    selected: bool
-    bound: float | None
-
-
-@dataclass(frozen=True)
 class ZnStarReport:
-    """Full lower-bound certificate for a subset of a unit group.
-
-    For squarefree m this is a direct moment certificate.  Otherwise the set
-    is cut into blocks of radical length, dense blocks are certified inside
-    Z_radical, and the block bounds add up because integer block sumsets
-    live in disjoint windows; the final bound is then checked against the
-    exact integer sumset.
-    """
+    """Lower-bound certificate for a subset B of the unit group of a
+    squarefree modulus: the Hoelder bound of its moment certificate, at the
+    order ``choose_moment_order`` picks for the density of B in the units,
+    next to the true cyclic sumset size."""
 
     m: int
     card: int
     alpha_units: float
-    alpha_total: Fraction
     k: int
-    squarefree: bool
-    blocks: tuple[BlockReport, ...] | None
     final_bound: float
     actual_cyclic: int
-    actual_integer: int | None
 
 
 def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
-    """Lower-bound certificate for |B+B| when B sits inside Z_m^*."""
+    """Lower-bound certificate for |B+B| when B sits inside Z_m^*, m
+    squarefree."""
     if b.cardinality == 0:
         raise DomainError("certificate refused for the empty set")
     if mod.m != b.m:
@@ -806,141 +830,14 @@ def znstar_certificate(b: SubsetOfZm, mod: FactoredModulus) -> ZnStarReport:
     if not _all_units(b):
         raise DomainError("members must lie in the unit group")
 
-    card = b.cardinality
-    alpha_units = card / mod.totient
-    alpha_total = Fraction(card, mod.m)
+    alpha_units = b.cardinality / mod.totient
     k = choose_moment_order(alpha_units)[1]
-
-    if mod.squarefree:
-        cert = kth_moment(b, k, mod)
-        return ZnStarReport(
-            m=mod.m,
-            card=card,
-            alpha_units=alpha_units,
-            alpha_total=alpha_total,
-            k=k,
-            squarefree=True,
-            blocks=None,
-            final_bound=cert.holder_bound,
-            actual_cyclic=cert.actual_sumset,
-            actual_integer=None,
-        )
-
-    actual_cyclic = sumset(b, b).cardinality
-    m1 = mod.radical
-    rad_mod = factorize(m1)
-    members = b.members_array()
-    n_blocks = mod.m // m1
-    blocks: list[BlockReport] = []
-    mass = Fraction(0)
-    final_bound = 0.0
-    for j in range(n_blocks):
-        lo = j * m1
-        in_block = members[(members >= lo) & (members < lo + m1)]
-        alpha_j = Fraction(int(in_block.size), m1)
-        mass += alpha_j
-        selected = alpha_j > alpha_total / 2
-        bound_j: float | None = None
-        if selected:
-            block_set = SubsetOfZm.from_members(m1, (in_block - lo).tolist())
-            bound_j = kth_moment(block_set, k, rad_mod).holder_bound
-            final_bound += bound_j
-        blocks.append(
-            BlockReport(
-                j=j,
-                start=lo,
-                count=int(in_block.size),
-                alpha_j=alpha_j,
-                selected=bool(selected),
-                bound=bound_j,
-            )
-        )
-    rhs = alpha_total * n_blocks
-    if mass != rhs:
-        raise InvariantViolation(
-            f"block densities sum to {mass}, expected {rhs}"
-        )
-    actual_integer = int(np.count_nonzero(integer_sumset_flags(members, members)[1]))
-    # block bounds certify cyclic block sumsets, which lower-bound the
-    # integer block sumsets sitting in disjoint windows of length 2 m1
-    if final_bound > actual_integer + 1e-9:
-        raise InvariantViolation(
-            f"block bound {final_bound} exceeds the integer sumset {actual_integer}"
-        )
+    cert = kth_moment(b, k, mod)
     return ZnStarReport(
         m=mod.m,
-        card=card,
+        card=b.cardinality,
         alpha_units=alpha_units,
-        alpha_total=alpha_total,
         k=k,
-        squarefree=False,
-        blocks=tuple(blocks),
-        final_bound=final_bound,
-        actual_cyclic=actual_cyclic,
-        actual_integer=actual_integer,
+        final_bound=cert.holder_bound,
+        actual_cyclic=cert.actual_sumset,
     )
-
-
-@dataclass(frozen=True)
-class ExtremalConstruction:
-    """Residue-constrained set over the product of the first s primes.
-
-    Members are 1 modulo each of the first t primes and nonzero modulo the
-    rest, so the sumset collapses modulo the small primes while the set
-    retains nearly full density among the large ones.
-    """
-
-    s: int
-    t: int
-    m: int
-    set: SubsetOfZm
-    predicted_sumset: int
-    predicted_alpha: Fraction
-
-
-def extremal_construct(s: int, t: int) -> ExtremalConstruction:
-    """Build the frozen/nonzero residue family via explicit reconstruction."""
-    if not 1 <= t < s:
-        raise DomainError(f"need 1 <= t < s, got t={t}, s={s}")
-    # the sieve stops growing once its primes multiply past the cap, so a
-    # large s is rejected without sieving up to its s-th prime
-    limit = 8
-    while True:
-        primes = [int(p) for p in sieve_primes(limit).primes]
-        if len(primes) >= s or math.prod(primes) > 100_000_000:
-            break
-        limit *= 2
-    primes = primes[:s]
-    m = math.prod(primes)
-    if len(primes) < s or m > 100_000_000:
-        raise RangeOverflowError(
-            f"the modulus of the first {s} primes is too large to materialize"
-        )
-    expected_card = math.prod(p - 1 for p in primes[t:])
-    if expected_card > 10_000_000:
-        raise SizeLimitError(f"{expected_card} members exceed the enumeration limit")
-    basis = []
-    for p in primes:
-        rest = m // p
-        basis.append(rest * pow(rest, -1, p) % m)
-    allowed = [[1] if i < t else list(range(1, primes[i])) for i in range(s)]
-    members = []
-    for combo in itertools.product(*allowed):
-        members.append(sum(r * e for r, e in zip(combo, basis)) % m)
-    built = SubsetOfZm.from_members(m, members)
-    if built.cardinality != expected_card:
-        raise InvariantViolation(
-            f"construction yielded {built.cardinality} members, expected {expected_card}"
-        )
-    if not _all_units(built):
-        raise InvariantViolation("construction left the unit group")
-    small_product = math.prod(primes[:t])
-    return ExtremalConstruction(
-        s=s,
-        t=t,
-        m=m,
-        set=built,
-        predicted_sumset=m // small_product,
-        predicted_alpha=Fraction(1, factorize(small_product).totient),
-    )
-

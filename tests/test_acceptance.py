@@ -1,8 +1,8 @@
 """End-to-end acceptance checks.
 
 Each test covers one external contract of the package: exact kernel
-identities against brute-force oracles, constructions with closed-form
-cardinalities, bounded-tolerance checks on real prime data, and byte-level
+identities against brute-force oracles, bounded-tolerance checks on real
+prime data, and byte-level
 determinism of the command line.  Every test carries its own wall-clock
 budget so the suite stays desk-scale.
 """
@@ -25,7 +25,6 @@ from primesum.prime_embed import (
 from primesum.zm_sumsets import (
     SubsetOfZm,
     capital_R,
-    extremal_construct,
     kth_moment,
     rep_histogram,
     sumset,
@@ -188,28 +187,6 @@ def test_a05_moment_stratification_is_consistent():
                 cert = kth_moment(b, k, mod)
                 assert cert.s_rb <= cert.s_r
                 assert sum(cert.stratified.values()) == cert.s_r
-    budget.check()
-
-
-def test_a06_extremal_families_hit_closed_form_sizes():
-    """For every prime-count pair the frozen-residue construction has the
-    predicted cardinality, lies in the unit group, and its sumset size
-    equals the modulus divided by the product of the frozen primes.
-    """
-    budget = Budget(10.0)
-    primes = [2, 3, 5, 7, 11]
-    for s in range(2, 6):
-        for t in range(1, s):
-            ec = extremal_construct(s, t)
-            assert ec.m == math.prod(primes[:s])
-            assert ec.set.cardinality == math.prod(p - 1 for p in primes[t:s])
-            units = SubsetOfZm.units(ec.m)
-            assert not np.any(ec.set.indicator & ~units.indicator)
-            actual = sumset(ec.set, ec.set).cardinality
-            assert actual == ec.predicted_sumset == ec.m // math.prod(primes[:t])
-
-    assert extremal_construct(3, 1).predicted_sumset == 15
-    assert extremal_construct(4, 2).predicted_sumset == 35
     budget.check()
 
 

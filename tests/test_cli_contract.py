@@ -1,13 +1,13 @@
 """The CLI contract under arbitrary argument vectors: every run of sieve,
-partition, spectrum, decompose, pipeline, moments, sumset, znstar-bound and
-extremal exits 0, 2 or 3 with no traceback, and a rejected request (exit 2)
-comes back fast.  A flag that a command does not take exits 2 (decompose
-given --sigma), and so does a command that is gone (simulate-random).
+partition, spectrum, decompose, pipeline, moments, sumset and znstar-bound
+exits 0, 2 or 3 with no traceback, and a rejected request (exit 2) comes
+back fast.  A flag that a command does not take exits 2 (decompose given
+--sigma), and so does a command that is gone (simulate-random, extremal).
 
-Accepted runs keep n at most 10^4, m at most 3000 and at most 7 primes in
-the extremal modulus; a larger n is drawn only together with a --W or a --b that must be rejected
-before anything is sieved, and a larger m only with a --k that must be
-rejected before any set is built, or past the cap on m.
+Accepted runs keep n at most 10^4 and m at most 3000; a larger n is drawn
+only together with a --W or a --b that must be rejected before anything is
+sieved, and a larger m only with a --k that must be rejected before any set
+is built, or past the cap on m.
 """
 
 import contextlib
@@ -27,6 +27,7 @@ REMOVED_FLAGS = {"decompose": ("--sigma",)}
 # commands that are gone, each with an argument vector it once accepted
 REMOVED_COMMANDS = {
     "simulate-random": ["--N", "2000", "--p", "0.3", "--alpha", "0.5", "--trials", "3"],
+    "extremal": ["--s", "6", "--t", "2"],
 }
 
 
@@ -66,8 +67,7 @@ SET_SPECS = mostly(
     st.sampled_from(["units-filter:0:2", "list:1,x", "random:2:1", "no-such-spec"]),
 )
 SEED = mostly(st.integers(0, 9), st.integers(-2, 2**70))
-# invalid values are not positive or lie past a cap: 10^7 on m; the first 9
-# primes multiply past the extremal modulus cap of 10^8
+# invalid values are not positive or lie past the cap of 10^7 on m
 
 
 def small_or_invalid(top: int, cap: int):
@@ -77,7 +77,6 @@ def small_or_invalid(top: int, cap: int):
 
 
 SET_M = small_or_invalid(3000, 10**7)
-EXTREMAL_S = small_or_invalid(7, 8)
 
 
 def primorial_of(w: int) -> int:
@@ -114,7 +113,6 @@ def argv(draw) -> list[str]:
                 "moments",
                 "sumset",
                 "znstar-bound",
-                "extremal",
                 *REMOVED_COMMANDS,
             ]
         )
@@ -136,9 +134,6 @@ def argv(draw) -> list[str]:
         return ["moments", "--m", str(m), "--set-spec", draw(SET_SPECS), "--k", str(k)]
     if command in ("sumset", "znstar-bound"):
         return [command, "--m", str(draw(SET_M)), "--set-spec", draw(SET_SPECS)]
-    if command == "extremal":
-        t = draw(st.integers(-3, 9))
-        return ["extremal", "--s", str(draw(EXTREMAL_S)), "--t", str(t)]
     has_b = command in ("spectrum", "decompose")
     large = draw(mostly(st.just(False), st.just(True)))
     # a large n comes with an invalid --W, or with an invalid --b
@@ -200,18 +195,6 @@ def test_moments_rejects_an_overflowing_order_before_building_the_set():
     assert time.perf_counter() - start < 0.5
 
 
-def test_extremal_rejects_a_large_s_before_sieving_its_primes():
-    # the first 1230 primes multiply past the 4300 digits ``str`` prints
-    for s in ("1230", "10000000000"):
-        err = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["extremal", "--s", s, "--t", "1"])
-        assert code == 2, err.getvalue()
-        assert "too large to materialize" in err.getvalue()
-        assert time.perf_counter() - start < 0.5
-
-
 def test_spectrum_rejects_a_negative_top_before_sieving(monkeypatch):
     # the slice order[:top] would print all but the last |top| frequencies
     def no_sieve(limit):
@@ -230,10 +213,11 @@ def test_spectrum_rejects_a_negative_top_before_sieving(monkeypatch):
 
 
 def test_a_sumset_too_large_for_two_routes_states_the_limit():
-    # |B| m = 40,000 * 100,000 and 92,160 * 255,255 both pass the 2*10^9 cap
-    # of the dual-route count that znstar-bound and moments run
+    # the dual-route count that znstar-bound and moments run is capped at
+    # |B| m = 2*10^9: 92,160 units of 510510 fold onto Z_255255, as do those
+    # of the odd 255255 itself, and 92,160 * 255,255 passes the cap
     for args in (
-        ["znstar-bound", "--m", "100000", "--set-spec", "units"],
+        ["znstar-bound", "--m", "510510", "--set-spec", "units"],
         ["moments", "--m", "255255", "--set-spec", "units", "--k", "3"],
     ):
         err = io.StringIO()

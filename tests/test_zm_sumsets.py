@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,6 @@ from primesum.zm_sumsets import (
     capital_R,
     choose_moment_order,
     cyclic_sumset_size,
-    extremal_construct,
     integer_sumset_flags,
     kth_moment,
     rep_histogram,
@@ -656,7 +654,7 @@ class TestCapitalR:
             r[0::2] = 0
             return r
 
-        monkeypatch.setattr(zm, "_on_even_residues", on_odd_residues)
+        monkeypatch.setattr(zm, "_lift_half", on_odd_residues)
         with pytest.raises(InvariantViolation, match="unit-shift and Moebius counts disagree"):
             capital_R(self.units_of_210(), factorize(210))
 
@@ -840,10 +838,15 @@ class TestNarrowCounts:
         with pytest.raises(InvariantViolation, match="exactness certificate"):
             zm._cyclic_int_convolution(units, units)
 
-    def test_kth_moment_holds_at_most_16_bytes_per_residue(self):
-        # tracemalloc counts numpy's own allocations, so the peak repeats
+    @pytest.mark.parametrize(
+        "spec, card, bound", [("units-random:0.005:1", 461, 12), ("units-random:0.02:1", 1844, 24)]
+    )
+    def test_kth_moment_peak_bytes_per_residue(self, spec, card, bound):
+        # tracemalloc counts numpy's own allocations, so the peak repeats;
+        # capital_R's transform at length 255255 comes first, and the 1,844
+        # members' pair sums are counted over Z_255255
         m = 510510
-        b = parse_set_spec("units-random:0.005:1", m)
+        b = parse_set_spec(spec, m)
         mod = factorize(m)
         tracemalloc.start()
         try:
@@ -852,8 +855,8 @@ class TestNarrowCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cert.card == 461
-        assert peak - before <= 16 * m
+        assert cert.card == card
+        assert peak - before <= bound * m
 
 
 class TestHolderLowerBound:
@@ -911,26 +914,56 @@ class TestChooseMomentOrder:
         assert cert.holder_bound <= brute + 1e-9
 
 
+class TestHalfModulus:
+    """An even modulus m = 2n runs the moment certificate over Z_n: B and
+    the checked R fold onto Z_n, the gcd layer of d | n there is that of 2d
+    in Z_m, and r_B is lifted back onto Z_m.  The odd 15015 runs over Z_m
+    itself.  Every field must equal a brute-force count over all of Z_m."""
+
+    @pytest.mark.parametrize("m", [2, 6, 30, 210, 2310, 30030, 15015])
+    def test_certificate_matches_brute_force_over_all_of_zm(self, m):
+        rng = np.random.default_rng(m)
+        units = units_of(m)
+        members = sorted(rng.choice(units, min(len(units), 40), replace=False).tolist())
+        b = SubsetOfZm.from_members(m, members)
+        mod = factorize(m)
+        cert = kth_moment(b, 3, mod)
+        rep = rep_enum(members, m).tolist()
+        # the brute-force R: every member plus every unit, counted in int64
+        sums = np.add.outer(np.array(members), np.array(units)) % m
+        relaxed = np.bincount(sums.ravel(), minlength=m).tolist()
+        assert cert.hist.shape == (m,) and not cert.hist.flags.writeable
+        assert cert.hist.tolist() == rep
+        assert cert.s_rb == sum(v**3 for v in rep)
+        assert cert.s_r == sum(v**3 for v in relaxed)
+        strata = dict.fromkeys(mod.divisors(), 0)
+        for d, v in zip(np.gcd(np.arange(m), m).tolist(), relaxed):
+            strata[d] += v**3
+        assert list(cert.stratified) == list(strata)
+        assert cert.stratified == strata
+        assert cert.actual_sumset == len(sumset_enum(members, m))
+
+    def test_a_fold_that_merges_two_members_fails(self):
+        # 1 and 16 = 1 + 15 both reduce to 1 mod 15; 16 is even, so no set
+        # of units of Z_30 holds both
+        flags = SubsetOfZm.from_members(30, [1, 16]).indicator
+        with pytest.raises(InvariantViolation, match="merged entries"):
+            zm._fold_half(flags)
+
+
 class TestZnStarCertificate:
     def test_squarefree_path(self):
         b = SubsetOfZm.from_members(30, [1, 7, 13, 19])
         rep = znstar_certificate(b, factorize(30))
-        assert rep.squarefree
-        assert rep.blocks is None
         assert rep.final_bound <= rep.actual_cyclic + 1e-9
 
-    def test_non_squarefree_blocks(self):
-        b = SubsetOfZm.from_members(20, [1, 3, 7, 9])
-        rep = znstar_certificate(b, factorize(20))
-        assert not rep.squarefree
-        assert rep.blocks is not None
-        mass = sum(blk.alpha_j for blk in rep.blocks)
-        assert mass == rep.alpha_total * len(rep.blocks)
-        selected = [blk for blk in rep.blocks if blk.selected]
-        assert selected and selected[0].alpha_j == Fraction(2, 5)
-        assert rep.final_bound <= rep.actual_integer + 1e-9
+    @pytest.mark.parametrize("m", [4, 20, 1800])
+    def test_a_non_squarefree_modulus_is_rejected(self, m):
+        b = SubsetOfZm.from_members(m, units_of(m)[:4])
+        with pytest.raises(DomainError, match=f"modulus must be squarefree, got {m}"):
+            znstar_certificate(b, factorize(m))
 
-    @given(st.sampled_from([12, 18, 20, 45, 50]), st.data())
+    @given(st.sampled_from([6, 10, 30, 42, 66, 105]), st.data())
     def test_bound_below_actual(self, m, data):
         units = units_of(m)
         members = sorted(
@@ -940,11 +973,10 @@ class TestZnStarCertificate:
         rep = znstar_certificate(b, factorize(m))
         assert rep.final_bound <= rep.actual_cyclic + 1e-9
 
-    @pytest.mark.parametrize("m", [210, 100])
+    @pytest.mark.parametrize("m", [210, 2310])
     def test_actual_cyclic_matches_enumeration(self, m):
         members = units_of(m)[::3]
         rep = znstar_certificate(SubsetOfZm.from_members(m, members), factorize(m))
-        assert rep.squarefree == (m == 210)
         assert rep.actual_cyclic == len(sumset_enum(members, m))
 
     def test_one_self_convolution_per_certificate(self, monkeypatch):
@@ -958,43 +990,16 @@ class TestZnStarCertificate:
             return exact(a, b, nfft, **kwargs)
 
         monkeypatch.setattr(zm, "_convolve_int_exact", counting)
-        # 400 of the 480 units of Z_2310: both products have more pairs than
-        # the butterflies at their padded lengths, 2400 log2 2400 at 4800 for
-        # B * B and 1200 log2 1200 at 2400 for B mod 1155 * units, so both
-        # take the FFT
+        # 400 of the 480 units of Z_2310, which fold onto Z_1155: both
+        # products have more pairs than the butterflies at 2400, 1200 log2
+        # 1200, so both take the FFT
         b = SubsetOfZm.from_members(2310, units_of(2310)[:400])
         znstar_certificate(b, factorize(2310))
-        # B * B for the histogram, B * units for capital_R
-        assert sorted(is_self) == [False, True]
-        # 12 units of Z_210 are counted pair by pair, with no transform: 144
-        # pairs, and 12 * 48 = 576 with the units of Z_105, at most the
-        # 108 log2 108 = 648 butterflies at 216
+        # B * units for capital_R, then B * B for the histogram
+        assert is_self == [False, True]
+        # 12 units of Z_210 are counted pair by pair over Z_105, with no
+        # transform: 144 pairs, and 12 * 48 = 576 with the units of Z_105,
+        # at most the 108 log2 108 = 648 butterflies at 216
         is_self.clear()
         znstar_certificate(SubsetOfZm.from_members(210, units_of(210)[::4]), factorize(210))
         assert is_self == []
-
-
-class TestExtremalConstruct:
-    def test_s3_t1(self):
-        built = extremal_construct(3, 1)
-        assert built.m == 30
-        assert built.set.cardinality == 8
-        assert built.predicted_sumset == 15
-        got = sumset(built.set, built.set)
-        assert got.cardinality == 15
-
-    def test_s4_t2(self):
-        built = extremal_construct(4, 2)
-        assert built.m == 210
-        assert built.set.cardinality == 24
-        assert built.predicted_sumset == 35
-        assert sumset(built.set, built.set).cardinality == 35
-
-    def test_last_coordinate_free(self):
-        built = extremal_construct(4, 3)
-        assert built.set.cardinality == 7 - 1
-
-    def test_requires_t_below_s(self):
-        with pytest.raises(DomainError):
-            extremal_construct(3, 3)
-
