@@ -9,11 +9,10 @@ Each point runs in a fresh process.  A pipeline point runs ``run_pipeline``
 on all primes up to n at W with the default parameters, then writes the JSON
 report with ``write_report`` into a sink that keeps only the report's
 sha256, so the render stage's memory is the writer's own and not that of a
-whole text.  (A checkout from before ``write_report`` hands the sink
-``emit_report``'s text, timed under the same name.)  Every stage function
-that ``run_pipeline`` calls through its module's globals (sieve, subset,
-partition, class rows, pair stage, aggregation, residue chain, integer
-sumset, summary) and the writer are wrapped: each call records its wall time
+whole text.  Every stage function that ``run_pipeline`` calls through its
+module's globals (sieve, subset, partition, class rows, pair stage,
+aggregation, residue chain, integer sumset, summary) and the writer are
+wrapped: each call records its wall time
 and the process's VmHWM (peak resident set, read from /proc/self/status)
 when it returns.  A ``Z_m`` point runs ``znstar-bound`` on a set spec over
 Z_m, its stdout into the same sink, with the kernels that ``kth_moment``
@@ -121,14 +120,7 @@ def run_point(n: int, w: int) -> dict:
     """One pipeline point in this process: the stage records, in call order."""
     import primesum.expcli.pipeline as pipeline
     from primesum.expcli.config import ExperimentConfig, parse_rule
-
-    try:
-        from primesum.expcli.reports import write_report
-    except ImportError:  # a checkout from before the streaming writer
-        from primesum.expcli.reports import emit_report
-
-        def write_report(report, output_format, handle):
-            handle.write(emit_report(report, output_format))
+    from primesum.expcli.reports import write_report
 
     stages: list = []
     _wrap(pipeline, STAGES, stages)

@@ -224,7 +224,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_sumset(args) -> int:
     b = parse_set_spec(args.set_spec, args.m)
     try:
-        size = sumset(b, b).cardinality
+        size = sumset(b).cardinality
     except SizeLimitError:
         # too large for the dual-route count: one certified convolution
         size = cyclic_sumset_size(b)

@@ -346,7 +346,7 @@ def _integer_sumset(
     blocks of ``_RESIDUE_BLOCK``, so no array of every sum is held."""
     if not a_arr.size:
         return None, Columns()
-    lo, flags = integer_sumset_flags(a_arr, a_arr)
+    lo, flags = integer_sumset_flags(a_arr)
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, flags.size, _RESIDUE_BLOCK):
         sums = np.flatnonzero(flags[start : start + _RESIDUE_BLOCK])

@@ -38,10 +38,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.primes.size)
 
-    def __contains__(self, value: int) -> bool:
-        i = int(np.searchsorted(self.primes, value))
-        return i < self.primes.size and int(self.primes[i]) == int(value)
-
     def upto(self, limit: int) -> "PrimeTable":
         """The primes up to ``limit``, a view of this table's array."""
         if limit > self.limit:
@@ -54,14 +50,13 @@ class PrimeTable:
 class FactoredModulus:
     """A positive integer together with its full prime factorization.
 
-    ``primes`` is an ascending tuple of (prime, exponent) pairs; ``totient``,
-    ``radical`` and ``squarefree`` are derived once at construction.
+    ``primes`` is an ascending tuple of (prime, exponent) pairs; ``totient``
+    and ``squarefree`` are derived once at construction.
     """
 
     m: int
     primes: tuple[tuple[int, int], ...]
     totient: int
-    radical: int
     squarefree: bool
 
     @property
@@ -79,16 +74,13 @@ class FactoredModulus:
 def _modulus_from_pairs(pairs: tuple[tuple[int, int], ...]) -> FactoredModulus:
     m = 1
     tot = 1
-    rad = 1
     for p, e in pairs:
         m *= p**e
         tot *= p ** (e - 1) * (p - 1)
-        rad *= p
     return FactoredModulus(
         m=m,
         primes=pairs,
         totient=tot,
-        radical=rad,
         squarefree=all(e == 1 for _, e in pairs),
     )
 
@@ -107,7 +99,7 @@ def sieve_primes(n: int) -> PrimeTable:
 
 
 def primorial(w: int) -> FactoredModulus:
-    """Product of all primes <= w, with totient and radical attached."""
+    """Product of all primes <= w, with its totient attached."""
     if w < 2:
         raise DomainError(f"primorial bound must be >= 2, got {w}")
     ps = sieve_primes(w).primes

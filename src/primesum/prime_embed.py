@@ -117,7 +117,7 @@ def partition_and_densities(
     if table.limit < 2:
         raise DomainError(f"need n >= 2, got {table.limit}")
     primes = table.primes
-    subset = np.asarray(list(a_members), dtype=np.int64)
+    subset = np.asarray(a_members, dtype=np.int64)
     at = np.searchsorted(primes, subset)
     if np.any(primes[np.minimum(at, primes.size - 1)] != subset):
         raise DomainError(f"members must all be primes <= {table.limit}")

@@ -2,6 +2,13 @@
 moment-method lower-bound certificate over the unit group of a squarefree
 modulus.
 
+Three sums are formed, each of one set: A + A over the integers
+(``integer_sumset_flags``), B + B over Z_m for B in the unit group
+(``sumset``, ``rep_histogram``, ``cyclic_sumset_size``), and the unit-shift
+counts R of B + Z_m^* (``capital_R``), which the moment bound compares
+against.  So every sumset kernel takes one set, and R's is the only
+convolution of two different indicators.
+
 A subset of Z_m holds its membership indicator: a read-only bool array of
 length m.  Counting is exact throughout: representation numbers come from
 integer convolutions, and moments are accumulated as Python integers.  Cyclic
@@ -11,10 +18,10 @@ butterflies of the real FFT it replaces, and that float FFT beyond; the FFT
 result must pass a distance-to-integer certificate before rounding.  Every
 padded transform, and every cost estimate, takes the smallest 5-smooth length
 that holds the linear convolution (``smooth_length``).  An integer sumset's
-FFT splits both sets by residue mod 30: each class is a 0/1 row over the
+FFT splits the set by residue mod 30: each class is a 0/1 row over the
 positions a // 30, about span/60 long, all rows take one stacked transform,
 the class pairs whose residues add to one s share one inverse, and the
-rounded counts must add up to the number of pairs.  A cyclic convolution over
+rounded counts must add up to |A|^2.  A cyclic convolution over
 Z_m runs that FFT as one cyclic transform of length m when m = prod p^e makes
 it the cheaper one, m sum p e below 2 L log2 L for the padded length
 L >= 2m - 1 (primorials and 10^6, say), and as the padded linear transform
@@ -144,9 +151,6 @@ class SubsetOfZm:
     def members_array(self) -> np.ndarray:
         """The members ascending, as a read-only int64 array."""
         return self._members
-
-    def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.m and bool(self.indicator[x])
 
 
 def _convolve_int_exact(a: np.ndarray, b, nfft: int, *, dtype) -> np.ndarray:
@@ -292,25 +296,25 @@ def _cyclic_int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _cyclic_support(small: SubsetOfZm, big: SubsetOfZm) -> np.ndarray:
-    """The packed little-endian bits of {x + y mod m : x in small, y in big},
-    one in-place OR per member of small.
+def _cyclic_support(b: SubsetOfZm) -> np.ndarray:
+    """The packed little-endian bits of B + B = {x + y mod m : x, y in B},
+    one in-place OR per member.
 
-    Laid twice end to end, big's indicator from position m - x on is big
+    Laid twice end to end, B's indicator from position m - x on is B
     shifted cyclically by x.  Packed, with a zero byte after it, eight copies
     of that doubled string, shifted by 0 to 7 bits, start every such window
     at a byte boundary.
     """
-    m = big.m
+    m = b.m
     size = (m + 7) // 8
     laid = np.zeros(8 * (2 * size + 1), dtype=bool)
-    laid[:m] = laid[m : 2 * m] = big.indicator
+    laid[:m] = laid[m : 2 * m] = b.indicator
     twice = np.packbits(laid, bitorder="little")
     copies = [twice[:-1]] + [
         (twice[:-1] >> r) | (twice[1:] << (8 - r)) for r in range(1, 8)
     ]
     support = np.zeros(size, dtype=np.uint8)
-    for x in small.members_array().tolist():
+    for x in b.members_array().tolist():
         start = m - x
         support |= copies[start % 8][start // 8 : start // 8 + size]
     # the last byte's bits past m belong to the next period
@@ -318,36 +322,30 @@ def _cyclic_support(small: SubsetOfZm, big: SubsetOfZm) -> np.ndarray:
     return support
 
 
-def _sumset_counts(b1: SubsetOfZm, b2: SubsetOfZm) -> np.ndarray:
-    """Exact counts r[x] = #{(y, z) in b1 x b2 : y + z = x mod m}, with the
+def _sumset_counts(b: SubsetOfZm) -> np.ndarray:
+    """Exact counts r[x] = #{(y, z) in B x B : y + z = x mod m}, with the
     support computed two independent ways.
 
-    Shifted copies of the larger set's indicator, one per member of the
-    smaller set, and the support of the exact integer convolution of the
-    indicators must agree bit for bit.  When b2 is b1, the same object, the
-    convolution is a self-convolution.
+    Shifted copies of B's indicator, one per member, and the support of the
+    exact integer self-convolution of the indicator must agree bit for bit.
     """
-    if b1.m != b2.m:
-        raise DomainError(f"mismatched moduli {b1.m} and {b2.m}")
-    m = b1.m
-    if b1.cardinality == 0 or b2.cardinality == 0:
-        return np.zeros(m, dtype=np.int64)
-    small, big = (b1, b2) if b1.cardinality <= b2.cardinality else (b2, b1)
-    if small.cardinality * m > _BITMASK_WORK:
+    m = b.m
+    if b.cardinality * m > _BITMASK_WORK:
         raise SizeLimitError(
-            f"sumset of {small.cardinality} members over Z_{m} too large to count "
-            f"two ways: |B| m = {small.cardinality * m:,} exceeds {_BITMASK_WORK:,}"
+            f"sumset of {b.cardinality} members over Z_{m} too large to count "
+            f"two ways: |B| m = {b.cardinality * m:,} exceeds {_BITMASK_WORK:,}"
         )
-    shifted = _cyclic_support(small, big)
-    counts = _cyclic_int_convolution(b1.indicator, b2.indicator)
+    shifted = _cyclic_support(b)
+    counts = _cyclic_int_convolution(b.indicator, b.indicator)
     if not np.array_equal(np.packbits(counts > 0, bitorder="little"), shifted):
         raise InvariantViolation("sumset routes disagree")
     return counts
 
 
-def sumset(b1: SubsetOfZm, b2: SubsetOfZm) -> SubsetOfZm:
-    """Cyclic sumset {x + y mod m}, computed two independent ways."""
-    return SubsetOfZm(m=b1.m, indicator=_sumset_counts(b1, b2) > 0)
+def sumset(b: SubsetOfZm) -> SubsetOfZm:
+    """The cyclic sumset B + B = {x + y mod m : x, y in B}, computed two
+    independent ways (``_sumset_counts``)."""
+    return SubsetOfZm(m=b.m, indicator=_sumset_counts(b) > 0)
 
 
 def cyclic_sumset_size(b: SubsetOfZm) -> int:
@@ -360,80 +358,54 @@ def cyclic_sumset_size(b: SubsetOfZm) -> int:
     return int(np.count_nonzero(_cyclic_int_convolution(b.indicator, b.indicator)))
 
 
-def _span_flags(a: np.ndarray) -> np.ndarray:
-    """Flags over [a[0], a[-1]] marking the members of a sorted array."""
-    flags = np.zeros(int(a[-1] - a[0]) + 1, dtype=bool)
-    flags[a - a[0]] = True
-    return flags
-
-
-def _distinct_count(a: np.ndarray) -> int:
-    """The number of distinct entries of a nonempty sorted array."""
-    return int(np.count_nonzero(np.diff(a))) + 1
-
-
-def _class_indicators(a: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """The nonempty residue classes of a sorted array mod ``_SPLIT_MODULUS``:
-    their residues ascending, the origin q0 = a[0] // m0, and one 0/1 float
-    row per class over the positions a // m0 - q0 of its members."""
-    m0 = _SPLIT_MODULUS
-    q0 = int(a[0]) // m0
-    residues, row = np.unique(a % m0, return_inverse=True)
-    position = a // m0 - q0
-    indicators = np.zeros((residues.size, int(position[-1]) + 1))
-    indicators[row, position] = 1.0
-    return residues, q0, indicators
-
-
-def _split_sumset_flags(
-    a1: np.ndarray, a2: np.ndarray, card1: int, card2: int
-) -> tuple[int, np.ndarray]:
-    """``integer_sumset_flags`` by one certified convolution of the inputs'
-    residue classes mod m0 = ``_SPLIT_MODULUS``.
+def _split_sumset_flags(a: np.ndarray, card: int) -> tuple[int, np.ndarray]:
+    """``integer_sumset_flags`` by one certified self-convolution of the
+    residue classes of ``a`` mod m0 = ``_SPLIT_MODULUS``.
 
     Each nonempty class becomes a 0/1 row over the positions a // m0, about
     span / (2 m0) long, and all rows take one stacked rfft at the 5-smooth
     length that holds their linear convolution.  A sum y + z whose residues
-    add to s (0 <= s <= 2 m0 - 2) sits at m0 (t + q1 + q2) + s, where t
-    indexes the inverse of the summed spectrum products of the class pairs
-    with that s; a self-sumset takes the pairs i <= j and doubles the
-    off-diagonal ones.  The inverses run stacked, in blocks of
-    ``block_rows``, and each block is rounded under the 0.25 certificate
-    into the narrowest unsigned dtype that holds min(|A1|, |A2|), which
-    bounds every count.  The rounded counts must add up to the |A1| |A2|
-    ordered pairs of distinct members, ``card1`` by ``card2``.
+    add to s (0 <= s <= 2 m0 - 2) sits at m0 (t + 2 q0) + s, where t indexes
+    the inverse of the summed spectrum products of the class pairs i <= j
+    with that s, the pairs i < j doubled.  The inverses run stacked, in
+    blocks of ``block_rows``, and each block is rounded under the 0.25
+    certificate into the narrowest unsigned dtype that holds |A|, which
+    bounds every count.  The rounded counts must add up to |A|^2, the
+    ordered pairs of members, ``card`` being the distinct members.
     """
     m0 = _SPLIT_MODULUS
-    pairs = card1 * card2
-    dtype = np.min_scalar_type(min(card1, card2))
-    same = a2 is a1
-    res1, q1, rows1 = _class_indicators(a1)
-    res2, q2, rows2 = (res1, q1, rows1) if same else _class_indicators(a2)
-    length = rows1.shape[1] + rows2.shape[1] - 1
+    pairs = card * card
+    dtype = np.min_scalar_type(card)
+    # one 0/1 row per nonempty class over the positions a // m0 - q0
+    q0 = int(a[0]) // m0
+    residues, classes = np.unique(a % m0, return_inverse=True)
+    position = a // m0 - q0
+    rows = np.zeros((residues.size, int(position[-1]) + 1))
+    rows[classes, position] = 1.0
+    length = 2 * rows.shape[1] - 1
     nfft = smooth_length(length)
-    spec1 = np.fft.rfft(rows1, nfft)
-    spec2 = spec1 if same else np.fft.rfft(rows2, nfft)
-    del rows1, rows2
-    # the class pairs by the sum s of their residues
-    plan: dict[int, list[tuple[int, int, bool]]] = {}
-    for x, r1 in enumerate(res1.tolist()):
-        for y, r2 in enumerate(res2.tolist()):
-            if not same or x <= y:
-                plan.setdefault(r1 + r2, []).append((x, y, same and x < y))
+    spectra = np.fft.rfft(rows, nfft)
+    del rows
+    # the class pairs i <= j by the sum s of their residues
+    res = residues.tolist()
+    plan: dict[int, list[tuple[int, int]]] = {}
+    for x, r1 in enumerate(res):
+        for y in range(x, len(res)):
+            plan.setdefault(r1 + res[y], []).append((x, y))
     sums = sorted(plan)
 
-    # row t + s // m0, column s % m0 stands for the integer m0 (t + q1 + q2) + s
+    # row t + s // m0, column s % m0 stands for the integer m0 (t + 2 q0) + s
     grid = np.zeros((length + 1, m0), dtype=bool)
     total = 0
     size = block_rows(nfft)
-    product = np.empty(spec1.shape[1], dtype=spec1.dtype)
+    product = np.empty(spectra.shape[1], dtype=spectra.dtype)
     for lo in range(0, len(sums), size):
         block = sums[lo : lo + size]
-        spec = np.zeros((len(block), spec1.shape[1]), dtype=spec1.dtype)
+        spec = np.zeros((len(block), spectra.shape[1]), dtype=spectra.dtype)
         for row, s in zip(spec, block):
-            for x, y, doubled in plan[s]:
-                np.multiply(spec1[x], spec2[y], out=product)
-                if doubled:
+            for x, y in plan[s]:
+                np.multiply(spectra[x], spectra[y], out=product)
+                if x < y:
                     product *= 2
                 row += product
         counts = _certified_round(np.fft.irfft(spec, nfft)[:, :length], dtype)
@@ -443,40 +415,37 @@ def _split_sumset_flags(
             grid[s // m0 : s // m0 + length, s % m0] |= row > 0
     if total != pairs:
         raise InvariantViolation(
-            f"split convolution counts sum to {total}, expected |A1| |A2| = {pairs}"
+            f"split convolution counts sum to {total}, expected |A|^2 = {pairs}"
         )
-    lo = int(a1[0]) + int(a2[0])
-    start = lo - m0 * (q1 + q2)
-    return lo, grid.ravel()[start : start + int(a1[-1]) + int(a2[-1]) - lo + 1]
+    lo = 2 * int(a[0])
+    start = lo - 2 * m0 * q0
+    return lo, grid.ravel()[start : start + 2 * (int(a[-1]) - int(a[0])) + 1]
 
 
-def integer_sumset_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
-    """Indicator of {x + y} over the integers.
+def integer_sumset_flags(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Indicator of A + A = {x + y : x, y in A} over the integers.
 
     Returns (offset, flags) where flags[i] marks membership of offset + i.
-    Inputs must be sorted integer arrays.  While the pairs number at most the
-    butterflies of a real FFT at the 5-smooth length that holds the span
-    (``_fft_pays``), their sums are marked in the flags directly, in chunks of
-    at most span sums; beyond that
-    the flags are the support of the certified convolution of the inputs'
-    residue classes mod 30 (``_split_sumset_flags``), whose counts must sum
-    to the number of pairs.
+    The input must be a sorted integer array.  While the pairs number at
+    most the butterflies of a real FFT at the 5-smooth length that holds the
+    span (``_fft_pays``), their sums are marked in the flags directly, in
+    chunks of at most span sums; beyond that the flags are the support of
+    the certified self-convolution of A's residue classes mod 30
+    (``_split_sumset_flags``), whose counts must sum to |A|^2.
     """
-    if a1.size == 0 or a2.size == 0:
+    if a.size == 0:
         return 0, np.zeros(0, dtype=bool)
-    lo = int(a1[0]) + int(a2[0])
-    hi = int(a1[-1]) + int(a2[-1])
-    span = hi - lo + 1
+    lo = 2 * int(a[0])
+    span = 2 * int(a[-1]) - lo + 1
     if span > _SPAN_LIMIT:
         raise SizeLimitError(f"integer sumset span {span} too large")
-    card1 = _distinct_count(a1)
-    card2 = card1 if a2 is a1 else _distinct_count(a2)
-    if _fft_pays(card1 * card2, smooth_length(span)):
-        return _split_sumset_flags(a1, a2, card1, card2)
-    ind1 = _span_flags(a1)
-    ind2 = ind1 if a2 is a1 else _span_flags(a2)
+    card = int(np.count_nonzero(np.diff(a))) + 1  # the distinct members
+    if _fft_pays(card * card, smooth_length(span)):
+        return _split_sumset_flags(a, card)
+    members = np.zeros(int(a[-1] - a[0]) + 1, dtype=bool)
+    members[a - a[0]] = True
     flags = np.zeros(span, dtype=bool)
-    for sums in _pair_sums(ind1, ind2, span):
+    for sums in _pair_sums(members, members, span):
         flags[sums] = True
     return lo, flags
 
@@ -486,7 +455,7 @@ def rep_histogram(b: SubsetOfZm) -> np.ndarray:
     m, exact, in the narrowest unsigned dtype that holds |B|; their support
     passes the same dual-route check as ``sumset``, and they must add up to
     |B|^2, summed in int64."""
-    r = _sumset_counts(b, b)
+    r = _sumset_counts(b)
     total = int(r.sum(dtype=np.int64))
     if total != b.cardinality**2:
         raise InvariantViolation(
@@ -723,13 +692,8 @@ def kth_moment(b: SubsetOfZm, k: int, mod: FactoredModulus) -> MomentCertificate
         raise DomainError(f"moment order must be >= 2, got {k}")
     if b.cardinality == 0:
         raise DomainError("certificate refused for the empty set")
-    if mod.m != b.m:
-        raise DomainError(f"modulus mismatch: set over Z_{b.m}, factored {mod.m}")
-    if not mod.squarefree:
-        raise DomainError(f"modulus must be squarefree, got {mod.m}")
-    if not _all_units(b):
-        raise DomainError("members must lie in the unit group")
 
+    # capital_R checks the modulus and the members
     big_r = capital_R(b, mod)
     even = mod.m % 2 == 0
     if even:

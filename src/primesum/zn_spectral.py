@@ -52,13 +52,11 @@ __all__ = [
 
 def _density_rows(values) -> np.ndarray:
     """``values`` as a (rows, N) float array of densities on one Z_N, N >= 1,
-    finite and nonnegative; an empty batch is 0 rows on Z_1."""
+    finite and nonnegative."""
     try:
         rows = np.asarray(values, dtype=np.float64)
     except ValueError:
         raise DomainError("all densities must share one group order") from None
-    if rows.shape == (0,):
-        rows = rows.reshape(0, 1)
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise DomainError(f"densities must be rows on Z_N, got shape {rows.shape}")
     # a NaN or an infinity reaches the minimum or the maximum
@@ -127,12 +125,11 @@ def bohr_set(N: int, frequencies, eps0: float) -> np.ndarray:
     """Members x of Z_N with |e(-x xi / N) - 1| <= eps0 for every frequency,
     as an ascending read-only int64 array.
 
-    ``frequencies`` is any iterable of ints; they are reduced mod N and
-    visited once each, in ascending order.  An ascending integer array of
-    distinct frequencies in [0, N), such as ``large_spectrum`` returns, is
-    visited as it is.  0 is always a member, so the set is never empty; once
+    ``frequencies`` is any iterable of ints, visited in the order given,
+    each reduced mod N; the intersection depends on neither their order nor
+    their repeats.  0 is always a member, so the set is never empty; once
     membership has collapsed to {0} no further frequency can change it, and
-    the rest are never read.  The row of distances for each (N, xi) is
+    the rest are never read.  The row of distances for each (N, xi mod N) is
     computed once and kept for the next sets while it is among the last
     eight used.
     """
@@ -140,20 +137,9 @@ def bohr_set(N: int, frequencies, eps0: float) -> np.ndarray:
         raise DomainError(f"N must be a positive integer, got {N}")
     if not (0 < eps0 <= 1):
         raise DomainError(f"width must lie in (0, 1], got {eps0}")
-    freqs = frequencies
-    if not (
-        isinstance(freqs, np.ndarray)
-        and freqs.ndim == 1
-        and freqs.dtype.kind in "iu"
-        and (
-            freqs.size == 0
-            or (freqs[0] >= 0 and freqs[-1] < N and np.all(freqs[1:] > freqs[:-1]))
-        )
-    ):
-        freqs = np.unique(np.fromiter(frequencies, dtype=np.int64) % N)
     mask = np.ones(N, dtype=bool)
-    for xi in map(int, freqs):
-        mask &= _character_gap(N, xi) <= eps0
+    for xi in frequencies:
+        mask &= _character_gap(N, int(xi) % N) <= eps0
         if np.count_nonzero(mask) == 1:
             break
     members = np.flatnonzero(mask).astype(np.int64)

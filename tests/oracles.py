@@ -77,8 +77,8 @@ def sumset_enum(members, m: int) -> set[int]:
     return {(a + b) % m for a in members for b in members}
 
 
-def int_sumset_enum(a, b) -> set[int]:
-    return {x + y for x in a for y in b}
+def int_sumset_enum(a) -> set[int]:
+    return {x + y for x in a for y in a}
 
 
 def rep_enum(members, m: int) -> np.ndarray:

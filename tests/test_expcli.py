@@ -249,7 +249,7 @@ class TestPipeline:
 
         cfg = small_config()
         a = build_subset(cfg, sieve_primes(cfg.n))
-        lo, flags = integer_sumset_flags(a, a)
+        lo, flags = integer_sumset_flags(a)
         m = pipeline_report.summary["m"]
         counts = np.bincount((np.flatnonzero(flags) + lo) % m, minlength=m)
         hit = np.flatnonzero(counts)
@@ -300,13 +300,14 @@ class TestPipeline:
         counts = zm._sumset_counts
         calls = []
 
-        def counting(b1, b2):
-            calls.append(b1 == b2)
-            return counts(b1, b2)
+        def counting(b):
+            calls.append(b.m)
+            return counts(b)
 
         monkeypatch.setattr(zm, "_sumset_counts", counting)
         run_pipeline(small_config(n=3000, w=5))
-        assert calls == [True]
+        # the certificate of m = 30 runs on Z_15
+        assert calls == [15]
 
     def test_one_sieve_past_w_per_run(self, monkeypatch):
         from primesum.prime_embed import choose_N

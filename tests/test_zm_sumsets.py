@@ -44,8 +44,6 @@ class TestSubsetOfZm:
         b = SubsetOfZm.from_members(10, [1, 3, 7])
         assert b.members_array().tolist() == [1, 3, 7]
         assert b.cardinality == 3
-        assert 3 in b
-        assert 4 not in b
 
     def test_units(self):
         assert SubsetOfZm.units(10).members_array().tolist() == [1, 3, 7, 9]
@@ -96,22 +94,22 @@ class TestSubsetOfZm:
 class TestSumset:
     def test_hand_count(self):
         b = SubsetOfZm.from_members(10, [1, 3])
-        assert sumset(b, b).members_array().tolist() == [2, 4, 6]
+        assert sumset(b).members_array().tolist() == [2, 4, 6]
 
     def test_empty(self):
         e = SubsetOfZm.from_members(10, [])
-        assert sumset(e, e).cardinality == 0
+        assert sumset(e).cardinality == 0
 
     def test_units_of_30(self):
         b = SubsetOfZm.units(30)
-        got = set(sumset(b, b).members_array().tolist())
+        got = set(sumset(b).members_array().tolist())
         assert got == sumset_enum(b.members_array().tolist(), 30)
 
     @given(st.integers(min_value=2, max_value=128), st.data())
     def test_matches_enumeration(self, m, data):
         members = data.draw(member_sets(m))
         b = SubsetOfZm.from_members(m, sorted(members))
-        got = set(sumset(b, b).members_array().tolist())
+        got = set(sumset(b).members_array().tolist())
         assert got == sumset_enum(members, m)
 
     @staticmethod
@@ -132,90 +130,77 @@ class TestSumset:
         m = 8000
         rng = np.random.default_rng(5)
         b = SubsetOfZm.from_members(m, rng.choice(m, 600, replace=False).tolist())
-        c = SubsetOfZm.from_members(m, rng.choice(m, 600, replace=False).tolist())
         calls = self.count_rfft(monkeypatch)
         expected = sumset_enum(b.members_array().tolist(), m)
-        assert set(sumset(b, b).members_array().tolist()) == expected
+        assert set(sumset(b).members_array().tolist()) == expected
         assert cyclic_sumset_size(b) == len(expected)
         assert len(calls) == 2
-        sumset(b, c)
-        assert len(calls) == 4
 
     def test_sparse_counts_take_no_transform(self, monkeypatch):
         m = 8000
         rng = np.random.default_rng(5)
         b = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
-        c = SubsetOfZm.from_members(m, rng.choice(m, 150, replace=False).tolist())
         calls = self.count_rfft(monkeypatch)
         expected = sumset_enum(b.members_array().tolist(), m)
-        assert set(sumset(b, b).members_array().tolist()) == expected
+        assert set(sumset(b).members_array().tolist()) == expected
         assert cyclic_sumset_size(b) == len(expected)
-        sumset(b, c)
         assert calls == []
 
     @given(st.integers(min_value=1, max_value=120), st.booleans(), st.data())
     def test_counts_match_enumeration_on_both_routes(self, m, dense, data):
         # the bincount route serves at most (L/2) log2(L/2) pairs, and
-        # counts more than 2m - 1 of them in several chunks
+        # counts more than 2m - 1 of them in several chunks; the empty set
+        # is drawn on the sparse side
         cut = math.isqrt(butterfly_bound(2 * m - 1))
         assume(not dense or cut < m)
         lo, hi = (cut + 1, m) if dense else (0, min(cut, m))
         members = sorted(
             data.draw(st.sets(st.integers(0, m - 1), min_size=lo, max_size=hi))
         )
-        others = sorted(data.draw(member_sets(m, max_size=m)))
         b = SubsetOfZm.from_members(m, members)
-        c = SubsetOfZm.from_members(m, others)
         with mock.patch.object(zm, "_convolve_int_exact", wraps=zm._convolve_int_exact) as fft:
             assert rep_histogram(b).tolist() == rep_enum(members, m).tolist()
         assert fft.called == dense
-        expected = np.zeros(m, dtype=np.int64)
-        for y in members:
-            for z in others:
-                expected[(y + z) % m] += 1
-        assert zm._sumset_counts(b, c).tolist() == expected.tolist()
+        assert zm._sumset_counts(b).tolist() == rep_enum(members, m).tolist()
 
     @given(st.integers(min_value=2, max_value=200), st.data())
     def test_cyclic_size_agrees(self, m, data):
         members = np.asarray(sorted(data.draw(member_sets(m))), dtype=np.int64)
         b = SubsetOfZm.from_members(m, members)
-        assert cyclic_sumset_size(b) == sumset(b, b).cardinality
+        assert cyclic_sumset_size(b) == sumset(b).cardinality
 
 
-def sumset_members(a, b) -> tuple[int, np.ndarray, set[int]]:
-    """``integer_sumset_flags`` of two finite integer sets, with the members
+def sumset_members(a) -> tuple[int, np.ndarray, set[int]]:
+    """``integer_sumset_flags`` of a finite integer set, with the members
     offset + i that its flags mark."""
-    lo, flags = integer_sumset_flags(
-        np.array(sorted(a), dtype=np.int64), np.array(sorted(b), dtype=np.int64)
-    )
+    lo, flags = integer_sumset_flags(np.array(sorted(a), dtype=np.int64))
     return lo, flags, set((lo + np.flatnonzero(flags)).tolist())
 
 
 class TestIntegerSumset:
     def test_hand_count(self):
-        lo, flags, _ = sumset_members([1, 3], [1, 3])
+        lo, flags, _ = sumset_members([1, 3])
         assert lo == 2
         assert flags.tolist() == [True, False, True, False, True]
 
     def test_identity(self):
-        s = {4, 9, 11}
-        assert sumset_members([0], s)[2] == s
+        # a set holding 0 lies inside its sumset; a singleton doubles
+        s = {0, 4, 9, 11}
+        assert s <= sumset_members(s)[2]
+        assert sumset_members([7])[2] == {14}
 
     def test_primes_one_mod_six(self):
         primes = [q for q in trial_primes(100) if q % 6 == 1]
-        total = sumset_members(primes, primes)[2]
+        total = sumset_members(primes)[2]
         assert all(x % 6 == 2 for x in total)
-        assert total == int_sumset_enum(primes, primes)
+        assert total == int_sumset_enum(primes)
 
-    @given(
-        st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=20),
-        st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=20),
-    )
-    def test_matches_enumeration(self, a, b):
-        lo, flags, members = sumset_members(a, b)
-        assert lo == min(a) + min(b)
-        assert flags.size == max(a) + max(b) - lo + 1
-        assert members == int_sumset_enum(a, b)
+    @given(st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=20))
+    def test_matches_enumeration(self, a):
+        lo, flags, members = sumset_members(a)
+        assert lo == 2 * min(a)
+        assert flags.size == 2 * (max(a) - min(a)) + 1
+        assert members == int_sumset_enum(a)
 
 
 def butterfly_bound(length: int) -> int:
@@ -290,19 +275,12 @@ class TestPairSumKernel:
         expected = np.bincount((np.add.outer(x, y) % 15).ravel(), minlength=15)
         assert counts.tolist() == expected.tolist()
 
-    @given(
-        st.integers(min_value=1, max_value=200),
-        st.integers(min_value=1, max_value=200),
-        st.booleans(),
-        st.booleans(),
-        st.data(),
-    )
-    def test_integer_flags_on_both_sides_of_the_bound(self, la, lb, above, same, data):
+    @given(st.integers(min_value=1, max_value=200), st.booleans(), st.data())
+    def test_integer_flags_on_both_sides_of_the_bound(self, la, above, data):
         # at most 200^2 pairs: above the bound, these are sets that a fixed
         # cap of millions of pairs would still count pair by pair
-        lb = la if same else lb
-        card_a, card_b = draw_cards(
-            data, la, lb, min(2, la), butterfly_bound(la + lb - 1), above, same
+        card, _ = draw_cards(
+            data, la, la, min(2, la), butterfly_bound(2 * la - 1), above, True
         )
 
         def members(span: int, card: int) -> np.ndarray:
@@ -312,14 +290,13 @@ class TestPairSumKernel:
             offset = data.draw(st.integers(min_value=0, max_value=10**6))
             return offset + np.array(sorted(ends + inner), dtype=np.int64)
 
-        a1 = members(la, card_a)
-        a2 = a1 if same else members(lb, card_b)
+        a = members(la, card)
         with mock.patch.object(
             zm, "_split_sumset_flags", wraps=zm._split_sumset_flags
         ) as split:
-            lo, flags = integer_sumset_flags(a1, a2)
+            lo, flags = integer_sumset_flags(a)
         assert split.called == above
-        sums = np.add.outer(a1, a2).ravel()
+        sums = np.add.outer(a, a).ravel()
         assert lo == sums.min()
         expected = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
         expected[sums - lo] = True
@@ -327,19 +304,19 @@ class TestPairSumKernel:
 
 
 
-def outer_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, list[bool]]:
-    """The offset and flags of {y + z} over the integers, from every pair."""
-    sums = np.add.outer(a1, a2).ravel()
+def outer_flags(a: np.ndarray) -> tuple[int, list[bool]]:
+    """The offset and flags of A + A over the integers, from every pair."""
+    sums = np.add.outer(a, a).ravel()
     lo = int(sums.min())
     flags = np.zeros(int(sums.max()) - lo + 1, dtype=bool)
     flags[sums - lo] = True
     return lo, flags.tolist()
 
 
-def split_flags(a1: np.ndarray, a2: np.ndarray) -> tuple[int, np.ndarray]:
-    """``_split_sumset_flags`` of two arrays of distinct members, given their
-    sizes |A1| and |A2|."""
-    return zm._split_sumset_flags(a1, a2, a1.size, a2.size)
+def split_flags(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """``_split_sumset_flags`` of an array of distinct members, given its
+    size |A|."""
+    return zm._split_sumset_flags(a, a.size)
 
 
 @st.composite
@@ -359,11 +336,10 @@ def split_inputs(draw):
 class TestSplitSumset:
     """The residue-split convolution behind ``integer_sumset_flags``."""
 
-    @given(split_inputs(), split_inputs(), st.booleans())
-    def test_flags_match_the_outer_sums(self, a1, a2, same):
-        a2 = a1 if same else a2
-        lo, flags = split_flags(a1, a2)
-        expected_lo, expected = outer_flags(a1, a2)
+    @given(split_inputs())
+    def test_flags_match_the_outer_sums(self, a):
+        lo, flags = split_flags(a)
+        expected_lo, expected = outer_flags(a)
         assert lo == expected_lo
         assert flags.tolist() == expected
 
@@ -371,13 +347,13 @@ class TestSplitSumset:
     def test_primes_with_their_one_member_classes(self, limit):
         # 2, 3 and 5 are the only members of their classes mod 30
         primes = np.array(trial_primes(limit), dtype=np.int64)
-        lo, flags = split_flags(primes, primes)
+        lo, flags = split_flags(primes)
         assert set((lo + np.flatnonzero(flags)).tolist()) == int_sumset_enum(
-            primes.tolist(), primes.tolist()
+            primes.tolist()
         )
-        odd = primes[primes > 5]
-        lo, flags = split_flags(odd, primes[:3])
-        assert (lo, flags.tolist()) == outer_flags(odd, primes[:3])
+        # only one-member classes
+        lo, flags = split_flags(primes[:3])
+        assert (lo, flags.tolist()) == outer_flags(primes[:3])
 
     def test_one_stacked_forward_transform_and_blocked_inverses(self, monkeypatch):
         primes = np.array(trial_primes(3000), dtype=np.int64)
@@ -395,7 +371,7 @@ class TestSplitSumset:
             monkeypatch.setattr(np.fft, name, recording)
         # two inverse rows per block
         monkeypatch.setattr(zs, "BLOCK_BYTES", 2 * 32 * nfft)
-        split_flags(primes, primes)
+        split_flags(primes)
         assert calls["rfft"] == [((rows, positions), nfft)]
         sums = {int(x) for x in np.add.outer(primes % 30, primes % 30).ravel()}
         shapes = [shape for shape, n in calls["irfft"] if n == nfft]
@@ -414,15 +390,15 @@ class TestSplitSumset:
 
         monkeypatch.setattr(zm, "_certified_round", corrupted)
         primes = np.array(trial_primes(1000), dtype=np.int64)
-        with pytest.raises(InvariantViolation, match=r"expected \|A1\| \|A2\|"):
-            split_flags(primes, primes)
+        with pytest.raises(InvariantViolation, match=r"expected \|A\|\^2"):
+            split_flags(primes)
 
     def test_unrounded_counts_fail_the_certificate(self, monkeypatch):
         primes = np.array(trial_primes(1000), dtype=np.int64)
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
         with pytest.raises(InvariantViolation, match="exactness certificate"):
-            split_flags(primes, primes)
+            split_flags(primes)
 
 
 PRIMES = [q for q in trial_primes(1500) if q > 100]

@@ -118,7 +118,9 @@ class TestDensityRows:
         assert batches == [[0.2, 0.2], [0.1, 0.3]]
 
     def test_empty_batch(self):
-        assert dft([]).shape == (0, 1)
+        assert dft(np.zeros((0, 5))).shape == (0, 5)
+        with pytest.raises(DomainError, match="rows on Z_N"):
+            dft([])
         assert split_densities(np.zeros((0, 5)), []) == []
 
 
@@ -207,9 +209,9 @@ class TestBohrSet:
     def test_input_forms_visit_the_same_frequencies(
         self, monkeypatch, ascending, unsorted, width, visits, members
     ):
-        # the large spectrum's ascending array is visited as it is; any other
-        # input is reduced mod N and deduplicated, then visited in ascending
-        # order until the set collapses
+        # frequencies are visited in the order given, each reduced mod N,
+        # until the set collapses; an array, a list and a generator of the
+        # same frequencies visit the same ones
         exp, calls = np.exp, []
 
         def counting_exp(z):
@@ -217,19 +219,20 @@ class TestBohrSet:
             return exp(z)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        forms = [
-            np.array(ascending),
-            ascending,
-            (xi for xi in ascending),
-            np.array(unsorted),
-        ]
+        forms = [np.array(ascending), ascending, (xi for xi in ascending)]
         for form in forms:
-            # distance rows are cached by (N, xi); an empty cache makes each
-            # visited frequency take one exp
+            # distance rows are cached by (N, xi mod N); an empty cache makes
+            # each visited residue take one exp
             zs._character_gap.cache_clear()
             calls.clear()
             assert bohr_set(30, form, width).tolist() == list(members)
             assert len(calls) == visits
+        # unsorted, repeated and outside [0, N): the same set, and a repeated
+        # residue takes no second exp
+        zs._character_gap.cache_clear()
+        calls.clear()
+        assert bohr_set(30, np.array(unsorted), width).tolist() == list(members)
+        assert len(calls) <= len({xi % 30 for xi in unsorted})
 
     @given(
         st.integers(min_value=2, max_value=40),
@@ -445,7 +448,7 @@ class TestConvolutionProofQuantities:
             convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
 
     def test_no_pairs(self):
-        rep = convolve_pairs([], [], [], [], 0.1, sums=np.zeros(0))
+        rep = convolve_pairs(np.zeros((0, 8)), [], [], [], 0.1, sums=np.zeros(0))
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
         assert rep.bohr_size.shape == rep.f1_max.shape == (0, 2)
 
