@@ -38,7 +38,8 @@ RUN_CLI = "import sys; from primesum.expcli.cli import main; sys.exit(main(sys.a
 # an explicit k, a thinned subset, a sparse thinned
 # subset whose exact integer sumset is counted pair by pair, a W=11 run whose
 # 115,440 pairs convolve at a short length below the non-smooth N, levels
-# where the Bohr sets are nontrivial, a run whose per-class table holds a NaN
+# where the Bohr sets are nontrivial, a W=7 run whose 1,176 pairs all have
+# nontrivial Bohr sets, a run whose per-class table holds a NaN
 # cell (rendered as null), and a run above n = 2 * 10^6, the size up to which
 # the exact integer sumset was once counted; then the Z_m commands: a sumset
 # small enough to be counted pair by pair and a dense one that takes the FFT,
@@ -87,6 +88,7 @@ CASES = [
     ("split-n20000",
      "pipeline --n 20000 --W 5 --eps0 1.0 --sigma 6 --rule random-thinning --delta 0.5"),
     ("split-all-of-zn", "pipeline --n 3000 --W 3 --eps0 1.0 --sigma 20"),
+    ("split-w7", "pipeline --n 100000 --W 7 --eps0 0.1 --sigma 8"),
     ("pipeline-nan-cell", "pipeline --n 3000 --W 2"),
     ("pipeline-n3e6", "pipeline --n 3000000 --W 5"),
     ("sumset-units-random", "sumset --m 30030 --set-spec units-random:0.1:3"),

@@ -206,7 +206,7 @@ def _cmd_decompose(args) -> int:
     emb, _ = _embedded_class(args)
     big_n = emb.f.shape[1]
     (decomp,) = split_densities(emb.f, [args.eps0])
-    f2_sup = float(np.max(np.abs(np.fft.fft(decomp.f2) / big_n)))
+    f2_sup = float(np.max(np.abs(np.fft.fft(emb.f[0] - decomp.f1) / big_n)))
     sup_hat = float(np.max(np.abs(dft(emb.f))))
     bound = 2.0 * args.eps0 * max(1.0, sup_hat)
     _print(
@@ -260,11 +260,10 @@ def _cmd_znstar_bound(args) -> int:
         alpha_total += f"/{report.m // g}"
     _print(
         f"m={report.m} card={report.card} alpha_units={_fmt(report.alpha_units)} "
-        f"alpha_total={alpha_total} k={report.k} squarefree=true"
+        f"alpha_total={alpha_total} k={report.k}"
     )
     _print(
-        f"final_bound={_fmt(report.final_bound)} "
-        f"actual_cyclic={report.actual_cyclic} actual_integer="
+        f"final_bound={_fmt(report.final_bound)} actual_cyclic={report.actual_cyclic}"
     )
     return 0
 

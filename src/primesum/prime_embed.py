@@ -330,12 +330,7 @@ def pair_sumset_columns(
     live = alpha > 0.0
     eps0_used = np.where(live, levels[small], eps0)
     conv = convolve_pairs(
-        f,
-        levels,
-        np.stack([c1[live], c2[live]], axis=-1),
-        eps0_used[live],
-        sigma,
-        sums=sums,
+        f, np.stack([c1[live], c2[live]], axis=-1), eps0_used[live], sigma, sums=sums
     )
 
     b = part.units[part.good]

@@ -13,10 +13,11 @@ Conventions used throughout:
   transforms them on each call, and ``split_densities`` transforms slices of
   the rows it splits in blocks and drops each block's transforms once its
   splits exist, so no transform outlives the operation that reads it;
-* a split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
+* a split keeps f1, not f2 = f - f1, which is read as fhat - f1hat; a
+  split whose Bohr set is {0} is exact: f1 is f itself and f2 is zero;
 * the pair kernel ``convolve_pairs`` works on half spectra: all inputs are
-  real, so one ``rfft`` of the stacked densities and split parts serves every
-  pair, and each block of pairs takes one ``irfft`` per convolved piece;
+  real, so one ``rfft`` of the stacked densities and smoothed parts serves
+  every pair, and each block of pairs takes one ``irfft`` per convolved piece;
 * densities that vanish past position h, with 2h < N, never wrap when
   convolved: f*g lives in [0, 2h], so ``convolve_pairs`` takes it as a linear
   convolution at ``smooth_length(2h + 1)`` when that is shorter than N, which
@@ -70,18 +71,16 @@ def _density_rows(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Split of a density into a smoothed part ``f1`` (nonnegative, same
-    mean) and a spectrally small remainder ``f2 = f - f1``; ``bohr`` holds
-    the members of the Bohr set B it was smoothed over, as ``bohr_set``
-    returns them, so ``bohr.size`` is |B|."""
+    """Split of a density f into a smoothed part ``f1`` (nonnegative, same
+    mean) and the spectrally small remainder f - f1, which the split does
+    not keep; ``bohr`` holds the members of the Bohr set B it was smoothed
+    over, as ``bohr_set`` returns them, so ``bohr.size`` is |B|."""
 
     f1: np.ndarray
-    f2: np.ndarray
     bohr: np.ndarray
 
     def __post_init__(self) -> None:
         self.f1.setflags(write=False)
-        self.f2.setflags(write=False)
 
     @property
     def f1_max(self) -> float:
@@ -114,9 +113,10 @@ def large_spectrum(coeffs: np.ndarray, eps0: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _character_gap(n: int, xi: int) -> np.ndarray:
-    """|e(-x xi / N) - 1| for x = 0..N-1, read-only.  It depends on (N, xi)
-    alone, so a pass that builds many Bohr sets computes each row once."""
-    gap = np.abs(np.exp((-2j * np.pi * xi / n) * np.arange(n)) - 1.0)
+    """|e(-x xi / N) - 1| for x = 0..N-1, read-only, with x xi reduced mod
+    N first.  It depends on (N, xi) alone, so a pass that builds many Bohr
+    sets computes each row once."""
+    gap = np.abs(np.exp((-2j * np.pi / n) * ((xi * np.arange(n)) % n)) - 1.0)
     gap.setflags(write=False)
     return gap
 
@@ -162,7 +162,7 @@ def block_rows(length: int) -> int:
 
 def split_densities(densities, levels: Sequence[float]) -> list[Decomposition]:
     """Split each density row f, at its entry eps0 of ``levels``, into a
-    Bohr-smoothed part f1 and a spectrally small remainder f2.
+    Bohr-smoothed part f1 and a spectrally small remainder f2 = f - f1.
 
     f1 is the double average of f over differences of the Bohr set attached
     to the large spectrum at level eps0, realized on the transform side as
@@ -176,21 +176,24 @@ def split_densities(densities, levels: Sequence[float]) -> list[Decomposition]:
     transforms give the large spectrum of each of its densities and smooth
     those whose Bohr set is larger than {0}; they are dropped once the
     block's splits exist.  A row of a block transforms as the row alone, so
-    every split is the one-density split, bit for bit.  Exact splits share
-    one read-only zero array as f2.
+    every split is the one-density split, bit for bit.
     """
     return _split_rows(_density_rows(densities), levels)
+
+
+def _check_levels(levels) -> None:
+    """Raise DomainError unless every level lies in (0, 1]."""
+    for level in levels:
+        if not (0 < level <= 1):
+            raise DomainError(f"spectrum threshold must lie in (0, 1], got {level}")
 
 
 def _split_rows(values: np.ndarray, levels: Sequence[float]) -> list[Decomposition]:
     """``split_densities`` of rows that ``_density_rows`` has checked."""
     if len(levels) != len(values):
         raise DomainError(f"{len(values)} densities but {len(levels)} levels")
-    for level in levels:
-        if not (0 < level <= 1):
-            raise DomainError(f"spectrum threshold must lie in (0, 1], got {level}")
+    _check_levels(levels)
     count, n = values.shape
-    zero = np.zeros(n)
     size = block_rows(n)
     splits = []
     for lo in range(0, count, size):
@@ -200,20 +203,20 @@ def _split_rows(values: np.ndarray, levels: Sequence[float]) -> list[Decompositi
             bohr = bohr_set(n, large_spectrum(spectrum / n, level), level)
             if bohr.size == 1:
                 # B = {0} makes the multiplier 1 at every frequency: f1 is f
-                splits.append(Decomposition(f1=f, f2=zero, bohr=bohr))
+                splits.append(Decomposition(f1=f, bohr=bohr))
                 continue
             u = np.zeros(n)
             u[bohr] = 1.0
             mu = np.abs(np.fft.fft(u)) ** 2 / float(bohr.size) ** 2
-            f1 = np.fft.ifft(spectrum * mu).real
-            np.maximum(f1, 0.0, out=f1)
+            # a new array, so the complex inverse behind ``.real`` is dropped
+            f1 = np.maximum(np.fft.ifft(spectrum * mu).real, 0.0)
             mean = float(np.sum(f)) / n
             mean_gap = abs(float(np.sum(f1)) / n - mean)
             if mean_gap > 1e-9 * max(1.0, mean):
                 raise InvariantViolation(
                     f"smoothing failed to preserve the mean (gap {mean_gap:.3g})"
                 )
-            splits.append(Decomposition(f1=f1, f2=f - f1, bohr=bohr))
+            splits.append(Decomposition(f1=f1, bohr=bohr))
     return splits
 
 
@@ -276,7 +279,6 @@ def _require_close(got: np.ndarray, expected: np.ndarray, message: str) -> None:
 
 def convolve_pairs(
     densities,
-    levels: Sequence[float],
     pairs,
     pair_levels,
     sigma: float,
@@ -288,13 +290,14 @@ def convolve_pairs(
 
     The densities are the rows of a 2-D float array.  Row (i, j) of
     ``pairs`` pairs f = densities[i] with g = densities[j], each split at
-    the pair's entry of ``pair_levels``.  Each density is split at its own
-    entry of ``levels``, and a side takes that split when it was made at the
-    pair's level, or when it is exact and the pair's level is lower: a lower
+    the pair's entry of ``pair_levels``, which must lie in (0, 1].  Each
+    density that a pair reads is split once, at its highest pair level, and
+    a side at a lower level takes that split when it is exact: a lower
     level adds frequencies and narrows the width, so a Bohr set of {0} stays
     {0}.  Every other (density, level) is split once, in one more batch of
-    the rows, which are checked once, on entry.  A row splits as the row
-    alone, so a pair's results do not depend on the other pairs.
+    the rows, which are checked once, on entry; a density that no pair
+    reads is not split.  A row splits as the row alone, so a pair's results
+    do not depend on the other pairs.
 
     Every pair's f*g comes first.  When all densities vanish past position h
     and 2h < N, f*g is a linear convolution supported in [0, 2h]: the
@@ -305,10 +308,11 @@ def convolve_pairs(
     exact has f1 = f, g1 = g and f2 = g2 = 0, so f*g is also f1*g1 and its
     mixed pieces are exactly 0.  The other pairs take four more inverses,
     all cyclic at N: f1*g1 and the three mixed pieces, from length-N
-    ``rfft``s of the densities and of f1 and f2 of each split whose Bohr set
-    is larger than {0} (Bohr smoothing spreads those over all of Z_N).  A
-    block holds ``block_rows`` pairs at its longest transform length; the
-    blocks run in pair order.
+    ``rfft``s of the densities and of f1 of each split whose Bohr set is
+    larger than {0} (Bohr smoothing spreads it over all of Z_N).  The
+    remainder is read from those spectra as f2hat = fhat - f1hat, exactly 0
+    on an exact side.  A block holds ``block_rows`` pairs at its longest
+    transform length; the blocks run in pair order.
 
     ``sums`` are the row sums ``densities.sum(axis=1)``, which the caller
     has already made; they give the masses and the means.
@@ -319,25 +323,29 @@ def convolve_pairs(
     """
     values = _density_rows(densities)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    splits = _split_rows(values, levels)
+    pair_levels = np.asarray(pair_levels, dtype=np.float64)
+    _check_levels(pair_levels.tolist())
+    g, n = values.shape
+    side_level = np.repeat(pair_levels, 2).reshape(-1, 2)
+    # each density's highest pair level; 0 where no pair reads it
+    high = np.zeros(g)
+    np.maximum.at(high, pairs, side_level)
+    used = high > 0
+    splits = _split_rows(values if used.all() else values[used], high[used].tolist())
     # sides[p] indexes the splits of the two sides of pair p
-    sides = pairs.copy()
-    side_level = np.repeat(np.asarray(pair_levels, dtype=np.float64), 2).reshape(-1, 2)
-    own = np.asarray(levels, dtype=np.float64)[sides]
+    sides = (np.cumsum(used) - 1)[pairs]
     exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
-    again = ~((side_level == own) | (exact[sides] & (side_level < own)))
+    again = ~((side_level == high[pairs]) | exact[sides])
     if again.any():
         # one row (density, level) per split to make; levels lie in (0, 1],
         # so equal floats are equal bits
-        keys = np.stack([sides[again], side_level[again]], axis=-1)
+        keys = np.stack([pairs[again], side_level[again]], axis=-1)
         keys, inverse = np.unique(keys, axis=0, return_inverse=True)
         sides[again] = len(splits) + inverse.reshape(-1)
         splits += _split_rows(values[keys[:, 0].astype(int)], keys[:, 1].tolist())
     bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
     exact = bohr_size == 1
-    parts = [d for d, e in zip(splits, exact) if not e]
-    g, n = values.shape
-    k = len(parts)
+    parts = [d.f1 for d, e in zip(splits, exact) if not e]
     # f*g lies in [0, 2 top] and wraps only when 2 top >= N: its entries
     # [0, span) are those of the length-``short`` transform
     top = int(np.flatnonzero(values.any(axis=0)).max(initial=0))
@@ -347,19 +355,17 @@ def convolve_pairs(
     # follow, up to ``short``
     first_spec = np.fft.rfft(values[:, : top + 1], short)
     mean = sums / n
-    # spectra at N: the densities, f1 and f2 of each inexact split, then zeros
+    # spectra at N: the densities, then f1 of each inexact split
     spec, mass = None, sums
-    if k:
-        pieces = np.array([d.f1 for d in parts] + [d.f2 for d in parts] + [np.zeros(n)])
-        spec = np.empty((g + len(pieces), n // 2 + 1), dtype=np.complex128)
+    if parts:
+        spec = np.empty((g + len(parts), n // 2 + 1), dtype=np.complex128)
         spec[:g] = np.fft.rfft(values, axis=-1)
-        spec[g:] = np.fft.rfft(pieces, axis=-1)
-        mass = np.concatenate([sums, pieces[:k].sum(axis=1)])
+        spec[g:] = np.fft.rfft(parts, axis=-1)
+        mass = np.concatenate([sums, [np.sum(f1) for f1 in parts]])
     part_row = np.cumsum(~exact) - 1
     i, j = pairs.T
     s, t = sides.T
     one_f, one_g = (np.where(exact[x], y, g + part_row[x]) for x, y in ((s, i), (t, j)))
-    two_f, two_g = (np.where(exact[x], g + 2 * k, g + k + part_row[x]) for x in (s, t))
     total = len(pairs)
     out = PairConvolutions(
         support=np.zeros(total, dtype=np.int64),
@@ -370,17 +376,13 @@ def convolve_pairs(
         bohr_size=bohr_size[sides],
         f1_max=np.array([d.f1_max for d in splits])[sides],
     )
-    size = block_rows(n if k else short)
-
-    def convolve(spectra, length, a, b):
-        prod = spectra[a]
-        prod *= spectra[b]
-        return prod, np.fft.irfft(prod, length, axis=-1)
-
+    size = block_rows(n if parts else short)
     for lo in range(0, total, size):
         block = slice(lo, lo + size)
         level = sigma * np.minimum(mean[i[block]], mean[j[block]]) * n
-        first = convolve(first_spec, short, i[block], j[block])[1][:, :span]
+        prod = first_spec[i[block]]
+        prod *= first_spec[j[block]]
+        first = np.fft.irfft(prod, short, axis=-1)[:, :span]
         scale = np.maximum(1.0, mass[i[block]] * mass[j[block]] / n)
         out.support[block] = np.count_nonzero(first > 1e-9 * scale[:, None], axis=-1)
         main_l1, main_count = out.main_l1[block], out.main_count[block]
@@ -388,13 +390,17 @@ def convolve_pairs(
         main_count[:] = np.count_nonzero(first > level[:, None], axis=-1)
         rest = np.flatnonzero(~(exact[s[block]] & exact[t[block]]))
         if rest.size:
-            a, b, x, y = (col[block][rest] for col in (one_f, one_g, two_f, two_g))
+            a, b, x, y = (col[block][rest] for col in (one_f, one_g, i, j))
             cut = level[rest, None]
-            _, main = convolve(spec, n, a, b)
+            f1, g1 = spec[a], spec[b]
+            # on an exact side row a is row x, and f2hat is exactly 0
+            f2, g2 = spec[x] - f1, spec[y] - g1
+            main = np.fft.irfft(f1 * g1, n, axis=-1)
             main_l1[rest] = np.sum(np.abs(main), axis=-1)
             main_count[rest] = np.count_nonzero(main > cut, axis=-1)
-            for c, (u, v) in enumerate(((a, y), (x, b), (x, y))):
-                prod, conv = convolve(spec, n, u, v)
+            for c, (u, v) in enumerate(((f1, g2), (f2, g1), (f2, g2))):
+                prod = u * v
+                conv = np.fft.irfft(prod, n, axis=-1)
                 l2sq = np.sum(conv * conv, axis=-1)
                 _require_close(
                     l2sq,

@@ -122,7 +122,7 @@ def split_oracle(values: np.ndarray, eps0: float):
     """One density split by single-row transforms: the large spectrum from
     its own ``fft``, the Bohr set by the definition with a fresh distance row
     per frequency until it collapses to {0}, and f1 from a second ``fft`` of
-    the values.  Returns (f1, f2, members)."""
+    the values.  Returns (f1, members)."""
     n = values.size
     coeffs = np.fft.fft(values)
     coeffs /= n
@@ -130,38 +130,31 @@ def split_oracle(values: np.ndarray, eps0: float):
     x = np.arange(n)
     mask = np.ones(n, dtype=bool)
     for xi in spectrum.tolist():
-        mask &= np.abs(np.exp((-2j * np.pi * xi / n) * x) - 1.0) <= eps0
+        mask &= np.abs(np.exp((-2j * np.pi / n) * ((xi * x) % n)) - 1.0) <= eps0
         if np.count_nonzero(mask) == 1:
             break
     members = np.flatnonzero(mask)
     if members.size == 1:
-        return values, np.zeros(n), members
+        return values, members
     u = np.zeros(n)
     u[members] = 1.0
     mu = np.abs(np.fft.fft(u)) ** 2 / float(members.size) ** 2
     f1 = np.fft.ifft(np.fft.fft(values) * mu).real
     np.maximum(f1, 0.0, out=f1)
-    return f1, values - f1, members
+    return f1, members
 
 
-def pair_plan_oracle(means, widths, exact, eps0, resplit):
-    """The pair plan one pair at a time: ``eps0_used`` per pair and the rows
-    (c1, c2, s1, s2) of the pairs with a positive smaller mean.  Split s < G
-    is class s's own split (its Bohr width in ``widths``, ``exact`` when its
-    Bohr set is {0}); a class whose own split is not exact is split again
-    by ``resplit(c, level)`` at each new pair level, and that split takes
-    the next index.  Returns (eps0_used, live, resplits)."""
-    keys = {(c, w): c for c, w in enumerate(widths)}
-    resplits = []
-
-    def split_at(c, level):
-        key = (c, widths[c] if exact[c] else level)
-        if key not in keys:
-            keys[key] = len(widths) + len(resplits)
-            resplits.append(resplit(c, level))
-        return keys[key]
-
-    eps0_used, live = [], []
+def pair_plan_oracle(means, widths, eps0, split):
+    """The pair plan one pair at a time: ``eps0_used`` per pair, the rows
+    (c1, c2, s1, s2) of the pairs with a positive smaller mean, and the
+    splits s they index, as (level, split) rows.  Class c's level is
+    ``widths[c]``, and a pair works at the level of its smaller-mean class.
+    Each class that such a pair reads is split by ``split(c, level)`` at
+    its highest pair level, in class order; a side at a lower level takes
+    that split when its Bohr set is {0}, and otherwise the split of (c,
+    level), made once and given the next index.  Returns (eps0_used, live,
+    splits)."""
+    eps0_used, plan = [], []
     g = len(means)
     for c1 in range(g):
         for c2 in range(c1, g):
@@ -169,8 +162,27 @@ def pair_plan_oracle(means, widths, exact, eps0, resplit):
             level = widths[small] if means[small] > 0.0 else eps0
             eps0_used.append(level)
             if means[small] > 0.0:
-                live.append((c1, c2, split_at(c1, level), split_at(c2, level)))
-    return eps0_used, live, resplits
+                plan.append((c1, c2, level))
+    high: dict[int, float] = {}
+    for c1, c2, level in plan:
+        for c in (c1, c2):
+            high[c] = max(high.get(c, level), level)
+    keys, splits = {}, []
+    for c in sorted(high):
+        keys[c, high[c]] = len(splits)
+        splits.append((high[c], split(c, high[c])))
+
+    def split_at(c, level):
+        key = (c, high[c])
+        if splits[keys[key]][1].bohr.size > 1:
+            key = (c, level)
+        if key not in keys:
+            keys[key] = len(splits)
+            splits.append((level, split(c, level)))
+        return keys[key]
+
+    live = [(c1, c2, split_at(c1, level), split_at(c2, level)) for c1, c2, level in plan]
+    return eps0_used, live, splits
 
 
 def aggregate_enum(part, eps: float) -> dict:

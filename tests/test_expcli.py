@@ -448,8 +448,9 @@ class TestPipeline:
         def level(f):
             return min(1.0, 8.0**6 * mean(f) ** 4 / 400.0)
 
-        # one split per (class, level): each class at its own level, and a
-        # class whose own Bohr set is not {0} again at each pair's level
+        # one split per (class, level): each class at its highest pair
+        # level, which is its own, that of the pair (b, b); and a class whose
+        # split there is not exact again at each lower pair level
         own = {b: split_densities([f], [level(f)])[0] for b, f in rows.items()}
         keys = {(b, level(f)) for b, f in rows.items()}
         for row in cols.rows():
@@ -459,7 +460,7 @@ class TestPipeline:
             for b, h in ((b1, f), (b2, g)):
                 keys.add((b, level(h) if own[b].bohr.size == 1 else pair_level))
             df, dg = split_densities([f, g], [pair_level] * 2)
-            q = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 8.0)
+            q = pair_pieces_oracle(f, df.f1, f - df.f1, g, dg.f1, g - dg.f1, 8.0)
             expected = {
                 "alpha": min(mean(f), mean(g)),
                 "eps0_used": pair_level,
@@ -520,10 +521,10 @@ class TestPipeline:
         sizes = set()
         for f, level, d in made:
             (one,) = zs.split_densities([f], [level])
-            f1, f2, members = split_oracle(f, level)
+            f1, members = split_oracle(f, level)
             for got in (d, one):
                 assert got.bohr.tolist() == members.tolist()
-                assert same_bits(got.f1, f1) and same_bits(got.f2, f2)
+                assert same_bits(got.f1, f1)
             sizes.add(d.bohr.size)
         assert (max(sizes) > 1) == (name == "split")
 
@@ -545,23 +546,23 @@ class TestPipeline:
         report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
         monkeypatch.setattr(zs, "_split_rows", rows_split)
         split = zs.split_densities
-        ((densities, levels, pairs, _, _, conv),) = seen
-        # the reference splits, each with the level it was made at
-        own = list(zip(levels, split(densities, levels)))
-        eps0_used, live, resplits = pair_plan_oracle(
-            [float(np.sum(f)) / f.size for f in densities],
-            list(levels),
-            [d.bohr.size == 1 for _, d in own],
-            report.summary["eps0"],
-            lambda c, level: (level, split([densities[c]], [level])[0]),
+        ((densities, pairs, _, _, conv),) = seen
+        # each class's level: eps0 clamped to split_level of its mean
+        means = [float(np.sum(f)) / f.size for f in densities]
+        eps0, sigma = report.summary["eps0"], report.summary["sigma"]
+        caps = [pe.split_level(sigma, x) for x in means]
+        eps0_used, live, reference = pair_plan_oracle(
+            means,
+            [min(eps0, cap) if cap > 0 else eps0 for cap in caps],
+            eps0,
+            lambda c, level: split([densities[c]], [level])[0],
         )
         assert report.pair_reports["eps0_used"].tolist() == eps0_used
         assert np.asarray(pairs).tolist() == [[c1, c2] for c1, c2, _, _ in live]
         # each (class, level) is split once, and each side of a pair takes
         # the split the oracle gives it
         by_key = dict(made)
-        assert len(by_key) == len(made) == len(densities) + len(resplits)
-        reference = own + resplits
+        assert len(by_key) == len(made) == len(reference)
         for p, (c1, c2, s1, s2) in enumerate(live):
             for side, (c, s) in enumerate(((c1, s1), (c2, s2))):
                 level, expected = reference[s]
@@ -570,7 +571,8 @@ class TestPipeline:
                 assert got.f1.tobytes() == expected.f1.tobytes()
                 assert conv.bohr_size[p, side] == expected.bohr.size
                 assert conv.f1_max[p, side] == expected.f1_max
-        assert bool(resplits) == (name == "split")
+        read = {c for c1, c2, _, _ in live for c in (c1, c2)}
+        assert (len(reference) > len(read)) == (name == "split")
 
     def test_pair_results_do_not_depend_on_the_other_pairs(self, monkeypatch):
         # at the split-n20000 levels some sides are split again at the
@@ -592,20 +594,19 @@ class TestPipeline:
                 rule=parse_rule("random-thinning"),
             )
         )
-        (((densities, levels, pairs, pair_levels, sigma), kwargs),) = seen
+        (((densities, pairs, pair_levels, sigma), kwargs),) = seen
         made, _ = self.record_splits(monkeypatch)
-        full = convolve(densities, levels, pairs, pair_levels, sigma, **kwargs)
-        g = len(densities)
+        full = convolve(densities, pairs, pair_levels, sigma, **kwargs)
+        # the first splits are one per density that a pair reads
+        g = np.unique(pairs).size
         assert len(dict(made)) == len(made)
         again = [d.bohr.size for _, d in made[g:]]
         assert min(again) == 1 < max(again)
 
         pick = np.random.default_rng(1).permutation(len(pairs))[: len(pairs) // 2]
         made.clear()
-        part = convolve(
-            densities, levels, pairs[pick], pair_levels[pick], sigma, **kwargs
-        )
-        assert len(dict(made)) == len(made) > g
+        part = convolve(densities, pairs[pick], pair_levels[pick], sigma, **kwargs)
+        assert len(dict(made)) == len(made) > np.unique(pairs[pick]).size
         for field in dataclasses.fields(full):
             got, expected = getattr(part, field.name), getattr(full, field.name)[pick]
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -985,7 +986,7 @@ class TestCli:
             splits = split(densities, levels)
             d = splits[-1]
             sign = (-1.0) ** np.arange(d.f1.size)
-            splits[-1] = zs.Decomposition(f1=d.f1 * sign, f2=d.f2, bohr=np.arange(2))
+            splits[-1] = zs.Decomposition(f1=d.f1 * sign, bohr=np.arange(2))
             return splits
 
         monkeypatch.setattr(zs, "_split_rows", broken)

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,7 +60,7 @@ def rejects(rows, message):
     calls = (
         lambda: dft(rows),
         lambda: split_densities(rows, levels),
-        lambda: convolve_pairs(rows, levels, [], [], 0.1, sums=np.zeros(0)),
+        lambda: convolve_pairs(rows, [], [], 0.1, sums=np.zeros(0)),
     )
     for call in calls:
         with pytest.raises(DomainError, match=message):
@@ -90,14 +92,15 @@ class TestDensityRows:
         # reads 1, 2, 3, 2, 1 at 2..6, and sigma * mean * N = 1.5 keeps the
         # three middle points
         f = indicator(8, [1, 2, 3])
-        rep = convolve_pairs([f], [0.01], [(0, 0)], [0.01], 0.5, sums=row_sums([f]))
+        rep = convolve_pairs([f], [(0, 0)], [0.01], 0.5, sums=row_sums([f]))
         assert rep.bohr_size.tolist() == [[1, 1]]
         assert rep.main_l1[0] == pytest.approx(9.0, rel=1e-12)
         assert rep.main_count[0] == 3 and rep.support[0] == 5
 
     def test_convolve_pairs_checks_its_rows_once(self, monkeypatch):
-        # the rows are checked on entry; the splits at the densities' own
-        # levels and the second batch at the pairs' levels take them checked
+        # the rows are checked on entry; the splits at the densities' highest
+        # pair levels take the checked array itself when every row is read,
+        # and the second batch at the other pair levels takes rows of it
         check, split, checks, batches = zs._density_rows, zs._split_rows, [], []
 
         def counting_checks(values):
@@ -105,17 +108,17 @@ class TestDensityRows:
             return check(values)
 
         def counting_batches(values, levels):
-            batches.append(list(levels))
+            batches.append((values, list(levels)))
             return split(values, levels)
 
         monkeypatch.setattr(zs, "_density_rows", counting_checks)
         monkeypatch.setattr(zs, "_split_rows", counting_batches)
-        rows = [np.random.default_rng(3).random(64), 64.0 * indicator(64, [3])]
-        convolve_pairs(
-            rows, [0.2, 0.2], [(0, 1), (0, 0)], [0.1, 0.3], 0.05, sums=row_sums(rows)
-        )
+        rows = np.array([np.random.default_rng(3).random(64), 64.0 * indicator(64, [3])])
+        convolve_pairs(rows, [(0, 1), (0, 0)], [0.1, 0.3], 0.05, sums=row_sums(rows))
         assert checks == [2]
-        assert batches == [[0.2, 0.2], [0.1, 0.3]]
+        assert [levels for _, levels in batches] == [[0.3, 0.1], [0.1]]
+        assert batches[0][0] is rows
+        assert batches[1][0].tolist() == rows[[0]].tolist()
 
     def test_empty_batch(self):
         assert dft(np.zeros((0, 5))).shape == (0, 5)
@@ -183,6 +186,11 @@ class TestBohrSet:
 
     def test_twelve_one_frequency(self):
         assert bohr_set(12, [1], 0.6).tolist() == [0, 1, 11]
+
+    def test_phase_reduced_mod_n(self):
+        # x xi = 1006 = 0 mod 1006: the distance is exactly 0, so x = 503
+        # stays a member at any width
+        assert bohr_set(1006, [2], 3.9e-17).tolist() == [0, 503]
 
     def test_zero_always_member(self):
         b = bohr_set(37, [1, 5, 9], 1e-6)
@@ -273,7 +281,6 @@ class TestGreenDecompose:
         f = constant(32, 0.5)
         (d,) = split_densities([f], [0.1])
         assert np.max(np.abs(d.f1 - f)) < 1e-12
-        assert np.max(np.abs(d.f2)) < 1e-12
         assert not d.f1.flags.writeable
 
     def test_point_mass_collapsed_bohr(self):
@@ -281,7 +288,6 @@ class TestGreenDecompose:
         (d,) = split_densities([f], [0.1])
         assert d.bohr.tolist() == [0]
         assert np.max(np.abs(d.f1 - f)) < 1e-9
-        assert np.max(np.abs(d.f2)) < 1e-9
 
     def test_collapsed_bohr_split_is_exact(self):
         from primesum.ntheory import primorial, sieve_primes
@@ -297,7 +303,8 @@ class TestGreenDecompose:
         (d,) = split_densities(f, [0.02])
         assert d.bohr.size == 1
         assert np.array_equal(d.f1, f[0]) and not d.f1.flags.writeable
-        assert d.f2.dtype == np.float64 and not np.any(d.f2)
+        # the remainder f - f1 is not kept: the split holds f1 and B only
+        assert [field.name for field in dataclasses.fields(d)] == ["f1", "bohr"]
 
     def test_mean_preserved_and_nonneg(self):
         rng = np.random.default_rng(11)
@@ -313,7 +320,7 @@ class TestGreenDecompose:
             f = rng.random(128)
             eps0 = 0.15
             (d,) = split_densities([f], [eps0])
-            sup_f2 = float(np.max(np.abs(np.fft.fft(d.f2) / 128)))
+            sup_f2 = float(np.max(np.abs(np.fft.fft(f - d.f1) / 128)))
             sup_f = float(np.max(np.abs(dft([f]))))
             assert sup_f2 <= 2 * eps0 * max(1.0, sup_f) + 1e-12
 
@@ -396,7 +403,7 @@ class TestConvolutionProofQuantities:
         n = 64
         f = constant(n, 1.0)
         (d,) = split_densities([f], [0.5])
-        rep = convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
+        rep = convolve_pairs([f], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
         assert abs(rep.main_l1[0] - n * n) < 1e-6
         assert rep.bohr_size.tolist() == [[d.bohr.size] * 2]
         assert rep.f1_max.tolist() == [[d.f1_max] * 2]
@@ -414,15 +421,13 @@ class TestConvolutionProofQuantities:
         ds = split_densities(fs, [0.2] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(7) for j in range(i, 7)]
-        rep = convolve_pairs(
-            fs, [0.2] * 7, pairs, [0.2] * len(pairs), 0.05, sums=row_sums(fs)
-        )
+        rep = convolve_pairs(fs, pairs, [0.2] * len(pairs), 0.05, sums=row_sums(fs))
         assert rep.support.shape == rep.main_count.shape == (len(pairs),)
         assert rep.error_count.shape == rep.error_l2sq.shape == (len(pairs), 3)
         assert rep.bohr_size.shape == rep.f1_max.shape == (len(pairs), 2)
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
-            want = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 0.05)
+            want = pair_pieces_oracle(f, df.f1, f - df.f1, g, dg.f1, g - dg.f1, 0.05)
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
             assert rep.main_l1[p] == pytest.approx(df.f1.sum() * dg.f1.sum(), rel=1e-9)
@@ -442,50 +447,80 @@ class TestConvolutionProofQuantities:
         f = constant(16, 1.0)
         (d,) = split_densities([f], [0.5])
         assert d.bohr.size == 16
-        broken = Decomposition(f1=d.f1 * (-1.0) ** np.arange(16), f2=d.f2, bohr=d.bohr)
+        broken = Decomposition(f1=d.f1 * (-1.0) ** np.arange(16), bohr=d.bohr)
         monkeypatch.setattr(zs, "_split_rows", lambda densities, levels: [broken])
         with pytest.raises(InvariantViolation, match="L1 mass"):
-            convolve_pairs([f], [0.5], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
+            convolve_pairs([f], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
 
     def test_no_pairs(self):
-        rep = convolve_pairs(np.zeros((0, 8)), [], [], [], 0.1, sums=np.zeros(0))
+        rep = convolve_pairs(np.zeros((0, 8)), [], [], 0.1, sums=np.zeros(0))
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
         assert rep.bohr_size.shape == rep.f1_max.shape == (0, 2)
 
     def test_sides_split_once_at_the_pair_level(self, monkeypatch):
-        # a side reuses its own split when the pair's level is its own, or
-        # when that split is exact and the pair's level is no higher; every
-        # other (density, level) is split once
+        # each density a pair reads is split first at its highest pair level;
+        # a side at a lower level reuses that split when it is exact, and
+        # every other (density, level) is split once; the all-zero row, which
+        # no pair reads, is not split (its Bohr set would be all of Z_N)
         rng = np.random.default_rng(3)
         smooth = rng.random(64)
         point = 64.0 * indicator(64, [3])
+        rows = [smooth, point, np.zeros(64)]
         split, rows_split, made = zs.split_densities, zs._split_rows, []
 
         def keeping(densities, levels):
-            made.extend(
-                (int(np.array_equal(f, point)), level) for f, level in zip(densities, levels)
-            )
+            for f, level in zip(densities, levels):
+                made.append(
+                    (next(r for r, row in enumerate(rows) if np.array_equal(f, row)), level)
+                )
             return rows_split(densities, levels)
 
         monkeypatch.setattr(zs, "_split_rows", keeping)
         pairs = [(0, 1), (0, 1), (1, 1), (0, 0), (1, 0)]
         pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
-        rows = [smooth, point]
-        rep = convolve_pairs(
-            rows, [0.2, 0.2], pairs, pair_levels, 0.05, sums=row_sums(rows)
-        )
-        assert made == [(0, 0.2), (1, 0.2), (0, 0.1), (0, 0.3), (1, 0.3)]
-        assert split([smooth], [0.2])[0].bohr.size > 1
+        rep = convolve_pairs(rows, pairs, pair_levels, 0.05, sums=row_sums(rows))
+        assert made == [(0, 0.3), (1, 0.3), (0, 0.1), (0, 0.2)]
+        assert split([smooth], [0.3])[0].bohr.size > 1
         assert split([point], [0.3])[0].bohr.size == 1
         for p, ((i, j), level) in enumerate(zip(pairs, pair_levels)):
-            df, dg = split([[smooth, point][c] for c in (i, j)], [level] * 2)
+            df, dg = split([rows[c] for c in (i, j)], [level] * 2)
             assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
             assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, float("nan")])
+    def test_a_pair_level_outside_the_unit_interval_is_rejected(self, monkeypatch, bad):
+        # rejected before any split, also when it is no density's highest
+        # level
+        splits = []
+        monkeypatch.setattr(zs, "_split_rows", lambda *args: splits.append(args))
+        f = np.random.default_rng(5).random(16)
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got"):
+            convolve_pairs([f], [(0, 0), (0, 0)], [0.5, bad], 0.1, sums=row_sums([f]))
+        assert splits == []
+
+    def test_memory_of_inexact_splits(self):
+        # every split is smoothed over all of Z_N, so every pair takes its
+        # four more inverses at N; the peak, in units of the densities' 8
+        # rows N bytes, holds the f1 rows and the half spectra of the
+        # densities and of f1, and no f2 row
+        count, n = 16, 20_000
+        rows = np.random.default_rng(9).random((count, n))
+        pairs = np.stack(np.triu_indices(count), axis=-1)
+        sums = rows.sum(axis=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = convolve_pairs(rows, pairs, np.full(len(pairs), 0.05), 0.05, sums=sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.bohr_size.min() == n
+        assert peak - before <= 9 * count * n * 8
 
 
 def exact_split(f):
     """The split of f at a Bohr set of {0}: f1 = f, f2 = 0."""
-    return Decomposition(f1=f, f2=np.zeros(f.size), bohr=np.zeros(1, dtype=np.int64))
+    return Decomposition(f1=f, bohr=np.zeros(1, dtype=np.int64))
 
 
 def folded_reference(f, g, sigma):
@@ -512,12 +547,7 @@ def check_against_fold(values, sigma):
         zs, "_split_rows", lambda densities, _: [exact_split(f) for f in densities]
     ):
         rep = convolve_pairs(
-            values,
-            [1.0] * len(values),
-            pairs,
-            [1.0] * len(pairs),
-            sigma,
-            sums=row_sums(values),
+            values, pairs, [1.0] * len(pairs), sigma, sums=row_sums(values)
         )
     for p, (i, j) in enumerate(pairs):
         support, main_count, main_l1 = folded_reference(values[i], values[j], sigma)
@@ -590,12 +620,10 @@ class TestConvolvePairs:
         ds = split_densities(fs, [0.1] * len(fs))
         assert ds[-1].bohr.size == 1 and all(d.bohr.size > 1 for d in ds[:-1])
         pairs = [(i, j) for i in range(5) for j in range(i, 5)]
-        rep = convolve_pairs(
-            fs, [0.1] * 5, pairs, [0.1] * len(pairs), 0.05, sums=row_sums(fs)
-        )
+        rep = convolve_pairs(fs, pairs, [0.1] * len(pairs), 0.05, sums=row_sums(fs))
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
-            want = pair_pieces_oracle(f, df.f1, df.f2, g, dg.f1, dg.f2, 0.05)
+            want = pair_pieces_oracle(f, df.f1, f - df.f1, g, dg.f1, g - dg.f1, 0.05)
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
             assert rep.main_l1[p] == pytest.approx(want["main_l1"], rel=1e-9)
