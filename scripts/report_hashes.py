@@ -1,13 +1,21 @@
 """Print the sha256 of the CLI's stdout for a fixed list of argument vectors.
 
 Each case runs in a fresh directory; for a case that writes ``--out FILE``
-the hash covers FILE's bytes followed by stdout.  Each line reads ``name
-exit sha256[:16]``.  Running the script on two checkouts and diffing the
-output shows whether a change kept every report byte-identical:
+the hash covers FILE's bytes followed by stdout.  The first line reads
+``# numpy VERSION``, since the reports hold FFT results whose last bits may
+move with numpy; each further line reads ``name exit sha256[:16]``.  Running
+the script on two checkouts and diffing the output shows whether a change
+kept every report byte-identical:
 
     python3 scripts/report_hashes.py            # the checkout holding this file
     python3 scripts/report_hashes.py --repo DIR # another checkout's src/
     python3 scripts/report_hashes.py --diff DIR # and what differs from DIR
+
+``tests/report_hashes.txt`` holds this output for the checkout it sits in,
+and ``tests/test_report_hashes.py`` reruns every case against it; a change
+that moves a report regenerates it in the same commit:
+
+    python3 scripts/report_hashes.py > tests/report_hashes.txt
 
 With ``--diff``, each case whose output differs from the one at DIR is
 followed by the fields that differ: one indented line per dotted path (list
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
@@ -143,6 +152,18 @@ def run_case(repo: Path, case: str) -> tuple[int, bytes]:
     return proc.returncode, out
 
 
+def numpy_header() -> str:
+    """The first line of the output: the numpy version the cases run with."""
+    return f"# numpy {importlib.metadata.version('numpy')}"
+
+
+def hash_line(repo: Path, name: str, case: str) -> tuple[str, int, bytes]:
+    """The output line ``name exit sha256[:16]`` of ``case`` run on
+    ``repo``, with the exit code and the bytes it hashes."""
+    code, out = run_case(repo, case)
+    return f"{name} {code} {hashlib.sha256(out).hexdigest()[:16]}", code, out
+
+
 def parse_output(text: str):
     """A report as nested dicts and lists: JSON as it is, sectioned CSV as
     {section: [row dicts]}, and ``key=value`` lines as [{key: value}]."""
@@ -237,10 +258,10 @@ def main(argv=None) -> int:
         help="another checkout to compare each case's output with",
     )
     args = parser.parse_args(argv)
+    print(numpy_header(), flush=True)
     for name, case in CASES:
-        code, out = run_case(args.repo, case)
-        digest = hashlib.sha256(out).hexdigest()[:16]
-        print(f"{name} {code} {digest}", flush=True)
+        line, code, out = hash_line(args.repo, name, case)
+        print(line, flush=True)
         if args.diff is None:
             continue
         other_code, other = run_case(args.diff, case)

@@ -1,6 +1,7 @@
 """The field diff of scripts/report_hashes.py on outputs that differ."""
 
 import importlib.util
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_hashes.py"
@@ -31,3 +32,26 @@ def test_a_field_on_one_side_reads_only_or_missing():
 def test_an_empty_side_reads_no_output():
     assert field_diff("", "b=1 N=4\n", "old") == ["  no output at old"]
     assert field_diff("b=1 N=4\n", "", "old") == ["  output only at old"]
+
+
+
+def test_every_case_matches_the_committed_hashes():
+    # the committed file is the script's output for this checkout; the
+    # cases run two at a time, each in its own process
+    root = SCRIPT.parent.parent
+    header, *lines = (root / "tests" / "report_hashes.txt").read_text().splitlines()
+    recorded = dict(line.split(" ", 1) for line in lines)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = pool.map(lambda case: report_hashes.hash_line(root, *case), report_hashes.CASES)
+        got = dict(line.split(" ", 1) for line, _, _ in runs)
+    moved = [
+        f"{name}: {recorded.get(name, 'no line')} recorded, {value} now"
+        for name, value in got.items()
+        if recorded.get(name) != value
+    ]
+    moved += [f"{name}: recorded, no longer a case" for name in recorded.keys() - got.keys()]
+    assert not moved, (
+        f"hashes recorded with {header[2:]}, run with {report_hashes.numpy_header()[2:]}; "
+        "regenerate tests/report_hashes.txt only for an intended change:\n"
+        + "\n".join(moved)
+    )
