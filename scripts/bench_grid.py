@@ -19,7 +19,7 @@ Z_m, its stdout into the same sink, with the kernels that ``kth_moment``
 calls through the globals of ``zm_sumsets`` (``ZM_KERNELS``) wrapped the
 same way.  A stage or kernel name the module lacks is an error, not a stage
 left untimed.  A point also records the total time, the sha256 of the report
-and the process's max RSS.
+and its size in UTF-8 bytes, and the process's max RSS.
 
 ``--rounds R`` runs every point R times; with ``--against DIR`` the two
 checkouts take turns point by point, so both see the same machine load.  Each
@@ -74,13 +74,17 @@ def _vmhwm_mb() -> float:
 
 
 class _HashSink:
-    """A text handle that keeps only the sha256 of what is written to it."""
+    """A text handle that keeps only the sha256 of what is written to it and
+    the count of the UTF-8 bytes it hashed."""
 
     def __init__(self) -> None:
         self.sha256 = hashlib.sha256()
+        self.bytes = 0
 
     def write(self, text: str) -> int:
-        self.sha256.update(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        self.bytes += len(data)
         return len(text)
 
 
@@ -112,6 +116,7 @@ def _record(start: float, sink: _HashSink, stages: list) -> dict:
         "total_s": time.perf_counter() - start,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "report_sha256": sink.sha256.hexdigest(),
+        "report_bytes": sink.bytes,
         "stages": stages,
     }
 
@@ -185,6 +190,7 @@ def _summarize(repo: Path, runs: dict) -> dict:
                 "total_s_median": statistics.median(s["total_s"] for s in samples),
                 "max_rss_mb_max": max(s["max_rss_mb"] for s in samples),
                 "report_sha256": sorted({s["report_sha256"] for s in samples}),
+                "report_bytes": sorted({s["report_bytes"] for s in samples}),
                 "stage_s_median": {
                     name: statistics.median(
                         sum(st["s"] for st in s["stages"] if st["name"] == name)

@@ -68,6 +68,7 @@ class FinalReport:
     summary: dict
     per_class: Columns
     pair_reports: Columns
+    splits: Columns
     residue_density: Columns
     sumset_residues: Columns
     checks: list[CheckRow]
@@ -79,6 +80,7 @@ class FinalReport:
                 "summary": self.summary,
                 "per_class": self.per_class,
                 "pair_reports": self.pair_reports,
+                "splits": self.splits,
                 "residue_density": self.residue_density,
                 "sumset_residues": self.sumset_residues,
             },
@@ -192,21 +194,27 @@ def _pair_stage(
     emb: EmbeddedClasses,
     eps0: float,
     sigma: float,
-) -> tuple[np.ndarray, Columns]:
-    """Bound the sumset of every unordered good pair from the classes'
-    splits; returns the exact support counts and the pair table (its columns
-    numpy arrays), both in pair order."""
-    columns = pair_sumset_columns(part, emb, cfg.eps, eps0, sigma)
-    support = columns.pop("support_count")
-    passed = columns["passed"]
-    ledger.report(
-        "pair-support-targets",
-        int(np.count_nonzero(passed)),
-        passed.size,
-        "all pairs reach mean density - eps",
-        bool(passed.all()) if passed.size else None,
-    )
-    return support, Columns(columns)
+) -> tuple[Columns, Columns]:
+    """Bound every good pair's sumset; returns the pair and splits tables."""
+    pairs, splits = pair_sumset_columns(part, emb, eps0, sigma)
+    good = part.units[part.good]
+    i, j = np.searchsorted(good, pairs["b1"]), np.searchsorted(good, pairs["b2"])
+    delta = part.delta_b[part.good]
+    mean = np.zeros(good.size)  # 0 for a class that no pair splits
+    mean[np.searchsorted(good, splits["b"])] = splits["mean"]
+    # support on the scale of the witness row's max(delta - eps, 0) n / m
+    target = ((delta[i] + delta[j]) / 2.0 - cfg.eps) * part.n / part.modulus.m
+    main = pairs["main_count"] / emb.f.shape[1]
+    for name, passed, relation in (
+        ("pair-support-targets", pairs["support_count"] >= target - 1e-9,
+         "support_count >= ((delta_b1 + delta_b2)/2 - eps) n/m - 1e-9, "
+         "the scale of witness-support-count"),
+        ("pair-main-targets", main >= (mean[i] + mean[j]) / 2.0 - 3.0 * sigma,
+         "main_count / N >= (mean_1 + mean_2)/2 - 3 sigma, the means of the splits"),
+    ):
+        n_pass, size = int(np.count_nonzero(passed)), passed.size
+        ledger.report(name, n_pass, size, relation, n_pass == size if size else None)
+    return Columns(pairs), Columns(splits)
 
 
 def _residue_chain(
@@ -467,13 +475,13 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
     sum_delta_good = _reconcile_partition(ledger, part, total_a)
     emb, per_class = _class_rows(ledger, part, table)
     del table, primes  # the embedding was the last reader of the prime table
-    support, pair_table = _pair_stage(ledger, cfg, part, emb, eps0, sigma)
+    pair_table, splits = _pair_stage(ledger, cfg, part, emb, eps0, sigma)
     del emb  # the pair stage was the last reader of the class densities
 
     agg = aggregate_delta(part, cfg.eps) if part.good.any() else None
     if agg is not None:
         k_formula, k, residue_density, witness_ok = _residue_chain(
-            ledger, cfg, part, agg, support, sum_delta_good
+            ledger, cfg, part, agg, pair_table["support_count"], sum_delta_good
         )
         lower_bound = agg.lower_bound
     else:
@@ -520,6 +528,7 @@ def run_pipeline(cfg: ExperimentConfig) -> FinalReport:
         summary=summary,
         per_class=per_class,
         pair_reports=pair_table,
+        splits=splits,
         residue_density=residue_density,
         sumset_residues=sumset_residues,
         checks=ledger,

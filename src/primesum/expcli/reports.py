@@ -236,16 +236,3 @@ def write_report(report, output_format: str, handle) -> None:
     else:
         _write_csv(handle.write, doc)
 
-
-def render_json(report) -> str:
-    """The JSON text ``write_report`` writes, for the tests."""
-    buf = io.StringIO()
-    write_report(report, "json", buf)
-    return buf.getvalue()
-
-
-def render_csv(report) -> str:
-    """The CSV text ``write_report`` writes, for the tests."""
-    buf = io.StringIO()
-    write_report(report, "csv", buf)
-    return buf.getvalue()

@@ -9,8 +9,8 @@ pass writes every class's f as a row of one (classes, N) array, with the
 checks of its weight: the mass of f against delta_b / 16, and the weight's
 zero-mode error and largest off-zero coefficient; the weight itself is not
 kept.  The rows of f feed the spectral machinery from `zn_spectral` as
-they are; everything asymptotic (weight mass, spectral flatness, support
-fractions) is reported with explicit pass flags rather than asserted.
+they are; everything asymptotic (weight mass, spectral flatness, pair
+supports) is reported, never asserted.
 """
 
 from __future__ import annotations
@@ -287,28 +287,28 @@ def split_level(sigma: float, density: float) -> float:
 
 
 def pair_sumset_columns(
-    part: ResiduePartition, emb: EmbeddedClasses, eps: float, eps0: float, sigma: float
-) -> dict[str, np.ndarray]:
+    part: ResiduePartition, emb: EmbeddedClasses, eps0: float, sigma: float
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Bound the sumset of every unordered pair of the good classes c1 < c2
     < ..., in the order (c1, c1), (c1, c2), ..., (c2, c2), ..., and return
-    the report columns as 1-D int64, float64 or bool arrays.  The rows of
-    ``emb`` align with the units; the good ones go to ``convolve_pairs`` with
-    their row sums, summed once here: the embedding's own array when every
-    class is good, as in an all-primes run, and a copy of the good rows
-    otherwise.
+    the pair columns and the split columns as 1-D int64 or float64 arrays.
+    The rows of ``emb`` align with the units; the good ones go to
+    ``convolve_pairs`` with their row sums, summed once here: the
+    embedding's own array when every class is good, as in an all-primes
+    run, and a copy of the good rows otherwise.
 
     Each class has its own level: eps0 clamped down to ``split_level`` of
     its mean when that cap is positive.  A pair works at the level of the
-    class with the smaller mean, and ``convolve_pairs`` splits both at it.  The
-    support of f * g is reported against the mean class density minus eps;
-    the smoothed main term is counted against sigma alpha N, alpha the
-    smaller class mean (the row's ``alpha``), and the mixed pieces against a
-    tenth of that.  A pair with an all-zero density has nothing to
-    decompose: every count is 0.  The last column, ``support_count``, is the
-    exact count behind ``support_fraction``.
+    class with the smaller mean, and ``convolve_pairs`` splits both at it.
+    A pair row holds ``b1``, ``b2``, the indices ``split_f`` and ``split_g``
+    of its sides' splits and the exact counts of f * g (``support_count``),
+    of f1 * g1 above sigma alpha N, alpha the smaller class mean
+    (``main_count``), and of the mixed pieces above a tenth of that, with
+    their squared L2 norms (``err12_count``, ..., ``err22_l2sq``).  A pair
+    with an all-zero density runs nothing: its split indices are masked and
+    its counts 0.  A split row holds ``b``, ``level``, ``bohr_size``,
+    ``f1_max`` and the class's ``mean``.
     """
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not eps0 > 0:
@@ -326,51 +326,39 @@ def pair_sumset_columns(
     # with the smaller mean, and one whose smaller mean is 0 runs nothing
     c1, c2 = np.triu_indices(len(f))
     small = np.where(mean[c1] <= mean[c2], c1, c2)
-    alpha = mean[small]
-    live = alpha > 0.0
-    eps0_used = np.where(live, levels[small], eps0)
+    live = mean[small] > 0.0
     conv = convolve_pairs(
-        f, np.stack([c1[live], c2[live]], axis=-1), eps0_used[live], sigma, sums=sums
+        f, np.stack([c1[live], c2[live]], axis=-1), levels[small[live]], sigma, sums=sums
     )
 
-    b = part.units[part.good]
-    delta = part.delta_b[part.good]
-
-    def scatter(values, dtype=np.float64) -> np.ndarray:
-        out = np.zeros(c1.shape + np.shape(values)[1:], dtype=dtype)
+    def scatter(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(c1.shape + values.shape[1:], dtype=values.dtype)
         out[live] = values
         return out
 
-    support = scatter(conv.support, np.int64)
-    target = (delta[c1] + delta[c2]) / 2.0 - eps
-    main_fraction = scatter(conv.main_count, np.int64) / n
-    main_target = (mean[c1] + mean[c2]) / 2.0 - 3.0 * sigma
-    error_count = scatter(conv.error_count, np.int64)
-    error_l2sq = scatter(conv.error_l2sq)
-    f1_max = scatter(conv.f1_max)
-    bohr_size = scatter(conv.bohr_size, np.int64)
-    pieces = ("12", "21", "22")
-    return {
+    b = part.units[part.good]
+    error_count, error_l2sq = scatter(conv.error_count), scatter(conv.error_l2sq)
+    split_f, split_g = scatter(conv.sides).T
+    if not live.all():  # null indices, and the numpy.ma import, only here
+        split_f, split_g = (np.ma.masked_array(x, mask=~live) for x in (split_f, split_g))
+    pairs = {
         "b1": b[c1],
         "b2": b[c2],
-        "alpha": alpha,
-        "beta": np.maximum(mean[c1], mean[c2]),
-        "eps0_used": eps0_used,
-        "support_fraction": support / n,
-        "target_fraction": target,
-        "passed": support / n >= target,
-        "main_fraction": main_fraction,
-        "main_target": main_target,
-        "main_passed": main_fraction >= main_target,
-        **{f"err{p}_count": error_count[:, k] for k, p in enumerate(pieces)},
-        "err_count_reference": np.full(c1.size, sigma * n),
-        **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(pieces)},
-        "f1_max": f1_max[:, 0],
-        "g1_max": f1_max[:, 1],
-        "bohr_size_f": bohr_size[:, 0],
-        "bohr_size_g": bohr_size[:, 1],
-        "support_count": support,
+        "split_f": split_f,
+        "split_g": split_g,
+        "support_count": scatter(conv.support),
+        "main_count": scatter(conv.main_count),
+        **{f"err{p}_count": error_count[:, k] for k, p in enumerate(("12", "21", "22"))},
+        **{f"err{p}_l2sq": error_l2sq[:, k] for k, p in enumerate(("12", "21", "22"))},
     }
+    splits = {
+        "b": b[conv.split_row],
+        "level": conv.split_level,
+        "bohr_size": conv.bohr_size,
+        "f1_max": conv.f1_max,
+        "mean": mean[conv.split_row],
+    }
+    return pairs, splits
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,10 @@ def bohr_set(N: int, frequencies, eps0: float) -> np.ndarray:
 BLOCK_BYTES = 1 << 20
 
 
-def block_rows(length: int) -> int:
-    """Rows of transform length ``length`` that one block holds: a row holds
-    about 32 bytes per point of its transform length at a time."""
-    return max(1, BLOCK_BYTES // (32 * length))
+def block_rows(length: int, point_bytes: int = 32) -> int:
+    """Rows of transform length ``length`` that one block holds, when a row
+    holds ``point_bytes`` bytes per point of that length at a time."""
+    return max(1, BLOCK_BYTES // (point_bytes * length))
 
 
 def split_densities(densities, levels: Sequence[float]) -> list[Decomposition]:
@@ -228,15 +228,18 @@ class PairConvolutions:
     of mean(f) and mean(g), and ``main_l1`` is ||f1*g1||_1.  Columns 0, 1, 2
     of ``error_count`` and ``error_l2sq`` are f1*g2, f2*g1 and f2*g2: the
     points where |f_i*g_j| exceeds a tenth of the main threshold, and
-    ||f_i*g_j||_2^2.  Columns 0 and 1 of ``bohr_size`` and ``f1_max`` are
-    the Bohr set size and the largest value of f1 of the splits of f and g
-    at the pair's level."""
+    ||f_i*g_j||_2^2.  Columns 0 and 1 of ``sides`` index the splits of f and
+    g in the per-split columns: the density row, level, |B| and largest f1
+    of each split, in the order made."""
 
     support: np.ndarray
     main_count: np.ndarray
     main_l1: np.ndarray
     error_count: np.ndarray
     error_l2sq: np.ndarray
+    sides: np.ndarray
+    split_row: np.ndarray
+    split_level: np.ndarray
     bohr_size: np.ndarray
     f1_max: np.ndarray
 
@@ -312,7 +315,8 @@ def convolve_pairs(
     larger than {0} (Bohr smoothing spreads it over all of Z_N).  The
     remainder is read from those spectra as f2hat = fhat - f1hat, exactly 0
     on an exact side.  A block holds ``block_rows`` pairs at its longest
-    transform length; the blocks run in pair order.
+    transform length; the blocks run in pair order.  Each split is returned
+    once, and each pair with the indices of the splits of its sides.
 
     ``sums`` are the row sums ``densities.sum(axis=1)``, which the caller
     has already made; they give the masses and the means.
@@ -331,7 +335,8 @@ def convolve_pairs(
     high = np.zeros(g)
     np.maximum.at(high, pairs, side_level)
     used = high > 0
-    splits = _split_rows(values if used.all() else values[used], high[used].tolist())
+    split_row, split_level = np.flatnonzero(used), high[used]
+    splits = _split_rows(values if used.all() else values[used], split_level.tolist())
     # sides[p] indexes the splits of the two sides of pair p
     sides = (np.cumsum(used) - 1)[pairs]
     exact = np.array([d.bohr.size == 1 for d in splits], dtype=bool)
@@ -342,7 +347,9 @@ def convolve_pairs(
         keys = np.stack([pairs[again], side_level[again]], axis=-1)
         keys, inverse = np.unique(keys, axis=0, return_inverse=True)
         sides[again] = len(splits) + inverse.reshape(-1)
-        splits += _split_rows(values[keys[:, 0].astype(int)], keys[:, 1].tolist())
+        split_row = np.concatenate([split_row, keys[:, 0].astype(np.int64)])
+        split_level = np.concatenate([split_level, keys[:, 1]])
+        splits += _split_rows(values[split_row[-len(keys) :]], keys[:, 1].tolist())
     bohr_size = np.array([d.bohr.size for d in splits], dtype=np.int64)
     exact = bohr_size == 1
     parts = [d.f1 for d, e in zip(splits, exact) if not e]
@@ -373,21 +380,27 @@ def convolve_pairs(
         main_l1=np.zeros(total),
         error_count=np.zeros((total, 3), dtype=np.int64),
         error_l2sq=np.zeros((total, 3)),
-        bohr_size=bohr_size[sides],
-        f1_max=np.array([d.f1_max for d in splits])[sides],
+        sides=sides,
+        split_row=split_row,
+        split_level=split_level,
+        bohr_size=bohr_size,
+        f1_max=np.array([d.f1_max for d in splits]),
     )
-    size = block_rows(n if parts else short)
+    # a pair row holds 16 B per point of f*g (budget 32), 64 with the pieces at N
+    size = block_rows(n, 64) if parts else block_rows(short)
     for lo in range(0, total, size):
         block = slice(lo, lo + size)
         level = sigma * np.minimum(mean[i[block]], mean[j[block]]) * n
         prod = first_spec[i[block]]
         prod *= first_spec[j[block]]
-        first = np.fft.irfft(prod, short, axis=-1)[:, :span]
+        first = np.fft.irfft(prod, short)[:, :span]
+        del prod
         scale = np.maximum(1.0, mass[i[block]] * mass[j[block]] / n)
         out.support[block] = np.count_nonzero(first > 1e-9 * scale[:, None], axis=-1)
         main_l1, main_count = out.main_l1[block], out.main_count[block]
         main_l1[:] = np.sum(np.abs(first), axis=-1)
         main_count[:] = np.count_nonzero(first > level[:, None], axis=-1)
+        del first
         rest = np.flatnonzero(~(exact[s[block]] & exact[t[block]]))
         if rest.size:
             a, b, x, y = (col[block][rest] for col in (one_f, one_g, i, j))
@@ -398,6 +411,7 @@ def convolve_pairs(
             main = np.fft.irfft(f1 * g1, n, axis=-1)
             main_l1[rest] = np.sum(np.abs(main), axis=-1)
             main_count[rest] = np.count_nonzero(main > cut, axis=-1)
+            del main
             for c, (u, v) in enumerate(((f1, g2), (f2, g1), (f2, g2))):
                 prod = u * v
                 conv = np.fft.irfft(prod, n, axis=-1)
@@ -411,9 +425,11 @@ def convolve_pairs(
                 out.error_count[block][rest, c] = np.count_nonzero(
                     np.abs(conv) > cut / 10.0, axis=-1
                 )
+                del prod, conv
         _require_close(
             main_l1,
             mass[one_f[block]] * mass[one_g[block]],
             "L1 mass of the smoothed convolution deviates from the product of masses",
         )
     return out
+

@@ -2,10 +2,13 @@
 
 Everything here is written against the definitions, not against the library:
 trial division, O(N^2) transforms, O(|B|^2) sumsets.  Slow on purpose.
+The report helpers at the end read a pipeline report or write it through
+the library's own writer, rather than recompute it.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -216,3 +219,76 @@ def aggregate_enum(part, eps: float) -> dict:
         },
         "lower_bound": lower,
     }
+
+
+def old_pair_columns(report) -> dict:
+    """The 22 pair columns that a pipeline report held before its splits
+    table, rebuilt from the pair and split tables, the per-class table and
+    the summary with the dtypes and float operations that built them: the
+    class means come from the splits (a class with no split has mean 0), a
+    pair's level is eps0 clamped to ``split_level`` of its smaller class
+    mean, and a side with no split reads 0."""
+    from primesum.prime_embed import split_level
+
+    pairs, splits, summary = report.pair_reports, report.splits, report.summary
+    n, eps, eps0, sigma = (summary[k] for k in ("N", "eps", "eps0", "sigma"))
+    good = np.array(summary["good_classes"], dtype=np.int64)
+    c1, c2 = np.searchsorted(good, pairs["b1"]), np.searchsorted(good, pairs["b2"])
+    mean = np.zeros(good.size)
+    mean[np.searchsorted(good, splits["b"])] = splits["mean"]
+    delta_b = dict(zip(report.per_class["b"], report.per_class["delta_b"]))
+    delta = np.array([delta_b[b] for b in good.tolist()])
+    caps = [split_level(sigma, x) for x in mean.tolist()]
+    levels = np.array([min(eps0, cap) if cap > 0 else eps0 for cap in caps])
+    small = np.where(mean[c1] <= mean[c2], c1, c2)
+    alpha = mean[small]
+    support_fraction = pairs["support_count"] / n
+    target = (delta[c1] + delta[c2]) / 2.0 - eps
+    main_fraction = pairs["main_count"] / n
+    main_target = (mean[c1] + mean[c2]) / 2.0 - 3.0 * sigma
+
+    def per_side(column, side):
+        index = pairs[side]
+        out = np.zeros(index.shape, dtype=splits[column].dtype)
+        split = ~np.ma.getmaskarray(index)
+        out[split] = splits[column][np.ma.getdata(index)[split]]
+        return out
+
+    return {
+        "b1": pairs["b1"],
+        "b2": pairs["b2"],
+        "alpha": alpha,
+        "beta": np.maximum(mean[c1], mean[c2]),
+        "eps0_used": np.where(alpha > 0.0, levels[small], eps0),
+        "support_fraction": support_fraction,
+        "target_fraction": target,
+        "passed": support_fraction >= target,
+        "main_fraction": main_fraction,
+        "main_target": main_target,
+        "main_passed": main_fraction >= main_target,
+        **{f"err{p}_count": pairs[f"err{p}_count"] for p in ("12", "21", "22")},
+        "err_count_reference": np.full(c1.size, sigma * n),
+        **{f"err{p}_l2sq": pairs[f"err{p}_l2sq"] for p in ("12", "21", "22")},
+        "f1_max": per_side("f1_max", "split_f"),
+        "g1_max": per_side("f1_max", "split_g"),
+        "bohr_size_f": per_side("bohr_size", "split_f"),
+        "bohr_size_g": per_side("bohr_size", "split_g"),
+    }
+
+
+def render_json(report) -> str:
+    """The JSON text that ``write_report`` writes for ``report``."""
+    from primesum.expcli.reports import write_report
+
+    buf = io.StringIO()
+    write_report(report, "json", buf)
+    return buf.getvalue()
+
+
+def render_csv(report) -> str:
+    """The CSV text that ``write_report`` writes for ``report``."""
+    from primesum.expcli.reports import write_report
+
+    buf = io.StringIO()
+    write_report(report, "csv", buf)
+    return buf.getvalue()

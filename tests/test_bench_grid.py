@@ -1,5 +1,6 @@
 """scripts/bench_grid.py times every named pipeline stage of a grid point."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -25,6 +26,16 @@ def test_a_point_records_every_stage_and_the_render():
     record = json.loads(out.stdout)
     names = sorted(stage["name"] for stage in record["stages"])
     assert names == sorted([*bench_grid.STAGES, "write_report"])
+    # the sink counts the bytes of the report it hashes
+    from primesum.expcli.config import ExperimentConfig, parse_rule
+    from primesum.expcli.pipeline import run_pipeline
+
+    from oracles import render_json
+
+    cfg = ExperimentConfig(n=3000, w=5, rule=parse_rule("all-primes"))
+    text = render_json(run_pipeline(cfg)).encode("utf-8")
+    assert record["report_bytes"] == len(text)
+    assert record["report_sha256"] == hashlib.sha256(text).hexdigest()
 
 
 def test_a_stage_the_pipeline_lacks_is_an_error(monkeypatch):
@@ -78,6 +89,7 @@ def test_the_summary_adds_up_the_calls_of_a_kernel(tmp_path):
         "total_s": 1.0,
         "max_rss_mb": 10.0,
         "report_sha256": "x",
+        "report_bytes": 3,
         "stages": [
             {"name": "_histogram", "s": 0.25, "vmhwm_mb": 5.0},
             {"name": "capital_R", "s": 0.5, "vmhwm_mb": 9.0},
@@ -87,5 +99,6 @@ def test_the_summary_adds_up_the_calls_of_a_kernel(tmp_path):
     doc = bench_grid._summarize(tmp_path, {("--zm-point", 2310, "units"): [sample]})
     (point,) = doc["points"]
     assert (point["m"], point["set_spec"]) == (2310, "units")
+    assert point["report_bytes"] == [3]
     assert point["stage_s_median"] == {"_histogram": 0.375, "capital_R": 0.5}
     assert point["stage_vmhwm_mb_max"] == {"_histogram": 7.0, "capital_R": 9.0}

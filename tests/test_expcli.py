@@ -16,11 +16,11 @@ from primesum.errors import ConfigurationError, DomainError, InvariantViolation
 from primesum.expcli.cli import main, parse_set_spec
 from primesum.expcli.config import ExperimentConfig, build_subset, parse_rule
 from primesum.expcli.pipeline import _Ledger, run_pipeline
-from primesum.expcli.reports import _sanitize, render_csv, render_json, write_report
+from primesum.expcli.reports import _sanitize, write_report
 from primesum.ntheory import sieve_primes
 from primesum.zm_sumsets import cyclic_sumset_size
 
-from oracles import trial_primes, units_of
+from oracles import render_csv, render_json, trial_primes, units_of
 
 
 def record_calls(monkeypatch, name: str) -> list:
@@ -395,16 +395,16 @@ class TestPipeline:
             n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
         )
         report = run_pipeline(cfg)
-        cols = report.pair_reports
-        assert set(cols["bohr_size_f"]) | set(cols["bohr_size_g"]) <= {1}
-        assert len(calls) == report.summary["good_count"]
+        assert set(report.splits["bohr_size"].tolist()) <= {1}
+        assert len(calls) == report.splits.size == report.summary["good_count"]
 
     def test_exact_splits_leave_zero_error_columns(self):
         cfg = small_config(
             n=6000, w=7, delta=0.5, rule=parse_rule("random-thinning"), seed=1
         )
-        cols = run_pipeline(cfg).pair_reports
-        assert cols.size and set(cols["bohr_size_f"]) | set(cols["bohr_size_g"]) == {1}
+        report = run_pipeline(cfg)
+        cols = report.pair_reports
+        assert cols.size and set(report.splits["bohr_size"].tolist()) == {1}
         for k in ("12", "21", "22"):
             assert set(cols[f"err{k}_l2sq"]) == {0.0}
             assert set(cols[f"err{k}_count"]) == {0}
@@ -425,12 +425,9 @@ class TestPipeline:
         monkeypatch.undo()
         good = report.summary["good_classes"]
         assert len(calls) > len(good)
-        cols = report.pair_reports
+        cols, splits = report.pair_reports, report.splits
         sizes = {}
-        for b, size in (
-            *zip(cols["b1"], cols["bohr_size_f"]),
-            *zip(cols["b2"], cols["bohr_size_g"]),
-        ):
+        for b, size in zip(splits["b"].tolist(), splits["bohr_size"].tolist()):
             sizes.setdefault(b, set()).add(size)
         assert any(len(v) > 1 for v in sizes.values())
 
@@ -462,17 +459,16 @@ class TestPipeline:
             df, dg = split_densities([f, g], [pair_level] * 2)
             q = pair_pieces_oracle(f, df.f1, f - df.f1, g, dg.f1, g - dg.f1, 8.0)
             expected = {
-                "alpha": min(mean(f), mean(g)),
-                "eps0_used": pair_level,
-                "support_fraction": positive_support(f, g) / big_n,
-                "main_fraction": q["main_count"] / big_n,
+                "support_count": positive_support(f, g),
+                "main_count": q["main_count"],
                 **{f"err{k}_count": q[f"err{k}_count"] for k in ("12", "21", "22")},
-                "f1_max": df.f1_max,
-                "g1_max": dg.f1_max,
-                "bohr_size_f": df.bohr.size,
-                "bohr_size_g": dg.bohr.size,
             }
             assert {k: row[k] for k in expected} == expected
+            sf, sg = row["split_f"], row["split_g"]
+            assert splits["b"][[sf, sg]].tolist() == [b1, b2]
+            assert splits["mean"][[sf, sg]].tolist() == [mean(f), mean(g)]
+            assert splits["bohr_size"][[sf, sg]].tolist() == [df.bohr.size, dg.bohr.size]
+            assert splits["f1_max"][[sf, sg]].tolist() == [df.f1_max, dg.f1_max]
             # irfft and ifft round differently; pieces that are 0 in exact
             # arithmetic sit at rounding level, under the floor of 1
             for k in ("12", "21", "22"):
@@ -546,7 +542,7 @@ class TestPipeline:
         report = run_pipeline(small_config(**self.PLAN_CONFIGS[name]))
         monkeypatch.setattr(zs, "_split_rows", rows_split)
         split = zs.split_densities
-        ((densities, pairs, _, _, conv),) = seen
+        ((densities, pairs, pair_levels, _, conv),) = seen
         # each class's level: eps0 clamped to split_level of its mean
         means = [float(np.sum(f)) / f.size for f in densities]
         eps0, sigma = report.summary["eps0"], report.summary["sigma"]
@@ -557,8 +553,17 @@ class TestPipeline:
             eps0,
             lambda c, level: split([densities[c]], [level])[0],
         )
-        assert report.pair_reports["eps0_used"].tolist() == eps0_used
+        c1, c2 = np.triu_indices(len(densities))
+        runs = np.minimum(np.take(means, c1), np.take(means, c2)) > 0
+        assert np.asarray(pair_levels).tolist() == np.asarray(eps0_used)[runs].tolist()
         assert np.asarray(pairs).tolist() == [[c1, c2] for c1, c2, _, _ in live]
+        # the report holds the pair stage's splits and sides
+        table = report.splits
+        assert table["level"].tolist() == conv.split_level.tolist()
+        assert table["bohr_size"].tolist() == conv.bohr_size.tolist()
+        assert table["f1_max"].tolist() == conv.f1_max.tolist()
+        sides = [report.pair_reports[k][runs].tolist() for k in ("split_f", "split_g")]
+        assert np.transpose(sides).tolist() == conv.sides.tolist()
         # each (class, level) is split once, and each side of a pair takes
         # the split the oracle gives it
         by_key = dict(made)
@@ -569,8 +574,10 @@ class TestPipeline:
                 got = by_key[densities[c].tobytes(), level]
                 assert got.bohr.tolist() == expected.bohr.tolist()
                 assert got.f1.tobytes() == expected.f1.tobytes()
-                assert conv.bohr_size[p, side] == expected.bohr.size
-                assert conv.f1_max[p, side] == expected.f1_max
+                k = conv.sides[p, side]
+                assert (conv.split_row[k], conv.split_level[k]) == (c, level)
+                assert conv.bohr_size[k] == expected.bohr.size
+                assert conv.f1_max[k] == expected.f1_max
         read = {c for c1, c2, _, _ in live for c in (c1, c2)}
         assert (len(reference) > len(read)) == (name == "split")
 
@@ -607,8 +614,17 @@ class TestPipeline:
         made.clear()
         part = convolve(densities, pairs[pick], pair_levels[pick], sigma, **kwargs)
         assert len(dict(made)) == len(made) > np.unique(pairs[pick]).size
+        # per pair, and per split through each pair's sides; an exact side
+        # may take its split at another level, which depends on the other
+        # pairs, with the same f1 = f and |B| = 1
+        per_split = ("split_row", "bohr_size", "f1_max")
         for field in dataclasses.fields(full):
-            got, expected = getattr(part, field.name), getattr(full, field.name)[pick]
+            if field.name in ("sides", "split_level"):
+                continue
+            got, expected = getattr(part, field.name), getattr(full, field.name)
+            if field.name in per_split:
+                got, expected = got[part.sides], expected[full.sides]
+            expected = expected[pick]
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -685,6 +701,89 @@ class TestPipeline:
         (row,) = [c for c in report.checks if c.name == "aggregate-bound-vs-sumset"]
         assert report.summary["good_count"] == 0
         assert (row.kind, row.lhs, row.rhs, row.passed) == ("report", 0.0, 1, None)
+
+
+class TestPairTables:
+    """The pair table holds what each pair measured, and the splits table
+    each split once; every pair column of the reports before the splits
+    table follows from them, the per-class table and the summary."""
+
+    CONFIGS = {
+        "pairs-w7": dict(n=52815, w=7, rule=parse_rule("random-thinning"), delta=0.5, seed=2),
+        "all-primes": dict(n=200000, w=5),
+        # every split smoothed over a Bohr set larger than {0}
+        "inexact": dict(n=3000, w=5, eps0=0.1, sigma=8.0),
+        # most classes embed no prime at N = 5: their mean is 0
+        "zero-mean": dict(n=300, w=7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_old_pair_columns_rebuild_bit_for_bit(self, name):
+        import hashlib
+
+        from oracles import old_pair_columns
+
+        recorded = json.loads((Path(__file__).parent / "old_pair_columns.json").read_text())
+        report = run_pipeline(small_config(**self.CONFIGS[name]))
+        columns = old_pair_columns(report)
+        moved = sorted(
+            column
+            for column, digest in recorded["configs"][name].items()
+            if hashlib.sha256(
+                columns[column].dtype.str.encode() + columns[column].tobytes()
+            ).hexdigest()[:16]
+            != digest
+        )
+        assert len(columns) == 22 and not moved, (
+            f"recorded with numpy {recorded['numpy']}, run with numpy {np.__version__}"
+        )
+        splits = report.splits
+        if name == "inexact":
+            assert splits["bohr_size"].min() > 1
+        if name == "zero-mean":
+            dead = np.ma.getmaskarray(report.pair_reports["split_f"])
+            assert 0 < dead.sum() < dead.size
+            for column in ("split_g", "support_count", "main_count", "err22_l2sq"):
+                cells = report.pair_reports[column][dead]
+                assert np.ma.getmaskarray(cells).all() if column == "split_g" else not cells.any()
+
+    def test_pair_table_columns(self):
+        report = run_pipeline(small_config(**self.CONFIGS["zero-mean"]))
+        pairs, splits = report.pair_reports, report.splits
+        assert sorted(pairs) == sorted(
+            ["b1", "b2", "split_f", "split_g", "support_count", "main_count"]
+            + [f"err{p}_{kind}" for kind in ("count", "l2sq") for p in ("12", "21", "22")]
+        )
+        assert {str(column.dtype) for column in pairs.values()} == {"int64", "float64"}
+        assert sorted(splits) == ["b", "bohr_size", "f1_max", "level", "mean"]
+        # a masked split index is a null cell
+        doc = json.loads(render_json(report))["tables"]
+        nulls = [row["split_f"] is None for row in doc["pair_reports"]]
+        assert nulls == np.ma.getmaskarray(pairs["split_f"]).tolist() and any(nulls)
+        assert len(doc["splits"]) == splits.size
+
+    @pytest.mark.parametrize("name", ["pairs-w7", "all-primes"])
+    def test_witness_pairs_carry_their_support_count(self, name):
+        report = run_pipeline(small_config(**self.CONFIGS[name]))
+        pairs = report.pair_reports
+        row = {
+            (b1, b2): k
+            for k, (b1, b2) in enumerate(zip(pairs["b1"].tolist(), pairs["b2"].tolist()))
+        }
+        residues = report.residue_density
+        for b1, b2, support in zip(
+            residues["witness_b1"], residues["witness_b2"], residues["witness_support"]
+        ):
+            assert pairs["support_count"][row[min(b1, b2), max(b1, b2)]] == support
+        # on the witness scale every pair reaches its target
+        checks = {check.name: check for check in report.checks}
+        size = pairs.size
+        for check in ("pair-support-targets", "pair-main-targets"):
+            assert (checks[check].lhs, checks[check].rhs, checks[check].passed) == (
+                size, size, True
+            )
+        assert checks["witness-support-count"].passed
+        assert size == {"pairs-w7": 1176, "all-primes": 36}[name]
 
 
 class TestGateCoverage:

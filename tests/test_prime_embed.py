@@ -412,35 +412,72 @@ def embedding_of(rows) -> EmbeddedClasses:
     return EmbeddedClasses(f, zeros, zeros, zeros, math.nan)
 
 
-def pair_report(classes, eps, eps0, sigma):
+def pair_report(classes, eps0, sigma):
     """The row of the last pair from ``pair_sumset_columns`` of ``classes``,
     (b, row of f, delta_b) triples in ascending b, all good: one class with
-    itself, or two classes together."""
+    itself, or two classes together; and the split columns."""
     b, rows, delta_b = zip(*classes)
     part = synthetic_partition(dict(zip(b, delta_b)), 0.5, b)
-    columns = pair_sumset_columns(part, embedding_of(rows), eps, eps0, sigma)
-    return {name: values[len(classes) - 1] for name, values in columns.items()}
+    pairs, splits = pair_sumset_columns(part, embedding_of(rows), eps0, sigma)
+    return {name: values[len(classes) - 1] for name, values in pairs.items()}, splits
+
+
+def pair_checks(classes, eps, eps0, sigma, n):
+    """The check rows, by name, of the pipeline's pair stage on ``classes``
+    as ``pair_report`` takes them, in a partition of the primes up to n."""
+    from types import SimpleNamespace
+
+    from primesum.expcli.pipeline import _Ledger, _pair_stage
+
+    b, rows, delta_b = zip(*classes)
+    part = synthetic_partition(dict(zip(b, delta_b)), 0.5, b, n=n)
+    ledger = _Ledger()
+    _pair_stage(ledger, SimpleNamespace(eps=eps), part, embedding_of(rows), eps0, sigma)
+    return {row.name: row for row in ledger}
 
 
 class TestPairSumsetReport:
+    # N = 64 = choose_N(96, 6): the support target reads n/m = 16 points
+    # per unit of density
     def test_idealized_full_support(self):
-        rep = pair_report([(1, np.ones(64), 1.0)], 0.1, 0.01, 0.01)
-        assert rep["support_fraction"] == 1.0
-        assert rep["passed"]
+        rep, _ = pair_report([(1, np.ones(64), 1.0)], 0.01, 0.01)
+        assert rep["support_count"] == 64
+        checks = pair_checks([(1, np.ones(64), 1.0)], 0.1, 0.01, 0.01, 96)
+        assert checks["pair-support-targets"].passed
 
     def test_zero_function_fails_when_dense(self):
-        rep = pair_report([(1, np.zeros(64), 0.3)], 0.2, 0.01, 0.01)
+        rep, _ = pair_report([(1, np.zeros(64), 0.3)], 0.01, 0.01)
         assert rep["support_count"] == 0
-        assert not rep["passed"]
+        # 0 points against (0.3 - 0.2) 16 = 1.6
+        checks = pair_checks([(1, np.zeros(64), 0.3)], 0.2, 0.01, 0.01, 96)
+        assert not checks["pair-support-targets"].passed
 
     def test_zero_function_passes_when_sparse(self):
-        rep = pair_report([(1, np.zeros(64), 0.05)], 0.2, 0.01, 0.01)
-        assert rep["passed"]
+        checks = pair_checks([(1, np.zeros(64), 0.05)], 0.2, 0.01, 0.01, 96)
+        assert checks["pair-support-targets"].passed
+
+    def test_targets_read_the_good_classes(self):
+        # classes 1 and 11 are good and 7 is not; the pairs (1, 1), (1, 11)
+        # and (11, 11) have the mean densities 0.3, 0.4 and 0.5, and the
+        # mean class means 0.5, 1.05 and 1.6
+        from types import SimpleNamespace
+
+        from primesum.expcli.pipeline import _Ledger, _pair_stage
+
+        rows = np.array([np.full(8, 0.5), np.full(8, 9.0), np.full(8, 1.6)])
+        part = synthetic_partition({1: 0.3, 7: 0.1, 11: 0.5}, 0.2, [1, 11], w=5)
+        ledger = _Ledger()
+        _pair_stage(ledger, SimpleNamespace(eps=0.1), part, embedding_of(rows), 0.01, 0.01)
+        checks = {row.name: (row.lhs, row.rhs) for row in ledger}
+        # 8 points of support against (0.2, 0.3, 0.4) n/m = 6.7, 10 and 13.3
+        assert checks["pair-support-targets"] == (1, 3)
+        # main_count / N = 1 against 0.47, 1.02 and 1.57
+        assert checks["pair-main-targets"] == (1, 3)
 
     def test_rows_must_align_with_the_units(self):
         part = synthetic_partition({1: 1.0, 5: 1.0}, 0.5, [1, 5])
         with pytest.raises(DomainError, match="align with the partition's units"):
-            pair_sumset_columns(part, embedding_of([np.ones(8)]), 0.1, 0.01, 0.01)
+            pair_sumset_columns(part, embedding_of([np.ones(8)]), 0.01, 0.01)
 
     def test_good_rows_are_picked_from_the_embedding(self, monkeypatch):
         import primesum.prime_embed as pe
@@ -458,34 +495,43 @@ class TestPairSumsetReport:
         emb = embedding_of(rows)
         densities = {1: 0.3, 7: 0.1, 11: 0.5}
         # every class good: the embedding's own array, not a copy
-        every = pair_sumset_columns(
-            synthetic_partition(densities, 0.2, densities, w=5), emb, 0.1, 0.01, 0.01
+        every, every_splits = pair_sumset_columns(
+            synthetic_partition(densities, 0.2, densities, w=5), emb, 0.01, 0.01
         )
         assert seen.pop() is emb.f
         assert every["b1"].tolist() == [1, 1, 1, 7, 7, 11]
-        # the good classes 1 and 11 only: their rows, labels and densities
+        # the good classes 1 and 11 only: their rows, labels and splits
         part = synthetic_partition(densities, 0.2, [1, 11], w=5)
-        some = pair_sumset_columns(part, emb, 0.1, 0.01, 0.01)
+        some, some_splits = pair_sumset_columns(part, emb, 0.01, 0.01)
         assert seen.pop().tolist() == rows[[0, 2]].tolist()
         assert (some["b1"].tolist(), some["b2"].tolist()) == ([1, 1, 11], [1, 11, 11])
+        assert some_splits["b"].tolist() == [1, 11]
+        assert some_splits["mean"].tolist() == (rows[[0, 2]].sum(axis=1) / 8).tolist()
         kept = [0, 2, 5]
-        assert {name: column.tolist() for name, column in some.items()} == {
-            name: column[kept].tolist() for name, column in every.items()
+        sides = ("split_f", "split_g")
+        assert {name: column.tolist() for name, column in some.items() if name not in sides} == {
+            name: column[kept].tolist() for name, column in every.items() if name not in sides
         }
-        assert some["target_fraction"].tolist() == [0.3 - 0.1, 0.4 - 0.1, 0.5 - 0.1]
+        for side in sides:
+            for name, column in some_splits.items():
+                expected = every_splits[name][every[side][kept]]
+                assert column[some[side]].tolist() == expected.tolist()
 
     def test_eps0_clamped_to_parameter_relation(self):
-        rep = pair_report([(1, np.ones(64), 1.0)], 0.1, 0.5, 0.01)
-        assert rep["eps0_used"] <= 0.01**6 * 1.0**4 / 400.0
+        _, splits = pair_report([(1, np.ones(64), 1.0)], 0.5, 0.01)
+        assert splits["level"].tolist() == [0.01**6 * 1.0**4 / 400.0]
 
     def test_main_term_counts_against_the_smaller_mean(self):
         # the b1 class is the denser one: f1*g1 = 0.5 everywhere clears
         # sigma alpha N = 0.25 at the smaller mean alpha = 1/16, though not
         # sigma N = 4 at the b1 class's mean
         dense, sparse = (1, np.ones(8), 1.0), (5, 0.5 * np.eye(8)[0], 1.0)
-        rep = pair_report([dense, sparse], 0.1, 0.01, 0.5)
-        assert rep["alpha"] == 1 / 16
-        assert rep["main_fraction"] == 1.0
+        rep, splits = pair_report([dense, sparse], 0.01, 0.5)
+        sides = [rep["split_f"], rep["split_g"]]
+        assert splits["mean"][sides].tolist() == [1.0, 1 / 16]
+        # both sides split at the sparse class's level, below the dense one's
+        assert splits["level"][sides[0]] == splits["level"][sides[1]] < splits["level"][0]
+        assert rep["main_count"] == 8
 
     def test_class_density_transformed_once(self, monkeypatch):
         part, table = partition_and_table(trial_primes(2000), 2000, 3)
@@ -499,8 +545,8 @@ class TestPairSumsetReport:
             return rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        columns = pair_sumset_columns(part, emb, 0.1, 0.01, 0.01)
-        assert len(columns["alpha"]) == 3 and min(columns["alpha"]) > 0
+        pairs, splits = pair_sumset_columns(part, emb, 0.01, 0.01)
+        assert pairs["b1"].size == 3 and splits["mean"].min() > 0
         # one forward transform of the rows serves all three pairs; a row is
         # its density's prefix, past which the density is zero
         assert len(stacks) == 1 and len(stacks[0]) == 2
@@ -522,11 +568,11 @@ class TestPairSumsetReport:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            columns = pair_sumset_columns(part, emb, 0.1, eps0, sigma)
+            pairs, _ = pair_sumset_columns(part, emb, eps0, sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(columns["alpha"]) == good * (good + 1) // 2
+        assert pairs["b1"].size == good * (good + 1) // 2
         assert peak - before <= 2.2 * unit
 
 

@@ -19,10 +19,10 @@ from primesum.expcli.reports import (
     Columns,
     _cell,
     _sanitize,
-    render_csv,
-    render_json,
     write_report,
 )
+
+from oracles import render_csv, render_json
 
 # keys and strings that need escaping: quotes, backslashes, control and
 # non-ASCII characters, the list separator ", " and a "%" (the row template

@@ -93,7 +93,7 @@ class TestDensityRows:
         # three middle points
         f = indicator(8, [1, 2, 3])
         rep = convolve_pairs([f], [(0, 0)], [0.01], 0.5, sums=row_sums([f]))
-        assert rep.bohr_size.tolist() == [[1, 1]]
+        assert rep.bohr_size.tolist() == [1] and rep.sides.tolist() == [[0, 0]]
         assert rep.main_l1[0] == pytest.approx(9.0, rel=1e-12)
         assert rep.main_count[0] == 3 and rep.support[0] == 5
 
@@ -405,8 +405,9 @@ class TestConvolutionProofQuantities:
         (d,) = split_densities([f], [0.5])
         rep = convolve_pairs([f], [(0, 0)], [0.5], 0.1, sums=row_sums([f]))
         assert abs(rep.main_l1[0] - n * n) < 1e-6
-        assert rep.bohr_size.tolist() == [[d.bohr.size] * 2]
-        assert rep.f1_max.tolist() == [[d.f1_max] * 2]
+        assert rep.sides.tolist() == [[0, 0]]
+        assert rep.bohr_size.tolist() == [d.bohr.size]
+        assert rep.f1_max.tolist() == [d.f1_max]
         assert rep.main_count[0] == n
         assert rep.support[0] == n
         assert np.all(rep.error_count == 0)
@@ -424,15 +425,19 @@ class TestConvolutionProofQuantities:
         rep = convolve_pairs(fs, pairs, [0.2] * len(pairs), 0.05, sums=row_sums(fs))
         assert rep.support.shape == rep.main_count.shape == (len(pairs),)
         assert rep.error_count.shape == rep.error_l2sq.shape == (len(pairs), 3)
-        assert rep.bohr_size.shape == rep.f1_max.shape == (len(pairs), 2)
+        # one split per density, all at the one level 0.2
+        assert rep.sides.shape == (len(pairs), 2)
+        assert rep.split_row.tolist() == list(range(7))
+        assert rep.split_level.tolist() == [0.2] * 7
+        assert rep.bohr_size.shape == rep.f1_max.shape == (7,)
         for p, (i, j) in enumerate(pairs):
             f, g, df, dg = fs[i], fs[j], ds[i], ds[j]
             want = pair_pieces_oracle(f, df.f1, f - df.f1, g, dg.f1, g - dg.f1, 0.05)
             assert rep.support[p] == positive_support(f, g)
             assert rep.main_count[p] == want["main_count"]
             assert rep.main_l1[p] == pytest.approx(df.f1.sum() * dg.f1.sum(), rel=1e-9)
-            assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
-            assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
+            assert rep.bohr_size[rep.sides[p]].tolist() == [df.bohr.size, dg.bohr.size]
+            assert rep.f1_max[rep.sides[p]].tolist() == [df.f1_max, dg.f1_max]
             for c, key in enumerate(("12", "21", "22")):
                 assert rep.error_count[p, c] == want[f"err{key}_count"]
                 assert rep.error_l2sq[p, c] == pytest.approx(
@@ -455,7 +460,9 @@ class TestConvolutionProofQuantities:
     def test_no_pairs(self):
         rep = convolve_pairs(np.zeros((0, 8)), [], [], 0.1, sums=np.zeros(0))
         assert rep.support.shape == (0,) and rep.error_l2sq.shape == (0, 3)
-        assert rep.bohr_size.shape == rep.f1_max.shape == (0, 2)
+        assert rep.sides.shape == (0, 2)
+        assert rep.split_row.shape == rep.split_level.shape == (0,)
+        assert rep.bohr_size.shape == rep.f1_max.shape == (0,)
 
     def test_sides_split_once_at_the_pair_level(self, monkeypatch):
         # each density a pair reads is split first at its highest pair level;
@@ -480,12 +487,14 @@ class TestConvolutionProofQuantities:
         pair_levels = [0.1, 0.1, 0.1, 0.2, 0.3]
         rep = convolve_pairs(rows, pairs, pair_levels, 0.05, sums=row_sums(rows))
         assert made == [(0, 0.3), (1, 0.3), (0, 0.1), (0, 0.2)]
+        # each split is returned once, in the order made
+        assert list(zip(rep.split_row.tolist(), rep.split_level.tolist())) == made
         assert split([smooth], [0.3])[0].bohr.size > 1
         assert split([point], [0.3])[0].bohr.size == 1
         for p, ((i, j), level) in enumerate(zip(pairs, pair_levels)):
             df, dg = split([rows[c] for c in (i, j)], [level] * 2)
-            assert rep.bohr_size[p].tolist() == [df.bohr.size, dg.bohr.size]
-            assert rep.f1_max[p].tolist() == [df.f1_max, dg.f1_max]
+            assert rep.bohr_size[rep.sides[p]].tolist() == [df.bohr.size, dg.bohr.size]
+            assert rep.f1_max[rep.sides[p]].tolist() == [df.f1_max, dg.f1_max]
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, float("nan")])
     def test_a_pair_level_outside_the_unit_interval_is_rejected(self, monkeypatch, bad):
@@ -497,6 +506,27 @@ class TestConvolutionProofQuantities:
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got"):
             convolve_pairs([f], [(0, 0), (0, 0)], [0.5, bad], 0.1, sums=row_sums([f]))
         assert splits == []
+
+    def test_a_block_of_inexact_pairs_holds_its_budget(self, monkeypatch):
+        # every split is smoothed over all of Z_N, so each pair takes its
+        # pieces at N; doubling the rows of a block adds at most the bytes
+        # that block_rows budgets for them, 64 per point of a row
+        n = 3001
+        rows = np.random.default_rng(1).random((6, n))
+        pairs = np.stack(np.triu_indices(6), axis=-1).repeat(4, axis=0)
+        sums = rows.sum(axis=1)
+        peaks = []
+        for block in (8, 16):
+            monkeypatch.setattr(zs, "BLOCK_BYTES", block * 64 * n)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rep = convolve_pairs(rows, pairs, np.full(len(pairs), 1.0), 0.05, sums=sums)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert rep.bohr_size.min() == n and len(pairs) > 32
+        assert peaks[1] - peaks[0] <= 1.1 * 8 * 64 * n
 
     def test_memory_of_inexact_splits(self):
         # every split is smoothed over all of Z_N, so every pair takes its
