@@ -422,15 +422,13 @@ def pair_report(classes, eps0, sigma):
     return {name: values[len(classes) - 1] for name, values in pairs.items()}, splits
 
 
-def pair_checks(classes, eps, eps0, sigma, n):
-    """The check rows, by name, of the pipeline's pair stage on ``classes``
-    as ``pair_report`` takes them, in a partition of the primes up to n."""
+def pair_checks(part, rows, eps, eps0, sigma):
+    """The check rows, by name, of the pipeline's pair stage on the density
+    ``rows`` of ``part``'s units."""
     from types import SimpleNamespace
 
     from primesum.expcli.pipeline import _Ledger, _pair_stage
 
-    b, rows, delta_b = zip(*classes)
-    part = synthetic_partition(dict(zip(b, delta_b)), 0.5, b, n=n)
     ledger = _Ledger()
     _pair_stage(ledger, SimpleNamespace(eps=eps), part, embedding_of(rows), eps0, sigma)
     return {row.name: row for row in ledger}
@@ -442,37 +440,36 @@ class TestPairSumsetReport:
     def test_idealized_full_support(self):
         rep, _ = pair_report([(1, np.ones(64), 1.0)], 0.01, 0.01)
         assert rep["support_count"] == 64
-        checks = pair_checks([(1, np.ones(64), 1.0)], 0.1, 0.01, 0.01, 96)
+        part = synthetic_partition({1: 1.0}, 0.5, [1], n=96)
+        checks = pair_checks(part, [np.ones(64)], 0.1, 0.01, 0.01)
         assert checks["pair-support-targets"].passed
 
     def test_zero_function_fails_when_dense(self):
         rep, _ = pair_report([(1, np.zeros(64), 0.3)], 0.01, 0.01)
         assert rep["support_count"] == 0
         # 0 points against (0.3 - 0.2) 16 = 1.6
-        checks = pair_checks([(1, np.zeros(64), 0.3)], 0.2, 0.01, 0.01, 96)
+        part = synthetic_partition({1: 0.3}, 0.5, [1], n=96)
+        checks = pair_checks(part, [np.zeros(64)], 0.2, 0.01, 0.01)
         assert not checks["pair-support-targets"].passed
 
     def test_zero_function_passes_when_sparse(self):
-        checks = pair_checks([(1, np.zeros(64), 0.05)], 0.2, 0.01, 0.01, 96)
+        part = synthetic_partition({1: 0.05}, 0.5, [1], n=96)
+        checks = pair_checks(part, [np.zeros(64)], 0.2, 0.01, 0.01)
         assert checks["pair-support-targets"].passed
 
     def test_targets_read_the_good_classes(self):
         # classes 1 and 11 are good and 7 is not; the pairs (1, 1), (1, 11)
         # and (11, 11) have the mean densities 0.3, 0.4 and 0.5, and the
         # mean class means 0.5, 1.05 and 1.6
-        from types import SimpleNamespace
-
-        from primesum.expcli.pipeline import _Ledger, _pair_stage
-
         rows = np.array([np.full(8, 0.5), np.full(8, 9.0), np.full(8, 1.6)])
         part = synthetic_partition({1: 0.3, 7: 0.1, 11: 0.5}, 0.2, [1, 11], w=5)
-        ledger = _Ledger()
-        _pair_stage(ledger, SimpleNamespace(eps=0.1), part, embedding_of(rows), 0.01, 0.01)
-        checks = {row.name: (row.lhs, row.rhs) for row in ledger}
+        checks = pair_checks(part, rows, 0.1, 0.01, 0.01)
         # 8 points of support against (0.2, 0.3, 0.4) n/m = 6.7, 10 and 13.3
-        assert checks["pair-support-targets"] == (1, 3)
+        support = checks["pair-support-targets"]
+        assert (support.lhs, support.rhs) == (1, 3)
         # main_count / N = 1 against 0.47, 1.02 and 1.57
-        assert checks["pair-main-targets"] == (1, 3)
+        main = checks["pair-main-targets"]
+        assert (main.lhs, main.rhs) == (1, 3)
 
     def test_rows_must_align_with_the_units(self):
         part = synthetic_partition({1: 1.0, 5: 1.0}, 0.5, [1, 5])
